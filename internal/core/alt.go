@@ -187,7 +187,7 @@ func New(opts Options) *ALT {
 		t.ebr = arena.NewDomain()
 		t.ownEBR = true
 	}
-	t.tab.Store(&table{})
+	t.tab.Store(newTable(nil, nil))
 	t.ret.q = make(chan *model, t.opts.RetrainQueue)
 	t.ret.stop = make(chan struct{})
 	return t
@@ -199,17 +199,17 @@ func New(opts Options) *ALT {
 // mostly-drained chunk pinned by one straggler model wastes little.
 const arenaChunkBlocks = 8192
 
-// retireModels hands superseded models' slot storage to the epoch
-// domain: the spans return to the arena only after every reader that
-// could still hold the old table has unpinned. Call only after the
-// replacement table is published. The model structs themselves (and
-// sidecars/ART nodes they reference) stay ordinary GC-managed memory —
-// the domain just defers the arena recycling, which is the only unsafe
-// reuse in the system.
-func (t *ALT) retireModels(ms []*model) {
-	for _, m := range ms {
+// retire hands superseded models' slot storage to the epoch domain: the
+// spans return to the arena only after every reader that could still hold
+// the old table has unpinned. Call only after the replacement table is
+// published. The model structs themselves (and sidecars/ART nodes they
+// reference) stay ordinary GC-managed memory — the domain just defers the
+// arena recycling, which is the only unsafe reuse in the system.
+func (t *ALT) retire(es []entry) {
+	for i := range es {
 		fpEpochRetire.Inject()
-		t.ebr.Retire(m.span.Bytes(), m.span.Release)
+		sp := es[i].m.span
+		t.ebr.Retire(sp.Bytes(), sp.Release)
 	}
 }
 
@@ -301,8 +301,8 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 		segs = gpl.Partition(keys, eps)
 	}
 
-	models := make([]*model, 0, len(segs))
-	firsts := make([]uint64, 0, len(segs))
+	bounds := make([]uint64, 0, len(segs))
+	dir := make([]entry, 0, len(segs))
 	var confK, confV []uint64
 	off := 0
 	for _, seg := range segs {
@@ -311,20 +311,20 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 			confK = append(confK, keys[off+ci])
 			confV = append(confV, vals[off+ci])
 		}
-		models = append(models, m)
-		firsts = append(firsts, m.first)
+		bounds = append(bounds, m.first)
+		dir = append(dir, newEntry(m))
 		off += seg.N
 	}
 
 	// Fresh ART + fast pointer buffer sized for the model population
 	// plus retraining headroom.
-	t.fp = newFPBuffer(2*len(models) + 1024)
+	t.fp = newFPBuffer(2*len(dir) + 1024)
 	t.tree = art.New(t.fp)
 	for i := range confK {
 		t.tree.Insert(confK[i], confV[i])
 	}
 
-	tb := &table{firsts: firsts, models: models}
+	tb := newTable(bounds, dir)
 	old := t.tab.Swap(tb)
 	t.size.Store(int64(len(keys)))
 	t.retrains.Store(0)
@@ -335,37 +335,27 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	// The replaced table's slot storage goes through the epoch domain like
 	// any retirement, so a reader still holding the old table (Bulkload on
 	// a live index) never sees its spans recycled under it.
-	t.retireModels(old.models)
+	t.retire(old.dir)
 	return nil
 }
 
 // buildFastPointers links each GPL model to the deepest ART node covering
 // its key range, merging duplicate targets (§III-C).
 func (t *ALT) buildFastPointers(tb *table) {
-	for i, m := range tb.models {
-		t.registerFP(tb, m, i)
+	for i := range tb.dir {
+		t.registerFP(tb, i)
 	}
 }
 
 // registerFP links the model at table position pos to the deepest ART node
 // covering its routing range (§III-C1).
-func (t *ALT) registerFP(tb *table, m *model, pos int) {
-	lo := tb.firsts[pos]
-	if pos == 0 {
-		lo = 0
+func (t *ALT) registerFP(tb *table, pos int) {
+	n := t.tree.LowestCommonNode(tb.rangeBounds(pos))
+	if n == nil {
+		return
 	}
-	hi := tb.upperBound(pos)
-	if hi > lo {
-		hi--
-	}
-	n := t.tree.LowestCommonNode(lo, hi)
-	if n != nil {
-		if _, leaf := n.Leaf(); leaf {
-			n = nil
-		}
-	}
-	if n != nil {
-		m.fastIdx.Store(t.fp.register(n))
+	if _, leaf := n.Leaf(); !leaf {
+		tb.dir[pos].m.fastIdx.Store(t.fp.register(n))
 	}
 }
 
@@ -491,12 +481,20 @@ func (t *ALT) Get(key uint64) (uint64, bool) {
 	var bo backoff
 	for {
 		tab := t.tab.Load()
-		if len(tab.models) == 0 {
-			return t.tree.Get(key)
+		if len(tab.dir) == 0 {
+			fpGetPreTable.Inject()
+			v, ok := t.tree.Get(key)
+			if !ok && t.tab.Load() != tab {
+				// The auto-train bootstrap published a table after the
+				// load above and may have moved the key out of ART before
+				// the probe; the miss proves nothing.
+				continue
+			}
+			return v, ok
 		}
-		m, _ := tab.find(key)
-		s := m.slotOf(key)
-		k, v, meta, ok := m.read(s)
+		e := &tab.dir[tab.route(key)]
+		s := e.slotOf(key)
+		k, v, meta, ok := e.read(s)
 		if !ok {
 			bo.wait()
 			continue
@@ -513,30 +511,30 @@ func (t *ALT) Get(key uint64) (uint64, bool) {
 			// Conflict slot: before paying the ART traversal, ask the
 			// fingerprint sidecar whether the key can be there at all —
 			// the common "absent on a fit-hard dataset" case ends here.
-			if m.absentInART(key, s) {
+			if e.m.absentInART(key, s) {
 				return 0, false
 			}
-			val, found, _ := t.tree.GetFrom(t.fpNode(m), key)
+			val, found, _ := t.tree.GetFrom(t.fpNode(e.m), key)
 			if found {
 				return val, true
 			}
-			if m.metaRef(s).Load() != meta {
+			if e.metaRef(s).Load() != meta {
 				bo.wait()
 				continue // concurrent migration; retry
 			}
 			return 0, false
 		default: // tombstone: the key may live in ART
-			if m.absentInART(key, s) {
+			if e.m.absentInART(key, s) {
 				return 0, false
 			}
-			val, found, _ := t.tree.GetFrom(t.fpNode(m), key)
+			val, found, _ := t.tree.GetFrom(t.fpNode(e.m), key)
 			if found {
 				if !t.opts.DisableWriteBack {
-					t.writeBack(m, s, key, val)
+					t.writeBack(e.m, s, key, val)
 				}
 				return val, true
 			}
-			if m.metaRef(s).Load() != meta {
+			if e.metaRef(s).Load() != meta {
 				bo.wait()
 				continue
 			}
@@ -575,9 +573,9 @@ func (t *ALT) Insert(key, value uint64) error {
 	bo := t.writerBackoff()
 	for {
 		tab := t.tab.Load()
-		if len(tab.models) == 0 {
+		if len(tab.dir) == 0 {
 			t.preMu.RLock()
-			if len(t.tab.Load().models) != 0 {
+			if len(t.tab.Load().dir) != 0 {
 				t.preMu.RUnlock()
 				continue // trained concurrently; take the normal path
 			}
@@ -588,39 +586,39 @@ func (t *ALT) Insert(key, value uint64) error {
 			t.maybeTrainInitial()
 			return nil
 		}
-		m, pos := tab.find(key)
-		if t.insertAt(tab, m, pos, key, value) {
+		if t.insertAt(tab, tab.route(key), key, value) {
 			return nil
 		}
 		bo.wait()
 	}
 }
 
-// insertAt runs one optimistic insert attempt of key at its routed model.
-// It returns false on contention (a locked slot or a metadata race) — the
-// caller must back off, reload the table and reroute. Shared verbatim by
+// insertAt runs one optimistic insert attempt of key at its routed table
+// position. It returns false on contention (a locked slot or a metadata
+// race) — the caller must back off, reload the table and reroute. Shared verbatim by
 // the per-key Insert loop and the batched InsertBatch path, so both speak
 // exactly the same slot protocol.
-func (t *ALT) insertAt(tab *table, m *model, pos int, key, value uint64) bool {
-	s := m.slotOf(key)
-	meta := m.metaRef(s).Load()
+func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
+	e := &tab.dir[pos]
+	s := e.slotOf(key)
+	meta := e.metaRef(s).Load()
 	if meta&slotLockBit != 0 {
 		return false
 	}
 	st := meta & (slotOccupied | slotTomb)
 	switch {
 	case st&slotOccupied != 0:
-		k := m.keyRef(s).Load()
-		if m.metaRef(s).Load() != meta {
+		k := e.keyRef(s).Load()
+		if e.metaRef(s).Load() != meta {
 			return false
 		}
 		if k == key {
-			if !m.acquire(s, meta) {
+			if !e.acquire(s, meta) {
 				return false
 			}
 			fpInsertLocked.Inject()
-			m.valRef(s).Store(value)
-			m.release(s, meta, slotOccupied)
+			e.valRef(s).Store(value)
+			e.release(s, meta, slotOccupied)
 			return true
 		}
 		// Conflict data: evict to ART-OPT via the fast pointer
@@ -629,41 +627,41 @@ func (t *ALT) insertAt(tab *table, m *model, pos int, key, value uint64) bool {
 		// cannot gather the range while this key is in flight (it
 		// would strand the key in ART with no occupied slot routing
 		// to it).
-		if !m.acquire(s, meta) {
+		if !e.acquire(s, meta) {
 			return false
 		}
 		fpInsertLocked.Inject()
 		// The epoch bump must precede the tree insert (both under the
 		// slot lock) so no reader can trust the sidecar after the key
 		// becomes ART-resident; see the invalidation notes in sidecar.go.
-		m.artEpoch.Add(1)
-		added := t.tree.PutFrom(t.fpNode(m), key, value)
-		m.release(s, meta, slotOccupied)
+		e.m.artEpoch.Add(1)
+		added := t.tree.PutFrom(t.fpNode(e.m), key, value)
+		e.release(s, meta, slotOccupied)
 		if added {
 			t.size.Add(1)
 		}
-		m.overflow.Add(1)
-		if !t.opts.DisableFastPointers && m.fastIdx.Load() < 0 {
+		e.m.overflow.Add(1)
+		if !t.opts.DisableFastPointers && e.m.fastIdx.Load() < 0 {
 			// The model had no fast pointer (the ART was empty when
 			// it was built); now that its range has conflict data,
 			// link it lazily.
-			t.registerFP(tab, m, pos)
+			t.registerFP(tab, pos)
 		}
-		t.maybeRetrain(m)
+		t.maybeRetrain(e.m)
 		return true
 	case st == 0:
-		if !m.acquire(s, meta) {
+		if !e.acquire(s, meta) {
 			return false
 		}
 		fpInsertLocked.Inject()
-		m.keyRef(s).Store(key)
-		m.valRef(s).Store(value)
-		m.release(s, meta, slotOccupied)
-		m.inserts.Add(1)
+		e.keyRef(s).Store(key)
+		e.valRef(s).Store(value)
+		e.release(s, meta, slotOccupied)
+		e.m.inserts.Add(1)
 		t.size.Add(1)
 		return true
 	default: // tombstone: claim it, clearing any shadowed ART copy.
-		if !m.acquire(s, meta) {
+		if !e.acquire(s, meta) {
 			return false
 		}
 		fpInsertLocked.Inject()
@@ -673,16 +671,16 @@ func (t *ALT) insertAt(tab *table, m *model, pos int, key, value uint64) bool {
 		// same key would need the slot lock we hold, so the check cannot
 		// race with the copy it is ruling out.
 		shadowed := false
-		if !m.absentInART(key, s) {
+		if !e.m.absentInART(key, s) {
 			shadowed = t.tree.Remove(key)
 		}
-		m.keyRef(s).Store(key)
-		m.valRef(s).Store(value)
-		m.release(s, meta, slotOccupied)
+		e.keyRef(s).Store(key)
+		e.valRef(s).Store(value)
+		e.release(s, meta, slotOccupied)
 		if !shadowed {
 			t.size.Add(1) // fresh key, not an upsert of an ART copy
 		}
-		m.inserts.Add(1)
+		e.m.inserts.Add(1)
 		return true
 	}
 }
@@ -694,9 +692,9 @@ func (t *ALT) Update(key, value uint64) bool {
 	bo := t.writerBackoff()
 	for {
 		tab := t.tab.Load()
-		if len(tab.models) == 0 {
+		if len(tab.dir) == 0 {
 			t.preMu.RLock()
-			if len(t.tab.Load().models) != 0 {
+			if len(t.tab.Load().dir) != 0 {
 				t.preMu.RUnlock()
 				continue
 			}
@@ -704,9 +702,9 @@ func (t *ALT) Update(key, value uint64) bool {
 			t.preMu.RUnlock()
 			return found
 		}
-		m, _ := tab.find(key)
-		s := m.slotOf(key)
-		meta := m.metaRef(s).Load()
+		e := &tab.dir[tab.route(key)]
+		s := e.slotOf(key)
+		meta := e.metaRef(s).Load()
 		if meta&slotLockBit != 0 {
 			bo.wait()
 			continue
@@ -716,42 +714,42 @@ func (t *ALT) Update(key, value uint64) bool {
 		case st == 0:
 			return false
 		case st&slotOccupied != 0:
-			k := m.keyRef(s).Load()
-			if m.metaRef(s).Load() != meta {
+			k := e.keyRef(s).Load()
+			if e.metaRef(s).Load() != meta {
 				bo.wait()
 				continue
 			}
 			if k == key {
-				if !m.acquire(s, meta) {
+				if !e.acquire(s, meta) {
 					bo.wait()
 					continue
 				}
-				m.valRef(s).Store(value)
-				m.release(s, meta, slotOccupied)
+				e.valRef(s).Store(value)
+				e.release(s, meta, slotOccupied)
 				return true
 			}
-			if m.absentInART(key, s) {
+			if e.m.absentInART(key, s) {
 				return false // sidecar proves no ART copy to update
 			}
 			// ART-resident target: run the tree update under the slot
 			// lock so it cannot interleave with a retraining migration.
-			if !m.acquire(s, meta) {
+			if !e.acquire(s, meta) {
 				bo.wait()
 				continue
 			}
 			found := t.tree.Update(key, value)
-			m.release(s, meta, st)
+			e.release(s, meta, st)
 			return found
 		default:
-			if m.absentInART(key, s) {
+			if e.m.absentInART(key, s) {
 				return false
 			}
-			if !m.acquire(s, meta) {
+			if !e.acquire(s, meta) {
 				bo.wait()
 				continue
 			}
 			found := t.tree.Update(key, value)
-			m.release(s, meta, st)
+			e.release(s, meta, st)
 			return found
 		}
 	}
@@ -766,9 +764,9 @@ func (t *ALT) Remove(key uint64) bool {
 	bo := t.writerBackoff()
 	for {
 		tab := t.tab.Load()
-		if len(tab.models) == 0 {
+		if len(tab.dir) == 0 {
 			t.preMu.RLock()
-			if len(t.tab.Load().models) != 0 {
+			if len(t.tab.Load().dir) != 0 {
 				t.preMu.RUnlock()
 				continue
 			}
@@ -780,9 +778,9 @@ func (t *ALT) Remove(key uint64) bool {
 			}
 			return false
 		}
-		m, _ := tab.find(key)
-		s := m.slotOf(key)
-		meta := m.metaRef(s).Load()
+		e := &tab.dir[tab.route(key)]
+		s := e.slotOf(key)
+		meta := e.metaRef(s).Load()
 		if meta&slotLockBit != 0 {
 			bo.wait()
 			continue
@@ -792,45 +790,45 @@ func (t *ALT) Remove(key uint64) bool {
 		case st == 0:
 			return false
 		case st&slotOccupied != 0:
-			k := m.keyRef(s).Load()
-			if m.metaRef(s).Load() != meta {
+			k := e.keyRef(s).Load()
+			if e.metaRef(s).Load() != meta {
 				bo.wait()
 				continue
 			}
 			if k == key {
-				if !m.acquire(s, meta) {
+				if !e.acquire(s, meta) {
 					bo.wait()
 					continue
 				}
-				m.release(s, meta, slotTomb)
+				e.release(s, meta, slotTomb)
 				t.size.Add(-1)
 				return true
 			}
-			if m.absentInART(key, s) {
+			if e.m.absentInART(key, s) {
 				return false // sidecar proves no ART copy to remove
 			}
 			// ART-resident target: remove under the slot lock so the
 			// removal cannot interleave with a retraining migration.
-			if !m.acquire(s, meta) {
+			if !e.acquire(s, meta) {
 				bo.wait()
 				continue
 			}
 			removed := t.tree.Remove(key)
-			m.release(s, meta, st)
+			e.release(s, meta, st)
 			if removed {
 				t.size.Add(-1)
 			}
 			return removed
 		default:
-			if m.absentInART(key, s) {
+			if e.m.absentInART(key, s) {
 				return false
 			}
-			if !m.acquire(s, meta) {
+			if !e.acquire(s, meta) {
 				bo.wait()
 				continue
 			}
 			removed := t.tree.Remove(key)
-			m.release(s, meta, st)
+			e.release(s, meta, st)
 			if removed {
 				t.size.Add(-1)
 			}
@@ -846,11 +844,10 @@ func (t *ALT) MemoryUsage() uintptr {
 	defer g.Unpin()
 	tb := t.tab.Load()
 	total := t.tree.MemoryUsage() + t.fp.memory()
-	for _, m := range tb.models {
-		total += m.memory()
+	for i := range tb.dir {
+		total += tb.dir[i].m.memory()
 	}
-	total += uintptr(len(tb.firsts)) * 16
-	return total
+	return total + tb.memory()
 }
 
 // StatsMap implements index.Stats with the counters behind the paper's
@@ -860,15 +857,15 @@ func (t *ALT) StatsMap() map[string]int64 {
 	tb := t.tab.Load()
 	learned := 0
 	slots := 0
-	for _, m := range tb.models {
-		learned += m.liveCount()
-		slots += m.nslots
+	for i := range tb.dir {
+		learned += tb.dir[i].m.liveCount()
+		slots += tb.dir[i].nslots
 	}
 	g.Unpin()
 	es := t.ebr.Stats()
 	as := t.blocks.Stats()
 	return map[string]int64{
-		"models":       int64(len(tb.models)),
+		"models":       int64(len(tb.dir)),
 		"slots":        int64(slots),
 		"learned_keys": int64(learned),
 		"art_keys":     int64(t.tree.Len()),
@@ -907,11 +904,11 @@ func (t *ALT) ARTLookupLength(key uint64, useFP bool) (pathLen int, inART bool) 
 	g := t.ebr.Pin()
 	defer g.Unpin()
 	tab := t.tab.Load()
-	if len(tab.models) == 0 {
+	if len(tab.dir) == 0 {
 		_, found, p := t.tree.GetFrom(nil, key)
 		return p, found
 	}
-	m, _ := tab.find(key)
+	m := tab.dir[tab.route(key)].m
 	var start *art.Node
 	if useFP {
 		start = t.fp.node(m.fastIdx.Load())

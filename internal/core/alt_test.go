@@ -18,6 +18,7 @@ func mustBulk(t *testing.T, opts Options, keys []uint64) *ALT {
 	if err := alt.Bulkload(dataset.Pairs(keys)); err != nil {
 		t.Fatal(err)
 	}
+	checkTable(t, alt)
 	t.Cleanup(func() { alt.Close() })
 	return alt
 }
@@ -176,7 +177,7 @@ func TestTombstoneKeepsARTReachable(t *testing.T) {
 	var slotKey, artKey uint64
 	found := false
 	for _, k := range keys {
-		m, _ := tb.find(k)
+		m, _ := routed(tb, k)
 		s := m.slotOf(k)
 		sk, _, st, ok := m.read(s)
 		if ok && st&slotOccupied != 0 && sk != k {
@@ -195,7 +196,7 @@ func TestTombstoneKeepsARTReachable(t *testing.T) {
 		t.Fatalf("ART resident unreachable after tombstone: %d,%v", v, ok)
 	}
 	// The lookup should have written artKey back into the slot.
-	m, _ := tb.find(artKey)
+	m, _ := routed(tb, artKey)
 	s := m.slotOf(artKey)
 	sk, _, st, ok := m.read(s)
 	if !ok || st&slotOccupied == 0 || sk != artKey {
@@ -539,6 +540,7 @@ func TestAutoInitialTraining(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	checkTable(t, alt)
 	st := alt.StatsMap()
 	if st["models"] < 2 {
 		t.Fatalf("auto training did not build a learned layer: %v", st)
@@ -606,6 +608,8 @@ func TestAutoTrainingConcurrent(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	alt.Quiesce()
+	checkTable(t, alt)
 	if alt.StatsMap()["models"] == 0 {
 		t.Fatal("no learned layer formed under concurrency")
 	}
@@ -625,12 +629,12 @@ func TestRetrainEmptyRangeKeepsCoverage(t *testing.T) {
 	keys := dataset.Generate(dataset.Libio, 30000, 22)
 	alt := mustBulk(t, Options{RetrainMinInserts: 64}, keys)
 	tb := alt.tab.Load()
-	if len(tb.models) < 3 {
+	if len(tb.dir) < 3 {
 		t.Skip("need several models")
 	}
 	// Remove every key of the middle model's range.
-	mid := len(tb.models) / 2
-	lo := tb.firsts[mid]
+	mid := len(tb.dir) / 2
+	lo := tb.bounds[mid]
 	hi := tb.upperBound(mid)
 	for _, k := range keys {
 		if k >= lo && k < hi {

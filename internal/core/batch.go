@@ -9,16 +9,15 @@ import (
 )
 
 // Batched operations (index.Batcher). The per-key hot path pays an atomic
-// table load, a binary search over the model directory and a serialized
-// three-array slot probe for every single Get/Insert. The batch path
-// amortizes all three across a stream of keys:
+// table load, a routing chain (router window, bracket, narrow, directory
+// entry) and a slot probe, each step waiting on the one before it, for
+// every single Get/Insert. The batch path overlaps them across a stream of
+// keys:
 //
 //   - one tab.Load() per batch instead of per key;
-//   - amortized routing: a per-table radix router (built once per table,
-//     shared by every batch against it) turns the per-key binary search
-//     into one shift, one load and a short bounded walk — and the batch
-//     loop splits even that into window / bracket-load / narrow sub-passes
-//     so the router-table loads of a whole chunk overlap instead of each
+//   - pipelined routing through the same directory the per-key path uses:
+//     the batch loop splits route into bracket-load / narrow sub-passes so
+//     the router-table loads of a whole chunk overlap instead of each
 //     key's routing chain serializing behind its predecessor's;
 //   - a two-phase probe: phase one routes each key and predicts its slot,
 //     then a branch-free loop issues the whole chunk's meta, key and
@@ -86,7 +85,7 @@ const getBatchMin = 8
 // stack-allocated: as locals the ~3KB of arrays would be zeroed on every
 // call, a real cost at small batch sizes.
 type getScratch struct {
-	ms    [batchChunk]*model
+	es    [batchChunk]*entry
 	slots [batchChunk]int32
 	metas [batchChunk]uint32
 	ks    [batchChunk]uint64
@@ -284,19 +283,17 @@ func putBatchScratch(sc *batchScratch, ord []batchEnt) {
 }
 
 // keySpan returns the routing range of the model directory for the
-// bucket scatter: the first model's first key and the spread of firsts.
+// bucket scatter: the first boundary and the spread of the boundaries.
 func (tb *table) keySpan() (base, span uint64) {
-	base = tb.firsts[0]
-	return base, tb.firsts[len(tb.firsts)-1] - base
+	base = tb.bounds[0]
+	return base, tb.bounds[len(tb.bounds)-1] - base
 }
 
-// GetBatch implements index.Batcher: lookups with amortized O(1) routing,
-// chunk-local duplicate folding and a pipelined two-phase slot probe.
-// Keys are processed in caller order (no permutation): the per-table
-// router makes routing order-independent, so sorting the batch would cost
-// more than the locality it buys; an ascending or locality-heavy stream
-// still routes almost for free through the previous-model reuse check.
-// vals and found must be at least len(keys) long.
+// GetBatch implements index.Batcher: lookups with pipelined routing and a
+// two-phase slot probe. Keys are processed in caller order (no
+// permutation): the router makes routing order-independent, so sorting
+// the batch would cost more than the locality it buys. vals and found
+// must be at least len(keys) long.
 func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 	// One pin covers the whole batch (nested pins from the per-key
 	// fallbacks below are harmless); the loaded table's slot storage
@@ -305,24 +302,10 @@ func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 	defer eg.Unpin()
 	tab := t.tab.Load()
 	fpBatchReload.Inject()
-	if len(tab.models) == 0 {
-		for i, k := range keys {
-			vals[i], found[i] = t.tree.Get(k)
-		}
-		return
-	}
-	// Below getBatchMin the chunk machinery costs more than the routing
-	// it amortizes; take the per-key path.
-	if len(keys) < getBatchMin {
-		for i, k := range keys {
-			vals[i], found[i] = t.Get(k)
-		}
-		return
-	}
-	rt := tab.router()
-	if rt == nil {
-		// Directory too large for the router's packed model indices
-		// (>= 2^rtIdxBits models); the per-key path has no such limit.
+	// Without a learned layer there is nothing to pipeline, and below
+	// getBatchMin the chunk machinery costs more than it overlaps; take
+	// the per-key path (which also owns the pre-table bootstrap recheck).
+	if len(tab.dir) == 0 || len(keys) < getBatchMin {
 		for i, k := range keys {
 			vals[i], found[i] = t.Get(k)
 		}
@@ -330,7 +313,7 @@ func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 	}
 
 	g := getScratchPool.Get().(*getScratch)
-	ms := &g.ms
+	es := &g.es
 	slots := &g.slots
 	metas := &g.metas
 	ks := &g.ks
@@ -356,24 +339,24 @@ func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 		// exceeded what the ~14% duplicates at B=64 saved, because a
 		// repeated key's slot lines are already hot in L1.
 		for i := 0; i < cnt; i++ {
-			los[i], his[i] = rt.bracket(keys[cb+i])
+			los[i], his[i] = tab.bracket(keys[cb+i])
 		}
-		// Phase 1b: resolve each bracket to the responsible model (the
-		// brackets are usually already exact: the router has several
-		// times more windows than the directory has models) and predict
-		// the slot.
-		fs, models := tab.firsts, tab.models
+		// Phase 1b: resolve each bracket to the responsible directory
+		// entry (the brackets are usually already exact: the router has
+		// several times more windows than the directory has models).
+		// (The exact-bracket skip stays apart from narrow's own loop test:
+		// folded into it, a B=64 core microbenchmark ran 3-6% slower.)
+		fs, dir := tab.bounds, tab.dir
 		for i := 0; i < cnt; i++ {
-			k := keys[cb+i]
 			mi := int(los[i])
 			if hi := int(his[i]); hi > mi {
-				mi = narrow(fs, k, mi, hi)
+				mi = narrow(fs, keys[cb+i], mi, hi)
 			}
-			ms[i] = models[mi]
+			es[i] = &dir[mi]
 		}
-		// The slot predictions run in a second pass so the model-header
-		// loads above (random accesses across the directory) overlap
-		// instead of each slotOf stalling on its own model's line.
+		// The slot predictions run in a second pass so the entry loads
+		// (random accesses across the directory) overlap instead of each
+		// slotOf stalling behind the narrow that found it.
 		// (An explicit prefetcht0 of each predicted block was measured
 		// here and REGRESSED B=64 by 5-8%: the branch-free phase 1c
 		// loop below already issues the chunk's block loads with full
@@ -381,7 +364,7 @@ func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 		// more than the head start saved. The insert path keeps its
 		// prefetch — there the next block load overlaps a CAS.)
 		for i := 0; i < cnt; i++ {
-			slots[i] = int32(ms[i].slotOf(keys[cb+i]))
+			slots[i] = int32(es[i].slotOf(keys[cb+i]))
 		}
 		// Phase 1c: issue the chunk's meta, key and value loads in a
 		// branch-free loop, so the per-slot cache misses overlap
@@ -389,8 +372,8 @@ func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 		// load opens the seqlock read section; phase 2 closes it. All
 		// three loads resolve inside one interleaved block.
 		for i := 0; i < cnt; i++ {
-			m, s := ms[i], int(slots[i])
-			b := &m.blocks[s>>blockShift]
+			s := int(slots[i])
+			b := &es[i].blocks[s>>blockShift]
 			j := s & blockMask
 			metas[i] = b.meta[j].Load()
 			ks[i] = b.keys[j].Load()
@@ -402,18 +385,18 @@ func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 		for i := 0; i < cnt; i++ {
 			p := cb + i
 			k := keys[p]
-			m := ms[i]
+			e := es[i]
 			s := int(slots[i])
 			m1 := metas[i]
 			// Hit fast path: a clean occupied snapshot with the key at
 			// its predicted slot — the overwhelmingly common outcome on
 			// a learned-layer-resident working set.
 			if m1&(slotLockBit|slotOccupied|slotTomb) == slotOccupied &&
-				ks[i] == k && m.metaRef(s).Load() == m1 {
+				ks[i] == k && e.metaRef(s).Load() == m1 {
 				vals[p], found[p] = vs[i], true
 				continue
 			}
-			if m1&slotLockBit != 0 || m.metaRef(s).Load() != m1 {
+			if m1&slotLockBit != 0 || e.metaRef(s).Load() != m1 {
 				vals[p], found[p] = t.Get(k)
 				continue
 			}
@@ -429,20 +412,20 @@ func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 				}
 				// The snapshot was validated above, so the sidecar can
 				// short-circuit the ART traversal exactly as in Get.
-				if m.absentInART(k, s) {
+				if e.m.absentInART(k, s) {
 					vals[p], found[p] = 0, false
 					continue
 				}
-				if m != fpm {
-					fp = t.fpNode(m)
-					fpm = m
+				if e.m != fpm {
+					fpm = e.m
+					fp = t.fpNode(fpm)
 				}
 				v, ok, _ := t.tree.GetFrom(fp, k)
 				if ok {
 					vals[p], found[p] = v, true
 					continue
 				}
-				if m.metaRef(s).Load() != m1 {
+				if e.metaRef(s).Load() != m1 {
 					// Concurrent migration between the two
 					// probes; the per-key loop sorts it out.
 					vals[p], found[p] = t.Get(k)
@@ -456,10 +439,10 @@ func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 			}
 		}
 	}
-	// Drop the model pointers before pooling the scratch: a retained
-	// scratch would otherwise pin retired (retrained-away) models' slot
-	// arrays for as long as it sits in the pool.
-	clear(g.ms[:])
+	// Drop the entry pointers before pooling the scratch: a retained
+	// scratch would otherwise pin a superseded table's directory (and
+	// through it the retired models) for as long as it sits in the pool.
+	clear(g.es[:])
 	getScratchPool.Put(g)
 }
 
@@ -483,7 +466,7 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 	// themselves (writes are dominated by slot CAS traffic and retrain
 	// amortization, so there is less routing to save than on reads);
 	// tiny batches take the plain per-key loop.
-	if len(tab.models) == 0 || len(pairs) < insertBatchMin {
+	if len(tab.dir) == 0 || len(pairs) < insertBatchMin {
 		for _, kv := range pairs {
 			if err := t.Insert(kv.Key, kv.Value); err != nil {
 				return err
@@ -495,17 +478,12 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 	base, span := tab.keySpan()
 	ord := orderPairs(sc, pairs, base, span)
 
-	// Routing: ord is ascending, so each group starts at or after the
-	// previous group's model — locate with the previous position as the
-	// hint gallops there in O(1) amortized. The radix router is NOT used
-	// here on purpose: insert-heavy workloads retrain (and so replace the
-	// table) every few thousand keys, and rebuilding a router per table
-	// generation would cost more than it saves.
-	last := len(tab.models) - 1
-	mi := 0
+	// Routing: one route per group — ord is ascending, so a group runs
+	// until the keys cross its model's upper boundary.
+	last := len(tab.dir) - 1
 	var err error
 	for i := 0; i < len(ord) && err == nil; {
-		mi = tab.locate(ord[i].key, mi)
+		mi := tab.route(ord[i].key)
 		hi := tab.upperBound(mi)
 		// Extend the group while keys keep hitting the same model
 		// (the last model also owns its inclusive upper bound). ord is
@@ -528,15 +506,15 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 // locked slot or a metadata race) falls back to the per-key Insert, which
 // owns backoff and table reloads.
 func (t *ALT) insertGroup(tab *table, mi int, ents []batchEnt, pairs []index.KV) error {
-	m := tab.models[mi]
+	de := &tab.dir[mi]
 	for gi, e := range ents {
 		// Pull the next entry's slot block in while this entry's CAS
 		// round-trips; ents is ascending so the prediction is exact.
 		if gi+1 < len(ents) {
-			m.prefetch(m.slotOf(ents[gi+1].key))
+			de.prefetch(de.slotOf(ents[gi+1].key))
 		}
 		k, v := e.key, pairs[e.pos].Value
-		if t.insertAt(tab, m, mi, k, v) {
+		if t.insertAt(tab, mi, k, v) {
 			continue
 		}
 		if err := t.Insert(k, v); err != nil {

@@ -1,51 +1,10 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"altindex/internal/index"
 )
-
-// TestLocateMatchesFind drives table.locate with every hint against the
-// plain binary search, across random and adversarial keys, including the
-// below-first-model clamp and the MaxUint64 edge.
-func TestLocateMatchesFind(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + r.Intn(40)
-		firsts := make([]uint64, n)
-		prev := uint64(r.Intn(100))
-		for i := range firsts {
-			firsts[i] = prev
-			prev += 1 + uint64(r.Intn(1000))
-		}
-		models := make([]*model, n)
-		for i := range models {
-			models[i] = emptyModel(nil, firsts[i])
-		}
-		tb := &table{firsts: firsts, models: models}
-
-		probes := []uint64{0, 1, firsts[0], firsts[0] - 1, firsts[n-1], firsts[n-1] + 1, ^uint64(0)}
-		for i := 0; i < n; i++ {
-			probes = append(probes, firsts[i], firsts[i]+1)
-			if firsts[i] > 0 {
-				probes = append(probes, firsts[i]-1)
-			}
-		}
-		for i := 0; i < 200; i++ {
-			probes = append(probes, uint64(r.Intn(int(prev)+10)))
-		}
-		for _, key := range probes {
-			_, want := tb.find(key)
-			for hint := -1; hint <= n; hint++ {
-				if got := tb.locate(key, hint); got != want {
-					t.Fatalf("locate(%d, hint=%d)=%d want %d (n=%d)", key, hint, got, want, n)
-				}
-			}
-		}
-	}
-}
 
 // TestGetBatchScratchReuse checks that GetBatch tolerates scratch slices
 // longer than the key slice and fills exactly len(keys) entries.

@@ -21,8 +21,8 @@ func (t *ALT) ResidentKeys(max int) []uint64 {
 	defer g.Unpin()
 	tab := t.tab.Load()
 	total := 0
-	for _, m := range tab.models {
-		total += m.nslots
+	for i := range tab.dir {
+		total += tab.dir[i].nslots
 	}
 	if total == 0 {
 		// Untrained index: everything lives in ART; sample its range scan.
@@ -40,9 +40,10 @@ func (t *ALT) ResidentKeys(max int) []uint64 {
 		stride = 1
 	}
 	out := make([]uint64, 0, min(max, total/stride+1))
-	for _, m := range tab.models {
-		for s := 0; s < m.nslots && len(out) < max; s += stride {
-			k, _, st, ok := m.read(s)
+	for i := range tab.dir {
+		e := &tab.dir[i]
+		for s := 0; s < e.nslots && len(out) < max; s += stride {
+			k, _, st, ok := e.read(s)
 			if !ok || st&slotOccupied == 0 {
 				continue
 			}

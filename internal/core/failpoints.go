@@ -39,6 +39,11 @@ import "altindex/internal/failpoint"
 //	                      model table, widening the window in which the
 //	                      batch works on a table that retraining replaces
 //	                      mid-flight.
+//	core/get/pretable     fires in Get on an index with no learned layer
+//	                      yet, between the table load and the ART probe
+//	                      — stretching it lets the auto-train bootstrap
+//	                      publish a table and drain ART in between, the
+//	                      window in which an ART miss proves nothing.
 //	core/epoch/retire     fires as a superseded model's slot storage is
 //	                      handed to the epoch domain (after the new table
 //	                      published, before the span joins the limbo
@@ -56,4 +61,5 @@ var (
 	fpFPBufRegister  = failpoint.New("core/fpbuf/register")
 	fpBatchReload    = failpoint.New("core/batch/reload")
 	fpEpochRetire    = failpoint.New("core/epoch/retire")
+	fpGetPreTable    = failpoint.New("core/get/pretable")
 )

@@ -36,7 +36,7 @@ func (t *ALT) trainInitial() {
 		return
 	}
 	defer t.bootMu.Unlock()
-	if len(t.tab.Load().models) != 0 {
+	if len(t.tab.Load().dir) != 0 {
 		return
 	}
 	var k0, v0 uint64
@@ -60,15 +60,13 @@ func (t *ALT) trainInitial() {
 		t.eps = eps
 	}
 	boot := emptyModel(t.blocks, k0)
-	boot.keyRef(0).Store(k0)
-	boot.valRef(0).Store(v0)
-	boot.metaRef(0).Store(slotOccupied)
+	boot.place(0, k0, v0)
 	// The bootstrap model has no sidecar yet every pre-table key except k0
 	// is ART-resident; stamp the epoch so absentInART can never prove
 	// absence against it. The immediate rebuild below replaces it with
 	// properly-built models (and fresh sidecars).
 	boot.artEpoch.Store(1)
-	newTab := &table{firsts: []uint64{k0}, models: []*model{boot}}
+	newTab := newTable([]uint64{k0}, []entry{newEntry(boot)})
 	// The swap must not interleave with a pre-table tree mutation whose
 	// key could otherwise end up unreachable behind fresh empty slots.
 	t.preMu.Lock()

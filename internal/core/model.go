@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"unsafe"
 
 	"altindex/internal/arena"
+	"altindex/internal/failpoint"
 	"altindex/internal/gpl"
 )
 
@@ -44,22 +46,30 @@ type slotBlock struct {
 	vals [blockSlots]atomic.Uint64
 }
 
-// model is one GPL model: a gapped slot array addressed by a linear
-// prediction with no in-layer prediction error — a key is either at its
-// predicted slot or in the ART-OPT layer.
-type model struct {
+// layout is a model's probe geometry — everything a slot probe needs:
+// the linear prediction and the slot storage it addresses. Immutable once
+// the model is built, so the table's directory holds a copy of it (see
+// entry) and the slot-hit path never dereferences the model itself.
+type layout struct {
 	first  uint64  // smallest key the model was built from
 	slope  float64 // positions per key unit, including the gap factor
 	nslots int
 
 	// blocks is the interleaved slot storage; see slotBlock. Trailing
 	// lanes past nslots-1 in the last block stay permanently empty.
-	// It aliases span when the model was allocated from an arena: the
+	// It aliases the model's span when allocated from an arena: the
 	// memory then belongs to the arena and is recycled — not GC-freed —
 	// once the model is retired through the epoch domain, so the blocks
-	// must never be touched after ALT.retireModels has run on the model.
+	// must never be touched after ALT.retire has run on the model.
 	blocks []slotBlock
-	span   arena.Span[slotBlock]
+}
+
+// model is one GPL model: a gapped slot array addressed by a linear
+// prediction with no in-layer prediction error — a key is either at its
+// predicted slot or in the ART-OPT layer.
+type model struct {
+	layout
+	span arena.Span[slotBlock]
 
 	// sc is the overflow fingerprint sidecar built from this model's
 	// build-time conflict evictions; nil when the build had none.
@@ -101,23 +111,35 @@ func (m *model) allocSlots(ar *arena.Arena[slotBlock]) {
 // metaRef, keyRef and valRef resolve a slot's atomic words inside its
 // block. Simple enough to inline, so the hot paths pay only the index
 // arithmetic.
-func (m *model) metaRef(s int) *atomic.Uint32 {
-	return &m.blocks[s>>blockShift].meta[s&blockMask]
+func (l *layout) metaRef(s int) *atomic.Uint32 {
+	return &l.blocks[s>>blockShift].meta[s&blockMask]
 }
 
-func (m *model) keyRef(s int) *atomic.Uint64 {
-	return &m.blocks[s>>blockShift].keys[s&blockMask]
+func (l *layout) keyRef(s int) *atomic.Uint64 {
+	return &l.blocks[s>>blockShift].keys[s&blockMask]
 }
 
-func (m *model) valRef(s int) *atomic.Uint64 {
-	return &m.blocks[s>>blockShift].vals[s&blockMask]
+func (l *layout) valRef(s int) *atomic.Uint64 {
+	return &l.blocks[s>>blockShift].vals[s&blockMask]
 }
 
 // prefetch issues a best-effort prefetch of the block holding slot s, so
 // a batch loop can start the slot's lines toward L1 while it routes the
 // rest of the chunk. No-op on architectures without the instruction.
-func (m *model) prefetch(s int) {
-	prefetcht0(unsafe.Pointer(&m.blocks[s>>blockShift]))
+func (l *layout) prefetch(s int) {
+	prefetcht0(unsafe.Pointer(&l.blocks[s>>blockShift]))
+}
+
+// place fills free slot s with plain stores. Only for a model no other
+// goroutine can reach yet (build, shell fill, bootstrap): the tab.Store or
+// Swap that publishes it orders these writes before any reader's loads, so
+// the three locked XCHGs an atomic Store would cost per key buy nothing.
+func (l *layout) place(s int, key, val uint64) {
+	b := &l.blocks[s>>blockShift]
+	j := s & blockMask
+	*(*uint64)(unsafe.Pointer(&b.keys[j])) = key
+	*(*uint64)(unsafe.Pointer(&b.vals[j])) = val
+	*(*uint32)(unsafe.Pointer(&b.meta[j])) = slotOccupied
 }
 
 // buildModel lays seg's keys out in a gapped array scaled by gapFactor.
@@ -125,21 +147,7 @@ func (m *model) prefetch(s int) {
 // the ART-OPT layer, which is exactly what keeps the learned layer free of
 // prediction errors.
 func buildModel(ar *arena.Arena[slotBlock], keys, vals []uint64, seg gpl.Segment, gapFactor float64) (*model, []int) {
-	if gapFactor < 1 {
-		gapFactor = 1
-	}
-	m := &model{
-		first:     seg.First,
-		slope:     seg.Slope * gapFactor,
-		buildSize: seg.N,
-	}
-	m.fastIdx.Store(-1)
-	last := keys[seg.N-1]
-	m.nslots = int(m.slope*float64(last-m.first)+0.5) + 1
-	if m.nslots < seg.N {
-		m.nslots = seg.N
-	}
-	m.allocSlots(ar)
+	m := newShell(ar, seg, keys[seg.N-1], gapFactor)
 
 	var conflicts []int
 	for i := 0; i < seg.N; i++ {
@@ -148,9 +156,7 @@ func buildModel(ar *arena.Arena[slotBlock], keys, vals []uint64, seg gpl.Segment
 			conflicts = append(conflicts, i)
 			continue
 		}
-		m.keyRef(s).Store(keys[i])
-		m.valRef(s).Store(vals[i])
-		m.metaRef(s).Store(slotOccupied)
+		m.place(s, keys[i], vals[i])
 	}
 	m.buildSize = seg.N - len(conflicts)
 	// Record the evicted keys' fingerprints so lookups can prove "not in
@@ -168,16 +174,16 @@ func buildModel(ar *arena.Arena[slotBlock], keys, vals []uint64, seg gpl.Segment
 // slotOf returns the predicted slot for key, clamped to the array. Because
 // the same formula places and looks keys up, predictions in this layer are
 // exact by construction.
-func (m *model) slotOf(key uint64) int {
-	if key <= m.first {
+func (l *layout) slotOf(key uint64) int {
+	if key <= l.first {
 		return 0
 	}
-	s := int(m.slope*float64(key-m.first) + 0.5)
+	s := int(l.slope*float64(key-l.first) + 0.5)
 	if s < 0 {
 		s = 0
 	}
-	if s >= m.nslots {
-		s = m.nslots - 1
+	if s >= l.nslots {
+		s = l.nslots - 1
 	}
 	return s
 }
@@ -187,8 +193,8 @@ func (m *model) slotOf(key uint64) int {
 // it later to detect concurrent migration). ok=false means a writer was
 // active (or the slot frozen for retraining) and the caller must retry
 // after reloading the model table.
-func (m *model) read(slot int) (key, val uint64, meta uint32, ok bool) {
-	b := &m.blocks[slot>>blockShift]
+func (l *layout) read(slot int) (key, val uint64, meta uint32, ok bool) {
+	b := &l.blocks[slot>>blockShift]
 	j := slot & blockMask
 	m1 := b.meta[j].Load()
 	if m1&slotLockBit != 0 {
@@ -207,15 +213,15 @@ func stateOf(meta uint32) uint32 { return meta & (slotOccupied | slotTomb) }
 
 // acquire locks the slot for writing iff its metadata still equals seen
 // (which must be unlocked). The paper's even/odd write protocol.
-func (m *model) acquire(slot int, seen uint32) bool {
-	return m.metaRef(slot).CompareAndSwap(seen, seen|slotLockBit)
+func (l *layout) acquire(slot int, seen uint32) bool {
+	return l.metaRef(slot).CompareAndSwap(seen, seen|slotLockBit)
 }
 
 // release unlocks the slot, bumping the version and setting the new state
 // flags (slotOccupied, slotTomb or neither).
-func (m *model) release(slot int, seen, flags uint32) {
+func (l *layout) release(slot int, seen, flags uint32) {
 	ver := seen >> slotVerShift
-	m.metaRef(slot).Store((ver+1)<<slotVerShift | flags)
+	l.metaRef(slot).Store((ver+1)<<slotVerShift | flags)
 }
 
 // freeze locks every slot permanently; used when the model is being
@@ -280,26 +286,67 @@ func (m *model) memory() uintptr {
 	return total
 }
 
-// table is the immutable, flattened model directory: models sorted by
-// first key, located with one binary search (the paper's "flattened data
-// structure", §III-B). Replaced copy-on-write by retraining.
-type table struct {
-	firsts []uint64
-	models []*model
-
-	// rt caches the batch router (built lazily by the first batched
-	// operation on this table, then shared by all). The directory itself
-	// is immutable, so a router built from it never goes stale.
-	rt atomic.Pointer[router]
+// entry is one directory record: an immutable copy of the model's probe
+// geometry plus the model itself for the cold paths (sidecar, fast pointer,
+// counters). Copying the layout in is what removes the *model dereference
+// from the slot-hit path: router -> bounds -> dir[i] -> slot block, with no
+// hop through a heap-scattered struct in between. The blocks alias the
+// model's arena span, under the same epoch pin as the table holding the
+// entry. Padded to 64 bytes so an entry never straddles a cache line.
+type entry struct {
+	layout
+	m *model
+	_ [8]byte
 }
 
-// router is a direct-indexed routing accelerator for batched operations.
-// Windows partition the directory's key range [base, base+span) into at
-// most routerWindows equal slices; rt[w] packs the window's model bracket
-// — the rightmost model positions at the window's start and end — into
-// one word, so routing a key is one shift, one load and a short
-// predicated search. The binary search that the per-key path pays on
-// every Get is paid once per table here and amortized over every batch.
+func newEntry(m *model) entry { return entry{layout: m.layout, m: m} }
+
+// table is the immutable, flattened model directory (the paper's
+// "flattened data structure", §III-B): routing boundaries, one entry per
+// model, and the radix router over the boundaries, all built before the
+// table is published. dir[i] owns keys in [bounds[i], bounds[i+1]); model 0
+// also owns everything below bounds[0]. A boundary never exceeds its
+// model's prediction origin (entry.first) but may sit below it: splices
+// keep the old boundary when a rebuilt range's minimum key moved up.
+// Replaced copy-on-write by retraining.
+type table struct {
+	bounds []uint64 // strictly ascending
+	dir    []entry
+	rt     router
+}
+
+// newTable builds the directory over bounds and dir, which it takes
+// ownership of. The one constructor behind Bulkload, the auto-train
+// bootstrap and every retrain splice.
+func newTable(bounds []uint64, dir []entry) *table {
+	if failpoint.Tagged {
+		for i := 1; i < len(bounds); i++ {
+			if bounds[i] <= bounds[i-1] {
+				panic(fmt.Sprintf("core: routing boundaries not strictly ascending at %d: %#x after %#x", i, bounds[i], bounds[i-1]))
+			}
+		}
+	}
+	tb := &table{bounds: bounds, dir: dir}
+	// Past 2^rtIdxBits models the router's packed entries cannot address
+	// the directory; route then narrows over the full range.
+	if n := len(bounds); n > 0 && n < 1<<rtIdxBits {
+		tb.rt = buildRouter(bounds)
+	}
+	return tb
+}
+
+// memory returns the directory's own heap bytes (models not included).
+func (tb *table) memory() uintptr {
+	return uintptr(cap(tb.bounds))*8 + uintptr(cap(tb.dir))*unsafe.Sizeof(entry{}) +
+		uintptr(cap(tb.rt.rt))*8 + uintptr(cap(tb.rt.sub))*4
+}
+
+// router is the direct-indexed routing accelerator every operation goes
+// through. Windows partition the directory's key range [base, base+span)
+// into at most routerWindows equal slices; rt[w] packs the window's model
+// bracket — the rightmost model positions at the window's start and end —
+// into one word, so routing a key is one shift, one load and a short
+// predicated search.
 //
 // Clustered directories (OSM-like data packs most models into a small
 // fraction of the key span) defeat a single uniform grid: nearly every
@@ -326,24 +373,7 @@ const (
 	subWide       = 2  // brackets wider than this get a sub-table
 )
 
-// router returns the table's batch router, building it on first use.
-// Concurrent first calls may both build; the CAS keeps one, and losing a
-// duplicate build is harmless because the input is immutable. Returns nil
-// when the directory has too many models for the router's packed entries
-// to address (2^rtIdxBits); callers must fall back to the per-key path.
-func (tb *table) router() *router {
-	if r := tb.rt.Load(); r != nil {
-		return r
-	}
-	if len(tb.firsts) >= 1<<rtIdxBits {
-		return nil
-	}
-	r := buildRouter(tb.firsts)
-	tb.rt.CompareAndSwap(nil, r)
-	return tb.rt.Load()
-}
-
-func buildRouter(fs []uint64) *router {
+func buildRouter(fs []uint64) router {
 	n := len(fs)
 	base := fs[0]
 	span := fs[n-1] - base
@@ -352,7 +382,7 @@ func buildRouter(fs []uint64) *router {
 		shift = uint(l - lw + 1)
 	}
 	size := int(span>>shift) + 2 // +1 for the end boundary, +1 for the clamp window
-	r := &router{base: base, shift: shift, rt: make([]uint64, size)}
+	r := router{base: base, shift: shift, rt: make([]uint64, size)}
 	// lo[w] = rightmost model whose first key is <= window w's start. The
 	// window starts past the end of an unaligned span can overflow uint64
 	// (either in the shift itself or in the add); windowStart saturates
@@ -433,9 +463,9 @@ func (r *router) window(key uint64) int32 {
 	return int32(w)
 }
 
-// narrow resolves a router bracket [lo, hi] to the model position
-// responsible for key (the rightmost model whose first key is <= key).
-// Takes the firsts slice directly so batch loops can hoist it.
+// narrow resolves a bracket [lo, hi] to the model position responsible for
+// key (the rightmost model whose boundary is <= key, clamped to lo).
+// Takes the bounds slice directly so batch loops can hoist it.
 //
 // The search is branch-free (the conditional add compiles to a predicated
 // move): on clustered directories — OSM-like data packs most models into a
@@ -455,10 +485,15 @@ func narrow(fs []uint64, key uint64, lo, hi int) int {
 	return lo
 }
 
-// bracket decodes key's model bracket [lo, hi] from the router: lo is at
-// most the answer, hi at least, and after the sub-table hop the two are
-// typically equal or one apart.
-func (r *router) bracket(key uint64) (lo, hi int32) {
+// bracket decodes key's model bracket [lo, hi]: lo is at most the answer,
+// hi at least, and after the sub-table hop the two are typically equal or
+// one apart. Without a router (>= 2^rtIdxBits models) the bracket is the
+// whole directory.
+func (tb *table) bracket(key uint64) (lo, hi int32) {
+	r := &tb.rt
+	if len(r.rt) == 0 {
+		return 0, int32(len(tb.bounds) - 1)
+	}
 	e := r.rt[r.window(key)]
 	lo = int32(e & rtIdxMask)
 	hi = int32(e >> rtIdxBits & rtIdxMask)
@@ -471,92 +506,19 @@ func (r *router) bracket(key uint64) (lo, hi int32) {
 	return lo, hi
 }
 
-// route returns the model position responsible for key (the rightmost
-// model whose first key is <= key).
-func (tb *table) route(r *router, key uint64) int {
-	lo, hi := r.bracket(key)
-	return narrow(tb.firsts, key, int(lo), int(hi))
-}
-
-// find returns the model responsible for key and its table position: the
-// rightmost model whose first key is <= key (keys below the first model
-// clamp to model 0).
-func (tb *table) find(key uint64) (*model, int) {
-	lo, hi := 0, len(tb.firsts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if tb.firsts[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	i := lo - 1
-	if i < 0 {
-		i = 0
-	}
-	return tb.models[i], i
-}
-
-// locate is find with a positional hint: it returns the table position
-// responsible for key (the rightmost model whose first key is <= key,
-// clamped to 0), starting the search at hint. A hit on the hint costs two
-// comparisons; a near miss is found by galloping (exponential probing) away
-// from the hint; only a far miss degenerates into the full binary search.
-// Batched operations thread the previous key's position through as the
-// hint, so sorted or locality-heavy key streams route in ~O(1) per key.
-func (tb *table) locate(key uint64, hint int) int {
-	fs := tb.firsts
-	n := len(fs)
-	if n == 0 {
-		return 0
-	}
-	if hint < 0 {
-		hint = 0
-	} else if hint >= n {
-		hint = n - 1
-	}
-	// Establish a bracket [lo, hi) around the answer with the invariant
-	// (lo < 0 || fs[lo] <= key) && (hi == n || fs[hi] > key).
-	var lo, hi int
-	if fs[hint] <= key {
-		lo, hi = hint, hint+1
-		for step := 1; hi < n && fs[hi] <= key; step <<= 1 {
-			lo = hi
-			hi += step
-		}
-		if hi > n {
-			hi = n
-		}
-	} else {
-		lo, hi = hint-1, hint
-		for step := 1; lo >= 0 && fs[lo] > key; step <<= 1 {
-			hi = lo
-			lo -= step
-		}
-		if lo < -1 {
-			lo = -1
-		}
-	}
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if fs[mid] <= key {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	if lo < 0 {
-		return 0
-	}
-	return lo
+// route returns the table position responsible for key: the rightmost
+// model whose boundary is <= key, keys below bounds[0] clamping to 0. The
+// one function that maps a key to a position, for every operation.
+func (tb *table) route(key uint64) int {
+	lo, hi := tb.bracket(key)
+	return narrow(tb.bounds, key, int(lo), int(hi))
 }
 
 // upperBound returns the exclusive key upper bound of the model at
-// position i (the next model's first key, or MaxUint64).
+// position i (the next model's boundary, or MaxUint64).
 func (tb *table) upperBound(i int) uint64 {
-	if i+1 < len(tb.firsts) {
-		return tb.firsts[i+1]
+	if i+1 < len(tb.bounds) {
+		return tb.bounds[i+1]
 	}
 	return ^uint64(0)
 }

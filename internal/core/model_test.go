@@ -155,15 +155,8 @@ func TestFreezeBlocksAndPreserves(t *testing.T) {
 	}
 }
 
-func TestTableFindAndBounds(t *testing.T) {
-	mk := func(first uint64) *model {
-		m := emptyModel(nil, first)
-		return m
-	}
-	tb := &table{
-		firsts: []uint64{10, 100, 1000},
-		models: []*model{mk(10), mk(100), mk(1000)},
-	}
+func TestTableRouteAndBounds(t *testing.T) {
+	tb := tableOf(10, 100, 1000)
 	cases := []struct {
 		key  uint64
 		want int
@@ -173,8 +166,8 @@ func TestTableFindAndBounds(t *testing.T) {
 		{1000, 2}, {^uint64(0), 2},
 	}
 	for _, c := range cases {
-		if _, i := tb.find(c.key); i != c.want {
-			t.Fatalf("find(%d) = %d, want %d", c.key, i, c.want)
+		if i := tb.route(c.key); i != c.want {
+			t.Fatalf("route(%d) = %d, want %d", c.key, i, c.want)
 		}
 	}
 	if tb.upperBound(0) != 100 || tb.upperBound(1) != 1000 || tb.upperBound(2) != ^uint64(0) {

@@ -21,7 +21,7 @@ func TestPinnedReaderNeverSeesReclaimedBlocks(t *testing.T) {
 	// Snapshot the first model's occupied slots — the exact memory a
 	// pinned reader of the old table is entitled to keep seeing.
 	tab := alt.tab.Load()
-	m0 := tab.models[0]
+	m0 := tab.dir[0].m
 	type slotVal struct{ k, v uint64 }
 	snap := map[int]slotVal{}
 	for s := 0; s < m0.nslots; s++ {

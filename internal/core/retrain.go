@@ -206,8 +206,8 @@ func (t *ALT) processRetrain(m *model, requeue bool) {
 		r.pending.Add(-1)
 	}
 	cur := t.tab.Load()
-	mm, pos := cur.find(m.first)
-	if mm != m {
+	pos := cur.posOf(m)
+	if pos < 0 {
 		finish() // replaced by a rebuild or absorbed since the trigger
 		return
 	}
@@ -227,9 +227,9 @@ func (t *ALT) processRetrain(m *model, requeue bool) {
 		return
 	}
 	// Admitted. Re-verify identity: a splice may have replaced m between
-	// find and the claim. Boundaries are immutable while a model lives, so
-	// lo/end still denote this claim's range either way.
-	if mm, _ := t.tab.Load().find(m.first); mm != m {
+	// the lookup and the claim. Boundaries are immutable while a model
+	// lives, so lo/end still denote this claim's range either way.
+	if t.tab.Load().posOf(m) < 0 {
 		r.release(lo, end)
 		finish()
 		return
@@ -266,17 +266,29 @@ func (t *ALT) processRetrain(m *model, requeue bool) {
 	finish()
 }
 
+// posOf returns m's table position — the retrainer's own lookup, through
+// the same route as every operation — or -1 when m is no longer in tb.
+func (tb *table) posOf(m *model) int {
+	if len(tb.dir) == 0 {
+		return -1
+	}
+	if pos := tb.route(m.first); tb.dir[pos].m == m {
+		return pos
+	}
+	return -1
+}
+
 // rangeBounds returns the inclusive key range routed to the model at
-// position pos. The bounds are immutable while the model lives: rebuilds
-// preserve the spliced range's lower boundary (see rebuild) and only the
-// owner of a range's claim may remove its boundaries.
+// position pos. The range is immutable while the model lives: rebuilds
+// preserve the spliced range's lower end (see rebuild) and only the owner
+// of a range's claim may remove its boundaries.
 func (tb *table) rangeBounds(pos int) (lo, end uint64) {
-	lo = tb.firsts[pos]
+	lo = tb.bounds[pos]
 	if pos == 0 {
-		lo = 0 // model 0 also owns all keys below its first
+		lo = 0 // model 0 also owns all keys below its boundary
 	}
 	end = tb.upperBound(pos) // exclusive, except MaxUint64 (inclusive)
-	if pos+1 < len(tb.firsts) {
+	if pos+1 < len(tb.bounds) {
 		end--
 	}
 	return lo, end
@@ -347,7 +359,6 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	keys, vals := mergeSorted(mk, mv, ak, av)
 
 	var newModels []*model
-	var newFirsts []uint64
 	switch {
 	case len(keys) == 0:
 		// Keep an empty placeholder so the table still covers the range.
@@ -356,9 +367,7 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 		for _, sh := range shells {
 			sh.span.Release()
 		}
-		em := emptyModel(t.blocks, m.first)
-		newModels = []*model{em}
-		newFirsts = []uint64{em.first}
+		newModels = []*model{emptyModel(t.blocks, m.first)}
 	case len(shells) == 0:
 		// No pre-freeze candidates but keys arrived before the freeze
 		// (tiny window): segment inside the freeze, the old way.
@@ -369,11 +378,10 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 				t.tree.Put(keys[off+ci], vals[off+ci])
 			}
 			newModels = append(newModels, nm)
-			newFirsts = append(newFirsts, nm.first)
 			off += seg.N
 		}
 	default:
-		newModels, newFirsts = t.fillShells(shells, keys, vals)
+		newModels = t.fillShells(shells, keys, vals)
 	}
 
 	// --- Publish: splice + placeholder absorption under the short lock. ---
@@ -381,8 +389,8 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	r.publishMu.Lock()
 	fpRetrainSplice.Inject()
 	cur := t.tab.Load()
-	mm, pos := cur.find(m.first)
-	if mm != m {
+	pos := cur.posOf(m)
+	if pos < 0 {
 		// Cannot happen while this rebuild holds the range claim: only
 		// the claim owner splices a range out. Loud beats losing the
 		// frozen keys silently.
@@ -402,32 +410,35 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	for loIdx > 0 && t.absorbNeighbor(cur, loIdx-1, &absorbed) {
 		loIdx--
 	}
-	for hiIdx+1 < len(cur.models) && t.absorbNeighbor(cur, hiIdx+1, &absorbed) {
+	for hiIdx+1 < len(cur.dir) && t.absorbNeighbor(cur, hiIdx+1, &absorbed) {
 		hiIdx++
 	}
 	r.merges.Add(int64(len(absorbed)))
 
+	// The new table: the old one with [loIdx, hiIdx] replaced by the new
+	// models, each bounded by its prediction origin — except the first.
 	// Routing boundaries are immutable: the rebuilt span keeps its old
 	// lower bound even if its minimum key moved up, so no neighbour's
 	// routing range ever expands and every registered fast pointer keeps
-	// covering its model's range. (A model's prediction origin — its
-	// first field — is independent of the routing boundary; keys between
-	// the boundary and the origin clamp to slot 0.)
-	newFirsts[0] = cur.firsts[loIdx]
-
-	nf := make([]uint64, 0, len(cur.firsts)-(hiIdx-loIdx+1)+len(newFirsts))
-	nm2 := make([]*model, 0, len(cur.models)-(hiIdx-loIdx+1)+len(newModels))
-	nf = append(nf, cur.firsts[:loIdx]...)
-	nf = append(nf, newFirsts...)
-	nf = append(nf, cur.firsts[hiIdx+1:]...)
-	nm2 = append(nm2, cur.models[:loIdx]...)
-	nm2 = append(nm2, newModels...)
-	nm2 = append(nm2, cur.models[hiIdx+1:]...)
-	newTab := &table{firsts: nf, models: nm2}
+	// covering its model's range (keys between the boundary and the origin
+	// clamp to slot 0). Only at the head of the table can the origin be
+	// the smaller of the two — model 0 also owns the keys below its
+	// boundary — and there the origin must win, or the second new model's
+	// boundary could repeat or undercut the first's; position 0's lower
+	// boundary bounds nothing, so no range changes either way.
+	n := len(cur.dir) - (hiIdx + 1 - loIdx) + len(newModels)
+	bounds := append(make([]uint64, 0, n), cur.bounds[:loIdx]...)
+	dir := append(make([]entry, 0, n), cur.dir[:loIdx]...)
+	for _, nm := range newModels {
+		bounds = append(bounds, nm.first)
+		dir = append(dir, newEntry(nm))
+	}
+	bounds[loIdx] = min(bounds[loIdx], cur.bounds[loIdx])
+	newTab := newTable(append(bounds, cur.bounds[hiIdx+1:]...), append(dir, cur.dir[hiIdx+1:]...))
 
 	if !t.opts.DisableFastPointers {
-		for i, mmNew := range newModels {
-			t.registerFP(newTab, mmNew, loIdx+i)
+		for i := range newModels {
+			t.registerFP(newTab, loIdx+i)
 		}
 	}
 
@@ -442,7 +453,7 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	// that the replacement is published. Readers that loaded the old table
 	// are pinned in the current or previous epoch, and the domain frees
 	// nothing until they all move past it.
-	t.retireModels(cur.models[loIdx : hiIdx+1])
+	t.retire(cur.dir[loIdx : hiIdx+1])
 
 	for _, a := range absorbed {
 		r.release(a.lo, a.hi)
@@ -462,7 +473,7 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 // verifies it is still never-written; any failure backs out. On success
 // the claim is recorded in *absorbed for release after the publish.
 func (t *ALT) absorbNeighbor(cur *table, i int, absorbed *[]keyRange) bool {
-	em := cur.models[i]
+	em := cur.dir[i].m
 	if em.nslots != 1 || stateOf(em.metaRef(0).Load()) != 0 {
 		return false
 	}
@@ -488,7 +499,7 @@ func newShell(ar *arena.Arena[slotBlock], seg gpl.Segment, last uint64, gapFacto
 	if gapFactor < 1 {
 		gapFactor = 1
 	}
-	m := &model{first: seg.First, slope: seg.Slope * gapFactor}
+	m := &model{layout: layout{first: seg.First, slope: seg.Slope * gapFactor}}
 	m.fastIdx.Store(-1)
 	m.nslots = int(m.slope*float64(last-m.first)+0.5) + 1
 	if m.nslots < seg.N {
@@ -503,9 +514,8 @@ func newShell(ar *arena.Arena[slotBlock], seg gpl.Segment, last uint64, gapFacto
 // i+1's first). Slot collisions evict to ART — predictions stay exact by
 // construction, a stale candidate fit only raises the conflict rate.
 // Shells that end up empty are dropped.
-func (t *ALT) fillShells(shells []*model, keys, vals []uint64) ([]*model, []uint64) {
+func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 	newModels := make([]*model, 0, len(shells))
-	newFirsts := make([]uint64, 0, len(shells))
 	ki := 0
 	for si, sh := range shells {
 		hi := ^uint64(0)
@@ -528,9 +538,7 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) ([]*model, []uint
 				sc.add(s, fp8(k))
 				continue
 			}
-			sh.keyRef(s).Store(k)
-			sh.valRef(s).Store(v)
-			sh.metaRef(s).Store(slotOccupied)
+			sh.place(s, k, v)
 			placed++
 		}
 		if placed == 0 {
@@ -542,7 +550,6 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) ([]*model, []uint
 		sh.sc = sc
 		sh.buildSize = placed
 		newModels = append(newModels, sh)
-		newFirsts = append(newFirsts, sh.first)
 	}
 	if len(newModels) == 0 {
 		// All keys conflicted out of every shell (degenerate, but must
@@ -553,15 +560,15 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) ([]*model, []uint
 		for _, ci := range conflicts {
 			t.tree.Put(keys[ci], vals[ci])
 		}
-		return []*model{nm}, []uint64{nm.first}
+		return []*model{nm}
 	}
-	return newModels, newFirsts
+	return newModels
 }
 
 // emptyModel returns a one-slot model covering first, used when a rebuilt
 // range holds no keys.
 func emptyModel(ar *arena.Arena[slotBlock], first uint64) *model {
-	m := &model{first: first, slope: 1, nslots: 1, buildSize: 1}
+	m := &model{layout: layout{first: first, slope: 1, nslots: 1}, buildSize: 1}
 	m.fastIdx.Store(-1)
 	m.allocSlots(ar)
 	return m

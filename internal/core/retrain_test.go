@@ -46,7 +46,7 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 	if alt.retrains.Load() != 0 {
 		t.Fatal("retrain ran with no workers and a wedged queue")
 	}
-	m, _ := alt.tab.Load().find(hot)
+	m, _ := routed(alt.tab.Load(), hot)
 	if m.retrainArmed.Load() {
 		t.Fatal("dropped trigger left the model armed — future triggers are dead")
 	}
@@ -63,6 +63,7 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 		}
 	}
 	alt.Quiesce()
+	checkTable(t, alt)
 	if alt.retrains.Load() == 0 {
 		t.Fatal("re-armed trigger did not retrain")
 	}
@@ -106,6 +107,7 @@ func TestConcurrentDisjointRetrains(t *testing.T) {
 	}
 	wg.Wait()
 	alt.Quiesce()
+	checkTable(t, alt)
 
 	st := alt.StatsMap()
 	if st["retrains"] == 0 {
@@ -144,10 +146,10 @@ func TestPlaceholderAbsorption(t *testing.T) {
 	alt := mustBulk(t, Options{ErrorBound: 8, DisableRetraining: true}, keys)
 
 	tab := alt.tab.Load()
-	if len(tab.models) < 3 {
-		t.Skipf("clusters segmented into %d models; need >= 3", len(tab.models))
+	if len(tab.dir) < 3 {
+		t.Skipf("clusters segmented into %d models; need >= 3", len(tab.dir))
 	}
-	mid, pos := tab.find(10_000_000)
+	mid, pos := routed(tab, 10_000_000)
 	lo, end := tab.rangeBounds(pos)
 	for _, k := range keys {
 		if k >= lo && k <= end {
@@ -161,27 +163,28 @@ func TestPlaceholderAbsorption(t *testing.T) {
 		m.retrainArmed.Store(true)
 		alt.ret.pending.Add(1)
 		alt.processRetrain(m, false)
+		checkTable(t, alt) // after every splice and absorption
 	}
 
 	// Retrain the emptied range: it must collapse to a placeholder.
 	retrain(mid)
 	tab = alt.tab.Load()
-	ph, phPos := tab.find(10_000_000)
+	ph, phPos := routed(tab, 10_000_000)
 	if ph.nslots != 1 || stateOf(ph.metaRef(0).Load()) != 0 {
 		t.Fatalf("emptied range did not become a never-written placeholder (nslots=%d meta=%x)",
 			ph.nslots, ph.metaRef(0).Load())
 	}
-	before := len(tab.models)
+	before := len(tab.dir)
 
 	// Retrain the left neighbor: the splice must absorb the placeholder.
-	left := tab.models[phPos-1]
+	left := tab.dir[phPos-1].m
 	retrain(left)
 	tab = alt.tab.Load()
 	if alt.ret.merges.Load() == 0 {
-		t.Fatalf("neighbor rebuild absorbed no placeholder (models %d -> %d)", before, len(tab.models))
+		t.Fatalf("neighbor rebuild absorbed no placeholder (models %d -> %d)", before, len(tab.dir))
 	}
-	if len(tab.models) >= before {
-		t.Fatalf("table did not shrink: %d -> %d models", before, len(tab.models))
+	if len(tab.dir) >= before {
+		t.Fatalf("table did not shrink: %d -> %d models", before, len(tab.dir))
 	}
 	// Absorption must not change any lookup result.
 	for _, k := range keys {
@@ -210,6 +213,7 @@ func TestSyncBaselineMode(t *testing.T) {
 		if err := alt.Insert(hot+i, i); err != nil {
 			t.Fatal(err)
 		}
+		checkTable(t, alt) // rebuilds run inline, so after every splice
 	}
 	if alt.retrains.Load() == 0 {
 		t.Fatal("synchronous mode did not retrain inline")
@@ -259,6 +263,7 @@ func TestShardRetrainGateBudget(t *testing.T) {
 	wg.Wait()
 	for i, alt := range alts {
 		alt.Quiesce()
+		checkTable(t, alt)
 		if alt.StatsMap()["retrains"] == 0 {
 			t.Errorf("core %d retrained zero times through the shared gate", i)
 		}
@@ -356,12 +361,9 @@ func TestFillShellsExhaustedMidFill(t *testing.T) {
 		vals = append(vals, i)
 	}
 	kept := shells[0]
-	models, firsts := alt.fillShells(shells, keys, vals)
+	models := alt.fillShells(shells, keys, vals)
 	if len(models) != 1 || models[0] != kept {
 		t.Fatalf("expected only the first shell to survive, got %d models", len(models))
-	}
-	if len(firsts) != 1 || firsts[0] != 100 {
-		t.Fatalf("firsts = %v, want [100]", firsts)
 	}
 	// The two dropped shells' spans must be back in the arena: live bytes
 	// grew by exactly the surviving shell's span.
@@ -394,13 +396,13 @@ func TestFillShellsAllConflict(t *testing.T) {
 		vals = append(vals, i^0xF0)
 	}
 	treeBefore := alt.tree.Len()
-	models, firsts := alt.fillShells([]*model{sh}, keys, vals)
+	models := alt.fillShells([]*model{sh}, keys, vals)
 	if len(models) != 1 || models[0] == sh {
 		t.Fatalf("fallback must build one fresh model, got %d (reused shell: %v)",
 			len(models), len(models) == 1 && models[0] == sh)
 	}
-	if firsts[0] != keys[0] {
-		t.Fatalf("fallback first = %d, want %d", firsts[0], keys[0])
+	if models[0].first != keys[0] {
+		t.Fatalf("fallback first = %d, want %d", models[0].first, keys[0])
 	}
 	if alt.tree.Len() <= treeBefore {
 		t.Fatal("conflicting keys were not evicted to ART")

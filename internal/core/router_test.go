@@ -1,66 +1,84 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"altindex/internal/dataset"
+	"altindex/internal/index"
 )
 
-// TestRouteMatchesFind checks the two-level router against the directory
-// binary search on clustered (OSM-like) and uniform key distributions:
-// route must agree with find for keys inside, between, below and above
-// the models' ranges. The OSM case is the interesting one — it drives
-// queries through the wide-window sub-tables.
-func TestRouteMatchesFind(t *testing.T) {
-	cases := map[string][]uint64{
-		"osm":     dataset.Generate(dataset.OSM, 50000, 3),
-		"uniform": dataset.Generate(dataset.Uniform, 50000, 3),
+// routed returns the model tb routes key to and its table position.
+func routed(tb *table, key uint64) (*model, int) {
+	pos := tb.route(key)
+	return tb.dir[pos].m, pos
+}
+
+// tableOf builds a table of one-slot models with the given boundaries.
+func tableOf(bounds ...uint64) *table {
+	dir := make([]entry, len(bounds))
+	for i, b := range bounds {
+		dir[i] = newEntry(emptyModel(nil, b))
 	}
-	for name, keys := range cases {
-		t.Run(name, func(t *testing.T) {
-			a := New(Options{})
-			if err := a.Bulkload(dataset.Pairs(keys)); err != nil {
-				t.Fatal(err)
-			}
-			tab := a.tab.Load()
-			rt := tab.router()
-			rng := rand.New(rand.NewSource(9))
-			check := func(k uint64) {
-				t.Helper()
-				_, want := tab.find(k)
-				if got := tab.route(rt, k); got != want {
-					t.Fatalf("route(%#x) = %d, want %d", k, got, want)
-				}
-			}
-			for i := 0; i < 200000; i++ {
-				// Exact keys, neighbors, and uniform probes across
-				// (and beyond) the key range.
-				k := keys[rng.Intn(len(keys))]
-				check(k)
-				check(k - 1)
-				check(k + 1)
-				check(rng.Uint64())
-			}
-			check(0)
-			check(^uint64(0))
-			for _, f := range tab.firsts {
-				check(f)
-				check(f - 1)
-				check(f + 1)
-			}
-		})
+	return newTable(bounds, dir)
+}
+
+// tableViolations audits the directory invariants every published table
+// must satisfy; nil means consistent.
+func tableViolations(tb *table) error {
+	n := len(tb.dir)
+	if len(tb.bounds) != n {
+		return fmt.Errorf("len(bounds) = %d, len(dir) = %d", len(tb.bounds), n)
+	}
+	if want := n > 0 && n < 1<<rtIdxBits; (len(tb.rt.rt) > 0) != want {
+		return fmt.Errorf("router present = %v with %d models", !want, n)
+	}
+	for i := range tb.dir {
+		e, b := &tb.dir[i], tb.bounds[i]
+		if i > 0 && b <= tb.bounds[i-1] {
+			return fmt.Errorf("bounds[%d] = %#x not above bounds[%d] = %#x", i, b, i-1, tb.bounds[i-1])
+		}
+		m := e.m
+		if m == nil {
+			return fmt.Errorf("dir[%d] has no model", i)
+		}
+		if e.first != m.first || e.slope != m.slope || e.nslots != m.nslots ||
+			len(e.blocks) != len(m.blocks) || (len(e.blocks) > 0 && &e.blocks[0] != &m.blocks[0]) {
+			return fmt.Errorf("dir[%d] is not a copy of its model's layout", i)
+		}
+		// The prediction origin lies inside the routed range, which is
+		// what lets the retrainer find a model again by its origin.
+		if e.first < b || (i+1 < n && e.first >= tb.bounds[i+1]) {
+			return fmt.Errorf("dir[%d] origin %#x outside its range from %#x", i, e.first, b)
+		}
+		if got := tb.route(b); got != i {
+			return fmt.Errorf("route(bounds[%d]) = %d", i, got)
+		}
+	}
+	return nil
+}
+
+// checkTable fails the test if idx's published table breaks an invariant.
+func checkTable(t *testing.T, idx *ALT) {
+	t.Helper()
+	if err := tableViolations(idx.tab.Load()); err != nil {
+		t.Fatalf("table invariant: %v", err)
 	}
 }
 
-// TestRouterHighSpanOverflow pins the boundary-walk overflow fix: when the
-// directory's key span ends at or near MaxUint64 and is not aligned to the
-// router's window width, the trailing window starts overflow uint64. A
-// wrapped (small) start used to stall the monotone walk, so the last
-// model(s) were excluded from every bracket and route(MaxUint64) pointed
-// below n-1.
-func TestRouterHighSpanOverflow(t *testing.T) {
-	const max = ^uint64(0)
+// refRoute is the routing oracle: the rightmost boundary <= key by the
+// standard library's binary search, clamped to position 0.
+func refRoute(bounds []uint64, key uint64) int {
+	return max(0, sort.Search(len(bounds), func(i int) bool { return bounds[i] > key })-1)
+}
+
+// TestRouteMatchesReference is the differential routing test: route must
+// agree with refRoute on directories built to stress every decode path of
+// the router, for keys on, beside, between, below and above the boundaries.
+func TestRouteMatchesReference(t *testing.T) {
+	const top = ^uint64(0)
 	mk := func(n int, gen func(i int) uint64) []uint64 {
 		fs := make([]uint64, n)
 		for i := range fs {
@@ -68,59 +86,198 @@ func TestRouterHighSpanOverflow(t *testing.T) {
 		}
 		return fs
 	}
-	cases := map[string][]uint64{
-		// 1000 models whose firsts end exactly at MaxUint64, spaced so
-		// the span is not aligned to the window width (the add overflows).
-		"end-at-max": mk(1000, func(i int) uint64 {
-			return max - uint64(999-i)*0x3f0f0f0f0f0f1
-		}),
-		// Full-range span: base 0, last first MaxUint64. Here w<<shift
-		// itself sheds bits for the clamp window.
-		"full-range": mk(1000, func(i int) uint64 {
-			if i == 999 {
-				return max
-			}
-			return uint64(i) * (max / 1000)
-		}),
-		// Tiny span parked at the very top of the key space (shift == 0,
-		// only the final add wraps).
-		"top-tiny": mk(100, func(i int) uint64 {
-			return max - uint64(99-i)*3
-		}),
+	bulk := func(kind dataset.Name) []uint64 {
+		a := New(Options{})
+		if err := a.Bulkload(dataset.Pairs(dataset.Generate(kind, 50000, 3))); err != nil {
+			t.Fatal(err)
+		}
+		checkTable(t, a)
+		return a.tab.Load().bounds
 	}
-	for name, fs := range cases {
-		t.Run(name, func(t *testing.T) {
-			tab := &table{firsts: fs, models: make([]*model, len(fs))}
-			rt := tab.router()
+	cases := []struct {
+		name    string
+		bounds  []uint64
+		wantSub bool // the directory must have forced second-level tables
+	}{
+		{name: "one-model", bounds: []uint64{1 << 40}},
+		{name: "one-model-at-zero", bounds: []uint64{0}},
+		{name: "two-models-one-window", bounds: []uint64{1 << 40, 1<<40 + 1}},
+		{name: "uniform", bounds: bulk(dataset.Uniform)},
+		// OSM packs most models into a few windows, which drives queries
+		// through the sub-tables.
+		{name: "osm", bounds: bulk(dataset.OSM), wantSub: true},
+		// Dense clusters far apart: wide brackets right next to windows
+		// that hold nothing.
+		{name: "clusters", wantSub: true, bounds: mk(4000, func(i int) uint64 {
+			return uint64(i/1000)<<60 + 1<<50 + uint64(i%1000)*4096
+		})},
+		// The three ways a window start can overflow uint64: the span ends
+		// exactly at MaxUint64 unaligned to the window width (the add
+		// wraps), it covers the full key space (w<<shift sheds bits), and
+		// a tiny span sits at the very top (shift == 0).
+		{name: "end-at-max", bounds: mk(1000, func(i int) uint64 {
+			return top - uint64(999-i)*0x3f0f0f0f0f0f1
+		})},
+		{name: "full-range", bounds: mk(1000, func(i int) uint64 {
+			if i == 999 {
+				return top
+			}
+			return uint64(i) * (top / 1000)
+		})},
+		{name: "top-tiny", bounds: mk(100, func(i int) uint64 { return top - uint64(99-i)*3 })},
+		// Too many models for the router's packed entries: no router, and
+		// route narrows over the whole directory.
+		{name: "no-router", bounds: mk(1<<rtIdxBits, func(i int) uint64 { return 1000 + uint64(i)*8 })},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// Routing reads only the boundaries, so the synthetic cases
+			// build the table without a directory.
+			tb := newTable(c.bounds, nil)
+			if hasRouter := len(tb.rt.rt) > 0; hasRouter != (len(c.bounds) < 1<<rtIdxBits) {
+				t.Fatalf("router present = %v with %d models", hasRouter, len(c.bounds))
+			}
+			if c.wantSub && len(tb.rt.sub) == 0 {
+				t.Fatal("directory built no sub-tables; the case does not test the second level")
+			}
 			check := func(k uint64) {
 				t.Helper()
-				_, want := tab.find(k)
-				if got := tab.route(rt, k); got != want {
+				if got, want := tb.route(k), refRoute(c.bounds, k); got != want {
 					t.Fatalf("route(%#x) = %d, want %d", k, got, want)
 				}
 			}
-			check(max)
 			check(0)
-			for _, f := range fs {
-				check(f)
-				check(f - 1)
-				check(f + 1)
+			check(top)
+			stride := max(1, len(c.bounds)/20000)
+			for i := 0; i < len(c.bounds); i += stride {
+				b := c.bounds[i]
+				check(b)
+				check(b - 1) // wraps to MaxUint64 at b == 0, still a valid probe
+				check(b + 1)
+			}
+			check(c.bounds[len(c.bounds)-1])
+			rng := rand.New(rand.NewSource(9))
+			lo, span := c.bounds[0], c.bounds[len(c.bounds)-1]-c.bounds[0]
+			for i := 0; i < 30000; i++ {
+				check(rng.Uint64())
+				if span < top {
+					check(lo + rng.Uint64()%(span+1)) // inside the boundaries' span
+				}
+				if lo > 0 {
+					check(rng.Uint64() % lo) // below the first boundary
+				}
 			}
 		})
 	}
 }
 
-// TestRouterTooManyModels: a directory with >= 2^rtIdxBits models cannot
-// be represented in the router's packed entries, so router() must refuse
-// to build one (the batch path then falls back to per-key routing).
-func TestRouterTooManyModels(t *testing.T) {
-	n := 1 << rtIdxBits
-	fs := make([]uint64, n)
-	for i := range fs {
-		fs[i] = uint64(i) * 8
+// TestHeadSpliceKeepsBoundsAscending is the regression for the head-of-
+// table splice: keys inserted below the first boundary make a rebuild of
+// model 0 start its first new model below the old boundary and its second
+// one exactly at it. Pinning position 0 to the old boundary then published
+// [2^40, 2^40], and GetBatch (router) missed every key Get (binary search)
+// found. The boundaries must stay strictly ascending and the two read
+// paths must agree.
+func TestHeadSpliceKeepsBoundsAscending(t *testing.T) {
+	pairs := make([]index.KV, 2000)
+	for i := range pairs {
+		pairs[i] = index.KV{Key: 1<<40 + uint64(i)*1000, Value: uint64(i)}
 	}
-	tab := &table{firsts: fs, models: make([]*model, n)}
-	if rt := tab.router(); rt != nil {
-		t.Fatalf("router() built a router for %d models, want nil", n)
+	a := New(Options{ErrorBound: 16, RetrainMinInserts: 64})
+	t.Cleanup(func() { a.Close() })
+	if err := a.Bulkload(pairs); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 4000; i++ {
+		if err := a.Insert(1+3*i, i); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			a.Quiesce()
+			checkTable(t, a)
+		}
+	}
+	a.Quiesce()
+	checkTable(t, a)
+	if a.retrains.Load() == 0 {
+		t.Fatal("no rebuild ran; the test did not splice the head of the table")
+	}
+	keys := make([]uint64, 64)
+	for i := range keys {
+		keys[i] = 1 + 3*uint64(i)
+	}
+	vals := make([]uint64, len(keys))
+	found := make([]bool, len(keys))
+	a.GetBatch(keys, vals, found)
+	for i, k := range keys {
+		v, ok := a.Get(k)
+		if !ok || v != uint64(i) {
+			t.Fatalf("Get(%d) = (%d,%v), want %d", k, v, ok, i)
+		}
+		if found[i] != ok || vals[i] != v {
+			t.Fatalf("GetBatch(%d) = (%d,%v), Get = (%d,%v)", k, vals[i], found[i], v, ok)
+		}
+	}
+	if a.Len() != len(pairs)+4000 {
+		t.Fatalf("Len = %d, want %d", a.Len(), len(pairs)+4000)
+	}
+}
+
+// TestCheckTableCatchesViolations is the audit's own negative test: each
+// tampering must be reported, so a green checkTable means something.
+func TestCheckTableCatchesViolations(t *testing.T) {
+	if err := tableViolations(tableOf(10, 100, 1000)); err != nil {
+		t.Fatalf("clean table reported: %v", err)
+	}
+	if err := tableViolations(newTable(nil, nil)); err != nil {
+		t.Fatalf("empty table reported: %v", err)
+	}
+	tamper := map[string]func(tb *table){
+		"length":        func(tb *table) { tb.dir = tb.dir[:2] },
+		"duplicate":     func(tb *table) { tb.bounds[1] = tb.bounds[0] },
+		"stale-layout":  func(tb *table) { tb.dir[1].nslots++ },
+		"foreign-block": func(tb *table) { tb.dir[1].blocks = allocBlocks(1) },
+		"origin":        func(tb *table) { tb.dir[0], tb.dir[1] = tb.dir[1], tb.dir[0] },
+		"no-router":     func(tb *table) { tb.rt = router{} },
+		"stale-router":  func(tb *table) { tb.rt = buildRouter([]uint64{10, 11, 12}) },
+	}
+	for name, f := range tamper {
+		tb := tableOf(10, 100, 1000)
+		f(tb)
+		if tableViolations(tb) == nil {
+			t.Errorf("%s: tampered table passed the audit", name)
+		}
+	}
+}
+
+// TestPointOpsDoNotAllocate pins the warmed point operations at zero
+// allocations: routing, the directory entry and the slot probe all work
+// on memory the table already owns.
+func TestPointOpsDoNotAllocate(t *testing.T) {
+	all := dataset.Generate(dataset.OSM, 50000, 4)
+	a := mustBulk(t, Options{DisableRetraining: true}, all)
+	// Slot residents only: a conflict key lives in ART, where a re-insert
+	// after Remove allocates a leaf by design.
+	var keys []uint64
+	tb := a.tab.Load()
+	for _, k := range all {
+		m, _ := routed(tb, k)
+		if sk, _, _, ok := m.read(m.slotOf(k)); ok && sk == k {
+			keys = append(keys, k)
+		}
+	}
+	i := 0
+	next := func() uint64 { i++; return keys[i*7919%len(keys)] }
+	ops := map[string]func(){
+		"Get":    func() { a.Get(next()) },
+		"Update": func() { a.Update(next(), 1) },
+		"Insert": func() { _ = a.Insert(next(), 2) }, // upsert of a loaded key
+		"Remove": func() { k := next(); a.Remove(k); _ = a.Insert(k, 3) },
+	}
+	for name, op := range ops {
+		op() // warm: first use of the epoch pin and the backoff state
+		if n := testing.AllocsPerRun(2000, op); n != 0 {
+			t.Errorf("%s allocates %.1f times per op, want 0", name, n)
+		}
 	}
 }

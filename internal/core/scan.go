@@ -72,7 +72,7 @@ func (t *ALT) scanAppend(dst []index.KV, bufs *scanBufs, start, end uint64, max 
 	defer g.Unpin()
 	for attempt := 0; ; attempt++ {
 		tab := t.tab.Load()
-		if len(tab.models) == 0 {
+		if len(tab.dir) == 0 {
 			return t.tree.AppendRange(dst, start, hi, max)
 		}
 		var ok bool
@@ -126,18 +126,17 @@ func (t *ALT) Scan(start uint64, n int, fn func(uint64, uint64) bool) int {
 // retraining freeze) and the caller should reload the table and retry; the
 // partially filled buffer is still returned so its capacity is kept.
 func (t *ALT) collectRuns(tb *table, start, hi uint64, max int, out []index.KV) ([]index.KV, bool) {
-	_, mi := tb.find(start)
-	for ; mi < len(tb.models) && len(out) < max; mi++ {
-		m := tb.models[mi]
-		if m.first > hi {
+	for mi := tb.route(start); mi < len(tb.dir) && len(out) < max; mi++ {
+		e := &tb.dir[mi]
+		if e.first > hi {
 			break // model ranges are sorted: everything later is past hi
 		}
 		s := 0
-		if m.first <= start {
-			s = m.slotOf(start)
+		if e.first <= start {
+			s = e.slotOf(start)
 		}
 		var past, ok bool
-		out, past, ok = m.appendRuns(out, s, start, hi, max)
+		out, past, ok = e.appendRuns(out, s, start, hi, max)
 		if !ok {
 			return out, false // frozen slot: table about to change
 		}
@@ -160,11 +159,11 @@ func (t *ALT) collectRuns(tb *table, start, hi uint64, max int, out []index.KV) 
 // past=true reports a key above hi (slot order equals key order, so the
 // whole scan is done). ok=false reports a frozen slot (retraining): the
 // caller must reload the table and retry.
-func (m *model) appendRuns(out []index.KV, s0 int, start, hi uint64, max int) (_ []index.KV, past, ok bool) {
+func (l *layout) appendRuns(out []index.KV, s0 int, start, hi uint64, max int) (_ []index.KV, past, ok bool) {
 	firstBlock := s0 >> blockShift
-	nblocks := (m.nslots + blockMask) >> blockShift
+	nblocks := (l.nslots + blockMask) >> blockShift
 	for bi := firstBlock; bi < nblocks; bi++ {
-		b := &m.blocks[bi]
+		b := &l.blocks[bi]
 		lane0 := 0
 		if bi == firstBlock {
 			lane0 = s0 & blockMask
@@ -220,11 +219,11 @@ func (m *model) appendRuns(out []index.KV, s0 int, start, hi uint64, max int) (_
 		}
 		// Contended block: per-slot seqlock reads with bounded backoff.
 		end := bi<<blockShift + blockSlots
-		if end > m.nslots {
-			end = m.nslots
+		if end > l.nslots {
+			end = l.nslots
 		}
 		for s := bi<<blockShift + lane0; s < end; s++ {
-			k, v, st, rok := m.readPersistent(s)
+			k, v, st, rok := l.readPersistent(s)
 			if !rok {
 				return out, false, false
 			}
@@ -246,10 +245,10 @@ func (m *model) appendRuns(out []index.KV, s0 int, start, hi uint64, max int) (_
 // readPersistent is a per-slot seqlock read that retries through transient
 // writer windows. ok=false means the slot stayed locked through the whole
 // backoff budget — in practice a retraining freeze.
-func (m *model) readPersistent(s int) (key, val uint64, meta uint32, ok bool) {
+func (l *layout) readPersistent(s int) (key, val uint64, meta uint32, ok bool) {
 	var bo backoff
 	for try := 0; try < 64; try++ {
-		if k, v, st, rok := m.read(s); rok {
+		if k, v, st, rok := l.read(s); rok {
 			return k, v, st, true
 		}
 		bo.wait()
@@ -347,7 +346,7 @@ func (t *ALT) scanPerSlot(start uint64, n int, fn func(uint64, uint64) bool) int
 	defer putScanBufs(bufs)
 	for attempt := 0; ; attempt++ {
 		tab := t.tab.Load()
-		if len(tab.models) == 0 {
+		if len(tab.dir) == 0 {
 			return t.tree.Scan(start, n, fn)
 		}
 		var ok bool
@@ -387,15 +386,14 @@ func (t *ALT) scanPerSlot(start uint64, n int, fn func(uint64, uint64) bool) int
 // collectLearned is scanPerSlot's learned-layer collector: one seqlock
 // validation per slot. ok=false mirrors collectRuns.
 func (t *ALT) collectLearned(tb *table, start uint64, n int, out []index.KV) ([]index.KV, bool) {
-	_, mi := tb.find(start)
-	for ; mi < len(tb.models) && len(out) < n; mi++ {
-		m := tb.models[mi]
+	for mi := tb.route(start); mi < len(tb.dir) && len(out) < n; mi++ {
+		e := &tb.dir[mi]
 		s := 0
-		if mi == 0 || m.first <= start {
-			s = m.slotOf(start)
+		if mi == 0 || e.first <= start {
+			s = e.slotOf(start)
 		}
-		for ; s < m.nslots && len(out) < n; s++ {
-			k, v, st, readOK := m.readPersistent(s)
+		for ; s < e.nslots && len(out) < n; s++ {
+			k, v, st, readOK := e.readPersistent(s)
 			if !readOK {
 				return out, false // frozen slot: table about to change
 			}

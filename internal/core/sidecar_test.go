@@ -36,7 +36,7 @@ func TestSlotBlockLayout(t *testing.T) {
 	}
 
 	// The accessors and read() must address the same lanes.
-	m := &model{nslots: 20, slope: 1, blocks: allocBlocks(20)}
+	m := &layout{nslots: 20, slope: 1, blocks: allocBlocks(20)}
 	for s := 0; s < m.nslots; s++ {
 		m.keyRef(s).Store(uint64(100 + s))
 		m.valRef(s).Store(uint64(200 + s))

@@ -329,3 +329,34 @@ func TestShardClampCounts(t *testing.T) {
 		ix.Close()
 	}
 }
+
+// TestShardPointOpsDoNotAllocate pins the warmed point operations at zero
+// allocations through the shard router, as core pins them below it.
+func TestShardPointOpsDoNotAllocate(t *testing.T) {
+	// Evenly spaced keys fit their models exactly, so every key is a slot
+	// resident: a conflict key would live in ART, where a re-insert after
+	// Remove allocates a leaf by design.
+	keys := make([]uint64, 40000)
+	for i := range keys {
+		keys[i] = uint64(i)*64 + 1
+	}
+	s := New(core.Options{Shards: 4, DisableRetraining: true})
+	t.Cleanup(func() { s.Close() })
+	if err := s.Bulkload(pairsOf(keys)); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	next := func() uint64 { i++; return keys[i*7919%len(keys)] }
+	ops := map[string]func(){
+		"Get":    func() { s.Get(next()) },
+		"Update": func() { s.Update(next(), 1) },
+		"Insert": func() { _ = s.Insert(next(), 2) }, // upsert of a loaded key
+		"Remove": func() { k := next(); s.Remove(k); _ = s.Insert(k, 3) },
+	}
+	for name, op := range ops {
+		op() // warm: first use of the epoch pin and the backoff state
+		if n := testing.AllocsPerRun(2000, op); n != 0 {
+			t.Errorf("%s allocates %.1f times per op, want 0", name, n)
+		}
+	}
+}
