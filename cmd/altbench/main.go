@@ -45,7 +45,7 @@ func main() {
 		shards  = flag.Int("shards", 0, "extra shard count for the 'shard-scaling' sweep (0 = default sweep)")
 		tier    = flag.String("tier", "", "scale tier: 'large' defaults -keys to 20M and -exp to large-scale (pass -keys 50000000 or more to opt higher)")
 
-		netRun   = flag.Bool("net", false, "shorthand for -exp net-path: drive the served TCP hot path (pipelined loop + coalescing vs legacy baseline)")
+		netRun   = flag.Bool("net", false, "shorthand for -exp net-path: drive the served TCP hot path (pipelined loop + coalescing; depth and connection sweeps)")
 		netConns = flag.Int("net-conns", 0, "net-path: connections for the depth sweep (0 = 8, where the coalescing gate engages)")
 		netDepth = flag.Int("net-depth", 0, "net-path: pipeline depth for the connection sweep (0 = 16)")
 

@@ -52,7 +52,6 @@ func main() {
 		readTimeout   = flag.Duration("read-timeout", 5*time.Minute, "per-request read deadline")
 		writeTimeout  = flag.Duration("write-timeout", 30*time.Second, "per-reply write deadline")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain bound")
-		legacyLoop    = flag.Bool("legacy-loop", false, "serve with the pre-pipelining connection loop (one flush per command, no batching) — benchmark baseline / fallback")
 		coalesceConns = flag.Int("coalesce-conns", 0, "connection count at which cross-connection op coalescing engages (0 = 8, negative disables)")
 		shards        = flag.Int("shards", 0, "range-partition the keyspace across this many index shards (0 = single instance)")
 		rebFactor     = flag.Float64("rebalance-factor", 0, "adaptive shard rebalancing: split/merge online when max/mean routed-op imbalance exceeds this factor (0 disables; needs -shards > 1)")
@@ -85,7 +84,6 @@ func main() {
 		ReadTimeout:        *readTimeout,
 		WriteTimeout:       *writeTimeout,
 		DrainTimeout:       *drainTimeout,
-		LegacyLoop:         *legacyLoop,
 		CoalesceConns:      *coalesceConns,
 		SnapshotPath:       *snapshot,
 		Shards:             *shards,

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -407,6 +408,70 @@ func TestConcurrentInsertGet(t *testing.T) {
 			t.Fatalf("post-stress Get(%d) = %d,%v", k, v, ok)
 		}
 	}
+}
+
+// TestRootPrefixExtractionRace races lookups and scans of resident keys
+// against inserts that extract the root's compressed prefix. The extraction
+// re-parents the old root — trimmed prefix, raised depth, bumped but not
+// obsolete version — so a walker that loaded the root pointer just before
+// it and took the version just after would walk a non-root node at depth 0
+// and validate a wrong answer (see enter). Fresh trees keep the window
+// coming: every tree's root starts with a 7-byte prefix that seven inserts
+// peel off one byte at a time, root-first.
+func TestRootPrefixExtractionRace(t *testing.T) {
+	const base = uint64(0x0101010101010100)
+	var resident [16]index.KV
+	for i := range resident {
+		resident[i] = index.KV{Key: base | uint64(i), Value: uint64(i) + 1}
+	}
+	build := func() *Tree {
+		tr := New(nil)
+		if err := tr.Bulkload(resident[:]); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	var cur atomic.Pointer[Tree]
+	cur.Store(build())
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var buf []index.KV
+			for i := r; !stop.Load(); i++ {
+				tr := cur.Load()
+				kv := resident[i%len(resident)]
+				if v, ok := tr.Get(kv.Key); !ok || v != kv.Value {
+					t.Errorf("Get(%#x) = %d,%v during root prefix extraction", kv.Key, v, ok)
+					return
+				}
+				if i%8 != 0 {
+					continue
+				}
+				buf = tr.AppendRange(buf[:0], base, base|0xff, len(resident))
+				if len(buf) != len(resident) || buf[0] != resident[0] || buf[len(buf)-1] != resident[len(resident)-1] {
+					t.Errorf("AppendRange returned %d of %d resident keys during root prefix extraction", len(buf), len(resident))
+					return
+				}
+			}
+		}(r)
+	}
+	for iter := 0; iter < 5000 && !t.Failed(); iter++ {
+		tr := build()
+		cur.Store(tr)
+		// Diverge from the shared prefix at byte 6, then 5, ... then 0: each
+		// insert mismatches inside the current root's prefix.
+		for b := 6; b >= 0; b-- {
+			k := base ^ uint64(0x02)<<(56-8*b)
+			if !tr.Put(k, k) {
+				t.Fatalf("Put(%#x) overwrote", k)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }
 
 func TestConcurrentMixedOps(t *testing.T) {

@@ -7,11 +7,7 @@ import (
 )
 
 // Scan visits up to max pairs with keys >= start in ascending key order and
-// returns the number visited. Results are collected under optimistic
-// version validation and the whole scan restarts on a conflict (bounded
-// retries, after which the best-effort result is emitted); within one
-// successful collection the result is a consistent ordered snapshot of each
-// visited node.
+// returns the number visited. See AppendRange for the consistency contract.
 func (t *Tree) Scan(start uint64, max int, fn func(uint64, uint64) bool) int {
 	return t.ScanRange(start, ^uint64(0), max, fn)
 }
@@ -47,44 +43,28 @@ const maxPooledScan = 1 << 16
 // ScanRange: callers that keep dst alive across scans amortize the result
 // buffer away entirely.
 //
-// Collection runs through the bulk collector: one pooled scratch carries a
-// per-level child snapshot for the whole descent, so a node visit writes
-// only the entries it actually has instead of zero-initialising a
-// 256-wide snapshot on every call (the dominant cost of the legacy
-// collector on range-scan hot paths).
+// Every pair comes from a version-validated snapshot of its parent node, so
+// a key resident for the whole call is always returned; the result is never
+// cut short by contention. A validation conflict keeps the pairs collected
+// so far — in-order traversal makes them exactly the window's keys up to
+// the last one — and resumes the descent just above it, so a scan under
+// sustained writes pays one root-to-leaf path per conflict instead of
+// starting over.
 func (t *Tree) AppendRange(dst []index.KV, start, end uint64, max int) []index.KV {
 	if max <= 0 || end < start {
 		return dst
 	}
 	sc := rangeScratchPool.Get().(*rangeScratch)
 	base := len(dst)
-	for attempt := 0; attempt < 8; attempt++ {
-		dst = dst[:base]
-		if t.collectFast(t.root.Load(), 0, 0, 0, start, end, base+max, &dst, sc) {
-			break
+	for !t.collectFast(t.root.Load(), 0, 0, 0, start, end, base+max, &dst, sc) {
+		if n := len(dst); n > base {
+			if dst[n-1].Key == end {
+				break
+			}
+			start = dst[n-1].Key + 1
 		}
 	}
 	rangeScratchPool.Put(sc)
-	return dst
-}
-
-// AppendRangeLegacy is AppendRange running through the pre-kernel
-// recursive collector (fresh 256-wide snapshots per node). It is kept
-// bit-for-bit as the measured baseline of the scan-path experiment — the
-// ALT per-slot engine (core.Options.DisableScanKernel) reads the ART
-// layer through it so the benchmark's baseline cell reproduces the
-// pre-kernel scan stack end to end. Not for new callers.
-func (t *Tree) AppendRangeLegacy(dst []index.KV, start, end uint64, max int) []index.KV {
-	if max <= 0 || end < start {
-		return dst
-	}
-	base := len(dst)
-	for attempt := 0; attempt < 8; attempt++ {
-		dst = dst[:base]
-		if t.collect(t.root.Load(), 0, 0, start, end, base+max, &dst) {
-			break
-		}
-	}
 	return dst
 }
 
@@ -103,13 +83,19 @@ type rangeScratch struct {
 
 var rangeScratchPool = sync.Pool{New: func() any { return new(rangeScratch) }}
 
-// collectFast is the bulk collector behind AppendRange: identical
-// traversal, pruning and validation discipline to collect, but the child
-// snapshot lands in the caller-owned scratch level instead of fresh stack
-// arrays, so a visit costs writes proportional to the node's fanout
-// rather than a fixed 2.3KB zero-fill. lvl is the recursion depth indexing
-// the scratch (distinct from depth, which counts fixed key bytes and also
-// advances over compressed prefixes).
+// collectFast is the bulk collector behind AppendRange: it appends in-order
+// pairs of [start, end] from n's subtree, returning false on a version
+// conflict. acc carries the key bytes fixed by the path so far
+// (high-aligned) and depth their count; lvl is the recursion depth indexing
+// the scratch (distinct from depth, which also advances over compressed
+// prefixes). One pooled scratch carries a per-level child snapshot for the
+// whole descent, so a visit costs writes proportional to the node's fanout
+// rather than a fixed 2.3KB zero-fill.
+//
+// Children are visited after their parent's snapshot validated, without
+// lock coupling, so — like the root (see enter) — a child may have been
+// re-parented by a prefix extraction since: its Depth(), read under its own
+// version, must still equal the depth the path implies.
 func (t *Tree) collectFast(n *Node, acc uint64, depth, lvl int, start, end uint64, max int, out *[]index.KV, sc *rangeScratch) bool {
 	if n == nil || len(*out) >= max {
 		return true
@@ -126,7 +112,10 @@ func (t *Tree) collectFast(n *Node, acc uint64, depth, lvl int, start, end uint6
 	if !okv {
 		return false
 	}
-	pl, _, _ := n.loadMeta()
+	pl, nd, _ := n.loadMeta()
+	if nd != depth {
+		return false
+	}
 	pw := n.prefixW.Load()
 	for i := 0; i < pl && depth+i < 8; i++ {
 		acc |= uint64(byte(pw>>(8*i))) << (56 - 8*(depth+i))
@@ -190,87 +179,6 @@ func (t *Tree) collectFast(n *Node, acc uint64, depth, lvl int, start, end uint6
 			break // this and all later subtrees are above the window
 		}
 		if !t.collectFast(c, childAcc, depth+1, lvl+1, start, end, max, out, sc) {
-			return false
-		}
-	}
-	return true
-}
-
-// collect appends in-order pairs >= start from n's subtree. acc carries the
-// key bytes fixed by the path so far (high-aligned); depth is the number of
-// fixed bytes. Returns false on a version conflict.
-func (t *Tree) collect(n *Node, acc uint64, depth int, start, end uint64, max int, out *[]index.KV) bool {
-	if n == nil || len(*out) >= max {
-		return true
-	}
-	if n.kind == kindLeaf {
-		k := n.key
-		val := n.value.Load()
-		if k >= start && k <= end {
-			*out = append(*out, index.KV{Key: k, Value: val})
-		}
-		return true
-	}
-	v, okv := n.readLockOrRestart()
-	if !okv {
-		return false
-	}
-	pl, _, _ := n.loadMeta()
-	pw := n.prefixW.Load()
-	for i := 0; i < pl && depth+i < 8; i++ {
-		acc |= uint64(byte(pw>>(8*i))) << (56 - 8*(depth+i))
-	}
-	depth += pl
-	// Snapshot the ordered child list before validating.
-	var bs [256]byte
-	var cs [256]*Node
-	cnt := 0
-	switch n.kind {
-	case kind4, kind16:
-		m := n.numChildren()
-		if m > len(n.children) {
-			m = len(n.children) // torn read; validation below rejects
-		}
-		for i := 0; i < m; i++ {
-			bs[cnt], cs[cnt] = n.keyAt(i), n.children[i].Load()
-			cnt++
-		}
-	case kind48:
-		for b := 0; b < 256; b++ {
-			if idx := int(n.keyAt(b)); idx != 0 && idx <= len(n.children) {
-				bs[cnt], cs[cnt] = byte(b), n.children[idx-1].Load()
-				cnt++
-			}
-		}
-	case kind256:
-		for b := 0; b < 256; b++ {
-			if c := n.children[b].Load(); c != nil {
-				bs[cnt], cs[cnt] = byte(b), c
-				cnt++
-			}
-		}
-	}
-	if !n.checkOrRestart(v) {
-		return false
-	}
-	if depth > 7 {
-		return true
-	}
-	for i := 0; i < cnt; i++ {
-		if len(*out) >= max {
-			return true
-		}
-		if cs[i] == nil {
-			continue
-		}
-		childAcc := acc | uint64(bs[i])<<(56-8*depth)
-		if subtreeMax(childAcc, depth) < start {
-			continue // whole subtree below the scan start
-		}
-		if childAcc > end {
-			break // this and all later subtrees are above the window
-		}
-		if !t.collect(cs[i], childAcc, depth+1, start, end, max, out) {
 			return false
 		}
 	}

@@ -87,12 +87,9 @@ func (t *Tree) Get(key uint64) (uint64, bool) {
 // GetFrom looks key up starting at start, an intermediate node reached via
 // a fast pointer whose Depth() key bytes are already matched. It returns
 // the number of nodes traversed (the paper's "lookup length", Fig 10a).
-// If start keeps failing validation (obsolete or hot), the lookup falls
-// back to a root traversal.
+// If start keeps failing entry (obsolete, hot, or re-parented so that it no
+// longer covers key), the lookup falls back to a root traversal.
 func (t *Tree) GetFrom(start *Node, key uint64) (val uint64, found bool, pathLen int) {
-	if start != nil && !t.entryCovers(start, key) {
-		start = nil
-	}
 	for attempt := 0; ; attempt++ {
 		val, found, pathLen, ok := t.tryGet(start, key)
 		if ok {
@@ -104,33 +101,39 @@ func (t *Tree) GetFrom(start *Node, key uint64) (val uint64, found bool, pathLen
 	}
 }
 
-// entryCovers verifies, under a version snapshot, that key lies inside
-// start's subtree. Conservative: instability reads as "not covered", which
-// merely costs a root traversal.
-func (t *Tree) entryCovers(start *Node, key uint64) bool {
-	v, ok := start.readLockOrRestart()
-	if !ok {
-		return false
+// enter begins a traversal at the root (start == nil) or at a fast-pointer
+// entry node: it returns the node to walk from, a version snapshot of it
+// and the number of key bytes consumed above it. A nil cur with ok means an
+// empty tree; !ok means restart.
+//
+// Holding a pointer to a node says nothing about where the node sits: a
+// prefix extraction (case ①) re-parents a live node — the old root becomes a
+// child of the new root, with a trimmed prefix and a raised depth — and
+// bumps its version without marking it obsolete. So the position is read
+// under the version: the root pointer is re-checked after the snapshot (any
+// later extraction fails the walker's next validation), and a fast-pointer
+// entry reads Depth() after it (callers also confirm coversKey under the
+// same snapshot). Every later hop is covered by lock coupling.
+func (t *Tree) enter(start *Node) (cur *Node, v uint64, depth int, ok bool) {
+	if start != nil {
+		v, ok = start.readLockOrRestart()
+		return start, v, start.Depth(), ok
 	}
-	covered := start.coversKey(key)
-	return covered && start.checkOrRestart(v)
+	if cur = t.root.Load(); cur == nil {
+		return nil, 0, 0, true
+	}
+	v, ok = cur.readLockOrRestart()
+	return cur, v, 0, ok && t.root.Load() == cur
 }
 
 // tryGet is one optimistic lookup attempt; ok=false means restart.
 func (t *Tree) tryGet(start *Node, key uint64) (val uint64, found bool, pathLen int, ok bool) {
-	cur := start
-	depth := 0
-	if cur != nil {
-		depth = cur.Depth()
-	} else {
-		cur = t.root.Load()
+	cur, v, depth, okv := t.enter(start)
+	if !okv || (start != nil && !cur.coversKey(key)) {
+		return 0, false, 0, false
 	}
 	if cur == nil {
 		return 0, false, 0, true
-	}
-	v, okv := cur.readLockOrRestart()
-	if !okv {
-		return 0, false, 0, false
 	}
 	for {
 		pathLen++
@@ -189,9 +192,6 @@ func (t *Tree) Put(key, value uint64) (added bool) {
 // parent is unknown here — or the entry keeps failing validation, the
 // insert falls back to a root traversal.
 func (t *Tree) PutFrom(start *Node, key, value uint64) (added bool) {
-	if start != nil && !t.entryCovers(start, key) {
-		start = nil
-	}
 	for attempt := 0; start != nil && attempt < 3; attempt++ {
 		done, added, needRoot := t.tryInsert(start, key, value)
 		if done {
@@ -214,15 +214,13 @@ func (t *Tree) Update(key, value uint64) bool {
 }
 
 func (t *Tree) tryUpdate(key, value uint64) (done, found bool) {
-	cur := t.root.Load()
-	if cur == nil {
-		return true, false
-	}
-	v, okv := cur.readLockOrRestart()
+	cur, v, depth, okv := t.enter(nil)
 	if !okv {
 		return false, false
 	}
-	depth := 0
+	if cur == nil {
+		return true, false
+	}
 	for {
 		if cur.kind == kindLeaf {
 			if !cur.checkOrRestart(v) {
@@ -265,23 +263,16 @@ func (t *Tree) tryUpdate(key, value uint64) (done, found bool) {
 // and needRoot=true additionally means the caller entered at an
 // intermediate node but the modification requires that node's parent.
 func (t *Tree) tryInsert(start *Node, key, value uint64) (done, added, needRoot bool) {
-	cur := start
-	depth := 0
-	if cur != nil {
-		depth = cur.Depth()
-	} else {
-		cur = t.root.Load()
-		if cur == nil {
-			if t.root.CompareAndSwap(nil, newLeaf(key, value)) {
-				t.size.Add(1)
-				return true, true, false
-			}
-			return false, false, false
-		}
-	}
-	v, okv := cur.readLockOrRestart()
-	if !okv {
+	cur, v, depth, okv := t.enter(start)
+	if !okv || (start != nil && !cur.coversKey(key)) {
 		return false, false, start != nil
+	}
+	if cur == nil {
+		if t.root.CompareAndSwap(nil, newLeaf(key, value)) {
+			t.size.Add(1)
+			return true, true, false
+		}
+		return false, false, false
 	}
 	var parent *Node
 	var pv uint64
@@ -460,18 +451,16 @@ func (t *Tree) Remove(key uint64) bool {
 }
 
 func (t *Tree) tryRemove(key uint64) (done, removed bool) {
-	cur := t.root.Load()
-	if cur == nil {
-		return true, false
-	}
-	v, okv := cur.readLockOrRestart()
+	cur, v, depth, okv := t.enter(nil)
 	if !okv {
 		return false, false
+	}
+	if cur == nil {
+		return true, false
 	}
 	var parent, gp *Node
 	var pv, gpv uint64
 	var parentByte, gpByte byte
-	depth := 0
 	for {
 		if cur.kind == kindLeaf {
 			if cur.key != key {
@@ -562,44 +551,34 @@ func (t *Tree) tryRemove(key uint64) (done, removed bool) {
 // inserted later reaches this node (structure modifications that replace it
 // fire the SMO hook). Returns nil if the tree is empty or a bare leaf.
 func (t *Tree) LowestCommonNode(a, b uint64) *Node {
-	cur := t.root.Load()
+	cur, v, depth, ok := t.enter(nil)
 	var last *Node // deepest node known to cover the whole range
-	depth := 0
-	for cur != nil && cur.kind != kindLeaf {
-		v, okv := cur.readLockOrRestart()
-		if !okv {
-			return last
-		}
+	for ok && cur != nil && cur.kind != kindLeaf {
 		pl, _, _ := cur.loadMeta()
 		match := prefixMismatch(cur, a, depth, pl) < 0 &&
 			prefixMismatch(cur, b, depth, pl) < 0
 		depth += pl
 		var next *Node
-		sameChild := false
-		var ba byte
-		if match && depth < 8 {
-			var bb byte
-			ba, bb = keyByte(a, depth), keyByte(b, depth)
-			if ba == bb {
-				sameChild = true
-				next = cur.findChild(ba)
-			}
+		if match && depth < 8 && keyByte(a, depth) == keyByte(b, depth) {
+			next = cur.findChild(keyByte(a, depth))
 		}
-		if !cur.checkOrRestart(v) {
+		if !cur.checkOrRestart(v) || !match {
+			// Unstable, or the keys diverge inside cur's compressed prefix,
+			// so cur's subtree excludes part of [a,b]; only the parent
+			// covers it.
 			return last
 		}
-		if !match {
-			// The keys diverge inside cur's compressed prefix, so cur's
-			// subtree excludes part of [a,b]; only the parent covers it.
-			return last
-		}
-		last = cur
-		if !sameChild || next == nil {
+		if next == nil {
 			// Divergence at the child byte (or the common path ends
 			// here): cur covers every key in [a,b].
 			return cur
 		}
-		cur = next
+		last = cur
+		nv, okn := next.readLockOrRestart()
+		if !okn || !cur.checkOrRestart(v) {
+			return last
+		}
+		cur, v = next, nv
 		depth++
 	}
 	return last

@@ -180,30 +180,22 @@ func TestBuildOnly(t *testing.T) {
 	}
 }
 
-// TestNetPathSmoke drives one tiny grid cell of the net-path experiment in
-// each loop mode: the closed-loop TCP client must complete its op target
-// and the STATS scrape must carry the net counters the tables are built
-// from (and prove the legacy baseline really flushes per command).
+// TestNetPathSmoke drives one tiny grid cell of the net-path experiment:
+// the closed-loop TCP client must complete its op target, the STATS scrape
+// must carry the net counters the tables are built from, and depth-8
+// bursts must show amortized flushes.
 func TestNetPathSmoke(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 5000, 1)
 	p := Params{Keys: 5000, Ops: 2000, Seed: 1}.withDefaults()
 	p.Ops = 2000 // keep the floor in runNet from inflating a smoke test
-	for _, legacy := range []bool{false, true} {
-		r := runNet(p, keys, legacy, 2, 8)
-		if r.Ops < 2000 {
-			t.Fatalf("legacy=%v: ran %d ops, want >= 2000", legacy, r.Ops)
-		}
-		if r.Stats["net_cmds"] < int64(r.Ops) {
-			t.Fatalf("legacy=%v: net_cmds=%d < ops=%d", legacy, r.Stats["net_cmds"], r.Ops)
-		}
-		flushes, cmds := r.Stats["net_flushes"], r.Stats["net_cmds"]
-		// The STATS reply's own flush lands after the counters are
-		// snapshotted, hence the -1.
-		if legacy && flushes < cmds-1 {
-			t.Fatalf("legacy baseline flushed %d times for %d commands, want one per command", flushes, cmds)
-		}
-		if !legacy && flushes*2 > cmds {
-			t.Fatalf("pipelined loop flushed %d times for %d commands, want amortized", flushes, cmds)
-		}
+	r := runNet(p, keys, 2, 8)
+	if r.Ops < 2000 {
+		t.Fatalf("ran %d ops, want >= 2000", r.Ops)
+	}
+	if r.Stats["net_cmds"] < int64(r.Ops) {
+		t.Fatalf("net_cmds=%d < ops=%d", r.Stats["net_cmds"], r.Ops)
+	}
+	if flushes, cmds := r.Stats["net_flushes"], r.Stats["net_cmds"]; flushes*2 > cmds {
+		t.Fatalf("pipelined loop flushed %d times for %d commands, want amortized", flushes, cmds)
 	}
 }

@@ -112,7 +112,7 @@ func Experiments() []Experiment {
 		{"fig10d", "Fig 10(d): bulkload time ALT vs ALEX+ vs LIPP+", Fig10d},
 		{"batch", "Batched throughput: model-grouped batch path vs per-key loop, all indexes", BatchSweep},
 		{"cacheline", "Cacheline: single-thread probe cost of the block layout (B=1, B=64, absent-key misses)", Cacheline},
-		{"retrain-tail", "Retrain tail: hot-write writer latency, async vs inline retraining", RetrainTail},
+		{"retrain-tail", "Retrain tail: hot-write writer latency with background retraining on and off", RetrainTail},
 		{"shard-scaling", "Shard scaling: CDF-partitioned front-end vs unsharded, threads x shards x datasets", ShardScaling},
 		{"large-scale", "Large tier: paper-scale per-dataset runs (read/balanced/hot-write) with GC telemetry", LargeScale},
 		{"ablation-retrain", "Ablation: ALT hot-write with retraining on/off", AblationRetrain},
@@ -120,8 +120,7 @@ func Experiments() []Experiment {
 		{"ablation-writeback", "Ablation: ALT write-back scheme on/off", AblationWriteback},
 		{"wal-commit", "WAL group commit: commits/s vs fsyncs/s per sync policy x writers, plus replay speed", WALCommit},
 		{"rebalance", "Adaptive rebalancing: moving 90/10 hotspot, split/merge controller vs static boundaries", Rebalance},
-		{"net-path", "Net path: pipelined protocol loop + cross-connection coalescing vs per-command baseline over TCP", NetPath},
-		{"scan-path", "Scan path: block-run kernel vs per-slot baseline, lengths 10..10k, idle and concurrent-writer", ScanPath},
+		{"net-path", "Net path: pipelined protocol loop + cross-connection coalescing over TCP, depth and connection sweeps", NetPath},
 	}
 }
 
@@ -709,24 +708,21 @@ func cachelineMiss(p Params, ds dataset.Name) Result {
 	}
 }
 
-// RetrainTail is the tail-latency proof for the asynchronous retraining
+// RetrainTail tracks the writer tail of the asynchronous retraining
 // pipeline: the Fig 8(b) hot-write workload (a reserved consecutive range
-// inserted after init, repeatedly tripping §III-F) run against three ALT
-// variants — async (background worker pool, the default), sync (the
-// triggering writer rebuilds inline; RetrainWorkers < 0), and retraining
-// disabled (the no-rebuild lower bound). The P99/P99.9 columns are the
-// claim: moving the rebuild off the writer's critical path removes the
-// freeze-sized spike from the writer tail while keeping the same retrain
-// count. FreezeMax is the longest single freeze window; Spins counts
-// writer backoff iterations (writers parked on frozen slots).
+// inserted after init, repeatedly tripping §III-F) run against ALT with the
+// background worker pool (the default) and with retraining disabled (the
+// no-rebuild lower bound). The P99/P99.9 columns are the point: with the
+// rebuild off the writer's critical path the two tails should be
+// indistinguishable. FreezeMax is the longest single freeze window; Spins
+// counts writer backoff iterations (writers parked on frozen slots).
 func RetrainTail(p Params) {
 	p = p.withDefaults()
-	header(p, "Retrain tail: hot-write writer latency, async vs inline retraining")
+	header(p, "Retrain tail: hot-write writer latency with background retraining on and off")
 	tw := newTable(p.Out)
 	fmt.Fprintln(tw, "Variant\tDataset\tMops\tP50us\tP99us\tP99.9us\tRetrains\tDrops\tFreezeMax(us)\tSpins")
 	variants := []NamedFactory{
 		ALTWith("ALT-async", core.Options{}),
-		ALTWith("ALT-sync", core.Options{RetrainWorkers: -1}),
 		ALTWith("ALT-noretrain", core.Options{DisableRetraining: true}),
 	}
 	for _, f := range variants {

@@ -28,14 +28,12 @@ const netKeysCap = 200_000
 // line protocol against an in-process altdb server, one fresh server per
 // row. Two sweeps:
 //
-//   - depth sweep at -net-conns connections: the legacy loop (one flush
-//     per command, batch-of-1 index calls, coalescing off — the pre-
-//     pipelining baseline) against the pipelined loop, at pipeline depths
-//     1..64. The pipelined rows amortize reply flushes (Fl/op ~ 1/depth)
-//     and ride the batched index fast path, so the gap widens with depth.
-//   - connection sweep at -net-depth depth, pipelined loop: shows the
-//     adaptive coalescing gate engaging at >= 8 connections (CoRounds > 0,
-//     CoMean > 1) while a single connection stays on the direct path.
+//   - depth sweep at -net-conns connections, pipeline depths 1..64: reply
+//     flushes amortize (Fl/op ~ 1/depth) and deeper bursts ride the batched
+//     index fast path.
+//   - connection sweep at -net-depth depth: shows the adaptive coalescing
+//     gate engaging at >= 8 connections (CoRounds > 0, CoMean > 1) while a
+//     single connection stays on the direct path.
 //
 // Latency percentiles are per-burst round trips (one burst = depth
 // commands written in one syscall, depth replies read back); flushes/op
@@ -48,69 +46,52 @@ func NetPath(p Params) {
 		nkeys = netKeysCap
 	}
 	header(p, "Net path: pipelined protocol loop + cross-connection coalescing over TCP")
-	fmt.Fprintf(p.Out, "(balanced mix, %d preloaded keys, burst-RTT percentiles; legacy = per-command flush, no coalescing)\n", nkeys)
+	fmt.Fprintf(p.Out, "(balanced mix, %d preloaded keys, burst-RTT percentiles)\n", nkeys)
 	keys := dataset.Generate(dataset.OSM, nkeys, p.Seed)
 
 	tw := newTable(p.Out)
-	fmt.Fprintln(tw, "Mode\tConns\tDepth\tKops\tP50us\tP99us\tP99.9us\tFl/op\tCoRounds\tCoMean\tCoP50")
-	row := func(legacy bool, conns, depth int) {
+	const cols = "Conns\tDepth\tKops\tP50us\tP99us\tP99.9us\tFl/op\tCoRounds\tCoMean\tCoP50"
+	fmt.Fprintln(tw, cols)
+	row := func(conns, depth int) {
 		// Scheduling noise on shared hosts swings single closed-loop TCP
 		// runs wildly; report the median of three (same convention as the
 		// shard-scaling sweep).
 		const reps = 3
 		runs := make([]Result, 0, reps)
 		for rep := 0; rep < reps; rep++ {
-			runs = append(runs, runNet(p, keys, legacy, conns, depth))
+			runs = append(runs, runNet(p, keys, conns, depth))
 		}
 		sort.Slice(runs, func(i, j int) bool { return runs[i].Mops < runs[j].Mops })
 		r := runs[reps/2]
 		p.record(r)
-		mode := "pipelined"
-		if legacy {
-			mode = "legacy"
-		}
 		flop := float64(r.Stats["net_flushes"]) / float64(max64(r.Stats["net_cmds"], 1))
 		comean := 0.0
 		if b := r.Stats["coalesce_batches"]; b > 0 {
 			comean = float64(r.Stats["coalesce_ops"]) / float64(b)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.1f\t%s\t%s\t%s\t%.3f\t%d\t%.1f\t%d\n",
-			mode, conns, depth, r.Mops*1e3, us(r.P50), us(r.P99), us(r.P999),
+		fmt.Fprintf(tw, "%d\t%d\t%.1f\t%s\t%s\t%s\t%.3f\t%d\t%.1f\t%d\n",
+			conns, depth, r.Mops*1e3, us(r.P50), us(r.P99), us(r.P999),
 			flop, r.Stats["coalesce_batches"], comean, r.Stats["coalesce_p50_batch"])
 	}
 
-	depths := dedupInts([]int{1, 4, 16, 64, p.NetDepth})
-	for _, legacy := range []bool{true, false} {
-		for _, d := range depths {
-			row(legacy, p.NetConns, d)
-		}
+	for _, d := range dedupInts([]int{1, 4, 16, 64, p.NetDepth}) {
+		row(p.NetConns, d)
 	}
 	tw.Flush()
 
-	fmt.Fprintf(p.Out, "\n-- connection sweep at depth %d (pipelined, coalescing gate 8) --\n", p.NetDepth)
+	fmt.Fprintf(p.Out, "\n-- connection sweep at depth %d (coalescing gate 8) --\n", p.NetDepth)
 	tw = newTable(p.Out)
-	fmt.Fprintln(tw, "Mode\tConns\tDepth\tKops\tP50us\tP99us\tP99.9us\tFl/op\tCoRounds\tCoMean\tCoP50")
+	fmt.Fprintln(tw, cols)
 	for _, c := range dedupInts([]int{1, 2, 4, 8, 16, p.NetConns}) {
-		row(false, c, p.NetDepth)
+		row(c, p.NetDepth)
 	}
 	tw.Flush()
 }
 
 // runNet runs one grid cell: fresh server, preload, closed-loop drive,
 // STATS scrape, shutdown.
-func runNet(p Params, keys []uint64, legacy bool, conns, depth int) Result {
-	cfg := server.Config{
-		LegacyLoop:   legacy,
-		ReadTimeout:  time.Minute,
-		WriteTimeout: time.Minute,
-	}
-	if legacy {
-		// The legacy rows are the pre-pipelining baseline; the op scheduler
-		// would otherwise still coalesce their batch-of-1 groups across
-		// connections and flatter the old loop.
-		cfg.CoalesceConns = -1
-	}
-	srv, err := server.NewServerWith(cfg)
+func runNet(p Params, keys []uint64, conns, depth int) Result {
+	srv, err := server.NewServerWith(server.Config{ReadTimeout: time.Minute, WriteTimeout: time.Minute})
 	if err != nil {
 		panic(fmt.Sprintf("bench: net server: %v", err))
 	}
@@ -215,12 +196,8 @@ func runNet(p Params, keys []uint64, legacy bool, conns, depth int) Result {
 	stats := netStatsOverWire(ln.Addr().String())
 
 	ops := int(done.Load())
-	mode := "net-pipelined"
-	if legacy {
-		mode = "net-legacy"
-	}
 	return Result{
-		Index:   mode,
+		Index:   "net-pipelined",
 		Dataset: dataset.OSM,
 		Mix:     fmt.Sprintf("net-balanced c%d d%d", conns, depth),
 		Threads: conns,

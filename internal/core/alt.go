@@ -50,10 +50,8 @@ type Options struct {
 	// Zero selects 1024, which stops rebuild thrash on small models.
 	RetrainMinInserts int
 	// RetrainWorkers sizes the background retraining worker pool (started
-	// lazily on the first trigger). Zero selects min(4, max(1,
-	// GOMAXPROCS/2)). Negative runs retraining synchronously on the
-	// triggering writer — the pre-async baseline, kept for tail-latency
-	// comparison.
+	// lazily on the first trigger). Zero or negative selects min(4, max(1,
+	// GOMAXPROCS/2)).
 	RetrainWorkers int
 	// RetrainQueue bounds the trigger queue feeding the worker pool. Zero
 	// selects 256. On overflow the trigger is dropped and the model
@@ -62,12 +60,6 @@ type Options struct {
 	// DisableWriteBack turns off moving ART-resident keys back into
 	// freed GPL slots during lookups (Algorithm 2 lines 10-13).
 	DisableWriteBack bool
-	// DisableScanKernel routes Scan through the pre-kernel per-slot path
-	// (one seqlock validation per slot, per-key 3-way merge) instead of
-	// the block-granular run kernel. Kept as the measured baseline for
-	// the scan-path experiment and as an escape hatch; ScanAppend always
-	// uses the kernel.
-	DisableScanKernel bool
 	// AutoTrainThreshold makes an index that was never Bulkloaded train
 	// its learned layer automatically once the ART layer holds this many
 	// keys. Zero selects 8192; negative disables automatic training.

@@ -78,5 +78,5 @@ func (t *ALT) trainInitial() {
 	// arming the model first so writer triggers cannot double-queue it.
 	boot.retrainArmed.Store(true)
 	t.ret.pending.Add(1)
-	t.processRetrain(boot, false)
+	t.processRetrain(boot)
 }

@@ -40,7 +40,7 @@ func TestPinnedReaderNeverSeesReclaimedBlocks(t *testing.T) {
 	g := alt.ebr.Pin()
 	m0.retrainArmed.Store(true)
 	alt.ret.pending.Add(1)
-	alt.processRetrain(m0, false)
+	alt.processRetrain(m0)
 
 	es := alt.ebr.Stats()
 	if es.LimboCount == 0 {

@@ -14,16 +14,13 @@ import (
 	"altindex/internal/gpl"
 )
 
-// §III-F retraining, asynchronous edition.
+// §III-F retraining, off the writer's critical path.
 //
 // The paper's trigger — a model whose runtime insertions exceed its build
-// size is crowded, so subsequent inserts all spill into ART — used to run
-// the whole freeze→collect→GPL-retrain→splice rebuild inline on the
-// triggering writer, under one global mutex. That made every crowded model
-// a tail-latency event for whichever writer tripped it, and serialized
-// rebuilds of unrelated key ranges behind each other.
-//
-// The pipeline now has three stages:
+// size is crowded, so subsequent inserts all spill into ART — only enqueues
+// the model: running the freeze→collect→GPL-retrain→splice rebuild on the
+// triggering writer would make every crowded model a tail-latency event for
+// whichever writer tripped it. Three stages:
 //
 //  1. Trigger (writer's critical path): maybeRetrain costs two counter
 //     loads; past the threshold, one CAS on the model's armed flag dedups
@@ -41,9 +38,6 @@ import (
 //     splice serializes under a short publish lock during which adjacent
 //     empty placeholder models are absorbed, so the table stops growing
 //     monotonically under churn.
-//
-// Options.RetrainWorkers < 0 restores the synchronous behavior (the
-// triggering writer pays the rebuild inline) as the tail-latency baseline.
 
 // keyRange is an inclusive key interval claimed by an in-flight rebuild.
 type keyRange struct{ lo, hi uint64 }
@@ -83,10 +77,7 @@ func (r *retrainer) ensureWorkers(t *ALT) {
 
 func (r *retrainer) launch(t *ALT) {
 	n := t.opts.RetrainWorkers
-	if n < 0 {
-		return // synchronous mode: no pool
-	}
-	if n == 0 {
+	if n <= 0 {
 		n = runtime.GOMAXPROCS(0) / 2
 		if n < 1 {
 			n = 1
@@ -109,7 +100,7 @@ func (r *retrainer) launch(t *ALT) {
 				case <-r.stop:
 					return
 				case m := <-r.q:
-					t.processRetrain(m, true)
+					t.processRetrain(m)
 				}
 			}
 		}()
@@ -159,12 +150,6 @@ func (t *ALT) maybeRetrain(m *model) {
 	if !m.retrainArmed.CompareAndSwap(false, true) {
 		return // already queued or mid-rebuild
 	}
-	if t.opts.RetrainWorkers < 0 {
-		// Synchronous baseline: the triggering writer pays the rebuild.
-		t.ret.pending.Add(1)
-		t.processRetrain(m, false)
-		return
-	}
 	t.enqueueRetrain(m)
 }
 
@@ -193,13 +178,12 @@ func (t *ALT) enqueueRetrain(m *model) {
 }
 
 // processRetrain is one dequeued trigger: identity check, range admission,
-// rebuild. requeue selects the admission-failure policy — workers push the
-// still-armed model back (a crowding model waiting out a neighboring
-// splice must not be forgotten), synchronous callers drop and disarm.
+// rebuild. A model that fails admission is pushed back still armed — a
+// crowding model waiting out a neighboring splice must not be forgotten.
 //
 // Accounting contract: pending was incremented when the trigger was
 // accepted; every terminal exit decrements it, a requeue is net zero.
-func (t *ALT) processRetrain(m *model, requeue bool) {
+func (t *ALT) processRetrain(m *model) {
 	r := &t.ret
 	finish := func() {
 		m.retrainArmed.Store(false)
@@ -213,17 +197,16 @@ func (t *ALT) processRetrain(m *model, requeue bool) {
 	}
 	lo, end := cur.rangeBounds(pos)
 	if !r.tryAcquire(lo, end) {
-		if requeue {
-			select {
-			case r.q <- m: // stays armed; net-zero on pending
-			default:
-				r.drops.Add(1)
-				finish()
-			}
-			runtime.Gosched() // let the conflicting rebuild progress
-			return
+		// The bootstrap calls in directly, possibly before any trigger has
+		// started the pool that must pick the model back up.
+		r.ensureWorkers(t)
+		select {
+		case r.q <- m: // stays armed; net-zero on pending
+		default:
+			r.drops.Add(1)
+			finish()
 		}
-		finish()
+		runtime.Gosched() // let the conflicting rebuild progress
 		return
 	}
 	// Admitted. Re-verify identity: a splice may have replaced m between
@@ -252,8 +235,7 @@ func (t *ALT) processRetrain(m *model, requeue bool) {
 	r.inflight.Add(1)
 	// Scope the claimed key range onto the profiler labels for the
 	// rebuild's duration (pprof.Do restores the caller's labels after),
-	// so a CPU profile splits rebuild cost per range — including for the
-	// synchronous baseline, where the triggering writer runs this.
+	// so a CPU profile splits rebuild cost per range.
 	pprof.Do(context.Background(),
 		pprof.Labels("task", "retrain-worker",
 			"range", fmt.Sprintf("%#x-%#x", lo, end)),

@@ -162,7 +162,7 @@ func TestPlaceholderAbsorption(t *testing.T) {
 	retrain := func(m *model) {
 		m.retrainArmed.Store(true)
 		alt.ret.pending.Add(1)
-		alt.processRetrain(m, false)
+		alt.processRetrain(m)
 		checkTable(t, alt) // after every splice and absorption
 	}
 
@@ -195,35 +195,6 @@ func TestPlaceholderAbsorption(t *testing.T) {
 			}
 		} else if !ok || v != dataset.ValueFor(k) {
 			t.Fatalf("Get(%d) = %d,%v after absorption", k, v, ok)
-		}
-	}
-}
-
-// TestSyncBaselineMode checks RetrainWorkers < 0: the triggering writer
-// rebuilds inline, no goroutines launch, and no Quiesce is needed before
-// observing the retrain.
-func TestSyncBaselineMode(t *testing.T) {
-	keys := make([]uint64, 512)
-	for i := range keys {
-		keys[i] = uint64(i) * 100
-	}
-	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 8, RetrainWorkers: -1}, keys)
-	hot := uint64(20_000)
-	for i := uint64(0); i < 1200; i++ {
-		if err := alt.Insert(hot+i, i); err != nil {
-			t.Fatal(err)
-		}
-		checkTable(t, alt) // rebuilds run inline, so after every splice
-	}
-	if alt.retrains.Load() == 0 {
-		t.Fatal("synchronous mode did not retrain inline")
-	}
-	if alt.ret.pending.Load() != 0 {
-		t.Fatal("synchronous mode left pending accounting nonzero")
-	}
-	for i := uint64(0); i < 1200; i++ {
-		if v, ok := alt.Get(hot + i); !ok || v != i {
-			t.Fatalf("Get(%d) = %d,%v", hot+i, v, ok)
 		}
 	}
 }

@@ -60,6 +60,14 @@ func (t *ALT) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV 
 
 // scanAppend is the shared bounded-scan core behind ScanAppend and the
 // Scan shim; the caller owns bufs (pooled) and has validated the window.
+//
+// The two layers are read one after the other, so the merge is only
+// complete if no rebuild moved keys between them while that happened. Two
+// checks establish that, and the scan retries — never returns a shorter
+// result — until both hold: the learned read refuses frozen slots
+// (collectRuns), and after the ART read no model the window touched may
+// have begun freezing (frozenIn). A freeze precedes the rebuild's ART drain
+// and always ends in a new table, so the retry terminates with it.
 func (t *ALT) scanAppend(dst []index.KV, bufs *scanBufs, start, end uint64, max int) []index.KV {
 	hi := end // inclusive upper bound
 	if end != ^uint64(0) {
@@ -70,29 +78,40 @@ func (t *ALT) scanAppend(dst []index.KV, bufs *scanBufs, start, end uint64, max 
 	// scan finishes.
 	g := t.ebr.Pin()
 	defer g.Unpin()
-	for attempt := 0; ; attempt++ {
+	var bo backoff
+	for ; ; bo.wait() {
 		tab := t.tab.Load()
 		if len(tab.dir) == 0 {
-			return t.tree.AppendRange(dst, start, hi, max)
+			out := t.tree.AppendRange(dst, start, hi, max)
+			if t.tab.Load() != tab {
+				// The auto-train bootstrap published a table and may have
+				// drained ART under the read, as in Get.
+				continue
+			}
+			return out
 		}
-		var ok bool
-		bufs.learned, ok = t.collectRuns(tab, start, hi, max, bufs.learned[:0])
-		if ok || attempt >= 4 {
-			break
+		first := tab.route(start)
+		learned, next, ok := t.collectRuns(tab, first, start, hi, max, bufs.learned[:0])
+		bufs.learned = learned
+		if !ok {
+			continue
 		}
+		// Learned-bounded ART window: when the learned run is full (max pairs),
+		// its last key L caps the merge — the first max keys of the union are
+		// all <= L, so ART keys above L cannot surface and their subtrees need
+		// not be walked at all. With a mostly-learned index this shrinks the
+		// ART traversal to the span the output actually covers. Equal keys
+		// stay included (the merge prefers the learned copy).
+		artHi := hi
+		if len(learned) >= max {
+			artHi = learned[len(learned)-1].Key
+		}
+		bufs.art = t.tree.AppendRange(bufs.art[:0], start, artHi, max)
+		if tab.frozenIn(first, next, start) {
+			continue
+		}
+		return mergeRuns(dst, learned, bufs.art, max)
 	}
-	// Learned-bounded ART window: when the learned run is full (max pairs),
-	// its last key L caps the merge — the first max keys of the union are
-	// all <= L, so ART keys above L cannot surface and their subtrees need
-	// not be walked at all. With a mostly-learned index this shrinks the
-	// ART traversal to the span the output actually covers. Equal keys
-	// stay included (the merge prefers the learned copy).
-	artHi := hi
-	if len(bufs.learned) >= max {
-		artHi = bufs.learned[len(bufs.learned)-1].Key
-	}
-	bufs.art = t.tree.AppendRange(bufs.art[:0], start, artHi, max)
-	return mergeRuns(dst, bufs.learned, bufs.art, max)
 }
 
 // Scan visits up to n pairs with keys >= start in ascending order,
@@ -103,9 +122,6 @@ func (t *ALT) scanAppend(dst []index.KV, bufs *scanBufs, start, end uint64, max 
 func (t *ALT) Scan(start uint64, n int, fn func(uint64, uint64) bool) int {
 	if n <= 0 {
 		return 0
-	}
-	if t.opts.DisableScanKernel {
-		return t.scanPerSlot(start, n, fn)
 	}
 	bufs := scanBufPool.Get().(*scanBufs)
 	defer putScanBufs(bufs)
@@ -121,30 +137,54 @@ func (t *ALT) Scan(start uint64, n int, fn func(uint64, uint64) bool) int {
 }
 
 // collectRuns gathers up to max pairs with keys in [start, hi] from the
-// learned layer, appending into the caller's (pooled, reset) buffer via the
-// per-model block kernel. ok=false means a slot stayed write-locked (e.g. a
-// retraining freeze) and the caller should reload the table and retry; the
-// partially filled buffer is still returned so its capacity is kept.
-func (t *ALT) collectRuns(tb *table, start, hi uint64, max int, out []index.KV) ([]index.KV, bool) {
-	for mi := tb.route(start); mi < len(tb.dir) && len(out) < max; mi++ {
-		e := &tb.dir[mi]
+// learned layer, starting at table position first (start's route) and
+// appending into the caller's (pooled, reset) buffer via the per-model
+// block kernel. next is one past the last model visited. ok=false means a
+// slot stayed write-locked (a retraining freeze) and the caller must reload
+// the table and retry; the partially filled buffer is still returned so its
+// capacity is kept.
+func (t *ALT) collectRuns(tb *table, first int, start, hi uint64, max int, out []index.KV) (_ []index.KV, next int, ok bool) {
+	for next = first; next < len(tb.dir) && len(out) < max; {
+		e := &tb.dir[next]
 		if e.first > hi {
 			break // model ranges are sorted: everything later is past hi
 		}
-		s := 0
-		if e.first <= start {
-			s = e.slotOf(start)
-		}
-		var past, ok bool
-		out, past, ok = e.appendRuns(out, s, start, hi, max)
+		next++
+		var past bool
+		out, past, ok = e.appendRuns(out, e.scanFrom(start), start, hi, max)
 		if !ok {
-			return out, false // frozen slot: table about to change
+			return out, next, false // frozen slot: table about to change
 		}
 		if past {
 			break // a key past hi was seen; later models are larger still
 		}
 	}
-	return out, true
+	return out, next, true
+}
+
+// scanFrom returns the slot a scan of keys >= start begins at in this model.
+func (l *layout) scanFrom(start uint64) int {
+	if l.first <= start {
+		return l.slotOf(start)
+	}
+	return 0
+}
+
+// frozenIn reports whether any model at positions [first, next) — the ones
+// a scan from start just read — has a freeze under way, probed at the slot
+// the scan entered the model through (its block is still in cache). freeze
+// locks every slot before the rebuild touches ART and never unlocks a model
+// it goes on to replace, so an unlocked probe proves the model's ART
+// residents had not begun moving when the probe was taken. A writer holding
+// the probe slot reads as frozen too; that only costs a retry.
+func (tb *table) frozenIn(first, next int, start uint64) bool {
+	for mi := first; mi < next; mi++ {
+		e := &tb.dir[mi]
+		if e.metaRef(e.scanFrom(start)).Load()&slotLockBit != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // appendRuns is the block-granular scan kernel: it copies occupied runs out
@@ -335,80 +375,10 @@ func gallopKV(s []index.KV, key uint64) int {
 	return hi
 }
 
-// scanPerSlot is the pre-kernel scan path — per-slot seqlock validation
-// and a per-key 3-way merge — selected by Options.DisableScanKernel. Kept
-// bit-for-bit as the measured baseline for the scan-path experiment and as
-// a fallback escape hatch.
-func (t *ALT) scanPerSlot(start uint64, n int, fn func(uint64, uint64) bool) int {
-	g := t.ebr.Pin()
-	defer g.Unpin()
-	bufs := scanBufPool.Get().(*scanBufs)
-	defer putScanBufs(bufs)
-	for attempt := 0; ; attempt++ {
-		tab := t.tab.Load()
-		if len(tab.dir) == 0 {
-			return t.tree.Scan(start, n, fn)
-		}
-		var ok bool
-		bufs.learned, ok = t.collectLearned(tab, start, n, bufs.learned[:0])
-		if ok || attempt >= 4 {
-			break
-		}
-	}
-	learned := bufs.learned
-	bufs.art = t.tree.AppendRangeLegacy(bufs.art[:0], start, ^uint64(0), n)
-	artBuf := bufs.art
-
-	emitted := 0
-	i, j := 0, 0
-	for emitted < n && (i < len(learned) || j < len(artBuf)) {
-		var kv index.KV
-		switch {
-		case j >= len(artBuf) || (i < len(learned) && learned[i].Key < artBuf[j].Key):
-			kv = learned[i]
-			i++
-		case i >= len(learned) || artBuf[j].Key < learned[i].Key:
-			kv = artBuf[j]
-			j++
-		default: // duplicate key: prefer the learned copy
-			kv = learned[i]
-			i++
-			j++
-		}
-		emitted++
-		if !fn(kv.Key, kv.Value) {
-			break
-		}
-	}
-	return emitted
-}
-
-// collectLearned is scanPerSlot's learned-layer collector: one seqlock
-// validation per slot. ok=false mirrors collectRuns.
-func (t *ALT) collectLearned(tb *table, start uint64, n int, out []index.KV) ([]index.KV, bool) {
-	for mi := tb.route(start); mi < len(tb.dir) && len(out) < n; mi++ {
-		e := &tb.dir[mi]
-		s := 0
-		if mi == 0 || e.first <= start {
-			s = e.slotOf(start)
-		}
-		for ; s < e.nslots && len(out) < n; s++ {
-			k, v, st, readOK := e.readPersistent(s)
-			if !readOK {
-				return out, false // frozen slot: table about to change
-			}
-			if st&slotOccupied != 0 && k >= start {
-				out = append(out, index.KV{Key: k, Value: v})
-			}
-		}
-	}
-	return out, true
-}
-
 // Range returns a Go iterator over pairs with keys >= start in ascending
 // key order. Pairs are produced in bounded batches, each an internally
 // consistent snapshot; the iteration as a whole is safe under concurrent
-// writers but, like Scan, best-effort during a retraining window.
+// writers.
 func (t *ALT) Range(start uint64) iter.Seq2[uint64, uint64] {
 	return func(yield func(uint64, uint64) bool) {
 		const batch = 256

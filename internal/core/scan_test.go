@@ -99,7 +99,7 @@ func TestScanTombstoneBoundaries(t *testing.T) {
 }
 
 // TestRangeStartsInTrailingGap starts ranges at keys routed to a model but
-// above its last resident key, so collectLearned walks the model's
+// above its last resident key, so collectRuns walks the model's
 // trailing gap run (and, with the last key tombstoned, a tombstone at the
 // head of that run) before hopping to the next model.
 func TestRangeStartsInTrailingGap(t *testing.T) {

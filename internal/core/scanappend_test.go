@@ -32,61 +32,84 @@ func refWindow(sorted []uint64, start, end uint64, max int) []uint64 {
 	return out
 }
 
-// TestScanAppendMatchesReference drives random bounded windows over a
-// two-model index with keys split across the learned and ART layers
-// (conflict evictions plus post-build inserts) and checks every window
-// against a sorted-slice reference.
+// TestScanAppendMatchesReference drives random windows over a two-model
+// index with keys split across the learned and ART layers (conflict
+// evictions plus post-build inserts) and tombstones punched into the blocks
+// (every fifth bulkloaded key removed), and checks every window — through
+// ScanAppend and through the Scan shim — against a sorted-slice reference.
+// Half the windows start on or next to a resident key, the rest anywhere up
+// to past the last key, which mostly lands in the first model's trailing
+// gap.
 func TestScanAppendMatchesReference(t *testing.T) {
 	keys, _, _ := twoClusterKeys()
 	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
 	// Post-build inserts: odd offsets land between bulkloaded keys and
 	// mostly conflict-evict into the ART layer, exercising the merge.
-	live := append([]uint64(nil), keys...)
+	live := map[uint64]bool{}
+	for _, k := range keys {
+		live[k] = true
+	}
 	for i := 0; i < 600; i++ {
 		k := 10_001 + uint64(i)*7
 		if err := alt.Insert(k, dataset.ValueFor(k)); err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, k)
+		live[k] = true
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
-	// Dedup (inserts may collide with bulkloaded keys).
-	uniq := live[:1]
-	for _, k := range live[1:] {
-		if k != uniq[len(uniq)-1] {
-			uniq = append(uniq, k)
+	for i, k := range keys {
+		if i%5 == 0 {
+			if !alt.Remove(k) {
+				t.Fatalf("Remove(%d) = false", k)
+			}
+			delete(live, k)
 		}
 	}
+	uniq := make([]uint64, 0, len(live))
+	for k := range live {
+		uniq = append(uniq, k)
+	}
+	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
 	if alt.StatsMap()["art_keys"] == 0 {
 		t.Fatal("no ART-resident keys; merge path not exercised")
 	}
 
+	check := func(what string, got []uint64, start, end uint64, max int) {
+		t.Helper()
+		want := refWindow(uniq, start, end, max)
+		if len(got) != len(want) {
+			t.Fatalf("%s [%d,%d) max %d: got %d keys, want %d", what, start, end, max, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s [%d,%d) max %d: [%d] = %d, want %d", what, start, end, max, i, got[i], want[i])
+			}
+		}
+	}
 	rng := xrand.New(99)
 	span := uniq[len(uniq)-1] + 1000
 	var dst []index.KV
-	for trial := 0; trial < 300; trial++ {
+	var got []uint64
+	for trial := 0; trial < 600; trial++ {
 		start := uint64(rng.Intn(int(span)))
-		end := start + uint64(rng.Intn(1<<30))
+		if trial%2 == 0 {
+			start = uniq[rng.Intn(len(uniq))] + uint64(rng.Intn(5)) - 2
+		}
+		end := start + uint64(rng.Intn(1<<uint(4+rng.Intn(27))))
 		if trial%7 == 0 {
 			end = ^uint64(0)
 		}
 		max := 1 + rng.Intn(400)
 		dst = alt.ScanAppend(dst[:0], start, end, max)
-		want := refWindow(uniq, start, end, max)
-		if len(dst) != len(want) {
-			t.Fatalf("window [%d,%d) max %d: got %d keys, want %d",
-				start, end, max, len(dst), len(want))
-		}
-		for i, kv := range dst {
-			if kv.Key != want[i] {
-				t.Fatalf("window [%d,%d) max %d: [%d] = %d, want %d",
-					start, end, max, i, kv.Key, want[i])
-			}
+		got = got[:0]
+		for _, kv := range dst {
 			if kv.Value != dataset.ValueFor(kv.Key) {
 				t.Fatalf("key %d carries value %d, want %d",
 					kv.Key, kv.Value, dataset.ValueFor(kv.Key))
 			}
+			got = append(got, kv.Key)
 		}
+		check("ScanAppend", got, start, end, max)
+		check("Scan", collectScan(alt, start, max), start, ^uint64(0), max)
 	}
 }
 
@@ -172,75 +195,33 @@ func TestScanAppendZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScanKernelMatchesPerSlot cross-checks the block-run kernel against
-// the preserved per-slot baseline on identical indexes, including after
-// removals punch tombstones into the blocks.
-func TestScanKernelMatchesPerSlot(t *testing.T) {
-	keys, _, _ := twoClusterKeys()
-	kern := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
-	slow := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true, DisableScanKernel: true}, keys)
-	for i, k := range keys {
-		if i%5 == 0 {
-			kern.Remove(k)
-			slow.Remove(k)
-		}
-	}
-	rng := xrand.New(7)
-	for trial := 0; trial < 200; trial++ {
-		start := uint64(rng.Intn(1 << 41))
-		n := 1 + rng.Intn(300)
-		a := collectScan(kern, start, n)
-		b := collectScan(slow, start, n)
-		if len(a) != len(b) {
-			t.Fatalf("Scan(%d,%d): kernel %d keys, per-slot %d", start, n, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("Scan(%d,%d)[%d]: kernel %d, per-slot %d", start, n, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestScanDedupPrefersLearned plants the same key in both layers with
 // different values — the shape a migration window produces — and checks
 // the merge emits exactly one copy, the learned one, through both the
-// bounded kernel and the callback shim (including the per-slot baseline).
+// bounded kernel and the callback shim.
 func TestScanDedupPrefersLearned(t *testing.T) {
 	keys, _, _ := twoClusterKeys()
-	for _, disable := range []bool{false, true} {
-		alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true,
-			DisableScanKernel: disable}, keys)
-		dup := keys[100]
-		alt.tree.Put(dup, 0xDEAD) // shadow copy, as during a migration window
-		dst := alt.ScanAppend(nil, dup-2, dup+2, 10) // keys stride by 2
-		if len(dst) != 2 || dst[0].Key != dup-2 || dst[1].Key != dup {
-			t.Fatalf("dup window = %v, want [%d %d]", dst, dup-2, dup)
+	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
+	dup := keys[100]
+	alt.tree.Put(dup, 0xDEAD)                    // shadow copy, as during a migration window
+	dst := alt.ScanAppend(nil, dup-2, dup+2, 10) // keys stride by 2
+	if len(dst) != 2 || dst[0].Key != dup-2 || dst[1].Key != dup {
+		t.Fatalf("dup window = %v, want [%d %d]", dst, dup-2, dup)
+	}
+	if dst[1].Value != dataset.ValueFor(dup) {
+		t.Fatalf("dedup kept the ART copy: key %d value %#x", dup, dst[1].Value)
+	}
+	// Same through the callback interface.
+	count := 0
+	alt.Scan(dup, 1, func(k, v uint64) bool {
+		count++
+		if k != dup || v != dataset.ValueFor(dup) {
+			t.Fatalf("Scan(dup) = %d/%#x, want learned copy", k, v)
 		}
-		seen := 0
-		for _, kv := range dst {
-			if kv.Key == dup {
-				seen++
-				if kv.Value != dataset.ValueFor(dup) {
-					t.Fatalf("dedup kept the ART copy: key %d value %#x", dup, kv.Value)
-				}
-			}
-		}
-		if seen != 1 {
-			t.Fatalf("key %d emitted %d times, want exactly once", dup, seen)
-		}
-		// Same through the callback interface.
-		count := 0
-		alt.Scan(dup, 1, func(k, v uint64) bool {
-			count++
-			if k != dup || v != dataset.ValueFor(dup) {
-				t.Fatalf("Scan(dup) = %d/%#x, want learned copy (kernel disabled=%v)", k, v, disable)
-			}
-			return true
-		})
-		if count != 1 {
-			t.Fatalf("Scan emitted %d pairs, want 1", count)
-		}
+		return true
+	})
+	if count != 1 {
+		t.Fatalf("Scan emitted %d pairs, want 1", count)
 	}
 }
 

@@ -142,7 +142,6 @@ func TestSidecarNeverFalseAbsent(t *testing.T) {
 		ErrorBound:        64,
 		GapFactor:         1, // pack slots → many build conflicts → sidecars in play
 		RetrainMinInserts: 32,
-		RetrainWorkers:    -1, // synchronous: retrains interleave deterministically
 	}, keys)
 
 	ref := map[uint64]uint64{}
@@ -165,6 +164,7 @@ func TestSidecarNeverFalseAbsent(t *testing.T) {
 			if err := alt.Insert(k, k*3); err != nil {
 				t.Fatal(err)
 			}
+			alt.Quiesce() // a triggered rebuild finishes before the next step
 			ref[k] = k * 3
 		case op < 6: // remove
 			removed := alt.Remove(k)

@@ -1,18 +1,13 @@
 package server
 
-// The connection protocol loop. Two modes share one allocation-free
-// dispatcher:
+// The connection protocol loop: every complete request line already
+// buffered is parsed and dispatched (allocation-free) before replies are
+// flushed once per wakeup, so a client pipelining N commands costs one
+// write syscall per batch. Runs of consecutive point commands (GET/SET/DEL)
+// are additionally grouped through the index's batched fast path — and,
+// above the coalescing gate, merged with other connections' runs (opsched).
 //
-//   - pipelined (default): every complete request line already buffered is
-//     parsed and dispatched before replies are flushed once per wakeup, so
-//     a client pipelining N commands costs one write syscall per batch.
-//     Runs of consecutive point commands (GET/SET/DEL) are additionally
-//     grouped through the index's batched fast path — and, above the
-//     coalescing gate, merged with other connections' runs (opsched).
-//   - legacy: one reply flush per command, no grouping — the pre-pipelining
-//     behavior, kept as the measured baseline and fallback.
-//
-// Invariants both modes preserve:
+// Invariants:
 //
 //   - replies are emitted in command order; a pending group is flushed
 //     before any non-groupable command (or malformed group command)
@@ -174,7 +169,9 @@ func (cs *connState) fill() (toolong bool, err error) {
 	if idle > 0 && cs.lastBlocked > idle && cs.w == 0 && len(cs.out) == 0 {
 		cs.releaseBufs()
 		s.net.bufReleases.Add(1)
-		cs.conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		if err := cs.armRead(); err != nil {
+			return false, err
+		}
 		start := time.Now()
 		n, rerr := cs.conn.Read(cs.one[:])
 		cs.lastBlocked = time.Since(start)
@@ -188,7 +185,9 @@ func (cs *connState) fill() (toolong bool, err error) {
 		return false, rerr
 	}
 
-	cs.conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	if err := cs.armRead(); err != nil {
+		return false, err
+	}
 	start := time.Now()
 	n, rerr := cs.conn.Read(cs.in[cs.w:])
 	cs.lastBlocked = time.Since(start)
@@ -198,6 +197,21 @@ func (cs *connState) fill() (toolong bool, err error) {
 		return false, nil
 	}
 	return false, rerr
+}
+
+// armRead stamps the deadline of the next blocking read, then re-checks
+// shutdown: Shutdown closes done and only then pokes every connection with
+// an immediate deadline, so a stamp that overwrote the poke is always
+// followed by seeing done closed — without the re-check such a handler
+// would sit out a full ReadTimeout and fail the drain.
+func (cs *connState) armRead() error {
+	cs.conn.SetReadDeadline(time.Now().Add(cs.srv.cfg.ReadTimeout))
+	select {
+	case <-cs.srv.done:
+		return ErrServerClosed
+	default:
+		return nil
+	}
 }
 
 // flush writes the accumulated replies under the write deadline. false
@@ -230,8 +244,8 @@ func (cs *connState) budget() bool {
 	return !cs.failed
 }
 
-// servePipelined is the default connection loop: drain every buffered
-// request line, flush once, block for more.
+// servePipelined is the connection loop: drain every buffered request
+// line, flush once, block for more.
 func (s *Server) servePipelined(cs *connState) {
 	for {
 		select {
@@ -267,42 +281,6 @@ func (s *Server) servePipelined(cs *connState) {
 			return
 		}
 		if err != nil {
-			return
-		}
-	}
-}
-
-// serveLegacy is the pre-pipelining loop: identical parsing and dispatch,
-// but the pending group and the reply buffer are flushed after every
-// command — one write syscall per request, no batching.
-func (s *Server) serveLegacy(cs *connState) {
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		line, ok := cs.nextLine()
-		if !ok {
-			toolong, err := cs.fill()
-			if toolong {
-				cs.out = fmt.Appendf(cs.out, "ERR %s line exceeds %d bytes\n", errTooLong, maxLineBytes)
-				cs.flush()
-				return
-			}
-			if err != nil {
-				return
-			}
-			continue
-		}
-		if !s.processLine(cs, line) {
-			return
-		}
-		if !s.flushGroup(cs) {
-			cs.flush()
-			return
-		}
-		if !cs.flush() {
 			return
 		}
 	}

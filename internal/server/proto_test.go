@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -59,7 +60,7 @@ func chunkBytes(b []byte, seed int64) [][]byte {
 
 // conformanceStream exercises every command kind, case folding, separator
 // layouts, structured errors and batching — everything except STATS
-// (whose counters legitimately differ between loop modes).
+// (whose counters depend on how the stream was chunked).
 func conformanceStream() []byte {
 	cmds := []string{
 		"SET 1 10",
@@ -120,11 +121,45 @@ func conformanceStream() []byte {
 	return []byte(strings.Join(all, "\n") + "\n")
 }
 
+// conformanceReplies is the exact reply stream conformanceStream must
+// produce: 40 grouped SETs and GETs, then one reply block per command of
+// the fixed tail (SCAN 0 100 lists the 40 run keys between the small ones).
+func conformanceReplies() []byte {
+	var b strings.Builder
+	b.WriteString(strings.Repeat("OK\n", 40))
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, "VALUE %d\n", i)
+	}
+	b.WriteString("OK\nVALUE 10\nNIL\nOK\nVALUE 11\nOK\nNIL\nOK\nOK\nOK\nVALUE 30\nVALUE 40\nNIL\n" +
+		"OK 3\nVALUE 60\nVALUE 70\nVALUE 80\nNIL\nEND\nVALUE 60\nEND\nVALUE 46\n" +
+		"PAIR 3 30\nPAIR 4 40\nPAIR 5 50\nPAIR 6 60\nPAIR 7 70\nPAIR 8 80\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, "PAIR %d %d\n", 1000+i, i)
+	}
+	b.WriteString("END\nPAIR 4 40\nPAIR 5 50\nEND\nOK\nVALUE 200\nOK\n" +
+		"ERR BADINT \"x\" is not a uint64\n" +
+		"ERR BADINT \"x\" is not a uint64\n" +
+		"ERR USAGE SET <key> <value>\n" +
+		"ERR USAGE GET <key>\n" +
+		"ERR BADINT \"nope\" is not a uint64\n" +
+		"ERR BADINT \"nope\" is not a uint64\n" +
+		"ERR USAGE MGET <key> [key ...]\n" +
+		"ERR BADINT \"bad\" is not a uint64\n" +
+		"ERR USAGE MPUT <key> <value> [key value ...]\n" +
+		"ERR USAGE MPUT <key> <value> [key value ...]\n" +
+		"ERR BADINT \"many\" is not a row count\n" +
+		"ERR BADINT \"bad\" is not a uint64\n" +
+		"ERR UNKNOWN command \"BOGUS\"\n" +
+		"ERR UNKNOWN command \"FLY\"\n" +
+		"OK\nVALUE 210\nOK\nOK\nOK\nVALUE 44\nBYE\n")
+	return []byte(b.String())
+}
+
 // runScripted drives one fresh server's protocol loop over the scripted
 // chunks and returns every reply byte.
-func runScripted(t *testing.T, legacy bool, chunks [][]byte) []byte {
+func runScripted(t *testing.T, chunks [][]byte) []byte {
 	t.Helper()
-	srv, err := NewServerWith(Config{LegacyLoop: legacy})
+	srv, err := NewServerWith(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,66 +167,40 @@ func runScripted(t *testing.T, legacy bool, chunks [][]byte) []byte {
 	sc := &scriptConn{chunks: chunks}
 	cs := newConnState(srv, sc)
 	defer cs.release()
-	if legacy {
-		srv.serveLegacy(cs)
-	} else {
-		srv.servePipelined(cs)
-	}
+	srv.servePipelined(cs)
 	return sc.out.Bytes()
 }
 
-// TestPipelinedConformance: the same command stream — delivered whole, one
-// command per write, or split at arbitrary byte boundaries (mid-token) —
-// produces byte-identical replies in both loop modes. The one-command-per
-// write legacy run over a real TCP socket is the baseline.
+// ownChunks copies chunks that alias a shared stream, so a run owns its
+// input (the loop compacts its read window in place).
+func ownChunks(chunks [][]byte) [][]byte {
+	out := make([][]byte, len(chunks))
+	for i, c := range chunks {
+		out[i] = append([]byte(nil), c...)
+	}
+	return out
+}
+
+// TestPipelinedConformance: the same command stream — delivered one command
+// per read (no pipelining: every command is parsed, executed and flushed on
+// its own), whole, or split at arbitrary byte boundaries (mid-token) —
+// produces byte-identical replies, and those are the pinned golden bytes.
 func TestPipelinedConformance(t *testing.T) {
 	stream := conformanceStream()
-
-	// Baseline: legacy loop over TCP, one write syscall per command.
-	_, addr := startServerWith(t, Config{LegacyLoop: true})
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
+	baseline := runScripted(t, ownChunks(bytes.SplitAfter(stream, []byte("\n"))))
+	if want := conformanceReplies(); !bytes.Equal(baseline, want) {
+		t.Fatalf("one-command-per-read replies differ from the golden bytes\n got: %q\nwant: %q", baseline, want)
 	}
-	defer conn.Close()
-	go func() {
-		for _, line := range bytes.SplitAfter(stream, []byte("\n")) {
-			if len(line) == 0 {
-				continue
-			}
-			if _, err := conn.Write(line); err != nil {
-				return
-			}
-		}
-	}()
-	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
-	baseline, err := io.ReadAll(conn)
-	if err != nil {
-		t.Fatalf("baseline read: %v", err)
-	}
-	if !bytes.Contains(baseline, []byte("VALUE 11\n")) || !bytes.Contains(baseline, []byte("BYE\n")) {
-		t.Fatalf("baseline replies look wrong:\n%s", baseline)
-	}
-
-	variants := []struct {
+	for _, v := range []struct {
 		name   string
-		legacy bool
 		chunks [][]byte
 	}{
-		{"pipelined-one-write", false, [][]byte{stream}},
-		{"pipelined-split-7", false, chunkBytes(stream, 7)},
-		{"pipelined-split-1301", false, chunkBytes(stream, 1301)},
-		{"legacy-split-7", true, chunkBytes(stream, 7)},
-		{"legacy-one-write", true, [][]byte{stream}},
-	}
-	for _, v := range variants {
-		// chunkBytes aliases the stream; copy so each run owns its input.
-		chunks := make([][]byte, len(v.chunks))
-		for i, c := range v.chunks {
-			chunks[i] = append([]byte(nil), c...)
-		}
-		got := runScripted(t, v.legacy, chunks)
-		if !bytes.Equal(got, baseline) {
+		{"one-write", [][]byte{stream}},
+		{"split-7", chunkBytes(stream, 7)},
+		{"split-1301", chunkBytes(stream, 1301)},
+		{"split-4", chunkBytes(stream, 4)},
+	} {
+		if got := runScripted(t, ownChunks(v.chunks)); !bytes.Equal(got, baseline) {
 			t.Errorf("%s: replies differ from baseline\n got: %q\nwant: %q", v.name, got, baseline)
 		}
 	}
@@ -199,8 +208,7 @@ func TestPipelinedConformance(t *testing.T) {
 
 // TestConformanceTooLong: an overlong line split across arbitrary chunk
 // boundaries still yields the in-order replies of every prior command,
-// then the structured TOOLONG error, then connection close — identically
-// in both modes.
+// then the structured TOOLONG error, then connection close.
 func TestConformanceTooLong(t *testing.T) {
 	var sb bytes.Buffer
 	sb.WriteString("SET 1 10\nGET 1\n")
@@ -212,25 +220,53 @@ func TestConformanceTooLong(t *testing.T) {
 	stream := sb.Bytes()
 
 	want := fmt.Sprintf("OK\nVALUE 10\nERR %s line exceeds %d bytes\n", errTooLong, maxLineBytes)
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-		seed   int64
-	}{
-		{"pipelined", false, 3}, {"legacy", true, 4}, {"pipelined-whole", false, -1},
+	for name, chunks := range map[string][][]byte{
+		"split-3": chunkBytes(stream, 3),
+		"split-4": chunkBytes(stream, 4),
+		"whole":   {stream},
 	} {
-		var chunks [][]byte
-		if mode.seed < 0 {
-			chunks = [][]byte{append([]byte(nil), stream...)}
-		} else {
-			for _, c := range chunkBytes(stream, mode.seed) {
-				chunks = append(chunks, append([]byte(nil), c...))
-			}
+		if got := string(runScripted(t, ownChunks(chunks))); got != want {
+			t.Errorf("%s: got %q, want %q", name, got, want)
 		}
-		got := string(runScripted(t, mode.legacy, chunks))
-		if got != want {
-			t.Errorf("%s: got %q, want %q", mode.name, got, want)
-		}
+	}
+}
+
+// pokeConn loses the race TestShutdownDuringReadArm is about: Shutdown's
+// two steps — close done, poke the connection with an immediate read
+// deadline — land just before the handler's own deadline stamp, which
+// therefore overwrites the poke. Read blocks like a socket would.
+type pokeConn struct {
+	scriptConn
+	srv      *Server
+	deadline time.Time
+}
+
+func (c *pokeConn) SetReadDeadline(t time.Time) error {
+	c.srv.shutOnce.Do(func() { close(c.srv.done) })
+	c.deadline = t
+	return nil
+}
+
+func (c *pokeConn) Read(p []byte) (int, error) {
+	time.Sleep(time.Until(c.deadline))
+	return 0, os.ErrDeadlineExceeded
+}
+
+// TestShutdownDuringReadArm: a handler that stamps its read deadline over
+// Shutdown's poke must notice the shutdown instead of sitting out
+// ReadTimeout (which blew the 10s drain about once in five suite runs).
+func TestShutdownDuringReadArm(t *testing.T) {
+	srv, err := NewServerWith(Config{ReadTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown() })
+	cs := newConnState(srv, &pokeConn{srv: srv})
+	defer cs.release()
+	start := time.Now()
+	srv.servePipelined(cs)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("handler outlived the shutdown by %v", d)
 	}
 }
 

@@ -70,12 +70,6 @@ type Config struct {
 	WriteTimeout time.Duration
 	// DrainTimeout bounds Shutdown's wait for in-flight handlers.
 	DrainTimeout time.Duration
-	// LegacyLoop selects the pre-pipelining connection loop: one reply
-	// flush per command and no point-command grouping. It shares the
-	// allocation-free dispatcher with the pipelined loop and exists as
-	// the measured baseline for the net-path benchmarks (and as a
-	// fallback switch).
-	LegacyLoop bool
 	// CoalesceConns is the live-connection count at or above which point
 	// ops from different connections coalesce into shared index batches
 	// (0 = 8; negative disables coalescing). Below the gate every command
@@ -408,9 +402,5 @@ func (s *Server) handle(conn net.Conn) {
 
 	cs := newConnState(s, conn)
 	defer cs.release()
-	if s.cfg.LegacyLoop {
-		s.serveLegacy(cs)
-		return
-	}
 	s.servePipelined(cs)
 }

@@ -8,9 +8,8 @@ Three modes:
   numbers EXPERIMENTS.md quotes.
 - summarize.py results/BENCH_4.json (any .json): renders whichever
   grids the artifact carries — the shard-scaling threads x shard-count
-  grid with speedups over unsharded (S0), the net-path legacy vs
-  pipelined table, and the scan-path kernel vs per-slot table with the
-  1k-length acceptance ratios.
+  grid with speedups over unsharded (S0) and the net-path depth and
+  connection sweeps.
 - summarize.py compare [--threshold N] OLD.json NEW.json: diff two
   altbench -json artifacts row by row — rows are keyed on (Experiment,
   Index, Dataset, Mix, Threads) — printing ns/op and Mops for both
@@ -101,83 +100,35 @@ def summarize_shards(path):
 
 
 def summarize_net(path):
-    """Net-path grid: per (conns, depth), legacy vs pipelined Kops, the
-    pipelined/legacy speedup, flushes per command, and the coalescing
-    counters. Rows come from altbench -net (Experiment == net-path)."""
+    """Net-path grid: per (conns, depth), served Kops, flushes per command
+    and the coalescing counters. Rows come from altbench -net (Experiment
+    == net-path, Index == net-pipelined)."""
     doc = json.load(open(path))
-    cells = {}  # (conns, depth) -> mode -> run
+    cells = {}  # (conns, depth) -> run
     for run in doc.get("Runs", []):
-        if run.get("Experiment") != "net-path":
+        if run.get("Experiment") != "net-path" or run.get("Index") != "net-pipelined":
             continue
         m = re.match(r"net-balanced c(\d+) d(\d+)", run.get("Mix", ""))
-        if not m:
-            continue
-        mode = "legacy" if run["Index"] == "net-legacy" else "pipelined"
-        cells.setdefault((int(m.group(1)), int(m.group(2))), {})[mode] = run
+        if m:
+            cells[(int(m.group(1)), int(m.group(2)))] = run
     if not cells:
         print(f"{path}: no net-path rows found")
         return
-    print("\n== net path: served throughput (Kops), legacy vs pipelined ==")
+    print("\n== net path: served throughput (Kops) ==")
     print(
-        f"{'conns':>5s} {'depth':>5s} {'legacy':>9s} {'pipelined':>9s} {'speedup':>8s}"
+        f"{'conns':>5s} {'depth':>5s} {'Kops':>9s}"
         f" {'fl/op':>6s} {'corounds':>8s} {'comean':>7s}"
     )
     for (conns, depth) in sorted(cells):
-        bymode = cells[(conns, depth)]
-        leg = bymode.get("legacy", {}).get("Mops", 0.0) * 1e3
-        pip = bymode.get("pipelined", {}).get("Mops", 0.0) * 1e3
-        speed = f"{pip/leg:7.2f}x" if leg and pip else f"{'-':>8s}"
-        st = (bymode.get("pipelined") or bymode.get("legacy") or {}).get("Stats") or {}
+        run = cells[(conns, depth)]
+        st = run.get("Stats") or {}
         flop = st.get("net_flushes", 0) / max(st.get("net_cmds", 1), 1)
         rounds = st.get("coalesce_batches", 0)
         comean = st.get("coalesce_ops", 0) / rounds if rounds else 0.0
-        leg_s = f"{leg:9.1f}" if leg else f"{'-':>9s}"
-        pip_s = f"{pip:9.1f}" if pip else f"{'-':>9s}"
         print(
-            f"{conns:>5d} {depth:>5d} {leg_s} {pip_s} {speed}"
+            f"{conns:>5d} {depth:>5d} {run.get('Mops', 0.0) * 1e3:9.1f}"
             f" {flop:>6.3f} {rounds:>8d} {comean:>7.1f}"
         )
-
-
-def summarize_scan(path):
-    """Scan-path grid: per dataset x scan length x mode, the block-run
-    kernel vs the preserved per-slot baseline in Mkeys/s, plus the kernel
-    speedup. The 1k-length rows are the acceptance cells (the PR gate
-    wants kernel >= 1.4x per-slot on at least one dataset, and no
-    regression at length 10). Rows come from altbench -exp scan-path."""
-    doc = json.load(open(path))
-    cells = {}  # (dataset, length, mode) -> engine -> run
-    for run in doc.get("Runs", []):
-        if run.get("Experiment") != "scan-path":
-            continue
-        m = re.match(r"scan(\d+)-(idle|writer)$", run.get("Mix", ""))
-        if not m:
-            continue
-        engine = "kernel" if run["Index"] == "ALT-scan-kernel" else "perslot"
-        key = (run["Dataset"], int(m.group(1)), m.group(2))
-        cells.setdefault(key, {})[engine] = run
-    if not cells:
-        print(f"{path}: no scan-path rows found")
-        return
-    print("\n== scan path: emitted Mkeys/s, block-run kernel vs per-slot ==")
-    print(
-        f"{'dataset':>8s} {'len':>6s} {'mode':>6s} {'perslot':>9s} {'kernel':>9s}"
-        f" {'speedup':>8s}"
-    )
-    gate = []
-    for (ds, length, mode) in sorted(cells):
-        bye = cells[(ds, length, mode)]
-        slot = bye.get("perslot", {}).get("Mops", 0.0)
-        kern = bye.get("kernel", {}).get("Mops", 0.0)
-        speed = f"{kern/slot:7.2f}x" if slot and kern else f"{'-':>8s}"
-        print(
-            f"{ds:>8s} {length:>6d} {mode:>6s} {slot:>9.2f} {kern:>9.2f} {speed}"
-        )
-        if length == 1000 and slot and kern:
-            gate.append((ds, mode, kern / slot))
-    for ds, mode, ratio in gate:
-        mark = "PASS" if ratio >= 1.4 else "    "
-        print(f"  1k gate {ds}/{mode}: kernel = {ratio:.2f}x per-slot {mark}")
 
 
 def load_rows(path):
@@ -289,9 +240,7 @@ def main(*argv):
         experiments = {r.get("Experiment") for r in doc.get("Runs", [])}
         if "net-path" in experiments:
             summarize_net(path)
-        if "scan-path" in experiments:
-            summarize_scan(path)
-        if experiments - {"net-path", "scan-path"}:
+        if experiments - {"net-path"}:
             summarize_shards(path)
     else:
         summarize_raw(path)
