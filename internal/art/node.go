@@ -20,6 +20,7 @@
 package art
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 )
@@ -34,14 +35,35 @@ const (
 	kind256
 )
 
-// Node is an ART node. Mutations happen under the node's optimistic version
-// lock; readers validate the version after reading. The type is exported
-// (opaquely) because ALT-index's fast pointer buffer references
-// intermediate nodes.
+// Node is the handle to an ART node of any kind, and the header every kind
+// begins with. Each node is one allocation of its kind's struct (leaf,
+// node4 … node256, below); kind, immutable from construction, says which,
+// and the typed views cast the handle back. Mutations happen under the
+// node's optimistic version lock; readers validate the version after
+// reading. The type is exported (opaquely) because ALT-index's fast pointer
+// buffer references intermediate nodes.
 type Node struct {
 	// version encodes the optimistic lock: bit 0 = obsolete,
 	// bit 1 = locked, bits 2.. = update counter.
 	version atomic.Uint64
+
+	kind uint8
+
+	// fpIndex is the fast-pointer-buffer slot referencing this node, or
+	// -1. Maintained by the owning tree's SMO hooks.
+	fpIndex atomic.Int32
+}
+
+// leaf is a kindLeaf node: 32 bytes. key is immutable.
+type leaf struct {
+	Node
+	key   uint64
+	value atomic.Uint64
+}
+
+// inner is the header shared by the four inner kinds.
+type inner struct {
+	Node
 
 	// meta packs prefixLen (bits 0-7), depth (bits 8-15) and nChildren
 	// (bits 16-31). depth is the number of key bytes consumed before
@@ -56,47 +78,128 @@ type Node struct {
 	// root to this node (high-aligned). It lets fast-pointer entry
 	// points verify in O(1) that a key lies in this subtree.
 	pathHi atomic.Uint64
+}
 
-	kind uint8 // immutable after construction
+// The inner kinds: header, packed child bytes, inline child slots.
+//
+//	node4/16:  key byte i (0..n-1, sorted) pairs with children[i].
+//	node48:    key byte b for b in 0..255 is 0 when empty, else slot+1
+//	           into children.
+//	node256:   children indexed directly by key byte.
+//
+// A node4 or node16 visit reads the header and the key bytes from the
+// node's first 56 bytes and then one child slot.
+type (
+	node4 struct {
+		inner
+		keys     [1]atomic.Uint64
+		children [4]atomic.Pointer[Node]
+	}
+	node16 struct {
+		inner
+		keys     [2]atomic.Uint64
+		children [16]atomic.Pointer[Node]
+	}
+	node48 struct {
+		inner
+		keys     [32]atomic.Uint64
+		children [48]atomic.Pointer[Node]
+	}
+	node256 struct {
+		inner
+		children [256]atomic.Pointer[Node]
+	}
+)
 
-	// fpIndex is the fast-pointer-buffer slot referencing this node, or
-	// -1. Maintained by the owning tree's SMO hooks.
-	fpIndex atomic.Int32
+// allocBytes is what the Go allocator hands out per kind: the struct size
+// (32, 80, 184, 680, 2088) rounded up to its size class, the two widest
+// with the 8-byte header of pointerful objects over 512 bytes.
+var allocBytes = [...]uintptr{kindLeaf: 32, kind4: 80, kind16: 192, kind48: 704, kind256: 2304}
 
-	// Leaf payload (kindLeaf only). key is immutable.
-	key   uint64
-	value atomic.Uint64
+// byteSize returns the node's heap footprint.
+func (n *Node) byteSize() uintptr { return allocBytes[n.kind] }
 
-	// Inner-node child storage. Layout by kind:
-	//   kind4/16:  keyAt(0..n-1) sorted child bytes, children parallel.
-	//   kind48:    keyAt(b) for b in 0..255 is 0 when empty, else
-	//              slot+1 into children (48 slots).
-	//   kind256:   children indexed directly by key byte.
-	keysW    []atomic.Uint64
-	children []atomic.Pointer[Node]
+// --- typed views -----------------------------------------------------------
+//
+// Every unsafe.Pointer conversion of the package is in this section. Each
+// widens a handle to the struct its allocation was made as (n.kind never
+// changes), so the result stays inside one heap object.
+
+// leaf views a kindLeaf node.
+func (n *Node) leaf() *leaf { return (*leaf)(unsafe.Pointer(n)) }
+
+// in views the header of an inner node; n must not be a leaf.
+func (n *Node) in() *inner { return (*inner)(unsafe.Pointer(n)) }
+
+func (n *Node) n4() *node4     { return (*node4)(unsafe.Pointer(n)) }
+func (n *Node) n16() *node16   { return (*node16)(unsafe.Pointer(n)) }
+func (n *Node) n48() *node48   { return (*node48)(unsafe.Pointer(n)) }
+func (n *Node) n256() *node256 { return (*node256)(unsafe.Pointer(n)) }
+
+// arrays returns an inner node's packed key words (nil for node256) and its
+// child slots as slices over the inline arrays.
+func (n *Node) arrays() ([]atomic.Uint64, []atomic.Pointer[Node]) {
+	switch n.kind {
+	case kind4:
+		return n.n4().keys[:], n.n4().children[:]
+	case kind16:
+		return n.n16().keys[:], n.n16().children[:]
+	case kind48:
+		return n.n48().keys[:], n.n48().children[:]
+	case kind256:
+		return nil, n.n256().children[:]
+	}
+	panic("art: child access on a leaf")
+}
+
+func newLeaf(key, value uint64) *Node {
+	l := &leaf{key: key}
+	l.value.Store(value)
+	l.fpIndex.Store(-1)
+	return &l.Node
+}
+
+func newInner(kind uint8, depth int) *Node {
+	var n *Node
+	switch kind {
+	case kind4:
+		n = &new(node4).Node
+	case kind16:
+		n = &new(node16).Node
+	case kind48:
+		n = &new(node48).Node
+	case kind256:
+		n = &new(node256).Node
+	default:
+		panic("art: no such inner kind")
+	}
+	n.kind = kind
+	n.fpIndex.Store(-1)
+	n.storeMeta(0, depth, 0)
+	return n
 }
 
 // --- packed metadata -----------------------------------------------------
 
 func (n *Node) loadMeta() (prefixLen, depth, nChildren int) {
-	m := n.meta.Load()
+	m := n.in().meta.Load()
 	return int(m & 0xff), int(m >> 8 & 0xff), int(m >> 16 & 0xffff)
 }
 
 func (n *Node) storeMeta(prefixLen, depth, nChildren int) {
-	n.meta.Store(uint64(prefixLen) | uint64(depth)<<8 | uint64(nChildren)<<16)
+	n.in().meta.Store(uint64(prefixLen) | uint64(depth)<<8 | uint64(nChildren)<<16)
 }
 
-func (n *Node) numChildren() int { return int(n.meta.Load() >> 16 & 0xffff) }
+func (n *Node) numChildren() int { return int(n.in().meta.Load() >> 16 & 0xffff) }
 
 func (n *Node) setNumChildren(c int) {
-	m := n.meta.Load()
-	n.meta.Store(m&0xffff | uint64(c)<<16)
+	m := &n.in().meta
+	m.Store(m.Load()&0xffff | uint64(c)<<16)
 }
 
-// Depth returns the node's match_level: the number of key bytes already
-// consumed when a lookup reaches this node.
-func (n *Node) Depth() int { return int(n.meta.Load() >> 8 & 0xff) }
+// Depth returns an inner node's match_level: the number of key bytes
+// already consumed when a lookup reaches this node.
+func (n *Node) Depth() int { return int(n.in().meta.Load() >> 8 & 0xff) }
 
 // maskFor returns a mask selecting the high `depth` bytes of a key.
 func maskFor(depth int) uint64 {
@@ -110,8 +213,8 @@ func maskFor(depth int) uint64 {
 	}
 }
 
-// coversKey reports whether key shares the node's root path, i.e. the key
-// lies inside this node's subtree. Read under a version snapshot for a
+// coversKey reports whether key shares the inner node's root path, i.e. the
+// key lies inside this node's subtree. Read under a version snapshot for a
 // stable answer.
 func (n *Node) coversKey(key uint64) bool {
 	depth := n.Depth()
@@ -119,11 +222,16 @@ func (n *Node) coversKey(key uint64) bool {
 		return true
 	}
 	m := maskFor(depth)
-	return key&m == n.pathHi.Load()&m
+	return key&m == n.in().pathHi.Load()&m
 }
 
 // Leaf reports whether n is a leaf and, if so, its key.
-func (n *Node) Leaf() (uint64, bool) { return n.key, n.kind == kindLeaf }
+func (n *Node) Leaf() (uint64, bool) {
+	if n.kind != kindLeaf {
+		return 0, false
+	}
+	return n.leaf().key, true
+}
 
 // FPIndex returns the fast-pointer-buffer slot referencing this node, or -1.
 func (n *Node) FPIndex() int32 { return n.fpIndex.Load() }
@@ -131,43 +239,15 @@ func (n *Node) FPIndex() int32 { return n.fpIndex.Load() }
 // SetFPIndex records the fast-pointer-buffer slot referencing this node.
 func (n *Node) SetFPIndex(i int32) { n.fpIndex.Store(i) }
 
-func newLeaf(key, value uint64) *Node {
-	n := &Node{kind: kindLeaf, key: key}
-	n.value.Store(value)
-	n.fpIndex.Store(-1)
-	return n
-}
-
-func newInner(kind uint8, depth int) *Node {
-	n := &Node{kind: kind}
-	n.fpIndex.Store(-1)
-	n.storeMeta(0, depth, 0)
-	switch kind {
-	case kind4:
-		n.keysW = make([]atomic.Uint64, 1)
-		n.children = make([]atomic.Pointer[Node], 4)
-	case kind16:
-		n.keysW = make([]atomic.Uint64, 2)
-		n.children = make([]atomic.Pointer[Node], 16)
-	case kind48:
-		n.keysW = make([]atomic.Uint64, 32)
-		n.children = make([]atomic.Pointer[Node], 48)
-	case kind256:
-		n.children = make([]atomic.Pointer[Node], 256)
-	}
-	return n
-}
-
 // keyAt returns packed key byte i. Safe for optimistic readers.
-func (n *Node) keyAt(i int) byte {
-	return byte(n.keysW[i>>3].Load() >> (8 * (i & 7)))
+func keyAt(keys []atomic.Uint64, i int) byte {
+	return byte(keys[i>>3].Load() >> (8 * (i & 7)))
 }
 
 // setKeyAt stores packed key byte i. Caller holds the write lock.
-func (n *Node) setKeyAt(i int, b byte) {
-	idx, sh := i>>3, 8*(i&7)
-	w := n.keysW[idx].Load()
-	n.keysW[idx].Store(w&^(uint64(0xff)<<sh) | uint64(b)<<sh)
+func setKeyAt(keys []atomic.Uint64, i int, b byte) {
+	w, sh := &keys[i>>3], 8*(i&7)
+	w.Store(w.Load()&^(uint64(0xff)<<sh) | uint64(b)<<sh)
 }
 
 // --- optimistic version lock ---------------------------------------------
@@ -236,167 +316,180 @@ func keyByte(k uint64, depth int) byte {
 	return byte(k >> (56 - 8*depth))
 }
 
+// matchByte returns the position of the lowest byte of w equal to b, or 8.
+// The zero-byte test may flag bytes above a true match, never below it.
+func matchByte(w uint64, b byte) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	x := w ^ ones*uint64(b)
+	return bits.TrailingZeros64((x-ones)&^x&highs) >> 3
+}
+
 // findChild returns the child for byte b, or nil. Safe to call during
-// optimistic reads (caller validates the version afterwards).
+// optimistic reads (caller validates the version afterwards): child bytes
+// of a node4/16 are distinct and the live ones come first, so a match at or
+// past the child count — a stale byte, or a torn count — is a miss.
 func (n *Node) findChild(b byte) *Node {
 	switch n.kind {
-	case kind4, kind16:
-		cnt := n.numChildren()
-		if cnt > len(n.children) {
-			cnt = len(n.children)
+	case kind4:
+		p := n.n4()
+		if i := matchByte(p.keys[0].Load(), b); i < min(n.numChildren(), 4) {
+			return p.children[i].Load()
 		}
-		for i := 0; i < cnt; i++ {
-			if n.keyAt(i) == b {
-				return n.children[i].Load()
-			}
+	case kind16:
+		p := n.n16()
+		i := matchByte(p.keys[0].Load(), b)
+		if i == 8 {
+			i += matchByte(p.keys[1].Load(), b)
+		}
+		if i < min(n.numChildren(), 16) {
+			return p.children[i].Load()
 		}
 	case kind48:
-		if idx := int(n.keyAt(int(b))); idx != 0 && idx <= len(n.children) {
-			return n.children[idx-1].Load()
+		p := n.n48()
+		if idx := int(keyAt(p.keys[:], int(b))); idx != 0 && idx <= 48 {
+			return p.children[idx-1].Load()
 		}
 	case kind256:
-		return n.children[b].Load()
+		return n.n256().children[b].Load()
 	}
 	return nil
 }
 
+// childrenInto copies n's non-nil children whose key byte lies in [lo, hi]
+// into bs/cs in ascending byte order and returns their count. It is the one
+// enumerator of a node's children, safe under optimistic reads: a torn
+// count or slot index is clamped to the node's arrays, and the caller's
+// version validation rejects the snapshot.
+func (n *Node) childrenInto(lo, hi int, bs *[256]byte, cs *[256]*Node) (cnt int) {
+	keys, children := n.arrays()
+	emit := func(b int, c *Node) {
+		if c != nil {
+			bs[cnt], cs[cnt] = byte(b), c
+			cnt++
+		}
+	}
+	switch n.kind {
+	case kind4, kind16:
+		for i, m := 0, min(n.numChildren(), len(children)); i < m; i++ {
+			if b := int(keyAt(keys, i)); b >= lo && b <= hi {
+				emit(b, children[i].Load())
+			}
+		}
+	case kind48:
+		for b := lo; b <= hi; b++ {
+			if idx := int(keyAt(keys, b)); idx != 0 && idx <= len(children) {
+				emit(b, children[idx-1].Load())
+			}
+		}
+	case kind256:
+		for b := lo; b <= hi; b++ {
+			emit(b, children[b].Load())
+		}
+	}
+	return cnt
+}
+
 // full reports whether an insert requires growing the node.
 func (n *Node) full() bool {
-	switch n.kind {
-	case kind4:
-		return n.numChildren() >= 4
-	case kind16:
-		return n.numChildren() >= 16
-	case kind48:
-		return n.numChildren() >= 48
-	default:
-		return false
-	}
+	_, children := n.arrays()
+	return n.kind != kind256 && n.numChildren() >= len(children)
 }
 
 // addChild inserts (b -> child). Caller holds the write lock and has
-// ensured capacity. kind4/16 keep keys sorted so scans are ordered.
+// ensured capacity. node4/16 keep keys sorted so scans are ordered.
 func (n *Node) addChild(b byte, child *Node) {
+	keys, children := n.arrays()
+	cnt := n.numChildren()
 	switch n.kind {
 	case kind4, kind16:
-		cnt := n.numChildren()
-		pos := 0
-		for pos < cnt && n.keyAt(pos) < b {
-			pos++
+		pos := cnt
+		for ; pos > 0 && keyAt(keys, pos-1) > b; pos-- {
+			setKeyAt(keys, pos, keyAt(keys, pos-1))
+			children[pos].Store(children[pos-1].Load())
 		}
-		for i := cnt; i > pos; i-- {
-			n.setKeyAt(i, n.keyAt(i-1))
-			n.children[i].Store(n.children[i-1].Load())
-		}
-		n.setKeyAt(pos, b)
-		n.children[pos].Store(child)
-		n.setNumChildren(cnt + 1)
+		setKeyAt(keys, pos, b)
+		children[pos].Store(child)
 	case kind48:
-		for slot := range n.children {
-			if n.children[slot].Load() == nil {
-				n.children[slot].Store(child)
-				n.setKeyAt(int(b), byte(slot+1))
-				n.setNumChildren(n.numChildren() + 1)
-				return
-			}
+		slot := 0
+		for children[slot].Load() != nil {
+			slot++
 		}
-		panic("art: addChild on full node48")
+		children[slot].Store(child)
+		setKeyAt(keys, int(b), byte(slot+1))
 	case kind256:
-		n.children[b].Store(child)
-		n.setNumChildren(n.numChildren() + 1)
-	default:
-		panic("art: addChild on leaf")
+		children[b].Store(child)
 	}
+	n.setNumChildren(cnt + 1)
 }
 
-// replaceChild overwrites the child for byte b. Caller holds the write lock.
-func (n *Node) replaceChild(b byte, child *Node) {
+// childIndex returns the index of the slot holding the child for byte b, or
+// -1. Caller holds the write lock.
+func (n *Node) childIndex(b byte) int {
+	keys, _ := n.arrays()
 	switch n.kind {
 	case kind4, kind16:
-		cnt := n.numChildren()
-		for i := 0; i < cnt; i++ {
-			if n.keyAt(i) == b {
-				n.children[i].Store(child)
-				return
+		for i, cnt := 0, n.numChildren(); i < cnt; i++ {
+			if keyAt(keys, i) == b {
+				return i
 			}
 		}
-		panic("art: replaceChild missing byte")
+		return -1
 	case kind48:
-		idx := int(n.keyAt(int(b)))
-		if idx == 0 {
-			panic("art: replaceChild missing byte")
-		}
-		n.children[idx-1].Store(child)
-	case kind256:
-		n.children[b].Store(child)
-	default:
-		panic("art: replaceChild on leaf")
+		return int(keyAt(keys, int(b))) - 1
 	}
+	return int(b)
+}
+
+// replaceChild overwrites the child for byte b, which must be present.
+// Caller holds the write lock.
+func (n *Node) replaceChild(b byte, child *Node) {
+	_, children := n.arrays()
+	children[n.childIndex(b)].Store(child)
 }
 
 // removeChild deletes the entry for byte b. Caller holds the write lock.
 func (n *Node) removeChild(b byte) {
+	keys, children := n.arrays()
+	i, cnt := n.childIndex(b), n.numChildren()
+	if i < 0 || children[i].Load() == nil {
+		return
+	}
 	switch n.kind {
 	case kind4, kind16:
-		cnt := n.numChildren()
-		for i := 0; i < cnt; i++ {
-			if n.keyAt(i) == b {
-				for j := i; j < cnt-1; j++ {
-					n.setKeyAt(j, n.keyAt(j+1))
-					n.children[j].Store(n.children[j+1].Load())
-				}
-				n.children[cnt-1].Store(nil)
-				n.setNumChildren(cnt - 1)
-				return
-			}
+		for ; i < cnt-1; i++ {
+			setKeyAt(keys, i, keyAt(keys, i+1))
+			children[i].Store(children[i+1].Load())
 		}
 	case kind48:
-		if idx := int(n.keyAt(int(b))); idx != 0 {
-			n.children[idx-1].Store(nil)
-			n.setKeyAt(int(b), 0)
-			n.setNumChildren(n.numChildren() - 1)
-		}
-	case kind256:
-		if n.children[b].Load() != nil {
-			n.children[b].Store(nil)
-			n.setNumChildren(n.numChildren() - 1)
-		}
+		setKeyAt(keys, int(b), 0)
 	}
+	children[i].Store(nil)
+	n.setNumChildren(cnt - 1)
 }
 
-// grow returns a copy of n with the next larger kind. Caller holds n's
-// write lock; the copy is private until published.
-func (n *Node) grow() *Node {
+// resized returns a copy of n as the given inner kind. Caller holds n's
+// write lock and has checked the children fit; the copy is private until
+// published.
+func (n *Node) resized(kind uint8) *Node {
 	pl, depth, _ := n.loadMeta()
-	var big *Node
-	switch n.kind {
-	case kind4:
-		big = newInner(kind16, depth)
-	case kind16:
-		big = newInner(kind48, depth)
-	case kind48:
-		big = newInner(kind256, depth)
-	default:
-		panic("art: grow on max-size node")
+	c := newInner(kind, depth)
+	c.in().prefixW.Store(n.in().prefixW.Load())
+	c.in().pathHi.Store(n.in().pathHi.Load())
+	var bs [256]byte
+	var cs [256]*Node
+	cnt := n.childrenInto(0, 255, &bs, &cs)
+	for i := 0; i < cnt; i++ {
+		c.addChild(bs[i], cs[i])
 	}
-	big.prefixW.Store(n.prefixW.Load())
-	big.pathHi.Store(n.pathHi.Load())
-	switch n.kind {
-	case kind4, kind16:
-		for i := 0; i < n.numChildren(); i++ {
-			big.addChild(n.keyAt(i), n.children[i].Load())
-		}
-	case kind48:
-		for b := 0; b < 256; b++ {
-			if idx := int(n.keyAt(b)); idx != 0 {
-				big.addChild(byte(b), n.children[idx-1].Load())
-			}
-		}
-	}
-	// addChild maintained nChildren; restore prefixLen/depth.
-	big.storeMeta(pl, depth, big.numChildren())
-	return big
+	c.storeMeta(pl, depth, cnt)
+	return c
 }
+
+// grow returns a copy of n with the next larger kind (node expansion).
+func (n *Node) grow() *Node { return n.resized(n.kind + 1) }
+
+// shrink returns a copy of n with the next smaller kind.
+func (n *Node) shrink() *Node { return n.resized(n.kind - 1) }
 
 // shrinkThreshold returns the child count at which the node should
 // downgrade to the next smaller kind (with hysteresis below the smaller
@@ -413,49 +506,4 @@ func (n *Node) shrinkThreshold() int {
 	default:
 		return 0
 	}
-}
-
-// shrink returns a copy of n with the next smaller kind. Caller holds n's
-// write lock and has checked numChildren() fits.
-func (n *Node) shrink() *Node {
-	pl, depth, _ := n.loadMeta()
-	var small *Node
-	switch n.kind {
-	case kind16:
-		small = newInner(kind4, depth)
-	case kind48:
-		small = newInner(kind16, depth)
-	case kind256:
-		small = newInner(kind48, depth)
-	default:
-		panic("art: shrink on min-size node")
-	}
-	small.prefixW.Store(n.prefixW.Load())
-	small.pathHi.Store(n.pathHi.Load())
-	switch n.kind {
-	case kind16:
-		for i := 0; i < n.numChildren(); i++ {
-			small.addChild(n.keyAt(i), n.children[i].Load())
-		}
-	case kind48:
-		for b := 0; b < 256; b++ {
-			if idx := int(n.keyAt(b)); idx != 0 {
-				small.addChild(byte(b), n.children[idx-1].Load())
-			}
-		}
-	case kind256:
-		for b := 0; b < 256; b++ {
-			if c := n.children[b].Load(); c != nil {
-				small.addChild(byte(b), c)
-			}
-		}
-	}
-	small.storeMeta(pl, depth, small.numChildren())
-	return small
-}
-
-// byteSize approximates the node's heap footprint.
-func (n *Node) byteSize() uintptr {
-	const base = unsafe.Sizeof(Node{})
-	return base + uintptr(len(n.keysW))*8 + uintptr(len(n.children))*unsafe.Sizeof(atomic.Pointer[Node]{})
 }

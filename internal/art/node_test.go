@@ -18,18 +18,18 @@ func TestKeyByte(t *testing.T) {
 }
 
 func TestPackedKeyBytes(t *testing.T) {
-	n := newInner(kind48, 0)
+	keys, _ := newInner(kind48, 0).arrays()
 	for i := 0; i < 256; i++ {
-		n.setKeyAt(i, byte(255-i))
+		setKeyAt(keys, i, byte(255-i))
 	}
 	for i := 0; i < 256; i++ {
-		if got := n.keyAt(i); got != byte(255-i) {
+		if got := keyAt(keys, i); got != byte(255-i) {
 			t.Fatalf("keyAt(%d) = %d, want %d", i, got, 255-i)
 		}
 	}
 	// Overwrites must not disturb neighbours.
-	n.setKeyAt(8, 0xAA)
-	if n.keyAt(7) != 255-7 || n.keyAt(9) != 255-9 || n.keyAt(8) != 0xAA {
+	setKeyAt(keys, 8, 0xAA)
+	if keyAt(keys, 7) != 255-7 || keyAt(keys, 9) != 255-9 || keyAt(keys, 8) != 0xAA {
 		t.Fatal("setKeyAt disturbed neighbours")
 	}
 }
@@ -68,7 +68,7 @@ func TestAddFindRemoveChildAllKinds(t *testing.T) {
 		for i := 0; i < capacity; i++ {
 			b := byte(255 - i)
 			c := n.findChild(b)
-			if c == nil || c.key != uint64(b) {
+			if c == nil || c.leaf().key != uint64(b) {
 				t.Fatalf("kind %d: findChild(%d) wrong", kind, b)
 			}
 		}
@@ -77,7 +77,7 @@ func TestAddFindRemoveChildAllKinds(t *testing.T) {
 		}
 		// Replace and remove.
 		n.replaceChild(255, newLeaf(999, 999))
-		if n.findChild(255).key != 999 {
+		if n.findChild(255).leaf().key != 999 {
 			t.Fatalf("kind %d: replaceChild failed", kind)
 		}
 		n.removeChild(255)
@@ -99,8 +99,8 @@ func TestGrowPreservesChildren(t *testing.T) {
 	for _, kind := range []uint8{kind4, kind16, kind48} {
 		n := newInner(kind, 2)
 		n.storeMeta(3, 2, 0)
-		n.prefixW.Store(0x030201)
-		n.pathHi.Store(0xAABB << 48)
+		n.in().prefixW.Store(0x030201)
+		n.in().pathHi.Store(0xAABB << 48)
 		capacity := map[uint8]int{kind4: 4, kind16: 16, kind48: 48}[kind]
 		for i := 0; i < capacity; i++ {
 			n.addChild(byte(i*5), newLeaf(uint64(i), uint64(i)))
@@ -113,12 +113,12 @@ func TestGrowPreservesChildren(t *testing.T) {
 		if pl != 3 || d != 2 || nc != capacity {
 			t.Fatalf("grow meta: %d %d %d", pl, d, nc)
 		}
-		if big.prefixW.Load() != 0x030201 || big.pathHi.Load() != 0xAABB<<48 {
+		if big.in().prefixW.Load() != 0x030201 || big.in().pathHi.Load() != 0xAABB<<48 {
 			t.Fatal("grow lost prefix/path")
 		}
 		for i := 0; i < capacity; i++ {
 			c := big.findChild(byte(i * 5))
-			if c == nil || c.key != uint64(i) {
+			if c == nil || c.leaf().key != uint64(i) {
 				t.Fatalf("grow lost child %d", i)
 			}
 		}
@@ -166,7 +166,7 @@ func TestMaskForAndCovers(t *testing.T) {
 		t.Fatalf("maskFor(2) = %#x", maskFor(2))
 	}
 	n := newInner(kind4, 2)
-	n.pathHi.Store(0x1122 << 48)
+	n.in().pathHi.Store(0x1122 << 48)
 	if !n.coversKey(0x1122334455667788) {
 		t.Fatal("matching key not covered")
 	}
@@ -179,27 +179,17 @@ func TestMaskForAndCovers(t *testing.T) {
 	}
 }
 
-func TestSubtreeMax(t *testing.T) {
-	// After fixing byte 0 = 0xAB, the subtree max is 0xABFFFF....
-	if got := subtreeMax(0xAB<<56, 0); got != 0xAB<<56|(uint64(1)<<56-1) {
-		t.Fatalf("subtreeMax = %#x", got)
-	}
-	if got := subtreeMax(42, 7); got != 42 {
-		t.Fatalf("deepest subtreeMax = %d", got)
-	}
-}
-
 func TestQuickPackedBytesRoundtrip(t *testing.T) {
 	f := func(vals []byte) bool {
 		if len(vals) > 256 {
 			vals = vals[:256]
 		}
-		n := newInner(kind48, 0)
+		keys, _ := newInner(kind48, 0).arrays()
 		for i, b := range vals {
-			n.setKeyAt(i, b)
+			setKeyAt(keys, i, b)
 		}
 		for i, b := range vals {
-			if n.keyAt(i) != b {
+			if keyAt(keys, i) != b {
 				return false
 			}
 		}

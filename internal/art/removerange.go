@@ -47,11 +47,9 @@ func (t *Tree) RemoveRange(lo, hi uint64, dst []index.KV) []index.KV {
 			continue
 		}
 		if root.kind == kindLeaf {
-			if root.key >= lo && root.key <= hi {
+			if k := root.leaf().key; k >= lo && k <= hi {
 				t.root.Store(nil)
-				dst = append(dst, index.KV{Key: root.key, Value: root.value.Load()})
-				t.size.Add(-1)
-				root.writeUnlockObsolete()
+				dst = t.consumeSubtree(root, dst)
 			} else {
 				root.writeUnlock()
 			}
@@ -73,11 +71,11 @@ func (t *Tree) RemoveRange(lo, hi uint64, dst []index.KV) []index.KV {
 
 // nodeSpan folds n's compressed-path prefix into acc (the key bytes fixed
 // by the path above n, high-aligned) and returns the extended accumulator
-// plus the total number of fixed bytes. Caller holds n's write lock, so
-// the reads are stable.
+// plus the total number of fixed bytes. Caller holds n's write lock or
+// validates its version afterwards.
 func nodeSpan(n *Node, acc uint64, depth int) (uint64, int) {
 	pl, _, _ := n.loadMeta()
-	pw := n.prefixW.Load()
+	pw := n.in().prefixW.Load()
 	for i := 0; i < pl && depth+i < 8; i++ {
 		acc |= uint64(byte(pw>>(8*i))) << (56 - 8*(depth+i))
 	}
@@ -106,49 +104,15 @@ func lockNode(n *Node) {
 	}
 }
 
-// snapshotChildren copies n's child entries in ascending byte order.
-// Caller holds n's write lock.
-func snapshotChildren(n *Node, bs *[256]byte, cs *[256]*Node) int {
-	cnt := 0
-	switch n.kind {
-	case kind4, kind16:
-		for i := 0; i < n.numChildren(); i++ {
-			bs[cnt], cs[cnt] = n.keyAt(i), n.children[i].Load()
-			cnt++
-		}
-	case kind48:
-		for b := 0; b < 256; b++ {
-			if idx := int(n.keyAt(b)); idx != 0 {
-				bs[cnt], cs[cnt] = byte(b), n.children[idx-1].Load()
-				cnt++
-			}
-		}
-	case kind256:
-		for b := 0; b < 256; b++ {
-			if c := n.children[b].Load(); c != nil {
-				bs[cnt], cs[cnt] = byte(b), c
-				cnt++
-			}
-		}
-	}
-	return cnt
-}
-
 // rrAction is one classified overlapping child, processed after the parent
-// lock is dropped. The node is write-locked; detached ones (leaf, full)
-// are already unlinked from the parent.
+// lock is dropped. The node is write-locked; unless partial (a boundary
+// subtree to recurse into), it is already unlinked from the parent.
 type rrAction struct {
-	node  *Node
-	acc   uint64 // partial only: fixed bytes incl. the node's own prefix
-	depth int    // partial only: count of fixed bytes
-	kind  uint8  // rrLeaf | rrFull | rrPartial
+	node    *Node
+	partial bool
+	acc     uint64 // partial only: fixed bytes incl. the node's own prefix
+	depth   int    // partial only: count of fixed bytes
 }
-
-const (
-	rrLeaf uint8 = iota
-	rrFull
-	rrPartial
-)
 
 // removeRangeIn processes an inner node that partially overlaps [lo, hi].
 // n is write-locked and linked; acc/depth include n's prefix. Under n's
@@ -165,26 +129,19 @@ func (t *Tree) removeRangeIn(n *Node, acc uint64, depth int, lo, hi uint64, dst 
 	}
 	var bs [256]byte
 	var cs [256]*Node
-	cnt := snapshotChildren(n, &bs, &cs)
+	// Only the child bytes whose subtrees can intersect the window.
+	wlo, whi := windowBytes(acc, depth, lo, hi)
+	cnt := n.childrenInto(wlo, whi, &bs, &cs)
 
 	var acts []rrAction
 	for i := 0; i < cnt; i++ {
 		c := cs[i]
-		if c == nil {
-			continue
-		}
 		childAcc := acc | uint64(bs[i])<<(56-8*depth)
-		if subtreeMax(childAcc, depth) < lo {
-			continue // whole subtree below the window
-		}
-		if childAcc > hi {
-			break // this and all later subtrees are above the window
-		}
 		lockNode(c)
 		if c.kind == kindLeaf {
-			if c.key >= lo && c.key <= hi {
+			if k := c.leaf().key; k >= lo && k <= hi {
 				n.removeChild(bs[i])
-				acts = append(acts, rrAction{node: c, kind: rrLeaf})
+				acts = append(acts, rrAction{node: c})
 			} else {
 				c.writeUnlock()
 			}
@@ -196,23 +153,18 @@ func (t *Tree) removeRangeIn(n *Node, acc uint64, depth int, lo, hi uint64, dst 
 			c.writeUnlock() // prefix steers the subtree outside the window
 		case cAcc >= lo && cMax <= hi:
 			n.removeChild(bs[i])
-			acts = append(acts, rrAction{node: c, kind: rrFull})
+			acts = append(acts, rrAction{node: c})
 		default:
-			acts = append(acts, rrAction{node: c, acc: cAcc, depth: cDepth, kind: rrPartial})
+			acts = append(acts, rrAction{node: c, partial: true, acc: cAcc, depth: cDepth})
 		}
 	}
 	n.writeUnlock()
 
 	for _, a := range acts {
-		switch a.kind {
-		case rrLeaf:
-			dst = append(dst, index.KV{Key: a.node.key, Value: a.node.value.Load()})
-			t.size.Add(-1)
-			a.node.writeUnlockObsolete()
-		case rrFull:
-			dst = t.consumeSubtree(a.node, dst)
-		default:
+		if a.partial {
 			dst = t.removeRangeIn(a.node, a.acc, a.depth, lo, hi, dst)
+		} else {
+			dst = t.consumeSubtree(a.node, dst)
 		}
 	}
 	return dst
@@ -226,19 +178,16 @@ func (t *Tree) removeRangeIn(n *Node, acc uint64, depth int, lo, hi uint64, dst 
 // that did complete is observed here. Leaves are emitted in order.
 func (t *Tree) consumeSubtree(n *Node, dst []index.KV) []index.KV {
 	if n.kind == kindLeaf {
-		dst = append(dst, index.KV{Key: n.key, Value: n.value.Load()})
+		dst = append(dst, index.KV{Key: n.leaf().key, Value: n.leaf().value.Load()})
 		t.size.Add(-1)
 		n.writeUnlockObsolete()
 		return dst
 	}
 	var bs [256]byte
 	var cs [256]*Node
-	cnt := snapshotChildren(n, &bs, &cs)
+	cnt := n.childrenInto(0, 255, &bs, &cs)
 	n.writeUnlockObsolete()
 	for i := 0; i < cnt; i++ {
-		if cs[i] == nil {
-			continue
-		}
 		lockNode(cs[i])
 		dst = t.consumeSubtree(cs[i], dst)
 	}

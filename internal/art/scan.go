@@ -101,10 +101,8 @@ func (t *Tree) collectFast(n *Node, acc uint64, depth, lvl int, start, end uint6
 		return true
 	}
 	if n.kind == kindLeaf {
-		k := n.key
-		val := n.value.Load()
-		if k >= start && k <= end {
-			*out = append(*out, index.KV{Key: k, Value: val})
+		if lf := n.leaf(); lf.key >= start && lf.key <= end {
+			*out = append(*out, index.KV{Key: lf.key, Value: lf.value.Load()})
 		}
 		return true
 	}
@@ -112,50 +110,20 @@ func (t *Tree) collectFast(n *Node, acc uint64, depth, lvl int, start, end uint6
 	if !okv {
 		return false
 	}
-	pl, nd, _ := n.loadMeta()
-	if nd != depth {
+	if n.Depth() != depth {
 		return false
 	}
-	pw := n.prefixW.Load()
-	for i := 0; i < pl && depth+i < 8; i++ {
-		acc |= uint64(byte(pw>>(8*i))) << (56 - 8*(depth+i))
-	}
-	depth += pl
+	acc, depth = nodeSpan(n, acc, depth)
 	// Snapshot the ordered child list into this level's scratch before
-	// validating. Wide nodes (48/256) snapshot only the child bytes whose
-	// subtrees can intersect [start, end]: near the root the window spans a
-	// byte or two out of 256, so this collapses the snapshot loop from 256
-	// probes to the handful the descent will actually visit.
+	// validating, and only the child bytes whose subtrees can intersect
+	// [start, end]: near the root the window spans a byte or two out of
+	// 256, so a wide node costs the handful of probes the descent will
+	// actually visit instead of 256.
 	lev := &sc.levels[lvl]
 	cnt := 0
 	if depth <= 7 {
-		switch n.kind {
-		case kind4, kind16:
-			m := n.numChildren()
-			if m > len(n.children) {
-				m = len(n.children) // torn read; validation below rejects
-			}
-			for i := 0; i < m; i++ {
-				lev.bs[cnt], lev.cs[cnt] = n.keyAt(i), n.children[i].Load()
-				cnt++
-			}
-		case kind48:
-			lo, hi := windowBytes(acc, depth, start, end)
-			for b := lo; b <= hi; b++ {
-				if idx := int(n.keyAt(b)); idx != 0 && idx <= len(n.children) {
-					lev.bs[cnt], lev.cs[cnt] = byte(b), n.children[idx-1].Load()
-					cnt++
-				}
-			}
-		case kind256:
-			lo, hi := windowBytes(acc, depth, start, end)
-			for b := lo; b <= hi; b++ {
-				if c := n.children[b].Load(); c != nil {
-					lev.bs[cnt], lev.cs[cnt] = byte(b), c
-					cnt++
-				}
-			}
-		}
+		lo, hi := windowBytes(acc, depth, start, end)
+		cnt = n.childrenInto(lo, hi, &lev.bs, &lev.cs)
 	}
 	if !n.checkOrRestart(v) {
 		return false
@@ -167,18 +135,8 @@ func (t *Tree) collectFast(n *Node, acc uint64, depth, lvl int, start, end uint6
 		if len(*out) >= max {
 			return true
 		}
-		c := lev.cs[i]
-		if c == nil {
-			continue
-		}
 		childAcc := acc | uint64(lev.bs[i])<<(56-8*depth)
-		if subtreeMax(childAcc, depth) < start {
-			continue // whole subtree below the scan start
-		}
-		if childAcc > end {
-			break // this and all later subtrees are above the window
-		}
-		if !t.collectFast(c, childAcc, depth+1, lvl+1, start, end, max, out, sc) {
+		if !t.collectFast(lev.cs[i], childAcc, depth+1, lvl+1, start, end, max, out, sc) {
 			return false
 		}
 	}
@@ -207,14 +165,4 @@ func windowBytes(acc uint64, depth int, start, end uint64) (int, int) {
 		return 1, 0 // every key here is above end
 	}
 	return lo, hi
-}
-
-// subtreeMax returns the largest key a subtree rooted after consuming
-// depth+1 bytes (held in acc) can contain.
-func subtreeMax(acc uint64, depth int) uint64 {
-	bitsFixed := 8 * (depth + 1)
-	if bitsFixed >= 64 {
-		return acc
-	}
-	return acc | (uint64(1)<<(64-bitsFixed) - 1)
 }

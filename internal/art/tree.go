@@ -48,7 +48,7 @@ func (t *Tree) onReplace(old, new *Node) {
 // differs from key's bytes starting at depth, or -1 if they all match.
 // Safe for optimistic readers.
 func prefixMismatch(n *Node, key uint64, depth, pl int) int {
-	w := n.prefixW.Load()
+	w := n.in().prefixW.Load()
 	for i := 0; i < pl; i++ {
 		if byte(w>>(8*i)) != keyByte(key, depth+i) {
 			return i
@@ -90,6 +90,9 @@ func (t *Tree) Get(key uint64) (uint64, bool) {
 // If start keeps failing entry (obsolete, hot, or re-parented so that it no
 // longer covers key), the lookup falls back to a root traversal.
 func (t *Tree) GetFrom(start *Node, key uint64) (val uint64, found bool, pathLen int) {
+	if start != nil && start.kind == kindLeaf {
+		start = nil // a leaf records no depth, so it is no entry point
+	}
 	for attempt := 0; ; attempt++ {
 		val, found, pathLen, ok := t.tryGet(start, key)
 		if ok {
@@ -138,12 +141,12 @@ func (t *Tree) tryGet(start *Node, key uint64) (val uint64, found bool, pathLen 
 	for {
 		pathLen++
 		if cur.kind == kindLeaf {
-			k := cur.key
-			val = cur.value.Load()
+			lf := cur.leaf()
+			val = lf.value.Load()
 			if !cur.checkOrRestart(v) {
 				return 0, false, 0, false
 			}
-			return val, k == key, pathLen, true
+			return val, lf.key == key, pathLen, true
 		}
 		pl, _, _ := cur.loadMeta()
 		if prefixMismatch(cur, key, depth, pl) >= 0 {
@@ -192,7 +195,7 @@ func (t *Tree) Put(key, value uint64) (added bool) {
 // parent is unknown here — or the entry keeps failing validation, the
 // insert falls back to a root traversal.
 func (t *Tree) PutFrom(start *Node, key, value uint64) (added bool) {
-	for attempt := 0; start != nil && attempt < 3; attempt++ {
+	for attempt := 0; start != nil && start.kind != kindLeaf && attempt < 3; attempt++ {
 		done, added, needRoot := t.tryInsert(start, key, value)
 		if done {
 			return added
@@ -226,13 +229,13 @@ func (t *Tree) tryUpdate(key, value uint64) (done, found bool) {
 			if !cur.checkOrRestart(v) {
 				return false, false
 			}
-			if cur.key != key {
+			if cur.leaf().key != key {
 				return true, false
 			}
 			// The value is a single atomic word; a racing remove makes
 			// this store land on a dead leaf, which linearizes as
 			// update-before-remove.
-			cur.value.Store(value)
+			cur.leaf().value.Store(value)
 			return true, true
 		}
 		pl, _, _ := cur.loadMeta()
@@ -279,11 +282,12 @@ func (t *Tree) tryInsert(start *Node, key, value uint64) (done, added, needRoot 
 	var parentByte byte
 	for {
 		if cur.kind == kindLeaf {
-			if cur.key == key {
+			curKey := cur.leaf().key
+			if curKey == key {
 				if !cur.checkOrRestart(v) {
 					return false, false, false
 				}
-				cur.value.Store(value) // upsert in place
+				cur.leaf().value.Store(value) // upsert in place
 				return true, false, false
 			}
 			// Split the leaf under a new Node4 holding the common
@@ -308,16 +312,16 @@ func (t *Tree) tryInsert(start *Node, key, value uint64) (done, added, needRoot 
 				}
 			}
 			n4 := newInner(kind4, depth)
-			n4.pathHi.Store(key & maskFor(depth))
+			n4.in().pathHi.Store(key & maskFor(depth))
 			var pw uint64
 			i := depth
-			for i < 8 && keyByte(cur.key, i) == keyByte(key, i) {
+			for i < 8 && keyByte(curKey, i) == keyByte(key, i) {
 				pw |= uint64(keyByte(key, i)) << (8 * (i - depth))
 				i++
 			}
-			n4.prefixW.Store(pw)
+			n4.in().prefixW.Store(pw)
 			n4.storeMeta(i-depth, depth, 0)
-			n4.addChild(keyByte(cur.key, i), cur)
+			n4.addChild(keyByte(curKey, i), cur)
 			n4.addChild(keyByte(key, i), newLeaf(key, value))
 			if parent == nil {
 				t.root.Store(n4)
@@ -352,23 +356,23 @@ func (t *Tree) tryInsert(start *Node, key, value uint64) (done, added, needRoot 
 					return false, false, false
 				}
 			}
-			oldW := cur.prefixW.Load()
+			oldW := cur.in().prefixW.Load()
 			oldByte := byte(oldW >> (8 * mismatch))
 			np := newInner(kind4, depth)
-			np.pathHi.Store(key & maskFor(depth))
+			np.in().pathHi.Store(key & maskFor(depth))
 			if mismatch > 0 {
-				np.prefixW.Store(oldW & (uint64(1)<<(8*mismatch) - 1))
+				np.in().prefixW.Store(oldW & (uint64(1)<<(8*mismatch) - 1))
 			}
 			np.storeMeta(mismatch, depth, 0)
 			// Trim cur's prefix: mismatch bytes moved into np plus one
 			// byte consumed as cur's child byte under np. cur's root
 			// path grows by the extracted bytes.
-			hi := cur.pathHi.Load() & maskFor(depth)
+			hi := cur.in().pathHi.Load() & maskFor(depth)
 			for i := 0; i <= mismatch; i++ {
 				hi |= uint64(byte(oldW>>(8*i))) << (56 - 8*(depth+i))
 			}
-			cur.pathHi.Store(hi)
-			cur.prefixW.Store(oldW >> (8 * (mismatch + 1)))
+			cur.in().pathHi.Store(hi)
+			cur.in().prefixW.Store(oldW >> (8 * (mismatch + 1)))
 			cur.storeMeta(pl-mismatch-1, depth+mismatch+1, cur.numChildren())
 			np.addChild(oldByte, cur)
 			np.addChild(keyByte(key, depth+mismatch), newLeaf(key, value))
@@ -463,7 +467,7 @@ func (t *Tree) tryRemove(key uint64) (done, removed bool) {
 	var parentByte, gpByte byte
 	for {
 		if cur.kind == kindLeaf {
-			if cur.key != key {
+			if cur.leaf().key != key {
 				if !cur.checkOrRestart(v) {
 					return false, false
 				}
@@ -586,28 +590,22 @@ func (t *Tree) LowestCommonNode(a, b uint64) *Node {
 
 // MemoryUsage approximates retained heap bytes. Intended for quiescent
 // measurement (no concurrent writers).
-func (t *Tree) MemoryUsage() uintptr { return memWalk(t.root.Load()) }
+func (t *Tree) MemoryUsage() uintptr {
+	if root := t.root.Load(); root != nil {
+		return memWalk(root)
+	}
+	return 0
+}
 
 func memWalk(n *Node) uintptr {
-	if n == nil {
-		return 0
-	}
 	total := n.byteSize()
-	switch n.kind {
-	case kind4, kind16:
-		for i := 0; i < n.numChildren(); i++ {
-			total += memWalk(n.children[i].Load())
-		}
-	case kind48:
-		for b := 0; b < 256; b++ {
-			if idx := int(n.keyAt(b)); idx != 0 {
-				total += memWalk(n.children[idx-1].Load())
-			}
-		}
-	case kind256:
-		for b := 0; b < 256; b++ {
-			total += memWalk(n.children[b].Load())
-		}
+	if n.kind == kindLeaf {
+		return total
+	}
+	var bs [256]byte
+	var cs [256]*Node
+	for _, c := range cs[:n.childrenInto(0, 255, &bs, &cs)] {
+		total += memWalk(c)
 	}
 	return total
 }

@@ -342,18 +342,27 @@ func (tb *table) memory() uintptr {
 }
 
 // router is the direct-indexed routing accelerator every operation goes
-// through. Windows partition the directory's key range [base, base+span)
-// into at most routerWindows equal slices; rt[w] packs the window's model
+// through. Grid windows partition the key range [base, base+span) into at
+// most routerWindows equal slices; rt[1+g] packs grid window g's model
 // bracket — the rightmost model positions at the window's start and end —
 // into one word, so routing a key is one shift, one load and a short
 // predicated search.
 //
+// The grid spans the bulk of the directory, not all of it: the routerTrim
+// share of models at each end is left to the two clamp windows rt[0]
+// (keys below base) and rt[len-1] (keys past the grid), whose brackets are
+// those models. A uniform grid is only as fine as its span is tight, and
+// one outlier tail — fb's top percentile stretches the boundaries to ~2^62
+// — would otherwise put every dense key into window 0. Models stand in for
+// keys here: GPL segments hold comparable numbers of them.
+//
 // Clustered directories (OSM-like data packs most models into a small
-// fraction of the key span) defeat a single uniform grid: nearly every
-// query lands in the handful of windows that hold 16-64 models. Windows
-// whose bracket is wider than subWide therefore carry a second-level
-// sub-table of subWindows finer slices (referenced through the entry's
-// high bits), which brings the query-weighted bracket width back to ~1.
+// fraction of the key span) defeat a single uniform grid too: nearly every
+// query lands in the handful of windows that hold 16-64 models. Grid
+// windows whose bracket is wider than subWide therefore carry a
+// second-level sub-table of subWindows finer slices (referenced through the
+// entry's high bits), which brings the query-weighted bracket width back
+// to ~1.
 type router struct {
 	base     uint64
 	shift    uint
@@ -367,6 +376,7 @@ type router struct {
 // a uniform-ish directory map to exactly one model.
 const (
 	routerWindows = 8192
+	routerTrim    = 50 // 1/50 of the models at each end lie outside the grid
 	rtIdxBits     = 21
 	rtIdxMask     = 1<<rtIdxBits - 1
 	subWindows    = 64 // second-level fanout (uniform, so shift-only decode)
@@ -375,53 +385,43 @@ const (
 
 func buildRouter(fs []uint64) router {
 	n := len(fs)
-	base := fs[0]
-	span := fs[n-1] - base
+	i0 := n / routerTrim
+	base := fs[i0]
+	span := fs[n-1-i0] - base
 	shift := uint(0)
 	if l, lw := bits.Len64(span), bits.Len(routerWindows); l >= lw {
 		shift = uint(l - lw + 1)
 	}
-	size := int(span>>shift) + 2 // +1 for the end boundary, +1 for the clamp window
-	r := router{base: base, shift: shift, rt: make([]uint64, size)}
-	// lo[w] = rightmost model whose first key is <= window w's start. The
-	// window starts past the end of an unaligned span can overflow uint64
-	// (either in the shift itself or in the add); windowStart saturates
-	// them at MaxUint64 — a wrapped (small) start would stall the monotone
-	// walk before mi reaches the last models, and the router would then
-	// exclude them from every bracket.
-	lo := make([]int32, size)
-	mi := 0
-	for w := 0; w < size; w++ {
-		ws := windowStart(base, uint64(w), shift)
+	grid := int(span>>shift) + 1
+	r := router{base: base, shift: shift, rt: make([]uint64, grid+2)}
+	// lo[g] = rightmost model whose boundary is <= grid window g's start;
+	// lo[grid] closes the last window.
+	lo := make([]int32, grid+1)
+	mi := i0
+	for g := range lo {
+		ws := windowStart(base, uint64(g), shift)
 		for mi+1 < n && fs[mi+1] <= ws {
 			mi++
 		}
-		lo[w] = int32(mi)
+		lo[g] = int32(mi)
 	}
 	canSub := shift >= 6 // subWindows = 1<<6
 	if canSub {
 		r.subShift = shift - 6
 	}
-	for w := 0; w < size; w++ {
-		l := lo[w]
-		h := int32(n - 1)
-		if w+1 < size {
-			h = lo[w+1]
-		}
+	r.rt[0] = uint64(i0) << rtIdxBits
+	r.rt[grid+1] = uint64(lo[grid]) | uint64(n-1)<<rtIdxBits
+	for g := 0; g < grid; g++ {
+		l, h := lo[g], lo[g+1]
 		e := uint64(l) | uint64(h)<<rtIdxBits
-		// Second level for wide brackets. The first and the last two
-		// windows stay plain: keys below base or clamped in from above
-		// the span would decode a garbage sub-slice index there (their
-		// key offset does not correspond to the clamped window).
-		if canSub && h-l > subWide && w > 0 && w+2 < size {
+		// Second level for wide brackets. Only keys inside the grid reach
+		// a grid window, so the sub-slice their offset decodes to is theirs.
+		if canSub && h-l > subWide {
 			ref := uint64(len(r.sub)/(subWindows+1)) + 1
 			smi := int(l)
-			// w+2 < size keeps every sub-boundary ws + s<<subShift at or
-			// below the next window's start <= base+span, so no overflow
-			// handling is needed here.
-			ws := base + uint64(w)<<shift
-			for s := 0; s <= subWindows; s++ {
-				ss := ws + uint64(s)<<r.subShift
+			ws := base + uint64(g)<<shift // <= base+span: cannot overflow
+			for s := uint64(0); s <= subWindows; s++ {
+				ss := windowStart(ws, s, r.subShift)
 				for smi+1 < n && fs[smi+1] <= ss {
 					smi++
 				}
@@ -429,15 +429,17 @@ func buildRouter(fs []uint64) router {
 			}
 			e |= ref << (2 * rtIdxBits)
 		}
-		r.rt[w] = e
+		r.rt[1+g] = e
 	}
 	return r
 }
 
-// windowStart returns base + w<<shift saturated at MaxUint64. Near the
-// top of the key space the trailing windows' starts overflow uint64 —
-// either w<<shift sheds high bits or the add wraps — and the build walk
-// above must see them as "past every key", not as small wrapped values.
+// windowStart returns base + w<<shift saturated at MaxUint64. Near the top
+// of the key space the boundaries past the grid's last window start
+// overflow uint64 — either w<<shift sheds high bits or the add wraps — and
+// the build walks above must see them as "past every key": a wrapped
+// (small) value would stall a monotone walk before it reaches the last
+// models, and the router would then exclude them from every bracket.
 func windowStart(base, w uint64, shift uint) uint64 {
 	d := w << shift
 	if d>>shift != w {
@@ -450,17 +452,13 @@ func windowStart(base, w uint64, shift uint) uint64 {
 	return ws
 }
 
-// window maps key to its router window, clamped so rt[w] and rt[w+1] are
-// both valid. Small enough to inline into batch loops.
+// window maps key to its router window: 0 below the grid, len(rt)-1 past
+// it. Small enough to inline into batch loops.
 func (r *router) window(key uint64) int32 {
-	if key <= r.base {
+	if key < r.base {
 		return 0
 	}
-	w := (key - r.base) >> r.shift
-	if w >= uint64(len(r.rt)-1) {
-		w = uint64(len(r.rt) - 2)
-	}
-	return int32(w)
+	return int32(min((key-r.base)>>r.shift+1, uint64(len(r.rt)-1)))
 }
 
 // narrow resolves a bracket [lo, hi] to the model position responsible for

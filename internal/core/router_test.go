@@ -111,6 +111,22 @@ func TestRouteMatchesReference(t *testing.T) {
 		{name: "clusters", wantSub: true, bounds: mk(4000, func(i int) uint64 {
 			return uint64(i/1000)<<60 + 1<<50 + uint64(i%1000)*4096
 		})},
+		// fb's shape: a dense body and a top percentile of outliers that
+		// stretches the boundaries' span ~2^30-fold. The grid must stay on
+		// the body (sub-tables included) and the tail in the clamp window.
+		{name: "outlier-tail", wantSub: true, bounds: mk(5000, func(i int) uint64 {
+			if i < 4950 {
+				return 1<<32 + uint64(i/50)<<20 + uint64(i%50)*64
+			}
+			return 1<<40 + uint64(i-4950)<<55
+		})},
+		// The mirror image: outliers below the body.
+		{name: "outlier-head", bounds: mk(5000, func(i int) uint64 {
+			if i < 50 {
+				return uint64(i) << 50
+			}
+			return 1<<62 + uint64(i)*4096
+		})},
 		// The three ways a window start can overflow uint64: the span ends
 		// exactly at MaxUint64 unaligned to the window width (the add
 		// wraps), it covers the full key space (w<<shift sheds bits), and
@@ -148,6 +164,14 @@ func TestRouteMatchesReference(t *testing.T) {
 			}
 			check(0)
 			check(top)
+			if r := &tb.rt; len(r.rt) > 0 {
+				// Both sides of the grid's two edges, where keys change
+				// over to the clamp windows.
+				end := windowStart(r.base, uint64(len(r.rt)-2), r.shift)
+				for _, k := range []uint64{r.base - 1, r.base, r.base + 1, end - 1, end, end + 1} {
+					check(k)
+				}
+			}
 			stride := max(1, len(c.bounds)/20000)
 			for i := 0; i < len(c.bounds); i += stride {
 				b := c.bounds[i]
@@ -165,6 +189,9 @@ func TestRouteMatchesReference(t *testing.T) {
 				}
 				if lo > 0 {
 					check(rng.Uint64() % lo) // below the first boundary
+				}
+				if hi := lo + span; hi < top {
+					check(hi + 1 + rng.Uint64()%(top-hi)) // above the last boundary
 				}
 			}
 		})
@@ -278,6 +305,40 @@ func TestPointOpsDoNotAllocate(t *testing.T) {
 		op() // warm: first use of the epoch pin and the backoff state
 		if n := testing.AllocsPerRun(2000, op); n != 0 {
 			t.Errorf("%s allocates %.1f times per op, want 0", name, n)
+		}
+	}
+}
+
+// narrowSteps is the number of probes narrow makes on a bracket n wide.
+func narrowSteps(n int32) (steps int) {
+	for ; n > 0; n -= (n + 1) >> 1 {
+		steps++
+	}
+	return steps
+}
+
+// TestRouterBracketWidth holds the router to "direct-indexed" on every
+// dataset of the paper: over all bulk-loaded keys, the bracket the router
+// hands to narrow costs at most 3 probes on average. A grid laid over the
+// full boundary span fails it on fb, whose outlier tail stretches the span
+// until the dense 99% of keys share window 0.
+func TestRouterBracketWidth(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("bulk-loads 1M keys per dataset, single-goroutine and deterministic")
+	}
+	for _, name := range dataset.Names() {
+		keys := dataset.Generate(name, 1000000, 1)
+		a := mustBulk(t, Options{DisableRetraining: true}, keys)
+		tb := a.tab.Load()
+		total := 0
+		for _, k := range keys {
+			lo, hi := tb.bracket(k)
+			total += narrowSteps(hi - lo)
+		}
+		mean := float64(total) / float64(len(keys))
+		t.Logf("%s: %d models, %.2f narrow steps per route", name, len(tb.bounds), mean)
+		if mean > 3 {
+			t.Errorf("%s: %.2f narrow steps per route over %d models, want <= 3", name, mean, len(tb.bounds))
 		}
 	}
 }
