@@ -76,7 +76,8 @@ var ErrUnsortedBulk = index.ErrUnsortedBulk
 // New returns an empty ALT-index with the given options. Options.Shards
 // selects the layout: zero (or one) is a single instance, higher values
 // range-partition the keyspace into that many independent shards at
-// CDF-balanced boundaries (see internal/shard).
+// CDF-balanced boundaries, which Bulkload computes and nothing moves
+// afterwards (see internal/shard).
 func New(opts Options) Index {
 	if opts.Shards > 1 {
 		return shard.New(opts)

@@ -54,8 +54,6 @@ func main() {
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain bound")
 		coalesceConns = flag.Int("coalesce-conns", 0, "connection count at which cross-connection op coalescing engages (0 = 8, negative disables)")
 		shards        = flag.Int("shards", 0, "range-partition the keyspace across this many index shards (0 = single instance)")
-		rebFactor     = flag.Float64("rebalance-factor", 0, "adaptive shard rebalancing: split/merge online when max/mean routed-op imbalance exceeds this factor (0 disables; needs -shards > 1)")
-		rebInterval   = flag.Duration("rebalance-interval", 0, "rebalancer evaluation cadence (0 = 500ms)")
 		walDir        = flag.String("wal-dir", "", "durability directory: write-ahead log + incremental checkpoints; writes ack only after commit")
 		walSync       = flag.String("wal-sync", "always", "WAL commit point: always (fsync per group commit), interval, none")
 		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "WAL segment size cap in bytes (0 = 64 MiB)")
@@ -87,8 +85,6 @@ func main() {
 		CoalesceConns:      *coalesceConns,
 		SnapshotPath:       *snapshot,
 		Shards:             *shards,
-		RebalanceFactor:    *rebFactor,
-		RebalanceInterval:  *rebInterval,
 		WALDir:             *walDir,
 		WALSync:            *walSync,
 		WALSegmentBytes:    *walSegBytes,

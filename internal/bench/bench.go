@@ -28,11 +28,7 @@ type Config struct {
 	HotFrac   float64 // reserved fraction for Hot (default 0.2)
 	Mix       workload.Mix
 	Theta     float64 // zipfian θ for reads (default 0.99)
-	// Hotspot, when set, replaces the Zipfian key choice with the hotspot
-	// distribution (hot-fraction / hot-opfrac / shift schedule) — the
-	// adaptive-rebalancing experiment's moving skew.
-	Hotspot *workload.Hotspot
-	Threads int
+	Threads   int
 	Ops       int // total operations across all threads
 	Seed      uint64
 	// SampleEvery controls latency sampling (default every 16th op).
@@ -137,7 +133,6 @@ func Run(factory func() index.Concurrent, cfg Config) Result {
 		Theta:   cfg.Theta,
 		Threads: cfg.Threads,
 		Seed:    cfg.Seed + 1,
-		Hotspot: cfg.Hotspot,
 	}, loaded, pending)
 
 	if cfg.Ops < 0 {

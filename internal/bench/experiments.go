@@ -119,7 +119,6 @@ func Experiments() []Experiment {
 		{"ablation-gap", "Ablation: ALT gap factor sweep, balanced", AblationGap},
 		{"ablation-writeback", "Ablation: ALT write-back scheme on/off", AblationWriteback},
 		{"wal-commit", "WAL group commit: commits/s vs fsyncs/s per sync policy x writers, plus replay speed", WALCommit},
-		{"rebalance", "Adaptive rebalancing: moving 90/10 hotspot, split/merge controller vs static boundaries", Rebalance},
 		{"net-path", "Net path: pipelined protocol loop + cross-connection coalescing over TCP, depth and connection sweeps", NetPath},
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"altindex/internal/arena"
 	"altindex/internal/art"
@@ -66,8 +65,9 @@ type Options struct {
 	AutoTrainThreshold int
 	// Shards asks front-ends (altindex.New, memdb tables, the bench
 	// factories) for a range-partitioned index of this many independent
-	// ALT shards behind a learned boundary router (internal/shard). Zero
-	// keeps the single-instance layout. core.New itself ignores the field
+	// ALT shards behind a learned boundary router (internal/shard), whose
+	// boundaries Bulkload fixes and nothing moves afterwards. Zero keeps
+	// the single-instance layout. core.New itself ignores the field
 	// — one core.ALT is always one shard — so a single Options value can
 	// flow unchanged through the whole stack.
 	Shards int
@@ -86,39 +86,6 @@ type Options struct {
 	// RetrainGate) so cross-shard operations pin once. Nil makes the
 	// index own a private domain.
 	Reclaim *arena.Domain
-	// RebalanceFactor enables the sharded front-end's adaptive rebalance
-	// controller (internal/shard): when the hottest shard's routed-op
-	// share exceeds the mean by this factor (e.g. 1.5) for
-	// RebalanceWindows consecutive evaluation windows, the controller
-	// splits the hot shard at a learned CDF boundary or merges adjacent
-	// cold shards, migrating slots without stopping reads. Zero keeps the
-	// boundaries static (the pre-rebalancing behaviour). core.New ignores
-	// the field, like Shards.
-	RebalanceFactor float64
-	// RebalanceInterval is the controller's evaluation cadence (a
-	// routed-op threshold kicks evaluations early under load). Zero
-	// selects 500ms.
-	RebalanceInterval time.Duration
-	// RebalanceWindows is how many consecutive over-factor windows must
-	// accumulate before the controller acts. Zero selects 3.
-	RebalanceWindows int
-	// RebalanceMinOps is the minimum routed-op delta a window must carry
-	// to count: smaller windows accumulate instead of voting, so an idle
-	// index never rebalances on noise. Zero selects 16384.
-	RebalanceMinOps int64
-	// RebalanceMinSplit is the resident-key floor below which the
-	// controller refuses to split a hot shard: bulkload derives each
-	// shard's error bound as n/1000 floored at 16, so below ~16k keys a
-	// split cannot tighten prediction windows and only churns boundaries.
-	// Zero selects 16384. (SplitShard itself stays ungated for embedders
-	// and tests.)
-	RebalanceMinSplit int
-	// OnRebalance, when non-nil, is invoked by the sharded front-end
-	// after each rebalanced boundary layout is published, with a copy of
-	// the new boundary keys. WAL-backed embedders (internal/memdb) log
-	// the change so recovery reproduces the layout. Called from the
-	// migrating goroutine after the publish, never under internal locks.
-	OnRebalance func(bounds []uint64)
 }
 
 func (o Options) withDefaults() Options {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"altindex/internal/shard"
 	"altindex/internal/snapio"
 	"altindex/internal/wal"
 )
@@ -56,7 +55,10 @@ const (
 	recDelete      byte = 2 // [u16 nameLen][name][u64 pk]
 	recCreateTable byte = 3 // [u16 nameLen][name][u32 columns][u32 shards]
 	recCreateIndex byte = 4 // [u16 nameLen][table][u16 nameLen][index][u32 col][u32 colBits]
-	recRebalance   byte = 5 // [u16 nameLen][name][u32 nbounds][nbounds×u64 bounds]
+	// recRebalance is a legacy opcode: builds that reshaped shard
+	// boundaries online logged each new layout. Nothing writes it now;
+	// replay checks its framing and skips it, so those logs still open.
+	recRebalance byte = 5 // [u16 nameLen][name][u32 nbounds][nbounds×u64 bounds]
 )
 
 const (
@@ -240,28 +242,16 @@ func (db *DB) applyRecord(payload []byte) error {
 		_, err = t.CreateIndex(index, int(col), uint(colBits))
 		return err
 	case recRebalance:
-		name := r.str()
+		r.str()
 		n := r.u32()
 		if r.err != nil || n > 64 {
 			return fmt.Errorf("memdb: malformed rebalance record")
 		}
-		bounds := make([]uint64, n)
-		for i := range bounds {
-			bounds[i] = r.u64()
+		for i := uint32(0); i < n; i++ {
+			r.u64()
 		}
 		if r.err != nil {
 			return fmt.Errorf("memdb: malformed rebalance record")
-		}
-		t, err := db.Table(name)
-		if err != nil {
-			return err
-		}
-		// Best-effort layout reproduction: only a sharded primary can take
-		// a boundary layout. A table recreated unsharded (replay of an
-		// older DDL) skips it — the data is unaffected either way, and a
-		// later record may re-shape the index again.
-		if sh, ok := t.primary.(*shard.ALT); ok {
-			return sh.SetBounds(bounds)
 		}
 		return nil
 	}
@@ -304,17 +294,6 @@ func encCreateIndex(table, index string, col int, colBits uint) []byte {
 	buf = encStr(buf, index)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(col))
 	return binary.LittleEndian.AppendUint32(buf, uint32(colBits))
-}
-
-func encRebalance(table string, bounds []uint64) []byte {
-	buf := make([]byte, 0, 1+2+len(table)+4+8*len(bounds))
-	buf = append(buf, recRebalance)
-	buf = encStr(buf, table)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bounds)))
-	for _, b := range bounds {
-		buf = binary.LittleEndian.AppendUint64(buf, b)
-	}
-	return buf
 }
 
 func encStr(buf []byte, s string) []byte {

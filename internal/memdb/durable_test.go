@@ -1,6 +1,7 @@
 package memdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -338,60 +339,77 @@ func checkState(t *testing.T, tbl *Table, want map[uint64][]uint64, maxPK uint64
 	}
 }
 
-// TestDurableRebalanceReplay: a rebalanced sharded primary's boundary
-// layout is WAL-logged and reproduced by recovery — the recRebalance
-// record round-trips through close/reopen.
-func TestDurableRebalanceReplay(t *testing.T) {
-	dir := t.TempDir()
-	db := openT(t, dir, Options{})
-	tbl, err := db.CreateTableWith("events", 1, TableOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+// TestDurableLegacyRebalanceRecordSkipped: a WAL written by a build that
+// still reshaped shard boundaries online can hold opcode 5. Replay must
+// check the record's framing and step over it — not refuse the log as an
+// unknown opcode — and must still refuse a malformed one. The records are
+// hand-encoded bytes: no encoder for the opcode exists any more.
+func TestDurableLegacyRebalanceRecordSkipped(t *testing.T) {
+	legacy := func(nbounds uint32, bounds ...uint64) []byte {
+		rec := []byte{5, 6, 0, 'e', 'v', 'e', 'n', 't', 's'}
+		rec = binary.LittleEndian.AppendUint32(rec, nbounds)
+		for _, b := range bounds {
+			rec = binary.LittleEndian.AppendUint64(rec, b)
+		}
+		return rec
 	}
-	const n = 4000
-	for pk := uint64(1); pk <= n; pk++ {
-		if err := tbl.Insert(pk*16, []uint64{pk}); err != nil {
+	// write logs [create table, 100 puts, rec, 100 puts] and closes.
+	write := func(t *testing.T, rec []byte) string {
+		dir := t.TempDir()
+		db := openT(t, dir, Options{})
+		tbl, err := db.CreateTableWith("events", 1, TableOptions{Shards: 4})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for pk := uint64(1); pk <= 200; pk++ {
+			if pk == 101 {
+				seq, err := db.logAppend(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := db.logWait(seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tbl.Insert(pk*16, []uint64{pk}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
 
-	// Force a migration the way the controller would; the OnRebalance
-	// hook must log the new layout durably.
-	sh := tbl.primary.(*shard.ALT)
-	if err := sh.SplitShard(0); err != nil {
-		t.Fatal(err)
-	}
-	wantBounds := sh.Bounds()
-	if len(wantBounds) != 4 {
-		t.Fatalf("got %d bounds after split, want 4", len(wantBounds))
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := openT(t, dir, Options{})
-	defer db2.Close()
-	tbl2, err := db2.Table("events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh2, ok := tbl2.primary.(*shard.ALT)
-	if !ok {
-		t.Fatal("replayed table is not sharded")
-	}
-	gotBounds := sh2.Bounds()
-	if len(gotBounds) != len(wantBounds) {
-		t.Fatalf("replayed %d bounds, want %d", len(gotBounds), len(wantBounds))
-	}
-	for i := range wantBounds {
-		if gotBounds[i] != wantBounds[i] {
-			t.Fatalf("bound %d = %d, want %d (layout not reproduced)", i, gotBounds[i], wantBounds[i])
+	t.Run("well-formed", func(t *testing.T) {
+		dir := write(t, legacy(3, 800, 1600, 2400))
+		db := openT(t, dir, Options{})
+		defer db.Close()
+		tbl, err := db.Table("events")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for pk := uint64(1); pk <= n; pk++ {
-		row, err := tbl2.Get(pk * 16)
-		if err != nil || row[0] != pk {
-			t.Fatalf("Get(%d) = (%v, %v), want [%d]", pk*16, row, err, pk)
+		if got := tbl.primary.(*shard.ALT).Shards(); got != 4 {
+			t.Fatalf("replayed table has %d shards, want the 4 its DDL asked for", got)
 		}
+		for pk := uint64(1); pk <= 200; pk++ {
+			row, err := tbl.Get(pk * 16)
+			if err != nil || row[0] != pk {
+				t.Fatalf("Get(%d) = (%v, %v), want [%d]", pk*16, row, err, pk)
+			}
+		}
+	})
+	for name, rec := range map[string][]byte{
+		"truncated-bounds": legacy(3, 800, 1600),
+		"too-many-bounds":  legacy(65, make([]uint64, 65)...),
+		"no-count":         legacy(0)[:9],
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := write(t, rec)
+			if db, err := Open(dir, Options{}); err == nil {
+				db.Close()
+				t.Fatal("Open accepted a malformed legacy record")
+			}
+		})
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"altindex/internal/core"
 	"altindex/internal/index"
@@ -62,19 +61,6 @@ type TableOptions struct {
 	// this setting — a reloaded database uses whatever options its tables
 	// are recreated with.
 	Shards int
-	// RebalanceFactor arms the sharded primary's adaptive rebalance
-	// controller: when the max/mean routed-op imbalance exceeds this
-	// factor for consecutive windows the hot shard is split (or cold
-	// shards merged) online. Zero disables; ignored unless Shards > 1. On
-	// a durable database every boundary change is WAL-logged
-	// (recRebalance), so recovery reproduces the converged layout — but
-	// the controller itself is re-armed only through this option, not
-	// through the log: tables recreated by replay rebalance again only if
-	// the embedder recreates them with the option set.
-	RebalanceFactor float64
-	// RebalanceInterval overrides the controller's evaluation cadence
-	// (mainly for tests); zero keeps the default.
-	RebalanceInterval time.Duration
 }
 
 // CreateTable registers a table with the given number of user columns and
@@ -161,21 +147,7 @@ func newTable(db *DB, name string, columns int, opts TableOptions) *Table {
 	}
 	var primary index.Concurrent
 	if opts.Shards > 1 {
-		copts := core.Options{
-			Shards:            opts.Shards,
-			RebalanceFactor:   opts.RebalanceFactor,
-			RebalanceInterval: opts.RebalanceInterval,
-		}
-		// Boundary changes are durable DDL: the controller logs each new
-		// layout and waits for the commit point, so a post-crash replay
-		// reproduces the layout the index had converged to. logAppend is a
-		// no-op on a non-durable DB and during replay.
-		copts.OnRebalance = func(bounds []uint64) {
-			if seq, err := db.logAppend(encRebalance(name, bounds)); err == nil {
-				_ = db.logWait(seq)
-			}
-		}
-		primary = shard.New(copts)
+		primary = shard.New(core.Options{Shards: opts.Shards})
 	} else {
 		primary = core.New(core.Options{})
 	}

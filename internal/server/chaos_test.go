@@ -98,3 +98,46 @@ func TestShutdownSnapshotCrash(t *testing.T) {
 		t.Fatal("crashed shutdown leaked generation-two data")
 	}
 }
+
+// TestCompactionKeepsWritesMadeDuringPublish: a write acked after a
+// compaction saved its base but before the compaction finished must still
+// be in the next delta checkpoint. The publish failpoint holds the
+// compaction in that window; the delta checkpoint afterwards moves the
+// recovery LSN past the write's record, so only the delta can carry it.
+func TestCompactionKeepsWritesMadeDuringPublish(t *testing.T) {
+	defer failpoint.DisableAll()
+	dir := t.TempDir()
+	srv, addr := startDurable(t, dir, Config{})
+	c := dial(t, addr)
+	for k := 1; k <= 50; k++ {
+		if got := c.cmd(t, fmt.Sprintf("SET %d %d", k, k)); got != "OK" {
+			t.Fatalf("SET = %q", got)
+		}
+	}
+	const site = "altdb/checkpoint/publish"
+	if err := failpoint.Enable(site, "1*delay(300ms)"); err != nil {
+		t.Fatal(err)
+	}
+	compacted := make(chan error, 1)
+	go func() { compacted <- srv.dur.Compact() }()
+	for failpoint.Hits(site) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// The base is on disk and the write gate is open again.
+	if got := c.cmd(t, "SET 7 777"); got != "OK" {
+		t.Fatalf("SET during publish = %q", got)
+	}
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.dur.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Abandon the server (no Shutdown) and recover.
+	srv2, addr2 := startDurable(t, dir, Config{})
+	defer srv2.Shutdown()
+	if got := dial(t, addr2).cmd(t, "GET 7"); got != "VALUE 777" {
+		t.Fatalf("GET 7 after recovery = %q, want the value acked during the compaction", got)
+	}
+}

@@ -16,7 +16,6 @@ import (
 
 	"altindex"
 	"altindex/internal/failpoint"
-	"altindex/internal/shard"
 	"altindex/internal/snapio"
 	"altindex/internal/wal"
 )
@@ -95,15 +94,6 @@ type ckptMeta struct {
 	Generation int    `json:"generation"` // 0 = no base file yet
 	Deltas     int    `json:"deltas"`     // delta files in this generation
 	LSN        uint64 `json:"lsn"`        // state covers all records <= LSN
-
-	// Bounds is the sharded index's boundary layout at checkpoint time
-	// (empty for unsharded layouts). The altdb redo log carries only data
-	// records, so without this a delta-only recovery would rebuild the
-	// index at its configured boundaries and throw away whatever layout
-	// the rebalance controller had converged to. Base snapshots carry the
-	// layout themselves (ALTIX002); the meta copy covers the gap and may
-	// be fresher than the base.
-	Bounds []uint64 `json:"bounds,omitempty"`
 }
 
 // durableStore wraps the server's index with a write-ahead log and the
@@ -185,18 +175,6 @@ func openDurable(cfg durableConfig, opts altindex.Options) (*durableStore, error
 				n, meta.Generation, err)
 		}
 	}
-	// Reproduce the checkpointed boundary layout before replaying the log
-	// tail, so replayed writes land in their final shards. A base loaded
-	// above usually carries these bounds already (the equality check makes
-	// that a no-op); a server restarted unsharded skips it — the data is
-	// unaffected either way.
-	if len(meta.Bounds) > 0 {
-		if sh, ok := idx.(*shard.ALT); ok && !slicesEqualU64(sh.Bounds(), meta.Bounds) {
-			if err := sh.SetBounds(meta.Bounds); err != nil {
-				return nil, fmt.Errorf("altdb: recovery: checkpointed shard bounds: %w", err)
-			}
-		}
-	}
 	wlog, err := wal.Open(filepath.Join(cfg.Dir, "wal"), cfg.WAL)
 	if err != nil {
 		return nil, err
@@ -237,27 +215,6 @@ func gcStaleTemps(dir string) {
 	}
 }
 
-// indexBounds reports a sharded index's current boundary layout, nil for
-// unsharded layouts.
-func indexBounds(ix altindex.Index) []uint64 {
-	if sh, ok := ix.(*shard.ALT); ok {
-		return sh.Bounds()
-	}
-	return nil
-}
-
-func slicesEqualU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func basePath(dir string, gen int) string {
 	return filepath.Join(dir, fmt.Sprintf("base-%08d.snap", gen))
 }
@@ -273,6 +230,16 @@ func (d *durableStore) stripe(k uint64) *sync.Mutex {
 func (d *durableStore) markDirty(k uint64) {
 	d.dmu.Lock()
 	d.dirty[k] = struct{}{}
+	d.dmu.Unlock()
+}
+
+// remark puts a drained dirty set back after the checkpoint that drained
+// it failed to publish.
+func (d *durableStore) remark(keys map[uint64]struct{}) {
+	d.dmu.Lock()
+	for k := range keys {
+		d.dirty[k] = struct{}{}
+	}
 	d.dmu.Unlock()
 }
 
@@ -494,11 +461,7 @@ func (d *durableStore) deltaLocked() error {
 			// The drained keys are not on disk yet; put them back so the
 			// next checkpoint retries them (their log records still exist —
 			// nothing was truncated).
-			d.dmu.Lock()
-			for k := range dirty {
-				d.dirty[k] = struct{}{}
-			}
-			d.dmu.Unlock()
+			d.remark(dirty)
 			return err
 		}
 		// The delta file is durable; even if the meta publish below fails,
@@ -508,7 +471,7 @@ func (d *durableStore) deltaLocked() error {
 	if err := fpCkptPublish.InjectErr(); err != nil {
 		return err
 	}
-	if err := d.writeMeta(ckptMeta{Generation: d.gen, Deltas: d.deltas, LSN: lsn, Bounds: indexBounds(d.idx)}); err != nil {
+	if err := d.writeMeta(ckptMeta{Generation: d.gen, Deltas: d.deltas, LSN: lsn}); err != nil {
 		return err
 	}
 	d.lastCkpt.Store(time.Now().Unix())
@@ -524,23 +487,29 @@ func (d *durableStore) compactLocked() error {
 	// Writers are gated and every append happens under a stripe lock after
 	// its apply, so the quiescent index is exactly the state at LastSeq.
 	lsn := d.log.LastSeq()
+	// The base covers every key marked so far. The set is drained while
+	// writers are still gated: a key marked after the gate reopens has a
+	// record above lsn that this base does not hold, and wiping its mark
+	// would let the next delta checkpoint step over that record.
+	d.dmu.Lock()
+	covered := d.dirty
+	d.dirty = map[uint64]struct{}{}
+	d.dmu.Unlock()
 	newGen := d.gen + 1
 	err := altindex.Save(d.idx, basePath(d.cfg.Dir, newGen))
 	d.gate.Unlock() // meta publish and gc don't need the gate
+	if err == nil {
+		err = fpCkptPublish.InjectErr()
+	}
+	if err == nil {
+		err = d.writeMeta(ckptMeta{Generation: newGen, Deltas: 0, LSN: lsn})
+	}
 	if err != nil {
-		return err
-	}
-	if err := fpCkptPublish.InjectErr(); err != nil {
-		return err
-	}
-	if err := d.writeMeta(ckptMeta{Generation: newGen, Deltas: 0, LSN: lsn, Bounds: indexBounds(d.idx)}); err != nil {
+		d.remark(covered) // the base was not published; the old chain still needs them
 		return err
 	}
 	oldGen, oldDeltas := d.gen, d.deltas
 	d.gen, d.deltas = newGen, 0
-	d.dmu.Lock()
-	d.dirty = map[uint64]struct{}{} // the base covers every key
-	d.dmu.Unlock()
 	d.lastCkpt.Store(time.Now().Unix())
 	terr := d.log.TruncateBelow(lsn + 1)
 	// The old generation is unreachable from the published meta; removing

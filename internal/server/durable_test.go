@@ -1,8 +1,11 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +13,7 @@ import (
 
 	"altindex/internal/failpoint"
 	"altindex/internal/shard"
+	"altindex/internal/snapio"
 )
 
 // startDurable runs a server backed by a WAL directory; checkpoints are
@@ -293,11 +297,12 @@ func (c *lineClient) cmdE(line string) (string, error) {
 	}
 }
 
-// TestDurableRebalancedLayoutRecovery: a boundary layout the rebalance
-// controller converged to survives a kill even when recovery runs from
-// delta checkpoints alone (no base snapshot). The altdb redo log carries
-// only data records, so the layout rides in the checkpoint meta.
-func TestDurableRebalancedLayoutRecovery(t *testing.T) {
+// TestDurableLegacyMetaBoundsIgnored: a CHECKPOINT meta written by a
+// build that recorded the shard boundary layout still carries "bounds".
+// Recovery must accept the file, ignore the field (the layout is the
+// configured one) and lose no data. The meta is hand-written JSON around
+// the live checkpoint's LSN, not the output of any encoder in this tree.
+func TestDurableLegacyMetaBoundsIgnored(t *testing.T) {
 	dir := t.TempDir()
 	srv, addr := startDurable(t, dir, Config{Shards: 4})
 	c := dial(t, addr)
@@ -306,42 +311,54 @@ func TestDurableRebalancedLayoutRecovery(t *testing.T) {
 			t.Fatalf("SET = %q", got)
 		}
 	}
-	// Reshape the layout the way the controller would (SetBounds is the
-	// same migration path splits and merges use).
-	sh, ok := srv.dur.idx.(*shard.ALT)
-	if !ok {
-		t.Fatalf("sharded config built %T", srv.dur.idx)
-	}
-	want := []uint64{100, 200, 300, 350, 380}
-	if err := sh.SetBounds(want); err != nil {
-		t.Fatal(err)
-	}
-	// Delta checkpoint only: generation stays 0, so recovery cannot get
-	// the layout from a base snapshot.
+	// Delta checkpoint only (generation 0): no base snapshot to carry a
+	// layout, which is the case the legacy field existed for.
 	if err := srv.dur.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st := stats(t, c)
-	if st["checkpoint_generation"] != 0 {
-		t.Fatalf("checkpoint_generation = %d, want 0", st["checkpoint_generation"])
+	metaPath := filepath.Join(dir, ckptMetaName)
+	raw, err := snapio.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var meta ckptMeta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	if meta.Generation != 0 || meta.Deltas != 1 {
+		t.Fatalf("checkpoint meta = %s, want generation 0 with one delta", raw)
+	}
+	legacy := fmt.Sprintf(`{"generation":0,"deltas":1,"lsn":%d,"bounds":[100,200,300,350,380]}`, meta.LSN)
+	if err := snapio.WriteFile(metaPath, func(w io.Writer) error {
+		_, werr := io.WriteString(w, legacy)
+		return werr
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A log tail past the checkpoint, so recovery replays over the meta.
+	for k := 401; k <= 420; k++ {
+		if got := c.cmd(t, fmt.Sprintf("SET %d %d", k, k*3)); got != "OK" {
+			t.Fatalf("SET = %q", got)
+		}
+	}
+
 	// Abandon the server (no Shutdown) and recover.
 	srv2, addr2 := startDurable(t, dir, Config{Shards: 4})
 	defer srv2.Shutdown()
 	c2 := dial(t, addr2)
-	if got := c2.cmd(t, "LEN"); got != "VALUE 400" {
+	if got := c2.cmd(t, "LEN"); got != "VALUE 420" {
 		t.Fatalf("LEN after recovery = %q", got)
 	}
-	sh2, ok := srv2.dur.idx.(*shard.ALT)
+	sh, ok := srv2.dur.idx.(*shard.ALT)
 	if !ok {
 		t.Fatalf("recovered index is %T", srv2.dur.idx)
 	}
-	if got := sh2.Bounds(); !slicesEqualU64(got, want) {
-		t.Fatalf("recovered bounds = %v, want %v", got, want)
+	if got := sh.Shards(); got != 4 {
+		t.Fatalf("recovered %d shards, want the configured 4 (legacy bounds must be ignored)", got)
 	}
-	for k := 1; k <= 400; k += 13 {
+	for k := 1; k <= 420; k += 13 {
 		if got := c2.cmd(t, fmt.Sprintf("GET %d", k)); got != fmt.Sprintf("VALUE %d", k*3) {
-			t.Fatalf("GET %d = %q after layout recovery", k, got)
+			t.Fatalf("GET %d = %q after recovery", k, got)
 		}
 	}
 }

@@ -86,19 +86,9 @@ type Config struct {
 	// Shards range-partitions the keyspace across this many independent
 	// index shards behind a learned boundary router. Zero (or one) keeps
 	// the single-instance layout. A sharded snapshot restores its saved
-	// boundary layout exactly (rebalanced layouts included); an unsharded
-	// one is remapped into the requested layout.
+	// boundary layout exactly; an unsharded one is remapped into the
+	// requested layout.
 	Shards int
-	// RebalanceFactor arms the adaptive shard rebalancer (sharded layouts
-	// only): when the max/mean routed-op imbalance stays above this factor
-	// the hot shard is split at a learned CDF boundary (or cold shards
-	// merged) online, without stopping reads. Zero disables. Progress is
-	// visible in STATS as rebalance_splits/rebalance_merges/
-	// rebalance_moved_keys/rebalance_last_ms.
-	RebalanceFactor float64
-	// RebalanceInterval overrides the rebalancer's evaluation cadence
-	// (0 = 500ms default).
-	RebalanceInterval time.Duration
 	// WALDir, when set, makes the keyspace durable: every write commits to
 	// a write-ahead log before it is acknowledged, incremental checkpoints
 	// bound recovery time, and startup recovers base + deltas + log.
@@ -189,11 +179,7 @@ func NewServer() (*Server, error) {
 // (refusing to serve silently-empty data), a missing one starts fresh.
 func NewServerWith(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	opts := altindex.Options{
-		Shards:            cfg.Shards,
-		RebalanceFactor:   cfg.RebalanceFactor,
-		RebalanceInterval: cfg.RebalanceInterval,
-	}
+	opts := altindex.Options{Shards: cfg.Shards}
 	idx := altindex.New(opts)
 	var dur *durableStore
 	switch {

@@ -121,14 +121,14 @@ func (t *ALT) GetBatch(keys []index.Key, vals []index.Value, found []bool) {
 	fpRoute.Inject()
 	if r.last == 0 {
 		d := &r.shards[0]
-		t.bump(d, int64(n))
+		d.ops.Add(int64(n))
 		d.ix.GetBatch(keys, vals, found)
 		return
 	}
 	if n < splitMin {
 		for i, k := range keys {
 			d := r.descOf(k)
-			t.bump(d, 1)
+			d.ops.Add(1)
 			vals[i], found[i] = d.ix.Get(k)
 		}
 		return
@@ -153,7 +153,7 @@ func (t *ALT) GetBatch(keys []index.Key, vals []index.Value, found []bool) {
 			return
 		}
 		d := &r.shards[s]
-		t.bump(d, int64(hi-lo))
+		d.ops.Add(int64(hi - lo))
 		d.ix.GetBatch(sc.keys[lo:hi], sc.vals[lo:hi], sc.found[lo:hi])
 		for j := lo; j < hi; j++ {
 			vals[sc.pos[j]] = sc.vals[j]
@@ -181,53 +181,30 @@ func (t *ALT) GetBatch(keys []index.Key, vals []index.Value, found []bool) {
 	putSplit(sc)
 }
 
-// insertGroup applies one shard group, redirecting through the shard's
-// migration (apply-and-log, see migrate.go) when one is in flight. Keys
-// the migration rejects — it published a new layout mid-group — re-route
-// through the per-key path. The caller must hold an epoch pin taken
-// before the routing load, like every shard-level write.
-func (t *ALT) insertGroup(d *shardDesc, pairs []index.KV) error {
-	m := d.mig.Load()
-	if m == nil {
-		return d.ix.InsertBatch(pairs)
-	}
-	for _, kv := range pairs {
-		err, ok := m.insert(d.ix, kv.Key, kv.Value)
-		if !ok {
-			err = t.Insert(kv.Key, kv.Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // InsertBatch implements index.Batcher by splitting the batch across
 // shards like GetBatch. The split is a stable counting sort, so duplicate
 // keys — which always route to the same shard — keep their relative order
-// and last-writer-wins is preserved (the migration redirect in
-// insertGroup is per-key and in-order, so it preserves it too). On error,
-// groups routed to other shards may already have been applied; the error
-// returned is the first one in shard order (fan-out) or encounter order
-// (sequential), which the Batcher contract permits.
+// and last-writer-wins is preserved. On error, groups routed to other
+// shards may already have been applied; the error returned is the first
+// one in shard order (fan-out) or encounter order (sequential), which the
+// Batcher contract permits.
 func (t *ALT) InsertBatch(pairs []index.KV) error {
 	n := len(pairs)
 	if n == 0 {
 		return nil
 	}
-	g := t.ebr.Pin()
-	defer g.Unpin()
 	r := t.route.Load()
 	fpRoute.Inject()
 	if r.last == 0 {
 		d := &r.shards[0]
-		t.bump(d, int64(n))
-		return t.insertGroup(d, pairs)
+		d.ops.Add(int64(n))
+		return d.ix.InsertBatch(pairs)
 	}
 	if n < splitMin {
 		for _, kv := range pairs {
-			if err := t.Insert(kv.Key, kv.Value); err != nil {
+			d := r.descOf(kv.Key)
+			d.ops.Add(1)
+			if err := d.ix.Insert(kv.Key, kv.Value); err != nil {
 				return err
 			}
 		}
@@ -256,8 +233,8 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 			go func(s int, lo, hi int32) {
 				defer wg.Done()
 				d := &r.shards[s]
-				t.bump(d, int64(hi-lo))
-				errs[s] = t.insertGroup(d, sc.pairs[lo:hi])
+				d.ops.Add(int64(hi - lo))
+				errs[s] = d.ix.InsertBatch(sc.pairs[lo:hi])
 			}(s, lo, hi)
 		}
 		wg.Wait()
@@ -274,8 +251,8 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 				continue
 			}
 			d := &r.shards[s]
-			t.bump(d, int64(hi-lo))
-			if err := t.insertGroup(d, sc.pairs[lo:hi]); err != nil {
+			d.ops.Add(int64(hi - lo))
+			if err := d.ix.InsertBatch(sc.pairs[lo:hi]); err != nil {
 				firstErr = err
 				break
 			}

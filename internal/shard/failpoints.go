@@ -11,20 +11,3 @@ import "altindex/internal/failpoint"
 //	while that shard's retrainer splices (core/retrain/splice), the race
 //	the seqlock protocol must absorb across the sharding boundary.
 var fpRoute = failpoint.New("shard/route")
-
-// Rebalance-migration sites (migrate.go).
-//
-//	shard/rebalance/migrate — fires at the start of each source shard's
-//	drain, after the writer barrier redirected writes through the
-//	migration log. Delaying here stretches the window where concurrent
-//	writes pile into the redo log, stressing the catch-up replay.
-//
-//	shard/rebalance/publish — fires under the migration mutex immediately
-//	before the rebalanced router is stored and the migration is marked
-//	done. Delaying here stretches the short publish lock, wedging
-//	redirected writers against the router swap — the torn-router window a
-//	chaos audit must prove empty.
-var (
-	fpRebalMigrate = failpoint.New("shard/rebalance/migrate")
-	fpRebalPublish = failpoint.New("shard/rebalance/publish")
-)

@@ -13,14 +13,15 @@
 // every routed operation resolves its shard with a branch-free binary
 // search over at most 63 boundary keys, and immutability is what makes
 // the router a single atomic pointer load with no coordination. The
-// layout itself is not static, though — when Options.RebalanceFactor is
-// set, a controller watches the skew monitor and republishes the router
-// copy-on-write with the hot shard split at a learned CDF boundary (or
-// adjacent cold shards merged), migrating the affected keys without
-// stopping reads; see rebalance.go and migrate.go.
+// layout is static: Bulkload (quantiles) and NewWithBounds (a saved
+// layout) are the only things that set boundaries, and nothing reshapes
+// them while the index is in use, so no routed operation ever has to
+// re-check its shard choice (DESIGN.md §9 has the measurement behind
+// keeping it that way).
 package shard
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -59,30 +60,6 @@ type ALT struct {
 	// fixed pins the boundaries across Bulkload (snapshot restore): the
 	// stored layout is reproduced instead of recomputing quantiles.
 	fixed bool
-	// rb is the adaptive rebalance controller (nil when
-	// Options.RebalanceFactor is zero); see rebalance.go.
-	rb *rebalancer
-	// layoutMu serialises layout replacements: reshard migrations and
-	// Bulkload both publish a whole new routing, so only one may be in
-	// flight at a time.
-	layoutMu sync.Mutex
-	// Rebalance lifetime counters (exposed via StatsMap as rebalance_*).
-	// They live on the front, not the controller, so forced migrations
-	// (SplitShard/MergeShards/SetBounds in tests and recovery) count too.
-	rebSplits  atomic.Int64
-	rebMerges  atomic.Int64
-	rebMoved   atomic.Int64
-	rebLastMs  atomic.Int64
-	rebTotalMs atomic.Int64
-
-	// barrierHelp is non-zero while a migration's writer barrier waits on
-	// an epoch advance. The routed hot path checks it in bump and lends a
-	// hand (every 32nd op per shard tries an epoch advance): with
-	// GOMAXPROCS saturated by workers, the barrier goroutine alone only
-	// gets a crank attempt per scheduler round-trip (~100ms behind 8
-	// CPU-bound goroutines), which made the barrier — not the data copy —
-	// dominate migration wall time.
-	barrierHelp atomic.Int32
 
 	route atomic.Pointer[routing]
 }
@@ -113,15 +90,9 @@ type routing struct {
 type shardDesc struct {
 	ix *core.ALT
 	// ops counts operations routed to this shard (batch items count
-	// individually) — the skew monitor the rebalance controller reads.
+	// individually) — the skew monitor StatsMap reports.
 	ops atomic.Int64
-	// mig, when non-nil, marks the shard as part of an in-flight (or
-	// completed) boundary migration: writers apply-and-log through it
-	// instead of writing the shard directly (see migrate.go). Stays set
-	// forever on a retired routing's source descriptors so a stale writer
-	// can never apply to a drained shard. Reads never look at it.
-	mig atomic.Pointer[migration]
-	_   [128 - 24]byte
+	_   [128 - 16]byte
 }
 
 // rebuildBudget is the default shared-rebuild-slot count, matching the
@@ -160,7 +131,6 @@ func New(opts core.Options) *ALT {
 	s := clampShards(opts.Shards)
 	t := newFront(opts)
 	t.route.Store(t.newRouting(gpl.EqualWidthBounds(s)))
-	t.startRebalancer(opts)
 	return t
 }
 
@@ -171,7 +141,7 @@ func New(opts core.Options) *ALT {
 // to reproduce a saved layout exactly.
 func NewWithBounds(opts core.Options, bounds []uint64) (*ALT, error) {
 	if len(bounds)+1 > MaxShards {
-		return nil, index.ErrUnsortedBulk // impossible via Save; caller validates
+		return nil, fmt.Errorf("shard: %d bounds exceed %d shards", len(bounds), MaxShards)
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] < bounds[i-1] {
@@ -181,7 +151,6 @@ func NewWithBounds(opts core.Options, bounds []uint64) (*ALT, error) {
 	t := newFront(opts)
 	t.fixed = true
 	t.route.Store(t.newRouting(bounds))
-	t.startRebalancer(opts)
 	return t, nil
 }
 
@@ -287,10 +256,6 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 			return index.ErrUnsortedBulk
 		}
 	}
-	// One layout replacement at a time: a rebalance migration racing this
-	// publish would lose one of the two routings.
-	t.layoutMu.Lock()
-	defer t.layoutMu.Unlock()
 	old := t.route.Load()
 	s := old.last + 1
 	bounds := old.pad[:old.last]
@@ -352,99 +317,40 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	return nil
 }
 
-// Get routes the lookup to its shard. Reads never look at the migration
-// pointer: until the rebalanced router is published they read the source
-// shard (which stays fully readable while draining), afterwards they
-// route through the new layout — stop-free by construction.
+// Get routes the lookup to its shard.
 func (t *ALT) Get(key uint64) (uint64, bool) {
 	r := t.route.Load()
 	fpRoute.Inject()
 	d := r.descOf(key)
-	t.bump(d, 1)
+	d.ops.Add(1)
 	return d.ix.Get(key)
 }
 
-// Insert routes the upsert to its shard. Writes (unlike reads) pin the
-// shared epoch domain across the route-load → apply window and check the
-// descriptor's migration pointer: the pin is what lets a starting
-// migration wait out every writer that could still apply to the old
-// shard unredirected (see (*ALT).writerBarrier), and the pointer is how
-// later writers redirect through the migration's apply-and-log path.
+// Insert routes the upsert to its shard.
 func (t *ALT) Insert(key, value uint64) error {
-	g := t.ebr.Pin()
-	defer g.Unpin()
-	for {
-		r := t.route.Load()
-		fpRoute.Inject()
-		d := r.descOf(key)
-		t.bump(d, 1)
-		m := d.mig.Load()
-		if m == nil {
-			return d.ix.Insert(key, value)
-		}
-		if err, ok := m.insert(d.ix, key, value); ok {
-			return err
-		}
-		// Migration published a new layout under us: re-route and retry.
-	}
+	r := t.route.Load()
+	fpRoute.Inject()
+	d := r.descOf(key)
+	d.ops.Add(1)
+	return d.ix.Insert(key, value)
 }
 
-// Update routes the in-place overwrite to its shard; migration-aware
-// like Insert.
+// Update routes the in-place overwrite to its shard.
 func (t *ALT) Update(key, value uint64) bool {
-	g := t.ebr.Pin()
-	defer g.Unpin()
-	for {
-		r := t.route.Load()
-		fpRoute.Inject()
-		d := r.descOf(key)
-		t.bump(d, 1)
-		m := d.mig.Load()
-		if m == nil {
-			return d.ix.Update(key, value)
-		}
-		if done, ok := m.update(d.ix, key, value); ok {
-			return done
-		}
-	}
+	r := t.route.Load()
+	fpRoute.Inject()
+	d := r.descOf(key)
+	d.ops.Add(1)
+	return d.ix.Update(key, value)
 }
 
-// Remove routes the deletion to its shard; migration-aware like Insert.
+// Remove routes the deletion to its shard.
 func (t *ALT) Remove(key uint64) bool {
-	g := t.ebr.Pin()
-	defer g.Unpin()
-	for {
-		r := t.route.Load()
-		fpRoute.Inject()
-		d := r.descOf(key)
-		t.bump(d, 1)
-		m := d.mig.Load()
-		if m == nil {
-			return d.ix.Remove(key)
-		}
-		if found, ok := m.remove(d.ix, key); ok {
-			return found
-		}
-	}
-}
-
-// bump advances a shard's skew-monitor counter by n routed ops and, when
-// the rebalance controller is armed, kicks an evaluation each time the
-// counter crosses its op threshold — the "routed-op threshold" trigger
-// that reacts to a traffic spike faster than the ticker alone.
-func (t *ALT) bump(d *shardDesc, n int64) {
-	c := d.ops.Add(n)
-	if rb := t.rb; rb != nil && c&^rb.kickMask != (c-n)&^rb.kickMask {
-		rb.kickNow()
-	}
-	// Barrier assist: while a migration waits for the pre-marker writers
-	// to drain, routed traffic cranks the epoch so the advance doesn't
-	// have to wait for the barrier goroutine's next timeslice. Writers
-	// call this pinned in the current epoch, which never blocks the
-	// previous bucket's advance.
-	if t.barrierHelp.Load() != 0 && c&31 == 0 {
-		t.ebr.TryAdvance()
-	}
+	r := t.route.Load()
+	fpRoute.Inject()
+	d := r.descOf(key)
+	d.ops.Add(1)
+	return d.ix.Remove(key)
 }
 
 // MemoryUsage sums the shards plus the router itself.
@@ -460,27 +366,17 @@ func (t *ALT) MemoryUsage() uintptr {
 const unsafeSizeofDesc = 128 // shardDesc is padded to exactly two cache lines
 
 // Quiesce drains every shard's retraining pipeline; see core.ALT.Quiesce
-// for the contract. Holding the layout lock keeps a rebalance migration
-// from replacing the routing mid-drain, so the state observed afterwards
-// is a settled layout.
+// for the contract.
 func (t *ALT) Quiesce() {
-	t.layoutMu.Lock()
-	defer t.layoutMu.Unlock()
 	r := t.route.Load()
 	for i := range r.shards {
 		r.shards[i].ix.Quiesce()
 	}
 }
 
-// Close stops the rebalance controller (waiting out any in-flight
-// migration) and every shard's background retraining machinery. The data
+// Close stops every shard's background retraining machinery. The data
 // stays readable and writable; implements io.Closer like core.ALT.
 func (t *ALT) Close() error {
-	if t.rb != nil {
-		t.rb.stopWait()
-	}
-	t.layoutMu.Lock()
-	defer t.layoutMu.Unlock()
 	r := t.route.Load()
 	for i := range r.shards {
 		_ = r.shards[i].ix.Close()

@@ -237,6 +237,8 @@ func TestShardNewWithBounds(t *testing.T) {
 	}
 	if _, err := NewWithBounds(core.Options{}, make([]uint64, MaxShards)); err == nil {
 		t.Fatal("too many bounds accepted")
+	} else if want := "shard: 64 bounds exceed 64 shards"; err.Error() != want {
+		t.Fatalf("too many bounds: error %q, want %q", err, want)
 	}
 	bounds := []uint64{1000, 2000, 3000}
 	ix, err := NewWithBounds(core.Options{}, bounds)
@@ -347,11 +349,21 @@ func TestShardPointOpsDoNotAllocate(t *testing.T) {
 	}
 	i := 0
 	next := func() uint64 { i++; return keys[i*7919%len(keys)] }
+	// One 64-pair batch spanning all four shards in a caller-owned buffer:
+	// the pooled split scratch must keep the router's share at 0.
+	// (GetBatch(64) is not here: its scatter closure costs 1 alloc/op.)
+	bp := make([]index.KV, 64)
+	fill := func() {
+		for j := range bp {
+			bp[j] = index.KV{Key: next(), Value: 4}
+		}
+	}
 	ops := map[string]func(){
-		"Get":    func() { s.Get(next()) },
-		"Update": func() { s.Update(next(), 1) },
-		"Insert": func() { _ = s.Insert(next(), 2) }, // upsert of a loaded key
-		"Remove": func() { k := next(); s.Remove(k); _ = s.Insert(k, 3) },
+		"Get":             func() { s.Get(next()) },
+		"Update":          func() { s.Update(next(), 1) },
+		"Insert":          func() { _ = s.Insert(next(), 2) }, // upsert of a loaded key
+		"Remove":          func() { k := next(); s.Remove(k); _ = s.Insert(k, 3) },
+		"InsertBatch(64)": func() { fill(); _ = s.InsertBatch(bp) },
 	}
 	for name, op := range ops {
 		op() // warm: first use of the epoch pin and the backoff state

@@ -9,8 +9,9 @@ import (
 // across shards — summed, except high-water keys (suffix "_max_ns"), which
 // take the maximum — and the skew monitor is appended: per-shard routed-op
 // counts plus the max/mean imbalance ratio. A perfectly balanced workload
-// reports shard_imbalance_x100 == 100; a hot shard drives it up, which is
-// the signal a future rebalancing PR (and today's operators) act on.
+// reports shard_imbalance_x100 == 100; a hot shard drives it up — the
+// signal an operator reads to decide the next Bulkload needs a different
+// shard count.
 func (t *ALT) StatsMap() map[string]int64 {
 	r := t.route.Load()
 	out := make(map[string]int64, 32)
@@ -35,16 +36,6 @@ func (t *ALT) StatsMap() map[string]int64 {
 	out["limbo_models"] = es.LimboCount
 	out["limbo_bytes"] = es.LimboBytes
 	out["reclaims"] = es.Reclaims
-
-	// Rebalance counters: lifetime splits/merges, total keys migrated and
-	// the last migration's wall-clock cost. Emitted (as zeros) even with
-	// the controller disarmed, so dashboards and smoke tests can key on
-	// their presence.
-	out["rebalance_splits"] = t.rebSplits.Load()
-	out["rebalance_merges"] = t.rebMerges.Load()
-	out["rebalance_moved_keys"] = t.rebMoved.Load()
-	out["rebalance_last_ms"] = t.rebLastMs.Load()
-	out["rebalance_total_ms"] = t.rebTotalMs.Load()
 
 	ns := int64(r.last + 1)
 	out["shards"] = ns

@@ -77,48 +77,12 @@ func Mixes() []Mix {
 	return []Mix{ReadOnly, ReadHeavy, Balanced, WriteHeavy, WriteOnly}
 }
 
-// Hotspot configures the hotspot distribution: a contiguous run of the
-// loaded keyspace (in key order, so it maps onto a contiguous shard
-// range) receives most of the traffic, and the run optionally jumps to a
-// new position on a fixed per-stream op schedule. This is the YCSB
-// hotspot distribution plus the "moving hot range" twist the adaptive
-// rebalancer needs: a static skew rewards any one-shot partitioning,
-// while a moving one rewards only an index that keeps re-partitioning.
-type Hotspot struct {
-	// Fraction is the hot run's width as a fraction of the loaded keys;
-	// 0 defaults to 0.1 (a 10% hot range).
-	Fraction float64
-	// OpFrac is the fraction of key choices that land in the hot run;
-	// 0 defaults to 0.9 (the classic 90/10 skew).
-	OpFrac float64
-	// ShiftEvery moves the hot run to a new (deterministic,
-	// golden-ratio-scrambled) position every ShiftEvery operations of each
-	// stream; 0 keeps it static.
-	ShiftEvery int64
-}
-
-func (h *Hotspot) norm() (frac, opfrac float64) {
-	frac, opfrac = h.Fraction, h.OpFrac
-	if frac <= 0 || frac > 1 {
-		frac = 0.1
-	}
-	if opfrac <= 0 || opfrac > 1 {
-		opfrac = 0.9
-	}
-	return frac, opfrac
-}
-
 // Config parameterises a Workload.
 type Config struct {
 	Mix     Mix
 	Theta   float64 // Zipfian θ for Get/Update/Scan key choice; default 0.99
 	Threads int
 	Seed    uint64
-	// Hotspot, when non-nil, replaces the Zipfian key choice with the
-	// hotspot distribution for every key-bearing operation — including
-	// Insert, which then upserts existing hot keys instead of drawing
-	// fresh ones, concentrating write traffic on the hot range.
-	Hotspot *Hotspot
 }
 
 // Workload owns the key populations and hands out per-thread Streams.
@@ -207,38 +171,10 @@ type Stream struct {
 	pos   int
 	synth uint64
 	step  uint64
-	ops   int64 // operations issued; drives the hotspot shift schedule
-}
-
-// hotspotKey draws a key under the hotspot distribution: with
-// probability OpFrac a uniform key from the current hot run of the
-// sorted loaded keys, otherwise a uniform key from the whole set. The
-// run's position is a pure function of the stream's op count, so every
-// thread shifts on the same schedule and the combined load moves as one
-// coherent hot range.
-func (s *Stream) hotspotKey(h *Hotspot) uint64 {
-	n := len(s.w.loaded)
-	frac, opfrac := h.norm()
-	hotLen := int(float64(n) * frac)
-	if hotLen < 1 {
-		hotLen = 1
-	}
-	start := 0
-	if h.ShiftEvery > 0 {
-		phase := uint64(s.ops / h.ShiftEvery)
-		// Golden-ratio scramble: consecutive phases land far apart, so a
-		// shift actually moves the load instead of sliding it one slot.
-		start = int((phase * 0x9e3779b97f4a7c15) % uint64(n-hotLen+1))
-	}
-	if s.r.Intn(10000) < int(opfrac*10000) {
-		return s.w.loaded[start+s.r.Intn(hotLen)]
-	}
-	return s.w.loaded[s.r.Intn(n)]
 }
 
 // Next returns the next operation.
 func (s *Stream) Next() Op {
-	s.ops++
 	m := &s.w.cfg.Mix
 	p := s.r.Intn(100)
 	switch {
@@ -262,9 +198,6 @@ func (s *Stream) Next() Op {
 }
 
 func (s *Stream) readKey() uint64 {
-	if h := s.w.cfg.Hotspot; h != nil && len(s.w.loaded) > 0 {
-		return s.hotspotKey(h)
-	}
 	if s.w.zipf == nil {
 		return s.r.Next()
 	}
@@ -272,9 +205,6 @@ func (s *Stream) readKey() uint64 {
 }
 
 func (s *Stream) insertKey() uint64 {
-	if h := s.w.cfg.Hotspot; h != nil && len(s.w.loaded) > 0 {
-		return s.hotspotKey(h)
-	}
 	if s.pos < len(s.queue) {
 		k := s.queue[s.pos]
 		s.pos++

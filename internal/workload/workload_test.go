@@ -202,57 +202,3 @@ func TestPendingPerThread(t *testing.T) {
 		t.Fatalf("PendingPerThread = %d, want 166", got)
 	}
 }
-
-func TestHotspotConcentratesAndShifts(t *testing.T) {
-	keys := dataset.Generate(dataset.Libio, 10000, 11)
-	w := New(Config{
-		Mix:     ReadHeavy,
-		Threads: 1,
-		Seed:    4,
-		Hotspot: &Hotspot{Fraction: 0.1, OpFrac: 0.9, ShiftEvery: 20000},
-	}, keys, nil)
-	s := w.Stream(0)
-
-	pos := func(k uint64) int {
-		for i, lk := range keys {
-			if lk == k {
-				return i
-			}
-		}
-		t.Fatalf("key %d not in loaded set", k)
-		return -1
-	}
-
-	// Phase 0: find the densest 10%-wide window; it must hold ~90% of ops.
-	window := func(n int) (bestLo, inBest int) {
-		hits := make([]int, len(keys))
-		for i := 0; i < n; i++ {
-			hits[pos(s.Next().Key)]++
-		}
-		hotLen := len(keys) / 10
-		sum := 0
-		for i := 0; i < hotLen; i++ {
-			sum += hits[i]
-		}
-		best, bestLo := sum, 0
-		for lo := 1; lo+hotLen <= len(hits); lo++ {
-			sum += hits[lo+hotLen-1] - hits[lo-1]
-			if sum > best {
-				best, bestLo = sum, lo
-			}
-		}
-		return bestLo, best
-	}
-
-	lo0, in0 := window(20000)
-	if frac := float64(in0) / 20000; frac < 0.8 {
-		t.Fatalf("phase 0: densest window holds only %.2f of ops, want ~0.9", frac)
-	}
-	lo1, in1 := window(20000)
-	if frac := float64(in1) / 20000; frac < 0.8 {
-		t.Fatalf("phase 1: densest window holds only %.2f of ops, want ~0.9", frac)
-	}
-	if d := lo1 - lo0; d > -500 && d < 500 {
-		t.Fatalf("hot range did not move across the shift: phase0 at %d, phase1 at %d", lo0, lo1)
-	}
-}

@@ -121,10 +121,10 @@ func writeIndexHeader(w io.Writer, bounds []uint64, count uint64) error {
 //
 // A sharded (v2) snapshot loaded into a sharded config (opts.Shards > 1)
 // is restored with its exact saved boundaries — the saved layout wins
-// over opts.Shards, because a rebalanced index's shard count legitimately
-// drifts from the configured one (the adaptive controller splits and
-// merges at runtime) and recovery must reproduce the layout it actually
-// converged to, not re-quantile it. Loading a sharded file into an
+// over opts.Shards: the file may come from a server configured with a
+// different shard count (or from an earlier build that reshaped layouts
+// online), and restore reproduces the partitioning that was saved
+// instead of re-quantiling it. Loading a sharded file into an
 // unsharded config, or an unsharded file into any config, remaps by
 // bulkloading the pairs into a fresh index built from opts. Data always
 // round-trips; only the partitioning is recomputed when the layouts
@@ -191,8 +191,7 @@ func Load(path string, opts Options) (Index, error) {
 	if len(bounds) > 0 && opts.Shards > 1 {
 		// Sharded file into sharded config: pin the stored boundaries so
 		// the restored partitioning is exact — even when the saved shard
-		// count differs from opts.Shards, as it will after adaptive
-		// rebalancing changed the layout at runtime.
+		// count differs from opts.Shards.
 		sh, err := shard.NewWithBounds(opts, bounds)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)

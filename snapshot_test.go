@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"altindex/internal/failpoint"
+	"altindex/internal/shard"
 	"altindex/internal/snapio"
 )
 
@@ -137,10 +138,8 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 		verify(t, loaded)
 	})
 	t.Run("into-different-count", func(t *testing.T) {
-		// The saved layout wins over opts.Shards: after adaptive
-		// rebalancing the on-disk shard count legitimately drifts from the
-		// configured one, and recovery must reproduce the layout the index
-		// converged to rather than re-quantile it.
+		// The saved layout wins over opts.Shards: restore reproduces the
+		// partitioning that was saved rather than re-quantile it.
 		loaded, err := Load(path, Options{Shards: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -157,16 +156,27 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 		}
 		verify(t, loaded)
 	})
-	t.Run("rebalanced-bounds", func(t *testing.T) {
-		// Migrate the live index to a deliberately non-quantile layout (the
-		// state an adaptive split/merge history leaves behind) and check
-		// the snapshot round-trips those exact boundaries.
-		reb := []uint64{7 * 1000, 7 * 1100, 7 * 9000}
-		if err := idx.(interface{ SetBounds([]uint64) error }).SetBounds(reb); err != nil {
+	t.Run("pinned-bounds", func(t *testing.T) {
+		// A deliberately non-quantile layout whose shard count (6) is not
+		// the loading config's (4) — what a file from a differently
+		// configured server, or from a build that reshaped layouts online,
+		// looks like. The v2 file must round-trip those exact boundaries.
+		pinned := []uint64{7 * 1000, 7 * 1100, 7 * 9000, 7 * 9001, 7 * 15000}
+		src, err := shard.NewWithBounds(Options{}, pinned)
+		if err != nil {
 			t.Fatal(err)
 		}
-		p4 := filepath.Join(t.TempDir(), "rebalanced.snap")
-		if err := Save(idx, p4); err != nil {
+		defer src.Close()
+		all := make([]KV, 0, idx.Len())
+		idx.Scan(0, idx.Len()+1, func(k, v uint64) bool {
+			all = append(all, KV{Key: k, Value: v})
+			return true
+		})
+		if err := src.Bulkload(all); err != nil {
+			t.Fatal(err)
+		}
+		p4 := filepath.Join(t.TempDir(), "pinned.snap")
+		if err := Save(src, p4); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := Load(p4, Options{Shards: 4})
@@ -175,12 +185,12 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 		}
 		defer loaded.Close()
 		gotBounds := loaded.(interface{ Bounds() []uint64 }).Bounds()
-		if len(gotBounds) != len(reb) {
-			t.Fatalf("restored %d bounds, want %d", len(gotBounds), len(reb))
+		if len(gotBounds) != len(pinned) {
+			t.Fatalf("restored %d bounds, want %d", len(gotBounds), len(pinned))
 		}
-		for i := range reb {
-			if gotBounds[i] != reb[i] {
-				t.Fatalf("bound %d = %d, want %d (rebalanced layout not reproduced)", i, gotBounds[i], reb[i])
+		for i := range pinned {
+			if gotBounds[i] != pinned[i] {
+				t.Fatalf("bound %d = %d, want %d (saved layout not reproduced)", i, gotBounds[i], pinned[i])
 			}
 		}
 		verify(t, loaded)
