@@ -137,14 +137,15 @@ func main() {
 	p := bench.Params{Keys: *keys, Threads: *threads, Ops: *ops, Seed: *seed,
 		BatchSizes: batchSizes, Shards: *shards, Duration: *dur,
 		NetConns: *netConns, NetDepth: *netDepth, Out: os.Stdout}
-	ids := expand(*exp)
-	if len(ids) == 0 {
+	exps := expand(*exp)
+	if len(exps) == 0 {
 		fmt.Fprintf(os.Stderr, "altbench: unknown experiment %q (try -list)\n", *exp)
 		os.Exit(2)
 	}
 
-	// Every runRow-backed result is recorded under its experiment id; -json
-	// dumps the lot machine-readably, with the scale parameters alongside.
+	// Every cell of every experiment is recorded under its experiment id
+	// (a swept value rides in Mix, e.g. "balanced threads=4"); -json dumps
+	// the lot machine-readably, with the scale parameters alongside.
 	// Sharded runs carry the skew monitor in Result.Stats: per-shard routed
 	// op counts (shard_ops_NN), shard_ops_max/mean, and the max/mean
 	// imbalance ratio scaled by 100 (shard_imbalance_x100).
@@ -160,13 +161,8 @@ func main() {
 		}
 	}
 
-	for _, id := range ids {
-		e, ok := bench.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "altbench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
-		}
-		curID = id
+	for _, e := range exps {
+		curID = e.ID
 		e.Run(p)
 	}
 
@@ -233,27 +229,15 @@ func parseBatchSizes(s string) ([]int, error) {
 	return sizes, nil
 }
 
-// expand resolves shorthand ids: "all" runs everything, "fig7"/"fig8"
-// expand to their sub-figures.
-func expand(id string) []string {
-	switch id {
-	case "all":
-		var ids []string
-		for _, e := range bench.Experiments() {
-			ids = append(ids, e.ID)
+// expand resolves an -exp value: an exact id, "all" for everything, or
+// "fig7"/"fig8" for their sub-figures.
+func expand(id string) []bench.Experiment {
+	var exps []bench.Experiment
+	for _, e := range bench.Experiments() {
+		group := (id == "fig7" || id == "fig8") && strings.HasPrefix(e.ID, id)
+		if id == "all" || e.ID == id || group {
+			exps = append(exps, e)
 		}
-		return ids
-	case "fig7", "fig8":
-		var ids []string
-		for _, e := range bench.Experiments() {
-			if strings.HasPrefix(e.ID, id) {
-				ids = append(ids, e.ID)
-			}
-		}
-		return ids
 	}
-	if _, ok := bench.ByID(id); ok {
-		return []string{id}
-	}
-	return nil
+	return exps
 }

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"altindex/internal/dataset"
@@ -108,118 +106,44 @@ type Result struct {
 // against it with cfg.Threads goroutines, returning throughput, sampled
 // latency percentiles, memory and internal stats.
 func Run(factory func() index.Concurrent, cfg Config) Result {
-	cfg = cfg.withDefaults()
-	// Collect the previous run's garbage so back-to-back comparisons of
-	// different indexes don't charge one index for another's heap.
-	runtime.GC()
-	keys := dataset.Generate(cfg.Dataset, cfg.Keys, cfg.Seed)
-	var loaded, pending []uint64
-	if cfg.Hot {
-		loaded, pending = workload.HotSplit(keys, cfg.HotFrac, cfg.Seed)
-	} else {
-		loaded, pending = workload.SplitLoad(keys, cfg.InitRatio, cfg.Seed)
-	}
-
-	ix := factory()
-	defer closeIfCloser(ix)
-	buildStart := time.Now()
-	if err := ix.Bulkload(dataset.Pairs(loaded)); err != nil {
-		panic(fmt.Sprintf("bench: bulkload %s: %v", ix.Name(), err))
-	}
-	build := time.Since(buildStart)
-
-	w := workload.New(workload.Config{
-		Mix:     cfg.Mix,
-		Theta:   cfg.Theta,
-		Threads: cfg.Threads,
-		Seed:    cfg.Seed + 1,
-	}, loaded, pending)
-
 	if cfg.Ops < 0 {
 		panic(fmt.Sprintf("bench: Ops = %d, must be positive", cfg.Ops))
 	}
-	// Distribute cfg.Ops across threads with the remainder spread over the
-	// first Ops%Threads of them, so every configured operation runs even
-	// when Ops is not a multiple of Threads — in particular Ops < Threads
-	// must not silently run zero operations. Time-bounded runs instead give
-	// every thread an unbounded op budget and a shared wall-clock deadline.
-	base, rem := cfg.Ops/cfg.Threads, cfg.Ops%cfg.Threads
-	if cfg.Duration > 0 {
-		// -1 marks an unbounded per-thread budget (the deadline is the only
-		// stop condition); 0 must keep meaning "no ops for this thread".
-		base, rem = -1, 0
-	}
-	var achieved atomic.Int64
+	// Collect the previous run's garbage so back-to-back comparisons of
+	// different indexes don't charge one index for another's heap.
+	runtime.GC()
+	p := Prepare(factory, cfg)
+	defer p.Close()
+
 	var hist histogram.Histogram
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for tid := 0; tid < cfg.Threads; tid++ {
-		ops := base
-		if tid < rem {
-			ops++
-		}
-		wg.Add(1)
-		go func(tid, ops int) {
-			defer wg.Done()
-			s := w.Stream(tid)
-			<-start
-			// The deadline starts at the release of the start gate, so the
-			// budget covers measured work only, not goroutine spawn.
-			var dl time.Time
-			if cfg.Duration > 0 {
-				dl = time.Now().Add(cfg.Duration)
-			}
-			var n int
-			if cfg.BatchSize > 1 {
-				n = runThreadBatched(ix, s, ops, cfg.BatchSize, cfg.LoopBatch, cfg.SampleEvery, &hist, dl)
-			} else {
-				n = runThread(ix, s, ops, cfg.SampleEvery, &hist, dl)
-			}
-			achieved.Add(int64(n))
-		}(tid, ops)
-	}
+	release := p.launch(p.cfg.Ops, p.cfg.Duration, &hist)
 	gw := startGCWindow()
 	t0 := time.Now()
-	close(start)
-	wg.Wait()
+	doneOps := release()
 	elapsed := time.Since(t0)
 	gc := gw.finish()
-	doneOps := int(achieved.Load())
-	// Drain any asynchronous maintenance (background retraining) so the
-	// memory/stats snapshot below is settled. Deliberately outside the
-	// timed window: writers never wait for it, that is the design.
-	if q, ok := ix.(interface{ Quiesce() }); ok {
-		q.Quiesce()
-	}
 
-	res := Result{
-		Index:     ix.Name(),
-		Dataset:   cfg.Dataset,
-		Mix:       cfg.Mix.Name,
-		Threads:   cfg.Threads,
-		Ops:       doneOps,
-		Elapsed:   elapsed,
-		Mops:      float64(doneOps) / elapsed.Seconds() / 1e6,
-		Mean:      hist.Mean(),
-		P50:       hist.Quantile(0.50),
-		P99:       hist.Quantile(0.99),
-		P999:      hist.Quantile(0.999),
-		BuildTime: build,
-		Mem:       ix.MemoryUsage(),
-		Len:       ix.Len(),
-		GC:        gc,
-	}
-	if st, ok := ix.(index.Stats); ok {
-		res.Stats = st.StatsMap()
-	}
+	res := p.result().measured(doneOps, elapsed, &hist)
+	res.GC = gc
 	return res
+}
+
+// measured fills in the fields every timed window reports: the achieved
+// op count, throughput and — when hist sampled any — latency percentiles.
+func (r Result) measured(ops int, elapsed time.Duration, hist *histogram.Histogram) Result {
+	r.Ops, r.Elapsed = ops, elapsed
+	r.Mops = float64(ops) / elapsed.Seconds() / 1e6
+	if hist != nil {
+		r.Mean, r.P50, r.P99, r.P999 = hist.Mean(), hist.Quantile(0.50), hist.Quantile(0.99), hist.Quantile(0.999)
+	}
+	return r
 }
 
 // runThread executes up to ops operations (unbounded when ops < 0; zero
 // means zero) and returns the number actually executed. A non-zero
 // deadline dl stops the loop once the wall clock passes it; the check
 // runs every 64 ops so the common fixed-ops path pays nothing
-// measurable for it.
+// measurable for it. A nil hist disables latency sampling.
 func runThread(ix index.Concurrent, s *workload.Stream, ops, sampleEvery int, hist *histogram.Histogram, dl time.Time) int {
 	done := 0
 	for i := 0; ops < 0 || i < ops; i++ {
@@ -228,28 +152,33 @@ func runThread(ix index.Concurrent, s *workload.Stream, ops, sampleEvery int, hi
 		}
 		op := s.Next()
 		done++
-		sampled := i%sampleEvery == 0
+		sampled := hist != nil && i%sampleEvery == 0
 		var t0 time.Time
 		if sampled {
 			t0 = time.Now()
 		}
-		switch op.Kind {
-		case workload.Get:
-			ix.Get(op.Key)
-		case workload.Insert:
-			_ = ix.Insert(op.Key, op.Value)
-		case workload.Update:
-			ix.Update(op.Key, op.Value)
-		case workload.Remove:
-			ix.Remove(op.Key)
-		case workload.Scan:
-			ix.Scan(op.Key, op.N, func(uint64, uint64) bool { return true })
-		}
+		apply(ix, op)
 		if sampled {
 			hist.Record(time.Since(t0))
 		}
 	}
 	return done
+}
+
+// apply executes one per-key operation against ix.
+func apply(ix index.Concurrent, op workload.Op) {
+	switch op.Kind {
+	case workload.Get:
+		ix.Get(op.Key)
+	case workload.Insert:
+		_ = ix.Insert(op.Key, op.Value)
+	case workload.Update:
+		ix.Update(op.Key, op.Value)
+	case workload.Remove:
+		ix.Remove(op.Key)
+	case workload.Scan:
+		ix.Scan(op.Key, op.N, func(uint64, uint64) bool { return true })
+	}
 }
 
 // runThreadBatched drives the stream through the batched API: consecutive
@@ -272,7 +201,7 @@ func runThreadBatched(ix index.Concurrent, s *workload.Stream, ops, batchSize in
 			return
 		}
 		flushes++
-		sampled := flushes%sampleEvery == 0
+		sampled := hist != nil && flushes%sampleEvery == 0
 		var t0 time.Time
 		if sampled {
 			t0 = time.Now()
@@ -309,41 +238,24 @@ func runThreadBatched(ix index.Concurrent, s *workload.Stream, ops, batchSize in
 			pairs = append(pairs, index.KV{Key: op.Key, Value: op.Value})
 		default:
 			flush()
-			switch op.Kind {
-			case workload.Update:
-				ix.Update(op.Key, op.Value)
-			case workload.Remove:
-				ix.Remove(op.Key)
-			case workload.Scan:
-				ix.Scan(op.Key, op.N, func(uint64, uint64) bool { return true })
-			}
+			apply(ix, op)
 		}
 	}
 	flush()
 	return done
 }
 
-func closeIfCloser(ix index.Concurrent) {
+// BuildOnly bulkloads the initRatio share of the dataset (1 = all of it)
+// into a fresh index and returns it with its build time. The caller must
+// Close closeable indexes; CloseIndex helps.
+func BuildOnly(factory func() index.Concurrent, name dataset.Name, keys int, initRatio float64, seed uint64) (index.Concurrent, time.Duration) {
+	p := Prepare(factory, Config{Dataset: name, Keys: keys, InitRatio: initRatio, Threads: 1, Seed: seed})
+	return p.Ix, p.Build
+}
+
+// CloseIndex stops any background machinery owned by ix.
+func CloseIndex(ix index.Concurrent) {
 	if c, ok := ix.(io.Closer); ok {
 		_ = c.Close()
 	}
 }
-
-// BuildOnly bulkloads a fresh index and returns it with its build time.
-// The caller must Close closeable indexes; CloseIndex helps.
-func BuildOnly(factory func() index.Concurrent, name dataset.Name, keys int, initRatio float64, seed uint64) (index.Concurrent, time.Duration) {
-	all := dataset.Generate(name, keys, seed)
-	loaded := all
-	if initRatio > 0 && initRatio < 1 {
-		loaded, _ = workload.SplitLoad(all, initRatio, seed)
-	}
-	ix := factory()
-	t0 := time.Now()
-	if err := ix.Bulkload(dataset.Pairs(loaded)); err != nil {
-		panic(fmt.Sprintf("bench: bulkload %s: %v", ix.Name(), err))
-	}
-	return ix, time.Since(t0)
-}
-
-// CloseIndex stops any background machinery owned by ix.
-func CloseIndex(ix index.Concurrent) { closeIfCloser(ix) }

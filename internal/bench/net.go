@@ -23,10 +23,10 @@ import (
 // compact resident set keeps row-to-row variance in the protocol loop.
 const netKeysCap = 200_000
 
-// NetPath measures the served (TCP) hot path end to end: a closed-loop
+// netPath measures the served (TCP) hot path end to end: a closed-loop
 // multi-connection load generator drives the balanced workload over the
 // line protocol against an in-process altdb server, one fresh server per
-// row. Two sweeps:
+// run. Two sweeps:
 //
 //   - depth sweep at -net-conns connections, pipeline depths 1..64: reply
 //     flushes amortize (Fl/op ~ 1/depth) and deeper bursts ride the batched
@@ -38,59 +38,51 @@ const netKeysCap = 200_000
 // Latency percentiles are per-burst round trips (one burst = depth
 // commands written in one syscall, depth replies read back); flushes/op
 // and the coalescing counters come from the server's own STATS reply over
-// the wire.
-func NetPath(p Params) {
-	p = p.withDefaults()
-	nkeys := p.Keys
-	if nkeys > netKeysCap {
-		nkeys = netKeysCap
-	}
-	header(p, "Net path: pipelined protocol loop + cross-connection coalescing over TCP")
-	fmt.Fprintf(p.Out, "(balanced mix, %d preloaded keys, burst-RTT percentiles)\n", nkeys)
-	keys := dataset.Generate(dataset.OSM, nkeys, p.Seed)
+// the wire. Scheduling noise on shared hosts swings single closed-loop TCP
+// runs wildly, so every row is the median of three.
+var netPath = Experiment{ID: "net-path",
+	Title: "Net path: pipelined protocol loop + cross-connection coalescing over TCP, depth and connection sweeps",
+	head:  "Net path: pipelined protocol loop + cross-connection coalescing over TCP",
+	note: func(p Params) string {
+		return fmt.Sprintf("(balanced mix, %d preloaded keys, burst-RTT percentiles)", min(p.Keys, netKeysCap))
+	},
+	grids: []grid{
+		netSweep(nil, &axis{name: "depth", format: "%.0f",
+			values: func(p Params) []float64 { return dedupInts(1, 4, 16, 64, p.NetDepth) },
+			set:    func(c *Config, v float64) { c.BatchSize = int(v) }}),
+		netSweep(func(p Params) string {
+			return fmt.Sprintf("connection sweep at depth %d (coalescing gate 8)", p.NetDepth)
+		}, &axis{name: "conns", format: "%.0f",
+			values: func(p Params) []float64 { return dedupInts(1, 2, 4, 8, 16, p.NetConns) },
+			set:    setThreads}),
+	}}
 
-	tw := newTable(p.Out)
-	const cols = "Conns\tDepth\tKops\tP50us\tP99us\tP99.9us\tFl/op\tCoRounds\tCoMean\tCoP50"
-	fmt.Fprintln(tw, cols)
-	row := func(conns, depth int) {
-		// Scheduling noise on shared hosts swings single closed-loop TCP
-		// runs wildly; report the median of three (same convention as the
-		// shard-scaling sweep).
-		const reps = 3
-		runs := make([]Result, 0, reps)
-		for rep := 0; rep < reps; rep++ {
-			runs = append(runs, runNet(p, keys, conns, depth))
-		}
-		sort.Slice(runs, func(i, j int) bool { return runs[i].Mops < runs[j].Mops })
-		r := runs[reps/2]
-		p.record(r)
-		flop := float64(r.Stats["net_flushes"]) / float64(max64(r.Stats["net_cmds"], 1))
-		comean := 0.0
-		if b := r.Stats["coalesce_batches"]; b > 0 {
-			comean = float64(r.Stats["coalesce_ops"]) / float64(b)
-		}
-		fmt.Fprintf(tw, "%d\t%d\t%.1f\t%s\t%s\t%s\t%.3f\t%d\t%.1f\t%d\n",
-			conns, depth, r.Mops*1e3, us(r.P50), us(r.P99), us(r.P999),
-			flop, r.Stats["coalesce_batches"], comean, r.Stats["coalesce_p50_batch"])
-	}
-
-	for _, d := range dedupInts([]int{1, 4, 16, 64, p.NetDepth}) {
-		row(p.NetConns, d)
-	}
-	tw.Flush()
-
-	fmt.Fprintf(p.Out, "\n-- connection sweep at depth %d (coalescing gate 8) --\n", p.NetDepth)
-	tw = newTable(p.Out)
-	fmt.Fprintln(tw, cols)
-	for _, c := range dedupInts([]int{1, 2, 4, 8, 16, p.NetConns}) {
-		row(c, p.NetDepth)
-	}
-	tw.Flush()
+// netSweep is one net-path table; the axis overrides one of the two
+// anchors (Threads = connections, BatchSize = pipeline depth).
+func netSweep(sub func(Params) string, ax *axis) grid {
+	return grid{sub: sub, axis: ax, reps: 3,
+		rows:     []variant{{NamedFactory: NamedFactory{Name: "net-pipelined"}, cell: runNet}},
+		datasets: osmOnly,
+		tune: func(p Params, c *Config) {
+			c.Keys = min(p.Keys, netKeysCap)
+			c.Ops = max(p.Ops/5, 10_000)
+			c.Threads, c.BatchSize = p.NetConns, p.NetDepth
+		},
+		cols: "Conns\tDepth\tKops\tP50us\tP99us\tP99.9us\tFl/op\tCoRounds\tCoMean\tCoP50",
+		row: func(c cell) string {
+			st := c.Stats
+			return fmt.Sprintf("%d\t%d\t%.1f\t%s\t%s\t%s\t%.3f\t%d\t%.1f\t%d", c.Threads, st["net_depth"], c.Mops*1e3,
+				us(c.P50), us(c.P99), us(c.P999), float64(st["net_flushes"])/float64(max(st["net_cmds"], 1)), st["coalesce_batches"],
+				float64(st["coalesce_ops"])/float64(max(st["coalesce_batches"], 1)), st["coalesce_p50_batch"])
+		}}
 }
 
-// runNet runs one grid cell: fresh server, preload, closed-loop drive,
-// STATS scrape, shutdown.
-func runNet(p Params, keys []uint64, conns, depth int) Result {
+// runNet runs one grid cell — c.Threads connections, bursts of c.BatchSize
+// pipelined commands: fresh server, preload, closed-loop drive, STATS
+// scrape, shutdown.
+func runNet(c Config) Result {
+	conns, depth := c.Threads, c.BatchSize
+	keys := dataset.Generate(c.Dataset, c.Keys, c.Seed)
 	srv, err := server.NewServerWith(server.Config{ReadTimeout: time.Minute, WriteTimeout: time.Minute})
 	if err != nil {
 		panic(fmt.Sprintf("bench: net server: %v", err))
@@ -105,20 +97,16 @@ func runNet(p Params, keys []uint64, conns, depth int) Result {
 		panic(fmt.Sprintf("bench: net preload: %v", err))
 	}
 
-	wl := workload.New(workload.Config{Mix: workload.Balanced, Threads: conns, Seed: p.Seed}, keys, nil)
-	target := p.Ops / 5
-	if target < 10_000 {
-		target = 10_000
-	}
-	perConn := (target + conns - 1) / conns
+	wl := workload.New(workload.Config{Mix: workload.Balanced, Threads: conns, Seed: c.Seed}, keys, nil)
+	perConn := (c.Ops + conns - 1) / conns
 	var hist histogram.Histogram
 	var done atomic.Int64
 	var wg sync.WaitGroup
 	errCh := make(chan error, conns)
 	t0 := time.Now()
 	var dl time.Time
-	if p.Duration > 0 {
-		dl = t0.Add(p.Duration)
+	if c.Duration > 0 {
+		dl = t0.Add(c.Duration)
 	}
 	for tid := 0; tid < conns; tid++ {
 		wg.Add(1)
@@ -135,7 +123,7 @@ func runNet(p Params, keys []uint64, conns, depth int) Result {
 			rbuf := make([]byte, 64*1024)
 			sent := 0
 			for {
-				if p.Duration > 0 {
+				if c.Duration > 0 {
 					if time.Now().After(dl) {
 						break
 					}
@@ -172,8 +160,8 @@ func runNet(p Params, keys []uint64, conns, depth int) Result {
 						errCh <- err
 						return
 					}
-					for _, c := range rbuf[:n] {
-						if c == '\n' {
+					for _, b := range rbuf[:n] {
+						if b == '\n' {
 							need--
 						}
 					}
@@ -194,22 +182,10 @@ func runNet(p Params, keys []uint64, conns, depth int) Result {
 		}
 	}
 	stats := netStatsOverWire(ln.Addr().String())
+	stats["net_depth"] = int64(depth)
 
-	ops := int(done.Load())
-	return Result{
-		Index:   "net-pipelined",
-		Dataset: dataset.OSM,
-		Mix:     fmt.Sprintf("net-balanced c%d d%d", conns, depth),
-		Threads: conns,
-		Ops:     ops,
-		Elapsed: elapsed,
-		Mops:    float64(ops) / elapsed.Seconds() / 1e6,
-		Mean:    hist.Mean(),
-		P50:     hist.Quantile(0.50),
-		P99:     hist.Quantile(0.99),
-		P999:    hist.Quantile(0.999),
-		Stats:   stats,
-	}
+	return Result{Dataset: c.Dataset, Mix: fmt.Sprintf("net-balanced c%d d%d", conns, depth),
+		Threads: conns, Stats: stats}.measured(int(done.Load()), elapsed, &hist)
 }
 
 // netStatsOverWire scrapes the server's STATS reply the way an operator
@@ -243,34 +219,15 @@ func netStatsOverWire(addr string) map[string]int64 {
 	panic(fmt.Sprintf("bench: net stats: reply truncated: %v", sc.Err()))
 }
 
-func dedupInts(in []int) []int {
-	var out []int
-	for _, v := range in {
-		if v <= 0 {
-			continue
-		}
-		seen := false
-		for _, o := range out {
-			if o == v {
-				seen = true
-			}
-		}
-		if !seen {
-			out = append(out, v)
-		}
-	}
-	// Keep ascending order so tables read as sweeps.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+// dedupInts returns the positive values of in, ascending and without
+// repeats, so tables read as sweeps.
+func dedupInts(in ...int) []float64 {
+	sort.Ints(in)
+	var out []float64
+	for i, v := range in {
+		if v > 0 && (i == 0 || v != in[i-1]) {
+			out = append(out, float64(v))
 		}
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,14 +3,16 @@ package bench
 import (
 	"fmt"
 	"os"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"altindex/internal/dataset"
+	"altindex/internal/histogram"
 	"altindex/internal/wal"
 )
 
-// WALCommit is the durability-cost experiment: what group commit buys and
+// walCommit is the durability-cost experiment: what group commit buys and
 // what each sync policy costs. For every sync policy × writer count cell,
 // concurrent writers Commit fixed-size records as fast as they can and
 // the table reports commits/s against fsyncs/s — under SyncAlways with
@@ -19,93 +21,84 @@ import (
 // section measures recovery: a log of p.Ops records is written, the
 // process state discarded, and Open+Replay timed — the recovery-time
 // budget that bounds how rarely an embedder may checkpoint.
-func WALCommit(p Params) {
-	p = p.withDefaults()
-	header(p, "WAL group commit: commits/s vs fsyncs/s per sync policy and writer count")
-	tw := newTable(p.Out)
-	fmt.Fprintln(tw, "Policy\tWriters\tCommits\tCommits/s\tFsyncs\tFsyncs/s\tCommits/Fsync\tP50us\tP99us")
+var walCommit = Experiment{ID: "wal-commit",
+	Title: "WAL group commit: commits/s vs fsyncs/s per sync policy x writers, plus replay speed",
+	head:  "WAL group commit: commits/s vs fsyncs/s per sync policy and writer count",
+	grids: []grid{
+		{rows: []variant{walWriters(wal.SyncAlways), walWriters(wal.SyncInterval), walWriters(wal.SyncNone)},
+			datasets: []dataset.Name{"wal"},
+			axis:     &axis{name: "writers", format: "%.0f", values: fixed(1, 2, 4, 8, 16), set: setThreads},
+			tune:     func(p Params, c *Config) { c.Ops = max(p.Ops/20, 2_000) },
+			cols:     "Policy\tWriters\tCommits\tCommits/s\tFsyncs\tFsyncs/s\tCommits/Fsync\tP50us\tP99us",
+			row: func(c cell) string {
+				fsyncs, sec := c.Stats["fsyncs"], c.Elapsed.Seconds()
+				return fmt.Sprintf("%s\t%s\t%d\t%.0f\t%d\t%.0f\t%.1f\t%s\t%s", strings.TrimPrefix(c.Index, "wal-"), c.Axis,
+					c.Ops, float64(c.Ops)/sec, fsyncs, float64(fsyncs)/sec, float64(c.Ops)/float64(max(fsyncs, 1)), us(c.P50), us(c.P99))
+			}},
+		// Recovery-time target: fill a log with p.Ops records, then time a
+		// cold Open (scan + CRC validation) and Replay of every record.
+		{sub: func(p Params) string { return fmt.Sprintf("recovery: replaying a %d-record log", p.Ops) },
+			rows:     []variant{{NamedFactory: NamedFactory{Name: "wal-replay"}, cell: walReplay}},
+			datasets: []dataset.Name{"wal"},
+			after: func(p Params, cells []cell) {
+				r := cells[0]
+				fmt.Fprintf(p.Out, "replayed %d records in %.3fs (%.2f Mrec/s)\n", r.Ops, r.Elapsed.Seconds(), r.Mops)
+			}},
+	}}
 
-	policies := []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncNone}
-	writerCounts := []int{1, 2, 4, 8, 16}
-	payload := make([]byte, 64)
-	cellBudget := p.Ops / 20
-	if cellBudget < 2_000 {
-		cellBudget = 2_000
-	}
-	cellDeadline := 2 * time.Second
-	if p.Duration > 0 {
-		cellDeadline = p.Duration
-	}
+var walPayload = make([]byte, 64)
 
-	for _, pol := range policies {
-		for _, writers := range writerCounts {
-			dir, err := os.MkdirTemp("", "walbench")
-			if err != nil {
-				panic(err)
-			}
-			l, err := wal.Open(dir, wal.Options{Sync: pol, Interval: 2 * time.Millisecond})
-			if err != nil {
-				panic(err)
-			}
-			perWriter := cellBudget / writers
-			lats := make([][]time.Duration, writers)
-			var wg sync.WaitGroup
-			deadline := time.Now().Add(cellDeadline)
-			t0 := time.Now()
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					lat := make([]time.Duration, 0, perWriter)
-					for i := 0; i < perWriter; i++ {
-						if i&63 == 0 && time.Now().After(deadline) {
-							break
-						}
-						s := time.Now()
-						if _, err := l.Commit(payload); err != nil {
-							panic(err)
-						}
-						lat = append(lat, time.Since(s))
-					}
-					lats[w] = lat
-				}(w)
-			}
-			wg.Wait()
-			elapsed := time.Since(t0)
-			st := l.Stats()
-			l.Close()
-			os.RemoveAll(dir)
-
-			var all []time.Duration
-			for _, lat := range lats {
-				all = append(all, lat...)
-			}
-			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			commits := int64(len(all))
-			perFsync := float64(commits)
-			if st.Fsyncs > 0 {
-				perFsync = float64(commits) / float64(st.Fsyncs)
-			}
-			sec := elapsed.Seconds()
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\t%d\t%.0f\t%.1f\t%s\t%s\n",
-				pol, writers, commits, float64(commits)/sec,
-				st.Fsyncs, float64(st.Fsyncs)/sec, perFsync,
-				us(pctDur(all, 0.50)), us(pctDur(all, 0.99)))
-			p.record(Result{
-				Index: fmt.Sprintf("wal-%s", pol), Dataset: "wal", Mix: "commit",
-				Threads: writers, Ops: int(commits), Elapsed: elapsed,
-				Mops: float64(commits) / sec / 1e6,
-				P50:  pctDur(all, 0.50), P99: pctDur(all, 0.99), P999: pctDur(all, 0.999),
-				Stats: map[string]int64{"fsyncs": st.Fsyncs, "batches": st.Batches,
-					"bytes": st.Bytes},
-			})
+// walWriters is one sync policy's row: c.Threads writers Commit c.Ops
+// records between them, stopping early at c.Duration (2s when unset).
+func walWriters(pol wal.SyncPolicy) variant {
+	return variant{NamedFactory: NamedFactory{Name: fmt.Sprintf("wal-%s", pol)}, cell: func(c Config) Result {
+		dir, err := os.MkdirTemp("", "walbench")
+		if err != nil {
+			panic(err)
 		}
-	}
-	tw.Flush()
+		defer os.RemoveAll(dir)
+		l, err := wal.Open(dir, wal.Options{Sync: pol, Interval: 2 * time.Millisecond})
+		if err != nil {
+			panic(err)
+		}
+		budget := 2 * time.Second
+		if c.Duration > 0 {
+			budget = c.Duration
+		}
+		perWriter := c.Ops / c.Threads
+		var hist histogram.Histogram
+		var wg sync.WaitGroup
+		deadline := time.Now().Add(budget)
+		t0 := time.Now()
+		for w := 0; w < c.Threads; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					if i&63 == 0 && time.Now().After(deadline) {
+						break
+					}
+					s := time.Now()
+					if _, err := l.Commit(walPayload); err != nil {
+						panic(err)
+					}
+					hist.Record(time.Since(s))
+				}
+			}()
+		}
+		wg.Wait()
+		elapsed := time.Since(t0)
+		st := l.Stats()
+		l.Close()
+		return Result{Dataset: c.Dataset, Mix: "commit", Threads: c.Threads,
+			Stats: map[string]int64{"fsyncs": st.Fsyncs, "batches": st.Batches, "bytes": st.Bytes},
+		}.measured(int(hist.Count()), elapsed, &hist)
+	}}
+}
 
-	// Recovery-time target: fill a log with p.Ops records, then time a cold
-	// Open (scan + CRC validation) and Replay of every record.
-	fmt.Fprintf(p.Out, "\n-- recovery: replaying a %d-record log --\n", p.Ops)
+// walReplay writes a c.Ops-record log, closes it, and times a cold Open
+// plus Replay of every record.
+func walReplay(c Config) Result {
 	dir, err := os.MkdirTemp("", "walreplay")
 	if err != nil {
 		panic(err)
@@ -115,8 +108,8 @@ func WALCommit(p Params) {
 	if err != nil {
 		panic(err)
 	}
-	for i := 0; i < p.Ops; i++ {
-		if _, err := l.Append(payload); err != nil {
+	for i := 0; i < c.Ops; i++ {
+		if _, err := l.Append(walPayload); err != nil {
 			panic(err)
 		}
 	}
@@ -134,20 +127,5 @@ func WALCommit(p Params) {
 	}
 	dt := time.Since(t0)
 	l2.Close()
-	fmt.Fprintf(p.Out, "replayed %d records in %.3fs (%.2f Mrec/s)\n",
-		n, dt.Seconds(), float64(n)/dt.Seconds()/1e6)
-	p.record(Result{
-		Index: "wal-replay", Dataset: "wal", Mix: "recovery",
-		Threads: 1, Ops: n, Elapsed: dt,
-		Mops: float64(n) / dt.Seconds() / 1e6,
-	})
-}
-
-// pctDur returns the q-quantile of a sorted duration slice.
-func pctDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+	return Result{Dataset: c.Dataset, Mix: "recovery", Threads: 1}.measured(n, dt, nil)
 }

@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
 """Summarise benchmark artifacts. Stdlib only; rerun after regenerating.
 
-Three modes:
+Two modes (the shard-scaling and net-path grids are printed by altbench
+itself):
 
 - summarize.py [results/experiments_raw.txt]: per Fig-7 mix, print each
   dataset's ALT throughput, the best baseline, and the ratio — the
   numbers EXPERIMENTS.md quotes.
-- summarize.py results/BENCH_4.json (any .json): renders whichever
-  grids the artifact carries — the shard-scaling threads x shard-count
-  grid with speedups over unsharded (S0) and the net-path depth and
-  connection sweeps.
 - summarize.py compare [--threshold N] OLD.json NEW.json: diff two
   altbench -json artifacts row by row — rows are keyed on (Experiment,
-  Index, Dataset, Mix, Threads) — printing ns/op and Mops for both
+  Index, Dataset, Mix, Threads); a swept value rides in Mix, e.g.
+  "balanced threads=4" — printing ns/op and Mops for both
   sides, the Mops delta percentage, and a REGRESSION flag on any row
   that slowed down by more than the threshold (default 3%; set with
   --threshold, or the legacy trailing percentage argument). Rows
@@ -52,85 +50,6 @@ def summarize_raw(path):
             print(f"  {ds:8s} ALT={alt:5.2f}  best-baseline={bname}={bval:5.2f}  ratio={alt/bval:4.2f}x")
 
 
-def summarize_shards(path):
-    doc = json.load(open(path))
-    # dataset -> threads -> shard count -> mops
-    grid = defaultdict(lambda: defaultdict(dict))
-    for run in doc.get("Runs", []):
-        if run.get("Experiment") != "shard-scaling":
-            continue
-        m = re.match(r"ALT-S(\d+)$", run["Index"])
-        if not m:
-            continue
-        grid[run["Dataset"]][run["Threads"]][int(m.group(1))] = run["Mops"]
-    if not grid:
-        print(f"{path}: no shard-scaling rows found")
-        return
-    for ds in sorted(grid):
-        bythr = grid[ds]
-        counts = sorted({s for thr in bythr.values() for s in thr})
-        print(f"\n== shard scaling: {ds} (Mops, speedup vs unsharded) ==")
-        header = "threads " + "".join(f"{'S'+str(s):>16s}" for s in counts)
-        print(header)
-        for thr in sorted(bythr):
-            base = bythr[thr].get(0, 0.0)
-            cells = []
-            for s in counts:
-                mops = bythr[thr].get(s)
-                if mops is None:
-                    cells.append(f"{'-':>16s}")
-                elif s == 0 or base == 0:
-                    cells.append(f"{mops:10.2f}      ")
-                else:
-                    cells.append(f"{mops:10.2f} {mops/base:4.2f}x")
-            print(f"{thr:<8d}" + "".join(cells))
-        top = max(bythr)
-        base = bythr[top].get(0, 0.0)
-        if base > 0:
-            best_s, best = max(
-                ((s, v) for s, v in bythr[top].items() if s > 0),
-                key=lambda kv: kv[1],
-                default=(None, 0.0),
-            )
-            if best_s is not None:
-                print(
-                    f"  max-thread ({top}) best: S{best_s} at "
-                    f"{best:.2f} Mops = {best/base:.2f}x unsharded"
-                )
-
-
-def summarize_net(path):
-    """Net-path grid: per (conns, depth), served Kops, flushes per command
-    and the coalescing counters. Rows come from altbench -net (Experiment
-    == net-path, Index == net-pipelined)."""
-    doc = json.load(open(path))
-    cells = {}  # (conns, depth) -> run
-    for run in doc.get("Runs", []):
-        if run.get("Experiment") != "net-path" or run.get("Index") != "net-pipelined":
-            continue
-        m = re.match(r"net-balanced c(\d+) d(\d+)", run.get("Mix", ""))
-        if m:
-            cells[(int(m.group(1)), int(m.group(2)))] = run
-    if not cells:
-        print(f"{path}: no net-path rows found")
-        return
-    print("\n== net path: served throughput (Kops) ==")
-    print(
-        f"{'conns':>5s} {'depth':>5s} {'Kops':>9s}"
-        f" {'fl/op':>6s} {'corounds':>8s} {'comean':>7s}"
-    )
-    for (conns, depth) in sorted(cells):
-        run = cells[(conns, depth)]
-        st = run.get("Stats") or {}
-        flop = st.get("net_flushes", 0) / max(st.get("net_cmds", 1), 1)
-        rounds = st.get("coalesce_batches", 0)
-        comean = st.get("coalesce_ops", 0) / rounds if rounds else 0.0
-        print(
-            f"{conns:>5d} {depth:>5d} {run.get('Mops', 0.0) * 1e3:9.1f}"
-            f" {flop:>6.3f} {rounds:>8d} {comean:>7.1f}"
-        )
-
-
 def load_rows(path):
     """Index an altbench -json artifact by (Experiment, Index, Dataset, Mix, Threads)."""
     doc = json.load(open(path))
@@ -163,7 +82,7 @@ def gc_cols(run):
 
 
 def compare(old_path, new_path, threshold_pct=3.0):
-    """Diff two BENCH_*.json artifacts; return the number of regressions.
+    """Diff two altbench -json artifacts; return the number of regressions.
 
     A row regresses when its throughput drops by more than threshold_pct.
     Rows present on only one side are listed but never flagged (a new
@@ -234,16 +153,7 @@ def main(*argv):
         if len(rest) > 2:  # legacy trailing-positional threshold
             threshold = float(rest[2])
         sys.exit(1 if compare(rest[0], rest[1], threshold) else 0)
-    path = argv[0] if argv else "results/experiments_raw.txt"
-    if path.endswith(".json"):
-        doc = json.load(open(path))
-        experiments = {r.get("Experiment") for r in doc.get("Runs", [])}
-        if "net-path" in experiments:
-            summarize_net(path)
-        if experiments - {"net-path"}:
-            summarize_shards(path)
-    else:
-        summarize_raw(path)
+    summarize_raw(argv[0] if argv else "results/experiments_raw.txt")
 
 
 if __name__ == "__main__":
