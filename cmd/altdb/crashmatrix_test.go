@@ -15,7 +15,7 @@ package main
 //   - no ghosts:             every recovered value decodes to its owning
 //     key and to an attempt that was actually sent,
 //   - no double-applies:     the key census matches the audit sweep (and
-//     engine-level idempotence is separately tested in internal/memdb).
+//     replay idempotence is separately fuzzed in internal/server).
 //
 // Values encode provenance as key<<32 | attempt, with each key owned by
 // exactly one writer, so every recovered bit is attributable. State

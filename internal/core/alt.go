@@ -63,11 +63,13 @@ type Options struct {
 	// its learned layer automatically once the ART layer holds this many
 	// keys. Zero selects 8192; negative disables automatic training.
 	AutoTrainThreshold int
-	// Shards asks front-ends (altindex.New, memdb tables, the bench
-	// factories) for a range-partitioned index of this many independent
-	// ALT shards behind a learned boundary router (internal/shard), whose
-	// boundaries Bulkload fixes and nothing moves afterwards. Zero keeps
-	// the single-instance layout. core.New itself ignores the field
+	// Shards asks front-ends (altindex.New and Load, memdb TableOptions,
+	// the bench factories) for a range-partitioned index of this many
+	// independent ALT shards behind a learned boundary router
+	// (internal/shard). Bulkload fixes the boundaries — or the layout saved
+	// in a sharded snapshot does, which wins over this count on Load — and
+	// nothing moves them afterwards. Zero keeps the single-instance
+	// layout. core.New itself ignores the field
 	// — one core.ALT is always one shard — so a single Options value can
 	// flow unchanged through the whole stack.
 	Shards int

@@ -34,9 +34,9 @@
 //
 // Examples:
 //
-//	Enable("core/retrain/freeze", "delay(200us)")   // every freeze stalls
-//	Enable("memdb/save/rows", "2*off->error(crash)") // 3rd hit fails
-//	Enable("core/insert/locked", "5%yield")          // 5% of inserts yield
+//	Enable("core/retrain/freeze", "delay(200us)")  // every freeze stalls
+//	Enable("snapio/rename", "2*off->error(crash)") // 3rd hit fails
+//	Enable("core/insert/locked", "5%yield")        // 5% of inserts yield
 //
 // Enable, Disable and Inject are all safe for concurrent use.
 package failpoint

@@ -2,14 +2,12 @@
 
 // Chaos suite for the database layer: mixed row workloads over ALT-backed
 // primary and secondary indexes while failpoints stretch the underlying
-// seqlock/retrain windows, followed by a vacuum under injection and a
-// crash-injected snapshot cycle. Build with -tags failpoint.
+// seqlock/retrain windows, followed by a vacuum under injection. Build
+// with -tags failpoint.
 package memdb
 
 import (
-	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -284,54 +282,6 @@ func TestChaosMemDB(t *testing.T) {
 	if bad := auditMemTable(tbl, sec, want); len(bad) > 0 {
 		for _, b := range bad {
 			t.Errorf("post-vacuum: %s", b)
-		}
-	}
-
-	// Snapshot cycle with a crash in the middle: the crashed save must
-	// keep the previous checkpoint intact; the clean retry must carry the
-	// full audited state across Load.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "chaos.snap")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Insert(uint64(1<<20)+3, chaosRow(uint64(1<<20)+3, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := failpoint.Enable("memdb/save/rows", "2*off->error(crash)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Save(path); !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("injected crash not surfaced: %v", err)
-	}
-	failpoint.Disable("memdb/save/rows")
-	prev, err := Load(path)
-	if err != nil {
-		t.Fatalf("checkpoint unloadable after crashed save: %v", err)
-	}
-	ptbl, err := prev.Table("events")
-	if err != nil || ptbl.Len() != len(want) {
-		t.Fatalf("checkpoint rows = %d, want %d (%v)", ptbl.Len(), len(want), err)
-	}
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctbl, err := cur.Table("events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	csec, err := ctbl.Index("by_bucket")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want[uint64(1<<20)+3] = 1
-	if bad := auditMemTable(ctbl, csec, want); len(bad) > 0 {
-		for _, b := range bad {
-			t.Errorf("after snapshot round trip: %s", b)
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"altindex/internal/core"
 	"altindex/internal/index"
 	"altindex/internal/shard"
-	"altindex/internal/wal"
 )
 
 // Errors returned by table operations.
@@ -39,16 +38,9 @@ var (
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-
-	// Durability state, set by Open (see durable.go); nil/zero for a
-	// plain in-memory database.
-	wal      *wal.Log
-	dir      string
-	replayed int64
 }
 
-// NewDB returns an empty in-memory database with no durability; use Open
-// for a write-ahead-logged one.
+// NewDB returns an empty in-memory database.
 func NewDB() *DB { return &DB{tables: map[string]*Table{}} }
 
 // TableOptions tune a table's storage layout; the zero value is the
@@ -57,56 +49,36 @@ type TableOptions struct {
 	// Shards range-partitions the table's primary index across this many
 	// independent ALT shards behind a learned boundary router (zero or one
 	// keeps a single instance). Secondary indexes stay unsharded: they are
-	// value-ordered and typically far smaller. Snapshots do not persist
-	// this setting — a reloaded database uses whatever options its tables
-	// are recreated with.
+	// value-ordered and typically far smaller.
 	Shards int
 }
 
 // CreateTable registers a table with the given number of user columns and
-// returns it. Creating an existing name returns the existing table. On a
-// durable database the DDL must commit to the log; CreateTable panics if
-// that fails — durable embedders should prefer CreateTableWith, which
-// surfaces the error.
+// returns it. Creating an existing name returns the existing table.
 func (db *DB) CreateTable(name string, columns int) *Table {
-	t, err := db.CreateTableWith(name, columns, TableOptions{})
-	if err != nil {
-		panic(fmt.Sprintf("memdb: CreateTable(%q): %v", name, err))
+	return db.CreateTableWith(name, columns, TableOptions{})
+}
+
+// CreateTableWith is CreateTable with explicit layout options.
+func (db *DB) CreateTableWith(name string, columns int, opts TableOptions) *Table {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if t, ok := db.tables[name]; ok {
+		return t
 	}
+	t := newTable(name, columns, opts)
+	db.tables[name] = t
 	return t
 }
 
-// CreateTableWith is CreateTable with explicit layout options. The only
-// error source is a durable database whose write-ahead log cannot commit
-// the DDL record.
-func (db *DB) CreateTableWith(name string, columns int, opts TableOptions) (*Table, error) {
-	db.mu.Lock()
-	if t, ok := db.tables[name]; ok {
-		db.mu.Unlock()
-		return t, nil
-	}
-	t := newTable(db, name, columns, opts)
-	db.tables[name] = t
-	seq, err := db.logAppend(encCreateTable(name, t.columns, opts.Shards))
-	db.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return t, db.logWait(seq)
-}
-
 // Close stops the background machinery (retraining workers) of every
-// table's indexes and, for a durable database, drains and closes the
-// write-ahead log. The data stays readable; Close is for reaping
+// table's indexes. The data stays readable; Close is for reaping
 // goroutines when a DB is discarded or the process shuts down.
 func (db *DB) Close() error {
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	for _, t := range db.tables {
 		t.Close()
-	}
-	db.mu.RUnlock()
-	if db.wal != nil {
-		return db.wal.Close()
 	}
 	return nil
 }
@@ -124,7 +96,6 @@ func (db *DB) Table(name string) (*Table, error) {
 
 // Table is one relation: primary key -> row of uint64 columns.
 type Table struct {
-	db      *DB // owning database (its WAL, when durable)
 	name    string
 	columns int
 
@@ -141,7 +112,7 @@ type Table struct {
 	deadHandle atomic.Int64 // stale row versions awaiting vacuum
 }
 
-func newTable(db *DB, name string, columns int, opts TableOptions) *Table {
+func newTable(name string, columns int, opts TableOptions) *Table {
 	if columns < 1 {
 		columns = 1
 	}
@@ -152,7 +123,6 @@ func newTable(db *DB, name string, columns int, opts TableOptions) *Table {
 		primary = core.New(core.Options{})
 	}
 	return &Table{
-		db:        db,
 		name:      name,
 		columns:   columns,
 		primary:   primary,
@@ -198,51 +168,29 @@ func (t *Table) stripe(pk uint64) *sync.Mutex {
 }
 
 // Insert stores a new row. The row slice is copied. Inserting an existing
-// primary key returns ErrDuplicateKey (use Update for overwrites). On a
-// durable database Insert returns only after the redo record reaches the
-// WAL's commit point.
+// primary key returns ErrDuplicateKey (use Update for overwrites).
 func (t *Table) Insert(pk uint64, row []uint64) error {
-	seq, err := t.insertLocked(pk, row)
-	if err != nil {
-		return err
-	}
-	return t.db.logWait(seq)
-}
-
-// insertLocked applies the insert and appends its redo record under the
-// stripe lock, so per-key log order always matches apply order. The
-// durability wait is the caller's (it must happen off the lock).
-func (t *Table) insertLocked(pk uint64, row []uint64) (uint64, error) {
 	if len(row) != t.columns {
-		return 0, fmt.Errorf("%w: got %d columns, want %d", ErrBadColumn, len(row), t.columns)
+		return fmt.Errorf("%w: got %d columns, want %d", ErrBadColumn, len(row), t.columns)
 	}
 	t.stripe(pk).Lock()
 	defer t.stripe(pk).Unlock()
 	if _, ok := t.primary.Get(pk); ok {
-		return 0, fmt.Errorf("%w: %d", ErrDuplicateKey, pk)
+		return fmt.Errorf("%w: %d", ErrDuplicateKey, pk)
 	}
 	h := t.rows.alloc(row)
 	if err := t.primary.Insert(pk, h); err != nil {
-		return 0, err
+		return err
 	}
 	t.liveRows.Add(1)
 	t.imu.RLock()
+	defer t.imu.RUnlock()
 	for _, sec := range t.secondary {
 		if err := sec.add(pk, row[sec.column]); err != nil {
-			t.imu.RUnlock()
-			return 0, err
+			return err
 		}
 	}
-	t.imu.RUnlock()
-	return t.logPut(pk, row)
-}
-
-// logPut appends the upsert redo record for (pk, row); nil-WAL no-op.
-func (t *Table) logPut(pk uint64, row []uint64) (uint64, error) {
-	if t.db == nil || t.db.wal == nil {
-		return 0, nil
-	}
-	return t.db.logAppend(encPut(t.name, pk, row))
+	return nil
 }
 
 // Get returns a copy of the row for pk.
@@ -255,79 +203,56 @@ func (t *Table) Get(pk uint64) ([]uint64, error) {
 }
 
 // Update overwrites the row for pk (copy-on-write: a fresh row version is
-// written and the primary index is repointed atomically). On a durable
-// database Update returns only after the redo record reaches the WAL's
-// commit point.
+// written and the primary index is repointed atomically).
 func (t *Table) Update(pk uint64, row []uint64) error {
-	seq, err := t.updateLocked(pk, row)
-	if err != nil {
-		return err
-	}
-	return t.db.logWait(seq)
-}
-
-func (t *Table) updateLocked(pk uint64, row []uint64) (uint64, error) {
 	if len(row) != t.columns {
-		return 0, fmt.Errorf("%w: got %d columns, want %d", ErrBadColumn, len(row), t.columns)
+		return fmt.Errorf("%w: got %d columns, want %d", ErrBadColumn, len(row), t.columns)
 	}
 	t.stripe(pk).Lock()
 	defer t.stripe(pk).Unlock()
 	h, ok := t.primary.Get(pk)
 	if !ok {
-		return 0, fmt.Errorf("%w: pk %d", ErrRowNotFound, pk)
+		return fmt.Errorf("%w: pk %d", ErrRowNotFound, pk)
 	}
 	old := t.rows.read(h)
 	nh := t.rows.alloc(row)
 	if !t.primary.Update(pk, nh) {
-		return 0, fmt.Errorf("%w: pk %d", ErrRowNotFound, pk)
+		return fmt.Errorf("%w: pk %d", ErrRowNotFound, pk)
 	}
 	t.deadHandle.Add(1)
 	t.imu.RLock()
+	defer t.imu.RUnlock()
 	for _, sec := range t.secondary {
 		if old[sec.column] != row[sec.column] {
 			sec.remove(pk, old[sec.column])
 			if err := sec.add(pk, row[sec.column]); err != nil {
-				t.imu.RUnlock()
-				return 0, err
+				return err
 			}
 		}
 	}
-	t.imu.RUnlock()
-	return t.logPut(pk, row)
+	return nil
 }
 
-// Delete removes the row for pk. On a durable database Delete returns
-// only after the redo record reaches the WAL's commit point.
+// Delete removes the row for pk.
 func (t *Table) Delete(pk uint64) error {
-	seq, err := t.deleteLocked(pk)
-	if err != nil {
-		return err
-	}
-	return t.db.logWait(seq)
-}
-
-func (t *Table) deleteLocked(pk uint64) (uint64, error) {
 	t.stripe(pk).Lock()
 	defer t.stripe(pk).Unlock()
 	h, ok := t.primary.Get(pk)
 	if !ok {
-		return 0, fmt.Errorf("%w: pk %d", ErrRowNotFound, pk)
+		return fmt.Errorf("%w: pk %d", ErrRowNotFound, pk)
 	}
 	old := t.rows.read(h)
 	if !t.primary.Remove(pk) {
-		return 0, fmt.Errorf("%w: pk %d", ErrRowNotFound, pk)
+		return fmt.Errorf("%w: pk %d", ErrRowNotFound, pk)
 	}
 	t.liveRows.Add(-1)
 	t.deadHandle.Add(1)
 	t.imu.RLock()
+	defer t.imu.RUnlock()
 	for _, sec := range t.secondary {
 		sec.remove(pk, old[sec.column])
 	}
-	t.imu.RUnlock()
-	if t.db == nil || t.db.wal == nil {
-		return 0, nil
-	}
-	return t.db.logAppend(encDelete(t.name, pk))
+	return nil
 }
 
 // SelectRange visits up to limit rows with pk >= start in primary-key

@@ -383,10 +383,7 @@ func TestVacuumReclaimsAndPreserves(t *testing.T) {
 // workout an unsharded table gets, and checks the shard layout is actually
 // in effect (Stats reports the shard count and routed ops).
 func TestShardedTable(t *testing.T) {
-	tbl, err := NewDB().CreateTableWith("t", 2, TableOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := NewDB().CreateTableWith("t", 2, TableOptions{Shards: 4})
 	const rows = 5000
 	for pk := uint64(rows); pk > 0; pk-- {
 		if err := tbl.Insert(pk*64, []uint64{pk % 10, pk * 3}); err != nil {

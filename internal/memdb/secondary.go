@@ -16,7 +16,6 @@ import (
 // plain index range scans.
 type Secondary struct {
 	table   *Table
-	name    string
 	column  int
 	colBits uint // column bits; 64-colBits sequence bits
 	seq     atomic.Uint64
@@ -26,34 +25,21 @@ type Secondary struct {
 // CreateIndex adds a secondary index named name over column col, whose
 // values must fit in colBits bits (the remaining bits uniquify duplicates;
 // 40/24 is a common split). Existing rows are indexed immediately. The
-// table must be quiescent during creation. On a durable database the DDL
-// record must commit before CreateIndex returns.
+// table must be quiescent during creation.
 func (t *Table) CreateIndex(name string, col int, colBits uint) (*Secondary, error) {
-	s, seq, err := t.createIndexLocked(name, col, colBits)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.db.logWait(seq); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (t *Table) createIndexLocked(name string, col int, colBits uint) (*Secondary, uint64, error) {
 	if col < 0 || col >= t.columns {
-		return nil, 0, fmt.Errorf("%w: %d", ErrBadColumn, col)
+		return nil, fmt.Errorf("%w: %d", ErrBadColumn, col)
 	}
 	if colBits < 1 || colBits > 56 {
-		return nil, 0, fmt.Errorf("memdb: colBits must be in [1,56], got %d", colBits)
+		return nil, fmt.Errorf("memdb: colBits must be in [1,56], got %d", colBits)
 	}
 	t.imu.Lock()
 	defer t.imu.Unlock()
 	if s, ok := t.secondary[name]; ok {
-		return s, 0, nil
+		return s, nil
 	}
 	s := &Secondary{
 		table:   t,
-		name:    name,
 		column:  col,
 		colBits: colBits,
 		ix:      core.New(core.Options{}),
@@ -76,7 +62,7 @@ func (t *Table) createIndexLocked(name string, col int, colBits uint) (*Secondar
 			return true
 		})
 		if backfillErr != nil {
-			return nil, 0, backfillErr
+			return nil, backfillErr
 		}
 		if n < batch || last == ^uint64(0) {
 			break
@@ -84,11 +70,7 @@ func (t *Table) createIndexLocked(name string, col int, colBits uint) (*Secondar
 		start = last + 1
 	}
 	t.secondary[name] = s
-	if t.db == nil || t.db.wal == nil {
-		return s, 0, nil
-	}
-	seq, err := t.db.logAppend(encCreateIndex(t.name, name, col, colBits))
-	return s, seq, err
+	return s, nil
 }
 
 // Index returns a registered secondary index.

@@ -174,6 +174,49 @@ func FuzzParseUint(f *testing.F) {
 	})
 }
 
+// FuzzFields: any line tokenizes without a panic; every token is a
+// non-empty, separator-free sub-slice of the line's own bytes, in order,
+// and the bytes between tokens are separators only (plus one stripped
+// trailing '\r').
+func FuzzFields(f *testing.F) {
+	for _, s := range []string{"SET 1 10", " GET\t2 \r", "MPUT 1 2 3 4", "\r", "", " \t ", "a\rb\r", "SCAN 0 18446744073709551615"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		orig := bytes.Clone(line)
+		toks := Fields(nil, line)
+		if !bytes.Equal(line, orig) {
+			t.Fatalf("Fields mutated its input %q", orig)
+		}
+		body := bytes.TrimSuffix(line, []byte("\r"))
+		pos := 0 // next unconsumed offset of body
+		for _, tok := range toks {
+			if len(tok) == 0 || bytes.ContainsAny(tok, " \t") {
+				t.Fatalf("Fields(%q) produced token %q", line, tok)
+			}
+			// Aliasing: the token's first byte lives inside body, at or
+			// after the previous token's end.
+			off := -1
+			for i := pos; i+len(tok) <= len(body); i++ {
+				if &body[i] == &tok[0] {
+					off = i
+					break
+				}
+			}
+			if off < 0 {
+				t.Fatalf("Fields(%q): token %q does not alias the line past offset %d", line, tok, pos)
+			}
+			if gap := body[pos:off]; len(bytes.Trim(gap, " \t")) != 0 {
+				t.Fatalf("Fields(%q) skipped non-separator bytes %q", line, gap)
+			}
+			pos = off + len(tok)
+		}
+		if len(bytes.Trim(body[pos:], " \t")) != 0 {
+			t.Fatalf("Fields(%q) dropped the tail %q", line, body[pos:])
+		}
+	})
+}
+
 func ExampleFields() {
 	f := Fields(nil, []byte("set 1 10"))
 	fmt.Println(len(f), string(f[0]))

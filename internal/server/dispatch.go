@@ -8,7 +8,6 @@ package server
 // %v-of-error internal failure paths still allocate through fmt.
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -74,7 +73,7 @@ func (s *Server) dispatchSlow(cs *connState, cmd []byte, args [][]byte) {
 		cs.gFound = growBool(cs.gFound, n)
 		err := s.co.Gets(keys, cs.gVals[:n], cs.gFound[:n])
 		if err != nil {
-			cs.out = fmt.Appendf(cs.out, "ERR %s %v\n", errInternal, err)
+			cs.appendEngineErr(err)
 			cs.gKeys = cs.gKeys[:0]
 			return
 		}
@@ -119,7 +118,7 @@ func (s *Server) dispatchSlow(cs *connState, cmd []byte, args [][]byte) {
 		}
 		cs.gPairs = pairs
 		if err := s.co.Sets(pairs); err != nil {
-			cs.out = fmt.Appendf(cs.out, "ERR %s %v\n", errInternal, err)
+			cs.appendEngineErr(err)
 			cs.gPairs = cs.gPairs[:0]
 			return
 		}

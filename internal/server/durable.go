@@ -45,6 +45,17 @@ import (
 // partial data. Replay is idempotent (set is an upsert, delete tolerates
 // absence), so a crash between checkpoint publish and log truncation
 // merely re-applies a prefix the checkpoint already covers.
+//
+// Storage faults: the first write, fsync or rotate error wedges the log
+// for the life of the process (wal.Log.Err). From then on every mutation
+// is refused under its stripe lock, before it touches the index, with a
+// readOnlyError (ERR READONLY on the wire); reads keep serving the state
+// that was acked; checkpoints neither publish nor truncate, because each
+// one first syncs the log it is about to cover. Restarting on a healthy
+// disk recovers exactly what the old log holds. A fault on the checkpoint
+// side (delta, base or meta write) wedges nothing: the drained keys are
+// re-marked, the previous chain stays published and the next checkpoint
+// retries.
 
 // fpCkptPublish fires between writing a checkpoint's payload files and
 // publishing its CHECKPOINT meta — the edge where a crash must leave the
@@ -53,7 +64,7 @@ var fpCkptPublish = failpoint.New("altdb/checkpoint/publish")
 
 // Redo record opcodes for the flat u64 -> u64 keyspace.
 const (
-	recSet  byte = 1 // [u64 key][u64 value]
+	recSet  byte = 1 // [u64 key][u64 value]; replay only — old logs hold it, nothing writes it
 	recDel  byte = 2 // [u64 key]
 	recMput byte = 3 // [u32 n][n × (u64 key, u64 value)]
 )
@@ -243,26 +254,20 @@ func (d *durableStore) remark(keys map[uint64]struct{}) {
 	d.dmu.Unlock()
 }
 
-// Set upserts one pair and returns after the redo record commits.
-func (d *durableStore) Set(k, v uint64) error {
-	seq, err := d.applySet(k, v)
-	if err != nil {
-		return err
-	}
-	return d.log.WaitDurable(seq)
-}
+// readOnlyError is what a mutation returns once the log has wedged: the
+// write was refused before it touched the index.
+type readOnlyError struct{ cause error }
 
-func (d *durableStore) applySet(k, v uint64) (uint64, error) {
-	d.gate.RLock()
-	defer d.gate.RUnlock()
-	m := d.stripe(k)
-	m.Lock()
-	defer m.Unlock()
-	if err := d.idx.Insert(k, v); err != nil {
-		return 0, err
+func (e readOnlyError) Error() string { return e.cause.Error() }
+
+// writable reports the log's sticky failure as a readOnlyError. Mutators
+// call it under their stripe locks before applying, so a write the log
+// would refuse is never visible to a reader.
+func (d *durableStore) writable() error {
+	if err := d.log.Err(); err != nil {
+		return readOnlyError{err}
 	}
-	d.markDirty(k)
-	return d.log.Append(encSet(k, v))
+	return nil
 }
 
 // Del removes one key; found reports whether it existed. The ack waits
@@ -281,6 +286,9 @@ func (d *durableStore) applyDel(k uint64) (bool, uint64, error) {
 	m := d.stripe(k)
 	m.Lock()
 	defer m.Unlock()
+	if err := d.writable(); err != nil {
+		return false, 0, err
+	}
 	if !d.idx.Remove(k) {
 		return false, 0, nil
 	}
@@ -319,6 +327,9 @@ func (d *durableStore) applyMput(pairs []altindex.KV) (uint64, error) {
 			}
 		}
 	}()
+	if err := d.writable(); err != nil {
+		return 0, err
+	}
 	if err := d.idx.InsertBatch(pairs); err != nil {
 		return 0, err
 	}
@@ -378,14 +389,6 @@ func (d *durableStore) applyRecord(payload []byte) error {
 	return fmt.Errorf("altdb: unknown redo opcode %d", op)
 }
 
-func encSet(k, v uint64) []byte {
-	buf := make([]byte, 17)
-	buf[0] = recSet
-	binary.LittleEndian.PutUint64(buf[1:], k)
-	binary.LittleEndian.PutUint64(buf[9:], v)
-	return buf
-}
-
 func encDel(k uint64) []byte {
 	buf := make([]byte, 9)
 	buf[0] = recDel
@@ -415,7 +418,9 @@ func (d *durableStore) checkpointLoop() {
 		case <-d.stop:
 			return
 		case <-tick.C:
-			if err := d.Checkpoint(); err != nil {
+			if err := d.log.Err(); err != nil {
+				log.Printf("event=checkpoint_skipped reason=wal_wedged error=%q", err.Error())
+			} else if err := d.Checkpoint(); err != nil {
 				log.Printf("event=checkpoint_failed error=%q", err.Error())
 			}
 		}
@@ -443,37 +448,45 @@ func (d *durableStore) Compact() error {
 }
 
 func (d *durableStore) deltaLocked() error {
-	// LastSeq is read BEFORE the dirty set is drained: a record at or
-	// below this LSN had its key marked before its append, and the append
+	// The LSN a meta names must already be on disk: a meta ahead of the
+	// log would make the next process reuse sequence numbers that replay
+	// then skips. Sync also returns the sticky cause of a wedged log, so a
+	// wedged store drains, publishes and truncates nothing.
+	if err := d.log.Sync(); err != nil {
+		return err
+	}
+	// The LSN is read BEFORE the dirty set is drained: a record at or
+	// below it had its key marked before its append, and the append
 	// happened before this read, so the mark is in the set we drain. The
 	// set may also hold keys from newer records — their delta values are
 	// then at least as new as the log suffix that re-applies them, and
 	// replay's idempotence makes that converge.
-	lsn := d.log.LastSeq()
+	lsn := d.log.DurableSeq()
 	d.dmu.Lock()
 	dirty := d.dirty
 	d.dirty = make(map[uint64]struct{}, 64)
 	d.dmu.Unlock()
 
+	n := d.deltas
+	var err error
 	if len(dirty) > 0 {
-		n := d.deltas + 1
-		if err := d.writeDelta(deltaPath(d.cfg.Dir, d.gen, n), dirty); err != nil {
-			// The drained keys are not on disk yet; put them back so the
-			// next checkpoint retries them (their log records still exist —
-			// nothing was truncated).
-			d.remark(dirty)
-			return err
-		}
-		// The delta file is durable; even if the meta publish below fails,
-		// a later successful meta (counting this file) replays it harmlessly.
-		d.deltas = n
+		n++
+		err = d.writeDelta(deltaPath(d.cfg.Dir, d.gen, n), dirty)
 	}
-	if err := fpCkptPublish.InjectErr(); err != nil {
+	if err == nil {
+		err = fpCkptPublish.InjectErr()
+	}
+	if err == nil {
+		err = d.writeMeta(ckptMeta{Generation: d.gen, Deltas: n, LSN: lsn})
+	}
+	if err != nil {
+		// Nothing was published or truncated: the drained keys go back so
+		// the next checkpoint retries them (it overwrites delta n, which
+		// no meta names).
+		d.remark(dirty)
 		return err
 	}
-	if err := d.writeMeta(ckptMeta{Generation: d.gen, Deltas: d.deltas, LSN: lsn}); err != nil {
-		return err
-	}
+	d.deltas = n
 	d.lastCkpt.Store(time.Now().Unix())
 	return d.log.TruncateBelow(lsn + 1)
 }
@@ -483,6 +496,12 @@ func (d *durableStore) deltaLocked() error {
 // holds the write gate: the base must be an exact cut of the log.
 func (d *durableStore) compactLocked() error {
 	d.gate.Lock()
+	// As in deltaLocked: the LSN goes to disk first, and a wedged log
+	// stops the compaction here.
+	if err := d.log.Sync(); err != nil {
+		d.gate.Unlock()
+		return err
+	}
 	d.idx.Quiesce()
 	// Writers are gated and every append happens under a stripe lock after
 	// its apply, so the quiescent index is exactly the state at LastSeq.
@@ -615,7 +634,12 @@ func (d *durableStore) Stats() map[string]int64 {
 	d.cmu.Lock()
 	gen, deltas := d.gen, d.deltas
 	d.cmu.Unlock()
+	var wedged int64
+	if d.log.Err() != nil {
+		wedged = 1
+	}
 	return map[string]int64{
+		"wal_wedged":            wedged,
 		"wal_appends":           st.Appends,
 		"wal_fsyncs":            st.Fsyncs,
 		"wal_batches":           st.Batches,

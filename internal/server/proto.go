@@ -20,6 +20,7 @@ package server
 //     sees ERR INTERNAL and the socket closes, the process keeps serving.
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -402,7 +403,7 @@ func (s *Server) flushGroup(cs *connState) (ok bool) {
 		err := s.co.Gets(cs.gKeys, cs.gVals[:n], cs.gFound[:n])
 		for i := 0; i < n; i++ {
 			if err != nil {
-				cs.out = fmt.Appendf(cs.out, "ERR %s %v\n", errInternal, err)
+				cs.appendEngineErr(err)
 			} else if cs.gFound[i] {
 				cs.out = append(cs.out, "VALUE "...)
 				cs.out = strconv.AppendUint(cs.out, cs.gVals[i], 10)
@@ -420,7 +421,7 @@ func (s *Server) flushGroup(cs *connState) (ok bool) {
 		err := s.co.Sets(cs.gPairs)
 		for range cs.gPairs {
 			if err != nil {
-				cs.out = fmt.Appendf(cs.out, "ERR %s %v\n", errInternal, err)
+				cs.appendEngineErr(err)
 			} else {
 				cs.out = append(cs.out, "OK\n"...)
 			}
@@ -436,7 +437,7 @@ func (s *Server) flushGroup(cs *connState) (ok bool) {
 		err := s.co.Dels(cs.gKeys, cs.gFound[:n])
 		for i := 0; i < n; i++ {
 			if err != nil {
-				cs.out = fmt.Appendf(cs.out, "ERR %s %v\n", errInternal, err)
+				cs.appendEngineErr(err)
 			} else if cs.gFound[i] {
 				cs.out = append(cs.out, "OK\n"...)
 			} else {
@@ -464,6 +465,17 @@ func growBool(s []bool, n int) []bool {
 		return make([]bool, n)
 	}
 	return s[:n]
+}
+
+// appendEngineErr emits the reply for a failed engine call: READONLY when
+// the durable store refused the write because its log is wedged, INTERNAL
+// for everything else.
+func (cs *connState) appendEngineErr(err error) {
+	code := errInternal
+	if errors.As(err, new(readOnlyError)) {
+		code = errReadOnly
+	}
+	cs.out = fmt.Appendf(cs.out, "ERR %s %v\n", code, err)
 }
 
 // appendBadInt emits the structured BADINT reply for one non-uint64 token.

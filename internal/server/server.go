@@ -53,6 +53,7 @@ const (
 	errTooLong  = "TOOLONG"  // request line exceeds maxLineBytes
 	errUnknown  = "UNKNOWN"  // unrecognized command
 	errInternal = "INTERNAL" // handler panic or engine failure
+	errReadOnly = "READONLY" // the write-ahead log is wedged; reads still serve
 )
 
 // Config tunes the server's robustness envelope. Zero values select
@@ -339,15 +340,8 @@ func (s *Server) Preload(pairs []altindex.KV) error {
 	return nil
 }
 
-// put, del and mput route mutations through the durable store when one is
+// del and mput route mutations through the durable store when one is
 // configured (ack after commit) and straight to the index otherwise.
-func (s *Server) put(k, v uint64) error {
-	if s.dur != nil {
-		return s.dur.Set(k, v)
-	}
-	return s.idx.Insert(k, v)
-}
-
 func (s *Server) del(k uint64) (bool, error) {
 	if s.dur != nil {
 		return s.dur.Del(k)

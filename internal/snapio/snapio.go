@@ -1,5 +1,5 @@
 // Package snapio implements crash-safe snapshot file I/O, shared by the
-// memdb checkpointer and the altdb server's shutdown snapshot.
+// index snapshot (altindex.Save) and the altdb server's checkpoint files.
 //
 // Failure model: the process can die (kill -9, OOM, power) at any
 // instruction. A reader must then observe either the previous complete

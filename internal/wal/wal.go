@@ -1,5 +1,5 @@
 // Package wal is a segmented write-ahead log with batched group commit,
-// the durability tier under memdb and the altdb server.
+// the durability tier under the altdb server.
 //
 // # Model
 //
@@ -452,6 +452,16 @@ func (l *Log) Close() error {
 	err := l.failed
 	l.mu.Unlock()
 	return err
+}
+
+// Err reports why the log refuses writes — the sticky cause of the first
+// hard I/O error, or ErrClosed — and nil while it accepts them. An engine
+// checks it under its per-key lock before mutating, so a write the log
+// would refuse never becomes visible.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.usableLocked()
 }
 
 // usableLocked reports the sticky failure state; callers hold l.mu.
