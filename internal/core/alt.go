@@ -472,7 +472,7 @@ func (t *ALT) Get(key uint64) (uint64, bool) {
 			// Conflict slot: before paying the ART traversal, ask the
 			// fingerprint sidecar whether the key can be there at all —
 			// the common "absent on a fit-hard dataset" case ends here.
-			if e.m.absentInART(key, s) {
+			if e.absentInART(key, s) {
 				return 0, false
 			}
 			val, found, _ := t.tree.GetFrom(t.fpNode(e.m), key)
@@ -485,7 +485,7 @@ func (t *ALT) Get(key uint64) (uint64, bool) {
 			}
 			return 0, false
 		default: // tombstone: the key may live in ART
-			if e.m.absentInART(key, s) {
+			if e.absentInART(key, s) {
 				return 0, false
 			}
 			val, found, _ := t.tree.GetFrom(t.fpNode(e.m), key)
@@ -632,7 +632,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		// same key would need the slot lock we hold, so the check cannot
 		// race with the copy it is ruling out.
 		shadowed := false
-		if !e.m.absentInART(key, s) {
+		if !e.absentInART(key, s) {
 			shadowed = t.tree.Remove(key)
 		}
 		e.keyRef(s).Store(key)
@@ -689,7 +689,7 @@ func (t *ALT) Update(key, value uint64) bool {
 				e.release(s, meta, slotOccupied)
 				return true
 			}
-			if e.m.absentInART(key, s) {
+			if e.absentInART(key, s) {
 				return false // sidecar proves no ART copy to update
 			}
 			// ART-resident target: run the tree update under the slot
@@ -702,7 +702,7 @@ func (t *ALT) Update(key, value uint64) bool {
 			e.release(s, meta, st)
 			return found
 		default:
-			if e.m.absentInART(key, s) {
+			if e.absentInART(key, s) {
 				return false
 			}
 			if !e.acquire(s, meta) {
@@ -765,7 +765,7 @@ func (t *ALT) Remove(key uint64) bool {
 				t.size.Add(-1)
 				return true
 			}
-			if e.m.absentInART(key, s) {
+			if e.absentInART(key, s) {
 				return false // sidecar proves no ART copy to remove
 			}
 			// ART-resident target: remove under the slot lock so the
@@ -781,7 +781,7 @@ func (t *ALT) Remove(key uint64) bool {
 			}
 			return removed
 		default:
-			if e.m.absentInART(key, s) {
+			if e.absentInART(key, s) {
 				return false
 			}
 			if !e.acquire(s, meta) {

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"altindex/internal/dataset"
 	"altindex/internal/failpoint"
 	"altindex/internal/index"
 	"altindex/internal/indextest"
@@ -513,5 +514,107 @@ func TestPreTableGetAcrossBootstrap(t *testing.T) {
 	}
 	if r := <-done; !r.ok || r.v != 100 {
 		t.Fatalf("Get(1000) across the bootstrap = (%d,%v), want (100,true)", r.v, r.ok)
+	}
+}
+
+// TestChaosInsertBatchOnStaleTable wedges one InsertBatch right after its
+// table load (core/batch/reload) while a retrain storm on the test
+// goroutine splices out every model the batch routes to, with the publish
+// window stretched too. When the batch wakes, each pair's routed model is
+// frozen and retired from the live table, so every insertAt on it must
+// report contention and fall through to the per-key Insert, which reloads
+// the table: every acknowledged upsert — duplicates last-writer-wins, in
+// submission order across two chunk boundaries — is readable afterwards.
+func TestChaosInsertBatchOnStaleTable(t *testing.T) {
+	const (
+		site = "core/batch/reload"
+		grid = 1 << 12
+		hot  = grid / 4 // the batch and the storm both work in [0, hot)
+	)
+	keys := make([]uint64, grid)
+	want := make(map[uint64]uint64, 2*grid)
+	for i := range keys {
+		keys[i] = uint64(i) * 16
+		want[keys[i]] = dataset.ValueFor(keys[i])
+	}
+	idx := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 128}, keys)
+
+	// 150 pairs = chunks of 64 + 64 + 22: upserts of grid keys, fresh
+	// off-grid keys (offset 9, the storm uses 1..8), and every fifth pair
+	// repeating the key five positions earlier with a newer value.
+	rng := xrand.New(7)
+	batch := make([]index.KV, 150)
+	for i := range batch {
+		k := uint64(rng.Intn(hot)) * 16
+		if i%2 == 1 {
+			k += 9
+		}
+		if i%5 == 0 && i >= 5 {
+			k = batch[i-5].Key
+		}
+		batch[i] = index.KV{Key: k, Value: uint64(i) + 1}
+	}
+	stale := idx.tab.Load()
+
+	before := failpoint.Hits(site)
+	for s, spec := range map[string]string{
+		site:                   "1*delay(1s)", // the storm takes ~0.1 s under -race
+		"core/retrain/publish": "delay(50us)",
+	} {
+		if err := failpoint.Enable(s, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer failpoint.DisableAll()
+	done := make(chan error, 1) // one send, never blocks the batch
+	go func() { done <- idx.InsertBatch(batch) }()
+	for failpoint.Hits(site) == before {
+		runtime.Gosched()
+	}
+
+	// The batch now sleeps holding `stale`. Storm its range until no pair
+	// routes to a model the stale table knows.
+	replaced := func() bool {
+		cur := idx.tab.Load()
+		for _, kv := range batch {
+			sm, _ := routed(stale, kv.Key)
+			if cm, _ := routed(cur, kv.Key); cm == sm {
+				return false
+			}
+		}
+		return true
+	}
+	for round := 0; round < 64 && !replaced(); round++ {
+		for i := 0; i < hot; i++ {
+			k := uint64(i)*16 + 1 + uint64(round%8)
+			v := uint64(round)<<32 | uint64(i)
+			if err := idx.Insert(k, v); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = v
+		}
+		idx.Quiesce()
+	}
+	if !replaced() {
+		t.Fatal("the storm left some of the batch's models in the live table; the stale path was not forced")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("InsertBatch returned (%v) before the storm finished; the wedge did not hold", err)
+	default:
+	}
+
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range batch {
+		want[kv.Key] = kv.Value // submission order: the last duplicate wins
+	}
+	idx.Quiesce()
+	for _, b := range indextest.Audit(idx, want) {
+		t.Error(b)
+	}
+	if err := tableViolations(idx.tab.Load()); err != nil {
+		t.Error(err)
 	}
 }

@@ -123,11 +123,19 @@ func (l *layout) valRef(s int) *atomic.Uint64 {
 	return &l.blocks[s>>blockShift].vals[s&blockMask]
 }
 
-// prefetch issues a best-effort prefetch of the block holding slot s, so
-// a batch loop can start the slot's lines toward L1 while it routes the
-// rest of the chunk. No-op on architectures without the instruction.
+// prefetch issues best-effort prefetches of slot s's own key, meta and
+// value words, so a batch loop can start the slot's lines toward L1 while
+// it routes and prefetches the rest of the chunk. The three words span at
+// most three adjacent lines — a 160-byte block is not line-aligned (every
+// other one starts 32 bytes into a line), so the block's first byte says
+// little about where lane s&blockMask's words sit. No-op on architectures
+// without the instruction.
 func (l *layout) prefetch(s int) {
-	prefetcht0(unsafe.Pointer(&l.blocks[s>>blockShift]))
+	b := &l.blocks[s>>blockShift]
+	j := s & blockMask
+	prefetcht0(unsafe.Pointer(&b.keys[j]))
+	prefetcht0(unsafe.Pointer(&b.meta[j]))
+	prefetcht0(unsafe.Pointer(&b.vals[j]))
 }
 
 // place fills free slot s with plain stores. Only for a model no other
@@ -287,19 +295,22 @@ func (m *model) memory() uintptr {
 }
 
 // entry is one directory record: an immutable copy of the model's probe
-// geometry plus the model itself for the cold paths (sidecar, fast pointer,
-// counters). Copying the layout in is what removes the *model dereference
-// from the slot-hit path: router -> bounds -> dir[i] -> slot block, with no
-// hop through a heap-scattered struct in between. The blocks alias the
-// model's arena span, under the same epoch pin as the table holding the
-// entry. Padded to 64 bytes so an entry never straddles a cache line.
+// geometry and of its sidecar pointer, plus the model itself for the cold
+// paths (fast pointer, counters). Copying the layout in is what removes
+// the *model dereference from the slot-hit path: router -> bounds ->
+// dir[i] -> slot block, with no hop through a heap-scattered struct in
+// between; copying sc lets a conflict probe load the sidecar tag and the
+// model's artEpoch in parallel instead of model -> sidecar -> tag in
+// series. The blocks alias the model's arena span, under the same epoch
+// pin as the table holding the entry. Exactly 64 bytes, so an entry never
+// straddles a cache line.
 type entry struct {
 	layout
-	m *model
-	_ [8]byte
+	m  *model
+	sc *sidecar // m.sc, which is final before any entry is made
 }
 
-func newEntry(m *model) entry { return entry{layout: m.layout, m: m} }
+func newEntry(m *model) entry { return entry{layout: m.layout, m: m, sc: m.sc} }
 
 // table is the immutable, flattened model directory (the paper's
 // "flattened data structure", §III-B): routing boundaries, one entry per

@@ -277,14 +277,12 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 	}
 }
 
-// TestPointOpsDoNotAllocate pins the warmed point operations at zero
-// allocations: routing, the directory entry and the slot probe all work
-// on memory the table already owns.
-func TestPointOpsDoNotAllocate(t *testing.T) {
+// slotResidents bulk-loads 50k OSM keys and returns the index with the keys
+// that sit at their predicted slot: a conflict key lives in ART, where a
+// re-insert after Remove allocates a leaf by design.
+func slotResidents(t *testing.T) (*ALT, []uint64) {
 	all := dataset.Generate(dataset.OSM, 50000, 4)
 	a := mustBulk(t, Options{DisableRetraining: true}, all)
-	// Slot residents only: a conflict key lives in ART, where a re-insert
-	// after Remove allocates a leaf by design.
 	var keys []uint64
 	tb := a.tab.Load()
 	for _, k := range all {
@@ -293,6 +291,14 @@ func TestPointOpsDoNotAllocate(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
+	return a, keys
+}
+
+// TestPointOpsDoNotAllocate pins the warmed point operations at zero
+// allocations: routing, the directory entry and the slot probe all work
+// on memory the table already owns.
+func TestPointOpsDoNotAllocate(t *testing.T) {
+	a, keys := slotResidents(t)
 	i := 0
 	next := func() uint64 { i++; return keys[i*7919%len(keys)] }
 	ops := map[string]func(){
@@ -306,6 +312,31 @@ func TestPointOpsDoNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(2000, op); n != 0 {
 			t.Errorf("%s allocates %.1f times per op, want 0", name, n)
 		}
+	}
+}
+
+// TestInsertBatchDoesNotAllocate pins a warmed 64-pair InsertBatch (one
+// full chunk, keys in scattered order) at zero allocations: the pipeline's
+// only working memory is the pooled chunk scratch.
+func TestInsertBatchDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts on purpose")
+	}
+	a, keys := slotResidents(t)
+	i := 0
+	pairs := make([]index.KV, 64)
+	op := func() {
+		for j := range pairs {
+			i++
+			pairs[j] = index.KV{Key: keys[i*7919%len(keys)], Value: uint64(i)}
+		}
+		if err := a.InsertBatch(pairs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op() // warm: first use of the epoch pin and the pooled scratch
+	if n := testing.AllocsPerRun(500, op); n != 0 {
+		t.Errorf("InsertBatch(64) allocates %.1f times per call, want 0", n)
 	}
 }
 

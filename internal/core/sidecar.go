@@ -78,7 +78,7 @@ func fp8(k uint64) uint8 {
 	return uint8((k*0x9e3779b97f4a7c15)>>56)%254 + 1
 }
 
-// absentInART reports whether key — predicted to slot s of m, which was
+// absentInART reports whether key — predicted to slot s of e, which was
 // observed occupied by a different key or tombstoned — is provably absent
 // from the ART layer, letting the caller skip the tree traversal.
 //
@@ -89,11 +89,11 @@ func fp8(k uint64) uint8 {
 // seqlock-validated the slot read that routed them here: a validated read
 // proves the model was not yet frozen, so evictions via any successor
 // model are ordered after the caller's linearization point.
-func (m *model) absentInART(key uint64, s int) bool {
-	if m.artEpoch.Load() != 0 {
+func (e *entry) absentInART(key uint64, s int) bool {
+	if e.m.artEpoch.Load() != 0 {
 		return false // runtime evictions happened; sidecar stale
 	}
-	sc := m.sc
+	sc := e.sc
 	if sc == nil {
 		return true // built with zero conflicts and none added since
 	}

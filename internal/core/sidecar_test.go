@@ -27,6 +27,12 @@ func TestSlotBlockLayout(t *testing.T) {
 		t.Fatalf("vals offset = %d, want 96", off)
 	}
 
+	// A directory entry is one cache line: the layout copy, the model and
+	// the sidecar pointer fill it exactly, so dir[i] never straddles two.
+	if got := unsafe.Sizeof(entry{}); got != 64 {
+		t.Fatalf("sizeof(entry) = %d, want 64", got)
+	}
+
 	// allocBlocks rounds up so every slot has a lane.
 	for _, nslots := range []int{1, 7, 8, 9, 16, 1000} {
 		want := (nslots + blockMask) / blockSlots
@@ -92,9 +98,10 @@ func TestSidecarCoversBuildConflicts(t *testing.T) {
 	}
 	// Every evicted key must read as "maybe in ART" — a false absent here
 	// would lose the key.
+	e := newEntry(m)
 	for _, ci := range conflicts {
 		k := keys[ci]
-		if m.absentInART(k, m.slotOf(k)) {
+		if e.absentInART(k, m.slotOf(k)) {
 			t.Fatalf("build conflict key %d reported absent from ART", k)
 		}
 	}
@@ -104,17 +111,17 @@ func TestSidecarCoversBuildConflicts(t *testing.T) {
 	s := m.slotOf(probe)
 	tag := m.sc.tags[s]
 	wantAbsent := tag == 0 || (tag != scManyTag && tag != fp8(probe))
-	if m.absentInART(probe, s) != wantAbsent {
+	if e.absentInART(probe, s) != wantAbsent {
 		t.Fatalf("absentInART(%d) disagrees with sidecar content", probe)
 	}
 	m.artEpoch.Add(1)
 	for _, ci := range conflicts {
 		k := keys[ci]
-		if m.absentInART(k, m.slotOf(k)) {
+		if e.absentInART(k, m.slotOf(k)) {
 			t.Fatalf("stale-epoch sidecar proved absence for %d", k)
 		}
 	}
-	if m.absentInART(probe, s) {
+	if e.absentInART(probe, s) {
 		t.Fatal("stale-epoch sidecar proved absence for probe key")
 	}
 }

@@ -16,14 +16,15 @@ type Batcher interface {
 	GetBatch(keys []Key, vals []Value, found []bool)
 
 	// InsertBatch upserts every pair, with per-pair semantics identical
-	// to Insert. It stops at, and returns, the first error it encounters.
-	// Implementations may apply the pairs in an order other than the
-	// caller's (e.g. grouped by key), with two guarantees: duplicate keys
-	// within the batch apply in their original relative order
-	// (last-writer-wins is preserved), and a nil return means every pair
-	// was applied. On error the batch may be partially applied, and which
-	// pairs made it in — and which error is returned first — can depend
-	// on the processing order, not the submission order.
+	// to Insert. A nil return means every pair was applied. Duplicate
+	// keys within the batch apply in their original relative order
+	// (last-writer-wins) in every implementation. ALT and the loop
+	// fallback go further: pairs apply in submission order, the batch
+	// stops at the first error in that order, and exactly the pairs
+	// before it are applied. The sharded front-end splits the batch by
+	// shard and keeps that guarantee per shard group: each shard sees
+	// its pairs in submission order, and on error the groups of other
+	// shards may or may not have been applied.
 	InsertBatch(pairs []KV) error
 }
 

@@ -39,6 +39,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("MemoryUsagePositive", func(t *testing.T) { testMemory(t, factory) })
 	t.Run("BatchMatchesPerKey", func(t *testing.T) { testBatchMatchesPerKey(t, factory) })
 	t.Run("BatchInsert", func(t *testing.T) { testBatchInsert(t, factory) })
+	t.Run("BatchDuplicates", func(t *testing.T) { testBatchDuplicates(t, factory) })
 	t.Run("BatchConcurrent", func(t *testing.T) { testBatchConcurrent(t, factory) })
 	t.Run("ChurnInvariants", func(t *testing.T) { testChurnInvariants(t, factory) })
 }
@@ -159,6 +160,97 @@ func testBatchInsert(t *testing.T, factory Factory) {
 		}
 		if v, ok := ix.Get(k); !ok || v != want {
 			t.Fatalf("after InsertBatch: Get(%d)=(%d,%v) want %d", k, v, ok, want)
+		}
+	}
+}
+
+// testBatchDuplicates checks InsertBatch's ordering contract on batches
+// full of duplicate keys: adjacent duplicates, one pair straddling
+// positions 63/64 (ALT's chunk boundary), the first key repeated last, and
+// random repeats drawn from a small pool spread over the whole key range
+// (so over every shard of a sharded index). Every position carries its own
+// value, so anything other than last-writer-wins in submission order shows.
+// The batch sizes sit on both sides of ALT's per-key threshold and chunk
+// size. Checked differentially: the same batches go through the native
+// path on one index and the per-key loop on its twin, and the two must end
+// up indistinguishable — values, Len, then a full Scan.
+func testBatchDuplicates(t *testing.T, factory Factory) {
+	native, twin := factory(), factory()
+	defer closeIfCloser(native)
+	defer closeIfCloser(twin)
+	keys := dataset.Generate(dataset.OSM, 6000, 51)
+	loaded, pending := workload.SplitLoad(keys, 0.5, 52)
+	for _, ix := range []index.Concurrent{native, twin} {
+		if err := ix.Bulkload(dataset.Pairs(loaded)); err != nil {
+			t.Fatal(err)
+		}
+		// Tombstones, so batches also claim removed slots.
+		for i := 0; i < len(loaded); i += 9 {
+			ix.Remove(loaded[i])
+		}
+	}
+	nb, lb := index.BatchOf(native), index.LoopBatcher(twin)
+	rng := rand.New(rand.NewSource(53))
+	stamp := uint64(0)
+	for _, size := range []int{1, 7, 8, 9, 63, 64, 65, 129, 1000} {
+		for round := 0; round < 4; round++ {
+			// A pool a third of the batch makes most keys repeat. Even
+			// rounds draw it from fresh keys, odd ones from loaded keys
+			// (upserts and tombstone claims).
+			src := pending
+			if round%2 == 1 {
+				src = loaded
+			}
+			pool := make([]uint64, size/3+1)
+			for i := range pool {
+				pool[i] = src[rng.Intn(len(src))]
+			}
+			batch := make([]index.KV, size)
+			for i := range batch {
+				stamp++
+				batch[i] = index.KV{Key: pool[rng.Intn(len(pool))], Value: stamp}
+			}
+			if size > 1 {
+				batch[1].Key = batch[0].Key
+				batch[size-1].Key = batch[0].Key
+			}
+			if size > 64 {
+				batch[64].Key = batch[63].Key
+			}
+			if err := nb.InsertBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := lb.InsertBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, kv := range batch {
+				gv, gok := native.Get(kv.Key)
+				wv, wok := twin.Get(kv.Key)
+				if gv != wv || gok != wok {
+					t.Fatalf("B=%d round %d: Get(%d)=(%d,%v), per-key loop gives (%d,%v)",
+						size, round, kv.Key, gv, gok, wv, wok)
+				}
+			}
+			if native.Len() != twin.Len() {
+				t.Fatalf("B=%d round %d: Len=%d, per-key loop gives %d", size, round, native.Len(), twin.Len())
+			}
+		}
+	}
+	collect := func(ix index.Concurrent) []index.KV {
+		var out []index.KV
+		ix.Scan(0, len(keys)+1, func(k, v uint64) bool {
+			out = append(out, index.KV{Key: k, Value: v})
+			return true
+		})
+		return out
+	}
+	got, want := collect(native), collect(twin)
+	if len(got) != len(want) || len(got) != native.Len() {
+		t.Fatalf("Scan returned %d pairs, per-key loop %d, Len %d", len(got), len(want), native.Len())
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Scan[%d]=%v, per-key loop gives %v", i, got[i], want[i])
 		}
 	}
 }

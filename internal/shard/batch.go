@@ -7,7 +7,7 @@ import (
 )
 
 // splitMin is the batch size below which per-key routing beats the
-// counting-sort split (mirrors core's getBatchMin).
+// counting-sort split (mirrors core's batchMin).
 const splitMin = 8
 
 // fanoutMin is the batch size above which per-shard sub-batches run on
@@ -78,20 +78,17 @@ func growKV(s []index.KV, n int) []index.KV {
 	return s[:n]
 }
 
-// splitByShard classifies n elements (via key(i)) into shard groups with a
-// stable counting sort: after the call sc.sid holds per-element shards,
+// groupByShard turns the per-element shard ids the caller wrote to
+// sc.sid[:n] into shard groups with a stable counting sort: after the call
 // sc.start[s]..sc.start[s+1] delimits shard s's group, and sc.cnt[s] is a
 // scatter cursor positioned at each group's start. Returns the number of
-// non-empty groups. O(n + S), no comparisons beyond the router's.
-func (sc *splitScratch) splitByShard(r *routing, n int, key func(int) index.Key) int {
+// non-empty groups. O(n + S), no comparisons beyond the router's. (The
+// callers classify in their own typed loops: a key-accessor closure here
+// cost an indirect call per key, 4-5% of both batch legs.)
+func (sc *splitScratch) groupByShard(r *routing, n int) int {
 	ns := r.last + 1
-	sc.sid = growU8(sc.sid, n)
-	for i := 0; i <= ns; i++ {
-		sc.cnt[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		s := uint8(r.shardOf(key(i)))
-		sc.sid[i] = s
+	clear(sc.cnt[:ns+1])
+	for _, s := range sc.sid[:n] {
 		sc.cnt[s]++
 	}
 	touched := 0
@@ -135,7 +132,11 @@ func (t *ALT) GetBatch(keys []index.Key, vals []index.Value, found []bool) {
 	}
 
 	sc := splitPool.Get().(*splitScratch)
-	touched := sc.splitByShard(r, n, func(i int) index.Key { return keys[i] })
+	sc.sid = growU8(sc.sid, n)
+	for i, k := range keys {
+		sc.sid[i] = uint8(r.shardOf(k))
+	}
+	touched := sc.groupByShard(r, n)
 	sc.pos = growI32(sc.pos, n)
 	sc.keys = growU64(sc.keys, n)
 	sc.vals = growU64(sc.vals, n)
@@ -182,12 +183,13 @@ func (t *ALT) GetBatch(keys []index.Key, vals []index.Value, found []bool) {
 }
 
 // InsertBatch implements index.Batcher by splitting the batch across
-// shards like GetBatch. The split is a stable counting sort, so duplicate
-// keys — which always route to the same shard — keep their relative order
-// and last-writer-wins is preserved. On error, groups routed to other
-// shards may already have been applied; the error returned is the first
-// one in shard order (fan-out) or encounter order (sequential), which the
-// Batcher contract permits.
+// shards like GetBatch. The split is a stable counting sort and each shard
+// applies its group in order, so every shard sees its pairs in submission
+// order and duplicate keys — which always route to the same shard — are
+// last-writer-wins. On error, groups routed to other shards may already
+// have been applied; within the failing group the pairs before the error
+// are applied and the error is that group's first in submission order.
+// Across groups the error returned is the first in shard order.
 func (t *ALT) InsertBatch(pairs []index.KV) error {
 	n := len(pairs)
 	if n == 0 {
@@ -212,7 +214,11 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 	}
 
 	sc := splitPool.Get().(*splitScratch)
-	touched := sc.splitByShard(r, n, func(i int) index.Key { return pairs[i].Key })
+	sc.sid = growU8(sc.sid, n)
+	for i := range pairs {
+		sc.sid[i] = uint8(r.shardOf(pairs[i].Key))
+	}
+	touched := sc.groupByShard(r, n)
 	sc.pairs = growKV(sc.pairs, n)
 	for i, kv := range pairs {
 		p := sc.cnt[sc.sid[i]]

@@ -332,43 +332,63 @@ func TestShardClampCounts(t *testing.T) {
 	}
 }
 
-// TestShardPointOpsDoNotAllocate pins the warmed point operations at zero
-// allocations through the shard router, as core pins them below it.
-func TestShardPointOpsDoNotAllocate(t *testing.T) {
-	// Evenly spaced keys fit their models exactly, so every key is a slot
-	// resident: a conflict key would live in ART, where a re-insert after
-	// Remove allocates a leaf by design.
+// evenIndex bulk-loads evenly spaced keys into a 4-shard index. They fit
+// their models exactly, so every key is a slot resident: a conflict key
+// would live in ART, where a re-insert after Remove allocates a leaf by
+// design. next walks the keys in a scattered order.
+func evenIndex(t *testing.T) (s *ALT, next func() uint64) {
 	keys := make([]uint64, 40000)
 	for i := range keys {
 		keys[i] = uint64(i)*64 + 1
 	}
-	s := New(core.Options{Shards: 4, DisableRetraining: true})
+	s = New(core.Options{Shards: 4, DisableRetraining: true})
 	t.Cleanup(func() { s.Close() })
 	if err := s.Bulkload(pairsOf(keys)); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	next := func() uint64 { i++; return keys[i*7919%len(keys)] }
-	// One 64-pair batch spanning all four shards in a caller-owned buffer:
-	// the pooled split scratch must keep the router's share at 0.
-	// (GetBatch(64) is not here: its scatter closure costs 1 alloc/op.)
-	bp := make([]index.KV, 64)
-	fill := func() {
-		for j := range bp {
-			bp[j] = index.KV{Key: next(), Value: 4}
-		}
-	}
+	return s, func() uint64 { i++; return keys[i*7919%len(keys)] }
+}
+
+// TestShardPointOpsDoNotAllocate pins the warmed point operations at zero
+// allocations through the shard router, as core pins them below it.
+func TestShardPointOpsDoNotAllocate(t *testing.T) {
+	s, next := evenIndex(t)
 	ops := map[string]func(){
-		"Get":             func() { s.Get(next()) },
-		"Update":          func() { s.Update(next(), 1) },
-		"Insert":          func() { _ = s.Insert(next(), 2) }, // upsert of a loaded key
-		"Remove":          func() { k := next(); s.Remove(k); _ = s.Insert(k, 3) },
-		"InsertBatch(64)": func() { fill(); _ = s.InsertBatch(bp) },
+		"Get":    func() { s.Get(next()) },
+		"Update": func() { s.Update(next(), 1) },
+		"Insert": func() { _ = s.Insert(next(), 2) }, // upsert of a loaded key
+		"Remove": func() { k := next(); s.Remove(k); _ = s.Insert(k, 3) },
 	}
 	for name, op := range ops {
 		op() // warm: first use of the epoch pin and the backoff state
 		if n := testing.AllocsPerRun(2000, op); n != 0 {
 			t.Errorf("%s allocates %.1f times per op, want 0", name, n)
 		}
+	}
+}
+
+// TestInsertBatchDoesNotAllocate pins one warmed 64-pair batch spanning all
+// four shards, in a caller-owned buffer, at zero allocations: the pooled
+// split scratch keeps the router's share at 0 and core's pooled chunk
+// scratch the shards'. (GetBatch(64) is not here: its scatter closure
+// costs 1 alloc/op.)
+func TestInsertBatchDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts on purpose")
+	}
+	s, next := evenIndex(t)
+	bp := make([]index.KV, 64)
+	op := func() {
+		for j := range bp {
+			bp[j] = index.KV{Key: next(), Value: 4}
+		}
+		if err := s.InsertBatch(bp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op() // warm: first use of the epoch pins and both pooled scratches
+	if n := testing.AllocsPerRun(2000, op); n != 0 {
+		t.Errorf("InsertBatch(64) allocates %.1f times per call, want 0", n)
 	}
 }
