@@ -23,6 +23,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"unsafe"
+
+	"altindex/internal/prefetch"
 )
 
 // Node kinds. kindLeaf nodes carry the full key and value; inner kinds
@@ -135,6 +137,10 @@ func (n *Node) n4() *node4     { return (*node4)(unsafe.Pointer(n)) }
 func (n *Node) n16() *node16   { return (*node16)(unsafe.Pointer(n)) }
 func (n *Node) n48() *node48   { return (*node48)(unsafe.Pointer(n)) }
 func (n *Node) n256() *node256 { return (*node256)(unsafe.Pointer(n)) }
+
+// prefetch starts n's first cache line — version, kind, meta, prefix and a
+// node4/16's key bytes — toward L1. A nil n is fine: the hint never faults.
+func (n *Node) prefetch() { prefetch.T0(unsafe.Pointer(n)) }
 
 // arrays returns an inner node's packed key words (nil for node256) and its
 // child slots as slices over the inline arrays.

@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"altindex/internal/arena"
+	"altindex/internal/dataset"
 	"altindex/internal/index"
+	"altindex/internal/xrand"
 )
 
 // TestGetBatchScratchReuse checks that GetBatch tolerates scratch slices
@@ -34,5 +37,117 @@ func TestGetBatchScratchReuse(t *testing.T) {
 	}
 	if vals[len(keys)] != 999 {
 		t.Fatal("GetBatch wrote past len(keys)")
+	}
+}
+
+// TestBatchGroupsMatchPerKey drives the grouped pipeline the way the shard
+// front-end does — several indexes on one reclamation domain, the batch
+// laid out group by group — over the layouts a split can produce: empty
+// groups at the front, in the middle and at the end, groups a chunk
+// boundary cuts, and a group whose index has no learned layer yet (its
+// lanes must leave the pipeline for the per-key path while their chunk
+// mates stay in it). Every group is compared with a twin index driven by
+// per-key calls.
+func TestBatchGroupsMatchPerKey(t *testing.T) {
+	const groups, span = 6, uint64(1) << 32
+	dom := arena.NewDomain()
+	var ts, twins [groups]*ALT
+	var pool [groups][]uint64 // keys a batch may touch, present or not
+	rng := xrand.New(17)
+	for g := range ts {
+		opts := Options{ErrorBound: 16, GapFactor: 1, Reclaim: dom}
+		ts[g], twins[g] = New(opts), New(opts)
+		var keys []uint64
+		for k := uint64(g) * span; len(keys) < 3000; k += 1 + uint64(rng.Intn(64)) {
+			keys = append(keys, k)
+			pool[g] = append(pool[g], k, k+span/2)
+		}
+		for _, a := range []*ALT{ts[g], twins[g]} {
+			t.Cleanup(func() { a.Close() })
+			if g == 4 { // untrained: the keys live in its ART
+				for _, k := range keys[:500] {
+					if err := a.Insert(k, k+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else if err := a.Bulkload(dataset.Pairs(keys)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := ts[0].StatsMap(); 5*st["art_keys"] < int64(ts[0].Len()) {
+		t.Fatalf("only %d of %d keys conflict into ART; the descent has nothing to do", st["art_keys"], ts[0].Len())
+	}
+
+	for _, sizes := range [][groups]int{
+		{0, 0, 100, 0, 50, 0},   // empty groups around a chunk-cut one and the untrained one
+		{20, 11, 33, 7, 40, 18}, // 129 positions: every chunk mixes groups
+		{1, 0, 6, 0, 1, 0},      // batchMin exactly
+		{3, 0, 0, 0, 2, 0},      // below batchMin: per-key for all
+		{0, 0, 0, 0, 64, 0},     // only the untrained group
+		{500, 1, 0, 300, 200, 64},
+	} {
+		var keys []uint64
+		var pairs []index.KV
+		var ends [groups]int32
+		for g, n := range sizes {
+			for i := 0; i < n; i++ {
+				k := pool[g][rng.Intn(len(pool[g]))]
+				keys = append(keys, k)
+				pairs = append(pairs, index.KV{Key: k, Value: rng.Next()})
+			}
+			ends[g] = int32(len(keys))
+		}
+		if err := InsertBatchGroups(ts[:], ends[:], pairs); err != nil {
+			t.Fatal(err)
+		}
+		vals, found := make([]uint64, len(keys)), make([]bool, len(keys))
+		GetBatchGroups(ts[:], ends[:], keys, vals, found)
+		g := 0
+		for p, kv := range pairs {
+			for int32(p) >= ends[g] {
+				g++
+			}
+			if err := twins[g].Insert(kv.Key, kv.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g = 0
+		for p, k := range keys {
+			for int32(p) >= ends[g] {
+				g++
+			}
+			if wv, wok := twins[g].Get(k); found[p] != wok || vals[p] != wv {
+				t.Fatalf("sizes %v: position %d (group %d, key %#x) = (%d,%v), per-key gives (%d,%v)",
+					sizes, p, g, k, vals[p], found[p], wv, wok)
+			}
+		}
+		for g := range ts {
+			if ts[g].Len() != twins[g].Len() {
+				t.Fatalf("sizes %v: group %d Len = %d, per-key gives %d", sizes, g, ts[g].Len(), twins[g].Len())
+			}
+		}
+	}
+}
+
+// TestBatchGroupsAcrossDomainsPanic: one pin covers a grouped call, so
+// groups on different reclamation domains are a caller bug the pipeline
+// must refuse, not probe unpinned.
+func TestBatchGroupsAcrossDomainsPanic(t *testing.T) {
+	ts := []*ALT{New(Options{}), New(Options{})} // each owns a private domain
+	keys := make([]uint64, 16)
+	ends := []int32{8, 16}
+	for name, call := range map[string]func(){
+		"GetBatchGroups":    func() { GetBatchGroups(ts, ends, keys, make([]uint64, 16), make([]bool, 16)) },
+		"InsertBatchGroups": func() { _ = InsertBatchGroups(ts, ends, make([]index.KV, 16)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s over two reclamation domains did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

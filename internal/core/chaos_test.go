@@ -21,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"altindex/internal/arena"
 	"altindex/internal/dataset"
 	"altindex/internal/failpoint"
 	"altindex/internal/index"
@@ -517,44 +518,67 @@ func TestPreTableGetAcrossBootstrap(t *testing.T) {
 	}
 }
 
-// TestChaosInsertBatchOnStaleTable wedges one InsertBatch right after its
-// table load (core/batch/reload) while a retrain storm on the test
-// goroutine splices out every model the batch routes to, with the publish
-// window stretched too. When the batch wakes, each pair's routed model is
-// frozen and retired from the live table, so every insertAt on it must
-// report contention and fall through to the per-key Insert, which reloads
-// the table: every acknowledged upsert — duplicates last-writer-wins, in
-// submission order across two chunk boundaries — is readable afterwards.
+// TestChaosInsertBatchOnStaleTable wedges one four-group InsertBatchGroups —
+// four indexes on one reclamation domain, what the 4-shard front-end hands
+// the pipeline — right after its table loads (core/batch/reload) while a
+// retrain storm on the test goroutine splices out every model group 2's
+// pairs route to, with the publish window stretched too. The other three
+// groups' tables stay the ones the batch loaded. When the batch wakes, its
+// chunks run across all four groups: each of group 2's pairs finds its
+// routed model frozen and retired from the live table, so every insertAt on
+// it must report contention and fall through to the per-key Insert, which
+// reloads the table, while the lanes of the other groups in the same chunks
+// apply in place. Every acknowledged upsert — duplicates last-writer-wins,
+// in submission order across two chunk boundaries inside group 2 — is
+// readable afterwards.
 func TestChaosInsertBatchOnStaleTable(t *testing.T) {
 	const (
-		site = "core/batch/reload"
-		grid = 1 << 12
-		hot  = grid / 4 // the batch and the storm both work in [0, hot)
+		site   = "core/batch/reload"
+		groups = 4
+		staleG = 2
+		grid   = 1 << 12
+		hot    = grid / 4  // group 2's pairs and the storm both work in its first hot keys
+		span   = grid * 16 // group g owns [g*span, (g+1)*span)
+		offset = 9         // fresh off-grid keys; the storm uses offsets 1..8
 	)
-	keys := make([]uint64, grid)
-	want := make(map[uint64]uint64, 2*grid)
-	for i := range keys {
-		keys[i] = uint64(i) * 16
-		want[keys[i]] = dataset.ValueFor(keys[i])
+	dom := arena.NewDomain()
+	var ts [groups]*ALT
+	var want [groups]map[uint64]uint64
+	for g := range ts {
+		keys := make([]uint64, grid)
+		want[g] = make(map[uint64]uint64, 2*grid)
+		for i := range keys {
+			keys[i] = uint64(g)*span + uint64(i)*16
+			want[g][keys[i]] = dataset.ValueFor(keys[i])
+		}
+		ts[g] = mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 128, Reclaim: dom}, keys)
 	}
-	idx := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 128}, keys)
 
-	// 150 pairs = chunks of 64 + 64 + 22: upserts of grid keys, fresh
-	// off-grid keys (offset 9, the storm uses 1..8), and every fifth pair
-	// repeating the key five positions earlier with a newer value.
+	// Groups of 30, 40, 150 and 20 pairs: group 2 is positions 70..219, so
+	// chunks 1, 2 and 3 each mix its lanes with another group's. Upserts of
+	// grid keys, fresh off-grid keys, and every fifth pair repeating the
+	// key five positions earlier in its group with a newer value.
 	rng := xrand.New(7)
-	batch := make([]index.KV, 150)
-	for i := range batch {
-		k := uint64(rng.Intn(hot)) * 16
-		if i%2 == 1 {
-			k += 9
+	var batch []index.KV
+	var ends [groups]int32
+	for g, n := range [groups]int{30, 40, 150, 20} {
+		lo := len(batch)
+		for i := 0; i < n; i++ {
+			k := uint64(g)*span + uint64(rng.Intn(hot))*16
+			if i%2 == 1 {
+				k += offset
+			}
+			if i%5 == 0 && i >= 5 {
+				k = batch[lo+i-5].Key
+			}
+			batch = append(batch, index.KV{Key: k, Value: uint64(len(batch)) + 1})
 		}
-		if i%5 == 0 && i >= 5 {
-			k = batch[i-5].Key
-		}
-		batch[i] = index.KV{Key: k, Value: uint64(i) + 1}
+		ends[g] = int32(len(batch))
 	}
-	stale := idx.tab.Load()
+	var loaded [groups]*table
+	for g := range ts {
+		loaded[g] = ts[g].tab.Load()
+	}
 
 	before := failpoint.Hits(site)
 	for s, spec := range map[string]string{
@@ -567,16 +591,17 @@ func TestChaosInsertBatchOnStaleTable(t *testing.T) {
 	}
 	defer failpoint.DisableAll()
 	done := make(chan error, 1) // one send, never blocks the batch
-	go func() { done <- idx.InsertBatch(batch) }()
+	go func() { done <- InsertBatchGroups(ts[:], ends[:], batch) }()
 	for failpoint.Hits(site) == before {
 		runtime.Gosched()
 	}
 
-	// The batch now sleeps holding `stale`. Storm its range until no pair
-	// routes to a model the stale table knows.
+	// The batch now sleeps holding `loaded`. Storm group 2's range until
+	// none of its pairs routes to a model its loaded table knows.
+	idx, stale := ts[staleG], loaded[staleG]
 	replaced := func() bool {
 		cur := idx.tab.Load()
-		for _, kv := range batch {
+		for _, kv := range batch[ends[staleG-1]:ends[staleG]] {
 			sm, _ := routed(stale, kv.Key)
 			if cm, _ := routed(cur, kv.Key); cm == sm {
 				return false
@@ -586,35 +611,46 @@ func TestChaosInsertBatchOnStaleTable(t *testing.T) {
 	}
 	for round := 0; round < 64 && !replaced(); round++ {
 		for i := 0; i < hot; i++ {
-			k := uint64(i)*16 + 1 + uint64(round%8)
+			k := staleG*span + uint64(i)*16 + 1 + uint64(round%8)
 			v := uint64(round)<<32 | uint64(i)
 			if err := idx.Insert(k, v); err != nil {
 				t.Fatal(err)
 			}
-			want[k] = v
+			want[staleG][k] = v
 		}
 		idx.Quiesce()
 	}
 	if !replaced() {
-		t.Fatal("the storm left some of the batch's models in the live table; the stale path was not forced")
+		t.Fatal("the storm left some of group 2's models in the live table; the stale path was not forced")
+	}
+	for g := range ts {
+		if g != staleG && ts[g].tab.Load() != loaded[g] {
+			t.Fatalf("group %d's table was superseded too; only group %d's should be stale", g, staleG)
+		}
 	}
 	select {
 	case err := <-done:
-		t.Fatalf("InsertBatch returned (%v) before the storm finished; the wedge did not hold", err)
+		t.Fatalf("InsertBatchGroups returned (%v) before the storm finished; the wedge did not hold", err)
 	default:
 	}
 
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	for _, kv := range batch {
-		want[kv.Key] = kv.Value // submission order: the last duplicate wins
+	g := 0
+	for p, kv := range batch {
+		for int32(p) >= ends[g] {
+			g++
+		}
+		want[g][kv.Key] = kv.Value // submission order: the last duplicate wins
 	}
-	idx.Quiesce()
-	for _, b := range indextest.Audit(idx, want) {
-		t.Error(b)
-	}
-	if err := tableViolations(idx.tab.Load()); err != nil {
-		t.Error(err)
+	for g, idx := range ts {
+		idx.Quiesce()
+		for _, b := range indextest.Audit(idx, want[g]) {
+			t.Errorf("group %d: %s", g, b)
+		}
+		if err := tableViolations(idx.tab.Load()); err != nil {
+			t.Errorf("group %d: %v", g, err)
+		}
 	}
 }

@@ -123,21 +123,6 @@ func (l *layout) valRef(s int) *atomic.Uint64 {
 	return &l.blocks[s>>blockShift].vals[s&blockMask]
 }
 
-// prefetch issues best-effort prefetches of slot s's own key, meta and
-// value words, so a batch loop can start the slot's lines toward L1 while
-// it routes and prefetches the rest of the chunk. The three words span at
-// most three adjacent lines — a 160-byte block is not line-aligned (every
-// other one starts 32 bytes into a line), so the block's first byte says
-// little about where lane s&blockMask's words sit. No-op on architectures
-// without the instruction.
-func (l *layout) prefetch(s int) {
-	b := &l.blocks[s>>blockShift]
-	j := s & blockMask
-	prefetcht0(unsafe.Pointer(&b.keys[j]))
-	prefetcht0(unsafe.Pointer(&b.meta[j]))
-	prefetcht0(unsafe.Pointer(&b.vals[j]))
-}
-
 // place fills free slot s with plain stores. Only for a model no other
 // goroutine can reach yet (build, shell fill, bootstrap): the tab.Store or
 // Swap that publishes it orders these writes before any reader's loads, so

@@ -1,12 +1,13 @@
 package index
 
-// Batcher is the optional batched-operation interface. Real memory-DB
-// traffic arrives in streams where consecutive keys repeatedly hit the same
-// few models, so an index that implements Batcher natively can amortize
-// per-operation routing (table loads, model binary searches, tree descents)
-// across a whole batch. Indexes without a native batch path still
-// participate in comparisons through the generic loop fallback (BatchOf /
-// LoopBatcher).
+// Batcher is the optional batched-operation interface. A single lookup or
+// insert is a chain of dependent cache misses — table load, model search,
+// slot probe, tree descent — so an index that implements Batcher natively
+// can overlap those chains across a whole batch (ALT does: routing, the
+// slot probes and the ART descents of its conflict keys each run as one
+// pass over the batch, see internal/core/batch.go). Indexes without a
+// native batch path still participate in comparisons through the generic
+// loop fallback (BatchOf / LoopBatcher).
 type Batcher interface {
 	// GetBatch looks up keys[i] for every i, writing the result into
 	// vals[i] and found[i]. vals and found must be at least len(keys)
@@ -22,9 +23,11 @@ type Batcher interface {
 	// fallback go further: pairs apply in submission order, the batch
 	// stops at the first error in that order, and exactly the pairs
 	// before it are applied. The sharded front-end splits the batch by
-	// shard and keeps that guarantee per shard group: each shard sees
-	// its pairs in submission order, and on error the groups of other
-	// shards may or may not have been applied.
+	// shard and hands the groups, in shard order, to that same pipeline,
+	// so the guarantee holds per shard group: each shard sees its pairs
+	// in submission order and the error returned is the first in shard
+	// order; the groups of other shards may or may not have been applied
+	// (large batches run their groups concurrently).
 	InsertBatch(pairs []KV) error
 }
 

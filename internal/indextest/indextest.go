@@ -40,6 +40,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("BatchMatchesPerKey", func(t *testing.T) { testBatchMatchesPerKey(t, factory) })
 	t.Run("BatchInsert", func(t *testing.T) { testBatchInsert(t, factory) })
 	t.Run("BatchDuplicates", func(t *testing.T) { testBatchDuplicates(t, factory) })
+	t.Run("BatchConflictHeavy", func(t *testing.T) { testBatchConflictHeavy(t, factory) })
 	t.Run("BatchConcurrent", func(t *testing.T) { testBatchConcurrent(t, factory) })
 	t.Run("ChurnInvariants", func(t *testing.T) { testChurnInvariants(t, factory) })
 }
@@ -236,9 +237,16 @@ func testBatchDuplicates(t *testing.T, factory Factory) {
 			}
 		}
 	}
+	scansMatch(t, native, twin)
+}
+
+// scansMatch checks that a full Scan of native returns Len pairs and
+// exactly what a full Scan of twin returns.
+func scansMatch(t *testing.T, native, twin index.Concurrent) {
+	t.Helper()
 	collect := func(ix index.Concurrent) []index.KV {
 		var out []index.KV
-		ix.Scan(0, len(keys)+1, func(k, v uint64) bool {
+		ix.Scan(0, ix.Len()+1, func(k, v uint64) bool {
 			out = append(out, index.KV{Key: k, Value: v})
 			return true
 		})
@@ -253,6 +261,126 @@ func testBatchDuplicates(t *testing.T, factory Factory) {
 			t.Fatalf("Scan[%d]=%v, per-key loop gives %v", i, got[i], want[i])
 		}
 	}
+}
+
+// testBatchConflictHeavy drives the batch paths where most keys miss their
+// predicted slot. The key set is what makes it so, whatever the index's
+// options: three keys are inserted between every two bulk-loaded neighbours
+// before the first batch, which leaves a gapped learned layer with about
+// twice the keys it has slots for, so the surplus conflicts into the ART
+// layer (an index that reports art_keys must show at least a quarter of its
+// keys there, so at least a quarter of every chunk takes the fast-pointer
+// hop and tree descent) while staying far below the per-model insert count
+// that would retrain the crowding away. Around them: a fourth in-between
+// key per gap arrives through the batches (more runtime conflict
+// evictions), a fifth stays absent (a lookup lands on a slot held by
+// another key and must prove absence), every fifth loaded key is removed up
+// front (tombstoned slots, claimed back by later batches), and keys below
+// the first and above the last loaded key fall outside every model. Checked
+// differentially: the same batches go through the native path on one index
+// and the per-key loop on its twin, at sizes on both sides of ALT's per-key
+// threshold and chunk size, and every GetBatch, then Len, then a full Scan
+// must agree.
+func testBatchConflictHeavy(t *testing.T, factory Factory) {
+	native, twin := factory(), factory()
+	defer closeIfCloser(native)
+	defer closeIfCloser(twin)
+	rng := rand.New(rand.NewSource(61))
+	loaded := make([]uint64, 0, 2500)
+	for k := uint64(1) << 32; len(loaded) < cap(loaded); k += 64 + uint64(rng.Intn(1<<20)) {
+		loaded = append(loaded, k)
+	}
+	var crowd, fresh, absent, removed []uint64
+	for i, k := range loaded[:len(loaded)-1] {
+		step := (loaded[i+1] - k) / 8
+		crowd = append(crowd, k+step, k+3*step, k+5*step)
+		fresh = append(fresh, k+2*step)
+		absent = append(absent, k+6*step)
+		if i%5 == 0 {
+			removed = append(removed, k)
+		}
+	}
+	last := loaded[len(loaded)-1]
+	outside := []uint64{0, 1, 77, 1 << 31, last + 1, last + 1<<30, ^uint64(0) - 5, ^uint64(0)}
+	for _, ix := range []index.Concurrent{native, twin} {
+		if err := ix.Bulkload(dataset.Pairs(loaded)); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range crowd {
+			if err := ix.Insert(k, dataset.ValueFor(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range removed {
+			ix.Remove(k)
+		}
+	}
+	if st, ok := native.(index.Stats); ok {
+		if art, ok := st.StatsMap()["art_keys"]; ok && 4*art < int64(native.Len()) {
+			t.Fatalf("only %d of %d keys are ART-resident; the key set no longer forces conflicts", art, native.Len())
+		}
+	}
+
+	// draw picks a key: mostly keys of the crowded range, whose slots are
+	// contested.
+	draw := func(write bool) uint64 {
+		from := func(ks []uint64) uint64 { return ks[rng.Intn(len(ks))] }
+		switch p := rng.Intn(20); {
+		case p < 4:
+			return from(loaded)
+		case p < 11:
+			return from(crowd)
+		case p < 15:
+			return from(fresh)
+		case p < 17:
+			return from(removed)
+		case p < 18:
+			return from(outside)
+		case write:
+			return from(crowd)
+		default:
+			return from(absent)
+		}
+	}
+	nb, lb := index.BatchOf(native), index.LoopBatcher(twin)
+	stamp := uint64(0)
+	for _, size := range []int{8, 63, 64, 65, 129, 1000} {
+		batch := make([]index.KV, size)
+		probe := make([]uint64, size)
+		gv, wv := make([]uint64, size), make([]uint64, size)
+		gf, wf := make([]bool, size), make([]bool, size)
+		for round := 0; round < 3; round++ {
+			for i := range batch {
+				stamp++
+				batch[i] = index.KV{Key: draw(true), Value: stamp}
+			}
+			if err := nb.InsertBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := lb.InsertBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for i := range probe {
+				probe[i] = draw(false)
+			}
+			nb.GetBatch(probe, gv, gf)
+			lb.GetBatch(probe, wv, wf)
+			for i, k := range probe {
+				if gf[i] != wf[i] || (wf[i] && gv[i] != wv[i]) {
+					t.Fatalf("B=%d round %d: GetBatch[%d](%d)=(%d,%v), per-key loop gives (%d,%v)",
+						size, round, i, k, gv[i], gf[i], wv[i], wf[i])
+				}
+				if v, ok := native.Get(k); ok != gf[i] || (ok && v != gv[i]) {
+					t.Fatalf("B=%d round %d: GetBatch[%d](%d)=(%d,%v), Get gives (%d,%v)",
+						size, round, i, k, gv[i], gf[i], v, ok)
+				}
+			}
+			if native.Len() != twin.Len() {
+				t.Fatalf("B=%d round %d: Len=%d, per-key loop gives %d", size, round, native.Len(), twin.Len())
+			}
+		}
+	}
+	scansMatch(t, native, twin)
 }
 
 // testBatchConcurrent races GetBatch/InsertBatch against per-key inserts,

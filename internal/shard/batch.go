@@ -3,6 +3,7 @@ package shard
 import (
 	"sync"
 
+	"altindex/internal/core"
 	"altindex/internal/index"
 )
 
@@ -106,9 +107,11 @@ func (sc *splitScratch) groupByShard(r *routing, n int) int {
 }
 
 // GetBatch implements index.Batcher: the batch is split by shard boundary
-// in O(B + S), each shard's group runs through that shard's native grouped
-// fast path, and results scatter back to the caller's positions. Groups
-// fan out to goroutines for large batches touching several shards.
+// in O(B + S), the shard-grouped keys go through core's grouped pipeline
+// in one call — its chunks span the shard groups, so a batch split S ways
+// still overlaps the misses of all its keys — and the results scatter back
+// to the caller's positions. Large batches touching several shards instead
+// fan out, one goroutine per group.
 func (t *ALT) GetBatch(keys []index.Key, vals []index.Value, found []bool) {
 	n := len(keys)
 	if n == 0 {
@@ -147,45 +150,37 @@ func (t *ALT) GetBatch(keys []index.Key, vals []index.Value, found []bool) {
 		sc.keys[p] = k
 		sc.pos[p] = int32(i)
 	}
+	r.countOps(sc)
 
-	run := func(s int) {
-		lo, hi := sc.start[s], sc.start[s+1]
-		if lo == hi {
-			return
-		}
-		d := &r.shards[s]
-		d.ops.Add(int64(hi - lo))
-		d.ix.GetBatch(sc.keys[lo:hi], sc.vals[lo:hi], sc.found[lo:hi])
-		for j := lo; j < hi; j++ {
-			vals[sc.pos[j]] = sc.vals[j]
-			found[sc.pos[j]] = sc.found[j]
-		}
-	}
 	if n >= fanoutMin && touched > 1 {
 		var wg sync.WaitGroup
 		for s := 0; s <= r.last; s++ {
-			if sc.start[s] == sc.start[s+1] {
+			lo, hi := sc.start[s], sc.start[s+1]
+			if lo == hi {
 				continue
 			}
 			wg.Add(1)
-			go func(s int) {
+			go func(s int, lo, hi int32) {
 				defer wg.Done()
-				run(s)
-			}(s)
+				d := &r.shards[s]
+				d.ix.GetBatch(sc.keys[lo:hi], sc.vals[lo:hi], sc.found[lo:hi])
+			}(s, lo, hi)
 		}
 		wg.Wait()
 	} else {
-		for s := 0; s <= r.last; s++ {
-			run(s)
-		}
+		core.GetBatchGroups(r.ixs, sc.start[1:r.last+2], sc.keys, sc.vals, sc.found)
+	}
+	for j, p := range sc.pos {
+		vals[p] = sc.vals[j]
+		found[p] = sc.found[j]
 	}
 	putSplit(sc)
 }
 
 // InsertBatch implements index.Batcher by splitting the batch across
-// shards like GetBatch. The split is a stable counting sort and each shard
-// applies its group in order, so every shard sees its pairs in submission
-// order and duplicate keys — which always route to the same shard — are
+// shards like GetBatch. The split is a stable counting sort and the groups
+// apply in order, so every shard sees its pairs in submission order and
+// duplicate keys — which always route to the same shard — are
 // last-writer-wins. On error, groups routed to other shards may already
 // have been applied; within the failing group the pairs before the error
 // are applied and the error is that group's first in submission order.
@@ -225,6 +220,7 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 		sc.cnt[sc.sid[i]] = p + 1
 		sc.pairs[p] = kv
 	}
+	r.countOps(sc)
 
 	var firstErr error
 	if n >= fanoutMin && touched > 1 {
@@ -239,7 +235,6 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 			go func(s int, lo, hi int32) {
 				defer wg.Done()
 				d := &r.shards[s]
-				d.ops.Add(int64(hi - lo))
 				errs[s] = d.ix.InsertBatch(sc.pairs[lo:hi])
 			}(s, lo, hi)
 		}
@@ -251,19 +246,17 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 			}
 		}
 	} else {
-		for s := 0; s <= r.last; s++ {
-			lo, hi := sc.start[s], sc.start[s+1]
-			if lo == hi {
-				continue
-			}
-			d := &r.shards[s]
-			d.ops.Add(int64(hi - lo))
-			if err := d.ix.InsertBatch(sc.pairs[lo:hi]); err != nil {
-				firstErr = err
-				break
-			}
-		}
+		firstErr = core.InsertBatchGroups(r.ixs, sc.start[1:r.last+2], sc.pairs)
 	}
 	putSplit(sc)
 	return firstErr
+}
+
+// countOps adds the split batch's group sizes to the shards' op counters.
+func (r *routing) countOps(sc *splitScratch) {
+	for s := 0; s <= r.last; s++ {
+		if c := sc.start[s+1] - sc.start[s]; c > 0 {
+			r.shards[s].ops.Add(int64(c))
+		}
+	}
 }

@@ -83,6 +83,9 @@ type routing struct {
 	// lines so one shard's op counter never false-shares with a
 	// neighbour's descriptor.
 	shards []shardDesc
+	// ixs[i] is shards[i].ix: the group targets core's grouped batch
+	// pipeline takes, which a split batch passes without building a slice.
+	ixs []*core.ALT
 }
 
 // shardDesc pairs one shard with its skew-monitor counter, padded so
@@ -178,8 +181,10 @@ func (t *ALT) newRouting(bounds []uint64) *routing {
 	}
 	copy(r.pad[:], bounds)
 	r.shards = make([]shardDesc, len(bounds)+1)
+	r.ixs = make([]*core.ALT, len(r.shards))
 	for i := range r.shards {
-		r.shards[i].ix = core.New(t.opts)
+		r.ixs[i] = core.New(t.opts)
+		r.shards[i].ix = r.ixs[i]
 	}
 	return r
 }

@@ -371,8 +371,7 @@ func TestShardPointOpsDoNotAllocate(t *testing.T) {
 // TestInsertBatchDoesNotAllocate pins one warmed 64-pair batch spanning all
 // four shards, in a caller-owned buffer, at zero allocations: the pooled
 // split scratch keeps the router's share at 0 and core's pooled chunk
-// scratch the shards'. (GetBatch(64) is not here: its scatter closure
-// costs 1 alloc/op.)
+// scratch the pipeline's.
 func TestInsertBatchDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool puts on purpose")
@@ -390,5 +389,29 @@ func TestInsertBatchDoesNotAllocate(t *testing.T) {
 	op() // warm: first use of the epoch pins and both pooled scratches
 	if n := testing.AllocsPerRun(2000, op); n != 0 {
 		t.Errorf("InsertBatch(64) allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestGetBatchDoesNotAllocate is its read twin: the sequential path hands
+// the split groups to core in one call and scatters in place, with no
+// per-shard closure left to allocate.
+func TestGetBatchDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts on purpose")
+	}
+	s, next := evenIndex(t)
+	keys, vals, found := make([]uint64, 64), make([]uint64, 64), make([]bool, 64)
+	op := func() {
+		for j := range keys {
+			keys[j] = next()
+		}
+		s.GetBatch(keys, vals, found)
+		if !found[0] || !found[63] {
+			t.Fatal("a loaded key was not found")
+		}
+	}
+	op()
+	if n := testing.AllocsPerRun(2000, op); n != 0 {
+		t.Errorf("GetBatch(64) allocates %.1f times per call, want 0", n)
 	}
 }
