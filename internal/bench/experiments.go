@@ -288,9 +288,9 @@ func Experiments() []Experiment {
 		//   - ALT-balanced: the §IV balanced mix — steady allocation from both
 		//     layers plus occasional retraining.
 		//   - ALT-hotwrite: the Fig 8(b) reserved consecutive range, inserted
-		//     hot — retraining churns whole model tables, which is precisely the
-		//     allocation stream epoch-reclaimed arenas exist to recycle. This is
-		//     the row where pre/post GC pause-per-second is compared.
+		//     hot — retraining churns whole model tables, the heaviest
+		//     allocation stream the index hands the collector. This is the row
+		//     where GC pause-per-second is compared between builds.
 		//
 		// Every row prints the collector columns next to the throughput ones, so
 		// the trade is read off one line; the JSON artifact (cmd/altbench -json)

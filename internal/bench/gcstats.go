@@ -33,8 +33,8 @@ type GCTelemetry struct {
 	// sizes at window end.
 	HeapInuseBytes uint64
 	HeapSysBytes   uint64
-	// AllocBytes is the total allocation inside the window (the churn the
-	// arena layer exists to absorb).
+	// AllocBytes is the total allocation inside the window (retraining's
+	// replacement slot arrays are most of it on write-heavy rows).
 	AllocBytes uint64
 	// ScanBytes is the pointer-scan work (heap + stacks + globals) the
 	// collector performed inside the window — the number that pointer-free

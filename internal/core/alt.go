@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"altindex/internal/arena"
 	"altindex/internal/art"
 	"altindex/internal/gpl"
 	"altindex/internal/index"
@@ -81,13 +80,6 @@ type Options struct {
 	// hot shard queues behind the gate instead of oversubscribing the
 	// CPU). Nil means ungated, the single-instance default.
 	RetrainGate chan struct{}
-	// Reclaim, when non-nil, is a shared epoch-reclamation domain: every
-	// index holding the same domain retires superseded model storage onto
-	// its limbo lists and readers of any of them pin its epoch. The
-	// sharded front-end hands one domain to all of its shards (mirroring
-	// RetrainGate) so cross-shard operations pin once. Nil makes the
-	// index own a private domain.
-	Reclaim *arena.Domain
 }
 
 func (o Options) withDefaults() Options {
@@ -113,15 +105,6 @@ type ALT struct {
 	tree *art.Tree
 	fp   *fpBuffer
 
-	// blocks is the slot-block arena every model's storage comes from:
-	// pointer-free chunks the collector never scans, recycled whole when
-	// retraining retires the models cut from them. ebr is the epoch
-	// domain deferring that recycling past every in-flight reader
-	// (Options.Reclaim, or a private domain when ownEBR).
-	blocks *arena.Arena[slotBlock]
-	ebr    *arena.Domain
-	ownEBR bool
-
 	// ret is the asynchronous retraining pipeline (§III-F); see retrain.go.
 	ret retrainer
 	// bootMu serialises automatic initial training (one bootstrap only).
@@ -143,35 +126,10 @@ func New(opts Options) *ALT {
 	t := &ALT{opts: opts.withDefaults()}
 	t.fp = newFPBuffer(64)
 	t.tree = art.New(t.fp)
-	t.blocks = arena.New[slotBlock](arenaChunkBlocks)
-	if t.ebr = t.opts.Reclaim; t.ebr == nil {
-		t.ebr = arena.NewDomain()
-		t.ownEBR = true
-	}
 	t.tab.Store(newTable(nil, nil))
 	t.ret.q = make(chan *model, t.opts.RetrainQueue)
 	t.ret.stop = make(chan struct{})
 	return t
-}
-
-// arenaChunkBlocks sizes the slot-block arena's standard chunk: 8192
-// blocks × 160 B = 1.25 MiB, big enough that a steady retrain workload
-// cycles a handful of chunks instead of allocating, small enough that a
-// mostly-drained chunk pinned by one straggler model wastes little.
-const arenaChunkBlocks = 8192
-
-// retire hands superseded models' slot storage to the epoch domain: the
-// spans return to the arena only after every reader that could still hold
-// the old table has unpinned. Call only after the replacement table is
-// published. The model structs themselves (and sidecars/ART nodes they
-// reference) stay ordinary GC-managed memory — the domain just defers the
-// arena recycling, which is the only unsafe reuse in the system.
-func (t *ALT) retire(es []entry) {
-	for i := range es {
-		fpEpochRetire.Inject()
-		sp := es[i].m.span
-		t.ebr.Retire(sp.Bytes(), sp.Release)
-	}
 }
 
 // Close stops the background retraining workers and drains the trigger
@@ -191,18 +149,6 @@ func (t *ALT) Close() error {
 			m.retrainArmed.Store(false)
 			r.pending.Add(-1)
 		default:
-			// Workers are gone; on a privately owned domain, give limbo a
-			// bounded chance to drain so a closed index does not sit on
-			// retired spans forever. On a shared domain (Options.Reclaim)
-			// skip it: the other participants keep cranking the epoch, and
-			// Close may itself be running inside a reclamation callback
-			// (the shard front-end retires superseded instances with a
-			// Close-ing free func) — under load every failed advance there
-			// is a Gosched behind every runnable goroutine, which turns 64
-			// attempts into seconds of stall on the reclaim path.
-			if t.ownEBR {
-				t.ebr.Drain(64)
-			}
 			return nil
 		}
 	}
@@ -220,9 +166,6 @@ func (t *ALT) Quiesce() {
 		}
 		runtime.Gosched()
 	}
-	// With the pipeline idle, crank the epoch so everything the rebuilds
-	// retired is actually reclaimed before audits or memory measurements.
-	t.ebr.Drain(64)
 }
 
 // Name implements index.Concurrent.
@@ -267,7 +210,7 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	var confK, confV []uint64
 	off := 0
 	for _, seg := range segs {
-		m, conflicts := buildModel(t.blocks, keys[off:off+seg.N], vals[off:off+seg.N], seg, t.opts.GapFactor)
+		m, conflicts := buildModel(keys[off:off+seg.N], vals[off:off+seg.N], seg, t.opts.GapFactor)
 		for _, ci := range conflicts {
 			confK = append(confK, keys[off+ci])
 			confV = append(confV, vals[off+ci])
@@ -286,17 +229,13 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	}
 
 	tb := newTable(bounds, dir)
-	old := t.tab.Swap(tb)
+	t.tab.Store(tb)
 	t.size.Store(int64(len(keys)))
 	t.retrains.Store(0)
 
 	if !t.opts.DisableFastPointers {
 		t.buildFastPointers(tb)
 	}
-	// The replaced table's slot storage goes through the epoch domain like
-	// any retirement, so a reader still holding the old table (Bulkload on
-	// a live index) never sees its spans recycled under it.
-	t.retire(old.dir)
 	return nil
 }
 
@@ -435,10 +374,6 @@ func spin(iters uint32) {
 // write-back or tombstone reclaim) may have moved the key between the two
 // probes, so the lookup retries.
 func (t *ALT) Get(key uint64) (uint64, bool) {
-	// The epoch pin is what lets retraining recycle superseded slot
-	// storage: every dereference of a loaded table happens under it.
-	g := t.ebr.Pin()
-	defer g.Unpin()
 	var bo backoff
 	for {
 		tab := t.tab.Load()
@@ -529,8 +464,6 @@ func (t *ALT) writeBack(m *model, s int, key, val uint64) {
 // Insert stores key/value (upsert): in place when the predicted slot is
 // free, otherwise into the ART-OPT layer (Algorithm 2, Insert).
 func (t *ALT) Insert(key, value uint64) error {
-	g := t.ebr.Pin()
-	defer g.Unpin()
 	bo := t.writerBackoff()
 	for {
 		tab := t.tab.Load()
@@ -648,8 +581,6 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 
 // Update overwrites an existing key's value.
 func (t *ALT) Update(key, value uint64) bool {
-	g := t.ebr.Pin()
-	defer g.Unpin()
 	bo := t.writerBackoff()
 	for {
 		tab := t.tab.Load()
@@ -720,8 +651,6 @@ func (t *ALT) Update(key, value uint64) bool {
 // conflict keys predicted to the same slot still route to ART
 // (invariant 2); ART-resident keys are removed from the tree.
 func (t *ALT) Remove(key uint64) bool {
-	g := t.ebr.Pin()
-	defer g.Unpin()
 	bo := t.writerBackoff()
 	for {
 		tab := t.tab.Load()
@@ -801,8 +730,6 @@ func (t *ALT) Remove(key uint64) bool {
 // MemoryUsage approximates retained heap bytes across both layers, the
 // fast pointer buffer and the model table.
 func (t *ALT) MemoryUsage() uintptr {
-	g := t.ebr.Pin()
-	defer g.Unpin()
 	tb := t.tab.Load()
 	total := t.tree.MemoryUsage() + t.fp.memory()
 	for i := range tb.dir {
@@ -814,7 +741,6 @@ func (t *ALT) MemoryUsage() uintptr {
 // StatsMap implements index.Stats with the counters behind the paper's
 // Fig 10 analysis.
 func (t *ALT) StatsMap() map[string]int64 {
-	g := t.ebr.Pin()
 	tb := t.tab.Load()
 	learned := 0
 	slots := 0
@@ -822,9 +748,6 @@ func (t *ALT) StatsMap() map[string]int64 {
 		learned += tb.dir[i].m.liveCount()
 		slots += tb.dir[i].nslots
 	}
-	g.Unpin()
-	es := t.ebr.Stats()
-	as := t.blocks.Stats()
 	return map[string]int64{
 		"models":       int64(len(tb.dir)),
 		"slots":        int64(slots),
@@ -843,18 +766,6 @@ func (t *ALT) StatsMap() map[string]int64 {
 		"retrain_freeze_ns":     t.ret.freezeNsTotal.Load(),
 		"retrain_freeze_max_ns": t.ret.freezeNsMax.Load(),
 		"writer_spins":          t.writerSpins.Load(),
-
-		// Memory-reclamation layer (arena + epochs). The epoch_* keys
-		// describe the reclamation domain, which may be shared across
-		// shards — the sharded front-end's StatsMap de-duplicates them.
-		"epoch_current":        int64(es.Epoch),
-		"limbo_models":         es.LimboCount,
-		"limbo_bytes":          es.LimboBytes,
-		"reclaims":             es.Reclaims,
-		"arena_chunks":         as.ChunksMade,
-		"arena_chunk_reuses":   as.Reuses,
-		"arena_live_bytes":     as.LiveBytes,
-		"arena_retained_bytes": as.RetainedBytes,
 	}
 }
 
@@ -862,8 +773,6 @@ func (t *ALT) StatsMap() map[string]int64 {
 // lookup traverses with or without the fast pointer, and whether the key is
 // ART-resident. Used by the Fig 10a analysis.
 func (t *ALT) ARTLookupLength(key uint64, useFP bool) (pathLen int, inART bool) {
-	g := t.ebr.Pin()
-	defer g.Unpin()
 	tab := t.tab.Load()
 	if len(tab.dir) == 0 {
 		_, found, p := t.tree.GetFrom(nil, key)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"altindex/internal/arena"
 	"altindex/internal/art"
 	"altindex/internal/index"
 	"altindex/internal/prefetch"
@@ -21,7 +20,7 @@ import (
 // runs across group boundaries, so a 64-key batch split four ways is still
 // one 64-lane chunk:
 //
-//   - one epoch pin per call and one tab.Load() per group;
+//   - one tab.Load() per group per call;
 //   - route (routeChunk): bracket-load / narrow / predict sub-passes, so
 //     the router-table and directory loads of a whole chunk overlap
 //     instead of each key's routing chain serializing behind its
@@ -124,23 +123,11 @@ var untrained = func() *table {
 	return newTable([]uint64{0}, []entry{newEntry(m)})
 }()
 
-// pinGroups pins the one reclamation domain the groups of a batch must
-// share; the loaded tables' slot storage cannot be reclaimed while the
-// chunks probe it. Nested pins from per-key fallbacks are harmless.
-func pinGroups(ts []*ALT) arena.Guard {
-	for _, t := range ts[1:] {
-		if t.ebr != ts[0].ebr {
-			panic("core: the groups of one batch span reclamation domains")
-		}
-	}
-	return ts[0].ebr.Pin()
-}
-
 // loadGroups loads every group's table into a pooled scratch, for a batch
 // of n operations. It returns nil when the caller should take the per-key
 // path instead: below batchMin the chunk machinery costs more than it
 // overlaps, and when no group has a learned layer there is nothing to
-// pipeline. Call under pinGroups' pin.
+// pipeline.
 func loadGroups(ts []*ALT, n int) *chunkScratch {
 	if n < batchMin {
 		return nil
@@ -295,17 +282,14 @@ func (t *ALT) GetBatch(keys []uint64, vals []uint64, found []bool) {
 // GetBatchGroups looks keys up in groups: group s is positions
 // [ends[s-1], ends[s]) of keys (from 0 for s = 0; empty groups are fine)
 // and is looked up in ts[s], with the results at the same positions of
-// vals and found, which must be at least len(keys) long. The groups must
-// share one arena.Domain — a mix panics — so one pin covers the call. Keys
-// are processed in caller order (no permutation): the router makes routing
+// vals and found, which must be at least len(keys) long. Keys are
+// processed in caller order (no permutation): the router makes routing
 // order-independent, so sorting the batch would cost more than the
 // locality it buys.
 func GetBatchGroups(ts []*ALT, ends []int32, keys []uint64, vals []uint64, found []bool) {
 	if len(keys) == 0 {
 		return
 	}
-	eg := pinGroups(ts)
-	defer eg.Unpin()
 	g := loadGroups(ts, len(keys))
 	if g == nil {
 		// The per-key path also owns the pre-table bootstrap recheck.
@@ -398,10 +382,9 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 }
 
 // InsertBatchGroups upserts pairs in groups laid out as GetBatchGroups'
-// are — group s is positions [ends[s-1], ends[s]) and goes to ts[s], all
-// of one arena.Domain — through the same route → probe → descend pipeline,
-// in submission order. Every pair goes through insertAt — the
-// single-attempt body of the per-key Insert, covering free-slot claims,
+// are — group s is positions [ends[s-1], ends[s]) and goes to ts[s] —
+// through the same route → probe → descend pipeline, in submission order.
+// Every pair goes through insertAt — the single-attempt body of the per-key Insert, covering free-slot claims,
 // same-key upserts, tombstone claims, conflict eviction to ART and the
 // retraining trigger without re-routing the key. Only contention (a locked
 // slot or a metadata race, which includes a model retrained since the
@@ -412,8 +395,6 @@ func InsertBatchGroups(ts []*ALT, ends []int32, pairs []index.KV) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	eg := pinGroups(ts)
-	defer eg.Unpin()
 	g := loadGroups(ts, len(pairs))
 	if g == nil {
 		p := 0

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"altindex/internal/arena"
 	"altindex/internal/dataset"
 	"altindex/internal/index"
 	"altindex/internal/xrand"
@@ -41,21 +40,19 @@ func TestGetBatchScratchReuse(t *testing.T) {
 }
 
 // TestBatchGroupsMatchPerKey drives the grouped pipeline the way the shard
-// front-end does — several indexes on one reclamation domain, the batch
-// laid out group by group — over the layouts a split can produce: empty
-// groups at the front, in the middle and at the end, groups a chunk
-// boundary cuts, and a group whose index has no learned layer yet (its
-// lanes must leave the pipeline for the per-key path while their chunk
-// mates stay in it). Every group is compared with a twin index driven by
-// per-key calls.
+// front-end does — several indexes, the batch laid out group by group —
+// over the layouts a split can produce: empty groups at the front, in the
+// middle and at the end, groups a chunk boundary cuts, and a group whose
+// index has no learned layer yet (its lanes must leave the pipeline for
+// the per-key path while their chunk mates stay in it). Every group is
+// compared with a twin index driven by per-key calls.
 func TestBatchGroupsMatchPerKey(t *testing.T) {
 	const groups, span = 6, uint64(1) << 32
-	dom := arena.NewDomain()
 	var ts, twins [groups]*ALT
 	var pool [groups][]uint64 // keys a batch may touch, present or not
 	rng := xrand.New(17)
 	for g := range ts {
-		opts := Options{ErrorBound: 16, GapFactor: 1, Reclaim: dom}
+		opts := Options{ErrorBound: 16, GapFactor: 1}
 		ts[g], twins[g] = New(opts), New(opts)
 		var keys []uint64
 		for k := uint64(g) * span; len(keys) < 3000; k += 1 + uint64(rng.Intn(64)) {
@@ -127,27 +124,5 @@ func TestBatchGroupsMatchPerKey(t *testing.T) {
 				t.Fatalf("sizes %v: group %d Len = %d, per-key gives %d", sizes, g, ts[g].Len(), twins[g].Len())
 			}
 		}
-	}
-}
-
-// TestBatchGroupsAcrossDomainsPanic: one pin covers a grouped call, so
-// groups on different reclamation domains are a caller bug the pipeline
-// must refuse, not probe unpinned.
-func TestBatchGroupsAcrossDomainsPanic(t *testing.T) {
-	ts := []*ALT{New(Options{}), New(Options{})} // each owns a private domain
-	keys := make([]uint64, 16)
-	ends := []int32{8, 16}
-	for name, call := range map[string]func(){
-		"GetBatchGroups":    func() { GetBatchGroups(ts, ends, keys, make([]uint64, 16), make([]bool, 16)) },
-		"InsertBatchGroups": func() { _ = InsertBatchGroups(ts, ends, make([]index.KV, 16)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s over two reclamation domains did not panic", name)
-				}
-			}()
-			call()
-		}()
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"sync"
 	"testing"
 
-	"altindex/internal/arena"
 	"altindex/internal/dataset"
 	"altindex/internal/failpoint"
 	"altindex/internal/index"
@@ -389,34 +388,6 @@ func TestChaosProtocol(t *testing.T) {
 			mustFire: []string{"core/retrain/splice"},
 			opts:     &Options{ErrorBound: 16, RetrainMinInserts: 192, RetrainWorkers: 4, RetrainQueue: 64},
 		},
-		{
-			// Epoch-reclamation race: every retirement stalls between the
-			// table publish and the span joining the limbo list, while
-			// publishes yield — readers pinned on the old table overlap
-			// maximally with limbo reclamation. Under -tags failpoint the
-			// arena poisons recycled chunks, so a premature reclaim is not
-			// a silent heap reuse but a deterministic 0xDB read the audit
-			// (lost writes, ghost keys) catches.
-			name: "epoch-reclaim-race",
-			specs: map[string]string{
-				"core/epoch/retire":    "delay(100us)",
-				"core/retrain/publish": "yield",
-			},
-			mustFire: []string{"core/epoch/retire"},
-			// A low trigger threshold forces many rebuilds (each retiring
-			// at least one span), so retirement and reader pins overlap
-			// throughout the run rather than once at the end.
-			opts: &Options{ErrorBound: 16, RetrainMinInserts: 32, RetrainWorkers: 4, RetrainQueue: 64},
-			check: func(t *testing.T, idx *ALT) {
-				es := idx.ebr.Stats()
-				if es.Reclaims == 0 {
-					t.Error("epoch scenario reclaimed nothing; retirement path did not run")
-				}
-				if es.LimboCount != 0 {
-					t.Errorf("limbo not drained after quiesce: %d items", es.LimboCount)
-				}
-			},
-		},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			idx, want := runChaosWorkload(t, cfg)
@@ -519,9 +490,8 @@ func TestPreTableGetAcrossBootstrap(t *testing.T) {
 }
 
 // TestChaosInsertBatchOnStaleTable wedges one four-group InsertBatchGroups —
-// four indexes on one reclamation domain, what the 4-shard front-end hands
-// the pipeline — right after its table loads (core/batch/reload) while a
-// retrain storm on the test goroutine splices out every model group 2's
+// four indexes, what the 4-shard front-end hands the pipeline — right
+// after its table loads (core/batch/reload) while a retrain storm on the test goroutine splices out every model group 2's
 // pairs route to, with the publish window stretched too. The other three
 // groups' tables stay the ones the batch loaded. When the batch wakes, its
 // chunks run across all four groups: each of group 2's pairs finds its
@@ -541,7 +511,6 @@ func TestChaosInsertBatchOnStaleTable(t *testing.T) {
 		span   = grid * 16 // group g owns [g*span, (g+1)*span)
 		offset = 9         // fresh off-grid keys; the storm uses offsets 1..8
 	)
-	dom := arena.NewDomain()
 	var ts [groups]*ALT
 	var want [groups]map[uint64]uint64
 	for g := range ts {
@@ -551,7 +520,7 @@ func TestChaosInsertBatchOnStaleTable(t *testing.T) {
 			keys[i] = uint64(g)*span + uint64(i)*16
 			want[g][keys[i]] = dataset.ValueFor(keys[i])
 		}
-		ts[g] = mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 128, Reclaim: dom}, keys)
+		ts[g] = mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 128}, keys)
 	}
 
 	// Groups of 30, 40, 150 and 20 pairs: group 2 is positions 70..219, so

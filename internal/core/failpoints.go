@@ -44,13 +44,6 @@ import "altindex/internal/failpoint"
 //	                      — stretching it lets the auto-train bootstrap
 //	                      publish a table and drain ART in between, the
 //	                      window in which an ART miss proves nothing.
-//	core/epoch/retire     fires as a superseded model's slot storage is
-//	                      handed to the epoch domain (after the new table
-//	                      published, before the span joins the limbo
-//	                      list) — stretching it widens the window in
-//	                      which pinned readers race limbo reclamation,
-//	                      the interleaving the epoch protocol must make
-//	                      safe (use-after-reclaim reads arena poison).
 var (
 	fpInsertLocked   = failpoint.New("core/insert/locked")
 	fpWriteBack      = failpoint.New("core/writeback/locked")
@@ -60,6 +53,5 @@ var (
 	fpRetrainSplice  = failpoint.New("core/retrain/splice")
 	fpFPBufRegister  = failpoint.New("core/fpbuf/register")
 	fpBatchReload    = failpoint.New("core/batch/reload")
-	fpEpochRetire    = failpoint.New("core/epoch/retire")
 	fpGetPreTable    = failpoint.New("core/get/pretable")
 )

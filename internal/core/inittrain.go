@@ -59,7 +59,7 @@ func (t *ALT) trainInitial() {
 		}
 		t.eps = eps
 	}
-	boot := emptyModel(t.blocks, k0)
+	boot := emptyModel(k0)
 	boot.place(0, k0, v0)
 	// The bootstrap model has no sidecar yet every pre-table key except k0
 	// is ART-resident; stamp the epoch so absentInART can never prove

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"altindex/internal/arena"
 	"altindex/internal/failpoint"
 	"altindex/internal/gpl"
 )
@@ -57,10 +56,12 @@ type layout struct {
 
 	// blocks is the interleaved slot storage; see slotBlock. Trailing
 	// lanes past nslots-1 in the last block stay permanently empty.
-	// It aliases the model's span when allocated from an arena: the
-	// memory then belongs to the arena and is recycled — not GC-freed —
-	// once the model is retired through the epoch domain, so the blocks
-	// must never be touched after ALT.retire has run on the model.
+	// An ordinary collector-owned slice: once retraining replaces the
+	// model its slots are frozen (lock bit set) and never written again,
+	// and the blocks live exactly as long as someone holds a table whose
+	// directory points at them — a stale reader keeps them alive by
+	// holding them. slotBlock is pointer-free, so the backing array is a
+	// noscan allocation the collector never looks inside.
 	blocks []slotBlock
 }
 
@@ -69,7 +70,6 @@ type layout struct {
 // predicted slot or in the ART-OPT layer.
 type model struct {
 	layout
-	span arena.Span[slotBlock]
 
 	// sc is the overflow fingerprint sidecar built from this model's
 	// build-time conflict evictions; nil when the build had none.
@@ -98,14 +98,6 @@ type model struct {
 // allocBlocks returns zeroed interleaved storage for nslots slots.
 func allocBlocks(nslots int) []slotBlock {
 	return make([]slotBlock, (nslots+blockMask)>>blockShift)
-}
-
-// allocSlots points the model's block storage at a fresh arena span
-// sized for m.nslots. A nil arena degrades to a GC-owned slice (tests,
-// or indexes built without an arena), for which retirement is a no-op.
-func (m *model) allocSlots(ar *arena.Arena[slotBlock]) {
-	m.span = ar.Alloc((m.nslots + blockMask) >> blockShift)
-	m.blocks = m.span.Data()
 }
 
 // metaRef, keyRef and valRef resolve a slot's atomic words inside its
@@ -139,8 +131,8 @@ func (l *layout) place(s int, key, val uint64) {
 // Keys whose predicted slot is already taken are returned as conflicts for
 // the ART-OPT layer, which is exactly what keeps the learned layer free of
 // prediction errors.
-func buildModel(ar *arena.Arena[slotBlock], keys, vals []uint64, seg gpl.Segment, gapFactor float64) (*model, []int) {
-	m := newShell(ar, seg, keys[seg.N-1], gapFactor)
+func buildModel(keys, vals []uint64, seg gpl.Segment, gapFactor float64) (*model, []int) {
+	m := newShell(seg, keys[seg.N-1], gapFactor)
 
 	var conflicts []int
 	for i := 0; i < seg.N; i++ {
@@ -286,9 +278,9 @@ func (m *model) memory() uintptr {
 // dir[i] -> slot block, with no hop through a heap-scattered struct in
 // between; copying sc lets a conflict probe load the sidecar tag and the
 // model's artEpoch in parallel instead of model -> sidecar -> tag in
-// series. The blocks alias the model's arena span, under the same epoch
-// pin as the table holding the entry. Exactly 64 bytes, so an entry never
-// straddles a cache line.
+// series. The blocks slice shares the model's backing array, so holding
+// the table keeps it alive. Exactly 64 bytes, so an entry never straddles
+// a cache line.
 type entry struct {
 	layout
 	m  *model

@@ -20,7 +20,7 @@ func buildFrom(t *testing.T, keys []uint64, eps float64, gap float64) (*model, [
 	for i := range vals {
 		vals[i] = keys[i] + 1
 	}
-	m, conflicts := buildModel(nil, keys[:seg.N], vals, seg, gap)
+	m, conflicts := buildModel(keys[:seg.N], vals, seg, gap)
 	return m, conflicts, seg
 }
 
@@ -86,7 +86,7 @@ func TestSlotOfMonotone(t *testing.T) {
 }
 
 func TestSeqlockProtocol(t *testing.T) {
-	m := emptyModel(nil, 100)
+	m := emptyModel(100)
 	// Pristine slot.
 	k, v, meta, ok := m.read(0)
 	if !ok || stateOf(meta) != 0 || k != 0 || v != 0 {
@@ -215,7 +215,7 @@ func TestQuickBuildModelInvariants(t *testing.T) {
 		off := 0
 		for _, seg := range segs {
 			vals := keys[off : off+seg.N]
-			m, conflicts := buildModel(nil, keys[off:off+seg.N], vals, seg, gap)
+			m, conflicts := buildModel(keys[off:off+seg.N], vals, seg, gap)
 			// Occupied slots strictly ascend in key.
 			var prev uint64
 			seen := 0

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"altindex/internal/arena"
 	"altindex/internal/gpl"
 )
 
@@ -322,7 +321,7 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	if len(candKeys) > 0 {
 		off := 0
 		for _, seg := range gpl.Partition(candKeys, t.eps) {
-			shells = append(shells, newShell(t.blocks, seg, candKeys[off+seg.N-1], gap))
+			shells = append(shells, newShell(seg, candKeys[off+seg.N-1], gap))
 			off += seg.N
 		}
 	}
@@ -345,17 +344,14 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	case len(keys) == 0:
 		// Keep an empty placeholder so the table still covers the range.
 		// Pre-built shells (stale candidates that all vanished before the
-		// freeze) were never published, so their spans free directly.
-		for _, sh := range shells {
-			sh.span.Release()
-		}
-		newModels = []*model{emptyModel(t.blocks, m.first)}
+		// freeze) were never published and are simply dropped.
+		newModels = []*model{emptyModel(m.first)}
 	case len(shells) == 0:
 		// No pre-freeze candidates but keys arrived before the freeze
 		// (tiny window): segment inside the freeze, the old way.
 		off := 0
 		for _, seg := range gpl.Partition(keys, t.eps) {
-			nm, conflicts := buildModel(t.blocks, keys[off:off+seg.N], vals[off:off+seg.N], seg, gap)
+			nm, conflicts := buildModel(keys[off:off+seg.N], vals[off:off+seg.N], seg, gap)
 			for _, ci := range conflicts {
 				t.tree.Put(keys[off+ci], vals[off+ci])
 			}
@@ -431,11 +427,8 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	r.publishMu.Unlock()
 
 	// The spliced-out models (the rebuilt one plus absorbed placeholders)
-	// are unreachable from the new table; retire their slot storage now
-	// that the replacement is published. Readers that loaded the old table
-	// are pinned in the current or previous epoch, and the domain frees
-	// nothing until they all move past it.
-	t.retire(cur.dir[loIdx : hiIdx+1])
+	// are unreachable from the new table and stay frozen; the collector
+	// frees them once the last reader still holding the old table lets go.
 
 	for _, a := range absorbed {
 		r.release(a.lo, a.hi)
@@ -477,7 +470,7 @@ func (t *ALT) absorbNeighbor(cur *table, i int, absorbed *[]keyRange) bool {
 // newShell allocates a model's slot arrays from a candidate segment
 // without placing any keys. last is the segment's largest candidate key;
 // exact keys above it simply clamp to the final slot and conflict-evict.
-func newShell(ar *arena.Arena[slotBlock], seg gpl.Segment, last uint64, gapFactor float64) *model {
+func newShell(seg gpl.Segment, last uint64, gapFactor float64) *model {
 	if gapFactor < 1 {
 		gapFactor = 1
 	}
@@ -487,7 +480,7 @@ func newShell(ar *arena.Arena[slotBlock], seg gpl.Segment, last uint64, gapFacto
 	if m.nslots < seg.N {
 		m.nslots = seg.N
 	}
-	m.allocSlots(ar)
+	m.blocks = allocBlocks(m.nslots)
 	return m
 }
 
@@ -524,9 +517,7 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 			placed++
 		}
 		if placed == 0 {
-			// Empty shell: neighbors' clamping covers its range. It was
-			// never published, so its storage frees without an epoch trip.
-			sh.span.Release()
+			// Empty shell: neighbors' clamping covers its range.
 			continue
 		}
 		sh.sc = sc
@@ -538,7 +529,7 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 		// keep invariant 2: those ART keys need a non-empty predicted
 		// slot). Fall back to one exact model over the full key set.
 		seg := gpl.Segment{First: keys[0], N: len(keys), Slope: shells[0].slope}
-		nm, conflicts := buildModel(t.blocks, keys, vals, seg, 1)
+		nm, conflicts := buildModel(keys, vals, seg, 1)
 		for _, ci := range conflicts {
 			t.tree.Put(keys[ci], vals[ci])
 		}
@@ -549,10 +540,9 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 
 // emptyModel returns a one-slot model covering first, used when a rebuilt
 // range holds no keys.
-func emptyModel(ar *arena.Arena[slotBlock], first uint64) *model {
-	m := &model{layout: layout{first: first, slope: 1, nslots: 1}, buildSize: 1}
+func emptyModel(first uint64) *model {
+	m := &model{layout: layout{first: first, slope: 1, nslots: 1, blocks: allocBlocks(1)}, buildSize: 1}
 	m.fastIdx.Store(-1)
-	m.allocSlots(ar)
 	return m
 }
 

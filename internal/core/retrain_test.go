@@ -27,7 +27,7 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 	// wedge the queue with a decoy model that is not in the table. The
 	// accounting mirrors enqueueRetrain: armed + pending before the send.
 	alt.ret.once.Do(func() {})
-	decoy := emptyModel(nil, 0)
+	decoy := emptyModel(0)
 	decoy.retrainArmed.Store(true)
 	alt.ret.pending.Add(1)
 	alt.ret.q <- decoy
@@ -315,16 +315,15 @@ func TestMergeSortedEdgeCases(t *testing.T) {
 
 // TestFillShellsExhaustedMidFill covers the shells-outlive-keys path: keys
 // that cover only the first shell's range must leave the trailing shells
-// dropped AND their never-published arena spans released on the spot.
+// dropped — neither returned for the splice nor reachable from the table.
 func TestFillShellsExhaustedMidFill(t *testing.T) {
 	alt := mustBulk(t, Options{ErrorBound: 16, DisableRetraining: true},
 		[]uint64{10, 20, 30})
 
-	before := alt.blocks.Stats().LiveBytes
 	shells := []*model{
-		newShell(alt.blocks, gpl.Segment{First: 100, N: 64, Slope: 0.1}, 999, 1.2),
-		newShell(alt.blocks, gpl.Segment{First: 1000, N: 64, Slope: 0.1}, 1999, 1.2),
-		newShell(alt.blocks, gpl.Segment{First: 2000, N: 64, Slope: 0.1}, 2999, 1.2),
+		newShell(gpl.Segment{First: 100, N: 64, Slope: 0.1}, 999, 1.2),
+		newShell(gpl.Segment{First: 1000, N: 64, Slope: 0.1}, 1999, 1.2),
+		newShell(gpl.Segment{First: 2000, N: 64, Slope: 0.1}, 2999, 1.2),
 	}
 	var keys, vals []uint64
 	for i := uint64(0); i < 50; i++ {
@@ -336,14 +335,12 @@ func TestFillShellsExhaustedMidFill(t *testing.T) {
 	if len(models) != 1 || models[0] != kept {
 		t.Fatalf("expected only the first shell to survive, got %d models", len(models))
 	}
-	// The two dropped shells' spans must be back in the arena: live bytes
-	// grew by exactly the surviving shell's span.
-	after := alt.blocks.Stats().LiveBytes
-	wantGrowth := int64(kept.span.Bytes())
-	if after-before != wantGrowth {
-		t.Fatalf("arena live bytes grew by %d, want %d (dropped shells not released?)",
-			after-before, wantGrowth)
+	for _, dropped := range shells[1:] {
+		if alt.tab.Load().posOf(dropped) >= 0 {
+			t.Fatal("a dropped shell is reachable from the table")
+		}
 	}
+	checkTable(t, alt)
 	if models[0].buildSize != len(keys) {
 		t.Fatalf("buildSize = %d, want %d", models[0].buildSize, len(keys))
 	}
@@ -357,7 +354,7 @@ func TestFillShellsAllConflict(t *testing.T) {
 	alt := mustBulk(t, Options{ErrorBound: 16, DisableRetraining: true},
 		[]uint64{10, 20, 30})
 
-	sh := newShell(alt.blocks, gpl.Segment{First: 500, N: 32, Slope: 0.05}, 1500, 1)
+	sh := newShell(gpl.Segment{First: 500, N: 32, Slope: 0.05}, 1500, 1)
 	for s := 0; s < sh.nslots; s++ {
 		sh.metaRef(s).Store(slotOccupied) // poison: every placement conflicts
 	}

@@ -73,11 +73,6 @@ func (t *ALT) scanAppend(dst []index.KV, bufs *scanBufs, start, end uint64, max 
 	if end != ^uint64(0) {
 		hi = end - 1
 	}
-	// One pin covers the whole merge: collectRuns dereferences every model
-	// of the loaded table, so none of them may be reclaimed before the
-	// scan finishes.
-	g := t.ebr.Pin()
-	defer g.Unpin()
 	var bo backoff
 	for ; ; bo.wait() {
 		tab := t.tab.Load()

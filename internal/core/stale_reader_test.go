@@ -1,0 +1,95 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"altindex/internal/dataset"
+)
+
+// TestStaleReaderAcrossRebuild pins the rule slot storage rests on now that
+// the collector owns it: a reader still holding a table that a rebuild
+// replaced keeps dereferencing the retired model's blocks — they live as
+// long as the table pointing at them is held — and finds them frozen, never
+// rewritten, which is what sends it to the new table.
+func TestStaleReaderAcrossRebuild(t *testing.T) {
+	keys := make([]uint64, 2000)
+	for i := range keys {
+		keys[i] = uint64(i+1) * 64
+	}
+	alt := mustBulk(t, Options{ErrorBound: 16, DisableRetraining: true}, keys)
+
+	// Snapshot the first model's occupied slots — the exact memory a
+	// reader of the old table is entitled to keep seeing.
+	old := alt.tab.Load()
+	m0 := old.dir[0].m
+	type slotVal struct{ k, v uint64 }
+	snap := map[int]slotVal{}
+	for s := 0; s < m0.nslots; s++ {
+		if m0.metaRef(s).Load()&slotOccupied != 0 {
+			snap[s] = slotVal{m0.keyRef(s).Load(), m0.valRef(s).Load()}
+		}
+	}
+	if len(snap) == 0 {
+		t.Fatal("first model holds no keys; test setup broken")
+	}
+
+	// Replace the model by rebuilding its range through the ordinary
+	// pipeline, then give the collector every chance to take the retired
+	// blocks: only `old` still reaches them.
+	m0.retrainArmed.Store(true)
+	alt.ret.pending.Add(1)
+	alt.processRetrain(m0)
+	if alt.tab.Load().posOf(m0) >= 0 {
+		t.Fatal("rebuild left the old model in the live table")
+	}
+	runtime.GC()
+	runtime.GC()
+
+	// Through the stale table: the rebuild froze these slots (meta gained
+	// the lock bit — that is how old-table readers get redirected), the
+	// key/value words are untouched, and both a reader's seqlock read and
+	// a writer's insert attempt report contention instead of acting on
+	// the retired storage.
+	e := &old.dir[0]
+	for s, want := range snap {
+		k, v := e.keyRef(s).Load(), e.valRef(s).Load()
+		meta := e.metaRef(s).Load()
+		if k != want.k || v != want.v {
+			t.Fatalf("retired slot %d changed under a stale reader: (%d,%d), want (%d,%d)",
+				s, k, v, want.k, want.v)
+		}
+		if meta&slotLockBit == 0 {
+			t.Fatalf("retired slot %d not frozen (meta %x)", s, meta)
+		}
+		if _, _, _, ok := e.read(s); ok {
+			t.Fatalf("seqlock read of retired slot %d succeeded; a stale Get would not retry", s)
+		}
+		if alt.insertAt(old, 0, want.k, want.v+1) {
+			t.Fatalf("insert of %d through the stale table was applied", want.k)
+		}
+	}
+
+	// The retry lands on the rebuilt table, which serves every key with
+	// its original value.
+	for _, k := range keys {
+		if v, ok := alt.Get(k); !ok || v != dataset.ValueFor(k) {
+			t.Fatalf("Get(%d) = (%d,%v) after the rebuild", k, v, ok)
+		}
+	}
+
+	// Memory accounting follows the live table only: the retired model is
+	// not in it, so its blocks are not counted.
+	alt.Quiesce()
+	cur := alt.tab.Load()
+	want := alt.tree.MemoryUsage() + alt.fp.memory() + cur.memory()
+	for i := range cur.dir {
+		if cur.dir[i].m == old.dir[0].m {
+			t.Fatal("retired model still in the live table after Quiesce")
+		}
+		want += cur.dir[i].m.memory()
+	}
+	if got := alt.MemoryUsage(); got != want {
+		t.Fatalf("MemoryUsage = %d, want %d (the live table's models only)", got, want)
+	}
+}

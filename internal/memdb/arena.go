@@ -3,8 +3,6 @@ package memdb
 import (
 	"sync"
 	"sync/atomic"
-
-	marena "altindex/internal/arena"
 )
 
 // arena is an append-only chunked row store. A handle is a dense row id;
@@ -12,37 +10,23 @@ import (
 // concurrent readers need no locks once they hold a handle. Freed versions
 // are recycled through a free list.
 //
-// Chunk storage comes from a shared internal/arena pool of pointer-free
-// uint64 spans: the collector never scans row data, and Vacuum's retired
-// generation returns its chunks to the pool for the next generation to
-// reuse instead of re-growing the heap.
+// Chunks are plain []uint64 slices: pointer-free, so the collector never
+// scans row data, and a generation Vacuum replaces is freed by the
+// collector once nothing holds it.
 const arenaChunkRows = 4096
 
 type arena struct {
-	width int                   // uint64s per row
-	pool  *marena.Arena[uint64] // backing span allocator, shared across Vacuum generations
+	width int // uint64s per row
 
 	mu     sync.Mutex
-	chunkV atomic.Pointer[[]*chunk]
+	chunkV atomic.Pointer[[][]uint64] // each chunk is arenaChunkRows * width words
 	next   atomic.Uint64
 	free   []uint64
 }
 
-type chunk struct {
-	rows []uint64 // arenaChunkRows * width, aliases span
-	span marena.Span[uint64]
-}
-
 func newArena(width int) *arena {
-	return newArenaOn(width, marena.New[uint64](arenaChunkRows*width))
-}
-
-// newArenaOn builds a row arena drawing chunks from an existing pool —
-// Vacuum uses it so the fresh generation recycles the chunks the retired
-// one releases.
-func newArenaOn(width int, pool *marena.Arena[uint64]) *arena {
-	a := &arena{width: width, pool: pool}
-	chunks := make([]*chunk, 0, 8)
+	a := &arena{width: width}
+	chunks := make([][]uint64, 0, 8)
 	a.chunkV.Store(&chunks)
 	return a
 }
@@ -59,18 +43,17 @@ func (a *arena) alloc(row []uint64) uint64 {
 		chunks := *a.chunkV.Load()
 		need := int(h/arenaChunkRows) + 1
 		if need > len(chunks) {
-			grown := make([]*chunk, need)
+			grown := make([][]uint64, need)
 			copy(grown, chunks)
 			for i := len(chunks); i < need; i++ {
-				sp := a.pool.Alloc(arenaChunkRows * a.width)
-				grown[i] = &chunk{rows: sp.Data(), span: sp}
+				grown[i] = make([]uint64, arenaChunkRows*a.width)
 			}
 			a.chunkV.Store(&grown)
 		}
 	}
 	c := (*a.chunkV.Load())[h/arenaChunkRows]
 	off := int(h%arenaChunkRows) * a.width
-	copy(c.rows[off:off+a.width], row)
+	copy(c[off:off+a.width], row)
 	a.mu.Unlock()
 	return h
 }
@@ -80,29 +63,17 @@ func (a *arena) read(h uint64) []uint64 {
 	c := (*a.chunkV.Load())[h/arenaChunkRows]
 	off := int(h%arenaChunkRows) * a.width
 	out := make([]uint64, a.width)
-	copy(out, c.rows[off:off+a.width])
+	copy(out, c[off:off+a.width])
 	return out
 }
 
-// release returns a handle to the free list (the caller guarantees no
-// reader can still resolve it through an index).
+// release returns a handle to the free list; the next alloc overwrites
+// its row, so the caller guarantees no reader can still resolve the handle
+// through an index.
 func (a *arena) release(h uint64) {
 	a.mu.Lock()
 	a.free = append(a.free, h)
 	a.mu.Unlock()
-}
-
-// drop returns every chunk to the backing pool. Only legal under Vacuum's
-// quiescence contract: no reader may still resolve handles through this
-// generation, because the pool may hand the memory straight back out.
-func (a *arena) drop() {
-	chunks := *a.chunkV.Load()
-	for _, c := range chunks {
-		c.span.Release()
-		c.rows = nil
-	}
-	empty := make([]*chunk, 0)
-	a.chunkV.Store(&empty)
 }
 
 func (a *arena) chunks() int { return len(*a.chunkV.Load()) }

@@ -329,10 +329,6 @@ func (t *Table) Stats() map[string]int64 {
 		"rows":         t.liveRows.Load(),
 		"dead_rows":    t.deadHandle.Load(),
 		"arena_chunks": int64(t.rows.chunks()),
-		// Served-by-recycling count from the backing span pool: non-zero
-		// once Vacuum generations start trading chunks instead of growing
-		// the heap.
-		"arena_chunk_reuses": t.rows.pool.Stats().Reuses,
 	}
 	if s, ok := t.primary.(index.Stats); ok {
 		for k, v := range s.StatsMap() {

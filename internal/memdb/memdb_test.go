@@ -3,6 +3,7 @@ package memdb
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -268,6 +269,16 @@ func TestArenaRecycling(t *testing.T) {
 	}
 	if a.chunks() < 2 {
 		t.Fatalf("chunks = %d", a.chunks())
+	}
+}
+
+// TestRowChunksHoldNoPointers pins the property the row store rests on:
+// a chunk's element is a plain machine word, so chunk backing arrays are
+// noscan allocations the collector never looks inside.
+func TestRowChunksHoldNoPointers(t *testing.T) {
+	chunk := reflect.TypeOf(*newArena(1).chunkV.Load()).Elem()
+	if k := chunk.Elem().Kind(); k != reflect.Uint64 {
+		t.Fatalf("row chunk element is %v, want a pointer-free uint64", k)
 	}
 }
 

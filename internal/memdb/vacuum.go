@@ -17,7 +17,7 @@ func (t *Table) Vacuum() int {
 	if dead == 0 {
 		return 0
 	}
-	fresh := newArenaOn(t.columns, t.rows.pool)
+	fresh := newArena(t.columns)
 	// Walk the primary index in batches, copying live rows into the
 	// fresh arena and repointing their handles.
 	start := uint64(0)
@@ -45,9 +45,7 @@ func (t *Table) Vacuum() int {
 		}
 		start = last + 1
 	}
-	old := t.rows
-	t.rows = fresh
-	old.drop() // quiescent: chunks go straight back to the shared pool
+	t.rows = fresh // the old generation is the collector's from here
 	t.deadHandle.Store(0)
 	return dead
 }

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"altindex/internal/arena"
 	"altindex/internal/core"
 	"altindex/internal/gpl"
 	"altindex/internal/index"
@@ -50,13 +49,8 @@ const parallelBulkMin = 1 << 16
 // scans, stats) by routing every operation to one of S core.ALT shards.
 // Create with New; safe for concurrent use after Bulkload.
 type ALT struct {
-	opts core.Options // per-shard options: Shards cleared, RetrainGate + Reclaim set
+	opts core.Options // per-shard options: Shards cleared, RetrainGate set
 	gate chan struct{}
-	// ebr is the reclamation domain shared by every shard (and every
-	// routing generation): one epoch clock for the whole index, so a
-	// reader pinned in any shard defers reclamation everywhere, and
-	// retired routers ride the same limbo lists as retired models.
-	ebr *arena.Domain
 	// fixed pins the boundaries across Bulkload (snapshot restore): the
 	// stored layout is reproduced instead of recomputing quantiles.
 	fixed bool
@@ -162,15 +156,10 @@ func newFront(opts core.Options) *ALT {
 	if gate == nil {
 		gate = make(chan struct{}, rebuildBudget())
 	}
-	dom := opts.Reclaim
-	if dom == nil {
-		dom = arena.NewDomain()
-	}
 	child := opts
 	child.Shards = 0
 	child.RetrainGate = gate
-	child.Reclaim = dom
-	return &ALT{opts: child, gate: gate, ebr: dom}
+	return &ALT{opts: child, gate: gate}
 }
 
 // newRouting builds a fresh routing table with len(bounds)+1 empty shards.
@@ -306,19 +295,15 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 		}
 	}
 
-	// Publish the new generation, then retire the old router onto the
-	// shared epoch domain: its shards' background machinery (and, through
-	// each shard's own retirement path, their slot-block arenas) is torn
-	// down only after every reader that could still hold the old routing
-	// pointer has unpinned. Bulkload is contractually pre-concurrency, so
-	// this usually frees on the spot — the limbo ride is the belt for the
-	// snapshot-reload and test harnesses that skate the contract's edge.
+	// Publish the new generation, then stop the old shards' retraining
+	// workers. Bulkload is contractually pre-concurrency, but a straggler
+	// still holding the old routing pointer stays safe: a closed core.ALT
+	// remains readable and writable, and the collector frees the old
+	// generation once the last such holder lets go.
 	t.route.Store(nr)
-	t.ebr.Retire(0, func() {
-		for i := range old.shards {
-			_ = old.shards[i].ix.Close()
-		}
-	})
+	for i := range old.shards {
+		_ = old.shards[i].ix.Close()
+	}
 	return nil
 }
 

@@ -361,7 +361,7 @@ func TestShardPointOpsDoNotAllocate(t *testing.T) {
 		"Remove": func() { k := next(); s.Remove(k); _ = s.Insert(k, 3) },
 	}
 	for name, op := range ops {
-		op() // warm: first use of the epoch pin and the backoff state
+		op() // warm: keeps any first-call cost out of the count
 		if n := testing.AllocsPerRun(2000, op); n != 0 {
 			t.Errorf("%s allocates %.1f times per op, want 0", name, n)
 		}
@@ -386,7 +386,7 @@ func TestInsertBatchDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	op() // warm: first use of the epoch pins and both pooled scratches
+	op() // warm: the first call allocates both pooled scratches
 	if n := testing.AllocsPerRun(2000, op); n != 0 {
 		t.Errorf("InsertBatch(64) allocates %.1f times per call, want 0", n)
 	}

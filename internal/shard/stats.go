@@ -27,16 +27,6 @@ func (t *ALT) StatsMap() map[string]int64 {
 		}
 	}
 
-	// The epoch domain is shared across shards, so the summed epoch_*
-	// keys counted it once per shard; overwrite them with the single
-	// domain's snapshot. (arena_* keys stay summed — each shard owns its
-	// own slot-block arena.)
-	es := t.ebr.Stats()
-	out["epoch_current"] = int64(es.Epoch)
-	out["limbo_models"] = es.LimboCount
-	out["limbo_bytes"] = es.LimboBytes
-	out["reclaims"] = es.Reclaims
-
 	ns := int64(r.last + 1)
 	out["shards"] = ns
 	var total, max int64
