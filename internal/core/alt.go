@@ -21,7 +21,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"altindex/internal/art"
@@ -41,7 +40,9 @@ type Options struct {
 	// DisableFastPointers turns off the fast pointer buffer, so ART
 	// lookups start at the root (the Fig 10a ablation).
 	DisableFastPointers bool
-	// DisableRetraining turns off dynamic retraining (§III-F).
+	// DisableRetraining turns off dynamic retraining (§III-F), which
+	// includes the first training of an index that was never bulkloaded:
+	// it stays one model with every key but one in ART.
 	DisableRetraining bool
 	// RetrainMinInserts floors the retraining trigger: a model retrains
 	// once its runtime inserts exceed max(buildSize, RetrainMinInserts).
@@ -58,10 +59,6 @@ type Options struct {
 	// DisableWriteBack turns off moving ART-resident keys back into
 	// freed GPL slots during lookups (Algorithm 2 lines 10-13).
 	DisableWriteBack bool
-	// AutoTrainThreshold makes an index that was never Bulkloaded train
-	// its learned layer automatically once the ART layer holds this many
-	// keys. Zero selects 8192; negative disables automatic training.
-	AutoTrainThreshold int
 	// Shards asks front-ends (altindex.New and Load, memdb TableOptions,
 	// the bench factories) for a range-partitioned index of this many
 	// independent ALT shards behind a learned boundary router
@@ -95,8 +92,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// errorBound resolves the GPL ε for an index built from n keys:
+// ErrorBound, or the paper's n/1000 (§III-D) when that is zero, floored at
+// 16.
+func (o Options) errorBound(n int) float64 {
+	eps := float64(o.ErrorBound)
+	if eps <= 0 {
+		eps = float64(n) / 1000
+	}
+	return max(eps, 16)
+}
+
 // ALT is the hybrid learned index. Create with New; safe for concurrent
-// use after Bulkload.
+// use from the start, Bulkload excepted.
 type ALT struct {
 	opts Options
 	eps  float64
@@ -106,12 +114,7 @@ type ALT struct {
 	fp   *fpBuffer
 
 	// ret is the asynchronous retraining pipeline (§III-F); see retrain.go.
-	ret retrainer
-	// bootMu serialises automatic initial training (one bootstrap only).
-	bootMu sync.Mutex
-	// preMu serialises pre-table tree mutations against the bootstrap
-	// table swap of automatic initial training.
-	preMu       sync.RWMutex
+	ret         retrainer
 	retrains    atomic.Int64
 	size        atomic.Int64
 	writerSpins atomic.Int64 // writer backoff waits (contention/freeze stalls)
@@ -120,13 +123,17 @@ type ALT struct {
 var _ index.Concurrent = (*ALT)(nil)
 var _ index.Stats = (*ALT)(nil)
 
-// New returns an empty ALT-index. Until Bulkload, all keys live in the ART
-// layer.
+// New returns an empty ALT-index. Its table is the one a rebuild gives an
+// emptied range (emptyTable), so the §III-E protocol runs from the first
+// insert: that key claims the one slot, later keys conflict into ART under
+// it, and the model's ordinary §III-F trigger trains the learned layer
+// once the index has grown. Bulkload replaces the table outright.
 func New(opts Options) *ALT {
 	t := &ALT{opts: opts.withDefaults()}
+	t.eps = t.opts.errorBound(0)
 	t.fp = newFPBuffer(64)
 	t.tree = art.New(t.fp)
-	t.tab.Store(newTable(nil, nil))
+	t.tab.Store(emptyTable())
 	t.ret.q = make(chan *model, t.opts.RetrainQueue)
 	t.ret.stop = make(chan struct{})
 	return t
@@ -174,7 +181,8 @@ func (t *ALT) Name() string { return "ALT-index" }
 // Len returns the number of live keys.
 func (t *ALT) Len() int { return int(t.size.Load()) }
 
-// ErrorBound returns the ε in effect (resolved after Bulkload).
+// ErrorBound returns the ε in effect: resolved by New for an empty index
+// and re-resolved by Bulkload from its key count.
 func (t *ALT) ErrorBound() float64 { return t.eps }
 
 // Bulkload replaces the index contents: GPL segmentation (Algorithm 1),
@@ -191,18 +199,11 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 		vals[i] = kv.Value
 	}
 
-	eps := float64(t.opts.ErrorBound)
-	if eps <= 0 {
-		eps = float64(len(keys)) / 1000
-	}
-	if eps < 16 {
-		eps = 16
-	}
-	t.eps = eps
+	t.eps = t.opts.errorBound(len(keys))
 
 	var segs []gpl.Segment
 	if len(keys) > 0 {
-		segs = gpl.Partition(keys, eps)
+		segs = gpl.Partition(keys, t.eps)
 	}
 
 	bounds := make([]uint64, 0, len(segs))
@@ -229,6 +230,9 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	}
 
 	tb := newTable(bounds, dir)
+	if len(keys) == 0 {
+		tb = emptyTable() // the table New starts with
+	}
 	t.tab.Store(tb)
 	t.size.Store(int64(len(keys)))
 	t.retrains.Store(0)
@@ -377,17 +381,6 @@ func (t *ALT) Get(key uint64) (uint64, bool) {
 	var bo backoff
 	for {
 		tab := t.tab.Load()
-		if len(tab.dir) == 0 {
-			fpGetPreTable.Inject()
-			v, ok := t.tree.Get(key)
-			if !ok && t.tab.Load() != tab {
-				// The auto-train bootstrap published a table after the
-				// load above and may have moved the key out of ART before
-				// the probe; the miss proves nothing.
-				continue
-			}
-			return v, ok
-		}
 		e := &tab.dir[tab.route(key)]
 		s := e.slotOf(key)
 		k, v, meta, ok := e.read(s)
@@ -467,19 +460,6 @@ func (t *ALT) Insert(key, value uint64) error {
 	bo := t.writerBackoff()
 	for {
 		tab := t.tab.Load()
-		if len(tab.dir) == 0 {
-			t.preMu.RLock()
-			if len(t.tab.Load().dir) != 0 {
-				t.preMu.RUnlock()
-				continue // trained concurrently; take the normal path
-			}
-			if t.tree.Put(key, value) {
-				t.size.Add(1)
-			}
-			t.preMu.RUnlock()
-			t.maybeTrainInitial()
-			return nil
-		}
 		if t.insertAt(tab, tab.route(key), key, value) {
 			return nil
 		}
@@ -584,16 +564,6 @@ func (t *ALT) Update(key, value uint64) bool {
 	bo := t.writerBackoff()
 	for {
 		tab := t.tab.Load()
-		if len(tab.dir) == 0 {
-			t.preMu.RLock()
-			if len(t.tab.Load().dir) != 0 {
-				t.preMu.RUnlock()
-				continue
-			}
-			found := t.tree.Update(key, value)
-			t.preMu.RUnlock()
-			return found
-		}
 		e := &tab.dir[tab.route(key)]
 		s := e.slotOf(key)
 		meta := e.metaRef(s).Load()
@@ -602,10 +572,10 @@ func (t *ALT) Update(key, value uint64) bool {
 			continue
 		}
 		st := meta & (slotOccupied | slotTomb)
-		switch {
-		case st == 0:
+		if st == 0 {
 			return false
-		case st&slotOccupied != 0:
+		}
+		if st&slotOccupied != 0 {
 			k := e.keyRef(s).Load()
 			if e.metaRef(s).Load() != meta {
 				bo.wait()
@@ -620,30 +590,21 @@ func (t *ALT) Update(key, value uint64) bool {
 				e.release(s, meta, slotOccupied)
 				return true
 			}
-			if e.absentInART(key, s) {
-				return false // sidecar proves no ART copy to update
-			}
-			// ART-resident target: run the tree update under the slot
-			// lock so it cannot interleave with a retraining migration.
-			if !e.acquire(s, meta) {
-				bo.wait()
-				continue
-			}
-			found := t.tree.Update(key, value)
-			e.release(s, meta, st)
-			return found
-		default:
-			if e.absentInART(key, s) {
-				return false
-			}
-			if !e.acquire(s, meta) {
-				bo.wait()
-				continue
-			}
-			found := t.tree.Update(key, value)
-			e.release(s, meta, st)
-			return found
 		}
+		// The slot holds another key or a tombstone, so the key can only
+		// be ART-resident.
+		if e.absentInART(key, s) {
+			return false // sidecar proves no ART copy to update
+		}
+		// Run the tree update under the slot lock so it cannot interleave
+		// with a retraining migration.
+		if !e.acquire(s, meta) {
+			bo.wait()
+			continue
+		}
+		found := t.tree.Update(key, value)
+		e.release(s, meta, st)
+		return found
 	}
 }
 
@@ -654,20 +615,6 @@ func (t *ALT) Remove(key uint64) bool {
 	bo := t.writerBackoff()
 	for {
 		tab := t.tab.Load()
-		if len(tab.dir) == 0 {
-			t.preMu.RLock()
-			if len(t.tab.Load().dir) != 0 {
-				t.preMu.RUnlock()
-				continue
-			}
-			removed := t.tree.Remove(key)
-			t.preMu.RUnlock()
-			if removed {
-				t.size.Add(-1)
-				return true
-			}
-			return false
-		}
 		e := &tab.dir[tab.route(key)]
 		s := e.slotOf(key)
 		meta := e.metaRef(s).Load()
@@ -676,10 +623,10 @@ func (t *ALT) Remove(key uint64) bool {
 			continue
 		}
 		st := meta & (slotOccupied | slotTomb)
-		switch {
-		case st == 0:
+		if st == 0 {
 			return false
-		case st&slotOccupied != 0:
+		}
+		if st&slotOccupied != 0 {
 			k := e.keyRef(s).Load()
 			if e.metaRef(s).Load() != meta {
 				bo.wait()
@@ -694,36 +641,24 @@ func (t *ALT) Remove(key uint64) bool {
 				t.size.Add(-1)
 				return true
 			}
-			if e.absentInART(key, s) {
-				return false // sidecar proves no ART copy to remove
-			}
-			// ART-resident target: remove under the slot lock so the
-			// removal cannot interleave with a retraining migration.
-			if !e.acquire(s, meta) {
-				bo.wait()
-				continue
-			}
-			removed := t.tree.Remove(key)
-			e.release(s, meta, st)
-			if removed {
-				t.size.Add(-1)
-			}
-			return removed
-		default:
-			if e.absentInART(key, s) {
-				return false
-			}
-			if !e.acquire(s, meta) {
-				bo.wait()
-				continue
-			}
-			removed := t.tree.Remove(key)
-			e.release(s, meta, st)
-			if removed {
-				t.size.Add(-1)
-			}
-			return removed
 		}
+		// The slot holds another key or a tombstone, so the key can only
+		// be ART-resident.
+		if e.absentInART(key, s) {
+			return false // sidecar proves no ART copy to remove
+		}
+		// Remove under the slot lock so the removal cannot interleave with
+		// a retraining migration.
+		if !e.acquire(s, meta) {
+			bo.wait()
+			continue
+		}
+		removed := t.tree.Remove(key)
+		e.release(s, meta, st)
+		if removed {
+			t.size.Add(-1)
+		}
+		return removed
 	}
 }
 
@@ -774,10 +709,6 @@ func (t *ALT) StatsMap() map[string]int64 {
 // ART-resident. Used by the Fig 10a analysis.
 func (t *ALT) ARTLookupLength(key uint64, useFP bool) (pathLen int, inART bool) {
 	tab := t.tab.Load()
-	if len(tab.dir) == 0 {
-		_, found, p := t.tree.GetFrom(nil, key)
-		return p, found
-	}
 	m := tab.dir[tab.route(key)].m
 	var start *art.Node
 	if useFP {

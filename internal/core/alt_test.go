@@ -31,7 +31,7 @@ func TestEmptyIndex(t *testing.T) {
 	if alt.Remove(1) || alt.Update(1, 2) {
 		t.Fatal("Remove/Update on empty index returned true")
 	}
-	// Pre-bulkload inserts go to the ART layer and still work.
+	// Pre-bulkload inserts run against the one-model table New publishes.
 	if err := alt.Insert(10, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -526,8 +526,24 @@ func TestErrorBoundDefaultsToRecommendation(t *testing.T) {
 	}
 }
 
+// oneModel fails the test unless idx's table is the one New publishes: a
+// single one-slot model.
+func oneModel(t *testing.T, idx *ALT, when string) {
+	t.Helper()
+	checkTable(t, idx)
+	if st := idx.StatsMap(); st["models"] != 1 || st["slots"] != 1 {
+		t.Fatalf("%s: models=%d slots=%d, want the one-slot table", when, st["models"], st["slots"])
+	}
+}
+
 func TestAutoInitialTraining(t *testing.T) {
-	alt := New(Options{AutoTrainThreshold: 2000})
+	alt := New(Options{})
+	t.Cleanup(func() { alt.Close() })
+	oneModel(t, alt, "after New")
+	if err := alt.Bulkload(nil); err != nil {
+		t.Fatal(err)
+	}
+	oneModel(t, alt, "after Bulkload(nil)")
 	keys := dataset.Generate(dataset.OSM, 12000, 20)
 	perm := make([]int, len(keys))
 	for i := range perm {
@@ -540,6 +556,9 @@ func TestAutoInitialTraining(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The first training is the one model's ordinary trigger, run by the
+	// worker pool: wait for it (and the rebuilds it spawned) to land.
+	alt.Quiesce()
 	checkTable(t, alt)
 	st := alt.StatsMap()
 	if st["models"] < 2 {
@@ -572,18 +591,41 @@ func TestAutoInitialTraining(t *testing.T) {
 	}
 }
 
+// TestAutoTrainingDisabled grows a never-bulkloaded index with retraining
+// off: it stays the one-model table New published — one key in the slot,
+// every other one conflicted into ART under it — and serves all of them.
 func TestAutoTrainingDisabled(t *testing.T) {
-	alt := New(Options{AutoTrainThreshold: -1})
-	for k := uint64(1); k <= 20000; k++ {
-		_ = alt.Insert(k*3, k)
+	alt := New(Options{DisableRetraining: true})
+	const n = 20000
+	for k := uint64(1); k <= n; k++ {
+		if err := alt.Insert(k*3, k); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if alt.StatsMap()["models"] != 0 {
-		t.Fatal("training ran while disabled")
+	if st := alt.StatsMap(); st["models"] != 1 || st["art_keys"] != n-1 {
+		t.Fatalf("training ran while disabled: %v", st)
+	}
+	for k := uint64(1); k <= n; k++ {
+		if v, ok := alt.Get(k * 3); !ok || v != k {
+			t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", k*3, v, ok, k)
+		}
+	}
+	want := uint64(1)
+	alt.Scan(0, n+1, func(k, v uint64) bool {
+		if k != want*3 || v != want {
+			t.Fatalf("scan item %d = (%d,%d), want (%d,%d)", want, k, v, want*3, want)
+		}
+		want++
+		return true
+	})
+	if want != n+1 {
+		t.Fatalf("scan saw %d keys, want %d", want-1, n)
 	}
 }
 
 func TestAutoTrainingConcurrent(t *testing.T) {
-	alt := New(Options{AutoTrainThreshold: 1000})
+	alt := New(Options{})
+	t.Cleanup(func() { alt.Close() })
 	keys := dataset.Generate(dataset.FB, 30000, 21)
 	const workers = 8
 	per := len(keys) / workers
@@ -610,7 +652,7 @@ func TestAutoTrainingConcurrent(t *testing.T) {
 	}
 	alt.Quiesce()
 	checkTable(t, alt)
-	if alt.StatsMap()["models"] == 0 {
+	if alt.StatsMap()["models"] < 2 {
 		t.Fatal("no learned layer formed under concurrency")
 	}
 	for w := 0; w < workers; w++ {

@@ -111,44 +111,20 @@ func putChunkScratch(g *chunkScratch) {
 	chunkScratchPool.Put(g)
 }
 
-// untrained stands in for the table of a group that has no learned layer
-// yet: one model whose only slot is locked for good, which is what a model
-// frozen by retraining looks like. Every lane routed to it therefore takes
-// the pipeline's ordinary contention exit to the per-key operation, which
-// owns the pre-table path, and no pass needs a case for it.
-var untrained = func() *table {
-	m := &model{layout: layout{nslots: 1, blocks: allocBlocks(1)}}
-	m.fastIdx.Store(-1)
-	m.metaRef(0).Store(slotLockBit)
-	return newTable([]uint64{0}, []entry{newEntry(m)})
-}()
-
 // loadGroups loads every group's table into a pooled scratch, for a batch
-// of n operations. It returns nil when the caller should take the per-key
-// path instead: below batchMin the chunk machinery costs more than it
-// overlaps, and when no group has a learned layer there is nothing to
-// pipeline.
+// of n operations. It returns nil below batchMin, where the chunk
+// machinery costs more than it overlaps and the caller takes the per-key
+// path instead.
 func loadGroups(ts []*ALT, n int) *chunkScratch {
 	if n < batchMin {
 		return nil
 	}
 	g := chunkScratchPool.Get().(*chunkScratch)
 	g.tabs = g.tabs[:0]
-	trained := false
 	for _, t := range ts {
-		tab := t.tab.Load()
-		if len(tab.dir) == 0 {
-			tab = untrained
-		} else {
-			trained = true
-		}
-		g.tabs = append(g.tabs, tab)
+		g.tabs = append(g.tabs, t.tab.Load())
 	}
 	fpBatchReload.Inject()
-	if !trained {
-		putChunkScratch(g)
-		return nil
-	}
 	return g
 }
 
@@ -292,7 +268,6 @@ func GetBatchGroups(ts []*ALT, ends []int32, keys []uint64, vals []uint64, found
 	}
 	g := loadGroups(ts, len(keys))
 	if g == nil {
-		// The per-key path also owns the pre-table bootstrap recheck.
 		p := 0
 		for s, t := range ts {
 			for ; p < int(ends[s]); p++ {

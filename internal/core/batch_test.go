@@ -43,9 +43,9 @@ func TestGetBatchScratchReuse(t *testing.T) {
 // front-end does — several indexes, the batch laid out group by group —
 // over the layouts a split can produce: empty groups at the front, in the
 // middle and at the end, groups a chunk boundary cuts, and a group whose
-// index has no learned layer yet (its lanes must leave the pipeline for
-// the per-key path while their chunk mates stay in it). Every group is
-// compared with a twin index driven by per-key calls.
+// index was never bulkloaded (its lanes route through the one-model table
+// New publishes, where all but one key are ART-resident behind the single
+// slot). Every group is compared with a twin index driven by per-key calls.
 func TestBatchGroupsMatchPerKey(t *testing.T) {
 	const groups, span = 6, uint64(1) << 32
 	var ts, twins [groups]*ALT
@@ -61,7 +61,7 @@ func TestBatchGroupsMatchPerKey(t *testing.T) {
 		}
 		for _, a := range []*ALT{ts[g], twins[g]} {
 			t.Cleanup(func() { a.Close() })
-			if g == 4 { // untrained: the keys live in its ART
+			if g == 4 { // never-bulkloaded: one model, the keys behind it in ART
 				for _, k := range keys[:500] {
 					if err := a.Insert(k, k+1); err != nil {
 						t.Fatal(err)
@@ -77,11 +77,11 @@ func TestBatchGroupsMatchPerKey(t *testing.T) {
 	}
 
 	for _, sizes := range [][groups]int{
-		{0, 0, 100, 0, 50, 0},   // empty groups around a chunk-cut one and the untrained one
+		{0, 0, 100, 0, 50, 0},   // empty groups around a chunk-cut one and the never-bulkloaded one
 		{20, 11, 33, 7, 40, 18}, // 129 positions: every chunk mixes groups
 		{1, 0, 6, 0, 1, 0},      // batchMin exactly
 		{3, 0, 0, 0, 2, 0},      // below batchMin: per-key for all
-		{0, 0, 0, 0, 64, 0},     // only the untrained group
+		{0, 0, 0, 0, 64, 0},     // only the never-bulkloaded group
 		{500, 1, 0, 300, 200, 64},
 	} {
 		var keys []uint64

@@ -442,53 +442,6 @@ func TestChaosAuditSelfTest(t *testing.T) {
 	tamper("ghost-key", func(w map[uint64]uint64) { delete(w, 5) })
 }
 
-// TestPreTableGetAcrossBootstrap wedges a Get on an untrained index between
-// its table load and its ART probe while the auto-train bootstrap publishes
-// a table and drains ART into the learned layer. The ART miss that follows
-// proves nothing; Get must notice the new table and retry through it
-// instead of reporting a loaded key absent.
-func TestPreTableGetAcrossBootstrap(t *testing.T) {
-	const site = "core/get/pretable"
-	idx := New(Options{AutoTrainThreshold: 256})
-	t.Cleanup(func() { idx.Close() })
-	for k := uint64(1); k <= 200; k++ {
-		if err := idx.Insert(k*10, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := failpoint.Hits(site)
-	if err := failpoint.Enable(site, "1*delay(300ms)"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable(site)
-	type reply struct {
-		v  uint64
-		ok bool
-	}
-	done := make(chan reply, 1) // one send, never blocks the reader
-	go func() {
-		v, ok := idx.Get(1000)
-		done <- reply{v, ok}
-	}()
-	for failpoint.Hits(site) == before {
-		runtime.Gosched()
-	}
-	// The reader now sleeps holding the empty table. Cross the threshold:
-	// the bootstrap runs inline on this goroutine and is long finished
-	// when the reader wakes.
-	for k := uint64(201); k <= 400; k++ {
-		if err := idx.Insert(k*10, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if idx.StatsMap()["models"] == 0 {
-		t.Fatal("the bootstrap did not run under the wedged reader")
-	}
-	if r := <-done; !r.ok || r.v != 100 {
-		t.Fatalf("Get(1000) across the bootstrap = (%d,%v), want (100,true)", r.v, r.ok)
-	}
-}
-
 // TestChaosInsertBatchOnStaleTable wedges one four-group InsertBatchGroups —
 // four indexes, what the 4-shard front-end hands the pipeline — right
 // after its table loads (core/batch/reload) while a retrain storm on the test goroutine splices out every model group 2's

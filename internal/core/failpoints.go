@@ -39,11 +39,6 @@ import "altindex/internal/failpoint"
 //	                      model table, widening the window in which the
 //	                      batch works on a table that retraining replaces
 //	                      mid-flight.
-//	core/get/pretable     fires in Get on an index with no learned layer
-//	                      yet, between the table load and the ART probe
-//	                      — stretching it lets the auto-train bootstrap
-//	                      publish a table and drain ART in between, the
-//	                      window in which an ART miss proves nothing.
 var (
 	fpInsertLocked   = failpoint.New("core/insert/locked")
 	fpWriteBack      = failpoint.New("core/writeback/locked")
@@ -53,5 +48,4 @@ var (
 	fpRetrainSplice  = failpoint.New("core/retrain/splice")
 	fpFPBufRegister  = failpoint.New("core/fpbuf/register")
 	fpBatchReload    = failpoint.New("core/batch/reload")
-	fpGetPreTable    = failpoint.New("core/get/pretable")
 )

@@ -116,7 +116,7 @@ func (l *layout) valRef(s int) *atomic.Uint64 {
 }
 
 // place fills free slot s with plain stores. Only for a model no other
-// goroutine can reach yet (build, shell fill, bootstrap): the tab.Store or
+// goroutine can reach yet (build, shell fill): the tab.Store or
 // Swap that publishes it orders these writes before any reader's loads, so
 // the three locked XCHGs an atomic Store would cost per key buy nothing.
 func (l *layout) place(s int, key, val uint64) {
@@ -304,8 +304,8 @@ type table struct {
 }
 
 // newTable builds the directory over bounds and dir, which it takes
-// ownership of. The one constructor behind Bulkload, the auto-train
-// bootstrap and every retrain splice.
+// ownership of. The one constructor behind New, Bulkload and every retrain
+// splice.
 func newTable(bounds []uint64, dir []entry) *table {
 	if failpoint.Tagged {
 		for i := 1; i < len(bounds); i++ {

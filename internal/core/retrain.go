@@ -196,9 +196,6 @@ func (t *ALT) processRetrain(m *model) {
 	}
 	lo, end := cur.rangeBounds(pos)
 	if !r.tryAcquire(lo, end) {
-		// The bootstrap calls in directly, possibly before any trigger has
-		// started the pool that must pick the model back up.
-		r.ensureWorkers(t)
 		select {
 		case r.q <- m: // stays armed; net-zero on pending
 		default:
@@ -250,9 +247,6 @@ func (t *ALT) processRetrain(m *model) {
 // posOf returns m's table position — the retrainer's own lookup, through
 // the same route as every operation — or -1 when m is no longer in tb.
 func (tb *table) posOf(m *model) int {
-	if len(tb.dir) == 0 {
-		return -1
-	}
 	if pos := tb.route(m.first); tb.dir[pos].m == m {
 		return pos
 	}
@@ -544,6 +538,13 @@ func emptyModel(first uint64) *model {
 	m := &model{layout: layout{first: first, slope: 1, nslots: 1, blocks: allocBlocks(1)}, buildSize: 1}
 	m.fastIdx.Store(-1)
 	return m
+}
+
+// emptyTable is the table New and a Bulkload of zero pairs publish: one
+// placeholder model owning the whole key space, whose single slot every
+// key predicts to (see New).
+func emptyTable() *table {
+	return newTable([]uint64{0}, []entry{newEntry(emptyModel(0))})
 }
 
 // mergeSortedKeys merges two ascending key slices, dropping duplicates.

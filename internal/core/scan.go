@@ -76,15 +76,6 @@ func (t *ALT) scanAppend(dst []index.KV, bufs *scanBufs, start, end uint64, max 
 	var bo backoff
 	for ; ; bo.wait() {
 		tab := t.tab.Load()
-		if len(tab.dir) == 0 {
-			out := t.tree.AppendRange(dst, start, hi, max)
-			if t.tab.Load() != tab {
-				// The auto-train bootstrap published a table and may have
-				// drained ART under the read, as in Get.
-				continue
-			}
-			return out
-		}
 		first := tab.route(start)
 		learned, next, ok := t.collectRuns(tab, first, start, hi, max, bufs.learned[:0])
 		bufs.learned = learned

@@ -11,14 +11,39 @@ import (
 // the collector owns it: a reader still holding a table that a rebuild
 // replaced keeps dereferencing the retired model's blocks — they live as
 // long as the table pointing at them is held — and finds them frozen, never
-// rewritten, which is what sends it to the new table.
+// rewritten, which is what sends it to the new table. It runs on a
+// bulkloaded index and on a never-bulkloaded one, whose only model is the
+// one-slot table New publishes and whose rebuild is the first training.
 func TestStaleReaderAcrossRebuild(t *testing.T) {
 	keys := make([]uint64, 2000)
 	for i := range keys {
 		keys[i] = uint64(i+1) * 64
 	}
-	alt := mustBulk(t, Options{ErrorBound: 16, DisableRetraining: true}, keys)
+	opts := Options{ErrorBound: 16, DisableRetraining: true}
+	t.Run("bulkloaded", func(t *testing.T) {
+		staleReaderAcrossRebuild(t, mustBulk(t, opts, keys), keys)
+	})
+	t.Run("never-bulkloaded", func(t *testing.T) {
+		alt := New(opts)
+		t.Cleanup(func() { alt.Close() })
+		for _, k := range keys {
+			if err := alt.Insert(k, dataset.ValueFor(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Past the 1,025-key trigger, held at one model by DisableRetraining:
+		// the first key holds the one slot, every other key sits in ART.
+		if st := alt.StatsMap(); st["models"] != 1 || st["art_keys"] != int64(len(keys)-1) {
+			t.Fatalf("setup: %v, want one model and all but one key in ART", st)
+		}
+		staleReaderAcrossRebuild(t, alt, keys)
+	})
+}
 
+// staleReaderAcrossRebuild rebuilds alt's first model under a reader
+// holding the old table and checks what that reader sees, then that every
+// key survives on the new table.
+func staleReaderAcrossRebuild(t *testing.T, alt *ALT, keys []uint64) {
 	// Snapshot the first model's occupied slots — the exact memory a
 	// reader of the old table is entitled to keep seeing.
 	old := alt.tab.Load()
