@@ -6,7 +6,8 @@
 // fast pointer buffer linking each model to its ART subtree.
 //
 // The index maps uint64 keys to uint64 values, supports concurrent Get /
-// Insert / Update / Remove / Scan, and retrains crowded models dynamically.
+// Insert / Update / Remove and bounded range scans, and retrains crowded
+// models dynamically.
 //
 // Quick start:
 //
@@ -14,13 +15,16 @@
 //	if err := idx.Bulkload(pairs); err != nil { ... } // pairs sorted by key
 //	v, ok := idx.Get(42)
 //	_ = idx.Insert(43, 430)
-//	idx.Scan(40, 10, func(k, v uint64) bool { return true })
+//	dst = idx.ScanAppend(dst[:0], 40, 50, 10) // up to 10 pairs in [40, 50)
+//	for k, v := range altindex.Range(idx, 40) { ... } // every key >= 40
 //
 // The zero Options value selects the paper's recommendations (error bound
 // = bulkload/1000, fast pointers and retraining enabled).
 package altindex
 
 import (
+	"iter"
+
 	"altindex/internal/core"
 	"altindex/internal/index"
 	"altindex/internal/shard"
@@ -36,7 +40,6 @@ type Index interface {
 	index.Concurrent
 	index.Batcher
 	index.Stats
-	index.RangeAppender
 
 	// Quiesce blocks until background retraining triggered so far has
 	// drained, giving deterministic checkpoints (Save requires one).
@@ -69,6 +72,12 @@ type (
 // in internal/ implement it too, which is how the benchmark harness
 // compares them.
 type Concurrent = index.Concurrent
+
+// Range returns an iterator over the pairs of ix with keys >= start in
+// ascending key order. It pulls bounded ScanAppend batches, each an
+// internally consistent snapshot; the iteration as a whole is safe under
+// concurrent writers, and the loop body may write to ix.
+func Range(ix Concurrent, start Key) iter.Seq2[Key, Value] { return index.Range(ix, start) }
 
 // ErrUnsortedBulk is returned by Bulkload for unsorted input.
 var ErrUnsortedBulk = index.ErrUnsortedBulk

@@ -97,10 +97,7 @@ func main() {
 	// Report 1: revenue in a time window (primary-key range scan).
 	winStart, winEnd := uint64(*seconds/4), uint64(*seconds/2)
 	var revenue, count uint64
-	orders.SelectRange(orderID(winStart, 0), 1<<30, func(pk uint64, row []uint64) bool {
-		if pk >= orderID(winEnd, 0) {
-			return false
-		}
+	orders.SelectRangeBounded(orderID(winStart, 0), orderID(winEnd, 0), 1<<30, func(pk uint64, row []uint64) bool {
 		revenue += row[colAmount]
 		count++
 		return true

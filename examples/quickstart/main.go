@@ -51,12 +51,16 @@ func main() {
 	}
 
 	// Range scans merge the learned layer and the ART layer in key
-	// order.
+	// order. altindex.Range iterates from a start key; ScanAppend fills a
+	// reusable buffer with a bounded window (see examples/timeseries).
 	fmt.Print("first 5 keys >= 620: ")
-	idx.Scan(620, 5, func(k, v uint64) bool {
+	n := 0
+	for k := range altindex.Range(idx, 620) {
 		fmt.Printf("%d ", k)
-		return true
-	})
+		if n++; n == 5 {
+			break
+		}
+	}
 	fmt.Println()
 
 	// Internal statistics show how the two layers share the data.

@@ -76,6 +76,7 @@ func main() {
 	var windowsScanned atomic.Int64
 	go func() {
 		defer close(dashDone)
+		var window []altindex.KV // reused: a steady-state scan allocates nothing
 		for {
 			ing := ingested.Load()
 			if ing >= int64(*batches*perShard*shards) {
@@ -83,12 +84,7 @@ func main() {
 			}
 			// Scan the most recent 10 timestamps' window.
 			latest := uint64(*backfill) + uint64(ing)/uint64(*sensors)
-			from := seriesKey(latest-9, 0)
-			var count int
-			idx.Scan(from, 10**sensors, func(k, v uint64) bool {
-				count++
-				return true
-			})
+			window = idx.ScanAppend(window[:0], seriesKey(latest-9, 0), seriesKey(latest+1, 0), 10**sensors)
 			windowsScanned.Add(1)
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -109,11 +105,10 @@ func main() {
 	// Verify a windowed aggregation over the final state.
 	lastTS := uint64(*backfill + *batches)
 	var sum, n uint64
-	idx.Scan(seriesKey(lastTS, 0), *sensors, func(k, v uint64) bool {
-		sum += v
+	for _, kv := range idx.ScanAppend(nil, seriesKey(lastTS, 0), seriesKey(lastTS+1, 0), *sensors) {
+		sum += kv.Value
 		n++
-		return true
-	})
+	}
 	if n == 0 {
 		log.Fatal("final window empty")
 	}

@@ -242,44 +242,46 @@ func (ix *Index) Remove(key uint64) bool {
 	}
 }
 
-// Scan visits up to max pairs with keys >= start in ascending order.
-// Contiguous gapped arrays make ALEX scans fast (Fig 8c).
-func (ix *Index) Scan(start uint64, max int, fn func(uint64, uint64) bool) int {
-	if max <= 0 {
-		return 0
+// ScanAppend appends up to max pairs with keys in [start, end) to dst in
+// ascending order (the index.Concurrent contract). Contiguous gapped arrays
+// make ALEX scans fast (Fig 8c); key order is slot order, so the first key
+// past the window ends the scan.
+func (ix *Index) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV {
+	hi, ok := index.Inclusive(start, end)
+	if max <= 0 || !ok {
+		return dst
 	}
 	d := ix.dir.Load()
 	_, di := d.find(start)
-	emitted := 0
-	for ; di < len(d.nodes) && emitted < max; di++ {
+	limit := len(dst) + max
+	for past := false; !past && di < len(d.nodes) && len(dst) < limit; di++ {
 		n := d.nodes[di]
-	retry:
-		v, ok := n.readVersion()
-		if !ok {
-			goto retry
-		}
-		type kv struct{ k, v uint64 }
-		var buf []kv
-		pos := n.lowerBound(start)
-		for i := pos; i < n.slots() && len(buf) < max-emitted; i++ {
-			if n.isOcc(i) {
+		mark := len(dst)
+		for {
+			dst, past = dst[:mark], false
+			v, ok := n.readVersion()
+			if !ok {
+				continue
+			}
+			for i := n.lowerBound(start); i < n.slots() && len(dst) < limit; i++ {
+				if !n.isOcc(i) {
+					continue
+				}
 				k := n.keys[i].Load()
+				if k > hi {
+					past = true
+					break
+				}
 				if k >= start {
-					buf = append(buf, kv{k, n.vals[i].Load()})
+					dst = append(dst, index.KV{Key: k, Value: n.vals[i].Load()})
 				}
 			}
-		}
-		if !n.validate(v) {
-			goto retry
-		}
-		for _, e := range buf {
-			emitted++
-			if !fn(e.k, e.v) {
-				return emitted
+			if n.validate(v) {
+				break
 			}
 		}
 	}
-	return emitted
+	return dst
 }
 
 // MemoryUsage approximates retained heap bytes.

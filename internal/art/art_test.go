@@ -23,7 +23,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Update(42, 1) {
 		t.Fatal("Update on empty tree returned true")
 	}
-	if n := tr.Scan(0, 10, func(uint64, uint64) bool { return true }); n != 0 {
+	if n := index.Walk(tr, 0, ^uint64(0), 10, func(uint64, uint64) bool { return true }); n != 0 {
 		t.Fatalf("Scan on empty tree visited %d", n)
 	}
 	if tr.Len() != 0 {
@@ -146,7 +146,7 @@ func TestScanOrderedAndBounded(t *testing.T) {
 	}
 	// Full scan must return every key in order.
 	var got []uint64
-	tr.Scan(0, len(keys)+10, func(k, v uint64) bool {
+	index.Walk(tr, 0, ^uint64(0), len(keys)+10, func(k, v uint64) bool {
 		got = append(got, k)
 		if v != dataset.ValueFor(k) {
 			t.Fatalf("value mismatch at %d", k)
@@ -171,7 +171,7 @@ func TestScanOrderedAndBounded(t *testing.T) {
 			want = limit
 		}
 		var scanned []uint64
-		n := tr.Scan(start, limit, func(k, v uint64) bool {
+		n := index.Walk(tr, start, ^uint64(0), limit, func(k, v uint64) bool {
 			scanned = append(scanned, k)
 			return true
 		})
@@ -192,7 +192,7 @@ func TestScanEarlyStop(t *testing.T) {
 		_ = tr.Insert(k, k)
 	}
 	count := 0
-	n := tr.Scan(0, 100, func(k, v uint64) bool {
+	n := index.Walk(tr, 0, ^uint64(0), 100, func(k, v uint64) bool {
 		count++
 		return count < 5
 	})
@@ -497,7 +497,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 				case 2:
 					tr.Remove(k)
 				case 3:
-					tr.Scan(k, 20, func(a, b uint64) bool { return true })
+					index.Walk(tr, k, ^uint64(0), 20, func(a, b uint64) bool { return true })
 				}
 			}
 		}(w)
@@ -507,7 +507,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 	// and Len matches.
 	var prev uint64
 	count := 0
-	tr.Scan(0, len(keys)+1, func(k, v uint64) bool {
+	index.Walk(tr, 0, ^uint64(0), len(keys)+1, func(k, v uint64) bool {
 		if count > 0 && k <= prev {
 			t.Fatalf("scan out of order after stress: %d <= %d", k, prev)
 		}
@@ -597,7 +597,7 @@ func TestShrinkOnDelete(t *testing.T) {
 	}
 	// Survivors intact and ordered.
 	var got []uint64
-	tr.Scan(0, 10, func(k, v uint64) bool {
+	index.Walk(tr, 0, ^uint64(0), 10, func(k, v uint64) bool {
 		got = append(got, k)
 		return true
 	})

@@ -39,7 +39,7 @@ func checkAgainstRef(t *testing.T, tr *Tree, ref map[uint64]uint64) {
 	}
 	var keys []uint64
 	seen := 0
-	tr.Scan(0, len(ref)+8, func(k, v uint64) bool {
+	index.Walk(tr, 0, ^uint64(0), len(ref)+8, func(k, v uint64) bool {
 		if wv, ok := ref[k]; !ok {
 			t.Fatalf("scan ghost key %d", k)
 		} else if wv != v {
@@ -238,7 +238,7 @@ func TestRemoveRangeConcurrentOutside(t *testing.T) {
 	// Outside keys that exist must still scan in order.
 	var prev uint64
 	n := 0
-	tr.Scan(0, 1<<30, func(k, v uint64) bool {
+	index.Walk(tr, 0, ^uint64(0), 1<<30, func(k, v uint64) bool {
 		if n > 0 && k <= prev {
 			t.Fatalf("post-removal scan order violation: %d after %d", k, prev)
 		}
@@ -301,7 +301,7 @@ func checkConsistent(t *testing.T, tr *Tree) {
 	t.Helper()
 	n := 0
 	var prev uint64
-	tr.Scan(0, 1<<30, func(k, v uint64) bool {
+	index.Walk(tr, 0, ^uint64(0), 1<<30, func(k, v uint64) bool {
 		if n > 0 && k <= prev {
 			t.Fatalf("scan order violation: %d after %d", k, prev)
 		}

@@ -6,42 +6,21 @@ import (
 	"altindex/internal/index"
 )
 
-// Scan visits up to max pairs with keys >= start in ascending key order and
-// returns the number visited. See AppendRange for the consistency contract.
-func (t *Tree) Scan(start uint64, max int, fn func(uint64, uint64) bool) int {
-	return t.ScanRange(start, ^uint64(0), max, fn)
+// ScanAppend is AppendRange over the half-open window [start, end), with
+// end == ^uint64(0) as the unbounded sentinel (the index.Concurrent
+// contract).
+func (t *Tree) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV {
+	hi, ok := index.Inclusive(start, end)
+	if !ok {
+		return dst
+	}
+	return t.AppendRange(dst, start, hi, max)
 }
 
-// ScanRange is Scan bounded above: it visits keys in [start, end]
-// (end inclusive), pruning subtrees outside the window on both sides.
-func (t *Tree) ScanRange(start, end uint64, max int, fn func(uint64, uint64) bool) int {
-	bp := scanPool.Get().(*[]index.KV)
-	buf := t.AppendRange((*bp)[:0], start, end, max)
-	n := 0
-	for _, kv := range buf {
-		n++
-		if !fn(kv.Key, kv.Value) {
-			break
-		}
-	}
-	if cap(buf) <= maxPooledScan {
-		*bp = buf
-	}
-	scanPool.Put(bp)
-	return n
-}
-
-// scanPool recycles result buffers across scans so repeated scans are
-// allocation-free. Buffers that grew past maxPooledScan entries are not
-// retained, bounding the memory the pool can pin.
-var scanPool = sync.Pool{New: func() any { return new([]index.KV) }}
-
-const maxPooledScan = 1 << 16
-
-// AppendRange appends up to max in-window pairs in ascending key order to
-// dst and returns the extended slice. It is the allocation-free core of
-// ScanRange: callers that keep dst alive across scans amortize the result
-// buffer away entirely.
+// AppendRange appends up to max pairs with keys in [start, end] (end
+// inclusive) in ascending key order to dst and returns the extended slice,
+// pruning subtrees outside the window on both sides. Callers that keep dst
+// alive across scans amortize the result buffer away entirely.
 //
 // Every pair comes from a version-validated snapshot of its parent node, so
 // a key resident for the whole call is always returned; the result is never

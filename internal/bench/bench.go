@@ -146,6 +146,7 @@ func (r Result) measured(ops int, elapsed time.Duration, hist *histogram.Histogr
 // measurable for it. A nil hist disables latency sampling.
 func runThread(ix index.Concurrent, s *workload.Stream, ops, sampleEvery int, hist *histogram.Histogram, dl time.Time) int {
 	done := 0
+	var dst []index.KV
 	for i := 0; ops < 0 || i < ops; i++ {
 		if !dl.IsZero() && i&63 == 0 && time.Now().After(dl) {
 			break
@@ -157,7 +158,7 @@ func runThread(ix index.Concurrent, s *workload.Stream, ops, sampleEvery int, hi
 		if sampled {
 			t0 = time.Now()
 		}
-		apply(ix, op)
+		dst = apply(ix, op, dst)
 		if sampled {
 			hist.Record(time.Since(t0))
 		}
@@ -165,8 +166,9 @@ func runThread(ix index.Concurrent, s *workload.Stream, ops, sampleEvery int, hi
 	return done
 }
 
-// apply executes one per-key operation against ix.
-func apply(ix index.Concurrent, op workload.Op) {
+// apply executes one per-key operation against ix. A scan fills the
+// caller's reused buffer, which apply returns.
+func apply(ix index.Concurrent, op workload.Op, dst []index.KV) []index.KV {
 	switch op.Kind {
 	case workload.Get:
 		ix.Get(op.Key)
@@ -177,8 +179,9 @@ func apply(ix index.Concurrent, op workload.Op) {
 	case workload.Remove:
 		ix.Remove(op.Key)
 	case workload.Scan:
-		ix.Scan(op.Key, op.N, func(uint64, uint64) bool { return true })
+		return ix.ScanAppend(dst[:0], op.Key, ^uint64(0), op.N)
 	}
+	return dst
 }
 
 // runThreadBatched drives the stream through the batched API: consecutive
@@ -195,6 +198,7 @@ func runThreadBatched(ix index.Concurrent, s *workload.Stream, ops, batchSize in
 	vals := make([]uint64, batchSize)
 	found := make([]bool, batchSize)
 	pairs := make([]index.KV, 0, batchSize)
+	var scanBuf []index.KV
 	flushes := 0
 	flush := func() {
 		if len(getKeys) == 0 && len(pairs) == 0 {
@@ -238,7 +242,7 @@ func runThreadBatched(ix index.Concurrent, s *workload.Stream, ops, batchSize in
 			pairs = append(pairs, index.KV{Key: op.Key, Value: op.Value})
 		default:
 			flush()
-			apply(ix, op)
+			scanBuf = apply(ix, op, scanBuf)
 		}
 	}
 	flush()

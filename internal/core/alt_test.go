@@ -229,7 +229,7 @@ func TestScanMergesLayers(t *testing.T) {
 			want = limit
 		}
 		var got []uint64
-		n := alt.Scan(start, limit, func(k, v uint64) bool {
+		n := index.Walk(alt, start, ^uint64(0), limit, func(k, v uint64) bool {
 			got = append(got, k)
 			if v != dataset.ValueFor(k) {
 				t.Fatalf("scan value mismatch at %d", k)
@@ -378,7 +378,7 @@ func TestQuickVersusMapALT(t *testing.T) {
 			case 4:
 				// Bounded scan against reference.
 				var got []uint64
-				alt.Scan(k, 10, func(sk, sv uint64) bool {
+				index.Walk(alt, k, ^uint64(0), 10, func(sk, sv uint64) bool {
 					got = append(got, sk)
 					return true
 				})
@@ -464,7 +464,7 @@ func TestConcurrentMixedWithRetraining(t *testing.T) {
 				case 0:
 					alt.Get(loaded[r.Intn(len(loaded))])
 				case 1:
-					alt.Scan(k, 10, func(a, b uint64) bool { return true })
+					index.Walk(alt, k, ^uint64(0), 10, func(a, b uint64) bool { return true })
 				case 2:
 					alt.Update(loaded[r.Intn(len(loaded))], 999)
 				}
@@ -485,7 +485,7 @@ func TestConcurrentMixedWithRetraining(t *testing.T) {
 	// Scan order must hold across layers after the churn.
 	var prev uint64
 	n := 0
-	alt.Scan(0, len(keys)+1, func(k, v uint64) bool {
+	index.Walk(alt, 0, ^uint64(0), len(keys)+1, func(k, v uint64) bool {
 		if n > 0 && k <= prev {
 			t.Fatalf("scan out of order: %d <= %d", k, prev)
 		}
@@ -578,7 +578,7 @@ func TestAutoInitialTraining(t *testing.T) {
 	// Scan order intact across layers.
 	var prev uint64
 	n := 0
-	alt.Scan(0, len(keys)+1, func(k, v uint64) bool {
+	index.Walk(alt, 0, ^uint64(0), len(keys)+1, func(k, v uint64) bool {
 		if n > 0 && k <= prev {
 			t.Fatalf("scan out of order after training")
 		}
@@ -611,7 +611,7 @@ func TestAutoTrainingDisabled(t *testing.T) {
 		}
 	}
 	want := uint64(1)
-	alt.Scan(0, n+1, func(k, v uint64) bool {
+	index.Walk(alt, 0, ^uint64(0), n+1, func(k, v uint64) bool {
 		if k != want*3 || v != want {
 			t.Fatalf("scan item %d = (%d,%d), want (%d,%d)", want, k, v, want*3, want)
 		}
@@ -726,7 +726,7 @@ func TestRangeIterator(t *testing.T) {
 	alt := mustBulk(t, Options{ErrorBound: 64}, keys)
 	// Full iteration matches the key set in order.
 	i := 0
-	for k, v := range alt.Range(0) {
+	for k, v := range index.Range(alt, 0) {
 		if k != keys[i] || v != dataset.ValueFor(k) {
 			t.Fatalf("item %d = (%d,%d), want (%d,%d)", i, k, v, keys[i], dataset.ValueFor(keys[i]))
 		}
@@ -737,7 +737,7 @@ func TestRangeIterator(t *testing.T) {
 	}
 	// Early break works.
 	n := 0
-	for range alt.Range(keys[100]) {
+	for range index.Range(alt, keys[100]) {
 		n++
 		if n == 5 {
 			break
@@ -747,7 +747,7 @@ func TestRangeIterator(t *testing.T) {
 		t.Fatalf("early break iterated %d", n)
 	}
 	// Starting past the end yields nothing.
-	for k := range alt.Range(keys[len(keys)-1] + 1) {
+	for k := range index.Range(alt, keys[len(keys)-1]+1) {
 		t.Fatalf("phantom key %d", k)
 	}
 }

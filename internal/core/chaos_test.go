@@ -56,7 +56,7 @@ func auditALT(idx *ALT, want map[uint64]uint64) []string {
 	// Full scan: strictly ascending, no ghosts, no duplicates, complete.
 	seen := 0
 	var prev uint64
-	idx.Scan(0, len(want)+64, func(k, v uint64) bool {
+	index.Walk(idx, 0, ^uint64(0), len(want)+64, func(k, v uint64) bool {
 		if seen > 0 && k <= prev {
 			report("scan order violation: %d after %d", k, prev)
 		}
@@ -249,7 +249,7 @@ func runChaosWorkload(t *testing.T, cfg chaosConfig) (*ALT, map[uint64]uint64) {
 				var prev uint64
 				n := 0
 				start := uint64(rng.Intn(bulkKeys)) * keyStride
-				idx.Scan(start, 256, func(k, v uint64) bool {
+				index.Walk(idx, start, ^uint64(0), 256, func(k, v uint64) bool {
 					if n > 0 && k <= prev {
 						t.Errorf("mid-flight scan order violation: %d after %d", k, prev)
 						return false

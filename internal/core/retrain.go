@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"altindex/internal/gpl"
+	"altindex/internal/index"
 )
 
 // §III-F retraining, off the writer's critical path.
@@ -305,8 +307,14 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 			cand = append(cand, k)
 		}
 	}
+	// end is inclusive and Walk's is half-open, with MaxUint64 meaning
+	// unbounded: from end MaxUint64-1 up the walk is unbounded, and the
+	// check stops it.
 	var artCand []uint64
-	t.tree.ScanRange(lo, end, t.tree.Len()+1, func(k, v uint64) bool {
+	index.Walk(t.tree, lo, min(end, ^uint64(0)-1)+1, math.MaxInt, func(k, _ uint64) bool {
+		if k > end {
+			return false
+		}
 		artCand = append(artCand, k)
 		return true
 	})

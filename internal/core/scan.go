@@ -1,20 +1,17 @@
 package core
 
 import (
-	"iter"
 	"math/bits"
 	"sync"
 
 	"altindex/internal/index"
 )
 
-// scanBufs is the per-scan scratch: the learned-layer run buffer, the
-// ART-layer result buffer, and the output buffer the Scan shim merges
-// into. Pooled so repeated scans allocate nothing.
+// scanBufs is the per-scan scratch: the learned-layer run buffer and the
+// ART-layer result buffer. Pooled so repeated scans allocate nothing.
 type scanBufs struct {
 	learned []index.KV
 	art     []index.KV
-	out     []index.KV
 }
 
 var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
@@ -30,18 +27,14 @@ func putScanBufs(b *scanBufs) {
 	if cap(b.art) > maxPooledScanKV {
 		b.art = nil
 	}
-	if cap(b.out) > maxPooledScanKV {
-		b.out = nil
-	}
 	scanBufPool.Put(b)
 }
 
 // ScanAppend appends up to max pairs with keys in [start, end) to dst in
 // ascending key order and returns the extended slice (§III-G Range Query,
 // bounded). end == ^uint64(0) is the "no upper bound" sentinel: the window
-// then includes key MaxUint64 itself, matching Scan's unbounded contract —
-// the one key a half-open bound cannot express an exclusion for. Any other
-// end <= start yields an empty window.
+// then includes key MaxUint64 itself — the one key a half-open bound cannot
+// express an exclusion for. Any other end <= start yields an empty window.
 //
 // The learned layer is read through a block-granular run kernel (one
 // seqlock validation per 8-slot block, per-slot fallback only on
@@ -58,8 +51,8 @@ func (t *ALT) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV 
 	return t.scanAppend(dst, bufs, start, end, max)
 }
 
-// scanAppend is the shared bounded-scan core behind ScanAppend and the
-// Scan shim; the caller owns bufs (pooled) and has validated the window.
+// scanAppend is the bounded-scan core behind ScanAppend; the caller owns
+// bufs (pooled) and has validated the window.
 //
 // The two layers are read one after the other, so the merge is only
 // complete if no rebuild moved keys between them while that happened. Two
@@ -98,28 +91,6 @@ func (t *ALT) scanAppend(dst []index.KV, bufs *scanBufs, start, end uint64, max 
 		}
 		return mergeRuns(dst, learned, bufs.art, max)
 	}
-}
-
-// Scan visits up to n pairs with keys >= start in ascending order,
-// merging the learned layer's slot stream with the ART layer's tree scan
-// (§III-G Range Query). It is a thin shim over the run kernel: pairs are
-// collected into a pooled buffer by scanAppend and replayed through fn, so
-// every caller of the callback interface exercises the block-granular path.
-func (t *ALT) Scan(start uint64, n int, fn func(uint64, uint64) bool) int {
-	if n <= 0 {
-		return 0
-	}
-	bufs := scanBufPool.Get().(*scanBufs)
-	defer putScanBufs(bufs)
-	bufs.out = t.scanAppend(bufs.out[:0], bufs, start, ^uint64(0), n)
-	emitted := 0
-	for _, kv := range bufs.out {
-		emitted++
-		if !fn(kv.Key, kv.Value) {
-			break
-		}
-	}
-	return emitted
 }
 
 // collectRuns gathers up to max pairs with keys in [start, hi] from the
@@ -359,33 +330,4 @@ func gallopKV(s []index.KV, key uint64) int {
 		}
 	}
 	return hi
-}
-
-// Range returns a Go iterator over pairs with keys >= start in ascending
-// key order. Pairs are produced in bounded batches, each an internally
-// consistent snapshot; the iteration as a whole is safe under concurrent
-// writers.
-func (t *ALT) Range(start uint64) iter.Seq2[uint64, uint64] {
-	return func(yield func(uint64, uint64) bool) {
-		const batch = 256
-		cur := start
-		for {
-			n := 0
-			var last uint64
-			stopped := false
-			t.Scan(cur, batch, func(k, v uint64) bool {
-				n++
-				last = k
-				if !yield(k, v) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if stopped || n < batch || last == ^uint64(0) {
-				return
-			}
-			cur = last + 1
-		}
-	}
 }

@@ -79,12 +79,12 @@ func TestScanDedupDuringStretchedMigration(t *testing.T) {
 				t.Fatalf("trial %d: key %d carries %#x, want ValueFor", trial, kv.Key, kv.Value)
 			}
 		}
-		// Callback shim over the same window.
+		// The walker over the same window.
 		var prev uint64
 		n := 0
-		alt.Scan(start, 256, func(k, v uint64) bool {
+		index.Walk(alt, start, ^uint64(0), 256, func(k, v uint64) bool {
 			if n > 0 && k <= prev {
-				t.Fatalf("trial %d: Scan shim duplicate/disordered %d after %d", trial, k, prev)
+				t.Fatalf("trial %d: Walk duplicate/disordered %d after %d", trial, k, prev)
 			}
 			prev = k
 			n++

@@ -3,12 +3,14 @@ package core
 import (
 	"sort"
 	"testing"
+
+	"altindex/internal/index"
 )
 
-// collectScan gathers up to n pairs from Scan starting at start.
+// collectScan gathers the keys of up to n pairs walked from start.
 func collectScan(alt *ALT, start uint64, n int) []uint64 {
 	var got []uint64
-	alt.Scan(start, n, func(k, v uint64) bool {
+	index.Walk(alt, start, ^uint64(0), n, func(k, v uint64) bool {
 		got = append(got, k)
 		return true
 	})
@@ -109,7 +111,7 @@ func TestRangeStartsInTrailingGap(t *testing.T) {
 	expectFrom := func(start uint64, wantFirst uint64, n int) {
 		t.Helper()
 		var got []uint64
-		for k := range alt.Range(start) {
+		for k := range index.Range(alt, start) {
 			got = append(got, k)
 			if len(got) == n {
 				break
@@ -141,7 +143,7 @@ func TestRangeStartsInTrailingGap(t *testing.T) {
 
 	// Start beyond every key: the range must terminate empty.
 	n := 0
-	for range alt.Range(keys[len(keys)-1] + 1) {
+	for range index.Range(alt, keys[len(keys)-1]+1) {
 		n++
 	}
 	if n != 0 {

@@ -36,7 +36,7 @@ func refWindow(sorted []uint64, start, end uint64, max int) []uint64 {
 // index with keys split across the learned and ART layers (conflict
 // evictions plus post-build inserts) and tombstones punched into the blocks
 // (every fifth bulkloaded key removed), and checks every window — through
-// ScanAppend and through the Scan shim — against a sorted-slice reference.
+// ScanAppend and through index.Walk — against a sorted-slice reference.
 // Half the windows start on or next to a resident key, the rest anywhere up
 // to past the last key, which mostly lands in the first model's trailing
 // gap.
@@ -109,7 +109,7 @@ func TestScanAppendMatchesReference(t *testing.T) {
 			got = append(got, kv.Key)
 		}
 		check("ScanAppend", got, start, end, max)
-		check("Scan", collectScan(alt, start, max), start, ^uint64(0), max)
+		check("Walk", collectScan(alt, start, max), start, ^uint64(0), max)
 	}
 }
 
@@ -187,18 +187,11 @@ func TestScanAppendZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ScanAppend allocated %.1f objects/op, want 0", allocs)
 	}
-	allocs = testing.AllocsPerRun(50, func() {
-		alt.Scan(9_000, 1000, func(k, v uint64) bool { return true })
-	})
-	if allocs != 0 {
-		t.Fatalf("Scan shim allocated %.1f objects/op, want 0", allocs)
-	}
 }
 
 // TestScanDedupPrefersLearned plants the same key in both layers with
 // different values — the shape a migration window produces — and checks
-// the merge emits exactly one copy, the learned one, through both the
-// bounded kernel and the callback shim.
+// the merge emits exactly one copy, the learned one.
 func TestScanDedupPrefersLearned(t *testing.T) {
 	keys, _, _ := twoClusterKeys()
 	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
@@ -210,18 +203,6 @@ func TestScanDedupPrefersLearned(t *testing.T) {
 	}
 	if dst[1].Value != dataset.ValueFor(dup) {
 		t.Fatalf("dedup kept the ART copy: key %d value %#x", dup, dst[1].Value)
-	}
-	// Same through the callback interface.
-	count := 0
-	alt.Scan(dup, 1, func(k, v uint64) bool {
-		count++
-		if k != dup || v != dataset.ValueFor(dup) {
-			t.Fatalf("Scan(dup) = %d/%#x, want learned copy", k, v)
-		}
-		return true
-	})
-	if count != 1 {
-		t.Fatalf("Scan emitted %d pairs, want 1", count)
 	}
 }
 

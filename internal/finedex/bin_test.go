@@ -2,6 +2,7 @@ package finedex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"altindex/internal/dataset"
@@ -105,16 +106,19 @@ func TestBinInOrder(t *testing.T) {
 	}
 	// The bin pointer may have been swapped by growth.
 	b = m.binAt(0)
-	var prev uint64
-	n := 0
-	b.inOrder(func(k, v uint64) bool {
-		if n > 0 && k <= prev {
-			t.Fatalf("bin out of order: %d <= %d", k, prev)
+	got := b.appendLive(nil, 0, ^uint64(0), 1<<10)
+	for i := 1; i < len(got); i++ {
+		if got[i].Key <= got[i-1].Key {
+			t.Fatalf("bin out of order: %d <= %d", got[i].Key, got[i-1].Key)
 		}
-		prev = k
-		n++
-		return true
-	})
+	}
+	// A bounded window cuts inside the bin.
+	if mid := len(got) / 2; len(got) > 0 {
+		if cut := b.appendLive(nil, 0, got[mid].Key, 1<<10); !slices.Equal(cut, got[:mid+1]) {
+			t.Fatalf("window [0, %d]: %v, want %v", got[mid].Key, cut, got[:mid+1])
+		}
+	}
+	n := len(got)
 	if n == 0 {
 		t.Fatal("empty iteration")
 	}

@@ -195,80 +195,69 @@ func (b *bin) mutate(m *fmodel, slot int, key uint64, fn func(b *bin, i int)) bo
 	}
 }
 
-// Scan visits up to max pairs with keys >= start in ascending order,
-// merging each model's trained array with its level bins.
-func (ix *Index) Scan(start uint64, max int, fn func(uint64, uint64) bool) int {
-	if max <= 0 {
-		return 0
-	}
+// ScanAppend appends up to max pairs with keys in [start, end) to dst in
+// ascending order (the index.Concurrent contract), merging each model's
+// trained array with its level bins.
+func (ix *Index) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV {
+	hi, ok := index.Inclusive(start, end)
 	tb := ix.tab.Load()
-	if tb == nil {
-		return 0
+	if max <= 0 || !ok || tb == nil {
+		return dst
 	}
 	// Locate the starting model.
 	mi := 0
 	for mi+1 < len(tb.firsts) && tb.firsts[mi+1] <= start {
 		mi++
 	}
-	emitted := 0
-	for ; mi < len(tb.models) && emitted < max; mi++ {
+	limit := len(dst) + max
+	for ; mi < len(tb.models) && len(dst) < limit; mi++ {
 		m := tb.models[mi]
 		i, _ := m.locate(start)
 		// Emit bin i first (keys before keys[i]), then keys[i], then
 		// bin i+1, ... each bin b holds keys in (keys[b-1], keys[b]).
-		for pos := i; pos <= len(m.keys) && emitted < max; pos++ {
+		for pos := i; pos <= len(m.keys) && len(dst) < limit; pos++ {
 			if b := m.binAt(pos); b != nil {
-				stop := false
-				b.inOrder(func(k, v uint64) bool {
-					if k >= start {
-						emitted++
-						if !fn(k, v) {
-							stop = true
-							return false
-						}
-					}
-					return emitted < max
-				})
-				if stop {
-					return emitted
-				}
+				dst = b.appendLive(dst, start, hi, limit)
 			}
-			if pos < len(m.keys) && emitted < max {
+			if pos < len(m.keys) && len(dst) < limit {
 				k := m.keys[pos]
+				if k > hi {
+					return dst
+				}
 				if k >= start && !m.isDead(pos) {
-					emitted++
-					if !fn(k, m.vals[pos].Load()) {
-						return emitted
-					}
+					dst = append(dst, index.KV{Key: k, Value: m.vals[pos].Load()})
 				}
 			}
 		}
 	}
-	return emitted
+	return dst
 }
 
-// inOrder visits the bin's live entries in key order under the seqlock.
-func (b *bin) inOrder(fn func(k, v uint64) bool) {
-	var snapshot []index.KV
+// appendLive appends the bin's live entries with keys in [start, hi] to
+// dst in key order, read under the seqlock, until dst holds limit pairs.
+// Keys past hi are left for the caller: a bin sits below the next array
+// key (this model's or the next one's), whose check ends the scan.
+func (b *bin) appendLive(dst []index.KV, start, hi uint64, limit int) []index.KV {
+	mark := len(dst)
 	for {
-		snapshot = snapshot[:0]
+		dst = dst[:mark]
 		v := b.ver.Load()
 		if v&1 != 0 {
 			continue
 		}
 		n := int(b.n.Load())
-		for i := 0; i < n && i < len(b.keys); i++ {
-			if b.deleted[i].Load() == 0 {
-				snapshot = append(snapshot, index.KV{Key: b.keys[i].Load(), Value: b.vals[i].Load()})
+		for i := 0; i < n && i < len(b.keys) && len(dst) < limit; i++ {
+			k := b.keys[i].Load()
+			if b.deleted[i].Load() != 0 || k < start {
+				continue
 			}
+			if k > hi {
+				break // sorted: nothing later is in the window
+			}
+			dst = append(dst, index.KV{Key: k, Value: b.vals[i].Load()})
 		}
 		if b.ver.Load() == v {
-			break
-		}
-	}
-	for _, kv := range snapshot {
-		if !fn(kv.Key, kv.Value) {
-			return
+			return dst
 		}
 	}
 }

@@ -22,16 +22,9 @@ type KV struct {
 	Value Value
 }
 
-// Errors returned by index operations.
-var (
-	// ErrKeyNotFound reports a lookup, update or removal of an absent key.
-	ErrKeyNotFound = errors.New("index: key not found")
-	// ErrKeyExists reports an insert of a key that is already present.
-	ErrKeyExists = errors.New("index: key already exists")
-	// ErrUnsortedBulk reports a bulk load whose input is not strictly
-	// ascending by key.
-	ErrUnsortedBulk = errors.New("index: bulk-load input must be sorted and deduplicated")
-)
+// ErrUnsortedBulk reports a bulk load whose input is not strictly ascending
+// by key.
+var ErrUnsortedBulk = errors.New("index: bulk-load input must be sorted and deduplicated")
 
 // Concurrent is the ordered-index contract implemented by every index in
 // this repository. All methods are safe for concurrent use.
@@ -59,10 +52,15 @@ type Concurrent interface {
 	// Remove deletes key and reports whether it was present.
 	Remove(key Key) bool
 
-	// Scan visits up to n pairs with keys >= start in ascending key
-	// order, returning the number visited. The callback must not retain
-	// references into the index.
-	Scan(start Key, n int, fn func(Key, Value) bool) int
+	// ScanAppend is the one range primitive: it appends up to max pairs
+	// with keys in [start, end) to dst in ascending key order and returns
+	// the extended slice. end == ^Key(0) means "no upper bound" and then
+	// includes key MaxUint64 itself (the one key a half-open bound cannot
+	// express an exclusion for); any other end <= start yields an empty
+	// window. A result shorter than max means the window is exhausted.
+	// Callers that reuse dst across calls pay no allocation for it; Walk
+	// and Range resume it across batches.
+	ScanAppend(dst []KV, start, end Key, max int) []KV
 
 	// MemoryUsage returns the approximate heap bytes retained by the
 	// index structure (excluding transient allocation).
@@ -73,38 +71,14 @@ type Concurrent interface {
 	Len() int
 }
 
-// RangeAppender is optionally implemented by indexes with a bounded,
-// allocation-free range primitive. ScanAppend appends up to max pairs with
-// keys in [start, end) to dst in ascending key order and returns the
-// extended slice. end == ^Key(0) means "no upper bound" and then includes
-// key MaxUint64 itself (the one key a half-open bound cannot express an
-// exclusion for); any other end <= start yields an empty window. Callers
-// that reuse dst across calls pay zero allocations.
-type RangeAppender interface {
-	ScanAppend(dst []KV, start, end Key, max int) []KV
-}
-
-// AppendRange collects up to max pairs with keys in [start, end) from ix
-// into dst, using the native ScanAppend when ix implements RangeAppender
-// and degrading to a bounded Scan otherwise. In the fallback, reaching a
-// key >= end ends the window, so a short result always means the window
-// (or keyspace) is exhausted — the resume-loop contract batch consumers
-// rely on.
-func AppendRange(ix Concurrent, dst []KV, start, end Key, max int) []KV {
-	if ra, ok := ix.(RangeAppender); ok {
-		return ra.ScanAppend(dst, start, end, max)
+// Inclusive converts the half-open ScanAppend window [start, end) to its
+// inclusive upper bound hi, honouring the unbounded sentinel end ==
+// ^Key(0); ok is false when the window is empty.
+func Inclusive(start, end Key) (hi Key, ok bool) {
+	if end == ^Key(0) {
+		return end, true
 	}
-	if max <= 0 || (end != ^Key(0) && end <= start) {
-		return dst
-	}
-	ix.Scan(start, max, func(k Key, v Value) bool {
-		if end != ^Key(0) && k >= end {
-			return false
-		}
-		dst = append(dst, KV{Key: k, Value: v})
-		return true
-	})
-	return dst
+	return end - 1, end > start
 }
 
 // Stats is optionally implemented by indexes that expose internal counters

@@ -52,7 +52,7 @@ func Audit(ix index.Concurrent, want map[uint64]uint64) []string {
 
 	seen := 0
 	var prev uint64
-	ix.Scan(0, len(want)+64, func(k, v uint64) bool {
+	index.Walk(ix, 0, ^uint64(0), len(want)+64, func(k, v uint64) bool {
 		if seen > 0 && k <= prev {
 			report("scan order violation: %d after %d", k, prev)
 		}
@@ -165,6 +165,7 @@ func testChurnInvariants(t *testing.T, factory Factory) {
 		go func(r int) {
 			defer readerWg.Done()
 			rng := xrand.New(uint64(0xBEE + r))
+			var dst []index.KV
 			for {
 				select {
 				case <-stop:
@@ -175,22 +176,14 @@ func testChurnInvariants(t *testing.T, factory Factory) {
 					ix.Get(uint64(rng.Intn(bulkKeys*2)) * stride)
 				}
 				// Mid-churn scans must stay strictly ascending.
-				var prev uint64
-				n := 0
 				start := uint64(rng.Intn(bulkKeys)) * stride
-				ix.Scan(start, 128, func(k, v uint64) bool {
-					if n > 0 && k <= prev {
-						t.Errorf("mid-churn scan order violation: %d after %d", k, prev)
-						return false
+				dst = ix.ScanAppend(dst[:0], start, ^uint64(0), 128)
+				for i, kv := range dst {
+					if kv.Key < start || (i > 0 && kv.Key <= dst[i-1].Key) {
+						t.Errorf("mid-churn scan from %d: key %d at position %d, after %v", start, kv.Key, i, dst[:i])
+						return
 					}
-					if k < start {
-						t.Errorf("scan yielded %d below start %d", k, start)
-						return false
-					}
-					prev = k
-					n++
-					return true
-				})
+				}
 			}
 		}(r)
 	}

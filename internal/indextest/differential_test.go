@@ -6,6 +6,7 @@ import (
 
 	"altindex/internal/bench"
 	"altindex/internal/dataset"
+	"altindex/internal/index"
 )
 
 // TestDifferentialAllIndexes drives the same operation sequence against
@@ -17,14 +18,7 @@ func TestDifferentialAllIndexes(t *testing.T) {
 	factories := bench.All()
 	indexes := make([]struct {
 		name string
-		ix   interface {
-			Get(uint64) (uint64, bool)
-			Insert(uint64, uint64) error
-			Update(uint64, uint64) bool
-			Remove(uint64) bool
-			Scan(uint64, int, func(uint64, uint64) bool) int
-			Len() int
-		}
+		ix   index.Concurrent
 	}, len(factories))
 	for i, f := range factories {
 		ix := f.New()
@@ -74,13 +68,13 @@ func TestDifferentialAllIndexes(t *testing.T) {
 			}
 		case 4:
 			var ref []uint64
-			indexes[0].ix.Scan(k, 15, func(sk, sv uint64) bool {
+			index.Walk(indexes[0].ix, k, ^uint64(0), 15, func(sk, sv uint64) bool {
 				ref = append(ref, sk, sv)
 				return true
 			})
 			for _, e := range indexes[1:] {
 				var got []uint64
-				e.ix.Scan(k, 15, func(sk, sv uint64) bool {
+				index.Walk(e.ix, k, ^uint64(0), 15, func(sk, sv uint64) bool {
 					got = append(got, sk, sv)
 					return true
 				})

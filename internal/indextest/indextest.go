@@ -7,7 +7,7 @@ package indextest
 import (
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -34,6 +34,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("UpsertUpdate", func(t *testing.T) { testUpsertUpdate(t, factory) })
 	t.Run("Remove", func(t *testing.T) { testRemove(t, factory) })
 	t.Run("ScanOrdered", func(t *testing.T) { testScan(t, factory) })
+	t.Run("ScanAppendWindow", func(t *testing.T) { testScanAppendWindow(t, factory) })
 	t.Run("RandomOpsVersusMap", func(t *testing.T) { testVersusMap(t, factory) })
 	t.Run("ConcurrentReadWrite", func(t *testing.T) { testConcurrent(t, factory) })
 	t.Run("MemoryUsagePositive", func(t *testing.T) { testMemory(t, factory) })
@@ -174,7 +175,7 @@ func testBatchInsert(t *testing.T, factory Factory) {
 // The batch sizes sit on both sides of ALT's per-key threshold and chunk
 // size. Checked differentially: the same batches go through the native
 // path on one index and the per-key loop on its twin, and the two must end
-// up indistinguishable — values, Len, then a full Scan.
+// up indistinguishable — values, Len, then a full scan.
 func testBatchDuplicates(t *testing.T, factory Factory) {
 	native, twin := factory(), factory()
 	defer closeIfCloser(native)
@@ -240,19 +241,12 @@ func testBatchDuplicates(t *testing.T, factory Factory) {
 	scansMatch(t, native, twin)
 }
 
-// scansMatch checks that a full Scan of native returns Len pairs and
-// exactly what a full Scan of twin returns.
+// scansMatch checks that a full scan of native returns Len pairs and
+// exactly what a full scan of twin returns.
 func scansMatch(t *testing.T, native, twin index.Concurrent) {
 	t.Helper()
-	collect := func(ix index.Concurrent) []index.KV {
-		var out []index.KV
-		ix.Scan(0, ix.Len()+1, func(k, v uint64) bool {
-			out = append(out, index.KV{Key: k, Value: v})
-			return true
-		})
-		return out
-	}
-	got, want := collect(native), collect(twin)
+	got := native.ScanAppend(nil, 0, ^uint64(0), native.Len()+1)
+	want := twin.ScanAppend(nil, 0, ^uint64(0), twin.Len()+1)
 	if len(got) != len(want) || len(got) != native.Len() {
 		t.Fatalf("Scan returned %d pairs, per-key loop %d, Len %d", len(got), len(want), native.Len())
 	}
@@ -279,7 +273,7 @@ func scansMatch(t *testing.T, native, twin index.Concurrent) {
 // the first and above the last loaded key fall outside every model. Checked
 // differentially: the same batches go through the native path on one index
 // and the per-key loop on its twin, at sizes on both sides of ALT's per-key
-// threshold and chunk size, and every GetBatch, then Len, then a full Scan
+// threshold and chunk size, and every GetBatch, then Len, then a full scan
 // must agree.
 func testBatchConflictHeavy(t *testing.T, factory Factory) {
 	native, twin := factory(), factory()
@@ -499,16 +493,14 @@ func testBatchConcurrent(t *testing.T, factory Factory) {
 }
 
 func sortedCopy(keys []uint64) []uint64 {
-	out := append([]uint64(nil), keys...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(keys)
+	slices.Sort(out)
 	return out
 }
 
 func reversedCopy(keys []uint64) []uint64 {
 	out := sortedCopy(keys)
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -653,32 +645,92 @@ func testScan(t *testing.T, factory Factory) {
 	for _, k := range pending {
 		_ = ix.Insert(k, dataset.ValueFor(k))
 	}
-	sorted := append([]uint64(nil), keys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	ref := dataset.Pairs(sortedCopy(keys))
 	for trial := 0; trial < 40; trial++ {
-		start := sorted[(trial*251)%len(sorted)]
+		start := ref[(trial*251)%len(ref)].Key
 		limit := 1 + (trial*7)%120
-		first := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= start })
-		want := len(sorted) - first
-		if want > limit {
-			want = limit
-		}
-		var got []uint64
-		n := ix.Scan(start, limit, func(k, v uint64) bool {
-			got = append(got, k)
-			if v != dataset.ValueFor(k) {
-				t.Fatalf("scan value mismatch at %d", k)
-			}
+		var got []index.KV
+		n := index.Walk(ix, start, ^uint64(0), limit, func(k, v uint64) bool {
+			got = append(got, index.KV{Key: k, Value: v})
 			return true
 		})
-		if n != want {
-			t.Fatalf("Scan(%d,%d)=%d want %d", start, limit, n, want)
+		if want := refWindow(ref, start, ^uint64(0), limit); n != len(want) || !slices.Equal(got, want) {
+			t.Fatalf("Walk(%d, %d) = %d pairs, want %d", start, limit, n, len(want))
 		}
-		for i := range got {
-			if got[i] != sorted[first+i] {
-				t.Fatalf("scan item %d = %d want %d", i, got[i], sorted[first+i])
-			}
+	}
+}
+
+// refWindow is the reference scan of the sorted pairs ref: up to max pairs
+// with keys in [start, end), where end == ^uint64(0) is unbounded.
+func refWindow(ref []index.KV, start, end uint64, max int) (out []index.KV) {
+	for _, kv := range ref {
+		if len(out) == max || (end != ^uint64(0) && kv.Key >= end) {
+			break
 		}
+		if kv.Key >= start {
+			out = append(out, kv)
+		}
+	}
+	return out
+}
+
+// testScanAppendWindow holds ScanAppend to its half-open window contract
+// against a sorted reference, over keys in both of an index's layers
+// (bulkloaded, then inserted): edge windows, a dst prefix that must
+// survive, key MaxUint64 under the unbounded end, and random windows.
+func testScanAppendWindow(t *testing.T, factory Factory) {
+	ix := factory()
+	defer closeIfCloser(ix)
+	keys := dataset.Generate(dataset.OSM, 6000, 71)
+	loaded, pending := workload.SplitLoad(keys, 0.6, 72)
+	if err := ix.Bulkload(dataset.Pairs(loaded)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range pending {
+		if err := ix.Insert(k, dataset.ValueFor(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := dataset.Pairs(sortedCopy(keys))
+	check := func(start, end uint64, max int, prefix ...index.KV) {
+		t.Helper()
+		want := append(slices.Clone(prefix), refWindow(ref, start, end, max)...)
+		if got := ix.ScanAppend(prefix, start, end, max); !slices.Equal(got, want) {
+			t.Fatalf("ScanAppend(%d, %d, %d) after %d dst pairs: %d pairs, want %d (%v...)",
+				start, end, max, len(prefix), len(got)-len(prefix), len(want)-len(prefix), want[:min(len(want), 4)])
+		}
+	}
+	last, mid := ref[len(ref)-1].Key, len(ref)/2
+	for _, w := range []struct {
+		start, end uint64
+		max        int
+	}{
+		{last + 1, ^uint64(0), 10},           // start past the last key
+		{ref[mid].Key, ref[mid+10].Key, 100}, // end cuts inside the window
+		{ref[mid].Key, ref[mid+50].Key, 7},   // max cuts first
+		{ref[mid].Key, ref[mid].Key, 10},     // end == start: empty
+		{ref[mid].Key, ref[mid-5].Key, 10},   // end < start: empty
+	} {
+		check(w.start, w.end, w.max)
+	}
+	check(ref[mid].Key, ^uint64(0), 5, index.KV{Key: 1, Value: 2}, index.KV{Key: 3, Value: 4})
+
+	// The unbounded end includes key MaxUint64 itself.
+	for _, k := range []uint64{^uint64(0) - 1, ^uint64(0)} {
+		if err := ix.Insert(k, dataset.ValueFor(k)); err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, index.KV{Key: k, Value: dataset.ValueFor(k)})
+	}
+	check(last, ^uint64(0), 10)
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 300; trial++ {
+		start := ref[rng.Intn(len(ref))].Key + uint64(trial%2*rng.Intn(1<<20)) // on or between keys
+		end := start + uint64(rng.Intn(1<<30))
+		if trial%5 == 0 {
+			end = ^uint64(0)
+		}
+		check(start, end, 1+rng.Intn(200))
 	}
 }
 
@@ -764,7 +816,7 @@ func testConcurrent(t *testing.T, factory Factory) {
 					return
 				}
 				if r.Intn(8) == 0 {
-					ix.Scan(g, 10, func(a, b uint64) bool { return true })
+					index.Walk(ix, g, ^uint64(0), 10, func(a, b uint64) bool { return true })
 				}
 			}
 		}(w)

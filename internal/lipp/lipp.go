@@ -114,14 +114,17 @@ func (n *node) predict(key uint64) int {
 	if key <= n.base {
 		return 0
 	}
-	s := int(n.slope * float64(key-n.base))
-	if s < 0 {
-		s = 0
+	// Clamp in float: a key far above the node's range can put the
+	// product past MaxInt64, where int() is undefined (MinInt64 on amd64,
+	// which would send the largest keys to slot 0, out of order).
+	f := n.slope * float64(key-n.base)
+	if f >= float64(n.nslots-1) {
+		return n.nslots - 1
 	}
-	if s >= n.nslots {
-		s = n.nslots - 1
+	if f < 0 {
+		return 0
 	}
-	return s
+	return int(f)
 }
 
 func (n *node) readVersion() (uint64, bool) {
@@ -302,36 +305,34 @@ func (ix *Index) Remove(key uint64) bool {
 	return false
 }
 
-// Scan visits up to max pairs with keys >= start in ascending order (slot
-// order equals key order; child subtrees sit between their neighbours).
-func (ix *Index) Scan(start uint64, max int, fn func(uint64, uint64) bool) int {
-	if max <= 0 {
-		return 0
+// ScanAppend appends up to max pairs with keys in [start, end) to dst in
+// ascending order (the index.Concurrent contract; slot order equals key
+// order, and child subtrees sit between their neighbours).
+func (ix *Index) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV {
+	hi, ok := index.Inclusive(start, end)
+	if max <= 0 || !ok {
+		return dst
 	}
-	buf := make([]index.KV, 0, 64)
+	base := len(dst)
 	for attempt := 0; attempt < 8; attempt++ {
-		buf = buf[:0]
-		if ix.collect(ix.root.Load(), start, max, &buf) {
+		dst = dst[:base]
+		if _, ok := ix.collect(ix.root.Load(), start, hi, base+max, &dst); ok {
 			break
 		}
 	}
-	n := 0
-	for _, kv := range buf {
-		n++
-		if !fn(kv.Key, kv.Value) {
-			break
-		}
-	}
-	return n
+	return dst
 }
 
-func (ix *Index) collect(n *node, start uint64, max int, out *[]index.KV) bool {
+// collect appends n's pairs with keys in [start, hi] to out until it holds
+// max, reporting ok=false on a version conflict. past reports a key above
+// hi: nothing after it in slot order can be in the window.
+func (ix *Index) collect(n *node, start, hi uint64, max int, out *[]index.KV) (past, ok bool) {
 	if n == nil || len(*out) >= max {
-		return true
+		return false, true
 	}
 	v, ok := n.readVersion()
 	if !ok {
-		return false
+		return false, false
 	}
 	from := n.predict(start)
 	for s := from; s < n.nslots && len(*out) < max; s++ {
@@ -340,7 +341,10 @@ func (ix *Index) collect(n *node, start uint64, max int, out *[]index.KV) bool {
 			k := n.keys[s].Load()
 			val := n.vals[s].Load()
 			if !n.validate(v) {
-				return false
+				return false, false
+			}
+			if k > hi {
+				return true, true
 			}
 			if k >= start {
 				*out = append(*out, index.KV{Key: k, Value: val})
@@ -348,14 +352,14 @@ func (ix *Index) collect(n *node, start uint64, max int, out *[]index.KV) bool {
 		case slotChild:
 			child := n.childs[s].Load()
 			if !n.validate(v) {
-				return false
+				return false, false
 			}
-			if !ix.collect(child, start, max, out) {
-				return false
+			if past, ok := ix.collect(child, start, hi, max, out); past || !ok {
+				return past, ok
 			}
 		}
 	}
-	return n.validate(v)
+	return false, n.validate(v)
 }
 
 // MemoryUsage approximates retained heap bytes; LIPP's generous slot

@@ -264,52 +264,14 @@ func (t *Table) SelectRange(start uint64, limit int, fn func(pk uint64, row []ui
 // SelectRangeBounded visits up to limit rows with start <= pk < end in
 // primary-key order — the pushdown shape relational operators consume.
 // end == ^uint64(0) means no upper bound (including pk MaxUint64). Rows
-// are pulled from the primary index in bounded run batches through the
-// block-granular scan kernel, so arbitrarily large windows never
-// materialise at once; each batch is an internally consistent snapshot.
+// are pulled from the primary index in bounded batches by index.Walk, so
+// arbitrarily large windows never materialise at once; each batch is an
+// internally consistent snapshot.
 func (t *Table) SelectRangeBounded(start, end uint64, limit int, fn func(pk uint64, row []uint64) bool) int {
-	if limit <= 0 {
-		return 0
-	}
-	bp := rangeBufPool.Get().(*[]index.KV)
-	buf := *bp
-	count := 0
-	cur := start
-	stopped := false
-	for !stopped && count < limit {
-		batch := limit - count
-		if batch > rangeBatch {
-			batch = rangeBatch
-		}
-		buf = index.AppendRange(t.primary, buf[:0], cur, end, batch)
-		for _, kv := range buf {
-			count++
-			if !fn(kv.Key, t.rows.read(kv.Value)) {
-				stopped = true
-				break
-			}
-		}
-		if len(buf) < batch || buf[len(buf)-1].Key == ^uint64(0) {
-			break // window or keyspace exhausted
-		}
-		cur = buf[len(buf)-1].Key + 1
-	}
-	if cap(buf) <= rangeBatch {
-		*bp = buf
-	}
-	rangeBufPool.Put(bp)
-	return count
+	return index.Walk(t.primary, start, end, limit, func(pk, h uint64) bool {
+		return fn(pk, t.rows.read(h))
+	})
 }
-
-// rangeBatch bounds one SelectRangeBounded pull from the primary index.
-const rangeBatch = 1024
-
-// rangeBufPool recycles the per-call KV batch buffers so range selects
-// allocate nothing once warm.
-var rangeBufPool = sync.Pool{New: func() any {
-	b := make([]index.KV, 0, rangeBatch)
-	return &b
-}}
 
 // MemoryUsage approximates retained bytes across the primary index, row
 // arena and secondary indexes.

@@ -2,7 +2,7 @@ package memdb
 
 import (
 	"fmt"
-	"sync"
+	"math"
 	"sync/atomic"
 
 	"altindex/internal/core"
@@ -46,28 +46,12 @@ func (t *Table) CreateIndex(name string, col int, colBits uint) (*Secondary, err
 	}
 	// Backfill from the primary index in bounded batches.
 	var backfillErr error
-	start := uint64(0)
-	for {
-		const batch = 1024
-		var last uint64
-		n := 0
-		t.primary.Scan(start, batch, func(pk, h uint64) bool {
-			last = pk
-			n++
-			row := t.rows.read(h)
-			if err := s.add(pk, row[col]); err != nil {
-				backfillErr = err
-				return false
-			}
-			return true
-		})
-		if backfillErr != nil {
-			return nil, backfillErr
-		}
-		if n < batch || last == ^uint64(0) {
-			break
-		}
-		start = last + 1
+	index.Walk(t.primary, 0, ^uint64(0), math.MaxInt, func(pk, h uint64) bool {
+		backfillErr = s.add(pk, t.rows.read(h)[col])
+		return backfillErr == nil
+	})
+	if backfillErr != nil {
+		return nil, backfillErr
 	}
 	t.secondary[name] = s
 	return s, nil
@@ -102,55 +86,24 @@ func (s *Secondary) add(pk, colVal uint64) error {
 	return s.ix.Insert(ck, pk)
 }
 
-// scanRange visits composite entries in [lo, hi] in batches so arbitrarily
-// large ranges never materialise in memory at once. Batches are pulled
-// through the index's bounded run kernel (index.AppendRange with the
-// half-open end hi+1, or the unbounded sentinel when hi is MaxUint64), so
-// the upper bound prunes inside the index instead of over-fetching a full
-// batch past the window.
-func (s *Secondary) scanRange(lo, hi uint64, visit func(ck, pk uint64) bool) {
-	const batch = 128
-	end := hi + 1
-	if hi == ^uint64(0) {
-		end = ^uint64(0) // sentinel: unbounded, includes MaxUint64 itself
+// window returns the half-open composite-key window [lo, end) holding
+// colVal's entries. For the largest column value end is the unbounded
+// sentinel, which still stops at MaxUint64, the window's last key.
+func (s *Secondary) window(colVal uint64) (lo, end uint64) {
+	lo, end = colVal<<s.shift(), (colVal+1)<<s.shift()
+	if end == 0 {
+		end = ^uint64(0)
 	}
-	bp := secScanPool.Get().(*[]index.KV)
-	buf := *bp
-	start := lo
-	for {
-		buf = index.AppendRange(s.ix, buf[:0], start, end, batch)
-		stopped := false
-		for _, kv := range buf {
-			if !visit(kv.Key, kv.Value) {
-				stopped = true
-				break
-			}
-		}
-		if stopped || len(buf) < batch || buf[len(buf)-1].Key == ^uint64(0) {
-			break
-		}
-		start = buf[len(buf)-1].Key + 1
-	}
-	if cap(buf) <= batch {
-		*bp = buf
-	}
-	secScanPool.Put(bp)
+	return lo, end
 }
 
-// secScanPool recycles scanRange's batch buffers across calls.
-var secScanPool = sync.Pool{New: func() any {
-	b := make([]index.KV, 0, 128)
-	return &b
-}}
-
-// remove unindexes the entry for (colVal, pk) by scanning the column's
-// composite range for the matching primary key.
+// remove unindexes the entry for (colVal, pk) by walking the column's
+// composite window for the matching primary key.
 func (s *Secondary) remove(pk, colVal uint64) {
-	lo := colVal << s.shift()
-	hi := lo | (uint64(1)<<s.shift() - 1)
+	lo, end := s.window(colVal)
 	var found uint64
 	ok := false
-	s.scanRange(lo, hi, func(ck, p uint64) bool {
+	index.Walk(s.ix, lo, end, math.MaxInt, func(ck, p uint64) bool {
 		if p == pk {
 			found, ok = ck, true
 			return false
@@ -164,34 +117,27 @@ func (s *Secondary) remove(pk, colVal uint64) {
 
 // SelectWhere visits up to limit rows whose indexed column equals colVal.
 func (s *Secondary) SelectWhere(colVal uint64, limit int, fn func(pk uint64, row []uint64) bool) int {
-	lo := colVal << s.shift()
-	hi := lo | (uint64(1)<<s.shift() - 1)
-	count := 0
-	s.scanRange(lo, hi, func(ck, pk uint64) bool {
-		if count >= limit {
-			return false
-		}
-		h, ok := s.table.primary.Get(pk)
-		if !ok {
-			return true // row deleted mid-scan; skip
-		}
-		count++
-		return fn(pk, s.table.rows.read(h))
-	})
-	return count
+	lo, end := s.window(colVal)
+	return s.selectRows(lo, end, limit, fn)
 }
 
 // SelectOrdered visits up to limit rows in ascending indexed-column order,
 // starting at colVal.
 func (s *Secondary) SelectOrdered(colVal uint64, limit int, fn func(pk uint64, row []uint64) bool) int {
+	return s.selectRows(colVal<<s.shift(), ^uint64(0), limit, fn)
+}
+
+// selectRows visits up to limit rows whose composite entries lie in
+// [lo, end), in composite-key order, skipping rows deleted mid-walk.
+func (s *Secondary) selectRows(lo, end uint64, limit int, fn func(pk uint64, row []uint64) bool) int {
 	count := 0
-	s.scanRange(colVal<<s.shift(), ^uint64(0), func(ck, pk uint64) bool {
+	index.Walk(s.ix, lo, end, math.MaxInt, func(_, pk uint64) bool {
 		if count >= limit {
 			return false
 		}
 		h, ok := s.table.primary.Get(pk)
 		if !ok {
-			return true
+			return true // row deleted mid-walk; skip
 		}
 		count++
 		return fn(pk, s.table.rows.read(h))

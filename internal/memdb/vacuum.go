@@ -1,6 +1,11 @@
 package memdb
 
-import "altindex/internal/failpoint"
+import (
+	"math"
+
+	"altindex/internal/failpoint"
+	"altindex/internal/index"
+)
 
 // fpVacuumBatch fires once per copy batch; armed with delay/yield it
 // stretches the arena rebuild window.
@@ -19,32 +24,17 @@ func (t *Table) Vacuum() int {
 	}
 	fresh := newArena(t.columns)
 	// Walk the primary index in batches, copying live rows into the
-	// fresh arena and repointing their handles.
-	start := uint64(0)
-	for {
-		const batch = 1024
-		fpVacuumBatch.Inject()
-		type repoint struct {
-			pk uint64
-			h  uint64
+	// fresh arena and repointing their handles. fn runs between the
+	// walk's pulls, so it may update the index it walks.
+	n := 0
+	index.Walk(t.primary, 0, ^uint64(0), math.MaxInt, func(pk, h uint64) bool {
+		if n%index.WalkBatch == 0 {
+			fpVacuumBatch.Inject() // the first pair of each pulled batch
 		}
-		var moves []repoint
-		var last uint64
-		n := 0
-		t.primary.Scan(start, batch, func(pk, h uint64) bool {
-			last = pk
-			n++
-			moves = append(moves, repoint{pk, fresh.alloc(t.rows.read(h))})
-			return true
-		})
-		for _, mv := range moves {
-			t.primary.Update(mv.pk, mv.h)
-		}
-		if n < batch || last == ^uint64(0) {
-			break
-		}
-		start = last + 1
-	}
+		n++
+		t.primary.Update(pk, fresh.alloc(t.rows.read(h)))
+		return true
+	})
 	t.rows = fresh // the old generation is the collector's from here
 	t.deadHandle.Store(0)
 	return dead

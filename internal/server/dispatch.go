@@ -12,13 +12,9 @@ import (
 	"strconv"
 
 	"altindex"
+	"altindex/internal/index"
 	"altindex/internal/netproto"
 )
-
-// scanChunk bounds one ScanAppend pull per SCAN reply chunk: big enough to
-// amortize the index's run collection, small enough that the reply buffer
-// hits its high-water flush between chunks instead of ballooning.
-const scanChunk = 512
 
 func (s *Server) dispatchSlow(cs *connState, cmd []byte, args [][]byte) {
 	switch {
@@ -145,33 +141,20 @@ func (s *Server) dispatchSlow(cs *connState, cmd []byte, args [][]byte) {
 		if n64 < uint64(n) {
 			n = int(n64)
 		}
-		// Stream the window in bounded run chunks: each chunk is one
-		// ScanAppend pull into the reused pair scratch, formatted with the
-		// netproto appenders into the pooled reply buffer; budget() flushes
-		// at the high-water mark between pairs, so a 10k-row SCAN never
-		// holds more than one flush window of reply bytes.
-		pairs := cs.gPairs[:0]
-		cur := start
-		for remaining := n; remaining > 0; {
-			chunk := remaining
-			if chunk > scanChunk {
-				chunk = scanChunk
-			}
-			pairs = s.idx.ScanAppend(pairs[:0], cur, ^uint64(0), chunk)
-			for _, kv := range pairs {
-				cs.out = netproto.AppendPair(cs.out, kv.Key, kv.Value)
-				if !cs.budget() {
-					cs.gPairs = pairs[:0]
-					return // stop streaming into a dead socket
-				}
-			}
-			remaining -= len(pairs)
-			if len(pairs) < chunk || pairs[len(pairs)-1].Key == ^uint64(0) {
-				break // keyspace exhausted
-			}
-			cur = pairs[len(pairs)-1].Key + 1
+		// Stream the window through index.Walk: each pulled batch is
+		// formatted with the netproto appenders into the pooled reply
+		// buffer; budget() flushes at the high-water mark between pairs, so
+		// a 10k-row SCAN never holds more than one flush window of reply
+		// bytes.
+		alive := true
+		index.Walk(s.idx, start, ^uint64(0), n, func(k, v uint64) bool {
+			cs.out = netproto.AppendPair(cs.out, k, v)
+			alive = cs.budget()
+			return alive
+		})
+		if !alive {
+			return // stop streaming into a dead socket
 		}
-		cs.gPairs = pairs[:0]
 		cs.out = append(cs.out, "END\n"...)
 	case netproto.EqFold(cmd, "LEN"):
 		cs.out = append(cs.out, "VALUE "...)

@@ -140,7 +140,7 @@ func TestShardChaosRouteRacingSplice(t *testing.T) {
 				var prev uint64
 				n := 0
 				start := uint64(rng.Intn(bulkKeys)) * keyStride
-				idx.Scan(start, 256, func(k, v uint64) bool {
+				index.Walk(idx, start, ^uint64(0), 256, func(k, v uint64) bool {
 					if n > 0 && k <= prev {
 						t.Errorf("mid-flight scan order violation: %d after %d", k, prev)
 						return false

@@ -1,14 +1,10 @@
 package shard
 
-import (
-	"iter"
-
-	"altindex/internal/index"
-)
+import "altindex/internal/index"
 
 // ScanAppend appends up to max pairs with keys in [start, end) to dst in
 // ascending key order (end == ^uint64(0) means unbounded, including key
-// MaxUint64 — the index.RangeAppender contract). Shards own disjoint
+// MaxUint64 — the index.Concurrent contract). Shards own disjoint
 // ascending key ranges, so the bounded sharded scan is pure concatenation
 // of per-shard run-kernel scans; a shard whose exclusive upper boundary is
 // at or past end finishes the window, so out-of-window shards are never
@@ -34,66 +30,4 @@ func (t *ALT) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV 
 		}
 	}
 	return dst
-}
-
-// Scan visits up to n pairs with keys >= start in ascending order.
-// Shards own disjoint ascending key ranges, so the sharded scan is pure
-// concatenation — no merge: start's shard scans first, then each higher
-// shard in turn until n pairs are visited, the callback stops the scan, or
-// the keyspace is exhausted. Each per-shard scan runs that shard's native
-// path with its pooled buffers, so the sharded scan adds no allocation.
-func (t *ALT) Scan(start uint64, n int, fn func(uint64, uint64) bool) int {
-	if n <= 0 {
-		return 0
-	}
-	r := t.route.Load()
-	fpRoute.Inject()
-	total := 0
-	stopped := false
-	for s := r.shardOf(start); s <= r.last; s++ {
-		d := &r.shards[s]
-		d.ops.Add(1)
-		got := d.ix.Scan(start, n-total, func(k, v uint64) bool {
-			if !fn(k, v) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		total += got
-		if stopped || total >= n {
-			break
-		}
-		// The shard ran dry below the budget: continue in the next shard.
-		// Its keys all sit at or above this shard's upper boundary, which
-		// is >= start, so passing start through unchanged stays correct.
-	}
-	return total
-}
-
-// Range returns an iterator over pairs with keys >= start in ascending
-// order, batching through Scan like core.ALT.Range.
-func (t *ALT) Range(start uint64) iter.Seq2[uint64, uint64] {
-	return func(yield func(uint64, uint64) bool) {
-		const batch = 256
-		cur := start
-		for {
-			n := 0
-			var last uint64
-			stopped := false
-			t.Scan(cur, batch, func(k, v uint64) bool {
-				n++
-				last = k
-				if !yield(k, v) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if stopped || n < batch || last == ^uint64(0) {
-				return
-			}
-			cur = last + 1
-		}
-	}
 }

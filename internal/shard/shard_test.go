@@ -138,7 +138,7 @@ func TestShardScanStitch(t *testing.T) {
 	for _, start := range starts {
 		for _, n := range []int{1, 100, 5000} {
 			var got []uint64
-			ret := ix.Scan(start, n, func(k, v uint64) bool {
+			ret := index.Walk(ix, start, ^uint64(0), n, func(k, v uint64) bool {
 				if v != k*3 {
 					t.Fatalf("Scan value mismatch at %d", k)
 				}
@@ -165,7 +165,7 @@ func TestShardScanStitch(t *testing.T) {
 	}
 	// Early stop: callback declines after 3 pairs.
 	seen := 0
-	ix.Scan(0, 1000, func(uint64, uint64) bool {
+	index.Walk(ix, 0, ^uint64(0), 1000, func(uint64, uint64) bool {
 		seen++
 		return seen < 3
 	})
@@ -184,7 +184,7 @@ func TestShardRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 1000
-	for k, v := range ix.Range(keys[1000]) {
+	for k, v := range index.Range(ix, keys[1000]) {
 		if k != keys[i] || v != k*3 {
 			t.Fatalf("Range[%d] = (%d,%d), want (%d,%d)", i, k, v, keys[i], keys[i]*3)
 		}

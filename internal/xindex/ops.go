@@ -118,40 +118,34 @@ func (ix *Index) Remove(key uint64) bool {
 	return true
 }
 
-// Scan visits up to max pairs with keys >= start in ascending order,
-// merging each group's trained array with its delta buffer.
-func (ix *Index) Scan(start uint64, max int, fn func(uint64, uint64) bool) int {
-	if max <= 0 {
-		return 0
-	}
+// ScanAppend appends up to max pairs with keys in [start, end) to dst in
+// ascending order (the index.Concurrent contract), merging each group's
+// trained array with its delta buffer.
+func (ix *Index) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV {
+	hi, ok := index.Inclusive(start, end)
 	tb := ix.tab.Load()
-	if tb == nil {
-		return 0
+	if max <= 0 || !ok || tb == nil {
+		return dst
 	}
 	gi := 0
 	for gi+1 < len(tb.firsts) && tb.firsts[gi+1] <= start {
 		gi++
 	}
-	emitted := 0
-	for ; gi < len(tb.groups) && emitted < max; gi++ {
-		g := tb.groups[gi]
-		merged := g.snapshotRange(start, max-emitted)
-		for _, kv := range merged {
-			emitted++
-			if !fn(kv.Key, kv.Value) {
-				return emitted
-			}
-		}
+	limit := len(dst) + max
+	for past := false; !past && gi < len(tb.groups) && len(dst) < limit; gi++ {
+		dst, past = tb.groups[gi].appendRange(dst, start, hi, limit)
 	}
-	return emitted
+	return dst
 }
 
-// snapshotRange merges array and buffer entries >= start, buffer shadowing
-// the array, up to max results.
-func (g *group) snapshotRange(start uint64, max int) []index.KV {
+// appendRange merges the group's array and buffer entries with keys in
+// [start, hi], buffer shadowing the array, into dst until it holds limit
+// pairs. past reports an array key above hi: groups are ordered, so the
+// window ends in this group.
+func (g *group) appendRange(dst []index.KV, start, hi uint64, limit int) (_ []index.KV, past bool) {
 	d := g.data.Load()
 	b := g.buf.Load()
-	// Snapshot the buffer under its seqlock.
+	// Snapshot the in-window buffer entries under its seqlock.
 	var bk []index.KV
 	var bdel []bool
 	for {
@@ -167,7 +161,7 @@ func (g *group) snapshotRange(start uint64, max int) []index.KV {
 		}
 		for i := 0; i < n; i++ {
 			k := b.keys[i].Load()
-			if k >= start {
+			if k >= start && k <= hi {
 				bk = append(bk, index.KV{Key: k, Value: b.vals[i].Load()})
 				bdel = append(bdel, b.del[i].Load() != 0)
 			}
@@ -176,38 +170,35 @@ func (g *group) snapshotRange(start uint64, max int) []index.KV {
 			break
 		}
 	}
-	out := make([]index.KV, 0, minInt(max, 64))
 	i := 0
 	for i < len(d.keys) && d.keys[i] < start {
 		i++
 	}
 	j := 0
-	for len(out) < max && (i < len(d.keys) || j < len(bk)) {
+	for len(dst) < limit && (i < len(d.keys) || j < len(bk)) {
 		switch {
 		case j >= len(bk) || (i < len(d.keys) && d.keys[i] < bk[j].Key):
+			// Every buffer key is <= hi, so an array key past hi is
+			// reached only once the buffer is drained.
+			if d.keys[i] > hi {
+				return dst, true
+			}
 			if !d.isDead(i) {
-				out = append(out, index.KV{Key: d.keys[i], Value: d.vals[i].Load()})
+				dst = append(dst, index.KV{Key: d.keys[i], Value: d.vals[i].Load()})
 			}
 			i++
 		case i >= len(d.keys) || d.keys[i] > bk[j].Key:
 			if !bdel[j] {
-				out = append(out, bk[j])
+				dst = append(dst, bk[j])
 			}
 			j++
 		default:
 			if !bdel[j] {
-				out = append(out, bk[j])
+				dst = append(dst, bk[j])
 			}
 			i++
 			j++
 		}
 	}
-	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return dst, false
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"altindex/internal/index"
 	"altindex/internal/shard"
@@ -65,29 +66,15 @@ func Save(idx Index, path string) error {
 			return err
 		}
 		var werr error
-		written := uint64(0)
-		start := uint64(0)
-		for {
-			const batch = 4096
-			var last uint64
-			n := 0
-			idx.Scan(start, batch, func(k, v uint64) bool {
-				last = k
-				n++
-				var kv [16]byte
-				binary.LittleEndian.PutUint64(kv[0:], k)
-				binary.LittleEndian.PutUint64(kv[8:], v)
-				_, werr = w.Write(kv[:])
-				written++
-				return werr == nil
-			})
-			if werr != nil {
-				return werr
-			}
-			if n < batch || last == ^uint64(0) {
-				break
-			}
-			start = last + 1
+		written := uint64(index.Walk(idx, 0, ^uint64(0), math.MaxInt, func(k, v uint64) bool {
+			var kv [16]byte
+			binary.LittleEndian.PutUint64(kv[0:], k)
+			binary.LittleEndian.PutUint64(kv[8:], v)
+			_, werr = w.Write(kv[:])
+			return werr == nil
+		}))
+		if werr != nil {
+			return werr
 		}
 		if written != count {
 			return fmt.Errorf("%w: index changed during save (%d pairs walked, Len %d)",

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"altindex/internal/failpoint"
+	"altindex/internal/index"
 	"altindex/internal/shard"
 	"altindex/internal/snapio"
 )
@@ -96,7 +97,7 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 		// Scans must stitch identically regardless of layout.
 		n := 0
 		var prev uint64
-		loaded.Scan(0, idx.Len()+1, func(k, v uint64) bool {
+		index.Walk(loaded, 0, ^uint64(0), idx.Len()+1, func(k, v uint64) bool {
 			if n > 0 && k <= prev {
 				t.Fatalf("scan order violation: %d after %d", k, prev)
 			}
@@ -168,7 +169,7 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 		}
 		defer src.Close()
 		all := make([]KV, 0, idx.Len())
-		idx.Scan(0, idx.Len()+1, func(k, v uint64) bool {
+		index.Walk(idx, 0, ^uint64(0), idx.Len()+1, func(k, v uint64) bool {
 			all = append(all, KV{Key: k, Value: v})
 			return true
 		})
