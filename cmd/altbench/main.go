@@ -146,9 +146,9 @@ func main() {
 	// Every cell of every experiment is recorded under its experiment id
 	// (a swept value rides in Mix, e.g. "balanced threads=4"); -json dumps
 	// the lot machine-readably, with the scale parameters alongside.
-	// Sharded runs carry the skew monitor in Result.Stats: per-shard routed
-	// op counts (shard_ops_NN), shard_ops_max/mean, and the max/mean
-	// imbalance ratio scaled by 100 (shard_imbalance_x100).
+	// Sharded runs carry the skew monitor in Result.Stats: per-shard key
+	// counts (shard_keys_NN), shard_keys_max, and the max/mean imbalance
+	// ratio scaled by 100 (shard_imbalance_x100).
 	type jsonRow struct {
 		Experiment string
 		bench.Result

@@ -147,8 +147,8 @@ func TestShardScalingFactory(t *testing.T) {
 	if r.Stats["shards"] != 4 {
 		t.Fatalf("shards stat = %d, want 4", r.Stats["shards"])
 	}
-	if r.Stats["shard_ops_total"] == 0 {
-		t.Fatal("skew monitor recorded no routed ops")
+	if r.Stats["shard_keys_max"] == 0 {
+		t.Fatal("skew monitor reports no keys in any shard")
 	}
 }
 

@@ -271,9 +271,9 @@ func Experiments() []Experiment {
 					return fmt.Sprintf("skew monitor, hot-range writes at %d threads (osm)", p.Threads)
 				},
 					rowsAt: shardRows("-hot"), datasets: osmOnly, cfg: Config{Mix: workload.Balanced, Hot: true},
-					cols: "Variant\tMops\tImbalance\tHotShardOps",
+					cols: "Variant\tMops\tImbalance\tHotShardKeys",
 					row: func(c cell) string {
-						return fmt.Sprintf("%s\t%.2f\t%s\t%d", c.Index, c.Mops, imbalance(c), c.Stats["shard_ops_max"])
+						return fmt.Sprintf("%s\t%.2f\t%s\t%d", c.Index, c.Mops, imbalance(c), c.Stats["shard_keys_max"])
 					}},
 			}},
 
@@ -421,8 +421,8 @@ func learnedPct(c cell) float64 {
 	return 100 * float64(l) / float64(l+a)
 }
 
-// imbalance is the skew monitor's hottest-shard share over the mean (1.00 =
-// perfectly even).
+// imbalance is the skew monitor's largest shard key count over the mean
+// (1.00 = perfectly even).
 func imbalance(c cell) string {
 	return fmt.Sprintf("%.2f", float64(c.Stats["shard_imbalance_x100"])/100)
 }

@@ -23,11 +23,11 @@ type Batcher interface {
 	// fallback go further: pairs apply in submission order, the batch
 	// stops at the first error in that order, and exactly the pairs
 	// before it are applied. The sharded front-end splits the batch by
-	// shard and hands the groups, in shard order, to that same pipeline,
-	// so the guarantee holds per shard group: each shard sees its pairs
-	// in submission order and the error returned is the first in shard
-	// order; the groups of other shards may or may not have been applied
-	// (large batches run their groups concurrently).
+	// shard and hands the groups, in shard order, to that same pipeline in
+	// one call, so the guarantee holds in shard-grouped order: each shard
+	// sees its pairs in submission order, the groups apply in shard order,
+	// and the first error stops the batch — earlier shards' groups and the
+	// failing group's pairs before it are applied, nothing after it is.
 	InsertBatch(pairs []KV) error
 }
 

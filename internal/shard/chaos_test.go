@@ -153,7 +153,7 @@ func TestShardChaosRouteRacingSplice(t *testing.T) {
 					n++
 					return true
 				})
-				// Fan-out batched reads of sentinels agree with Get.
+				// Split batched reads of sentinels agree with Get.
 				for j := range keys {
 					keys[j] = uint64(rng.Intn(bulkKeys))*keyStride + 31
 				}

@@ -17,9 +17,7 @@ func (t *ALT) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV 
 	fpRoute.Inject()
 	base := len(dst)
 	for s := r.shardOf(start); s <= r.last; s++ {
-		d := &r.shards[s]
-		d.ops.Add(1)
-		dst = d.ix.ScanAppend(dst, start, end, max-(len(dst)-base))
+		dst = r.ixs[s].ScanAppend(dst, start, end, max-(len(dst)-base))
 		if len(dst)-base >= max {
 			break
 		}

@@ -64,8 +64,8 @@ var (
 	_ index.Stats      = (*ALT)(nil)
 )
 
-// routing is the immutable router: boundary keys plus the shard
-// descriptors. Replaced wholesale (atomically) by Bulkload, never mutated.
+// routing is the immutable router: boundary keys plus the shards.
+// Replaced wholesale (atomically) by Bulkload, never mutated.
 type routing struct {
 	// pad holds the S-1 boundary keys padded to 63 entries with MaxUint64
 	// sentinels, the shape the branch-free probe ladder needs. Shard i
@@ -73,23 +73,9 @@ type routing struct {
 	// everything below pad[0].
 	pad  [MaxShards - 1]uint64
 	last int // S-1, the highest shard id
-	// shards are the per-shard descriptors, each padded to its own cache
-	// lines so one shard's op counter never false-shares with a
-	// neighbour's descriptor.
-	shards []shardDesc
-	// ixs[i] is shards[i].ix: the group targets core's grouped batch
-	// pipeline takes, which a split batch passes without building a slice.
+	// ixs[i] is shard i. It is also the group targets core's grouped
+	// batch pipeline takes, which a split batch passes as it lies.
 	ixs []*core.ALT
-}
-
-// shardDesc pairs one shard with its skew-monitor counter, padded so
-// descriptors of different shards sit on distinct cache lines.
-type shardDesc struct {
-	ix *core.ALT
-	// ops counts operations routed to this shard (batch items count
-	// individually) — the skew monitor StatsMap reports.
-	ops atomic.Int64
-	_   [128 - 16]byte
 }
 
 // rebuildBudget is the default shared-rebuild-slot count, matching the
@@ -169,11 +155,9 @@ func (t *ALT) newRouting(bounds []uint64) *routing {
 		r.pad[i] = ^uint64(0)
 	}
 	copy(r.pad[:], bounds)
-	r.shards = make([]shardDesc, len(bounds)+1)
-	r.ixs = make([]*core.ALT, len(r.shards))
-	for i := range r.shards {
+	r.ixs = make([]*core.ALT, len(bounds)+1)
+	for i := range r.ixs {
 		r.ixs[i] = core.New(t.opts)
-		r.shards[i].ix = r.ixs[i]
 	}
 	return r
 }
@@ -209,9 +193,9 @@ func (r *routing) shardOf(key uint64) int {
 	return p
 }
 
-// descOf resolves a key's shard descriptor under the current routing.
-func (r *routing) descOf(key uint64) *shardDesc {
-	return &r.shards[r.shardOf(key)]
+// ixOf resolves a key's shard under the current routing.
+func (r *routing) ixOf(key uint64) *core.ALT {
+	return r.ixs[r.shardOf(key)]
 }
 
 // Bounds returns a copy of the S-1 boundary keys (empty for S=1).
@@ -231,8 +215,8 @@ func (t *ALT) Name() string { return "ALT-sharded" }
 func (t *ALT) Len() int {
 	r := t.route.Load()
 	n := 0
-	for i := range r.shards {
-		n += r.shards[i].ix.Len()
+	for _, ix := range r.ixs {
+		n += ix.Len()
 	}
 	return n
 }
@@ -280,13 +264,13 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				errs[i] = nr.shards[i].ix.Bulkload(pairs[split[i]:split[i+1]])
+				errs[i] = nr.ixs[i].Bulkload(pairs[split[i]:split[i+1]])
 			}(i)
 		}
 		wg.Wait()
 	} else {
 		for i := 0; i < s; i++ {
-			errs[i] = nr.shards[i].ix.Bulkload(pairs[split[i]:split[i+1]])
+			errs[i] = nr.ixs[i].Bulkload(pairs[split[i]:split[i+1]])
 		}
 	}
 	for _, err := range errs {
@@ -301,8 +285,8 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	// remains readable and writable, and the collector frees the old
 	// generation once the last such holder lets go.
 	t.route.Store(nr)
-	for i := range old.shards {
-		_ = old.shards[i].ix.Close()
+	for _, ix := range old.ixs {
+		_ = ix.Close()
 	}
 	return nil
 }
@@ -311,65 +295,54 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 func (t *ALT) Get(key uint64) (uint64, bool) {
 	r := t.route.Load()
 	fpRoute.Inject()
-	d := r.descOf(key)
-	d.ops.Add(1)
-	return d.ix.Get(key)
+	return r.ixOf(key).Get(key)
 }
 
 // Insert routes the upsert to its shard.
 func (t *ALT) Insert(key, value uint64) error {
 	r := t.route.Load()
 	fpRoute.Inject()
-	d := r.descOf(key)
-	d.ops.Add(1)
-	return d.ix.Insert(key, value)
+	return r.ixOf(key).Insert(key, value)
 }
 
 // Update routes the in-place overwrite to its shard.
 func (t *ALT) Update(key, value uint64) bool {
 	r := t.route.Load()
 	fpRoute.Inject()
-	d := r.descOf(key)
-	d.ops.Add(1)
-	return d.ix.Update(key, value)
+	return r.ixOf(key).Update(key, value)
 }
 
 // Remove routes the deletion to its shard.
 func (t *ALT) Remove(key uint64) bool {
 	r := t.route.Load()
 	fpRoute.Inject()
-	d := r.descOf(key)
-	d.ops.Add(1)
-	return d.ix.Remove(key)
+	return r.ixOf(key).Remove(key)
 }
 
-// MemoryUsage sums the shards plus the router itself.
+// MemoryUsage sums the shards plus the router itself: the boundary array
+// and one pointer per shard.
 func (t *ALT) MemoryUsage() uintptr {
 	r := t.route.Load()
-	total := uintptr(len(r.pad)*8) + uintptr(len(r.shards))*unsafeSizeofDesc
-	for i := range r.shards {
-		total += r.shards[i].ix.MemoryUsage()
+	total := uintptr(len(r.pad)+len(r.ixs)) * 8
+	for _, ix := range r.ixs {
+		total += ix.MemoryUsage()
 	}
 	return total
 }
 
-const unsafeSizeofDesc = 128 // shardDesc is padded to exactly two cache lines
-
 // Quiesce drains every shard's retraining pipeline; see core.ALT.Quiesce
 // for the contract.
 func (t *ALT) Quiesce() {
-	r := t.route.Load()
-	for i := range r.shards {
-		r.shards[i].ix.Quiesce()
+	for _, ix := range t.route.Load().ixs {
+		ix.Quiesce()
 	}
 }
 
 // Close stops every shard's background retraining machinery. The data
 // stays readable and writable; implements io.Closer like core.ALT.
 func (t *ALT) Close() error {
-	r := t.route.Load()
-	for i := range r.shards {
-		_ = r.shards[i].ix.Close()
+	for _, ix := range t.route.Load().ixs {
+		_ = ix.Close()
 	}
 	return nil
 }

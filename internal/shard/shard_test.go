@@ -93,8 +93,8 @@ func TestShardBulkloadBalance(t *testing.T) {
 		}
 		r := ix.route.Load()
 		mean := len(keys) / s
-		for i := range r.shards {
-			n := r.shards[i].ix.Len()
+		for i, ix := range r.ixs {
+			n := ix.Len()
 			if n < mean*8/10 || n > mean*12/10 {
 				t.Fatalf("s=%d shard %d holds %d keys, mean %d", s, i, n, mean)
 			}
@@ -195,8 +195,9 @@ func TestShardRange(t *testing.T) {
 	}
 }
 
-// TestShardStatsAggregation checks StatsMap sums counters, maxes the
-// freeze high-water mark, and reports the skew monitor.
+// TestShardStatsAggregation checks StatsMap sums counters and reports the
+// skew monitor from the shards' key counts: balanced after a quantile
+// bulkload, and flagging a hot range once inserts pile into one shard.
 func TestShardStatsAggregation(t *testing.T) {
 	keys := sortedKeys(8000, 6)
 	ix := New(core.Options{Shards: 4})
@@ -204,28 +205,59 @@ func TestShardStatsAggregation(t *testing.T) {
 	if err := ix.Bulkload(pairsOf(keys)); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range keys[:4000] {
-		ix.Get(k)
+	// skew checks the monitor against the per-shard counts it reports and
+	// returns the imbalance ratio.
+	skew := func() int64 {
+		st := ix.StatsMap()
+		if st["shards"] != 4 {
+			t.Fatalf("shards = %d, want 4", st["shards"])
+		}
+		if st["learned_keys"]+st["art_keys"] != int64(ix.Len()) {
+			t.Fatalf("layer keys sum to %d, want %d", st["learned_keys"]+st["art_keys"], ix.Len())
+		}
+		var sum, max int64
+		for _, k := range []string{"shard_keys_00", "shard_keys_01", "shard_keys_02", "shard_keys_03"} {
+			n, ok := st[k]
+			if !ok {
+				t.Fatalf("%s missing", k)
+			}
+			sum += n
+			if n > max {
+				max = n
+			}
+		}
+		if sum != int64(ix.Len()) {
+			t.Fatalf("per-shard keys sum to %d, Len() = %d", sum, ix.Len())
+		}
+		if st["shard_keys_max"] != max {
+			t.Fatalf("shard_keys_max = %d, want %d", st["shard_keys_max"], max)
+		}
+		if want := max * 100 * 4 / sum; st["shard_imbalance_x100"] != want {
+			t.Fatalf("shard_imbalance_x100 = %d, want max*100/mean = %d", st["shard_imbalance_x100"], want)
+		}
+		return st["shard_imbalance_x100"]
 	}
-	st := ix.StatsMap()
-	if st["shards"] != 4 {
-		t.Fatalf("shards = %d, want 4", st["shards"])
+	if got := skew(); got < 100 || got > 110 {
+		t.Fatalf("imbalance after a quantile bulkload = %d, want about 100", got)
 	}
-	if st["learned_keys"]+st["art_keys"] != int64(len(keys)) {
-		t.Fatalf("layer keys sum to %d, want %d", st["learned_keys"]+st["art_keys"], len(keys))
+
+	// Hot range: 2,000 fresh keys all inside shard 0's range double its
+	// count, so max/mean = 4000/2500.
+	bound := ix.Bounds()[0]
+	rng := rand.New(rand.NewSource(9))
+	for added := 0; added < 2000; {
+		k := rng.Uint64() % bound
+		if _, ok := ix.Get(k); ok {
+			continue
+		}
+		if err := ix.Insert(k, k*3); err != nil {
+			t.Fatal(err)
+		}
+		added++
 	}
-	var sum int64
-	for i := 0; i < 4; i++ {
-		sum += st[[...]string{"shard_ops_00", "shard_ops_01", "shard_ops_02", "shard_ops_03"}[i]]
-	}
-	if sum != 4000 || st["shard_ops_total"] != 4000 {
-		t.Fatalf("per-shard ops sum %d, total %d, want 4000", sum, st["shard_ops_total"])
-	}
-	if st["shard_ops_max"] < st["shard_ops_mean"] {
-		t.Fatal("shard_ops_max below mean")
-	}
-	if st["shard_imbalance_x100"] < 100 {
-		t.Fatalf("imbalance ratio %d < 100", st["shard_imbalance_x100"])
+	ix.Quiesce()
+	if got := skew(); got < 150 {
+		t.Fatalf("imbalance after hot-range inserts = %d, want >= 150", got)
 	}
 }
 
@@ -270,8 +302,8 @@ func TestShardNewWithBounds(t *testing.T) {
 }
 
 // TestShardBatchAcrossBoundaries checks the counting-sort split: batches
-// spanning every shard, with duplicates (last-writer-wins) and sizes on
-// both sides of the per-key and fan-out thresholds.
+// spanning every shard, with duplicates (last-writer-wins), at sizes on
+// both sides of core's per-key cutoff and well past one pipeline chunk.
 func TestShardBatchAcrossBoundaries(t *testing.T) {
 	keys := sortedKeys(10000, 7)
 	ix := New(core.Options{Shards: 7})
@@ -280,7 +312,9 @@ func TestShardBatchAcrossBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{1, splitMin - 1, splitMin, 100, fanoutMin, fanoutMin + 13} {
+	// 7 and 8 straddle core's batchMin (8); 2048 and 2061 are the sizes
+	// that once took a per-shard goroutine path instead of one core call.
+	for _, n := range []int{1, 7, 8, 100, 2048, 2061} {
 		// Mixed present/absent lookups in random order.
 		q := make([]uint64, n)
 		for i := range q {
@@ -368,50 +402,58 @@ func TestShardPointOpsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestInsertBatchDoesNotAllocate pins one warmed 64-pair batch spanning all
-// four shards, in a caller-owned buffer, at zero allocations: the pooled
-// split scratch keeps the router's share at 0 and core's pooled chunk
-// scratch the pipeline's.
+// batchSizes are the sizes the zero-alloc batch tests pin: the suite's
+// 64 and a batch many pipeline chunks long.
+var batchSizes = []int{64, 4096}
+
+// TestInsertBatchDoesNotAllocate pins one warmed batch spanning all four
+// shards, in a caller-owned buffer, at zero allocations: the pooled split
+// scratch keeps the router's share at 0 and core's pooled chunk scratch
+// the pipeline's.
 func TestInsertBatchDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool puts on purpose")
 	}
 	s, next := evenIndex(t)
-	bp := make([]index.KV, 64)
-	op := func() {
-		for j := range bp {
-			bp[j] = index.KV{Key: next(), Value: 4}
+	for _, b := range batchSizes {
+		bp := make([]index.KV, b)
+		op := func() {
+			for j := range bp {
+				bp[j] = index.KV{Key: next(), Value: 4}
+			}
+			if err := s.InsertBatch(bp); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := s.InsertBatch(bp); err != nil {
-			t.Fatal(err)
+		op() // warm: the first call allocates both pooled scratches
+		if n := testing.AllocsPerRun(128*1024/b, op); n != 0 {
+			t.Errorf("InsertBatch(%d) allocates %.1f times per call, want 0", b, n)
 		}
-	}
-	op() // warm: the first call allocates both pooled scratches
-	if n := testing.AllocsPerRun(2000, op); n != 0 {
-		t.Errorf("InsertBatch(64) allocates %.1f times per call, want 0", n)
 	}
 }
 
-// TestGetBatchDoesNotAllocate is its read twin: the sequential path hands
-// the split groups to core in one call and scatters in place, with no
-// per-shard closure left to allocate.
+// TestGetBatchDoesNotAllocate is its read twin: the split groups go to
+// core in one call and the results scatter in place, with no per-shard
+// closure or goroutine to allocate.
 func TestGetBatchDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool puts on purpose")
 	}
 	s, next := evenIndex(t)
-	keys, vals, found := make([]uint64, 64), make([]uint64, 64), make([]bool, 64)
-	op := func() {
-		for j := range keys {
-			keys[j] = next()
+	for _, b := range batchSizes {
+		keys, vals, found := make([]uint64, b), make([]uint64, b), make([]bool, b)
+		op := func() {
+			for j := range keys {
+				keys[j] = next()
+			}
+			s.GetBatch(keys, vals, found)
+			if !found[0] || !found[b-1] {
+				t.Fatal("a loaded key was not found")
+			}
 		}
-		s.GetBatch(keys, vals, found)
-		if !found[0] || !found[63] {
-			t.Fatal("a loaded key was not found")
+		op()
+		if n := testing.AllocsPerRun(128*1024/b, op); n != 0 {
+			t.Errorf("GetBatch(%d) allocates %.1f times per call, want 0", b, n)
 		}
-	}
-	op()
-	if n := testing.AllocsPerRun(2000, op); n != 0 {
-		t.Errorf("GetBatch(64) allocates %.1f times per call, want 0", n)
 	}
 }

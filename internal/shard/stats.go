@@ -7,16 +7,18 @@ import (
 
 // StatsMap implements index.Stats. Per-shard counters are aggregated
 // across shards — summed, except high-water keys (suffix "_max_ns"), which
-// take the maximum — and the skew monitor is appended: per-shard routed-op
-// counts plus the max/mean imbalance ratio. A perfectly balanced workload
-// reports shard_imbalance_x100 == 100; a hot shard drives it up — the
-// signal an operator reads to decide the next Bulkload needs a different
-// shard count.
+// take the maximum — and the skew monitor is appended, read from each
+// shard's live key count at call time: shard_keys_NN per shard,
+// shard_keys_max, and shard_imbalance_x100, the max/mean ratio scaled by
+// 100. A layout fresh from Bulkload's equal-depth quantiles reports about
+// 100; inserts piling into one shard's range drive it up — the signal that
+// a re-bulkload, which recomputes the quantiles, is due.
 func (t *ALT) StatsMap() map[string]int64 {
 	r := t.route.Load()
 	out := make(map[string]int64, 32)
-	for i := range r.shards {
-		for k, v := range r.shards[i].ix.StatsMap() {
+	var total, max int64
+	for i, ix := range r.ixs {
+		for k, v := range ix.StatsMap() {
 			if strings.HasSuffix(k, "_max_ns") {
 				if v > out[k] {
 					out[k] = v
@@ -25,25 +27,18 @@ func (t *ALT) StatsMap() map[string]int64 {
 				out[k] += v
 			}
 		}
-	}
-
-	ns := int64(r.last + 1)
-	out["shards"] = ns
-	var total, max int64
-	for i := range r.shards {
-		ops := r.shards[i].ops.Load()
-		out[fmt.Sprintf("shard_ops_%02d", i)] = ops
-		total += ops
-		if ops > max {
-			max = ops
+		n := int64(ix.Len())
+		out[fmt.Sprintf("shard_keys_%02d", i)] = n
+		total += n
+		if n > max {
+			max = n
 		}
 	}
-	mean := total / ns
-	out["shard_ops_total"] = total
-	out["shard_ops_max"] = max
-	out["shard_ops_mean"] = mean
-	if mean > 0 {
-		out["shard_imbalance_x100"] = max * 100 / mean
+	ns := int64(len(r.ixs))
+	out["shards"] = ns
+	out["shard_keys_max"] = max
+	if total > 0 {
+		out["shard_imbalance_x100"] = max * 100 * ns / total
 	}
 	return out
 }
