@@ -42,12 +42,7 @@ func main() {
 		dur     = flag.Duration("duration", 0, "time-bound each run instead of -ops (e.g. 2s); achieved ops are reported")
 		seed    = flag.Uint64("seed", 1, "dataset/workload seed")
 		batch   = flag.String("batch", "", "comma-separated batch sizes for the 'batch' experiment (default 1,8,64,256)")
-		shards  = flag.Int("shards", 0, "extra shard count for the 'shard-scaling' sweep (0 = default sweep)")
 		tier    = flag.String("tier", "", "scale tier: 'large' defaults -keys to 20M and -exp to large-scale (pass -keys 50000000 or more to opt higher)")
-
-		netRun   = flag.Bool("net", false, "shorthand for -exp net-path: drive the served TCP hot path (pipelined loop + coalescing; depth and connection sweeps)")
-		netConns = flag.Int("net-conns", 0, "net-path: connections for the depth sweep (0 = 8, where the coalescing gate engages)")
-		netDepth = flag.Int("net-depth", 0, "net-path: pipeline depth for the connection sweep (0 = 16)")
 
 		gogc     = flag.Int("gogc", 0, "debug.SetGCPercent value for the whole process (0 = leave GOGC/runtime default)")
 		memlimit = flag.Int64("memlimit", 0, "debug.SetMemoryLimit bytes (0 = leave GOMEMLIMIT/runtime default)")
@@ -94,10 +89,6 @@ func main() {
 		debug.SetMemoryLimit(*memlimit)
 	}
 
-	if *netRun && *exp == "" {
-		*exp = "net-path"
-	}
-
 	if *list {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-20s %s\n", e.ID, e.Title)
@@ -135,8 +126,7 @@ func main() {
 	}
 
 	p := bench.Params{Keys: *keys, Threads: *threads, Ops: *ops, Seed: *seed,
-		BatchSizes: batchSizes, Shards: *shards, Duration: *dur,
-		NetConns: *netConns, NetDepth: *netDepth, Out: os.Stdout}
+		BatchSizes: batchSizes, Duration: *dur, Out: os.Stdout}
 	exps := expand(*exp)
 	if len(exps) == 0 {
 		fmt.Fprintf(os.Stderr, "altbench: unknown experiment %q (try -list)\n", *exp)
@@ -174,16 +164,16 @@ func main() {
 		curGC := debug.SetGCPercent(100)
 		debug.SetGCPercent(curGC)
 		doc := struct {
-			Keys, Threads, Ops, Shards int
-			Seed                       uint64
-			Tier                       string
-			GOGC                       int
-			GOMEMLIMIT                 int64
-			NumCPU                     int
-			GOMAXPROCS                 int
-			GoVersion                  string
-			Runs                       []jsonRow
-		}{*keys, *threads, *ops, *shards, *seed, *tier,
+			Keys, Threads, Ops int
+			Seed               uint64
+			Tier               string
+			GOGC               int
+			GOMEMLIMIT         int64
+			NumCPU             int
+			GOMAXPROCS         int
+			GoVersion          string
+			Runs               []jsonRow
+		}{*keys, *threads, *ops, *seed, *tier,
 			curGC, debug.SetMemoryLimit(-1), runtime.NumCPU(),
 			runtime.GOMAXPROCS(0), runtime.Version(), rows}
 		data, err := json.MarshalIndent(doc, "", "  ")

@@ -4,7 +4,8 @@
 // connection cap with accept backpressure, per-connection panic containment,
 // graceful drain on SIGINT/SIGTERM, and (with -wal-dir) full durability:
 // group-committed write-ahead logging, incremental checkpoints and
-// crash recovery that preserves every acknowledged write.
+// crash recovery that preserves every acknowledged write. Without -wal-dir
+// the keyspace lives only in memory and is gone when the process exits.
 //
 // The network hot path is pipelined: replies are flushed once per socket
 // wakeup rather than once per command, runs of point commands go through
@@ -47,13 +48,11 @@ import (
 func main() {
 	var (
 		listen        = flag.String("listen", "127.0.0.1:7700", "address to listen on")
-		snapshot      = flag.String("snapshot", "", "snapshot file: loaded at startup, written on graceful shutdown (legacy mode; prefer -wal-dir)")
 		maxConns      = flag.Int("max-conns", 256, "max concurrent connections (excess dials wait in the accept backlog)")
 		readTimeout   = flag.Duration("read-timeout", 5*time.Minute, "per-request read deadline")
 		writeTimeout  = flag.Duration("write-timeout", 30*time.Second, "per-reply write deadline")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain bound")
 		coalesceConns = flag.Int("coalesce-conns", 0, "connection count at which cross-connection op coalescing engages (0 = 8, negative disables)")
-		shards        = flag.Int("shards", 0, "range-partition the keyspace across this many index shards (0 = single instance)")
 		walDir        = flag.String("wal-dir", "", "durability directory: write-ahead log + incremental checkpoints; writes ack only after commit")
 		walSync       = flag.String("wal-sync", "always", "WAL commit point: always (fsync per group commit), interval, none")
 		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "WAL segment size cap in bytes (0 = 64 MiB)")
@@ -83,8 +82,6 @@ func main() {
 		WriteTimeout:       *writeTimeout,
 		DrainTimeout:       *drainTimeout,
 		CoalesceConns:      *coalesceConns,
-		SnapshotPath:       *snapshot,
-		Shards:             *shards,
 		WALDir:             *walDir,
 		WALSync:            *walSync,
 		WALSegmentBytes:    *walSegBytes,
@@ -104,7 +101,7 @@ func main() {
 	shutdownErr := make(chan error, 1)
 	go func() {
 		got := <-sig
-		fmt.Fprintf(os.Stderr, "altdb: %v: draining and snapshotting\n", got)
+		fmt.Fprintf(os.Stderr, "altdb: %v: draining\n", got)
 		shutdownErr <- srv.Shutdown()
 	}()
 
@@ -112,10 +109,10 @@ func main() {
 		log.Fatal(err)
 	}
 	// Serve returned because the signal handler started Shutdown; wait for
-	// the drain and the final checkpoint/snapshot to finish. A failed
-	// shutdown persistence pass means the on-disk state may lag the served
-	// state — report it structured and exit non-zero so supervisors and
-	// operators see it, instead of a silent success.
+	// the drain and (with -wal-dir) the final checkpoint to finish. A failed
+	// shutdown means the on-disk state may lag the served state — report it
+	// structured and exit non-zero so supervisors and operators see it,
+	// instead of a silent success.
 	if err := <-shutdownErr; err != nil {
 		log.Printf("event=shutdown_failed error=%q", err.Error())
 		os.Exit(1)

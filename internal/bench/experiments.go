@@ -533,21 +533,16 @@ func cachelineMiss(c Config) Result {
 // --- shard scaling -----------------------------------------------------------
 
 // shardRows is the shard-count axis of the shard-scaling experiment as
-// rows: ALT-S0 is the unsharded baseline, the rest are sharded variants,
-// extended with p.Shards when the caller asks for a count the default
-// sweep misses. A non-empty suffix names the adversarial-traffic rows,
+// rows: ALT-S0 is the unsharded baseline, the rest are sharded variants at
+// 2, 4 and 8 shards. A non-empty suffix names the adversarial-traffic rows,
 // which have no unsharded member.
 func shardRows(suffix string) func(Params, float64) []variant {
-	return func(p Params, _ float64) []variant {
-		counts := []int{2, 4, 8}
-		if p.Shards > 1 && p.Shards != 2 && p.Shards != 4 && p.Shards != 8 {
-			counts = append(counts, p.Shards)
-		}
+	return func(Params, float64) []variant {
 		var rows []variant
 		if suffix == "" {
 			rows = append(rows, variant{NamedFactory: ALTWith("ALT-S0", core.Options{})})
 		}
-		for _, s := range counts {
+		for _, s := range []int{2, 4, 8} {
 			rows = append(rows, variant{NamedFactory: ALTSharded(fmt.Sprintf("ALT-S%d%s", s, suffix), s, core.Options{})})
 		}
 		return rows

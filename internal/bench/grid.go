@@ -26,20 +26,11 @@ type Params struct {
 	// Record, when set, receives the Result behind every cell an
 	// experiment's tables are printed from (cmd/altbench -json feeds on it).
 	Record func(Result)
-	// Shards extends the shard-scaling experiment's shard-count sweep with
-	// this value when it is not already covered (cmd/altbench -shards).
-	Shards int
 	// Duration, when positive, makes every cell time-bounded (see
 	// Config.Duration): each run executes until the wall-clock budget
 	// expires instead of a fixed op count, and reports the ops it achieved.
 	// This keeps rows comparable across host speeds (cmd/altbench -duration).
 	Duration time.Duration
-	// NetConns and NetDepth anchor the net-path experiment's sweeps: the
-	// depth sweep runs at NetConns connections (default 8, where the
-	// coalescing gate engages) and the connection sweep at NetDepth
-	// pipelined commands per burst (default 16).
-	NetConns int
-	NetDepth int
 }
 
 func (p Params) withDefaults() Params {
@@ -60,12 +51,6 @@ func (p Params) withDefaults() Params {
 	}
 	if len(p.BatchSizes) == 0 {
 		p.BatchSizes = []int{1, 8, 64, 256}
-	}
-	if p.NetConns == 0 {
-		p.NetConns = 8
-	}
-	if p.NetDepth == 0 {
-		p.NetDepth = 16
 	}
 	return p
 }

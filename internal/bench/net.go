@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,15 +22,23 @@ import (
 // compact resident set keeps row-to-row variance in the protocol loop.
 const netKeysCap = 200_000
 
+// netConns and netDepth anchor the net-path sweeps: the depth sweep runs at
+// netConns connections, where the coalescing gate engages, and the
+// connection sweep at netDepth pipelined commands per burst.
+const (
+	netConns = 8
+	netDepth = 16
+)
+
 // netPath measures the served (TCP) hot path end to end: a closed-loop
 // multi-connection load generator drives the balanced workload over the
 // line protocol against an in-process altdb server, one fresh server per
 // run. Two sweeps:
 //
-//   - depth sweep at -net-conns connections, pipeline depths 1..64: reply
+//   - depth sweep at netConns connections, pipeline depths 1..64: reply
 //     flushes amortize (Fl/op ~ 1/depth) and deeper bursts ride the batched
 //     index fast path.
-//   - connection sweep at -net-depth depth: shows the adaptive coalescing
+//   - connection sweep at netDepth depth: shows the adaptive coalescing
 //     gate engaging at >= 8 connections (CoRounds > 0, CoMean > 1) while a
 //     single connection stays on the direct path.
 //
@@ -48,12 +55,12 @@ var netPath = Experiment{ID: "net-path",
 	},
 	grids: []grid{
 		netSweep(nil, &axis{name: "depth", format: "%.0f",
-			values: func(p Params) []float64 { return dedupInts(1, 4, 16, 64, p.NetDepth) },
+			values: func(Params) []float64 { return []float64{1, 4, 16, 64} },
 			set:    func(c *Config, v float64) { c.BatchSize = int(v) }}),
-		netSweep(func(p Params) string {
-			return fmt.Sprintf("connection sweep at depth %d (coalescing gate 8)", p.NetDepth)
+		netSweep(func(Params) string {
+			return fmt.Sprintf("connection sweep at depth %d (coalescing gate 8)", netDepth)
 		}, &axis{name: "conns", format: "%.0f",
-			values: func(p Params) []float64 { return dedupInts(1, 2, 4, 8, 16, p.NetConns) },
+			values: func(Params) []float64 { return []float64{1, 2, 4, 8, 16} },
 			set:    setThreads}),
 	}}
 
@@ -66,7 +73,7 @@ func netSweep(sub func(Params) string, ax *axis) grid {
 		tune: func(p Params, c *Config) {
 			c.Keys = min(p.Keys, netKeysCap)
 			c.Ops = max(p.Ops/5, 10_000)
-			c.Threads, c.BatchSize = p.NetConns, p.NetDepth
+			c.Threads, c.BatchSize = netConns, netDepth
 		},
 		cols: "Conns\tDepth\tKops\tP50us\tP99us\tP99.9us\tFl/op\tCoRounds\tCoMean\tCoP50",
 		row: func(c cell) string {
@@ -217,17 +224,4 @@ func netStatsOverWire(addr string) map[string]int64 {
 		}
 	}
 	panic(fmt.Sprintf("bench: net stats: reply truncated: %v", sc.Err()))
-}
-
-// dedupInts returns the positive values of in, ascending and without
-// repeats, so tables read as sweeps.
-func dedupInts(in ...int) []float64 {
-	sort.Ints(in)
-	var out []float64
-	for i, v := range in {
-		if v > 0 && (i == 0 || v != in[i-1]) {
-			out = append(out, float64(v))
-		}
-	}
-	return out
 }

@@ -37,9 +37,6 @@ type Options struct {
 	// GapFactor stretches each model's slot array to leave gaps for
 	// in-place inserts (§III-B "array gaps scheme"). Zero selects 2.0.
 	GapFactor float64
-	// DisableFastPointers turns off the fast pointer buffer, so ART
-	// lookups start at the root (the Fig 10a ablation).
-	DisableFastPointers bool
 	// DisableRetraining turns off dynamic retraining (§III-F), which
 	// includes the first training of an index that was never bulkloaded:
 	// it stays one model with every key but one in ART.
@@ -48,26 +45,18 @@ type Options struct {
 	// once its runtime inserts exceed max(buildSize, RetrainMinInserts).
 	// Zero selects 1024, which stops rebuild thrash on small models.
 	RetrainMinInserts int
-	// RetrainWorkers sizes the background retraining worker pool (started
-	// lazily on the first trigger). Zero or negative selects min(4, max(1,
-	// GOMAXPROCS/2)).
-	RetrainWorkers int
-	// RetrainQueue bounds the trigger queue feeding the worker pool. Zero
-	// selects 256. On overflow the trigger is dropped and the model
-	// disarmed, so a later threshold-crossing insert re-triggers it.
-	RetrainQueue int
 	// DisableWriteBack turns off moving ART-resident keys back into
 	// freed GPL slots during lookups (Algorithm 2 lines 10-13).
 	DisableWriteBack bool
-	// Shards asks front-ends (altindex.New and Load, memdb TableOptions,
-	// the bench factories) for a range-partitioned index of this many
+	// Shards asks the front-ends that read it (altindex.New and Load, the
+	// bench factories) for a range-partitioned index of this many
 	// independent ALT shards behind a learned boundary router
 	// (internal/shard). Bulkload fixes the boundaries — or the layout saved
 	// in a sharded snapshot does, which wins over this count on Load — and
 	// nothing moves them afterwards. Zero keeps the single-instance
-	// layout. core.New itself ignores the field
-	// — one core.ALT is always one shard — so a single Options value can
-	// flow unchanged through the whole stack.
+	// layout. core.New itself ignores the field — one core.ALT is always
+	// one shard — so a single Options value can flow unchanged through the
+	// whole stack.
 	Shards int
 	// RetrainGate, when non-nil, is a shared semaphore bounding how many
 	// rebuilds may execute concurrently across every index holding the
@@ -85,9 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetrainMinInserts == 0 {
 		o.RetrainMinInserts = 1024
-	}
-	if o.RetrainQueue == 0 {
-		o.RetrainQueue = 256
 	}
 	return o
 }
@@ -134,8 +120,9 @@ func New(opts Options) *ALT {
 	t.fp = newFPBuffer(64)
 	t.tree = art.New(t.fp)
 	t.tab.Store(emptyTable())
-	t.ret.q = make(chan *model, t.opts.RetrainQueue)
+	t.ret.q = make(chan *model, retrainQueue)
 	t.ret.stop = make(chan struct{})
+	t.ret.workers = min(4, max(1, runtime.GOMAXPROCS(0)/2))
 	return t
 }
 
@@ -237,18 +224,12 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	t.size.Store(int64(len(keys)))
 	t.retrains.Store(0)
 
-	if !t.opts.DisableFastPointers {
-		t.buildFastPointers(tb)
-	}
-	return nil
-}
-
-// buildFastPointers links each GPL model to the deepest ART node covering
-// its key range, merging duplicate targets (§III-C).
-func (t *ALT) buildFastPointers(tb *table) {
+	// Fast pointers: link each GPL model to the deepest ART node covering
+	// its key range, merging duplicate targets (§III-C).
 	for i := range tb.dir {
 		t.registerFP(tb, i)
 	}
+	return nil
 }
 
 // registerFP links the model at table position pos to the deepest ART node
@@ -265,9 +246,6 @@ func (t *ALT) registerFP(tb *table, pos int) {
 
 // fpNode resolves a model's fast pointer to the current ART entry node.
 func (t *ALT) fpNode(m *model) *art.Node {
-	if t.opts.DisableFastPointers {
-		return nil
-	}
 	return t.fp.node(m.fastIdx.Load())
 }
 
@@ -515,7 +493,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 			t.size.Add(1)
 		}
 		e.m.overflow.Add(1)
-		if !t.opts.DisableFastPointers && e.m.fastIdx.Load() < 0 {
+		if e.m.fastIdx.Load() < 0 {
 			// The model had no fast pointer (the ART was empty when
 			// it was built); now that its range has conflict data,
 			// link it lazily.

@@ -308,7 +308,8 @@ func TestRetrainingDisabled(t *testing.T) {
 func TestFastPointerAblationEquivalence(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 30000, 10)
 	withFP := mustBulk(t, Options{ErrorBound: 64}, keys)
-	noFP := mustBulk(t, Options{ErrorBound: 64, DisableFastPointers: true}, keys)
+	noFP := mustBulk(t, Options{ErrorBound: 64}, keys)
+	exhaustFastPointers(noFP)
 	var sumFP, sumRoot, conflicts int
 	for i := 0; i < len(keys); i += 3 {
 		k := keys[i]
@@ -322,6 +323,9 @@ func TestFastPointerAblationEquivalence(t *testing.T) {
 			pr, _ := withFP.ARTLookupLength(k, false)
 			sumRoot += pr
 			conflicts++
+			if pn, _ := noFP.ARTLookupLength(k, true); pn != pr {
+				t.Fatalf("key %d: lookup without a fast pointer took %d nodes, the root walk %d", k, pn, pr)
+			}
 		}
 	}
 	if conflicts == 0 {

@@ -113,8 +113,11 @@ type chaosConfig struct {
 	// run, proving the scenario exercised its target window.
 	mustFire []string
 	// opts overrides the index configuration (nil means the harness
-	// default), letting scenarios pick queue sizes and worker counts.
+	// default).
 	opts *Options
+	// workers and queue, when workers is set, pin the retraining pipeline
+	// (pinRetrainPipeline).
+	workers, queue int
 	// check, when set, runs scenario-specific assertions after the audit.
 	check func(t *testing.T, idx *ALT)
 }
@@ -142,6 +145,9 @@ func runChaosWorkload(t *testing.T, cfg chaosConfig) (*ALT, map[uint64]uint64) {
 		opts = *cfg.opts
 	}
 	idx := New(opts)
+	if cfg.workers > 0 {
+		pinRetrainPipeline(idx, cfg.workers, cfg.queue)
+	}
 	t.Cleanup(func() { idx.Close() })
 	// Grid keys i*stride+7 are writer-owned; i*stride+31 are immutable
 	// sentinels no writer touches, so readers can assert exact values
@@ -356,7 +362,9 @@ func TestChaosProtocol(t *testing.T) {
 				"core/retrain/freeze":  "delay(2ms)",
 			},
 			mustFire: []string{"core/retrain/enqueue"},
-			opts:     &Options{ErrorBound: 16, RetrainMinInserts: 32, RetrainWorkers: 1, RetrainQueue: 1},
+			opts:     &Options{ErrorBound: 16, RetrainMinInserts: 32},
+			workers:  1,
+			queue:    1,
 			check: func(t *testing.T, idx *ALT) {
 				// The workload's trigger arrivals are timing-dependent —
 				// on a quiet box the single worker can drain the one-deep
@@ -386,7 +394,8 @@ func TestChaosProtocol(t *testing.T) {
 				"core/retrain/publish": "yield",
 			},
 			mustFire: []string{"core/retrain/splice"},
-			opts:     &Options{ErrorBound: 16, RetrainMinInserts: 192, RetrainWorkers: 4, RetrainQueue: 64},
+			workers:  4,
+			queue:    64,
 		},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {

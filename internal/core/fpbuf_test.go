@@ -6,7 +6,40 @@ import (
 
 	"altindex/internal/art"
 	"altindex/internal/dataset"
+	"altindex/internal/index"
 )
+
+// exhaustFastPointers puts t's fast-pointer buffer in the state a full one
+// degrades to (§III-C): every model unlinked, every entry cleared and no
+// room for another, so every ART lookup and insert starts at the root and
+// every later registration, lazy or by a rebuild, returns -1. t must be
+// quiescent.
+func exhaustFastPointers(t *ALT) {
+	tb := t.tab.Load()
+	for i := range tb.dir {
+		tb.dir[i].m.fastIdx.Store(-1)
+	}
+	for i := range t.fp.entries {
+		t.fp.entries[i].node.Store(nil)
+	}
+	t.fp.n.Store(int32(len(t.fp.entries)))
+}
+
+// rootOnly is an ALT that exhausts its fast-pointer buffer after every
+// Bulkload, which builds a fresh one.
+type rootOnly struct{ *ALT }
+
+func newRootOnly(opts Options) rootOnly {
+	r := rootOnly{New(opts)}
+	exhaustFastPointers(r.ALT)
+	return r
+}
+
+func (r rootOnly) Bulkload(pairs []index.KV) error {
+	err := r.ALT.Bulkload(pairs)
+	exhaustFastPointers(r.ALT)
+	return err
+}
 
 // innerNodes collects distinct inner nodes from a populated tree.
 func innerNodes(t *testing.T, count int) (*art.Tree, []*art.Node) {

@@ -40,16 +40,23 @@ import (
 //     empty placeholder models are absorbed, so the table stops growing
 //     monotonically under churn.
 
+// retrainQueue bounds the trigger queue feeding the worker pool, sized to
+// hold a burst of triggers from many crowded models while the few workers
+// rebuild. On overflow the trigger is dropped and the model disarmed, so a
+// later threshold-crossing insert re-triggers it.
+const retrainQueue = 256
+
 // keyRange is an inclusive key interval claimed by an in-flight rebuild.
 type keyRange struct{ lo, hi uint64 }
 
 // retrainer owns the background retraining state of one ALT.
 type retrainer struct {
-	q      chan *model
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
-	closed atomic.Bool
+	q       chan *model // capacity retrainQueue
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	once    sync.Once
+	closed  atomic.Bool
+	workers int // pool size, set by New: min(4, max(1, GOMAXPROCS/2))
 
 	// mu guards active, the set of key ranges claimed by in-flight
 	// rebuilds (including splice-time placeholder absorption).
@@ -77,31 +84,22 @@ func (r *retrainer) ensureWorkers(t *ALT) {
 }
 
 func (r *retrainer) launch(t *ALT) {
-	n := t.opts.RetrainWorkers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0) / 2
-		if n < 1 {
-			n = 1
-		}
-		if n > 4 {
-			n = 4
-		}
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < r.workers; i++ {
 		r.wg.Add(1)
-		labels := pprof.Labels("task", "retrain-worker", "worker", strconv.Itoa(i))
+		ctx := pprof.WithLabels(context.Background(),
+			pprof.Labels("task", "retrain-worker", "worker", strconv.Itoa(i)))
 		go func() {
 			defer r.wg.Done()
 			// Label the goroutine so CPU and goroutine profiles attribute
 			// pipeline time to the pool instead of an anonymous func; the
 			// per-rebuild key range is layered on in processRetrain.
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), labels))
+			pprof.SetGoroutineLabels(ctx)
 			for {
 				select {
 				case <-r.stop:
 					return
 				case m := <-r.q:
-					t.processRetrain(m)
+					t.processRetrain(ctx, m)
 				}
 			}
 		}()
@@ -184,7 +182,7 @@ func (t *ALT) enqueueRetrain(m *model) {
 //
 // Accounting contract: pending was incremented when the trigger was
 // accepted; every terminal exit decrements it, a requeue is net zero.
-func (t *ALT) processRetrain(m *model) {
+func (t *ALT) processRetrain(ctx context.Context, m *model) {
 	r := &t.ret
 	finish := func() {
 		m.retrainArmed.Store(false)
@@ -231,12 +229,10 @@ func (t *ALT) processRetrain(m *model) {
 		}
 	}
 	r.inflight.Add(1)
-	// Scope the claimed key range onto the profiler labels for the
-	// rebuild's duration (pprof.Do restores the caller's labels after),
-	// so a CPU profile splits rebuild cost per range.
-	pprof.Do(context.Background(),
-		pprof.Labels("task", "retrain-worker",
-			"range", fmt.Sprintf("%#x-%#x", lo, end)),
+	// Scope the claimed key range onto the worker's profiler labels for the
+	// rebuild's duration (pprof.Do restores ctx's labels after), so a CPU
+	// profile splits rebuild cost per range.
+	pprof.Do(ctx, pprof.Labels("range", fmt.Sprintf("%#x-%#x", lo, end)),
 		func(context.Context) { t.rebuild(m, lo, end) })
 	r.inflight.Add(-1)
 	if gate := t.opts.RetrainGate; gate != nil {
@@ -416,10 +412,8 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	bounds[loIdx] = min(bounds[loIdx], cur.bounds[loIdx])
 	newTab := newTable(append(bounds, cur.bounds[hiIdx+1:]...), append(dir, cur.dir[hiIdx+1:]...))
 
-	if !t.opts.DisableFastPointers {
-		for i := range newModels {
-			t.registerFP(newTab, loIdx+i)
-		}
+	for i := range newModels {
+		t.registerFP(newTab, loIdx+i)
 	}
 
 	fpRetrainPublish.Inject()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -8,6 +9,14 @@ import (
 	"altindex/internal/dataset"
 	"altindex/internal/gpl"
 )
+
+// pinRetrainPipeline replaces the worker count and trigger queue that New
+// derives from GOMAXPROCS and retrainQueue. Call it before the first
+// trigger, which starts the pool.
+func pinRetrainPipeline(t *ALT, workers, queue int) {
+	t.ret.workers = workers
+	t.ret.q = make(chan *model, queue)
+}
 
 // TestRetrainRearmOnDrop is the regression test for the lost-trigger
 // window: a trigger dropped on queue overflow must leave the model
@@ -21,7 +30,8 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i) * 1000
 	}
-	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 8, RetrainQueue: 1}, keys)
+	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 8}, keys)
+	pinRetrainPipeline(alt, alt.ret.workers, 1)
 
 	// Consume the worker-launch once so no worker drains the queue, then
 	// wedge the queue with a decoy model that is not in the table. The
@@ -81,7 +91,8 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 // publish locking.
 func TestConcurrentDisjointRetrains(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 30000, 41)
-	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 64, RetrainWorkers: 4}, keys)
+	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 64}, keys)
+	pinRetrainPipeline(alt, 4, retrainQueue)
 
 	const writers = 8
 	const perWriter = 4000
@@ -162,7 +173,7 @@ func TestPlaceholderAbsorption(t *testing.T) {
 	retrain := func(m *model) {
 		m.retrainArmed.Store(true)
 		alt.ret.pending.Add(1)
-		alt.processRetrain(m)
+		alt.processRetrain(context.Background(), m)
 		checkTable(t, alt) // after every splice and absorption
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -64,7 +65,7 @@ func staleReaderAcrossRebuild(t *testing.T, alt *ALT, keys []uint64) {
 	// blocks: only `old` still reaches them.
 	m0.retrainArmed.Store(true)
 	alt.ret.pending.Add(1)
-	alt.processRetrain(m0)
+	alt.processRetrain(context.Background(), m0)
 	if alt.tab.Load().posOf(m0) >= 0 {
 		t.Fatal("rebuild left the old model in the live table")
 	}

@@ -21,7 +21,6 @@ import (
 
 	"altindex/internal/core"
 	"altindex/internal/index"
-	"altindex/internal/shard"
 )
 
 // Errors returned by table operations.
@@ -43,30 +42,15 @@ type DB struct {
 // NewDB returns an empty in-memory database.
 func NewDB() *DB { return &DB{tables: map[string]*Table{}} }
 
-// TableOptions tune a table's storage layout; the zero value is the
-// default single-instance primary index.
-type TableOptions struct {
-	// Shards range-partitions the table's primary index across this many
-	// independent ALT shards behind a learned boundary router (zero or one
-	// keeps a single instance). Secondary indexes stay unsharded: they are
-	// value-ordered and typically far smaller.
-	Shards int
-}
-
 // CreateTable registers a table with the given number of user columns and
 // returns it. Creating an existing name returns the existing table.
 func (db *DB) CreateTable(name string, columns int) *Table {
-	return db.CreateTableWith(name, columns, TableOptions{})
-}
-
-// CreateTableWith is CreateTable with explicit layout options.
-func (db *DB) CreateTableWith(name string, columns int, opts TableOptions) *Table {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if t, ok := db.tables[name]; ok {
 		return t
 	}
-	t := newTable(name, columns, opts)
+	t := newTable(name, columns)
 	db.tables[name] = t
 	return t
 }
@@ -112,20 +96,14 @@ type Table struct {
 	deadHandle atomic.Int64 // stale row versions awaiting vacuum
 }
 
-func newTable(name string, columns int, opts TableOptions) *Table {
+func newTable(name string, columns int) *Table {
 	if columns < 1 {
 		columns = 1
-	}
-	var primary index.Concurrent
-	if opts.Shards > 1 {
-		primary = shard.New(core.Options{Shards: opts.Shards})
-	} else {
-		primary = core.New(core.Options{})
 	}
 	return &Table{
 		name:      name,
 		columns:   columns,
-		primary:   primary,
+		primary:   core.New(core.Options{}),
 		rows:      newArena(columns),
 		secondary: map[string]*Secondary{},
 	}

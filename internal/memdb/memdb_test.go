@@ -388,74 +388,3 @@ func TestVacuumReclaimsAndPreserves(t *testing.T) {
 		t.Fatal("second vacuum reclaimed something")
 	}
 }
-
-// TestShardedTable runs a table whose primary index is the CDF-partitioned
-// sharded front-end through the same CRUD + range + secondary-index
-// workout an unsharded table gets, and checks the shard layout is actually
-// in effect (Stats reports the shard count and per-shard key counts).
-func TestShardedTable(t *testing.T) {
-	tbl := NewDB().CreateTableWith("t", 2, TableOptions{Shards: 4})
-	const rows = 5000
-	for pk := uint64(rows); pk > 0; pk-- {
-		if err := tbl.Insert(pk*64, []uint64{pk % 10, pk * 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tbl.Len() != rows {
-		t.Fatalf("Len = %d", tbl.Len())
-	}
-	st := tbl.Stats()
-	if st["primary_shards"] != 4 {
-		t.Fatalf("shards stat = %d, want 4", st["primary_shards"])
-	}
-	if st["primary_shard_keys_max"] == 0 {
-		t.Fatal("skew monitor reports no keys in any shard")
-	}
-	// Point ops behave identically to the unsharded table.
-	if err := tbl.Insert(64, []uint64{0, 0}); !errors.Is(err, ErrDuplicateKey) {
-		t.Fatalf("dup err = %v", err)
-	}
-	if err := tbl.Update(2*64, []uint64{7, 7}); err != nil {
-		t.Fatal(err)
-	}
-	if row, err := tbl.Get(2 * 64); err != nil || row[0] != 7 || row[1] != 7 {
-		t.Fatalf("Get after update: %v %v", row, err)
-	}
-	if err := tbl.Delete(3 * 64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Get(3 * 64); !errors.Is(err, ErrRowNotFound) {
-		t.Fatal("deleted row still visible")
-	}
-	// Range select stitches across shard boundaries in order.
-	var prev uint64
-	n := tbl.SelectRange(0, rows+10, func(pk uint64, row []uint64) bool {
-		if pk <= prev && prev != 0 {
-			t.Fatalf("range out of order: %d after %d", pk, prev)
-		}
-		prev = pk
-		return true
-	})
-	if n != rows-1 {
-		t.Fatalf("visited %d rows, want %d", n, rows-1)
-	}
-	// Secondary indexes work over a sharded primary.
-	sec, err := tbl.CreateIndex("by_mod", 0, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sec.Len() != rows-1 {
-		t.Fatalf("backfill indexed %d", sec.Len())
-	}
-	got := 0
-	sec.SelectWhere(7, rows, func(pk uint64, row []uint64) bool {
-		if row[0] != 7 {
-			t.Fatalf("wrong bucket: %d", row[0])
-		}
-		got++
-		return true
-	})
-	if got == 0 {
-		t.Fatal("secondary returned nothing")
-	}
-}

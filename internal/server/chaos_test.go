@@ -5,7 +5,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -51,16 +50,17 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-// TestShutdownSnapshotCrash: a crash injected into the shutdown snapshot's
-// write sequence must surface from Shutdown and leave the previous
-// checkpoint untouched — the server never replaces good data with a torn
-// file on its way down.
-func TestShutdownSnapshotCrash(t *testing.T) {
+// TestShutdownCheckpointCrash: a crash injected into the final checkpoint's
+// base write must surface from Shutdown and leave the previous generation
+// untouched — the server never replaces good data with a torn file on its
+// way down — and a restart recovers every acknowledged write from that
+// generation plus the log.
+func TestShutdownCheckpointCrash(t *testing.T) {
 	defer failpoint.DisableAll()
-	path := filepath.Join(t.TempDir(), "altdb.snap")
+	dir := t.TempDir()
 
 	// First generation: 50 keys, clean shutdown checkpoint.
-	srv1, addr1 := startServerWith(t, Config{SnapshotPath: path})
+	srv1, addr1 := startDurable(t, dir, Config{})
 	c1 := dial(t, addr1)
 	for k := 1; k <= 50; k++ {
 		if got := c1.cmd(t, fmt.Sprintf("SET %d %d", k, k)); got != "OK" {
@@ -70,9 +70,10 @@ func TestShutdownSnapshotCrash(t *testing.T) {
 	if err := srv1.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
+	gen := readMeta(t, dir).Generation
 
-	// Second generation: more data, but the shutdown snapshot crashes.
-	srv2, addr2 := startServerWith(t, Config{SnapshotPath: path})
+	// Second run: more data, but the shutdown checkpoint crashes.
+	srv2, addr2 := startDurable(t, dir, Config{})
 	c2 := dial(t, addr2)
 	if got := c2.cmd(t, "SET 999 1"); got != "OK" {
 		t.Fatal(got)
@@ -83,19 +84,34 @@ func TestShutdownSnapshotCrash(t *testing.T) {
 	err := srv2.Shutdown()
 	failpoint.Disable("snapio/rename")
 	if !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("crashed shutdown snapshot not surfaced: %v", err)
+		t.Fatalf("crashed shutdown checkpoint not surfaced: %v", err)
 	}
 
-	// The checkpoint on disk is still generation one, fully intact.
-	idx, err := altindex.Load(path, altindex.Options{})
+	// The published generation is still the first one, fully intact.
+	if got := readMeta(t, dir).Generation; got != gen {
+		t.Fatalf("meta names generation %d after the crash, want %d", got, gen)
+	}
+	idx, err := altindex.Load(basePath(dir, gen), altindex.Options{})
 	if err != nil {
 		t.Fatalf("checkpoint unloadable after crashed shutdown: %v", err)
 	}
+	defer idx.Close()
 	if idx.Len() != 50 {
 		t.Fatalf("checkpoint holds %d keys, want 50", idx.Len())
 	}
 	if _, ok := idx.Get(999); ok {
-		t.Fatal("crashed shutdown leaked generation-two data")
+		t.Fatal("crashed shutdown leaked second-run data into the base")
+	}
+
+	// The log still holds the second run's write.
+	srv3, addr3 := startDurable(t, dir, Config{})
+	defer srv3.Shutdown()
+	c3 := dial(t, addr3)
+	if got := c3.cmd(t, "GET 999"); got != "VALUE 1" {
+		t.Fatalf("GET 999 after recovery = %q", got)
+	}
+	if got := c3.cmd(t, "LEN"); got != "VALUE 51" {
+		t.Fatalf("LEN after recovery = %q", got)
 	}
 }
 

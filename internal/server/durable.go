@@ -33,7 +33,7 @@ import (
 // Writes ack only after their redo record reaches the WAL's commit point.
 // Incremental checkpoints are non-blocking: they drain the dirty-key set
 // into a small delta file and truncate the log, without pausing writers.
-// When the delta chain grows past MaxDeltas, compaction takes the write
+// When the delta chain grows past maxDeltas, compaction takes the write
 // gate, saves a fresh full base under the next generation number and
 // resets the chain. Base files are never overwritten in place — a crash
 // mid-compaction leaves the previous generation's base + deltas + meta
@@ -85,20 +85,18 @@ type durableConfig struct {
 	// checkpoints (default 15s; negative disables the background loop —
 	// used by tests that drive checkpoints explicitly).
 	CheckpointInterval time.Duration
-	// MaxDeltas is the delta-chain length that triggers compaction into a
-	// fresh full base (default 8).
-	MaxDeltas int
 }
 
 func (c durableConfig) withDefaults() durableConfig {
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 15 * time.Second
 	}
-	if c.MaxDeltas == 0 {
-		c.MaxDeltas = 8
-	}
 	return c
 }
+
+// maxDeltas is the delta-chain length that triggers compaction into a
+// fresh full base.
+const maxDeltas = 8
 
 // ckptMeta is the CHECKPOINT file payload.
 type ckptMeta struct {
@@ -142,7 +140,7 @@ type durableStore struct {
 
 // openDurable recovers (or creates) a durable keyspace in cfg.Dir and
 // arms logging and the background checkpoint loop.
-func openDurable(cfg durableConfig, opts altindex.Options) (*durableStore, error) {
+func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -162,15 +160,22 @@ func openDurable(cfg durableConfig, opts altindex.Options) (*durableStore, error
 		return nil, fmt.Errorf("altdb: checkpoint meta: %w", err)
 	}
 
-	idx := altindex.New(opts)
+	idx := altindex.New(altindex.Options{})
 	if meta.Generation > 0 {
-		loaded, err := altindex.Load(basePath(cfg.Dir, meta.Generation), opts)
+		loaded, err := altindex.Load(basePath(cfg.Dir, meta.Generation), altindex.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("altdb: recovery needs base generation %d it cannot read: %w",
 				meta.Generation, err)
 		}
 		idx = loaded
 	}
+	// Replaying deltas and the log can grow the index past its retraining
+	// trigger; a failed recovery must not leave those workers behind.
+	defer func() {
+		if err != nil {
+			idx.Close()
+		}
+	}()
 	d := &durableStore{
 		cfg:    cfg,
 		idx:    idx,
@@ -429,11 +434,11 @@ func (d *durableStore) checkpointLoop() {
 
 // Checkpoint publishes one incremental checkpoint: the dirty-key set as a
 // delta file, the CHECKPOINT meta, then log truncation. Writers are not
-// paused. When the delta chain reaches MaxDeltas, it compacts instead.
+// paused. When the delta chain reaches maxDeltas, it compacts instead.
 func (d *durableStore) Checkpoint() error {
 	d.cmu.Lock()
 	defer d.cmu.Unlock()
-	if d.deltas >= d.cfg.MaxDeltas {
+	if d.deltas >= maxDeltas {
 		return d.compactLocked()
 	}
 	return d.deltaLocked()

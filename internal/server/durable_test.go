@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"altindex"
+	"altindex/internal/core"
 	"altindex/internal/failpoint"
-	"altindex/internal/shard"
 	"altindex/internal/snapio"
 	"altindex/internal/wal"
 )
@@ -31,17 +31,21 @@ func startDurable(t *testing.T, dir string, cfg Config) (*Server, net.Addr) {
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = -1
 	}
-	srv, err := NewServerWith(cfg)
+	return startServerWith(t, cfg)
+}
+
+// readMeta decodes dir's CHECKPOINT meta.
+func readMeta(t *testing.T, dir string) ckptMeta {
+	t.Helper()
+	raw, err := snapio.ReadFile(filepath.Join(dir, ckptMetaName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	var meta ckptMeta
+	if err := json.Unmarshal(raw, &meta); err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { ln.Close() })
-	return srv, ln.Addr()
+	return meta
 }
 
 // TestDurableServerRecoversWrites: acked SET/MPUT/DEL survive shutdown
@@ -117,9 +121,9 @@ func TestDurableServerKillRecovery(t *testing.T) {
 // bound replay, and compaction collapses the chain into a fresh base.
 func TestDurableIncrementalCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	srv, addr := startDurable(t, dir, Config{CheckpointMaxDeltas: 3})
+	srv, addr := startDurable(t, dir, Config{})
 	c := dial(t, addr)
-	for round := 0; round < 3; round++ {
+	for round := 0; round < maxDeltas; round++ {
 		for k := 0; k < 50; k++ {
 			key := round*50 + k
 			if got := c.cmd(t, fmt.Sprintf("SET %d %d", key, key)); got != "OK" {
@@ -131,10 +135,10 @@ func TestDurableIncrementalCheckpoint(t *testing.T) {
 		}
 	}
 	st := stats(t, c)
-	if st["checkpoint_deltas"] != 3 {
-		t.Fatalf("checkpoint_deltas = %d, want 3", st["checkpoint_deltas"])
+	if st["checkpoint_deltas"] != maxDeltas {
+		t.Fatalf("checkpoint_deltas = %d, want %d", st["checkpoint_deltas"], maxDeltas)
 	}
-	// Fourth checkpoint hits MaxDeltas and compacts into generation 1.
+	// The next checkpoint hits maxDeltas and compacts into generation 1.
 	if got := c.cmd(t, "SET 999 999"); got != "OK" {
 		t.Fatal(got)
 	}
@@ -161,7 +165,7 @@ func TestDurableIncrementalCheckpoint(t *testing.T) {
 	if st2["replayed_records"] != 10 {
 		t.Fatalf("replayed_records after compaction = %d, want 10", st2["replayed_records"])
 	}
-	if got := c2.cmd(t, "LEN"); got != fmt.Sprintf("VALUE %d", 151+10) {
+	if got := c2.cmd(t, "LEN"); got != fmt.Sprintf("VALUE %d", maxDeltas*50+1+10) {
 		t.Fatalf("LEN = %q", got)
 	}
 	if got := c2.cmd(t, "GET 999"); got != "VALUE 999" {
@@ -193,15 +197,6 @@ func TestDurableStatsSurface(t *testing.T) {
 	}
 	if st["wal_bytes"] <= 0 {
 		t.Fatal("wal_bytes not accounted")
-	}
-}
-
-// TestDurableExclusiveWithSnapshot: the two persistence modes cannot be
-// combined — misconfiguration is a startup error, not silent precedence.
-func TestDurableExclusiveWithSnapshot(t *testing.T) {
-	_, err := NewServerWith(Config{WALDir: t.TempDir(), SnapshotPath: "x.snap"})
-	if err == nil {
-		t.Fatal("WALDir+SnapshotPath accepted")
 	}
 }
 
@@ -304,70 +299,101 @@ func (c *lineClient) cmdE(line string) (string, error) {
 	}
 }
 
-// TestDurableLegacyMetaBoundsIgnored: a CHECKPOINT meta written by a
-// build that recorded the shard boundary layout still carries "bounds".
-// Recovery must accept the file, ignore the field (the layout is the
-// configured one) and lose no data. The meta is hand-written JSON around
-// the live checkpoint's LSN, not the output of any encoder in this tree.
+// TestDurableLegacyMetaBoundsIgnored: files written by builds that ran
+// altdb sharded recover into the one unsharded index, losing no data.
+//   - legacy-meta: a CHECKPOINT meta that still records the shard boundary
+//     layout ("bounds"). Recovery must accept the file and ignore the
+//     field. The meta is hand-written JSON around the live checkpoint's
+//     LSN, not the output of any encoder in this tree.
+//   - v2-base: a base snapshot saved from a 4-shard index (ALTIX002).
+//     Recovery must merge it into one index, then replay the log suffix
+//     above the meta's LSN.
 func TestDurableLegacyMetaBoundsIgnored(t *testing.T) {
-	dir := t.TempDir()
-	srv, addr := startDurable(t, dir, Config{Shards: 4})
-	c := dial(t, addr)
-	for k := 1; k <= 400; k++ {
-		if got := c.cmd(t, fmt.Sprintf("SET %d %d", k, k*3)); got != "OK" {
-			t.Fatalf("SET = %q", got)
+	set := func(t *testing.T, c *client, from, to int) {
+		t.Helper()
+		for k := from; k <= to; k++ {
+			if got := c.cmd(t, fmt.Sprintf("SET %d %d", k, k*3)); got != "OK" {
+				t.Fatalf("SET = %q", got)
+			}
 		}
 	}
-	// Delta checkpoint only (generation 0): no base snapshot to carry a
-	// layout, which is the case the legacy field existed for.
-	if err := srv.dur.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	metaPath := filepath.Join(dir, ckptMetaName)
-	raw, err := snapio.ReadFile(metaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta ckptMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		t.Fatal(err)
-	}
-	if meta.Generation != 0 || meta.Deltas != 1 {
-		t.Fatalf("checkpoint meta = %s, want generation 0 with one delta", raw)
-	}
-	legacy := fmt.Sprintf(`{"generation":0,"deltas":1,"lsn":%d,"bounds":[100,200,300,350,380]}`, meta.LSN)
-	if err := snapio.WriteFile(metaPath, func(w io.Writer) error {
-		_, werr := io.WriteString(w, legacy)
-		return werr
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// A log tail past the checkpoint, so recovery replays over the meta.
-	for k := 401; k <= 420; k++ {
-		if got := c.cmd(t, fmt.Sprintf("SET %d %d", k, k*3)); got != "OK" {
-			t.Fatalf("SET = %q", got)
+	// recoverDir abandons the first server (no Shutdown), recovers dir and
+	// checks every key of 1..420 and that the index is one core.ALT.
+	recoverDir := func(t *testing.T, dir string) map[string]int64 {
+		t.Helper()
+		srv, addr := startDurable(t, dir, Config{})
+		t.Cleanup(func() { srv.Shutdown() })
+		if _, ok := srv.idx.(*core.ALT); !ok {
+			t.Fatalf("recovered index is %T, want one *core.ALT", srv.idx)
 		}
+		c := dial(t, addr)
+		if got := c.cmd(t, "LEN"); got != "VALUE 420" {
+			t.Fatalf("LEN after recovery = %q", got)
+		}
+		for k := 1; k <= 420; k++ {
+			if got := c.cmd(t, fmt.Sprintf("GET %d", k)); got != fmt.Sprintf("VALUE %d", k*3) {
+				t.Fatalf("GET %d = %q after recovery", k, got)
+			}
+		}
+		return stats(t, c)
 	}
 
-	// Abandon the server (no Shutdown) and recover.
-	srv2, addr2 := startDurable(t, dir, Config{Shards: 4})
-	defer srv2.Shutdown()
-	c2 := dial(t, addr2)
-	if got := c2.cmd(t, "LEN"); got != "VALUE 420" {
-		t.Fatalf("LEN after recovery = %q", got)
-	}
-	sh, ok := srv2.dur.idx.(*shard.ALT)
-	if !ok {
-		t.Fatalf("recovered index is %T", srv2.dur.idx)
-	}
-	if got := sh.Shards(); got != 4 {
-		t.Fatalf("recovered %d shards, want the configured 4 (legacy bounds must be ignored)", got)
-	}
-	for k := 1; k <= 420; k += 13 {
-		if got := c2.cmd(t, fmt.Sprintf("GET %d", k)); got != fmt.Sprintf("VALUE %d", k*3) {
-			t.Fatalf("GET %d = %q after recovery", k, got)
+	t.Run("legacy-meta", func(t *testing.T) {
+		dir := t.TempDir()
+		srv, addr := startDurable(t, dir, Config{})
+		c := dial(t, addr)
+		set(t, c, 1, 400)
+		// Delta checkpoint only (generation 0): no base snapshot to carry a
+		// layout, which is the case the legacy field existed for.
+		if err := srv.dur.Checkpoint(); err != nil {
+			t.Fatal(err)
 		}
-	}
+		meta := readMeta(t, dir)
+		if meta.Generation != 0 || meta.Deltas != 1 {
+			t.Fatalf("checkpoint meta = %+v, want generation 0 with one delta", meta)
+		}
+		legacy := fmt.Sprintf(`{"generation":0,"deltas":1,"lsn":%d,"bounds":[100,200,300,350,380]}`, meta.LSN)
+		if err := snapio.WriteFile(filepath.Join(dir, ckptMetaName), func(w io.Writer) error {
+			_, werr := io.WriteString(w, legacy)
+			return werr
+		}); err != nil {
+			t.Fatal(err)
+		}
+		set(t, c, 401, 420) // a log tail past the checkpoint
+		recoverDir(t, dir)
+	})
+
+	t.Run("v2-base", func(t *testing.T) {
+		dir := t.TempDir()
+		srv, addr := startDurable(t, dir, Config{})
+		c := dial(t, addr)
+		set(t, c, 1, 400)
+		if err := srv.dur.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		set(t, c, 401, 420) // a log tail past the base
+		// Replace base 1 with the same pairs saved from a 4-shard index.
+		sharded := altindex.New(altindex.Options{Shards: 4})
+		defer sharded.Close()
+		pairs := make([]altindex.KV, 400)
+		for i := range pairs {
+			k := uint64(i + 1)
+			pairs[i] = altindex.KV{Key: k, Value: k * 3}
+		}
+		if err := sharded.Bulkload(pairs); err != nil {
+			t.Fatal(err)
+		}
+		base := basePath(dir, readMeta(t, dir).Generation)
+		if err := altindex.Save(sharded, base); err != nil {
+			t.Fatal(err)
+		}
+		if raw, err := os.ReadFile(base); err != nil || !bytes.HasPrefix(raw, []byte("ALTIX002")) {
+			t.Fatalf("base is not a v2 snapshot (%v)", err)
+		}
+		if st := recoverDir(t, dir); st["replayed_records"] != 20 {
+			t.Fatalf("replayed_records = %d, want the 20-record suffix", st["replayed_records"])
+		}
+	})
 }
 
 // TestDurableLegacySetRecordReplays: nothing writes the single-pair set

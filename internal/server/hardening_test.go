@@ -2,16 +2,19 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
 
 	"altindex"
+	"altindex/internal/snapio"
 )
 
 // startServerWith runs a configured server on an ephemeral port.
@@ -21,13 +24,19 @@ func startServerWith(t *testing.T, cfg Config) (*Server, net.Addr) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv, serve(t, srv)
+}
+
+// serve runs srv on an ephemeral port.
+func serve(t *testing.T, srv *Server) net.Addr {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
 	go srv.Serve(ln)
-	return srv, ln.Addr()
+	return ln.Addr()
 }
 
 // TestStructuredErrors pins the machine-parseable ERR grammar: the second
@@ -215,12 +224,11 @@ func TestStalledReader(t *testing.T) {
 }
 
 // TestGracefulShutdownSnapshot: Shutdown drains in-flight connections and
-// writes every acknowledged write to the configured snapshot, which the
-// next server start loads.
+// compacts every acknowledged write into one base snapshot, which the next
+// start loads without replaying the log.
 func TestGracefulShutdownSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "altdb.snap")
-	srv, addr := startServerWith(t, Config{SnapshotPath: path})
-
+	dir := t.TempDir()
+	srv, addr := startDurable(t, dir, Config{})
 	c := dial(t, addr)
 	for k := 1; k <= 200; k++ {
 		if got := c.cmd(t, fmt.Sprintf("SET %d %d", k, k*5)); got != "OK" {
@@ -231,21 +239,27 @@ func TestGracefulShutdownSnapshot(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 
-	idx, err := altindex.Load(path, altindex.Options{})
-	if err != nil {
-		t.Fatalf("shutdown snapshot unloadable: %v", err)
+	meta := readMeta(t, dir)
+	if meta.Generation < 1 || meta.Deltas != 0 {
+		t.Fatalf("meta after shutdown = %+v, want a base and no deltas", meta)
 	}
+	idx, err := altindex.Load(basePath(dir, meta.Generation), altindex.Options{})
+	if err != nil {
+		t.Fatalf("shutdown base unloadable: %v", err)
+	}
+	defer idx.Close()
 	if idx.Len() != 200 {
-		t.Fatalf("snapshot holds %d keys, want 200", idx.Len())
+		t.Fatalf("base holds %d keys, want 200", idx.Len())
 	}
 	for k := uint64(1); k <= 200; k++ {
 		if v, ok := idx.Get(k); !ok || v != k*5 {
-			t.Fatalf("snapshot key %d = (%d,%v)", k, v, ok)
+			t.Fatalf("base key %d = (%d,%v)", k, v, ok)
 		}
 	}
 
-	// A new server over the same path serves the snapshotted data.
-	_, addr2 := startServerWith(t, Config{SnapshotPath: path})
+	// A new server over the same directory serves the base alone.
+	srv2, addr2 := startDurable(t, dir, Config{})
+	defer srv2.Shutdown()
 	c2 := dial(t, addr2)
 	if got := c2.cmd(t, "GET 17"); got != "VALUE 85" {
 		t.Fatalf("restarted GET = %q", got)
@@ -253,29 +267,123 @@ func TestGracefulShutdownSnapshot(t *testing.T) {
 	if got := c2.cmd(t, "LEN"); got != "VALUE 200" {
 		t.Fatalf("restarted LEN = %q", got)
 	}
+	if st := stats(t, c2); st["replayed_records"] != 0 {
+		t.Fatalf("replayed_records = %d after a clean shutdown, want 0", st["replayed_records"])
+	}
 }
 
-// TestStartupRefusesCorruptSnapshot: serving silently-empty data over a
-// corrupt snapshot would be a stale-read machine; startup must fail loudly.
+// retrainWorkers counts the goroutines labelled task=retrain-worker. The
+// debug=1 goroutine profile groups goroutines with equal stacks and labels
+// into records separated by blank lines, each led by its count.
+func retrainWorkers(t *testing.T) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(buf.String(), "\n") // "goroutine profile: total N"
+	n := 0
+	for _, rec := range strings.Split(body, "\n\n") {
+		if strings.Contains(rec, `"task":"retrain-worker"`) {
+			var count int
+			if _, err := fmt.Sscanf(rec, "%d @", &count); err != nil {
+				t.Fatalf("goroutine record %.60q: %v", rec, err)
+			}
+			n += count
+		}
+	}
+	return n
+}
+
+// TestShutdownStopsRetraining: Shutdown reaps the index's retraining
+// workers, in memory and in durable mode. An index that was never
+// bulkloaded starts them when its first training triggers, at the 1,025th
+// key.
+func TestShutdownStopsRetraining(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			before := retrainWorkers(t)
+			var srv *Server
+			var addr net.Addr
+			if durable {
+				srv, addr = startDurable(t, t.TempDir(), Config{})
+			} else {
+				srv, addr = startServerWith(t, Config{})
+			}
+			c := dial(t, addr)
+			var mput strings.Builder
+			for base := 0; base < 2000; base += 500 {
+				mput.Reset()
+				mput.WriteString("MPUT")
+				for k := base; k < base+500; k++ {
+					fmt.Fprintf(&mput, " %d %d", k, k)
+				}
+				if got := c.cmd(t, mput.String()); got != "OK 500" {
+					t.Fatalf("MPUT = %q", got)
+				}
+			}
+			srv.idx.Quiesce()
+			if retrainWorkers(t) <= before {
+				t.Fatal("2,000 keys started no retraining worker")
+			}
+			if err := srv.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			// Close waits for the workers, which may still be unwinding.
+			for deadline := time.Now().Add(5 * time.Second); retrainWorkers(t) != before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d retraining workers outlived Shutdown", retrainWorkers(t)-before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestStartupRefusesCorruptSnapshot: serving silently-empty or stale data
+// over a corrupt checkpoint would be a stale-read machine. A durable server
+// must refuse to start when its base snapshot, a delta or the CHECKPOINT
+// meta fails its checksum.
 func TestStartupRefusesCorruptSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.snap")
-	srv, addr := startServerWith(t, Config{SnapshotPath: path})
-	c := dial(t, addr)
-	if got := c.cmd(t, "SET 1 1"); got != "OK" {
-		t.Fatal(got)
-	}
-	if err := srv.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x20
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewServerWith(Config{SnapshotPath: path}); !errors.Is(err, altindex.ErrBadSnapshot) {
-		t.Fatalf("corrupt snapshot at startup: %v, want ErrBadSnapshot", err)
+	for _, tc := range []struct {
+		name string
+		file func(dir string) string
+		want error
+	}{
+		{"base", func(dir string) string { return basePath(dir, 1) }, altindex.ErrBadSnapshot},
+		{"delta", func(dir string) string { return deltaPath(dir, 1, 1) }, snapio.ErrCorrupt},
+		{"checkpoint", func(dir string) string { return filepath.Join(dir, ckptMetaName) }, snapio.ErrCorrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, addr := startDurable(t, dir, Config{})
+			c := dial(t, addr)
+			if got := c.cmd(t, "MPUT 1 10 2 20 3 30"); got != "OK 3" {
+				t.Fatalf("MPUT = %q", got)
+			}
+			if err := srv.dur.Compact(); err != nil { // base 1
+				t.Fatal(err)
+			}
+			if got := c.cmd(t, "SET 4 40"); got != "OK" {
+				t.Fatalf("SET = %q", got)
+			}
+			if err := srv.dur.Checkpoint(); err != nil { // delta 1 of generation 1
+				t.Fatal(err)
+			}
+			// Abandon the server, so no shutdown compaction replaces the
+			// three files.
+			path := tc.file(dir)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0x20
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewServerWith(Config{WALDir: dir, CheckpointInterval: -1}); !errors.Is(err, tc.want) {
+				t.Fatalf("corrupt %s at startup: %v, want %v", tc.name, err, tc.want)
+			}
+		})
 	}
 }

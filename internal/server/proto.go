@@ -139,7 +139,7 @@ func (cs *connState) nextLine() (line []byte, ok bool) {
 // maxLineBytes (protocol violation; the caller replies and closes); a
 // non-nil error is a dead, timed-out or shut-down connection.
 //
-// When the previous read blocked longer than IdleReleaseAfter and the
+// When the previous read blocked longer than idleRelease and the
 // window is drained, the connection first parks bufferless: both pooled
 // 64KiB buffers go back to the pool and the wait happens on a 1-byte
 // read, so an idle connection under the cap pins ~90 bytes instead of
@@ -166,8 +166,7 @@ func (cs *connState) fill() (toolong bool, err error) {
 		}
 	}
 
-	idle := s.cfg.IdleReleaseAfter
-	if idle > 0 && cs.lastBlocked > idle && cs.w == 0 && len(cs.out) == 0 {
+	if cs.lastBlocked > s.idleRelease && cs.w == 0 && len(cs.out) == 0 {
 		cs.releaseBufs()
 		s.net.bufReleases.Add(1)
 		if err := cs.armRead(); err != nil {

@@ -369,16 +369,20 @@ func TestDispatchZeroAlloc(t *testing.T) {
 }
 
 // TestIdleBufferRelease: a connection whose reads block longer than
-// IdleReleaseAfter parks bufferless — its pooled 64KiB read/reply buffers
-// go back to the pool (net_buf_releases counts them) — and keeps working
-// when traffic resumes.
+// idleRelease parks bufferless — its pooled 64KiB read/reply buffers go
+// back to the pool (net_buf_releases counts them) — and keeps working when
+// traffic resumes.
 func TestIdleBufferRelease(t *testing.T) {
-	srv, addr := startServerWith(t, Config{IdleReleaseAfter: 5 * time.Millisecond})
-	c := dial(t, addr)
+	srv, err := NewServerWith(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.idleRelease = 5 * time.Millisecond
+	c := dial(t, serve(t, srv))
 	if got := c.cmd(t, "SET 1 10"); got != "OK" {
 		t.Fatal(got)
 	}
-	time.Sleep(40 * time.Millisecond) // the next read blocks > IdleReleaseAfter
+	time.Sleep(40 * time.Millisecond) // the next read blocks > idleRelease
 	if got := c.cmd(t, "GET 1"); got != "VALUE 10" {
 		t.Fatalf("GET after idle = %q", got)
 	}

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,24 +75,10 @@ type Config struct {
 	// (0 = 8; negative disables coalescing). Below the gate every command
 	// keeps direct-call latency.
 	CoalesceConns int
-	// IdleReleaseAfter is how long a connection's previous read blocked
-	// before its pooled 64KiB buffers are returned while it parks on the
-	// next read (0 = 100ms; negative disables idle release). Busy
-	// pipelined connections never hit this.
-	IdleReleaseAfter time.Duration
-	// SnapshotPath, when set, is loaded at startup (if present) and
-	// written on graceful shutdown, via the crash-safe snapshot cycle.
-	SnapshotPath string
-	// Shards range-partitions the keyspace across this many independent
-	// index shards behind a learned boundary router. Zero (or one) keeps
-	// the single-instance layout. A sharded snapshot restores its saved
-	// boundary layout exactly; an unsharded one is remapped into the
-	// requested layout.
-	Shards int
 	// WALDir, when set, makes the keyspace durable: every write commits to
 	// a write-ahead log before it is acknowledged, incremental checkpoints
 	// bound recovery time, and startup recovers base + deltas + log.
-	// Mutually exclusive with SnapshotPath (one persistence mode).
+	// Without it the keyspace lives only in memory.
 	WALDir string
 	// WALSync selects the commit point ("always" fsyncs before acking —
 	// survives power loss; "interval"/"none" ack after the write reaches
@@ -104,9 +89,6 @@ type Config struct {
 	// CheckpointInterval is the incremental-checkpoint cadence (0 = 15s;
 	// negative disables the background loop).
 	CheckpointInterval time.Duration
-	// CheckpointMaxDeltas is the delta-chain length that triggers
-	// compaction into a fresh base (0 = 8).
-	CheckpointMaxDeltas int
 }
 
 func (c Config) withDefaults() Config {
@@ -122,11 +104,13 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
-	if c.IdleReleaseAfter == 0 {
-		c.IdleReleaseAfter = 100 * time.Millisecond
-	}
 	return c
 }
+
+// idleRelease is how long a connection's previous read blocked before its
+// pooled 64KiB buffers are returned while it parks on the next read. Busy
+// pipelined connections never hit it.
+const idleRelease = 100 * time.Millisecond
 
 // netStats are the wire-level counters surfaced in STATS: they make the
 // pipelining and coalescing effects observable (flushes/op, bytes moved,
@@ -160,6 +144,8 @@ type Server struct {
 	sem chan struct{} // connection slots; acquired before Accept
 	net netStats
 
+	idleRelease time.Duration // the idleRelease constant; tests shorten it before Serve
+
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 	ln    net.Listener
@@ -175,18 +161,21 @@ func NewServer() (*Server, error) {
 	return NewServerWith(Config{})
 }
 
-// NewServerWith builds a server with cfg. If cfg.SnapshotPath names an
-// existing snapshot it is loaded; a corrupt snapshot is a startup error
-// (refusing to serve silently-empty data), a missing one starts fresh.
+// NewServerWith builds a server with cfg. With cfg.WALDir set it recovers
+// the keyspace stored there first; a directory it cannot recover is a
+// startup error (refusing to serve silently-empty data).
 func NewServerWith(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	opts := altindex.Options{Shards: cfg.Shards}
-	idx := altindex.New(opts)
-	var dur *durableStore
-	switch {
-	case cfg.WALDir != "" && cfg.SnapshotPath != "":
-		return nil, errors.New("altdb: -wal-dir and -snapshot are mutually exclusive persistence modes")
-	case cfg.WALDir != "":
+	s := &Server{
+		cfg:         cfg,
+		sem:         make(chan struct{}, cfg.MaxConns),
+		conns:       map[net.Conn]struct{}{},
+		done:        make(chan struct{}),
+		idleRelease: idleRelease,
+	}
+	if cfg.WALDir == "" {
+		s.idx = altindex.New(altindex.Options{})
+	} else {
 		sync := wal.SyncAlways
 		if cfg.WALSync != "" {
 			parsed, err := wal.ParseSyncPolicy(cfg.WALSync)
@@ -195,35 +184,15 @@ func NewServerWith(cfg Config) (*Server, error) {
 			}
 			sync = parsed
 		}
-		opened, err := openDurable(durableConfig{
+		dur, err := openDurable(durableConfig{
 			Dir:                cfg.WALDir,
 			WAL:                wal.Options{Sync: sync, SegmentBytes: cfg.WALSegmentBytes},
 			CheckpointInterval: cfg.CheckpointInterval,
-			MaxDeltas:          cfg.CheckpointMaxDeltas,
-		}, opts)
+		})
 		if err != nil {
 			return nil, err
 		}
-		dur = opened
-		idx = opened.idx
-	case cfg.SnapshotPath != "":
-		loaded, err := altindex.Load(cfg.SnapshotPath, opts)
-		switch {
-		case err == nil:
-			idx = loaded
-		case errors.Is(err, os.ErrNotExist):
-			// First boot: no snapshot yet.
-		default:
-			return nil, fmt.Errorf("altdb: snapshot %s: %w", cfg.SnapshotPath, err)
-		}
-	}
-	s := &Server{
-		cfg:   cfg,
-		idx:   idx,
-		dur:   dur,
-		sem:   make(chan struct{}, cfg.MaxConns),
-		conns: map[net.Conn]struct{}{},
-		done:  make(chan struct{}),
+		s.dur, s.idx = dur, dur.idx
 	}
 	s.co = opsched.New(backend{s}, opsched.Options{GateConns: cfg.CoalesceConns, MaxBatch: maxBatch})
 	return s, nil
@@ -272,10 +241,9 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown stops accepting, nudges blocked readers off their sockets,
-// waits up to DrainTimeout for in-flight handlers, and finally writes the
-// shutdown snapshot (if configured) — so every acknowledged write is in
-// it. It returns ErrServerClosed-joined errors from a timed-out drain or
-// a failed snapshot.
+// waits up to DrainTimeout for in-flight handlers, writes the final
+// checkpoint (durable mode) and stops the index's retraining workers. It
+// returns the errors of a timed-out drain or a failed checkpoint, joined.
 func (s *Server) Shutdown() error {
 	s.shutOnce.Do(func() { close(s.done) })
 	s.mu.Lock()
@@ -313,15 +281,10 @@ func (s *Server) Shutdown() error {
 		if derr := s.dur.Close(); derr != nil {
 			err = errors.Join(err, fmt.Errorf("altdb: shutdown checkpoint: %w", derr))
 		}
-	} else if s.cfg.SnapshotPath != "" {
-		// Writers are drained; settle any in-flight background retraining
-		// so the snapshot scan never has to wait out a freeze window.
-		s.idx.Quiesce()
-		if serr := altindex.Save(s.idx, s.cfg.SnapshotPath); serr != nil {
-			err = errors.Join(err, fmt.Errorf("altdb: shutdown snapshot: %w", serr))
-		}
 	}
-	return err
+	// Reap the retraining workers. A handler that outlived the drain still
+	// works: a closed index stays readable and writable.
+	return errors.Join(err, s.idx.Close())
 }
 
 // Preload bulk-upserts pairs through the server's normal write routing

@@ -108,9 +108,9 @@ func writeIndexHeader(w io.Writer, bounds []uint64, count uint64) error {
 //
 // A sharded (v2) snapshot loaded into a sharded config (opts.Shards > 1)
 // is restored with its exact saved boundaries — the saved layout wins
-// over opts.Shards: the file may come from a server configured with a
-// different shard count (or from an earlier build that reshaped layouts
-// online), and restore reproduces the partitioning that was saved
+// over opts.Shards: the file may come from an index with a different
+// shard count (or from an earlier build that reshaped layouts online),
+// and restore reproduces the partitioning that was saved
 // instead of re-quantiling it. Loading a sharded file into an
 // unsharded config, or an unsharded file into any config, remaps by
 // bulkloading the pairs into a fresh index built from opts. Data always
