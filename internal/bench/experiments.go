@@ -335,18 +335,6 @@ func Experiments() []Experiment {
 					return fmt.Sprintf("%s\t%.2f\t%.1f\t%.1f%%", c.Axis, c.Mops, float64(c.Mem)/1e6, learnedPct(c))
 				}}}},
 
-		// The Algorithm-2 write-back scheme on/off under a read-heavy workload
-		// with removals re-exposing ART residents.
-		{ID: "ablation-writeback", Title: "Ablation: ALT write-back scheme on/off",
-			head: "Ablation: write-back scheme, read-heavy (osm)",
-			grids: []grid{{datasets: osmOnly, cfg: Config{Mix: workload.ReadHeavy}, cols: "Variant\tMops\tP99us",
-				row: func(c cell) string { return fmt.Sprintf("%s\t%.2f\t%s", c.Index, c.Mops, us(c.P99)) },
-				rowsAt: func(p Params, _ float64) []variant {
-					return asRows(
-						ALTWith("ALT-index", core.Options{ErrorBound: p.Keys / 4000}),
-						ALTWith("ALT-nowriteback", core.Options{ErrorBound: p.Keys / 4000, DisableWriteBack: true}))
-				}}}},
-
 		walCommit,
 		netPath,
 

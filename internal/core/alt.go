@@ -45,9 +45,6 @@ type Options struct {
 	// once its runtime inserts exceed max(buildSize, RetrainMinInserts).
 	// Zero selects 1024, which stops rebuild thrash on small models.
 	RetrainMinInserts int
-	// DisableWriteBack turns off moving ART-resident keys back into
-	// freed GPL slots during lookups (Algorithm 2 lines 10-13).
-	DisableWriteBack bool
 	// Shards asks the front-ends that read it (altindex.New and Load, the
 	// bench factories) for a range-partitioned index of this many
 	// independent ALT shards behind a learned boundary router
@@ -350,11 +347,13 @@ func spin(iters uint32) {
 
 // Get implements Algorithm 2 (Search): one model location, one exact
 // prediction, and — only for conflict data — a fast-pointer hop into ART.
+// It writes nothing: a key found in ART behind a tombstone stays there
+// (no write-back of Algorithm 2 lines 10-13; DESIGN.md §4 says why).
 //
 // An ART miss is only trusted if the slot metadata is unchanged afterwards:
-// a changed version means a concurrent migration (retraining freeze,
-// write-back or tombstone reclaim) may have moved the key between the two
-// probes, so the lookup retries.
+// a changed version means a concurrent migration (retraining freeze or
+// tombstone claim) may have moved the key between the two probes, so the
+// lookup retries.
 func (t *ALT) Get(key uint64) (uint64, bool) {
 	var bo backoff
 	for {
@@ -366,69 +365,31 @@ func (t *ALT) Get(key uint64) (uint64, bool) {
 			bo.wait()
 			continue
 		}
-		switch st := stateOf(meta); {
-		case st == 0:
+		st := stateOf(meta)
+		if st == 0 {
 			// Empty prediction target: the key cannot exist anywhere
 			// (invariant 2) — no secondary search needed.
 			return 0, false
-		case st&slotOccupied != 0:
-			if k == key {
-				return v, true
-			}
-			// Conflict slot: before paying the ART traversal, ask the
-			// fingerprint sidecar whether the key can be there at all —
-			// the common "absent on a fit-hard dataset" case ends here.
-			if e.absentInART(key, s) {
-				return 0, false
-			}
-			val, found, _ := t.tree.GetFrom(t.fpNode(e.m), key)
-			if found {
-				return val, true
-			}
-			if e.metaRef(s).Load() != meta {
-				bo.wait()
-				continue // concurrent migration; retry
-			}
-			return 0, false
-		default: // tombstone: the key may live in ART
-			if e.absentInART(key, s) {
-				return 0, false
-			}
-			val, found, _ := t.tree.GetFrom(t.fpNode(e.m), key)
-			if found {
-				if !t.opts.DisableWriteBack {
-					t.writeBack(e.m, s, key, val)
-				}
-				return val, true
-			}
-			if e.metaRef(s).Load() != meta {
-				bo.wait()
-				continue
-			}
+		}
+		if st&slotOccupied != 0 && k == key {
+			return v, true
+		}
+		// The slot holds another key or a tombstone, so the key can only
+		// be ART-resident. Before paying the traversal, ask the fingerprint
+		// sidecar whether it can be there at all — the common "absent on a
+		// fit-hard dataset" case ends here.
+		if e.absentInART(key, s) {
 			return 0, false
 		}
-	}
-}
-
-// writeBack moves a key found in ART into its freed predicted slot
-// (Algorithm 2 lines 10-13). The slot lock is held across the ART removal
-// so concurrent operations on the same key serialize behind the slot.
-func (t *ALT) writeBack(m *model, s int, key, val uint64) {
-	meta := m.metaRef(s).Load()
-	if meta&(slotLockBit|slotOccupied) != 0 {
-		return // someone claimed the slot; keep the ART copy
-	}
-	if !m.acquire(s, meta) {
-		return
-	}
-	fpWriteBack.Inject()
-	if t.tree.Remove(key) {
-		m.keyRef(s).Store(key)
-		m.valRef(s).Store(val)
-		m.release(s, meta, slotOccupied)
-	} else {
-		// A racing remove took the key; restore the slot state.
-		m.release(s, meta, meta&(slotOccupied|slotTomb))
+		val, found, _ := t.tree.GetFrom(t.fpNode(e.m), key)
+		if found {
+			return val, true
+		}
+		if e.metaRef(s).Load() != meta {
+			bo.wait()
+			continue // concurrent migration; retry
+		}
+		return 0, false
 	}
 }
 

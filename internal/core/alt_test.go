@@ -167,10 +167,11 @@ func TestRemoveRoutesBothLayers(t *testing.T) {
 	}
 }
 
+// TestTombstoneKeepsARTReachable pins the pure reader: after the slot's
+// occupant is removed, Get and GetBatch both find the ART resident behind
+// the tombstone (invariant 2) and leave it there — the slot's meta word is
+// bit-identical and art_keys unchanged (no Algorithm 2 write-back).
 func TestTombstoneKeepsARTReachable(t *testing.T) {
-	// Force two keys into the same predicted slot, remove the slot
-	// resident, and check the ART resident stays reachable (invariant 2)
-	// and gets written back into the freed slot (Algorithm 2 l.10-13).
 	keys := dataset.Generate(dataset.OSM, 20000, 5)
 	alt := mustBulk(t, Options{ErrorBound: 64}, keys)
 	tb := alt.tab.Load()
@@ -192,19 +193,33 @@ func TestTombstoneKeepsARTReachable(t *testing.T) {
 	if !alt.Remove(slotKey) {
 		t.Fatal("Remove slot resident failed")
 	}
-	if v, ok := alt.Get(artKey); !ok || v != dataset.ValueFor(artKey) {
-		t.Fatalf("ART resident unreachable after tombstone: %d,%v", v, ok)
-	}
-	// The lookup should have written artKey back into the slot.
 	m, _ := routed(tb, artKey)
-	s := m.slotOf(artKey)
-	sk, _, st, ok := m.read(s)
-	if !ok || st&slotOccupied == 0 || sk != artKey {
-		t.Fatalf("write-back did not land: key=%d st=%d ok=%v", sk, st, ok)
+	meta := m.metaRef(m.slotOf(artKey))
+	before, artKeys := meta.Load(), alt.StatsMap()["art_keys"]
+	if stateOf(before) != slotTomb {
+		t.Fatalf("slot state %d after Remove, want a tombstone", stateOf(before))
 	}
-	// And it must still be readable exactly once.
-	if v, ok := alt.Get(artKey); !ok || v != dataset.ValueFor(artKey) {
-		t.Fatal("key lost after write-back")
+	want := dataset.ValueFor(artKey)
+	if v, ok := alt.Get(artKey); !ok || v != want {
+		t.Fatalf("Get of the ART resident behind a tombstone = %d,%v", v, ok)
+	}
+	// batchMin lanes, so the batch resolves them in its own ART arm.
+	batch := make([]uint64, batchMin)
+	for i := range batch {
+		batch[i] = artKey
+	}
+	vals, hits := make([]uint64, len(batch)), make([]bool, len(batch))
+	alt.GetBatch(batch, vals, hits)
+	for i := range batch {
+		if !hits[i] || vals[i] != want {
+			t.Fatalf("GetBatch lane %d = %d,%v", i, vals[i], hits[i])
+		}
+	}
+	if after := meta.Load(); after != before {
+		t.Fatalf("reads rewrote the slot: meta %#x -> %#x", before, after)
+	}
+	if got := alt.StatsMap()["art_keys"]; got != artKeys {
+		t.Fatalf("reads moved keys out of ART: art_keys %d -> %d", artKeys, got)
 	}
 }
 

@@ -309,43 +309,40 @@ func GetBatchGroups(ts []*ALT, ends []int32, keys []uint64, vals []uint64, found
 				vals[p], found[p] = t.Get(k)
 				continue
 			}
-			switch st := stateOf(m1); {
-			case st == 0:
+			st := stateOf(m1)
+			if st == 0 {
 				// Empty prediction target proves absence
 				// (invariant 2), exactly as in Get.
 				vals[p], found[p] = 0, false
-			case st&slotOccupied != 0:
-				if ks[i] == k {
-					vals[p], found[p] = vs[i], true
-					continue
-				}
-				// The snapshot was validated above, so the sidecar can
-				// short-circuit the ART traversal exactly as in Get.
-				if e.absentInART(k, s) {
-					vals[p], found[p] = 0, false
-					continue
-				}
-				if e.m != fpm {
-					fpm = e.m
-					fp = t.fpNode(fpm)
-				}
-				v, ok, _ := t.tree.GetFrom(fp, k)
-				if ok {
-					vals[p], found[p] = v, true
-					continue
-				}
-				if e.metaRef(s).Load() != m1 {
-					// Concurrent migration between the two
-					// probes; the per-key loop sorts it out.
-					vals[p], found[p] = t.Get(k)
-					continue
-				}
-				vals[p], found[p] = 0, false
-			default:
-				// Tombstone: rare, and the per-key path owns the
-				// write-back protocol.
-				vals[p], found[p] = t.Get(k)
+				continue
 			}
+			if st&slotOccupied != 0 && ks[i] == k {
+				vals[p], found[p] = vs[i], true
+				continue
+			}
+			// Another key or a tombstone: Get's ART arm. The snapshot
+			// was validated above, so the sidecar can short-circuit the
+			// traversal exactly as in Get.
+			if e.absentInART(k, s) {
+				vals[p], found[p] = 0, false
+				continue
+			}
+			if e.m != fpm {
+				fpm = e.m
+				fp = t.fpNode(fpm)
+			}
+			v, ok, _ := t.tree.GetFrom(fp, k)
+			if ok {
+				vals[p], found[p] = v, true
+				continue
+			}
+			if e.metaRef(s).Load() != m1 {
+				// Concurrent migration between the two probes; the
+				// per-key loop sorts it out.
+				vals[p], found[p] = t.Get(k)
+				continue
+			}
+			vals[p], found[p] = 0, false
 		}
 	}
 }

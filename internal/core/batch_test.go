@@ -45,7 +45,10 @@ func TestGetBatchScratchReuse(t *testing.T) {
 // middle and at the end, groups a chunk boundary cuts, and a group whose
 // index was never bulkloaded (its lanes route through the one-model table
 // New publishes, where all but one key are ART-resident behind the single
-// slot). Every group is compared with a twin index driven by per-key calls.
+// slot). A quarter of every group's keys is removed before the batches, so
+// tombstones stand in front of ART residents and the batch's own ART arm
+// resolves those lanes. Every group is compared with a twin index driven
+// by per-key calls.
 func TestBatchGroupsMatchPerKey(t *testing.T) {
 	const groups, span = 6, uint64(1) << 32
 	var ts, twins [groups]*ALT
@@ -70,12 +73,16 @@ func TestBatchGroupsMatchPerKey(t *testing.T) {
 			} else if err := a.Bulkload(dataset.Pairs(keys)); err != nil {
 				t.Fatal(err)
 			}
+			for i := 0; i < len(keys); i += 4 {
+				a.Remove(keys[i])
+			}
 		}
 	}
 	if st := ts[0].StatsMap(); 5*st["art_keys"] < int64(ts[0].Len()) {
 		t.Fatalf("only %d of %d keys conflict into ART; the descent has nothing to do", st["art_keys"], ts[0].Len())
 	}
 
+	behindTomb := 0 // lanes that found their key in ART behind a tombstone
 	for _, sizes := range [][groups]int{
 		{0, 0, 100, 0, 50, 0},   // empty groups around a chunk-cut one and the never-bulkloaded one
 		{20, 11, 33, 7, 40, 18}, // 129 positions: every chunk mixes groups
@@ -88,10 +95,11 @@ func TestBatchGroupsMatchPerKey(t *testing.T) {
 		var pairs []index.KV
 		var ends [groups]int32
 		for g, n := range sizes {
+			// The lookups draw their own keys: a key just upserted has
+			// claimed its tombstone and no longer sits behind one.
 			for i := 0; i < n; i++ {
-				k := pool[g][rng.Intn(len(pool[g]))]
-				keys = append(keys, k)
-				pairs = append(pairs, index.KV{Key: k, Value: rng.Next()})
+				pairs = append(pairs, index.KV{Key: pool[g][rng.Intn(len(pool[g]))], Value: rng.Next()})
+				keys = append(keys, pool[g][rng.Intn(len(pool[g]))])
 			}
 			ends[g] = int32(len(keys))
 		}
@@ -118,6 +126,11 @@ func TestBatchGroupsMatchPerKey(t *testing.T) {
 				t.Fatalf("sizes %v: position %d (group %d, key %#x) = (%d,%v), per-key gives (%d,%v)",
 					sizes, p, g, k, vals[p], found[p], wv, wok)
 			}
+			tab := ts[g].tab.Load()
+			e := &tab.dir[tab.route(k)]
+			if found[p] && stateOf(e.metaRef(e.slotOf(k)).Load()) == slotTomb {
+				behindTomb++
+			}
 		}
 		for g := range ts {
 			if ts[g].Len() != twins[g].Len() {
@@ -125,4 +138,8 @@ func TestBatchGroupsMatchPerKey(t *testing.T) {
 			}
 		}
 	}
+	if behindTomb == 0 {
+		t.Fatal("no lane found its key behind a tombstone; the batch's tombstone lanes went unchecked")
+	}
+	t.Logf("%d lanes found their key behind a tombstone", behindTomb)
 }

@@ -336,8 +336,7 @@ func TestChaosProtocol(t *testing.T) {
 			// the full backoff path.
 			name: "descheduled-writers",
 			specs: map[string]string{
-				"core/insert/locked":    "2%delay(50us)",
-				"core/writeback/locked": "yield",
+				"core/insert/locked": "2%delay(50us)",
 			},
 			mustFire: []string{"core/insert/locked"},
 		},

@@ -11,9 +11,6 @@ import "altindex/internal/failpoint"
 //	                      free-slot claim, tombstone claim). delay/yield
 //	                      simulates a writer descheduled mid-seqlock,
 //	                      forcing readers through backoff and retries.
-//	core/writeback/locked fires with the slot locked during the
-//	                      Algorithm 2 write-back migration, racing lookups
-//	                      against the ART→slot move.
 //	core/retrain/freeze   fires after a model's slots are frozen and
 //	                      before its entries are gathered — stretches the
 //	                      §III-F freeze window while every operation on
@@ -41,7 +38,6 @@ import "altindex/internal/failpoint"
 //	                      mid-flight.
 var (
 	fpInsertLocked   = failpoint.New("core/insert/locked")
-	fpWriteBack      = failpoint.New("core/writeback/locked")
 	fpRetrainFreeze  = failpoint.New("core/retrain/freeze")
 	fpRetrainPublish = failpoint.New("core/retrain/publish")
 	fpRetrainEnqueue = failpoint.New("core/retrain/enqueue")

@@ -34,7 +34,7 @@ package core
 // because retraining rebuilds the model (and a fresh, complete sidecar)
 // as soon as a model accumulates real overflow traffic.
 //
-// Removals from ART (lookup write-back, Remove, retrain range drains)
+// Removals from ART (Remove, tombstone claims, retrain range drains)
 // never invalidate: they only shrink the ART-resident set, so a stale
 // "maybe present" stays a harmless false positive.
 

@@ -129,10 +129,9 @@ func runMemChaos(t *testing.T, db *DB) (*Table, *Secondary, map[uint64]uint64) {
 	}
 
 	for site, spec := range map[string]string{
-		"core/insert/locked":    "1%yield",
-		"core/writeback/locked": "yield",
-		"core/retrain/freeze":   "delay(50us)",
-		"core/retrain/publish":  "yield",
+		"core/insert/locked":   "1%yield",
+		"core/retrain/freeze":  "delay(50us)",
+		"core/retrain/publish": "yield",
 	} {
 		if err := failpoint.Enable(site, spec); err != nil {
 			t.Fatal(err)

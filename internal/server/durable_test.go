@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,6 +23,7 @@ import (
 	"altindex/internal/failpoint"
 	"altindex/internal/snapio"
 	"altindex/internal/wal"
+	"altindex/internal/xrand"
 )
 
 // startDurable runs a server backed by a WAL directory; checkpoints are
@@ -170,6 +173,159 @@ func TestDurableIncrementalCheckpoint(t *testing.T) {
 	}
 	if got := c2.cmd(t, "GET 999"); got != "VALUE 999" {
 		t.Fatalf("GET 999 = %q", got)
+	}
+}
+
+// TestDurableCompactionUnderGets: compaction saves its full base while GETs
+// read keys that live in ART behind tombstones. A GET writes nothing, so
+// the base is an exact cut of the log: every Compact succeeds, and a
+// restart from the abandoned server's directory returns LEN and every
+// acknowledged key. (When a GET wrote such a key back from ART into its
+// slot, it could do so between the save scan's learned read and its ART
+// read, and the scan missed the key.)
+func TestDurableCompactionUnderGets(t *testing.T) {
+	const (
+		n        = 20000
+		rounds   = 48
+		perRound = 64 // slot occupants removed per round
+		readers  = 4
+	)
+	val := func(k uint64) uint64 { return k*3 + 1 }
+	dir := t.TempDir()
+	srv, addr := startDurable(t, dir, Config{})
+	c := dial(t, addr)
+
+	// Grow the index by inserts, as a fresh altdb does: after its
+	// trainings most keys are ART-resident behind learned slots.
+	rng := xrand.New(31)
+	live := make(map[uint64]bool, n)
+	var sb strings.Builder
+	for len(live) < n {
+		sb.Reset()
+		sb.WriteString("MPUT")
+		for i := 0; i < 1000; i++ {
+			k := rng.Next() >> 1
+			live[k] = true
+			fmt.Fprintf(&sb, " %d %d", k, val(k))
+		}
+		if got := c.cmd(t, sb.String()); got != "OK 1000" {
+			t.Fatalf("MPUT = %q", got)
+		}
+	}
+	srv.idx.Quiesce()
+	alt, ok := srv.idx.(*core.ALT)
+	if !ok {
+		t.Fatalf("index is %T, want *core.ALT", srv.idx)
+	}
+	sorted := slices.Sorted(maps.Keys(live))
+	inART := make([]bool, len(sorted))
+	for i, k := range sorted {
+		_, inART[i] = alt.ARTLookupLength(k, false)
+	}
+
+	// Each round removes perRound slot occupants and then GETs the ART
+	// keys next to them in key order: those are the likeliest to predict
+	// to the occupants' slots, behind the fresh tombstones.
+	type round struct{ del, get []uint64 }
+	var plan []round
+	for i := 0; i < len(sorted) && len(plan) < rounds; {
+		var rd round
+		for ; i < len(sorted) && len(rd.del) < perRound; i++ {
+			if inART[i] {
+				continue
+			}
+			var near []uint64
+			for j := i - 1; j >= 0 && inART[j] && i-j <= 4; j-- {
+				near = append(near, sorted[j])
+			}
+			for j := i + 1; j < len(sorted) && inART[j] && j-i <= 4; j++ {
+				near = append(near, sorted[j])
+			}
+			if len(near) > 0 {
+				rd.del = append(rd.del, sorted[i])
+				rd.get = append(rd.get, near...)
+			}
+		}
+		plan = append(plan, rd)
+	}
+	if len(plan) < rounds {
+		t.Fatalf("only %d rounds of occupants with ART neighbours among %d keys", len(plan), n)
+	}
+
+	// Readers start each round's GETs at a random offset of up to 4 ms, so
+	// they spread over the compaction that follows the removals.
+	work := make([]chan []uint64, readers)
+	done := make(chan error, readers)
+	for r := range work {
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		cl := clientOf(conn)
+		work[r] = make(chan []uint64)
+		defer close(work[r])
+		go func(jitter *xrand.Rng) {
+			for keys := range work[r] {
+				time.Sleep(time.Duration(jitter.Intn(4000)) * time.Microsecond)
+				var err error
+				for _, k := range keys {
+					if got, cerr := cl.cmdE(fmt.Sprintf("GET %d", k)); cerr != nil || got != fmt.Sprintf("VALUE %d", val(k)) {
+						err = fmt.Errorf("GET %d = %q, %v", k, got, cerr)
+						break
+					}
+				}
+				done <- err
+			}
+		}(xrand.New(uint64(r) + 1))
+	}
+	for ri, rd := range plan {
+		for _, k := range rd.del {
+			if got := c.cmd(t, fmt.Sprintf("DEL %d", k)); got != "OK" {
+				t.Fatalf("DEL %d = %q", k, got)
+			}
+			delete(live, k)
+		}
+		for r, w := range work {
+			var share []uint64
+			for j := r; j < len(rd.get); j += readers {
+				share = append(share, rd.get[j])
+			}
+			w <- share
+		}
+		if err := srv.dur.Compact(); err != nil {
+			t.Fatalf("round %d: Compact under GETs: %v", ri, err)
+		}
+		for range work {
+			if err := <-done; err != nil {
+				t.Fatalf("round %d: %v", ri, err)
+			}
+		}
+	}
+
+	// Abandon the server (no Shutdown) and recover from the directory.
+	srv2, addr2 := startDurable(t, dir, Config{})
+	defer srv2.Shutdown()
+	c2 := dial(t, addr2)
+	if got, want := c2.cmd(t, "LEN"), fmt.Sprintf("VALUE %d", len(live)); got != want {
+		t.Fatalf("LEN after recovery = %q, want %q", got, want)
+	}
+	for lo := 0; lo < len(sorted); lo += 1000 {
+		batch := sorted[lo:min(lo+1000, len(sorted))]
+		sb.Reset()
+		sb.WriteString("MGET")
+		for _, k := range batch {
+			fmt.Fprintf(&sb, " %d", k)
+		}
+		for i, got := range c2.cmdMulti(t, sb.String()) {
+			k, want := batch[i], "NIL"
+			if live[k] {
+				want = fmt.Sprintf("VALUE %d", val(k))
+			}
+			if got != want {
+				t.Fatalf("after recovery GET %d = %q, want %q", k, got, want)
+			}
+		}
 	}
 }
 
