@@ -138,7 +138,7 @@ func routeChunk(g *chunkScratch, ends []int32, s, cb int, keys []uint64) int {
 	es, own, slots, pos, his := &g.es, &g.own, &g.slots, &g.pos, &g.his
 	// Pass a: load every key's model bracket from its group's router. The
 	// loop has only well-predicted branches (a skewed workload keeps
-	// hitting sub-tabled or plain windows consistently), so the router
+	// hitting windows of the same sub-table depth), so the router
 	// loads of the whole chunk overlap instead of each key's routing chain
 	// serializing behind its predecessor's. Duplicate keys (zipfian hot
 	// keys repeat within a batch) are NOT folded: a chunk-local dedup
@@ -154,8 +154,8 @@ func routeChunk(g *chunkScratch, ends []int32, s, cb int, keys []uint64) int {
 		}
 	}
 	// Pass b: resolve each bracket to the responsible directory entry
-	// (the brackets are usually already exact: the router has several
-	// times more windows than the directory has models), with the
+	// (the brackets are usually already exact or one apart, and no bracket
+	// inside the router's grid spans more than nestWide models), with the
 	// group's boundaries and directory hoisted over its run of lanes.
 	// (The exact-bracket skip stays apart from narrow's own loop test:
 	// folded into it, a B=64 core microbenchmark ran 3-6% slower.)

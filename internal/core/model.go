@@ -326,7 +326,7 @@ func newTable(bounds []uint64, dir []entry) *table {
 // memory returns the directory's own heap bytes (models not included).
 func (tb *table) memory() uintptr {
 	return uintptr(cap(tb.bounds))*8 + uintptr(cap(tb.dir))*unsafe.Sizeof(entry{}) +
-		uintptr(cap(tb.rt.rt))*8 + uintptr(cap(tb.rt.sub))*4
+		uintptr(cap(tb.rt.rt)+cap(tb.rt.sub))*8
 }
 
 // router is the direct-indexed routing accelerator every operation goes
@@ -347,16 +347,18 @@ func (tb *table) memory() uintptr {
 // Clustered directories (OSM-like data packs most models into a small
 // fraction of the key span) defeat a single uniform grid too: nearly every
 // query lands in the handful of windows that hold 16-64 models. Grid
-// windows whose bracket is wider than subWide therefore carry a
-// second-level sub-table of subWindows finer slices (referenced through the
-// entry's high bits), which brings the query-weighted bracket width back
-// to ~1.
+// windows whose bracket is wider than subWide therefore carry a sub-table
+// of subWindows finer slices, packed like rt and referenced through the
+// entry's high bits; a sub-window still wider than nestWide carries its
+// own, and so on. Nesting also serves a tail too large for the trim (the
+// outliers are ~7 % of the models of fb's last equal-depth quarter, so
+// grid window 0 holds its whole body): no in-grid bracket is wider than
+// nestWide unless its window holds fewer than subWindows keys.
 type router struct {
-	base     uint64
-	shift    uint
-	subShift uint
-	rt       []uint64 // lo | hi<<rtIdxBits | subRef<<(2*rtIdxBits)
-	sub      []int32  // flattened (subWindows+1)-entry sub-tables
+	base  uint64
+	shift uint
+	rt    []uint64 // lo | hi<<rtIdxBits | subRef<<(2*rtIdxBits)
+	sub   []uint64 // flattened subWindows-entry sub-tables, packed like rt
 }
 
 // routerWindows bounds the router's top-level directory size — small
@@ -367,8 +369,14 @@ const (
 	routerTrim    = 50 // 1/50 of the models at each end lie outside the grid
 	rtIdxBits     = 21
 	rtIdxMask     = 1<<rtIdxBits - 1
-	subWindows    = 64 // second-level fanout (uniform, so shift-only decode)
-	subWide       = 2  // brackets wider than this get a sub-table
+	subBits       = 6
+	subWindows    = 1 << subBits // sub-table fanout (uniform, so shift-only decode)
+	subWide       = 2            // grid brackets wider than this get a sub-table
+	// Sub-window brackets wider than this get a nested table. At 32, fb's
+	// last quarter kept 3.5 narrow probes per route; nesting every bracket
+	// wider than subWide (without the trim) grew the tables to 2.3 MB on
+	// 8 M osm keys and slowed a Zipf Get by a third.
+	nestWide = 8
 )
 
 func buildRouter(fs []uint64) router {
@@ -382,44 +390,33 @@ func buildRouter(fs []uint64) router {
 	}
 	grid := int(span>>shift) + 1
 	r := router{base: base, shift: shift, rt: make([]uint64, grid+2)}
-	// lo[g] = rightmost model whose boundary is <= grid window g's start;
-	// lo[grid] closes the last window.
-	lo := make([]int32, grid+1)
-	mi := i0
-	for g := range lo {
-		ws := windowStart(base, uint64(g), shift)
-		for mi+1 < n && fs[mi+1] <= ws {
-			mi++
-		}
-		lo[g] = int32(mi)
-	}
-	canSub := shift >= 6 // subWindows = 1<<6
-	if canSub {
-		r.subShift = shift - 6
-	}
 	r.rt[0] = uint64(i0) << rtIdxBits
-	r.rt[grid+1] = uint64(lo[grid]) | uint64(n-1)<<rtIdxBits
-	for g := 0; g < grid; g++ {
-		l, h := lo[g], lo[g+1]
-		e := uint64(l) | uint64(h)<<rtIdxBits
-		// Second level for wide brackets. Only keys inside the grid reach
-		// a grid window, so the sub-slice their offset decodes to is theirs.
-		if canSub && h-l > subWide {
-			ref := uint64(len(r.sub)/(subWindows+1)) + 1
-			smi := int(l)
-			ws := base + uint64(g)<<shift // <= base+span: cannot overflow
-			for s := uint64(0); s <= subWindows; s++ {
-				ss := windowStart(ws, s, r.subShift)
-				for smi+1 < n && fs[smi+1] <= ss {
-					smi++
-				}
-				r.sub = append(r.sub, int32(smi))
-			}
-			e |= ref << (2 * rtIdxBits)
-		}
-		r.rt[1+g] = e
-	}
+	i1 := r.fill(&r.rt, 1, fs, base, shift, i0, grid, subWide)
+	r.rt[grid+1] = uint64(i1) | uint64(n-1)<<rtIdxBits
 	return r
+}
+
+// fill packs the brackets of k consecutive windows of 1<<sh keys from ws
+// into (*dst)[at:at+k], building the sub-table of each one wider than
+// wide, and returns the rightmost model whose boundary is <= the last
+// window's end. l is that model for ws. Only keys inside a window decode
+// to its sub-table, so the sub-slice a key's offset selects is that key's.
+func (r *router) fill(dst *[]uint64, at int, fs []uint64, ws uint64, sh uint, l, k, wide int) int {
+	for s := 0; s < k; s++ {
+		sl, end := l, windowStart(ws, uint64(s+1), sh)
+		for l+1 < len(fs) && fs[l+1] <= end {
+			l++
+		}
+		e := uint64(sl) | uint64(l)<<rtIdxBits
+		if sh >= subBits && l-sl > wide {
+			sub := len(r.sub)
+			r.sub = append(r.sub, make([]uint64, subWindows)...)
+			r.fill(&r.sub, sub, fs, windowStart(ws, uint64(s), sh), sh-subBits, sl, subWindows, nestWide)
+			e |= uint64(sub/subWindows+1) << (2 * rtIdxBits)
+		}
+		(*dst)[at+s] = e // after the append: dst may be &r.sub
+	}
+	return l
 }
 
 // windowStart returns base + w<<shift saturated at MaxUint64. Near the top
@@ -472,7 +469,7 @@ func narrow(fs []uint64, key uint64, lo, hi int) int {
 }
 
 // bracket decodes key's model bracket [lo, hi]: lo is at most the answer,
-// hi at least, and after the sub-table hop the two are typically equal or
+// hi at least, and after the sub-table hops the two are typically equal or
 // one apart. Without a router (>= 2^rtIdxBits models) the bracket is the
 // whole directory.
 func (tb *table) bracket(key uint64) (lo, hi int32) {
@@ -480,16 +477,12 @@ func (tb *table) bracket(key uint64) (lo, hi int32) {
 	if len(r.rt) == 0 {
 		return 0, int32(len(tb.bounds) - 1)
 	}
-	e := r.rt[r.window(key)]
-	lo = int32(e & rtIdxMask)
-	hi = int32(e >> rtIdxBits & rtIdxMask)
-	if ref := e >> (2 * rtIdxBits); ref != 0 {
-		b := (int(ref) - 1) * (subWindows + 1)
-		sw := int((key - r.base) >> r.subShift & (subWindows - 1))
-		lo = r.sub[b+sw]
-		hi = r.sub[b+sw+1]
+	e, sh := r.rt[r.window(key)], r.shift
+	for ref := e >> (2 * rtIdxBits); ref != 0; ref = e >> (2 * rtIdxBits) {
+		sh -= subBits
+		e = r.sub[(ref-1)*subWindows+(key-r.base)>>sh&(subWindows-1)]
 	}
-	return lo, hi
+	return int32(e & rtIdxMask), int32(e >> rtIdxBits & rtIdxMask)
 }
 
 // route returns the table position responsible for key: the rightmost

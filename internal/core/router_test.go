@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"altindex/internal/dataset"
+	"altindex/internal/gpl"
 	"altindex/internal/index"
 )
 
@@ -36,6 +37,9 @@ func tableViolations(tb *table) error {
 	if want := n > 0 && n < 1<<rtIdxBits; (len(tb.rt.rt) > 0) != want {
 		return fmt.Errorf("router present = %v with %d models", !want, n)
 	}
+	if _, err := routerDepth(&tb.rt, n); err != nil {
+		return err
+	}
 	for i := range tb.dir {
 		e, b := &tb.dir[i], tb.bounds[i]
 		if i > 0 && b <= tb.bounds[i-1] {
@@ -59,6 +63,64 @@ func tableViolations(tb *table) error {
 		}
 	}
 	return nil
+}
+
+// routerDepth audits r's packed entries over an n-model directory and
+// returns how deep its sub-tables nest. Every bracket must lie inside the
+// directory, every reference inside sub, and every sub-table must be
+// reached exactly once, no deeper than the grid's shift leaves room for.
+// Past the clamp windows, no key may be left a bracket wider than nestWide
+// in a window wide enough to split.
+func routerDepth(r *router, n int) (depth int, err error) {
+	if len(r.sub)%subWindows != 0 {
+		return 0, fmt.Errorf("router: %d sub entries is no whole number of tables", len(r.sub))
+	}
+	seen := make([]bool, len(r.sub)/subWindows)
+	var walk func(e uint64, d int) error
+	walk = func(e uint64, d int) error {
+		lo, hi, ref := int(e&rtIdxMask), int(e>>rtIdxBits&rtIdxMask), int(e>>(2*rtIdxBits))
+		if lo > hi || hi >= n {
+			return fmt.Errorf("router: bracket [%d, %d] at depth %d outside %d models", lo, hi, d, n)
+		}
+		if ref == 0 {
+			if hi-lo > nestWide && r.shift >= uint(d+1)*subBits {
+				return fmt.Errorf("router: grid bracket [%d, %d] at depth %d wider than %d", lo, hi, d, nestWide)
+			}
+			return nil
+		}
+		if ref > len(seen) || seen[ref-1] {
+			return fmt.Errorf("router: sub-table ref %d of %d at depth %d out of range or shared", ref, len(seen), d)
+		}
+		if d++; uint(d)*subBits > r.shift {
+			return fmt.Errorf("router: sub-tables nest %d deep under shift %d", d, r.shift)
+		}
+		seen[ref-1] = true
+		depth = max(depth, d)
+		for _, se := range r.sub[(ref-1)*subWindows : ref*subWindows] {
+			if err := walk(se, d); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i, e := range r.rt {
+		if i == 0 || i == len(r.rt)-1 {
+			// Clamp windows: wide by design, never sub-tabled.
+			if e>>(2*rtIdxBits) != 0 || int(e&rtIdxMask) > int(e>>rtIdxBits) || int(e>>rtIdxBits) >= n {
+				return 0, fmt.Errorf("router: clamp window %d entry %#x", i, e)
+			}
+			continue
+		}
+		if err := walk(e, 0); err != nil {
+			return 0, err
+		}
+	}
+	for ref, ok := range seen {
+		if !ok {
+			return 0, fmt.Errorf("router: sub-table %d unreferenced", ref+1)
+		}
+	}
+	return depth, nil
 }
 
 // checkTable fails the test if idx's published table breaks an invariant.
@@ -96,9 +158,9 @@ func TestRouteMatchesReference(t *testing.T) {
 		return a.tab.Load().bounds
 	}
 	cases := []struct {
-		name    string
-		bounds  []uint64
-		wantSub bool // the directory must have forced second-level tables
+		name   string
+		bounds []uint64
+		depth  int // the sub-table nesting the directory must force
 	}{
 		{name: "one-model", bounds: []uint64{1 << 40}},
 		{name: "one-model-at-zero", bounds: []uint64{0}},
@@ -106,20 +168,34 @@ func TestRouteMatchesReference(t *testing.T) {
 		{name: "uniform", bounds: bulk(dataset.Uniform)},
 		// OSM packs most models into a few windows, which drives queries
 		// through the sub-tables.
-		{name: "osm", bounds: bulk(dataset.OSM), wantSub: true},
+		{name: "osm", bounds: bulk(dataset.OSM), depth: 1},
 		// Dense clusters far apart: wide brackets right next to windows
 		// that hold nothing.
-		{name: "clusters", wantSub: true, bounds: mk(4000, func(i int) uint64 {
+		{name: "clusters", depth: 1, bounds: mk(4000, func(i int) uint64 {
 			return uint64(i/1000)<<60 + 1<<50 + uint64(i%1000)*4096
+		})},
+		// Clusters of clusters: each grid window's sub-table holds whole
+		// sub-clusters in one sub-window, whose own tables must nest again.
+		{name: "clusters-in-clusters", depth: 2, bounds: mk(6400, func(i int) uint64 {
+			return uint64(i/800)<<58 + uint64(i/100%8)<<40 + uint64(i%100)*4096
 		})},
 		// fb's shape: a dense body and a top percentile of outliers that
 		// stretches the boundaries' span ~2^30-fold. The grid must stay on
 		// the body (sub-tables included) and the tail in the clamp window.
-		{name: "outlier-tail", wantSub: true, bounds: mk(5000, func(i int) uint64 {
+		{name: "outlier-tail", depth: 1, bounds: mk(5000, func(i int) uint64 {
 			if i < 4950 {
 				return 1<<32 + uint64(i/50)<<20 + uint64(i%50)*64
 			}
 			return 1<<40 + uint64(i-4950)<<55
+		})},
+		// The tail of fb's last equal-depth quarter: 7 % of the models are
+		// outliers, beyond the trim, so the grid spans them and window 0
+		// holds the whole body. Only nested tables narrow it.
+		{name: "outlier-tail-past-trim", depth: 2, bounds: mk(5000, func(i int) uint64 {
+			if i < 4650 {
+				return 1<<32 + uint64(i/50)<<20 + uint64(i%50)*64
+			}
+			return 1<<40 + uint64(i-4650)<<52
 		})},
 		// The mirror image: outliers below the body.
 		{name: "outlier-head", bounds: mk(5000, func(i int) uint64 {
@@ -154,8 +230,10 @@ func TestRouteMatchesReference(t *testing.T) {
 			if hasRouter := len(tb.rt.rt) > 0; hasRouter != (len(c.bounds) < 1<<rtIdxBits) {
 				t.Fatalf("router present = %v with %d models", hasRouter, len(c.bounds))
 			}
-			if c.wantSub && len(tb.rt.sub) == 0 {
-				t.Fatal("directory built no sub-tables; the case does not test the second level")
+			if d, err := routerDepth(&tb.rt, len(c.bounds)); err != nil {
+				t.Fatal(err)
+			} else if d < c.depth {
+				t.Fatalf("sub-tables nest %d deep, want >= %d; the case does not test what it names", d, c.depth)
 			}
 			check := func(k uint64) {
 				t.Helper()
@@ -261,19 +339,65 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 		t.Fatalf("empty table reported: %v", err)
 	}
 	tamper := map[string]func(tb *table){
-		"length":        func(tb *table) { tb.dir = tb.dir[:2] },
-		"duplicate":     func(tb *table) { tb.bounds[1] = tb.bounds[0] },
-		"stale-layout":  func(tb *table) { tb.dir[1].nslots++ },
-		"foreign-block": func(tb *table) { tb.dir[1].blocks = allocBlocks(1) },
-		"origin":        func(tb *table) { tb.dir[0], tb.dir[1] = tb.dir[1], tb.dir[0] },
-		"no-router":     func(tb *table) { tb.rt = router{} },
-		"stale-router":  func(tb *table) { tb.rt = buildRouter([]uint64{10, 11, 12}) },
+		"length":         func(tb *table) { tb.dir = tb.dir[:2] },
+		"duplicate":      func(tb *table) { tb.bounds[1] = tb.bounds[0] },
+		"stale-layout":   func(tb *table) { tb.dir[1].nslots++ },
+		"foreign-block":  func(tb *table) { tb.dir[1].blocks = allocBlocks(1) },
+		"origin":         func(tb *table) { tb.dir[0], tb.dir[1] = tb.dir[1], tb.dir[0] },
+		"no-router":      func(tb *table) { tb.rt = router{} },
+		"stale-router":   func(tb *table) { tb.rt = buildRouter([]uint64{10, 11, 12}) },
+		"router-bracket": func(tb *table) { tb.rt.rt[1] |= rtIdxMask << rtIdxBits },
+		"router-ref":     func(tb *table) { tb.rt.rt[1] |= 1 << (2 * rtIdxBits) },
+		"clamp-ref": func(tb *table) {
+			tb.rt.sub = make([]uint64, subWindows)
+			tb.rt.rt[0] |= 1 << (2 * rtIdxBits)
+		},
 	}
 	for name, f := range tamper {
 		tb := tableOf(10, 100, 1000)
 		f(tb)
 		if tableViolations(tb) == nil {
 			t.Errorf("%s: tampered table passed the audit", name)
+		}
+	}
+	// The router audit on nested sub-tables: four clusters of 1,000 models
+	// put each cluster's grid window two tables deep.
+	fs := make([]uint64, 4000)
+	for i := range fs {
+		fs[i] = uint64(i/1000)<<60 + uint64(i%1000)*4096
+	}
+	clean := buildRouter(fs)
+	if d, err := routerDepth(&clean, len(fs)); err != nil || d < 2 {
+		t.Fatalf("clean nested router: depth %d, %v", d, err)
+	}
+	subbed := func(r *router) int { // a grid window that has a sub-table
+		for i, e := range r.rt {
+			if e>>(2*rtIdxBits) != 0 {
+				return i
+			}
+		}
+		panic("no sub-table")
+	}
+	nested := map[string]func(r *router){
+		"shared-sub":   func(r *router) { i := subbed(r); r.rt[i+1] = r.rt[i] },
+		"cycle":        func(r *router) { r.sub[0] = r.rt[subbed(r)] },
+		"unreferenced": func(r *router) { r.sub = append(r.sub, make([]uint64, subWindows)...) },
+		"ragged-sub":   func(r *router) { r.sub = r.sub[:len(r.sub)-1] },
+		"wide-leaf": func(r *router) {
+			for i, e := range r.sub {
+				if lo := e & rtIdxMask; e>>(2*rtIdxBits) == 0 {
+					r.sub[i] = lo | (lo+nestWide+1)<<rtIdxBits
+					return
+				}
+			}
+		},
+		"too-deep": func(r *router) { r.shift = subBits },
+	}
+	for name, f := range nested {
+		r := buildRouter(fs)
+		f(&r)
+		if _, err := routerDepth(&r, len(fs)); err == nil {
+			t.Errorf("%s: tampered router passed the audit", name)
 		}
 	}
 }
@@ -388,27 +512,54 @@ func narrowSteps(n int32) (steps int) {
 }
 
 // TestRouterBracketWidth holds the router to "direct-indexed" on every
-// dataset of the paper: over all bulk-loaded keys, the bracket the router
-// hands to narrow costs at most 3 probes on average. A grid laid over the
-// full boundary span fails it on fb, whose outlier tail stretches the span
-// until the dense 99% of keys share window 0.
+// dataset of the paper and on the directories mem-range's four shards
+// bulk-load: over all bulk-loaded keys, the bracket the router hands to
+// narrow costs at most 3 probes on average, and no key inside the grid gets
+// a bracket wider than nestWide. A grid laid over the full boundary span
+// fails it on fb, whose outlier tail stretches the span until the dense 99%
+// of keys share window 0; a router without nested sub-tables fails it on
+// fb's last quarter, whose tail is too large a share of its models for the
+// trim.
 func TestRouterBracketWidth(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("bulk-loads 1M keys per dataset, single-goroutine and deterministic")
+		t.Skip("bulk-loads 1M keys per directory, single-goroutine and deterministic")
+	}
+	check := func(name string, keys []uint64) {
+		t.Run(name, func(t *testing.T) {
+			a := mustBulk(t, Options{DisableRetraining: true}, keys)
+			tb := a.tab.Load()
+			r := &tb.rt
+			total, wide := 0, 0
+			for _, k := range keys {
+				lo, hi := tb.bracket(k)
+				total += narrowSteps(hi - lo)
+				if w := int(r.window(k)); w > 0 && w < len(r.rt)-1 && hi-lo > nestWide {
+					wide++
+				}
+			}
+			mean := float64(total) / float64(len(keys))
+			t.Logf("%d models, %d router entries, %.2f narrow steps per route", len(tb.bounds), len(r.rt)+len(r.sub), mean)
+			if mean > 3 {
+				t.Errorf("%.2f narrow steps per route over %d models, want <= 3", mean, len(tb.bounds))
+			}
+			if wide > 0 {
+				t.Errorf("%d of %d keys inside the grid got a bracket wider than %d", wide, len(keys), nestWide)
+			}
+		})
 	}
 	for _, name := range dataset.Names() {
-		keys := dataset.Generate(name, 1000000, 1)
-		a := mustBulk(t, Options{DisableRetraining: true}, keys)
-		tb := a.tab.Load()
-		total := 0
-		for _, k := range keys {
-			lo, hi := tb.bracket(k)
-			total += narrowSteps(hi - lo)
+		check(string(name), dataset.Generate(name, 1000000, 1))
+	}
+	// mem-range: 4 M fb keys split at the shard layer's equal-depth
+	// quantiles of a 2^16-key sample, each shard bulk-loading its quarter.
+	keys := dataset.Generate(dataset.FB, 4000000, 1)
+	lo := 0
+	for q, b := range append(gpl.EqualDepthBounds(gpl.SampleKeys(keys, 1<<16), 4), ^uint64(0)) {
+		hi := lo + sort.Search(len(keys)-lo, func(j int) bool { return keys[lo+j] >= b })
+		if b == ^uint64(0) {
+			hi = len(keys)
 		}
-		mean := float64(total) / float64(len(keys))
-		t.Logf("%s: %d models, %.2f narrow steps per route", name, len(tb.bounds), mean)
-		if mean > 3 {
-			t.Errorf("%s: %.2f narrow steps per route over %d models, want <= 3", name, mean, len(tb.bounds))
-		}
+		check(fmt.Sprintf("fb-4M-quarter-%d", q), keys[lo:hi])
+		lo = hi
 	}
 }
