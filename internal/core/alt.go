@@ -190,12 +190,22 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 		segs = gpl.Partition(keys, t.eps)
 	}
 
+	// Size every model first, so that all their slots are carved from one
+	// slab (see slab).
+	nblocks, off := 0, 0
+	for _, seg := range segs {
+		off += seg.N
+		_, nslots := slotsFor(seg, keys[off-1], t.opts.GapFactor)
+		nblocks += blocksFor(nslots)
+	}
+	sl := newSlab(nblocks)
+
 	bounds := make([]uint64, 0, len(segs))
 	dir := make([]entry, 0, len(segs))
 	var confK, confV []uint64
-	off := 0
+	off = 0
 	for _, seg := range segs {
-		m, conflicts := buildModel(keys[off:off+seg.N], vals[off:off+seg.N], seg, t.opts.GapFactor)
+		m, conflicts := buildModel(keys[off:off+seg.N], vals[off:off+seg.N], seg, t.opts.GapFactor, sl)
 		for _, ci := range conflicts {
 			confK = append(confK, keys[off+ci])
 			confV = append(confV, vals[off+ci])
@@ -602,10 +612,12 @@ func (t *ALT) Remove(key uint64) bool {
 }
 
 // MemoryUsage approximates retained heap bytes across both layers, the
-// fast pointer buffer and the model table.
+// fast pointer buffer and the model table. A Bulkload slab counts in full
+// while any model of the live table sits in it, dead regions included.
 func (t *ALT) MemoryUsage() uintptr {
 	tb := t.tab.Load()
-	total := t.tree.MemoryUsage() + t.fp.memory()
+	pinned, _ := tb.slabBytes()
+	total := t.tree.MemoryUsage() + t.fp.memory() + pinned
 	for i := range tb.dir {
 		total += tb.dir[i].m.memory()
 	}
@@ -622,6 +634,7 @@ func (t *ALT) StatsMap() map[string]int64 {
 		learned += tb.dir[i].m.liveCount()
 		slots += tb.dir[i].nslots
 	}
+	pinned, dead := tb.slabBytes()
 	return map[string]int64{
 		"models":       int64(len(tb.dir)),
 		"slots":        int64(slots),
@@ -630,6 +643,10 @@ func (t *ALT) StatsMap() map[string]int64 {
 		"fp_entries":   int64(t.fp.len()),
 		"fp_requested": t.fp.requestedCount(),
 		"retrains":     t.retrains.Load(),
+
+		// Bulkload slab pinned by the live table, and its spliced-out part.
+		"slab_bytes":      int64(pinned),
+		"slab_dead_bytes": int64(dead),
 
 		// Retraining pipeline observability (§III-F async):
 		"retrain_queue_depth":   int64(len(t.ret.q)),

@@ -522,7 +522,7 @@ func TestMemoryUsageAndStats(t *testing.T) {
 	}
 	st := alt.StatsMap()
 	for _, k := range []string{"models", "slots", "learned_keys", "art_keys", "fp_entries", "fp_requested", "retrains",
-		"retrain_queue_depth", "retrain_pending", "retrains_inflight", "retrain_drops",
+		"slab_bytes", "slab_dead_bytes", "retrain_queue_depth", "retrain_pending", "retrains_inflight", "retrain_drops",
 		"retrain_merges", "retrain_freeze_ns", "retrain_freeze_max_ns", "writer_spins"} {
 		if _, ok := st[k]; !ok {
 			t.Fatalf("missing stat %q", k)

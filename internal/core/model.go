@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -58,10 +59,10 @@ type layout struct {
 	// lanes past nslots-1 in the last block stay permanently empty.
 	// An ordinary collector-owned slice: once retraining replaces the
 	// model its slots are frozen (lock bit set) and never written again,
-	// and the blocks live exactly as long as someone holds a table whose
-	// directory points at them — a stale reader keeps them alive by
-	// holding them. slotBlock is pointer-free, so the backing array is a
-	// noscan allocation the collector never looks inside.
+	// and the blocks live at least as long as someone holds a table whose
+	// directory points at them (a Bulkload slab, until its last model goes).
+	// slotBlock is pointer-free, so the backing array is a noscan
+	// allocation the collector never looks inside.
 	blocks []slotBlock
 }
 
@@ -85,20 +86,50 @@ type model struct {
 	// fastIdx is this model's entry in the fast pointer buffer, or -1.
 	fastIdx atomic.Int32
 
-	buildSize int          // keys placed at build time
-	inserts   atomic.Int64 // runtime in-place inserts
-	overflow  atomic.Int64 // runtime inserts evicted to ART
-
 	// retrainArmed dedups retraining triggers: set by the first
 	// threshold-crossing writer (who enqueues the model), cleared when the
 	// rebuild finishes or the trigger is dropped on queue overflow.
 	retrainArmed atomic.Bool
+
+	buildSize int          // keys placed at build time
+	inserts   atomic.Int64 // runtime in-place inserts
+	overflow  atomic.Int64 // runtime inserts evicted to ART
+
+	// slab is the Bulkload slab blocks was carved from, or nil when the
+	// model owns its blocks (every rebuilt one). Only accounting reads it.
+	slab *slab
 }
 
-// allocBlocks returns zeroed interleaved storage for nslots slots.
-func allocBlocks(nslots int) []slotBlock {
-	return make([]slotBlock, (nslots+blockMask)>>blockShift)
+// slab is the one allocation a Bulkload carves every model's slot blocks
+// from, so that the kernel can back them with 2 MiB pages (adviseHuge): a
+// model averages tens of kilobytes, too little to hold an aligned huge page,
+// and on 4 KiB pages a slot probe far outside the caches misses the TLB
+// too. An ordinary noscan slice, freed once no carved model is reachable:
+// a model a rebuild splices out leaves its region dead until then.
+type slab struct {
+	blocks []slotBlock
+	used   int // blocks carved so far; written only during Bulkload
 }
+
+func newSlab(nblocks int) *slab {
+	s := &slab{blocks: make([]slotBlock, nblocks)}
+	adviseHuge(s.blocks) // before the first write faults a page in
+	return s
+}
+
+// carve returns the next blocks for nslots slots with cap == len, so no
+// model can reach its neighbour's slots. A nil slab allocates them alone.
+func (s *slab) carve(nslots int) []slotBlock {
+	if s == nil {
+		return make([]slotBlock, blocksFor(nslots))
+	}
+	lo, hi := s.used, s.used+blocksFor(nslots)
+	s.used = hi
+	return s.blocks[lo:hi:hi]
+}
+
+// blocksFor returns how many slot blocks hold nslots slots.
+func blocksFor(nslots int) int { return (nslots + blockMask) >> blockShift }
 
 // metaRef, keyRef and valRef resolve a slot's atomic words inside its
 // block. Simple enough to inline, so the hot paths pay only the index
@@ -130,9 +161,9 @@ func (l *layout) place(s int, key, val uint64) {
 // buildModel lays seg's keys out in a gapped array scaled by gapFactor.
 // Keys whose predicted slot is already taken are returned as conflicts for
 // the ART-OPT layer, which is exactly what keeps the learned layer free of
-// prediction errors.
-func buildModel(keys, vals []uint64, seg gpl.Segment, gapFactor float64) (*model, []int) {
-	m := newShell(seg, keys[seg.N-1], gapFactor)
+// prediction errors. The slots come from sl (nil: a model-sized allocation).
+func buildModel(keys, vals []uint64, seg gpl.Segment, gapFactor float64, sl *slab) (*model, []int) {
+	m := newShell(seg, keys[seg.N-1], gapFactor, sl)
 
 	var conflicts []int
 	for i := 0; i < seg.N; i++ {
@@ -262,9 +293,13 @@ func (m *model) liveCount() int {
 	return n
 }
 
-// memory returns the model's approximate heap bytes.
+// memory returns the model's approximate heap bytes. Blocks carved from a
+// slab are the slab's, which table.slabBytes counts once, in full.
 func (m *model) memory() uintptr {
-	total := uintptr(len(m.blocks))*unsafe.Sizeof(slotBlock{}) + 96
+	total := unsafe.Sizeof(model{})
+	if m.slab == nil {
+		total += uintptr(len(m.blocks)) * unsafe.Sizeof(slotBlock{})
+	}
 	if m.sc != nil {
 		total += m.sc.memory()
 	}
@@ -327,6 +362,24 @@ func newTable(bounds []uint64, dir []entry) *table {
 func (tb *table) memory() uintptr {
 	return uintptr(cap(tb.bounds))*8 + uintptr(cap(tb.dir))*unsafe.Sizeof(entry{}) +
 		uintptr(cap(tb.rt.rt)+cap(tb.rt.sub))*8
+}
+
+// slabBytes returns the bytes of each slab a model of tb was carved from,
+// counted once and in full, and the part of them no model of tb carves:
+// regions a rebuild spliced out, retained until the slab's last model goes.
+func (tb *table) slabBytes() (pinned, dead uintptr) {
+	var seen []*slab // a Bulkload makes one, so this stays tiny
+	live := 0
+	for i := range tb.dir {
+		if s := tb.dir[i].m.slab; s != nil {
+			live += len(tb.dir[i].blocks)
+			if !slices.Contains(seen, s) {
+				seen = append(seen, s)
+				pinned += uintptr(len(s.blocks)) * unsafe.Sizeof(slotBlock{})
+			}
+		}
+	}
+	return pinned, pinned - uintptr(live)*unsafe.Sizeof(slotBlock{})
 }
 
 // router is the direct-indexed routing accelerator every operation goes

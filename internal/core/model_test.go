@@ -20,7 +20,7 @@ func buildFrom(t *testing.T, keys []uint64, eps float64, gap float64) (*model, [
 	for i := range vals {
 		vals[i] = keys[i] + 1
 	}
-	m, conflicts := buildModel(keys[:seg.N], vals, seg, gap)
+	m, conflicts := buildModel(keys[:seg.N], vals, seg, gap, nil)
 	return m, conflicts, seg
 }
 
@@ -215,7 +215,7 @@ func TestQuickBuildModelInvariants(t *testing.T) {
 		off := 0
 		for _, seg := range segs {
 			vals := keys[off : off+seg.N]
-			m, conflicts := buildModel(keys[off:off+seg.N], vals, seg, gap)
+			m, conflicts := buildModel(keys[off:off+seg.N], vals, seg, gap, nil)
 			// Occupied slots strictly ascend in key.
 			var prev uint64
 			seen := 0

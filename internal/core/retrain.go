@@ -319,7 +319,7 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	if len(candKeys) > 0 {
 		off := 0
 		for _, seg := range gpl.Partition(candKeys, t.eps) {
-			shells = append(shells, newShell(seg, candKeys[off+seg.N-1], gap))
+			shells = append(shells, newShell(seg, candKeys[off+seg.N-1], gap, nil))
 			off += seg.N
 		}
 	}
@@ -349,7 +349,7 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 		// (tiny window): segment inside the freeze, the old way.
 		off := 0
 		for _, seg := range gpl.Partition(keys, t.eps) {
-			nm, conflicts := buildModel(keys[off:off+seg.N], vals[off:off+seg.N], seg, gap)
+			nm, conflicts := buildModel(keys[off:off+seg.N], vals[off:off+seg.N], seg, gap, nil)
 			for _, ci := range conflicts {
 				t.tree.Put(keys[off+ci], vals[off+ci])
 			}
@@ -463,20 +463,22 @@ func (t *ALT) absorbNeighbor(cur *table, i int, absorbed *[]keyRange) bool {
 	return true
 }
 
+// slotsFor sizes the gapped slot array of a model built over seg, whose
+// largest key is last: the prediction slope and the slot count. Bulkload
+// sizes its slab with it before newShell builds each model.
+func slotsFor(seg gpl.Segment, last uint64, gapFactor float64) (slope float64, nslots int) {
+	slope = seg.Slope * max(gapFactor, 1)
+	return slope, max(int(slope*float64(last-seg.First)+0.5)+1, seg.N)
+}
+
 // newShell allocates a model's slot arrays from a candidate segment
-// without placing any keys. last is the segment's largest candidate key;
-// exact keys above it simply clamp to the final slot and conflict-evict.
-func newShell(seg gpl.Segment, last uint64, gapFactor float64) *model {
-	if gapFactor < 1 {
-		gapFactor = 1
-	}
-	m := &model{layout: layout{first: seg.First, slope: seg.Slope * gapFactor}}
+// without placing any keys, carving them from sl when it is not nil. last
+// is the segment's largest candidate key; exact keys above it simply clamp
+// to the final slot and conflict-evict.
+func newShell(seg gpl.Segment, last uint64, gapFactor float64, sl *slab) *model {
+	slope, nslots := slotsFor(seg, last, gapFactor)
+	m := &model{layout: layout{first: seg.First, slope: slope, nslots: nslots, blocks: sl.carve(nslots)}, slab: sl}
 	m.fastIdx.Store(-1)
-	m.nslots = int(m.slope*float64(last-m.first)+0.5) + 1
-	if m.nslots < seg.N {
-		m.nslots = seg.N
-	}
-	m.blocks = allocBlocks(m.nslots)
 	return m
 }
 
@@ -525,7 +527,7 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 		// keep invariant 2: those ART keys need a non-empty predicted
 		// slot). Fall back to one exact model over the full key set.
 		seg := gpl.Segment{First: keys[0], N: len(keys), Slope: shells[0].slope}
-		nm, conflicts := buildModel(keys, vals, seg, 1)
+		nm, conflicts := buildModel(keys, vals, seg, 1, nil)
 		for _, ci := range conflicts {
 			t.tree.Put(keys[ci], vals[ci])
 		}
@@ -537,7 +539,7 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 // emptyModel returns a one-slot model covering first, used when a rebuilt
 // range holds no keys.
 func emptyModel(first uint64) *model {
-	m := &model{layout: layout{first: first, slope: 1, nslots: 1, blocks: allocBlocks(1)}, buildSize: 1}
+	m := &model{layout: layout{first: first, slope: 1, nslots: 1, blocks: make([]slotBlock, 1)}, buildSize: 1}
 	m.fastIdx.Store(-1)
 	return m
 }

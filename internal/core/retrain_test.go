@@ -332,9 +332,9 @@ func TestFillShellsExhaustedMidFill(t *testing.T) {
 		[]uint64{10, 20, 30})
 
 	shells := []*model{
-		newShell(gpl.Segment{First: 100, N: 64, Slope: 0.1}, 999, 1.2),
-		newShell(gpl.Segment{First: 1000, N: 64, Slope: 0.1}, 1999, 1.2),
-		newShell(gpl.Segment{First: 2000, N: 64, Slope: 0.1}, 2999, 1.2),
+		newShell(gpl.Segment{First: 100, N: 64, Slope: 0.1}, 999, 1.2, nil),
+		newShell(gpl.Segment{First: 1000, N: 64, Slope: 0.1}, 1999, 1.2, nil),
+		newShell(gpl.Segment{First: 2000, N: 64, Slope: 0.1}, 2999, 1.2, nil),
 	}
 	var keys, vals []uint64
 	for i := uint64(0); i < 50; i++ {
@@ -365,7 +365,7 @@ func TestFillShellsAllConflict(t *testing.T) {
 	alt := mustBulk(t, Options{ErrorBound: 16, DisableRetraining: true},
 		[]uint64{10, 20, 30})
 
-	sh := newShell(gpl.Segment{First: 500, N: 32, Slope: 0.05}, 1500, 1)
+	sh := newShell(gpl.Segment{First: 500, N: 32, Slope: 0.05}, 1500, 1, nil)
 	for s := 0; s < sh.nslots; s++ {
 		sh.metaRef(s).Store(slotOccupied) // poison: every placement conflicts
 	}

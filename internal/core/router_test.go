@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"altindex/internal/dataset"
 	"altindex/internal/gpl"
@@ -40,6 +42,9 @@ func tableViolations(tb *table) error {
 	if _, err := routerDepth(&tb.rt, n); err != nil {
 		return err
 	}
+	if err := blockViolations(tb); err != nil {
+		return err
+	}
 	for i := range tb.dir {
 		e, b := &tb.dir[i], tb.bounds[i]
 		if i > 0 && b <= tb.bounds[i-1] {
@@ -60,6 +65,36 @@ func tableViolations(tb *table) error {
 		}
 		if got := tb.route(b); got != i {
 			return fmt.Errorf("route(bounds[%d]) = %d", i, got)
+		}
+	}
+	return nil
+}
+
+// blockViolations audits the slot storage of tb's entries: each holds
+// cap(blocks) == len(blocks), so no model can grow into a neighbour, and no
+// two entries' blocks overlap. A Bulkload carves every model from one slab,
+// so a carving bug would otherwise show only as two models writing the
+// same slots.
+func blockViolations(tb *table) error {
+	type span struct {
+		lo, hi uintptr
+		i      int
+	}
+	spans := make([]span, 0, len(tb.dir))
+	for i := range tb.dir {
+		b := tb.dir[i].blocks
+		if cap(b) != len(b) {
+			return fmt.Errorf("dir[%d] blocks: cap %d != len %d", i, cap(b), len(b))
+		}
+		if len(b) > 0 {
+			lo := uintptr(unsafe.Pointer(&b[0]))
+			spans = append(spans, span{lo, lo + uintptr(len(b))*unsafe.Sizeof(slotBlock{}), i})
+		}
+	}
+	sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
+	for j := 1; j < len(spans); j++ {
+		if p, s := spans[j-1], spans[j]; s.lo < p.hi {
+			return fmt.Errorf("dir[%d] blocks overlap dir[%d] blocks", s.i, p.i)
 		}
 	}
 	return nil
@@ -342,7 +377,7 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 		"length":         func(tb *table) { tb.dir = tb.dir[:2] },
 		"duplicate":      func(tb *table) { tb.bounds[1] = tb.bounds[0] },
 		"stale-layout":   func(tb *table) { tb.dir[1].nslots++ },
-		"foreign-block":  func(tb *table) { tb.dir[1].blocks = allocBlocks(1) },
+		"foreign-block":  func(tb *table) { tb.dir[1].blocks = make([]slotBlock, 1) },
 		"origin":         func(tb *table) { tb.dir[0], tb.dir[1] = tb.dir[1], tb.dir[0] },
 		"no-router":      func(tb *table) { tb.rt = router{} },
 		"stale-router":   func(tb *table) { tb.rt = buildRouter([]uint64{10, 11, 12}) },
@@ -358,6 +393,24 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 		f(tb)
 		if tableViolations(tb) == nil {
 			t.Errorf("%s: tampered table passed the audit", name)
+		}
+	}
+	// The slot storage audit, tampered through the model so that every
+	// entry stays a faithful copy of its layout: the reported reason must be
+	// the storage's.
+	storage := map[string]struct {
+		f      func(m0, m1 *model)
+		reason string
+	}{
+		"overlapping-blocks": {func(m0, m1 *model) { m1.blocks = m0.blocks }, "overlap"},
+		"block-cap":          {func(_, m1 *model) { m1.blocks = make([]slotBlock, 1, 2) }, "cap"},
+	}
+	for name, c := range storage {
+		tb := tableOf(10, 100, 1000)
+		c.f(tb.dir[0].m, tb.dir[1].m)
+		tb.dir[1] = newEntry(tb.dir[1].m)
+		if err := tableViolations(tb); err == nil || !strings.Contains(err.Error(), c.reason) {
+			t.Errorf("%s: audit reported %v, want a violation naming %q", name, err, c.reason)
 		}
 	}
 	// The router audit on nested sub-tables: four clusters of 1,000 models

@@ -33,16 +33,19 @@ func TestSlotBlockLayout(t *testing.T) {
 		t.Fatalf("sizeof(entry) = %d, want 64", got)
 	}
 
-	// allocBlocks rounds up so every slot has a lane.
+	// carve rounds up so every slot has a lane, with or without a slab.
 	for _, nslots := range []int{1, 7, 8, 9, 16, 1000} {
 		want := (nslots + blockMask) / blockSlots
-		if got := len(allocBlocks(nslots)); got != want {
-			t.Fatalf("allocBlocks(%d) = %d blocks, want %d", nslots, got, want)
+		if got := len((*slab)(nil).carve(nslots)); got != want {
+			t.Fatalf("carve(%d) = %d blocks, want %d", nslots, got, want)
+		}
+		if got := len(newSlab(want).carve(nslots)); got != want {
+			t.Fatalf("slab carve(%d) = %d blocks, want %d", nslots, got, want)
 		}
 	}
 
 	// The accessors and read() must address the same lanes.
-	m := &layout{nslots: 20, slope: 1, blocks: allocBlocks(20)}
+	m := &layout{nslots: 20, slope: 1, blocks: make([]slotBlock, blocksFor(20))}
 	for s := 0; s < m.nslots; s++ {
 		m.keyRef(s).Store(uint64(100 + s))
 		m.valRef(s).Store(uint64(200 + s))

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"altindex/internal/dataset"
 )
@@ -63,9 +63,7 @@ func staleReaderAcrossRebuild(t *testing.T, alt *ALT, keys []uint64) {
 	// Replace the model by rebuilding its range through the ordinary
 	// pipeline, then give the collector every chance to take the retired
 	// blocks: only `old` still reaches them.
-	m0.retrainArmed.Store(true)
-	alt.ret.pending.Add(1)
-	alt.processRetrain(context.Background(), m0)
+	retrainNow(alt, m0)
 	if alt.tab.Load().posOf(m0) >= 0 {
 		t.Fatal("rebuild left the old model in the live table")
 	}
@@ -105,17 +103,40 @@ func staleReaderAcrossRebuild(t *testing.T, alt *ALT, keys []uint64) {
 	}
 
 	// Memory accounting follows the live table only: the retired model is
-	// not in it, so its blocks are not counted.
+	// not in it, so blocks it owned are not counted. If it was carved from
+	// a Bulkload slab, its region counts for as long as another live model
+	// pins that slab.
 	alt.Quiesce()
-	cur := alt.tab.Load()
-	want := alt.tree.MemoryUsage() + alt.fp.memory() + cur.memory()
-	for i := range cur.dir {
-		if cur.dir[i].m == old.dir[0].m {
+	if got, want := alt.MemoryUsage(), liveMemory(t, alt); got != want {
+		t.Fatalf("MemoryUsage = %d, want %d (the live table's non-slab models plus each slab it pins, once)", got, want)
+	}
+	for _, e := range alt.tab.Load().dir {
+		if e.m == m0 {
 			t.Fatal("retired model still in the live table after Quiesce")
 		}
-		want += cur.dir[i].m.memory()
 	}
-	if got := alt.MemoryUsage(); got != want {
-		t.Fatalf("MemoryUsage = %d, want %d (the live table's models only)", got, want)
+}
+
+// liveMemory is MemoryUsage's oracle: both layers, the directory, every
+// live model's own bytes, and each slab a live model sits in, once and in
+// full.
+func liveMemory(t *testing.T, alt *ALT) uintptr {
+	t.Helper()
+	cur := alt.tab.Load()
+	want := alt.tree.MemoryUsage() + alt.fp.memory() + cur.memory()
+	slabs := map[*slab]bool{}
+	for i := range cur.dir {
+		m := cur.dir[i].m
+		want += unsafe.Sizeof(model{})
+		if m.sc != nil {
+			want += m.sc.memory()
+		}
+		if m.slab == nil {
+			want += uintptr(len(m.blocks)) * unsafe.Sizeof(slotBlock{})
+		} else if !slabs[m.slab] {
+			slabs[m.slab] = true
+			want += uintptr(len(m.slab.blocks)) * unsafe.Sizeof(slotBlock{})
+		}
 	}
+	return want
 }
