@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -190,6 +191,11 @@ func TestStalledReader(t *testing.T) {
 		}
 	}
 
+	// The 64 replies below are about 10 MB of PAIR lines. Flushing at
+	// outHighWater and the write deadline must keep the server from
+	// buffering them, so the heap stays within stallHeapBound across the
+	// stall.
+	heapGrowth := sampleHeapGrowth()
 	stalled, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +209,11 @@ func TestStalledReader(t *testing.T) {
 		fmt.Fprintf(stalled, "SCAN 0 10000\n")
 	}
 	time.Sleep(600 * time.Millisecond) // several write-deadline periods
+	grew := heapGrowth()
+	t.Logf("HeapInuse grew by at most %d KiB across the stall", grew>>10)
+	if grew > stallHeapBound && !raceEnabled {
+		t.Fatalf("HeapInuse grew by %d KiB across the stall, want <= %d KiB", grew>>10, stallHeapBound>>10)
+	}
 
 	// A fresh client is served while the stalled one is being evicted.
 	live := dial(t, addr)
@@ -220,6 +231,41 @@ func TestStalledReader(t *testing.T) {
 			t.Fatal("stalled handler still pinned long after the write deadline")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// stallHeapBound caps TestStalledReader's heap growth: well below the
+// ~10 MB that buffering all 64 SCAN replies would take (with outHighWater
+// lifted the test sees 11-26 MiB), and over ten times the 0-392 KiB the
+// stall costs with it. Not checked under -race (see raceEnabled).
+const stallHeapBound = 4 << 20
+
+// sampleHeapGrowth samples HeapInuse every millisecond from a baseline
+// taken after a collection. The returned function stops the sampler and
+// returns the largest growth it saw.
+func sampleHeapGrowth() func() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base, peak := ms.HeapInuse, ms.HeapInuse
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		var ms runtime.MemStats
+		for {
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapInuse)
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	return func() uint64 {
+		close(stop)
+		<-done
+		return peak - base
 	}
 }
 
