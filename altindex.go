@@ -19,7 +19,8 @@
 //	for k, v := range altindex.Range(idx, 40) { ... } // every key >= 40
 //
 // The zero Options value selects the paper's recommendations (error bound
-// = bulkload/1000, gap factor 2, retraining enabled). Fast pointers are
+// = n/1000 for the n live keys at each build, gap factor 2, retraining
+// enabled). Fast pointers are
 // part of the design and always on.
 package altindex
 

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"altindex/internal/art"
-	"altindex/internal/gpl"
 	"altindex/internal/index"
 )
 
@@ -32,7 +31,9 @@ import (
 // recommended defaults.
 type Options struct {
 	// ErrorBound is the GPL segmentation ε. Zero selects the paper's
-	// recommendation of bulkload_size/1000 (§III-D), floored at 16.
+	// recommendation of n/1000 (§III-D), floored at 16, where n is the
+	// live key count at each build: the input size for Bulkload, the
+	// index's size for a retraining rebuild.
 	ErrorBound int
 	// GapFactor stretches each model's slot array to leave gaps for
 	// in-place inserts (§III-B "array gaps scheme"). Zero selects 2.0.
@@ -75,9 +76,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// errorBound resolves the GPL ε for an index built from n keys:
+// errorBound resolves the GPL ε of a build in an index of n live keys:
 // ErrorBound, or the paper's n/1000 (§III-D) when that is zero, floored at
-// 16.
+// 16. Every build calls it, so ε follows the index as it grows.
 func (o Options) errorBound(n int) float64 {
 	eps := float64(o.ErrorBound)
 	if eps <= 0 {
@@ -90,7 +91,6 @@ func (o Options) errorBound(n int) float64 {
 // use from the start, Bulkload excepted.
 type ALT struct {
 	opts Options
-	eps  float64
 
 	tab  atomic.Pointer[table]
 	tree *art.Tree
@@ -113,7 +113,6 @@ var _ index.Stats = (*ALT)(nil)
 // once the index has grown. Bulkload replaces the table outright.
 func New(opts Options) *ALT {
 	t := &ALT{opts: opts.withDefaults()}
-	t.eps = t.opts.errorBound(0)
 	t.fp = newFPBuffer(64)
 	t.tree = art.New(t.fp)
 	t.tab.Store(emptyTable())
@@ -165,13 +164,12 @@ func (t *ALT) Name() string { return "ALT-index" }
 // Len returns the number of live keys.
 func (t *ALT) Len() int { return int(t.size.Load()) }
 
-// ErrorBound returns the ε in effect: resolved by New for an empty index
-// and re-resolved by Bulkload from its key count.
-func (t *ALT) ErrorBound() float64 { return t.eps }
-
 // Bulkload replaces the index contents: GPL segmentation (Algorithm 1),
 // gapped model layout, conflict eviction to a fresh ART, and fast pointer
-// construction (§III-C1).
+// construction (§III-C1) — the build every rebuild runs too, here with one
+// slab for all the slots. It must not run concurrently with any other
+// method; it first drains the index's own retraining, whose rebuilds write
+// the tree and the fast pointer buffer it replaces.
 func (t *ALT) Bulkload(pairs []index.KV) error {
 	keys := make([]uint64, len(pairs))
 	vals := make([]uint64, len(pairs))
@@ -182,50 +180,23 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 		keys[i] = kv.Key
 		vals[i] = kv.Value
 	}
+	t.Quiesce()
 
-	t.eps = t.opts.errorBound(len(keys))
-
-	var segs []gpl.Segment
-	if len(keys) > 0 {
-		segs = gpl.Partition(keys, t.eps)
-	}
-
-	// Size every model first, so that all their slots are carved from one
-	// slab (see slab).
-	nblocks, off := 0, 0
-	for _, seg := range segs {
-		off += seg.N
-		_, nslots := slotsFor(seg, keys[off-1], t.opts.GapFactor)
-		nblocks += blocksFor(nslots)
-	}
-	sl := newSlab(nblocks)
-
-	bounds := make([]uint64, 0, len(segs))
-	dir := make([]entry, 0, len(segs))
-	var confK, confV []uint64
-	off = 0
-	for _, seg := range segs {
-		m, conflicts := buildModel(keys[off:off+seg.N], vals[off:off+seg.N], seg, t.opts.GapFactor, sl)
-		for _, ci := range conflicts {
-			confK = append(confK, keys[off+ci])
-			confV = append(confV, vals[off+ci])
-		}
-		bounds = append(bounds, m.first)
-		dir = append(dir, newEntry(m))
-		off += seg.N
-	}
-
+	shells := newShells(keys, t.opts.errorBound(len(keys)), t.opts.GapFactor, true)
 	// Fresh ART + fast pointer buffer sized for the model population
 	// plus retraining headroom.
-	t.fp = newFPBuffer(2*len(dir) + 1024)
+	t.fp = newFPBuffer(2*len(shells) + 1024)
 	t.tree = art.New(t.fp)
-	for i := range confK {
-		t.tree.Insert(confK[i], confV[i])
-	}
+	models := t.fillShells(shells, keys, vals)
 
-	tb := newTable(bounds, dir)
-	if len(keys) == 0 {
-		tb = emptyTable() // the table New starts with
+	tb := emptyTable() // the table New starts with
+	if len(models) > 0 {
+		bounds := make([]uint64, len(models))
+		dir := make([]entry, len(models))
+		for i, m := range models {
+			bounds[i], dir[i] = m.first, newEntry(m)
+		}
+		tb = newTable(bounds, dir)
 	}
 	t.tab.Store(tb)
 	t.size.Store(int64(len(keys)))

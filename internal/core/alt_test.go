@@ -534,14 +534,15 @@ func TestMemoryUsageAndStats(t *testing.T) {
 }
 
 func TestErrorBoundDefaultsToRecommendation(t *testing.T) {
-	keys := dataset.Generate(dataset.Libio, 50000, 15)
-	alt := mustBulk(t, Options{}, keys)
-	if got, want := alt.ErrorBound(), float64(len(keys))/1000; got != want {
-		t.Fatalf("eps = %v, want %v", got, want)
+	var o Options
+	if got := o.errorBound(50000); got != 50 {
+		t.Fatalf("eps = %v, want 50", got)
 	}
-	small := mustBulk(t, Options{}, keys[:1000])
-	if small.ErrorBound() != 16 {
-		t.Fatalf("eps floor = %v, want 16", small.ErrorBound())
+	if got := o.errorBound(1000); got != 16 {
+		t.Fatalf("eps floor = %v, want 16", got)
+	}
+	if got := (Options{ErrorBound: 7}).errorBound(50000); got != 16 {
+		t.Fatalf("explicit eps below the floor = %v, want 16", got)
 	}
 }
 

@@ -158,33 +158,77 @@ func (l *layout) place(s int, key, val uint64) {
 	*(*uint32)(unsafe.Pointer(&b.meta[j])) = slotOccupied
 }
 
-// buildModel lays seg's keys out in a gapped array scaled by gapFactor.
-// Keys whose predicted slot is already taken are returned as conflicts for
-// the ART-OPT layer, which is exactly what keeps the learned layer free of
-// prediction errors. The slots come from sl (nil: a model-sized allocation).
-func buildModel(keys, vals []uint64, seg gpl.Segment, gapFactor float64, sl *slab) (*model, []int) {
-	m := newShell(seg, keys[seg.N-1], gapFactor, sl)
+// newShells is the one build routine's first half, behind Bulkload and
+// every rebuild: GPL segmentation of keys at eps (Algorithm 1), then one
+// empty gapped model per segment, its slope scaled by gapFactor and its
+// slot array sized to reach the segment's last key. With oneSlab every
+// model's slots are carved from one slab on huge pages (Bulkload);
+// otherwise each model allocates its own (a rebuild). fillShells is the
+// second half.
+func newShells(keys []uint64, eps, gapFactor float64, oneSlab bool) []*model {
+	segs := gpl.Partition(keys, eps)
+	ms := make([]*model, len(segs))
+	nblocks, off := 0, 0
+	for i, seg := range segs {
+		off += seg.N
+		slope := seg.Slope * max(gapFactor, 1)
+		nslots := max(int(slope*float64(keys[off-1]-seg.First)+0.5)+1, seg.N)
+		ms[i] = &model{layout: layout{first: seg.First, slope: slope, nslots: nslots}}
+		ms[i].fastIdx.Store(-1)
+		nblocks += blocksFor(nslots)
+	}
+	var sl *slab
+	if oneSlab {
+		sl = newSlab(nblocks)
+	}
+	for _, m := range ms {
+		m.blocks, m.slab = sl.carve(m.nslots), sl
+	}
+	return ms
+}
 
-	var conflicts []int
-	for i := 0; i < seg.N; i++ {
-		s := m.slotOf(keys[i])
-		if m.metaRef(s).Load()&slotOccupied != 0 {
-			conflicts = append(conflicts, i)
+// fillShells places keys, ascending, into shells, partitioning by shell
+// boundary (shell i owns keys below shell i+1's first, the last one every
+// key above). A key whose predicted slot is taken is a conflict: it goes to
+// ART and into the shell's fingerprint sidecar, which is what keeps the
+// learned layer free of prediction errors. The shells may predate the keys
+// (a rebuild segments a pre-freeze snapshot) — a stale fit only raises the
+// conflict rate. Shells left empty are dropped; every other one gets its
+// first key into a free slot, so keys always leave at least one model.
+func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
+	newModels := make([]*model, 0, len(shells))
+	ki := 0
+	for si, sh := range shells {
+		hi := ^uint64(0)
+		if si+1 < len(shells) {
+			hi = shells[si+1].first - 1
+		}
+		placed := 0
+		var sc *sidecar
+		for ki < len(keys) && keys[ki] <= hi {
+			k, v := keys[ki], vals[ki]
+			ki++
+			s := sh.slotOf(k)
+			if sh.metaRef(s).Load()&slotOccupied != 0 {
+				t.tree.Put(k, v)
+				if sc == nil {
+					sc = newSidecar(sh.nslots)
+				}
+				sc.add(s, fp8(k))
+				continue
+			}
+			sh.place(s, k, v)
+			placed++
+		}
+		if placed == 0 {
+			// Empty shell: neighbors' clamping covers its range.
 			continue
 		}
-		m.place(s, keys[i], vals[i])
+		sh.sc = sc
+		sh.buildSize = placed
+		newModels = append(newModels, sh)
 	}
-	m.buildSize = seg.N - len(conflicts)
-	// Record the evicted keys' fingerprints so lookups can prove "not in
-	// ART" without a tree traversal.
-	if len(conflicts) > 0 {
-		sc := newSidecar(m.nslots)
-		for _, ci := range conflicts {
-			sc.add(m.slotOf(keys[ci]), fp8(keys[ci]))
-		}
-		m.sc = sc
-	}
-	return m, conflicts
+	return newModels
 }
 
 // slotOf returns the predicted slot for key, clamped to the array. Because

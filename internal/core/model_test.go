@@ -2,57 +2,63 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"altindex/internal/dataset"
-	"altindex/internal/gpl"
 )
 
-func buildFrom(t *testing.T, keys []uint64, eps float64, gap float64) (*model, []int, gpl.Segment) {
+// buildFrom runs the one build routine (newShells, then fillShells) over
+// keys at eps and returns the first model, the keys routed to it and the
+// index whose ART holds the conflicts. Every value is its key + 1.
+func buildFrom(t *testing.T, keys []uint64, eps float64, gap float64) (*model, []uint64, *ALT) {
 	t.Helper()
-	segs := gpl.Partition(keys, eps)
-	if len(segs) == 0 {
-		t.Fatal("no segments")
-	}
-	seg := segs[0]
-	vals := make([]uint64, seg.N)
+	alt := New(Options{DisableRetraining: true})
+	vals := make([]uint64, len(keys))
 	for i := range vals {
 		vals[i] = keys[i] + 1
 	}
-	m, conflicts := buildModel(keys[:seg.N], vals, seg, gap, nil)
-	return m, conflicts, seg
+	models := alt.fillShells(newShells(keys, eps, gap, false), keys, vals)
+	if len(models) == 0 {
+		t.Fatal("no models")
+	}
+	n := len(keys)
+	if len(models) > 1 {
+		n = sort.Search(len(keys), func(i int) bool { return keys[i] >= models[1].first })
+	}
+	return models[0], keys[:n], alt
 }
 
 func TestBuildModelPlacesOrEvicts(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 5000, 1)
-	m, conflicts, seg := buildFrom(t, keys, 256, 2.0)
-	conflictSet := map[int]bool{}
-	for _, ci := range conflicts {
-		conflictSet[ci] = true
-	}
-	placed := 0
-	for i := 0; i < seg.N; i++ {
-		s := m.slotOf(keys[i])
+	m, own, alt := buildFrom(t, keys, 256, 2.0)
+	placed, conflicts := 0, 0
+	for _, key := range own {
+		s := m.slotOf(key)
 		k, v, meta, ok := m.read(s)
 		if !ok {
 			t.Fatalf("slot %d locked in fresh model", s)
 		}
-		if conflictSet[i] {
-			// The conflicting key's predicted slot must be occupied by
-			// someone else (invariant 2).
-			if stateOf(meta)&slotOccupied == 0 || k == keys[i] {
-				t.Fatalf("conflict key %d: slot state %d key %d", keys[i], meta, k)
+		if stateOf(meta)&slotOccupied == 0 {
+			t.Fatalf("key %d: predicted slot %d empty", key, s)
+		}
+		if k != key {
+			// A conflict: its predicted slot holds another key
+			// (invariant 2), and the key itself went to ART.
+			if got, ok := alt.tree.Get(key); !ok || got != key+1 {
+				t.Fatalf("conflict key %d not in ART: (%d,%v)", key, got, ok)
 			}
+			conflicts++
 			continue
 		}
-		if stateOf(meta)&slotOccupied == 0 || k != keys[i] || v != keys[i]+1 {
-			t.Fatalf("key %d not at predicted slot: (%d,%d,%d)", keys[i], k, v, meta)
+		if v != key+1 {
+			t.Fatalf("key %d: value %d", key, v)
 		}
 		placed++
 	}
-	if placed+len(conflicts) != seg.N {
-		t.Fatalf("placed %d + conflicts %d != %d", placed, len(conflicts), seg.N)
+	if placed+conflicts != len(own) || conflicts == 0 {
+		t.Fatalf("placed %d + conflicts %d != %d", placed, conflicts, len(own))
 	}
 	if m.buildSize != placed {
 		t.Fatalf("buildSize %d != placed %d", m.buildSize, placed)
@@ -211,11 +217,10 @@ func TestQuickBuildModelInvariants(t *testing.T) {
 			keys[i] = cur
 		}
 		gap := 1.0 + float64(rawGap%30)/10
-		segs := gpl.Partition(keys, 64)
-		off := 0
-		for _, seg := range segs {
-			vals := keys[off : off+seg.N]
-			m, conflicts := buildModel(keys[off:off+seg.N], vals, seg, gap, nil)
+		alt := New(Options{DisableRetraining: true})
+		models := alt.fillShells(newShells(keys, 64, gap, false), keys, keys)
+		placed := 0
+		for i, m := range models {
 			// Occupied slots strictly ascend in key.
 			var prev uint64
 			seen := 0
@@ -230,30 +235,27 @@ func TestQuickBuildModelInvariants(t *testing.T) {
 				prev = k
 				seen++
 			}
-			if seen+len(conflicts) != seg.N {
+			if seen != m.buildSize {
 				return false
 			}
-			// Every key of the segment either sits at its slot or its
-			// slot is occupied by another key.
-			cset := map[int]bool{}
-			for _, ci := range conflicts {
-				cset[ci] = true
-			}
-			for i := 0; i < seg.N; i++ {
-				s := m.slotOf(keys[off+i])
-				k := m.keyRef(s).Load()
-				occ := m.metaRef(s).Load()&slotOccupied != 0
-				if cset[i] {
-					if !occ || k == keys[off+i] {
-						return false
-					}
-				} else if !occ || k != keys[off+i] {
+			placed += seen
+			// Every key routed to the model either sits at its slot, or
+			// its slot is occupied by another key and it is in ART.
+			for _, k := range keys {
+				if k < m.first || i+1 < len(models) && k >= models[i+1].first {
+					continue
+				}
+				s := m.slotOf(k)
+				sk := m.keyRef(s).Load()
+				if m.metaRef(s).Load()&slotOccupied == 0 {
+					return false
+				}
+				if v, ok := alt.tree.Get(k); (sk == k) == ok || ok && v != k {
 					return false
 				}
 			}
-			off += seg.N
 		}
-		return true
+		return placed+alt.tree.Len() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"altindex/internal/gpl"
 	"altindex/internal/index"
 )
 
@@ -271,8 +270,9 @@ func (tb *table) rangeBounds(pos int) (lo, end uint64) {
 // table splice with a deliberately small freeze window:
 //
 //	pre-freeze   snapshot candidate keys (best-effort slot reads + the
-//	             range's ART residents) and run GPL segmentation on them;
-//	             allocate the replacement models' slot arrays. Writers
+//	             range's ART residents) and build empty shells over them
+//	             (newShells, at the ε of the index's live key count, the
+//	             §III-D rule Bulkload applies to its input). Writers
 //	             still run — staleness only means some keys land as
 //	             conflicts in ART, never a correctness issue, because slot
 //	             predictions are exact by construction.
@@ -281,7 +281,8 @@ func (tb *table) rangeBounds(pos int) (lo, end uint64) {
 //	             ART residents in one RemoveRange traversal (the frozen
 //	             slots block every in-range ART mutation, so the removal
 //	             is an exact cut). Place the exact keys into the
-//	             pre-built models; evict conflicts to ART.
+//	             shells (fillShells, Bulkload's fill); evict conflicts
+//	             to ART.
 //	publish      under the short publish lock: absorb adjacent empty
 //	             placeholder models into the splice, swap the table,
 //	             record the freeze-window duration.
@@ -291,10 +292,7 @@ func (tb *table) rangeBounds(pos int) (lo, end uint64) {
 // it, and the old per-key tree.Remove loop (O(n·log n) descents) is one
 // bulk traversal now.
 func (t *ALT) rebuild(m *model, lo, end uint64) {
-	gap := t.opts.GapFactor * 2
-	if gap > 4 {
-		gap = 4
-	}
+	gap, eps := min(t.opts.GapFactor*2, 4), t.opts.errorBound(t.Len())
 
 	// --- Pre-freeze: candidate snapshot + segmentation + allocation. ---
 	cand := make([]uint64, 0, m.nslots/2)
@@ -314,15 +312,7 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 		artCand = append(artCand, k)
 		return true
 	})
-	candKeys := mergeSortedKeys(cand, artCand)
-	var shells []*model
-	if len(candKeys) > 0 {
-		off := 0
-		for _, seg := range gpl.Partition(candKeys, t.eps) {
-			shells = append(shells, newShell(seg, candKeys[off+seg.N-1], gap, nil))
-			off += seg.N
-		}
-	}
+	shells := newShells(mergeSortedKeys(cand, artCand), eps, gap, false)
 
 	// --- Freeze: drain writers, capture the exact range contents. ---
 	freezeStart := time.Now()
@@ -337,27 +327,17 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	}
 	keys, vals := mergeSorted(mk, mv, ak, av)
 
-	var newModels []*model
-	switch {
-	case len(keys) == 0:
+	if len(shells) == 0 {
+		// No pre-freeze candidates, but keys arrived before the freeze
+		// (tiny window): segment the frozen keys instead.
+		shells = newShells(keys, eps, gap, false)
+	}
+	newModels := t.fillShells(shells, keys, vals)
+	if len(newModels) == 0 {
 		// Keep an empty placeholder so the table still covers the range.
 		// Pre-built shells (stale candidates that all vanished before the
 		// freeze) were never published and are simply dropped.
 		newModels = []*model{emptyModel(m.first)}
-	case len(shells) == 0:
-		// No pre-freeze candidates but keys arrived before the freeze
-		// (tiny window): segment inside the freeze, the old way.
-		off := 0
-		for _, seg := range gpl.Partition(keys, t.eps) {
-			nm, conflicts := buildModel(keys[off:off+seg.N], vals[off:off+seg.N], seg, gap, nil)
-			for _, ci := range conflicts {
-				t.tree.Put(keys[off+ci], vals[off+ci])
-			}
-			newModels = append(newModels, nm)
-			off += seg.N
-		}
-	default:
-		newModels = t.fillShells(shells, keys, vals)
 	}
 
 	// --- Publish: splice + placeholder absorption under the short lock. ---
@@ -461,79 +441,6 @@ func (t *ALT) absorbNeighbor(cur *table, i int, absorbed *[]keyRange) bool {
 	}
 	*absorbed = append(*absorbed, keyRange{nlo, nend})
 	return true
-}
-
-// slotsFor sizes the gapped slot array of a model built over seg, whose
-// largest key is last: the prediction slope and the slot count. Bulkload
-// sizes its slab with it before newShell builds each model.
-func slotsFor(seg gpl.Segment, last uint64, gapFactor float64) (slope float64, nslots int) {
-	slope = seg.Slope * max(gapFactor, 1)
-	return slope, max(int(slope*float64(last-seg.First)+0.5)+1, seg.N)
-}
-
-// newShell allocates a model's slot arrays from a candidate segment
-// without placing any keys, carving them from sl when it is not nil. last
-// is the segment's largest candidate key; exact keys above it simply clamp
-// to the final slot and conflict-evict.
-func newShell(seg gpl.Segment, last uint64, gapFactor float64, sl *slab) *model {
-	slope, nslots := slotsFor(seg, last, gapFactor)
-	m := &model{layout: layout{first: seg.First, slope: slope, nslots: nslots, blocks: sl.carve(nslots)}, slab: sl}
-	m.fastIdx.Store(-1)
-	return m
-}
-
-// fillShells places the exact post-freeze keys into the pre-allocated
-// shells, partitioning by shell boundary (shell i owns keys below shell
-// i+1's first). Slot collisions evict to ART — predictions stay exact by
-// construction, a stale candidate fit only raises the conflict rate.
-// Shells that end up empty are dropped.
-func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
-	newModels := make([]*model, 0, len(shells))
-	ki := 0
-	for si, sh := range shells {
-		hi := ^uint64(0)
-		if si+1 < len(shells) {
-			hi = shells[si+1].first - 1
-		}
-		placed := 0
-		var sc *sidecar
-		for ki < len(keys) && keys[ki] <= hi {
-			k, v := keys[ki], vals[ki]
-			ki++
-			s := sh.slotOf(k)
-			if sh.metaRef(s).Load()&slotOccupied != 0 {
-				t.tree.Put(k, v)
-				// Record the eviction in the shell's sidecar before it
-				// publishes.
-				if sc == nil {
-					sc = newSidecar(sh.nslots)
-				}
-				sc.add(s, fp8(k))
-				continue
-			}
-			sh.place(s, k, v)
-			placed++
-		}
-		if placed == 0 {
-			// Empty shell: neighbors' clamping covers its range.
-			continue
-		}
-		sh.sc = sc
-		sh.buildSize = placed
-		newModels = append(newModels, sh)
-	}
-	if len(newModels) == 0 {
-		// All keys conflicted out of every shell (degenerate, but must
-		// keep invariant 2: those ART keys need a non-empty predicted
-		// slot). Fall back to one exact model over the full key set.
-		seg := gpl.Segment{First: keys[0], N: len(keys), Slope: shells[0].slope}
-		nm, conflicts := buildModel(keys, vals, seg, 1, nil)
-		for _, ci := range conflicts {
-			t.tree.Put(keys[ci], vals[ci])
-		}
-		return []*model{nm}
-	}
-	return newModels
 }
 
 // emptyModel returns a one-slot model covering first, used when a rebuilt

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"altindex/internal/dataset"
-	"altindex/internal/gpl"
 )
 
 // pinRetrainPipeline replaces the worker count and trigger queue that New
@@ -331,10 +330,13 @@ func TestFillShellsExhaustedMidFill(t *testing.T) {
 	alt := mustBulk(t, Options{ErrorBound: 16, DisableRetraining: true},
 		[]uint64{10, 20, 30})
 
-	shells := []*model{
-		newShell(gpl.Segment{First: 100, N: 64, Slope: 0.1}, 999, 1.2, nil),
-		newShell(gpl.Segment{First: 1000, N: 64, Slope: 0.1}, 1999, 1.2, nil),
-		newShell(gpl.Segment{First: 2000, N: 64, Slope: 0.1}, 2999, 1.2, nil),
+	var shells []*model
+	for _, first := range []uint64{100, 1000, 2000} {
+		var cand []uint64 // one exact segment: 90 keys, 10 apart
+		for k := first; k < first+900; k += 10 {
+			cand = append(cand, k)
+		}
+		shells = append(shells, newShells(cand, 16, 1.2, false)...)
 	}
 	var keys, vals []uint64
 	for i := uint64(0); i < 50; i++ {
@@ -357,48 +359,31 @@ func TestFillShellsExhaustedMidFill(t *testing.T) {
 	}
 }
 
-// TestFillShellsAllConflict covers the degenerate fallback: when every key
-// conflicts out of every shell (forced here by pre-occupying the slots),
-// fillShells must still return a non-empty model over the key set so
-// invariant 2 keeps holding for the ART-evicted keys.
-func TestFillShellsAllConflict(t *testing.T) {
-	alt := mustBulk(t, Options{ErrorBound: 16, DisableRetraining: true},
-		[]uint64{10, 20, 30})
-
-	sh := newShell(gpl.Segment{First: 500, N: 32, Slope: 0.05}, 1500, 1, nil)
-	for s := 0; s < sh.nslots; s++ {
-		sh.metaRef(s).Store(slotOccupied) // poison: every placement conflicts
-	}
-	var keys, vals []uint64
-	for i := uint64(0); i < 20; i++ {
-		keys = append(keys, 500+i*50)
-		vals = append(vals, i^0xF0)
-	}
-	treeBefore := alt.tree.Len()
-	models := alt.fillShells([]*model{sh}, keys, vals)
-	if len(models) != 1 || models[0] == sh {
-		t.Fatalf("fallback must build one fresh model, got %d (reused shell: %v)",
-			len(models), len(models) == 1 && models[0] == sh)
-	}
-	if models[0].first != keys[0] {
-		t.Fatalf("fallback first = %d, want %d", models[0].first, keys[0])
-	}
-	if alt.tree.Len() <= treeBefore {
-		t.Fatal("conflicting keys were not evicted to ART")
-	}
-	// Every key must be resolvable through the fallback model or ART.
-	nm := models[0]
-	for i, k := range keys {
-		s := nm.slotOf(k)
-		mk := nm.keyRef(s).Load()
-		if nm.metaRef(s).Load()&slotOccupied != 0 && mk == k {
-			if nm.valRef(s).Load() != vals[i] {
-				t.Fatalf("model value for %d = %d, want %d", k, nm.valRef(s).Load(), vals[i])
+// TestBulkloadDrainsRetraining reloads indexes whose first training is in
+// flight. A rebuild writes the tree and the fast pointer buffer that
+// Bulkload replaces, so Bulkload must drain the pipeline first; the race
+// detector flags the writes otherwise.
+func TestBulkloadDrainsRetraining(t *testing.T) {
+	keys := dataset.Generate(dataset.OSM, 20000, 7)
+	for round := 0; round < 8; round++ {
+		ix := New(Options{})
+		for _, k := range keys[:1100+round*100] { // past the 1,025-insert trigger
+			if err := ix.Insert(k, k); err != nil {
+				t.Fatal(err)
 			}
-			continue
 		}
-		if v, ok := alt.tree.Get(k); !ok || v != vals[i] {
-			t.Fatalf("key %d lost in all-conflict fallback (tree: %d,%v)", k, v, ok)
+		if err := ix.Bulkload(dataset.Pairs(keys)); err != nil {
+			t.Fatal(err)
 		}
+		checkTable(t, ix)
+		if ix.Len() != len(keys) {
+			t.Fatalf("Len %d after Bulkload, want %d", ix.Len(), len(keys))
+		}
+		for _, k := range keys {
+			if v, ok := ix.Get(k); !ok || v != dataset.ValueFor(k) {
+				t.Fatalf("Get(%d) = %d, %v after Bulkload", k, v, ok)
+			}
+		}
+		ix.Close()
 	}
 }

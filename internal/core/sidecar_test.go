@@ -92,7 +92,13 @@ func TestSidecarTags(t *testing.T) {
 func TestSidecarCoversBuildConflicts(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 8000, 5)
 	// Gap factor 1 packs the array, forcing plenty of conflicts.
-	m, conflicts, seg := buildFrom(t, keys, 512, 1.0)
+	m, own, _ := buildFrom(t, keys, 512, 1.0)
+	var conflicts []uint64
+	for _, k := range own {
+		if m.keyRef(m.slotOf(k)).Load() != k {
+			conflicts = append(conflicts, k)
+		}
+	}
 	if len(conflicts) == 0 {
 		t.Skip("dataset produced no conflicts at gap 1.0")
 	}
@@ -102,15 +108,14 @@ func TestSidecarCoversBuildConflicts(t *testing.T) {
 	// Every evicted key must read as "maybe in ART" — a false absent here
 	// would lose the key.
 	e := newEntry(m)
-	for _, ci := range conflicts {
-		k := keys[ci]
+	for _, k := range conflicts {
 		if e.absentInART(k, m.slotOf(k)) {
 			t.Fatalf("build conflict key %d reported absent from ART", k)
 		}
 	}
 	// A probe key that shares no (slot, fingerprint) with any eviction is
 	// provably absent; one epoch bump withdraws the proof for everything.
-	probe := keys[seg.N-1] + 12345
+	probe := own[len(own)-1] + 12345
 	s := m.slotOf(probe)
 	tag := m.sc.tags[s]
 	wantAbsent := tag == 0 || (tag != scManyTag && tag != fp8(probe))
@@ -118,8 +123,7 @@ func TestSidecarCoversBuildConflicts(t *testing.T) {
 		t.Fatalf("absentInART(%d) disagrees with sidecar content", probe)
 	}
 	m.artEpoch.Add(1)
-	for _, ci := range conflicts {
-		k := keys[ci]
+	for _, k := range conflicts {
 		if e.absentInART(k, m.slotOf(k)) {
 			t.Fatalf("stale-epoch sidecar proved absence for %d", k)
 		}

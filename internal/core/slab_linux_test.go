@@ -58,7 +58,7 @@ func TestBulkloadSlotsOnHugePages(t *testing.T) {
 
 // anonHugeBytes sums /proc/self/smaps' AnonHugePages over the mappings
 // that overlap [lo, hi), each capped at its overlap with the range.
-func anonHugeBytes(t *testing.T, lo, hi uintptr) uintptr {
+func anonHugeBytes(t testing.TB, lo, hi uintptr) uintptr {
 	t.Helper()
 	smaps, err := os.ReadFile("/proc/self/smaps")
 	if err != nil {

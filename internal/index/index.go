@@ -33,8 +33,8 @@ type Concurrent interface {
 	Name() string
 
 	// Bulkload replaces the index contents with the given pairs, which
-	// must be strictly ascending by key. It is called once, before any
-	// concurrent access.
+	// must be strictly ascending by key. It may run on an index already
+	// in use, but not concurrently with any other method call.
 	Bulkload(pairs []KV) error
 
 	// Get returns the value stored for key.

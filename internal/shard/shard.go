@@ -225,8 +225,8 @@ func (t *ALT) Len() int {
 // equal-depth quantiles of a key sample (unless pinned by NewWithBounds),
 // the sorted input is split by boundary, and each shard bulkloads its
 // slice — in parallel for large loads, since the slices are disjoint.
-// Like core.ALT's, this is a construction-time operation: call it before
-// the index is shared.
+// Like core.ALT's, it replaces the contents and must not run concurrently
+// with any other method call.
 func (t *ALT) Bulkload(pairs []index.KV) error {
 	// Validate up front so a rejected load leaves the contents untouched.
 	for i := 1; i < len(pairs); i++ {
