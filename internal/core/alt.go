@@ -11,6 +11,8 @@
 //     absence without any secondary search (Algorithm 2, line 5).
 //  3. Slot order equals key order inside a model, and model ranges are
 //     disjoint and sorted, so range scans merge two ordered streams.
+//  4. Outside a rebuild's freeze no key moves between the learned layer
+//     and ART: an upsert updates a key in the layer that holds it.
 //
 // Concurrency follows §III-E: per-slot seqlock versions (even/odd) in the
 // learned layer, a spin-locked append-only fast pointer buffer, and
@@ -332,9 +334,9 @@ func spin(iters uint32) {
 // (no write-back of Algorithm 2 lines 10-13; DESIGN.md §4 says why).
 //
 // An ART miss is only trusted if the slot metadata is unchanged afterwards:
-// a changed version means a concurrent migration (retraining freeze or
-// tombstone claim) may have moved the key between the two probes, so the
-// lookup retries.
+// a changed version means a concurrent writer or a retraining freeze (the
+// one event that moves keys between the layers, invariant 4) came between
+// the two probes, so the lookup retries.
 func (t *ALT) Get(key uint64) (uint64, bool) {
 	var bo backoff
 	for {
@@ -368,7 +370,7 @@ func (t *ALT) Get(key uint64) (uint64, bool) {
 		}
 		if e.metaRef(s).Load() != meta {
 			bo.wait()
-			continue // concurrent migration; retry
+			continue // concurrent write or freeze; retry
 		}
 		return 0, false
 	}
@@ -454,27 +456,24 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		e.m.inserts.Add(1)
 		t.size.Add(1)
 		return true
-	default: // tombstone: claim it, clearing any shadowed ART copy.
+	default: // tombstone: update an ART copy in place, else claim it.
 		if !e.acquire(s, meta) {
 			return false
 		}
 		fpInsertLocked.Inject()
-		// The ART removal runs under the slot lock so the key never
-		// exists in both layers and the size stays exact. The sidecar can
-		// prove there is no shadowed copy to clear: an eviction of this
-		// same key would need the slot lock we hold, so the check cannot
-		// race with the copy it is ruling out.
-		shadowed := false
-		if !e.absentInART(key, s) {
-			shadowed = t.tree.Remove(key)
+		// A key behind a tombstone stays in ART (invariant 4): the upsert
+		// updates that copy and leaves the slot tombstoned. Every ART
+		// write of this key needs the slot lock we hold, so the sidecar
+		// and the tree agree on whether the copy exists.
+		if !e.absentInART(key, s) && t.tree.Update(key, value) {
+			e.release(s, meta, slotTomb)
+			return true
 		}
 		e.keyRef(s).Store(key)
 		e.valRef(s).Store(value)
 		e.release(s, meta, slotOccupied)
-		if !shadowed {
-			t.size.Add(1) // fresh key, not an upsert of an ART copy
-		}
 		e.m.inserts.Add(1)
+		t.size.Add(1)
 		return true
 	}
 }

@@ -337,7 +337,7 @@ func GetBatchGroups(ts []*ALT, ends []int32, keys []uint64, vals []uint64, found
 				continue
 			}
 			if e.metaRef(s).Load() != m1 {
-				// Concurrent migration between the two probes; the
+				// A write or a freeze between the two probes; the
 				// per-key loop sorts it out.
 				vals[p], found[p] = t.Get(k)
 				continue
@@ -357,7 +357,7 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 // are — group s is positions [ends[s-1], ends[s]) and goes to ts[s] —
 // through the same route → probe → descend pipeline, in submission order.
 // Every pair goes through insertAt — the single-attempt body of the per-key Insert, covering free-slot claims,
-// same-key upserts, tombstone claims, conflict eviction to ART and the
+// same-key upserts, tombstones (an ART-copy update or a claim), conflict eviction to ART and the
 // retraining trigger without re-routing the key. Only contention (a locked
 // slot or a metadata race, which includes a model retrained since the
 // batch loaded its table) falls back to the per-key Insert, which owns

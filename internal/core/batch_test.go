@@ -95,8 +95,8 @@ func TestBatchGroupsMatchPerKey(t *testing.T) {
 		var pairs []index.KV
 		var ends [groups]int32
 		for g, n := range sizes {
-			// The lookups draw their own keys: a key just upserted has
-			// claimed its tombstone and no longer sits behind one.
+			// The lookups draw their own keys: a fresh key just upserted
+			// has claimed its tombstone, so one no longer sits behind it.
 			for i := 0; i < n; i++ {
 				pairs = append(pairs, index.KV{Key: pool[g][rng.Intn(len(pool[g]))], Value: rng.Next()})
 				keys = append(keys, pool[g][rng.Intn(len(pool[g]))])

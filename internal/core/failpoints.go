@@ -8,7 +8,7 @@ import "altindex/internal/failpoint"
 //
 //	core/insert/locked    fires with a slot write-locked in insertAt
 //	                      (all four branches: upsert, conflict eviction,
-//	                      free-slot claim, tombstone claim). delay/yield
+//	                      free-slot claim, tombstone update/claim). delay/yield
 //	                      simulates a writer descheduled mid-seqlock,
 //	                      forcing readers through backoff and retries.
 //	core/retrain/freeze   fires after a model's slots are frozen and

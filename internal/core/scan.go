@@ -54,13 +54,12 @@ func (t *ALT) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV 
 // scanAppend is the bounded-scan core behind ScanAppend; the caller owns
 // bufs (pooled) and has validated the window.
 //
-// The two layers are read one after the other, so the merge is only
-// complete if no rebuild moved keys between them while that happened. Two
-// checks establish that, and the scan retries — never returns a shorter
-// result — until both hold: the learned read refuses frozen slots
-// (collectRuns), and after the ART read no model the window touched may
-// have begun freezing (frozenIn). A freeze precedes the rebuild's ART drain
-// and always ends in a new table, so the retry terminates with it.
+// The layers are read one after the other, so the merge is complete only
+// if no key moved between them meanwhile, and only a rebuild moves keys
+// (invariant 4). The scan retries — never returns a shorter result — until
+// the learned read met no frozen slot (collectRuns) and, after the ART read,
+// no model the window touched has begun freezing (frozenIn). A freeze
+// precedes the rebuild's ART drain and ends in a new table, so retries end.
 func (t *ALT) scanAppend(dst []index.KV, bufs *scanBufs, start, end uint64, max int) []index.KV {
 	hi := end // inclusive upper bound
 	if end != ^uint64(0) {
@@ -103,7 +102,8 @@ func (t *ALT) scanAppend(dst []index.KV, bufs *scanBufs, start, end uint64, max 
 func (t *ALT) collectRuns(tb *table, first int, start, hi uint64, max int, out []index.KV) (_ []index.KV, next int, ok bool) {
 	for next = first; next < len(tb.dir) && len(out) < max; {
 		e := &tb.dir[next]
-		if e.first > hi {
+		// By boundary, not origin: keys below a rebuilt origin sit in slot 0.
+		if next > first && tb.bounds[next] > hi {
 			break // model ranges are sorted: everything later is past hi
 		}
 		next++

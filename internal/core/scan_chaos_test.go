@@ -3,9 +3,11 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"altindex/internal/dataset"
 	"altindex/internal/failpoint"
@@ -42,6 +44,8 @@ func TestScanDedupDuringStretchedMigration(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	stopStream := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopStream()
 	var inserted atomic.Int64
 	wg.Add(1)
 	go func() {
@@ -64,9 +68,19 @@ func TestScanDedupDuringStretchedMigration(t *testing.T) {
 		}
 	}()
 
+	// Scan only once the stream runs (on one core the trial loop could
+	// otherwise finish first), and go on past the 250 trials until a
+	// rebuild has published, so the stretched windows are scanned through.
+	deadline := time.Now().Add(time.Minute)
+	for inserted.Load() == 0 && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
 	rng := xrand.New(17)
 	dst := make([]index.KV, 0, 4096)
-	for trial := 0; trial < 250; trial++ {
+	for trial := 0; trial < 250 || alt.retrains.Load() == 0; trial++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("no retraining published within a minute: %d trials, %d inserts", trial, inserted.Load())
+		}
 		start := uint64(rng.Intn(grid * 16))
 		max := 64 + rng.Intn(2048)
 		dst = alt.ScanAppend(dst[:0], start, ^uint64(0), max)
@@ -91,8 +105,7 @@ func TestScanDedupDuringStretchedMigration(t *testing.T) {
 			return true
 		})
 	}
-	close(stop)
-	wg.Wait()
+	stopStream()
 	if inserted.Load() == 0 {
 		t.Fatal("insert stream never ran")
 	}

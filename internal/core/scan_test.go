@@ -150,3 +150,42 @@ func TestRangeStartsInTrailingGap(t *testing.T) {
 		t.Fatalf("Range past the end yielded %d keys", n)
 	}
 }
+
+// TestScanReadsKeysBelowModelOrigin scans a key that sits in slot 0 of a
+// rebuilt model below the model's prediction origin. The rebuild keeps the
+// range's old boundary while its minimum key moved up, so keys between the
+// two clamp to slot 0; once the new minimum is removed, a fresh key there
+// claims its tombstone. A scan must read it whether it starts in that model
+// or in the one before: models are skipped by their boundaries, not their
+// origins.
+func TestScanReadsKeysBelowModelOrigin(t *testing.T) {
+	keys, lastA, firstB := twoClusterKeys()
+	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
+	pos := alt.tab.Load().route(firstB)
+	if pos == 0 {
+		t.Fatal("the two clusters share a model")
+	}
+	for _, k := range []uint64{firstB, firstB + 3, firstB + 6, firstB + 9} {
+		alt.Remove(k)
+	}
+	retrainNow(alt, alt.tab.Load().dir[pos].m)
+	tb := alt.tab.Load()
+	e := &tb.dir[pos]
+	if tb.bounds[pos] != firstB || e.first != firstB+12 {
+		t.Fatalf("rebuilt model: boundary %d, origin %d; want %d, %d", tb.bounds[pos], e.first, firstB, firstB+12)
+	}
+	alt.Remove(e.first)
+	k := firstB + 1
+	if err := alt.Insert(k, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, meta, ok := e.read(0); !ok || stateOf(meta) != slotOccupied || got != k {
+		t.Fatalf("slot 0 = %d (state %d), want %d claiming it", got, stateOf(meta), k)
+	}
+	for _, start := range []uint64{k, lastA} {
+		out := alt.ScanAppend(nil, start, k+1, 4)
+		if len(out) == 0 || out[len(out)-1] != (index.KV{Key: k, Value: 5}) {
+			t.Fatalf("scan [%d, %d] = %v, want it to end with the slot-0 key %d", start, k, out, k)
+		}
+	}
+}

@@ -34,9 +34,9 @@ package core
 // because retraining rebuilds the model (and a fresh, complete sidecar)
 // as soon as a model accumulates real overflow traffic.
 //
-// Removals from ART (Remove, tombstone claims, retrain range drains)
-// never invalidate: they only shrink the ART-resident set, so a stale
-// "maybe present" stays a harmless false positive.
+// Removals from ART (Remove, retrain range drains) never invalidate: they
+// only shrink the ART-resident set, and in-place updates (Update, upserts
+// behind a tombstone) keep it, so a stale "maybe present" stays harmless.
 
 // Sidecar tag values. A slot's tag is 0 when the build evicted nothing
 // there, the evicted key's fingerprint (in [1, 0xFE]) for exactly one

@@ -53,6 +53,55 @@ func TestCheckHistorySelfTest(t *testing.T) {
 	}
 }
 
+// TestCheckScansSelfTest pins the scan rules on hand-built histories: key 1
+// is inserted over [1, 2] and removed over [10, 11], key 2 is loaded, key 3
+// is never written.
+func TestCheckScansSelfTest(t *testing.T) {
+	ops := []Op{
+		{Kind: OpInsert, Key: 1, Value: 5, Call: 1, Return: 2},
+		{Kind: OpRemove, Key: 1, OK: true, Call: 10, Return: 11},
+	}
+	initial := map[uint64]uint64{2: 7}
+	scan := func(call, ret int64, max int, out ...index.KV) Scan {
+		return Scan{Start: 0, End: 100, Max: max, Out: out, Call: call, Return: ret}
+	}
+	one, two := index.KV{Key: 1, Value: 5}, index.KV{Key: 2, Value: 7}
+	cases := []struct {
+		name string
+		sc   Scan
+		ok   bool
+	}{
+		{"both present", scan(3, 4, 8, one, two), true},
+		{"a key present throughout is missing", scan(3, 4, 8, two), false},
+		{"a key outside the returned prefix is not owed", scan(3, 4, 1, one), true},
+		{"a key removed during the scan may be missing", scan(9, 12, 8, two), true},
+		{"a key removed during the scan may be returned", scan(9, 12, 8, one, two), true},
+		{"a key inserted during the scan may be missing", scan(0, 2, 8, two), true},
+		{"a key removed before the scan is a ghost", scan(12, 13, 8, one, two), false},
+		{"a value nothing wrote", scan(3, 4, 8, index.KV{Key: 1, Value: 6}, two), false},
+		{"a key never written", scan(3, 4, 8, one, two, index.KV{Key: 3, Value: 1}), false},
+		{"not ascending", scan(3, 4, 8, two, one), false},
+		{"outside the window", Scan{Start: 2, End: 3, Max: 8, Out: []index.KV{one, two}, Call: 3, Return: 4}, false},
+		{"more than max", scan(3, 4, 1, one, two), false},
+	}
+	for _, c := range cases {
+		bad := CheckScans(ops, []Scan{c.sc}, initial, nil)
+		if (len(bad) == 0) != c.ok {
+			t.Errorf("%s: ok = %v, want %v; report: %v", c.name, len(bad) == 0, c.ok, bad)
+		}
+	}
+	// An untracked key is owed nothing and may carry any value.
+	if bad := CheckScans(ops, []Scan{scan(3, 4, 8, one, index.KV{Key: 3, Value: 1})}, nil,
+		func(k uint64) bool { return k != 3 }); len(bad) > 0 {
+		t.Errorf("untracked key: %v", bad)
+	}
+	// The report names the key and shows its writes.
+	bad := CheckScans(ops, []Scan{scan(3, 4, 8, two)}, initial, nil)
+	if len(bad) != 1 || !strings.Contains(bad[0], "key 0x1 missing") || !strings.Contains(bad[0], "Insert(0x5)") {
+		t.Fatalf("report = %q", bad)
+	}
+}
+
 // historyKeys are the keys a history works on: half of them loaded, and a
 // key just above each loaded one, which predicts to the same slot in ALT
 // and so lives in ART whenever its neighbour holds the slot.
@@ -67,8 +116,10 @@ func historyKeys(loaded []uint64, n int) []uint64 {
 }
 
 // runHistory drives goroutines × ops random operations on hot keys through
-// a Recorder and checks the history. Every written value is unique.
-func runHistory(t *testing.T, ix index.Concurrent, initial map[uint64]uint64, hot []uint64, goroutines, ops int) {
+// a Recorder and checks the history: point ops and batches per key, scans
+// and each pull of a walk by CheckScans' rules over the keys tracked
+// reports true for (nil: all). Every written value is unique.
+func runHistory(t *testing.T, ix index.Concurrent, initial map[uint64]uint64, hot []uint64, tracked func(uint64) bool, goroutines, ops int) {
 	t.Helper()
 	var rec Recorder
 	var wg sync.WaitGroup
@@ -82,10 +133,25 @@ func runHistory(t *testing.T, ix index.Concurrent, initial map[uint64]uint64, ho
 			next := uint64(g+1) << 40
 			val := func() uint64 { next++; return next }
 			pick := func() uint64 { return hot[r.Intn(len(hot))] }
+			// A scan window starts at or just below a hot key and ends
+			// past another one, or runs to the end of the keyspace.
+			window := func() (uint64, uint64) {
+				start := pick() - uint64(r.Intn(4))
+				if r.Intn(4) == 0 {
+					return start, ^uint64(0)
+				}
+				return start, max(start, pick()) + 2
+			}
 			for i := 0; i < ops; i++ {
 				switch p := r.Intn(100); {
-				case p < 30:
+				case p < 20:
 					s.Get(pick())
+				case p < 27:
+					start, end := window()
+					s.ScanAppend(start, end, 1+r.Intn(16))
+				case p < 30:
+					start, end := window()
+					s.Walk(start, end, 1+r.Intn(2*index.WalkBatch))
 				case p < 55:
 					if err := s.Insert(pick(), val()); err != nil {
 						errs <- err
@@ -122,13 +188,30 @@ func runHistory(t *testing.T, ix index.Concurrent, initial map[uint64]uint64, ho
 	if bad := CheckHistory(rec.History(), initial); len(bad) > 0 {
 		t.Fatalf("%d of %d keys not linearizable; first:\n%s", len(bad), len(hot), bad[0])
 	}
+	scans := rec.Scans()
+	if bad := CheckScans(rec.History(), scans, initial, tracked); len(bad) > 0 {
+		t.Fatalf("%d of %d scans break a scan rule; first:\n%s", len(bad), len(scans), bad[0])
+	}
 }
 
 // TestHistoryLinearizable checks recorded concurrent histories of point
-// ops and batches against a per-key register, on ALT in the states it
-// serves and on bare ART, the substrate its conflict keys live in.
+// ops, batches and scans — against a per-key register and the scan rules —
+// on ALT in the states it serves and on bare ART, the substrate its
+// conflict keys live in.
 func TestHistoryLinearizable(t *testing.T) {
+	historyMatrix(t, nil)
+}
+
+// historyMatrix runs one recorded history on each index of the matrix.
+// arm, when set, runs between an index's setup and its history.
+func historyMatrix(t *testing.T, arm func(*testing.T, index.Concurrent)) {
 	const goroutines, hotKeys, ops = 4, 48, 1000
+	run := func(t *testing.T, ix index.Concurrent, initial map[uint64]uint64, hot []uint64, tracked func(uint64) bool) {
+		if arm != nil {
+			arm(t, ix)
+		}
+		runHistory(t, ix, initial, hot, tracked, goroutines, ops)
+	}
 	keys := dataset.Generate(dataset.OSM, 20000, 3)
 	pairsOf := func(keys []uint64) map[uint64]uint64 {
 		m := make(map[uint64]uint64, len(keys))
@@ -147,7 +230,7 @@ func TestHistoryLinearizable(t *testing.T) {
 		ix := core.New(core.Options{})
 		defer ix.Close()
 		bulk(t, ix, keys)
-		runHistory(t, ix, pairsOf(keys), historyKeys(keys, hotKeys), goroutines, ops)
+		run(t, ix, pairsOf(keys), historyKeys(keys, hotKeys), nil)
 	})
 
 	t.Run("ALT-grown", func(t *testing.T) {
@@ -168,7 +251,7 @@ func TestHistoryLinearizable(t *testing.T) {
 		if n := ix.StatsMap()["retrains"]; n < 3 {
 			t.Fatalf("grown index ran %d trainings, want several: %v", n, ix.StatsMap())
 		}
-		runHistory(t, ix, pairsOf(grown), historyKeys(grown, hotKeys), goroutines, ops)
+		run(t, ix, pairsOf(grown), historyKeys(grown, hotKeys), nil)
 	})
 
 	t.Run("ALT-retrain-storm", func(t *testing.T) {
@@ -184,6 +267,16 @@ func TestHistoryLinearizable(t *testing.T) {
 		isHot := make(map[uint64]bool, len(hot))
 		for _, k := range hot {
 			isHot[k] = true
+		}
+		// The storm's writes are not recorded, so the scan rules skip the
+		// keys it touches.
+		storm := map[uint64]bool{}
+		for i := 0; i < len(hot); i += 2 {
+			for j := uint64(0); j < 64; j++ {
+				if k := hot[i] + 2 + j; !isHot[k] {
+					storm[k] = true
+				}
+			}
 		}
 		stop := make(chan struct{})
 		stormDone := make(chan struct{})
@@ -210,7 +303,7 @@ func TestHistoryLinearizable(t *testing.T) {
 		}()
 		defer func() { close(stop); <-stormDone }()
 		before := ix.StatsMap()["retrains"]
-		runHistory(t, ix, pairsOf(keys), hot, goroutines, ops)
+		run(t, ix, pairsOf(keys), hot, func(k uint64) bool { return !storm[k] })
 		if n := ix.StatsMap()["retrains"] - before; n < 10 {
 			t.Fatalf("%d rebuilds ran during the history; the storm did not storm", n)
 		}
@@ -219,6 +312,6 @@ func TestHistoryLinearizable(t *testing.T) {
 	t.Run("ART", func(t *testing.T) {
 		ix := art.New(nil)
 		bulk(t, ix, keys)
-		runHistory(t, ix, pairsOf(keys), historyKeys(keys, hotKeys), goroutines, ops)
+		run(t, ix, pairsOf(keys), historyKeys(keys, hotKeys), nil)
 	})
 }
