@@ -222,8 +222,8 @@ func Experiments() []Experiment {
 					{NamedFactory: ALTWith("ALT-miss", core.Options{}), cell: cachelineMiss}}}}},
 
 		// The writer tail of the asynchronous retraining pipeline: the Fig 8(b)
-		// hot-write workload run against ALT with the background worker pool
-		// (the default) and with retraining disabled (the no-rebuild lower
+		// hot-write workload run against ALT with its background retraining
+		// worker (the default) and with retraining disabled (the no-rebuild lower
 		// bound). The P99/P99.9 columns are the point: with the rebuild off the
 		// writer's critical path the two tails should be indistinguishable.
 		// FreezeMax is the longest single freeze window; Spins counts writer

@@ -60,11 +60,11 @@ type Options struct {
 	Shards int
 	// RetrainGate, when non-nil, is a shared semaphore bounding how many
 	// rebuilds may execute concurrently across every index holding the
-	// same channel: a worker sends before rebuilding and receives after.
-	// The sharded front-end hands one gate to all of its shards so the
-	// per-shard retraining pipelines share a global rebuild budget (one
-	// hot shard queues behind the gate instead of oversubscribing the
-	// CPU). Nil means ungated, the single-instance default.
+	// same channel: an index's retraining worker sends before rebuilding
+	// and receives after. Each index rebuilds one range at a time anyway;
+	// the sharded front-end hands one gate to all of its shards so the
+	// shards together share one rebuild budget instead of running one
+	// rebuild each. Nil means ungated, the single-instance default.
 	RetrainGate chan struct{}
 }
 
@@ -120,14 +120,13 @@ func New(opts Options) *ALT {
 	t.tab.Store(emptyTable())
 	t.ret.q = make(chan *model, retrainQueue)
 	t.ret.stop = make(chan struct{})
-	t.ret.workers = min(4, max(1, runtime.GOMAXPROCS(0)/2))
 	return t
 }
 
-// Close stops the background retraining workers and drains the trigger
+// Close stops the background retraining worker and drains the trigger
 // queue. The index stays readable and writable afterwards — subsequent
 // triggers are simply dropped. Implements io.Closer so harnesses that
-// close their indexes reap the worker goroutines.
+// close their indexes reap the worker goroutine.
 func (t *ALT) Close() error {
 	r := &t.ret
 	if !r.closed.CompareAndSwap(false, true) {

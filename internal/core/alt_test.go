@@ -577,7 +577,7 @@ func TestAutoInitialTraining(t *testing.T) {
 		}
 	}
 	// The first training is the one model's ordinary trigger, run by the
-	// worker pool: wait for it (and the rebuilds it spawned) to land.
+	// retraining worker: wait for it (and the rebuilds it spawned) to land.
 	alt.Quiesce()
 	checkTable(t, alt)
 	st := alt.StatsMap()

@@ -115,9 +115,8 @@ type chaosConfig struct {
 	// opts overrides the index configuration (nil means the harness
 	// default).
 	opts *Options
-	// workers and queue, when workers is set, pin the retraining pipeline
-	// (pinRetrainPipeline).
-	workers, queue int
+	// queue, when set, pins the trigger queue's capacity (pinRetrainPipeline).
+	queue int
 	// check, when set, runs scenario-specific assertions after the audit.
 	check func(t *testing.T, idx *ALT)
 }
@@ -145,8 +144,8 @@ func runChaosWorkload(t *testing.T, cfg chaosConfig) (*ALT, map[uint64]uint64) {
 		opts = *cfg.opts
 	}
 	idx := New(opts)
-	if cfg.workers > 0 {
-		pinRetrainPipeline(idx, cfg.workers, cfg.queue)
+	if cfg.queue > 0 {
+		pinRetrainPipeline(idx, cfg.queue)
 	}
 	t.Cleanup(func() { idx.Close() })
 	// Grid keys i*stride+7 are writer-owned; i*stride+31 are immutable
@@ -362,7 +361,6 @@ func TestChaosProtocol(t *testing.T) {
 			},
 			mustFire: []string{"core/retrain/enqueue"},
 			opts:     &Options{ErrorBound: 16, RetrainMinInserts: 32},
-			workers:  1,
 			queue:    1,
 			check: func(t *testing.T, idx *ALT) {
 				// The workload's trigger arrivals are timing-dependent —
@@ -382,18 +380,17 @@ func TestChaosProtocol(t *testing.T) {
 			},
 		},
 		{
-			// Concurrent splice: several workers rebuild disjoint ranges
-			// while every splice stalls between taking the publish lock and
-			// re-resolving the table — the interleaving per-range admission
-			// must make safe (each splice lands on a table a concurrent
-			// rebuild just replaced).
+			// Concurrent splice: every splice stalls after its new models
+			// are filled and before it absorbs placeholders and builds the
+			// new table, so it runs against live writers (which may claim
+			// an absorbable placeholder meanwhile) and against routing on
+			// the table it is about to replace.
 			name: "concurrent-splice",
 			specs: map[string]string{
 				"core/retrain/splice":  "delay(200us)",
 				"core/retrain/publish": "yield",
 			},
 			mustFire: []string{"core/retrain/splice"},
-			workers:  4,
 			queue:    64,
 		},
 	} {

@@ -192,3 +192,90 @@ func TestTombstoneUpsertUpdatesARTCopy(t *testing.T) {
 		})
 	}
 }
+
+// TestScanDedupAcrossSlotReuse replays scanAppend's steps with a slot reuse
+// between the learned read and the ART read, and no rebuild: the learned
+// read takes J from its slot, Remove(J) tombstones the slot, a fresh K
+// predicted to it claims the tombstone, and Insert(J) evicts J into ART
+// behind K. The ART read then returns J again and frozenIn, which only sees
+// freezes, passes the scan, so the merge meets J in both runs. It must emit
+// J once, with the learned read's value.
+func TestScanDedupAcrossSlotReuse(t *testing.T) {
+	keys := dataset.Generate(dataset.OSM, 20000, 5)
+	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
+	loaded := make(map[uint64]bool, len(keys))
+	for _, k := range keys {
+		loaded[k] = true
+	}
+	tb := alt.tab.Load()
+
+	// J is a loaded slot resident; K is a fresh key predicting to J's slot.
+	var j, k uint64
+	var pos, s int
+	found := false
+	for _, c := range keys[len(keys)/3:] {
+		pos = tb.route(c)
+		s = tb.dir[pos].slotOf(c)
+		if sk, _, st, ok := tb.dir[pos].read(s); !ok || st&slotOccupied == 0 || sk != c {
+			continue
+		}
+		if k, found = slotMate(tb, pos, s, c, loaded); found {
+			j = c
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no slot resident with a free slot mate")
+	}
+
+	start, hi, want := min(j, k), max(j, k)+1<<20, 64
+	tab := alt.tab.Load()
+	first := tab.route(start)
+	learned, next, ok := alt.collectRuns(tab, first, start, hi, want, nil) // 1
+	if !ok {
+		t.Fatal("collectRuns met a frozen slot with retraining disabled")
+	}
+	if !alt.Remove(j) { // 2
+		t.Fatalf("Remove(J %#x) failed", j)
+	}
+	if err := alt.Insert(k, 1); err != nil { // 3
+		t.Fatal(err)
+	}
+	e := &tb.dir[pos]
+	if sk, _, meta, ok := e.read(s); !ok || stateOf(meta) != slotOccupied || sk != k {
+		t.Fatalf("K %#x did not claim J's tombstoned slot: (%#x, state %d)", k, sk, stateOf(meta))
+	}
+	if err := alt.Insert(j, 2); err != nil { // 4
+		t.Fatal(err)
+	}
+	if v, inART := alt.tree.Get(j); !inART || v != 2 {
+		t.Fatalf("J %#x was not evicted into ART behind K: %d,%v", j, v, inART)
+	}
+	artHi := hi
+	if len(learned) >= want {
+		artHi = learned[len(learned)-1].Key
+	}
+	art := alt.tree.AppendRange(nil, start, artHi, want) // 5
+	if tab.frozenIn(first, next, start) {
+		t.Fatal("frozenIn reports a freeze with retraining disabled")
+	}
+	inLearned, inArt := false, false
+	for _, kv := range learned {
+		inLearned = inLearned || kv.Key == j
+	}
+	for _, kv := range art {
+		inArt = inArt || kv.Key == j
+	}
+	if !inLearned || !inArt {
+		t.Fatalf("J %#x not in both runs (learned %v, ART %v); the replay did not reach the merge", j, inLearned, inArt)
+	}
+	var got []index.KV
+	for _, kv := range mergeRuns(nil, learned, art, want) {
+		if kv.Key == j {
+			got = append(got, kv)
+		}
+	}
+	if len(got) != 1 || got[0].Value != dataset.ValueFor(j) {
+		t.Fatalf("scan emitted J %#x as %v, want it once with the learned value %d", j, got, dataset.ValueFor(j))
+	}
+}

@@ -23,12 +23,12 @@ import "altindex/internal/failpoint"
 //	                      model is armed and before the trigger enters the
 //	                      bounded queue — stretching it piles triggers up
 //	                      and forces the queue-overflow drop/re-arm path.
-//	core/retrain/splice   fires just after a rebuild takes the publish
-//	                      lock and before it re-resolves the table —
-//	                      stretching it makes concurrent rebuilds of
-//	                      disjoint ranges collide on the splice, the
-//	                      interleaving the per-range admission must make
-//	                      safe.
+//	core/retrain/splice   fires after a rebuild has filled its new models
+//	                      and before it absorbs placeholder neighbours and
+//	                      builds the new table — stretching it holds a
+//	                      splice open against live writers (which may
+//	                      claim an absorbable placeholder meanwhile) and
+//	                      routing on the old table.
 //	core/fpbuf/register   fires inside the fast-pointer buffer's append
 //	                      lock (§III-C), stalling concurrent registrations
 //	                      from lazy linking and retraining.

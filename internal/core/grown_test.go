@@ -10,7 +10,7 @@ import (
 // grow inserts keys into a fresh index in random order, so that every
 // model comes from a retraining rebuild, and drains the pipeline. With
 // stepwise it drains after every insert, so each training runs before the
-// next key and the result does not depend on the workers' timing.
+// next key and the result does not depend on the worker's timing.
 func grow(tb testing.TB, keys []uint64, seed int64, stepwise bool) *ALT {
 	tb.Helper()
 	order := append([]uint64(nil), keys...)
@@ -31,7 +31,7 @@ func grow(tb testing.TB, keys []uint64, seed int64, stepwise bool) *ALT {
 // TestGrownModelsConverge checks that an index grown by inserts builds
 // about the models a Bulkload of the same keys builds: every rebuild takes
 // ε from the index's live key count, the §III-D rule Bulkload applies to
-// its input. It grows stepwise: with live workers the count varies from
+// its input. It grows stepwise: with a live worker the count varies from
 // run to run (up to 2.2× on libio at -cpu 1). Stepwise, 1 M grown keys
 // make 0.98× (osm), 1.38× (libio) and 1.50× (fb) the bulkloaded count;
 // with ε fixed at the empty index's 16 they made 1.99×, 3.07× and 7.28×.

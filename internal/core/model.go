@@ -147,9 +147,9 @@ func (l *layout) valRef(s int) *atomic.Uint64 {
 }
 
 // place fills free slot s with plain stores. Only for a model no other
-// goroutine can reach yet (build, shell fill): the tab.Store or
-// Swap that publishes it orders these writes before any reader's loads, so
-// the three locked XCHGs an atomic Store would cost per key buy nothing.
+// goroutine can reach yet (build, shell fill): the table swap that
+// publishes it orders these writes before any reader's loads, so the
+// three locked XCHGs an atomic Store would cost per key buy nothing.
 func (l *layout) place(s int, key, val uint64) {
 	b := &l.blocks[s>>blockShift]
 	j := s & blockMask

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,47 +26,33 @@ import (
 //     channel. On overflow the trigger is dropped but the model re-armed,
 //     so the next threshold-crossing insert re-triggers it — a dropped
 //     trigger is deferred, never lost.
-//  2. Admission (worker): the worker resolves the model's immutable
-//     routing range and claims it in the active-range set. Ranges of live
-//     models are disjoint, so unrelated rebuilds run concurrently; the
-//     claim exists to serialize against splice-time placeholder absorption
-//     and to make overlap structurally impossible.
-//  3. Rebuild + publish: the freeze window is shrunk by hoisting the
-//     expensive work out of it (see rebuild), and the copy-on-write table
-//     splice serializes under a short publish lock during which adjacent
-//     empty placeholder models are absorbed, so the table stops growing
-//     monotonically under churn.
+//  2. Rebuild (worker): one retraining goroutine per index takes the
+//     triggers in order and rebuilds one model at a time. The freeze
+//     window is shrunk by hoisting the expensive work out of it (see
+//     rebuild).
+//  3. Publish (worker): the copy-on-write table splice, during which
+//     adjacent empty placeholder models are absorbed, so the table stops
+//     growing monotonically under churn. The worker is the only code that
+//     publishes a table apart from Bulkload, which drains it first, so no
+//     two rebuilds ever overlap and a live model's range never changes
+//     under its rebuild.
 
-// retrainQueue bounds the trigger queue feeding the worker pool, sized to
-// hold a burst of triggers from many crowded models while the few workers
-// rebuild. On overflow the trigger is dropped and the model disarmed, so a
-// later threshold-crossing insert re-triggers it.
+// retrainQueue bounds the trigger queue feeding the worker, sized to hold
+// a burst of triggers from many crowded models while the worker rebuilds.
+// On overflow the trigger is dropped and the model disarmed, so a later
+// threshold-crossing insert re-triggers it.
 const retrainQueue = 256
-
-// keyRange is an inclusive key interval claimed by an in-flight rebuild.
-type keyRange struct{ lo, hi uint64 }
 
 // retrainer owns the background retraining state of one ALT.
 type retrainer struct {
-	q       chan *model // capacity retrainQueue
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	once    sync.Once
-	closed  atomic.Bool
-	workers int // pool size, set by New: min(4, max(1, GOMAXPROCS/2))
-
-	// mu guards active, the set of key ranges claimed by in-flight
-	// rebuilds (including splice-time placeholder absorption).
-	mu     sync.Mutex
-	active []keyRange
-
-	// publishMu serializes copy-on-write table splices. Held only for the
-	// splice itself (array copies + store), never across a freeze or a
-	// segmentation.
-	publishMu sync.Mutex
+	q      chan *model // capacity retrainQueue
+	stop   chan struct{}
+	wg     sync.WaitGroup
+	once   sync.Once
+	closed atomic.Bool
 
 	pending  atomic.Int64 // triggers accepted and not yet finished
-	inflight atomic.Int64 // rebuilds currently executing
+	inflight atomic.Int64 // rebuilds currently executing (0 or 1)
 	drops    atomic.Int64 // triggers dropped on queue overflow (re-armed)
 	merges   atomic.Int64 // placeholder models absorbed during splices
 
@@ -76,58 +60,30 @@ type retrainer struct {
 	freezeNsMax   atomic.Int64 // longest single freeze window
 }
 
-// ensureWorkers starts the worker pool on the first trigger, so idle
-// indexes never own goroutines.
-func (r *retrainer) ensureWorkers(t *ALT) {
+// ensureWorker starts the worker on the first trigger, so idle indexes
+// never own a goroutine.
+func (r *retrainer) ensureWorker(t *ALT) {
 	r.once.Do(func() { r.launch(t) })
 }
 
 func (r *retrainer) launch(t *ALT) {
-	for i := 0; i < r.workers; i++ {
-		r.wg.Add(1)
-		ctx := pprof.WithLabels(context.Background(),
-			pprof.Labels("task", "retrain-worker", "worker", strconv.Itoa(i)))
-		go func() {
-			defer r.wg.Done()
-			// Label the goroutine so CPU and goroutine profiles attribute
-			// pipeline time to the pool instead of an anonymous func; the
-			// per-rebuild key range is layered on in processRetrain.
-			pprof.SetGoroutineLabels(ctx)
-			for {
-				select {
-				case <-r.stop:
-					return
-				case m := <-r.q:
-					t.processRetrain(ctx, m)
-				}
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		// Label the goroutine so CPU and goroutine profiles attribute
+		// pipeline time to the worker instead of an anonymous func; the
+		// per-rebuild key range is layered on in processRetrain.
+		ctx := pprof.WithLabels(context.Background(), pprof.Labels("task", "retrain-worker"))
+		pprof.SetGoroutineLabels(ctx)
+		for {
+			select {
+			case <-r.stop:
+				return
+			case m := <-r.q:
+				t.processRetrain(ctx, m)
 			}
-		}()
-	}
-}
-
-// tryAcquire claims [lo, hi] if it overlaps no active claim.
-func (r *retrainer) tryAcquire(lo, hi uint64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, a := range r.active {
-		if lo <= a.hi && a.lo <= hi {
-			return false
 		}
-	}
-	r.active = append(r.active, keyRange{lo, hi})
-	return true
-}
-
-func (r *retrainer) release(lo, hi uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, a := range r.active {
-		if a.lo == lo && a.hi == hi {
-			r.active[i] = r.active[len(r.active)-1]
-			r.active = r.active[:len(r.active)-1]
-			return
-		}
-	}
+	}()
 }
 
 // maybeRetrain is the writer-side trigger (§III-F): two counter loads on
@@ -151,8 +107,8 @@ func (t *ALT) maybeRetrain(m *model) {
 	t.enqueueRetrain(m)
 }
 
-// enqueueRetrain hands an armed model to the worker pool without blocking
-// the writer. A full queue drops the trigger but disarms the model, so a
+// enqueueRetrain hands an armed model to the worker without blocking the
+// writer. A full queue drops the trigger but disarms the model, so a
 // later threshold-crossing insert re-enqueues it: the pre-async code lost
 // such triggers entirely (a failed TryLock left the crowded model silently
 // crowded until the next insert happened to re-trip the threshold — which
@@ -163,7 +119,7 @@ func (t *ALT) enqueueRetrain(m *model) {
 		m.retrainArmed.Store(false)
 		return
 	}
-	r.ensureWorkers(t)
+	r.ensureWorker(t)
 	fpRetrainEnqueue.Inject()
 	r.pending.Add(1)
 	select {
@@ -175,70 +131,42 @@ func (t *ALT) enqueueRetrain(m *model) {
 	}
 }
 
-// processRetrain is one dequeued trigger: identity check, range admission,
-// rebuild. A model that fails admission is pushed back still armed — a
-// crowding model waiting out a neighboring splice must not be forgotten.
-//
-// Accounting contract: pending was incremented when the trigger was
-// accepted; every terminal exit decrements it, a requeue is net zero.
+// processRetrain is one dequeued trigger: an identity check, then the
+// rebuild. Every exit decrements pending, which was incremented when the
+// trigger was accepted.
 func (t *ALT) processRetrain(ctx context.Context, m *model) {
 	r := &t.ret
-	finish := func() {
+	defer func() {
 		m.retrainArmed.Store(false)
 		r.pending.Add(-1)
-	}
-	cur := t.tab.Load()
-	pos := cur.posOf(m)
+	}()
+	tab := t.tab.Load()
+	pos := tab.posOf(m)
 	if pos < 0 {
-		finish() // replaced by a rebuild or absorbed since the trigger
-		return
-	}
-	lo, end := cur.rangeBounds(pos)
-	if !r.tryAcquire(lo, end) {
-		select {
-		case r.q <- m: // stays armed; net-zero on pending
-		default:
-			r.drops.Add(1)
-			finish()
-		}
-		runtime.Gosched() // let the conflicting rebuild progress
-		return
-	}
-	// Admitted. Re-verify identity: a splice may have replaced m between
-	// the lookup and the claim. Boundaries are immutable while a model
-	// lives, so lo/end still denote this claim's range either way.
-	if t.tab.Load().posOf(m) < 0 {
-		r.release(lo, end)
-		finish()
-		return
+		return // replaced by a rebuild or absorbed since the trigger
 	}
 	// Shared rebuild budget: when a gate is configured (the sharded
 	// front-end hands one gate to every shard), acquire a slot before the
-	// rebuild so the per-index pipelines cannot collectively oversubscribe
-	// the CPU. The range claim is already held, which is safe: claims are
-	// per-index and rebuilds never acquire a second gate slot, so gate
-	// waiters only ever wait on rebuilds that finish on their own.
+	// rebuild, so the indexes sharing the gate cannot together
+	// oversubscribe the CPU. A rebuild holds one slot and nothing else, so
+	// gate waiters only ever wait on rebuilds that finish on their own.
+	// The table cannot change meanwhile: only this worker publishes it.
 	if gate := t.opts.RetrainGate; gate != nil {
 		select {
 		case gate <- struct{}{}:
+			defer func() { <-gate }()
 		case <-r.stop:
-			r.release(lo, end)
-			finish()
 			return
 		}
 	}
 	r.inflight.Add(1)
-	// Scope the claimed key range onto the worker's profiler labels for the
+	defer r.inflight.Add(-1)
+	// Scope the rebuilt key range onto the worker's profiler labels for the
 	// rebuild's duration (pprof.Do restores ctx's labels after), so a CPU
 	// profile splits rebuild cost per range.
+	lo, end := tab.rangeBounds(pos)
 	pprof.Do(ctx, pprof.Labels("range", fmt.Sprintf("%#x-%#x", lo, end)),
-		func(context.Context) { t.rebuild(m, lo, end) })
-	r.inflight.Add(-1)
-	if gate := t.opts.RetrainGate; gate != nil {
-		<-gate
-	}
-	r.release(lo, end)
-	finish()
+		func(context.Context) { t.rebuild(tab, pos) })
 }
 
 // posOf returns m's table position — the retrainer's own lookup, through
@@ -252,8 +180,8 @@ func (tb *table) posOf(m *model) int {
 
 // rangeBounds returns the inclusive key range routed to the model at
 // position pos. The range is immutable while the model lives: rebuilds
-// preserve the spliced range's lower end (see rebuild) and only the owner
-// of a range's claim may remove its boundaries.
+// preserve the spliced range's lower end (see rebuild), and only a splice
+// that replaces the model removes its boundaries.
 func (tb *table) rangeBounds(pos int) (lo, end uint64) {
 	lo = tb.bounds[pos]
 	if pos == 0 {
@@ -283,15 +211,21 @@ func (tb *table) rangeBounds(pos int) (lo, end uint64) {
 //	             is an exact cut). Place the exact keys into the
 //	             shells (fillShells, Bulkload's fill); evict conflicts
 //	             to ART.
-//	publish      under the short publish lock: absorb adjacent empty
-//	             placeholder models into the splice, swap the table,
-//	             record the freeze-window duration.
+//	publish      absorb adjacent empty placeholder models into the
+//	             splice, swap the table, record the freeze-window
+//	             duration.
 //
 // The freeze window therefore covers only slot draining, one ordered ART
 // traversal and array placement — segmentation and allocation moved off
 // it, and the old per-key tree.Remove loop (O(n·log n) descents) is one
 // bulk traversal now.
-func (t *ALT) rebuild(m *model, lo, end uint64) {
+//
+// cur is the live table and pos m's position in it. Nothing else publishes
+// while the worker rebuilds (Bulkload drains it first), so both still hold
+// at the splice.
+func (t *ALT) rebuild(cur *table, pos int) {
+	m := cur.dir[pos].m
+	lo, end := cur.rangeBounds(pos)
 	gap, eps := min(t.opts.GapFactor*2, 4), t.opts.errorBound(t.Len())
 
 	// --- Pre-freeze: candidate snapshot + segmentation + allocation. ---
@@ -340,19 +274,8 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 		newModels = []*model{emptyModel(m.first)}
 	}
 
-	// --- Publish: splice + placeholder absorption under the short lock. ---
-	r := &t.ret
-	r.publishMu.Lock()
+	// --- Publish: splice + placeholder absorption. ---
 	fpRetrainSplice.Inject()
-	cur := t.tab.Load()
-	pos := cur.posOf(m)
-	if pos < 0 {
-		// Cannot happen while this rebuild holds the range claim: only
-		// the claim owner splices a range out. Loud beats losing the
-		// frozen keys silently.
-		r.publishMu.Unlock()
-		panic("core: frozen model vanished from the table during rebuild")
-	}
 
 	// Absorb adjacent never-written placeholders into this splice. A
 	// placeholder whose single slot is still state 0 proves its whole
@@ -362,14 +285,13 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	// tombstoned placeholder is NOT absorbable — its range may hold ART
 	// residents that need a non-empty predicted slot.
 	loIdx, hiIdx := pos, pos
-	var absorbed []keyRange
-	for loIdx > 0 && t.absorbNeighbor(cur, loIdx-1, &absorbed) {
+	for loIdx > 0 && absorbNeighbor(cur.dir[loIdx-1].m) {
 		loIdx--
 	}
-	for hiIdx+1 < len(cur.dir) && t.absorbNeighbor(cur, hiIdx+1, &absorbed) {
+	for hiIdx+1 < len(cur.dir) && absorbNeighbor(cur.dir[hiIdx+1].m) {
 		hiIdx++
 	}
-	r.merges.Add(int64(len(absorbed)))
+	t.ret.merges.Add(int64(hiIdx - loIdx))
 
 	// The new table: the old one with [loIdx, hiIdx] replaced by the new
 	// models, each bounded by its prediction origin — except the first.
@@ -397,18 +319,18 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	}
 
 	fpRetrainPublish.Inject()
-	t.tab.Store(newTab)
+	if !t.tab.CompareAndSwap(cur, newTab) {
+		// Loud beats losing the frozen keys silently.
+		panic("core: a table was published during a rebuild")
+	}
 	t.retrains.Add(1)
 	freezeNs := time.Since(freezeStart).Nanoseconds()
-	r.publishMu.Unlock()
 
 	// The spliced-out models (the rebuilt one plus absorbed placeholders)
 	// are unreachable from the new table and stay frozen; the collector
 	// frees them once the last reader still holding the old table lets go.
 
-	for _, a := range absorbed {
-		r.release(a.lo, a.hi)
-	}
+	r := &t.ret
 	r.freezeNsTotal.Add(freezeNs)
 	for {
 		old := r.freezeNsMax.Load()
@@ -418,28 +340,19 @@ func (t *ALT) rebuild(m *model, lo, end uint64) {
 	}
 }
 
-// absorbNeighbor tries to fold the placeholder model at table position i
-// into an in-progress splice. It claims the placeholder's range (so no
-// concurrent rebuild can also touch it), freezes its single slot and
-// verifies it is still never-written; any failure backs out. On success
-// the claim is recorded in *absorbed for release after the publish.
-func (t *ALT) absorbNeighbor(cur *table, i int, absorbed *[]keyRange) bool {
-	em := cur.dir[i].m
+// absorbNeighbor tries to fold the placeholder model em, a neighbour of the
+// rebuilt one, into the splice. It freezes em's single slot and verifies it
+// is still never-written, backing out if a writer claimed it first.
+func absorbNeighbor(em *model) bool {
 	if em.nslots != 1 || stateOf(em.metaRef(0).Load()) != 0 {
-		return false
-	}
-	nlo, nend := cur.rangeBounds(i)
-	if !t.ret.tryAcquire(nlo, nend) {
 		return false
 	}
 	em.freeze()
 	if stateOf(em.metaRef(0).Load()) != 0 {
 		// A writer claimed the slot between the check and the freeze.
 		em.unfreeze()
-		t.ret.release(nlo, nend)
 		return false
 	}
-	*absorbed = append(*absorbed, keyRange{nlo, nend})
 	return true
 }
 
@@ -482,8 +395,10 @@ func mergeSortedKeys(a, b []uint64) []uint64 {
 }
 
 // mergeSorted merges two ascending key streams (model entries and ART
-// residents) into one ascending stream. Equal keys — possible only in a
-// narrow migration window — keep the model copy, which is newer.
+// residents) into one ascending stream. A rebuild merges the frozen slots
+// with the drained ART range, and those share no key: invariant 1 puts a
+// live key in one layer, and invariant 4 keeps it there outside a freeze.
+// Equal keys would keep the model copy.
 func mergeSorted(ak []uint64, avals []uint64, bk []uint64, bvals []uint64) (keys, vals []uint64) {
 	keys = make([]uint64, 0, len(ak)+len(bk))
 	vals = make([]uint64, 0, len(ak)+len(bk))

@@ -9,11 +9,9 @@ import (
 	"altindex/internal/dataset"
 )
 
-// pinRetrainPipeline replaces the worker count and trigger queue that New
-// derives from GOMAXPROCS and retrainQueue. Call it before the first
-// trigger, which starts the pool.
-func pinRetrainPipeline(t *ALT, workers, queue int) {
-	t.ret.workers = workers
+// pinRetrainPipeline replaces the trigger queue New sizes at
+// retrainQueue. Call it before the first trigger, which starts the worker.
+func pinRetrainPipeline(t *ALT, queue int) {
 	t.ret.q = make(chan *model, queue)
 }
 
@@ -30,9 +28,9 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 		keys[i] = uint64(i) * 1000
 	}
 	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 8}, keys)
-	pinRetrainPipeline(alt, alt.ret.workers, 1)
+	pinRetrainPipeline(alt, 1)
 
-	// Consume the worker-launch once so no worker drains the queue, then
+	// Consume the worker launch once so no worker drains the queue, then
 	// wedge the queue with a decoy model that is not in the table. The
 	// accounting mirrors enqueueRetrain: armed + pending before the send.
 	alt.ret.once.Do(func() {})
@@ -53,14 +51,14 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 		t.Fatal("full queue produced no drops")
 	}
 	if alt.retrains.Load() != 0 {
-		t.Fatal("retrain ran with no workers and a wedged queue")
+		t.Fatal("retrain ran with no worker and a wedged queue")
 	}
 	m, _ := routed(alt.tab.Load(), hot)
 	if m.retrainArmed.Load() {
 		t.Fatal("dropped trigger left the model armed — future triggers are dead")
 	}
 
-	// Start the workers and let them drain the decoy, then a further burst
+	// Start the worker and let it drain the decoy, then a further burst
 	// of inserts must re-arm and retrain the starved model. (The trigger
 	// sits on the conflict branch, so a burst — not a single key — makes
 	// sure at least one insert evicts to ART and re-trips it.)
@@ -84,14 +82,12 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 }
 
 // TestConcurrentDisjointRetrains hammers several far-apart key regions
-// from concurrent writers so multiple models cross their retrain
-// thresholds together. Disjoint ranges must rebuild concurrently without
-// losing keys; run under -race this also exercises the admission and
-// publish locking.
+// from concurrent writers so many models cross their retrain thresholds
+// together and their triggers queue behind the index's one worker. No key
+// may be lost while the rebuilds run one after another under live writes.
 func TestConcurrentDisjointRetrains(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 30000, 41)
 	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 64}, keys)
-	pinRetrainPipeline(alt, 4, retrainQueue)
 
 	const writers = 8
 	const perWriter = 4000

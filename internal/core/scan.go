@@ -38,10 +38,12 @@ func putScanBufs(b *scanBufs) {
 //
 // The learned layer is read through a block-granular run kernel (one
 // seqlock validation per 8-slot block, per-slot fallback only on
-// contention) and merged with the ART layer span-wise; equal keys —
-// possible only inside a migration window — are deduplicated in favour of
-// the learned copy. Callers that reuse dst across scans pay zero
-// allocations.
+// contention) and merged with the ART layer span-wise. The two reads can
+// meet one key without any rebuild: the learned read takes it from its
+// slot, it is removed, a fresh key claims the tombstoned slot, and its
+// re-insert is evicted into ART before the ART read. Equal keys are
+// therefore deduplicated, in favour of the learned copy. Callers that
+// reuse dst across scans pay zero allocations.
 func (t *ALT) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV {
 	if max <= 0 || (end != ^uint64(0) && end <= start) {
 		return dst
@@ -258,9 +260,12 @@ func (l *layout) readPersistent(s int) (key, val uint64, meta uint32, ok bool) {
 // run by a galloping search from the merge frontier and the learned span
 // below it is copied wholesale. Galloping adapts to the actual ART
 // density — a sparse ART pays O(log span) per entry over long spans,
-// while densely interleaved entries (a migration-heavy index) resolve in
-// one or two probes, so the merge never degrades below the per-key 3-way
-// loop it replaces. Equal keys prefer the learned copy.
+// while densely interleaved entries (an ART-heavy index) resolve in one
+// or two probes, so the merge never degrades below the per-key 3-way loop
+// it replaces. Equal keys prefer the learned copy: a key read from its
+// slot can turn up in the later ART read after a remove, a slot reuse and
+// a re-insert in between (see ScanAppend), and the learned read is the
+// earlier one.
 func mergeRuns(dst, learned, art []index.KV, max int) []index.KV {
 	if len(art) == 0 {
 		n := len(learned)

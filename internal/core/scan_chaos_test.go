@@ -16,14 +16,14 @@ import (
 )
 
 // TestScanDedupDuringStretchedMigration stretches the §III-F freeze and
-// publish windows while a hot insert stream keeps models migrating, and
+// publish windows while a hot insert stream keeps models rebuilding, and
 // scans continuously through both the bounded kernel and the callback
-// shim. Inside a migration window the same key is transiently reachable
-// through the frozen model and its ART-migrated copy; every scan must
-// still emit strictly ascending keys (no duplicate = the dedup held, and
-// it must hold by preferring the learned copy) with exact values — every
-// write in this test is Insert(k, ValueFor(k)), so any torn or
-// double-merged pair is visible.
+// shim. A rebuild moves keys between the layers only while its model is
+// frozen; a scan that read the slots before the freeze and ART after the
+// move could meet a key twice, and frozenIn sends it back to retry. Every
+// scan must emit strictly ascending keys with exact values — every write
+// in this test is Insert(k, ValueFor(k)), so a torn or double-merged pair
+// is visible.
 func TestScanDedupDuringStretchedMigration(t *testing.T) {
 	const grid = 1 << 12
 	keys := make([]uint64, 0, grid)

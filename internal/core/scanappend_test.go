@@ -190,13 +190,15 @@ func TestScanAppendZeroAlloc(t *testing.T) {
 }
 
 // TestScanDedupPrefersLearned plants the same key in both layers with
-// different values — the shape a migration window produces — and checks
-// the merge emits exactly one copy, the learned one.
+// different values and checks the merge emits exactly one copy, the
+// learned one. The planted state is one the index never holds (invariant
+// 1); the merge meets it when a slot is reused between a scan's two reads,
+// which TestScanDedupAcrossSlotReuse replays.
 func TestScanDedupPrefersLearned(t *testing.T) {
 	keys, _, _ := twoClusterKeys()
 	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
 	dup := keys[100]
-	alt.tree.Put(dup, 0xDEAD)                    // shadow copy, as during a migration window
+	alt.tree.Put(dup, 0xDEAD)                    // a second copy, in ART
 	dst := alt.ScanAppend(nil, dup-2, dup+2, 10) // keys stride by 2
 	if len(dst) != 2 || dst[0].Key != dup-2 || dst[1].Key != dup {
 		t.Fatalf("dup window = %v, want [%d %d]", dst, dup-2, dup)

@@ -49,7 +49,7 @@ func TestShardChaosRouteRacingSplice(t *testing.T) {
 	}
 
 	// Wedge routed operations between router resolution and the shard
-	// probe while every splice stalls holding the publish lock.
+	// probe while every splice stalls before building its new table.
 	for site, spec := range map[string]string{
 		"shard/route":         "2%delay(50us)",
 		"core/retrain/splice": "delay(200us)",

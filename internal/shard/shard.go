@@ -22,7 +22,6 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,20 +77,6 @@ type routing struct {
 	ixs []*core.ALT
 }
 
-// rebuildBudget is the default shared-rebuild-slot count, matching the
-// worker-pool default of a single core.ALT: the sharded index as a whole
-// gets the same background rebuild parallelism as one unsharded index.
-func rebuildBudget() int {
-	n := runtime.GOMAXPROCS(0) / 2
-	if n < 1 {
-		n = 1
-	}
-	if n > 4 {
-		n = 4
-	}
-	return n
-}
-
 // clampShards normalizes a requested shard count into [1, MaxShards].
 func clampShards(s int) int {
 	if s < 1 {
@@ -140,7 +125,9 @@ func NewWithBounds(opts core.Options, bounds []uint64) (*ALT, error) {
 func newFront(opts core.Options) *ALT {
 	gate := opts.RetrainGate
 	if gate == nil {
-		gate = make(chan struct{}, rebuildBudget())
+		// One slot: the sharded index as a whole rebuilds one range at a
+		// time, like one unsharded index.
+		gate = make(chan struct{}, 1)
 	}
 	child := opts
 	child.Shards = 0
