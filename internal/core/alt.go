@@ -23,6 +23,9 @@ package core
 
 import (
 	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"sync/atomic"
 
 	"altindex/internal/art"
@@ -168,9 +171,13 @@ func (t *ALT) Len() int { return int(t.size.Load()) }
 // Bulkload replaces the index contents: GPL segmentation (Algorithm 1),
 // gapped model layout, conflict eviction to a fresh ART, and fast pointer
 // construction (§III-C1) — the build every rebuild runs too, here with one
-// slab for all the slots. It must not run concurrently with any other
-// method; it first drains the index's own retraining, whose rebuilds write
-// the tree and the fast pointer buffer it replaces.
+// slab for all the slots and the fill spread over every P. The shells are
+// cut into GOMAXPROCS contiguous groups of about equal key count, each
+// filled by fillShells on its own goroutine; the slab is carved before any
+// fill and the fast pointers are linked after, so the layout is the same at
+// any P. It must not run concurrently with any other method; it first
+// drains the index's own retraining, whose rebuilds write the tree and the
+// fast pointer buffer it replaces.
 func (t *ALT) Bulkload(pairs []index.KV) error {
 	keys := make([]uint64, len(pairs))
 	vals := make([]uint64, len(pairs))
@@ -188,7 +195,36 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	// plus retraining headroom.
 	t.fp = newFPBuffer(2*len(shells) + 1024)
 	t.tree = art.New(t.fp)
-	models := t.fillShells(shells, keys, vals)
+
+	// Group g starts at the first shell at or above key g·n/P and takes the
+	// keys up to the next group's first shell, so each fillShells call sees
+	// exactly its shells' keys. Its conflicts share the lock-coupled tree.
+	p := runtime.GOMAXPROCS(0)
+	cuts := make([]int, p+1) // group g fills shells[cuts[g]:cuts[g+1]]
+	cuts[p] = len(shells)
+	for g := 1; g < p && len(keys) > 0; g++ {
+		k := keys[g*len(keys)/p]
+		cuts[g] = sort.Search(len(shells), func(i int) bool { return shells[i].first >= k })
+	}
+	keyAt := func(c int) int { // index of shell c's first key
+		if c == len(shells) {
+			return len(keys)
+		}
+		k, _ := slices.BinarySearch(keys, shells[c].first)
+		return k
+	}
+	parts := make([][]*model, p)
+	var wg sync.WaitGroup
+	for g := range parts {
+		lo, hi := keyAt(cuts[g]), keyAt(cuts[g+1])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[g] = t.fillShells(shells[cuts[g]:cuts[g+1]], keys[lo:hi], vals[lo:hi])
+		}()
+	}
+	wg.Wait()
+	models := slices.Concat(parts...)
 
 	tb := emptyTable() // the table New starts with
 	if len(models) > 0 {
@@ -432,17 +468,17 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		e.m.artEpoch.Add(1)
 		added := t.tree.PutFrom(t.fpNode(e.m), key, value)
 		e.release(s, meta, slotOccupied)
-		if added {
-			t.size.Add(1)
-		}
-		e.m.overflow.Add(1)
 		if e.m.fastIdx.Load() < 0 {
 			// The model had no fast pointer (the ART was empty when
 			// it was built); now that its range has conflict data,
 			// link it lazily.
 			t.registerFP(tab, pos)
 		}
-		t.maybeRetrain(e.m)
+		if added { // an upsert of an ART key leaves the key set as it was
+			t.size.Add(1)
+			e.m.overflow.Add(1)
+			t.maybeRetrain(e.m)
+		}
 		return true
 	case st == 0:
 		if !e.acquire(s, meta) {

@@ -195,6 +195,8 @@ func newShells(keys []uint64, eps, gapFactor float64, oneSlab bool) []*model {
 // (a rebuild segments a pre-freeze snapshot) — a stale fit only raises the
 // conflict rate. Shells left empty are dropped; every other one gets its
 // first key into a free slot, so keys always leave at least one model.
+// It writes only its own shells and the lock-coupled tree, so calls on
+// disjoint shell groups, each with its own keys, may run at once (Bulkload).
 func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 	newModels := make([]*model, 0, len(shells))
 	ki := 0

@@ -383,3 +383,65 @@ func TestBulkloadDrainsRetraining(t *testing.T) {
 		ix.Close()
 	}
 }
+
+// TestUpsertOfARTKeyDoesNotRetrain pins that only a real spill counts toward
+// a model's retraining trigger: upserting a key that already lives in ART
+// leaves the model's key set as it was, however often it repeats, while
+// fresh keys evicted to ART still trigger the rebuild.
+func TestUpsertOfARTKeyDoesNotRetrain(t *testing.T) {
+	var keys []uint64 // evenly spaced, and four that collide
+	for i := uint64(0); i < 4000; i++ {
+		keys = append(keys, i*1000)
+		if i%1000 == 500 {
+			keys = append(keys, i*1000+1)
+		}
+	}
+	alt := mustBulk(t, Options{}, keys)
+	conflicts := alt.tree.ScanAppend(nil, 0, ^uint64(0), 1)
+	if len(conflicts) == 0 {
+		t.Fatal("setup: the build evicted no key to ART")
+	}
+	hot := conflicts[0].Key
+	tab := alt.tab.Load()
+	m := tab.dir[tab.route(hot)].m
+	threshold := max(m.buildSize, alt.opts.RetrainMinInserts)
+
+	for i := 0; i <= threshold+10; i++ {
+		if err := alt.Insert(hot, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alt.Quiesce()
+	if st := alt.StatsMap(); st["retrains"] != 0 {
+		t.Fatalf("%d upserts of one ART key retrained the index: %v", threshold+11, st)
+	}
+	if v, _ := alt.Get(hot); v != uint64(threshold+10) {
+		t.Fatalf("Get(%d) = %d after the upserts, want %d", hot, v, threshold+10)
+	}
+
+	// Fresh keys just above m's placed keys predict those keys' slots, so
+	// each one spills to ART; the one that crosses the threshold retrains m.
+	fresh := 0
+	for s := 0; s < m.nslots && fresh <= threshold; s++ {
+		k, _, meta, ok := m.read(s)
+		if !ok || meta&slotOccupied == 0 {
+			continue
+		}
+		for c := k + 1; m.slotOf(c) == s && tab.dir[tab.route(c)].m == m && fresh <= threshold; c++ {
+			if _, ok := alt.Get(c); ok {
+				continue
+			}
+			if err := alt.Insert(c, c); err != nil {
+				t.Fatal(err)
+			}
+			fresh++
+		}
+	}
+	if fresh <= threshold {
+		t.Fatalf("setup: found %d fresh conflicting keys, want more than %d", fresh, threshold)
+	}
+	alt.Quiesce()
+	if st := alt.StatsMap(); st["retrains"] == 0 {
+		t.Fatalf("%d fresh conflicting keys did not retrain the index: %v", fresh, st)
+	}
+}

@@ -15,7 +15,9 @@ import (
 // slab with transparent huge pages: at least half of the slab's 2 MiB-
 // aligned interior must show as AnonHugePages in /proc/self/smaps. It skips
 // when THP is off; under "madvise" it is adviseHuge that puts the slab
-// there, since the Go runtime advises no heap memory.
+// there, since the Go runtime advises no heap memory. Bulkload's fill
+// takes the slab's first-touch faults from GOMAXPROCS goroutines, so this
+// also checks that faults taken in parallel still land on huge pages.
 //
 // The check runs in a fresh child process, the way an index is loaded at
 // startup. Only memory no 4 KiB page has faulted into yet becomes a huge

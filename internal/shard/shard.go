@@ -40,7 +40,8 @@ const MaxShards = 64
 const sampleMax = 1 << 16
 
 // parallelBulkMin is the bulkload size above which per-shard loads run on
-// their own goroutines.
+// their own goroutines. Each shard's core Bulkload fills its own shells on
+// GOMAXPROCS goroutines too, so above it the two levels of goroutines nest.
 const parallelBulkMin = 1 << 16
 
 // ALT is a range-sharded ALT-index: it implements the same concurrent
