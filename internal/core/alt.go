@@ -396,7 +396,7 @@ func (t *ALT) Get(key uint64) (uint64, bool) {
 		// be ART-resident. Before paying the traversal, ask the fingerprint
 		// sidecar whether it can be there at all — the common "absent on a
 		// fit-hard dataset" case ends here.
-		if e.absentInART(key, s) {
+		if e.absentInART(key, s, meta) {
 			return 0, false
 		}
 		val, found, _ := t.tree.GetFrom(t.fpNode(e.m), key)
@@ -462,12 +462,15 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 			return false
 		}
 		fpInsertLocked.Inject()
-		// The epoch bump must precede the tree insert (both under the
-		// slot lock) so no reader can trust the sidecar after the key
-		// becomes ART-resident; see the invalidation notes in sidecar.go.
-		e.m.artEpoch.Add(1)
+		// A key new to ART spills: the release sets the slot's spill bit
+		// after the tree insert (sidecar.go). An upsert of an ART key is
+		// already recorded, by the build's tag or its own eviction's bit.
 		added := t.tree.PutFrom(t.fpNode(e.m), key, value)
-		e.release(s, meta, slotOccupied)
+		flags := slotOccupied
+		if added {
+			flags |= slotSpill
+		}
+		e.release(s, meta, flags)
 		if e.m.fastIdx.Load() < 0 {
 			// The model had no fast pointer (the ART was empty when
 			// it was built); now that its range has conflict data,
@@ -500,7 +503,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		// updates that copy and leaves the slot tombstoned. Every ART
 		// write of this key needs the slot lock we hold, so the sidecar
 		// and the tree agree on whether the copy exists.
-		if !e.absentInART(key, s) && t.tree.Update(key, value) {
+		if !e.absentInART(key, s, meta) && t.tree.Update(key, value) {
 			e.release(s, meta, slotTomb)
 			return true
 		}
@@ -547,7 +550,7 @@ func (t *ALT) Update(key, value uint64) bool {
 		}
 		// The slot holds another key or a tombstone, so the key can only
 		// be ART-resident.
-		if e.absentInART(key, s) {
+		if e.absentInART(key, s, meta) {
 			return false // sidecar proves no ART copy to update
 		}
 		// Run the tree update under the slot lock so it cannot interleave
@@ -598,7 +601,7 @@ func (t *ALT) Remove(key uint64) bool {
 		}
 		// The slot holds another key or a tombstone, so the key can only
 		// be ART-resident.
-		if e.absentInART(key, s) {
+		if e.absentInART(key, s, meta) {
 			return false // sidecar proves no ART copy to remove
 		}
 		// Remove under the slot lock so the removal cannot interleave with

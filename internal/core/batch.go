@@ -28,12 +28,12 @@ import (
 //   - probe: a branch-free loop of the seqlock loads themselves, which
 //     starts every predicted slot's lines toward L1 together;
 //   - classify + descend (descend): the lanes whose snapshot shows the
-//     slot held by a different key are ART-bound; their model line, then
-//     their fast-pointer entry, then — art.PrefetchPaths — every node on
-//     their tree paths are prefetched in lockstep, one level per round;
+//     slot held by a different key are ART-bound; their model line (and
+//     sidecar tag), fast-pointer entry and — art.PrefetchPaths — tree
+//     path nodes are prefetched in lockstep, one level per round;
 //   - resolve / apply: GetBatchGroups validates the snapshots exactly as
 //     Get does, InsertBatchGroups calls insertAt per pair. Both find the
-//     model, fast-pointer and node lines the descent warmed.
+//     model, tag, fast-pointer and node lines the descent warmed.
 //
 // The descent is advisory. It reads the snapshot without validating it,
 // takes no version checks in the tree and hands nothing to the resolve and
@@ -207,17 +207,21 @@ func probeChunk(g *chunkScratch, cnt int) {
 // intervenes, go to its group's tree through the model's fast pointer —
 // the one chain of dependent misses routing and probing leave serial. The
 // lanes are collected and their chains advanced together, a link per pass:
-// the model line (artEpoch and fastIdx), the fast-pointer buffer entry,
-// then the tree path, by art.PrefetchPaths from the fast-pointer node or,
-// without one, the root. Nothing here is validated and nothing is kept:
-// see the package comment on why that is enough.
-func descend(g *chunkScratch, ts []*ALT, keys []uint64) {
+// the model's fastIdx (with tags, reads' flag, also the lane's sidecar tag
+// while it is live: a sidecar and no spill bit), the fast-pointer buffer
+// entry, then the tree path, by art.PrefetchPaths from the fast-pointer
+// node or, without one, the root. insertAt never reads the tag. Nothing
+// here is validated and nothing is kept: see the package comment on why.
+func descend(g *chunkScratch, ts []*ALT, keys []uint64, tags bool) {
 	n := 0
 	for i, k := range keys {
 		if g.metas[i]&(slotLockBit|slotOccupied|slotTomb) == slotOccupied && g.ks[i] != k {
 			g.lanes[n] = int32(i)
 			n++
-			prefetch.T0(unsafe.Pointer(&g.es[i].m.artEpoch))
+			prefetch.T0(unsafe.Pointer(&g.es[i].m.fastIdx))
+			if tags && g.es[i].tags != nil && g.metas[i]&slotSpill == 0 {
+				prefetch.T0(unsafe.Add(unsafe.Pointer(g.es[i].tags), g.slots[i]))
+			}
 		}
 	}
 	if n == 0 {
@@ -242,11 +246,11 @@ func descend(g *chunkScratch, ts []*ALT, keys []uint64) {
 
 // stageChunk runs the stages both directions share — route, probe,
 // classify + descend — over one chunk; see routeChunk for s, cb and the
-// result.
-func stageChunk(g *chunkScratch, ts []*ALT, ends []int32, s, cb int, keys []uint64) int {
+// result, and descend for tags.
+func stageChunk(g *chunkScratch, ts []*ALT, ends []int32, s, cb int, keys []uint64, tags bool) int {
 	s = routeChunk(g, ends, s, cb, keys)
 	probeChunk(g, len(keys))
-	descend(g, ts, keys)
+	descend(g, ts, keys, tags)
 	return s
 }
 
@@ -286,7 +290,7 @@ func GetBatchGroups(ts []*ALT, ends []int32, keys []uint64, vals []uint64, found
 	grp := 0
 	for cb := 0; cb < len(keys); cb += batchChunk {
 		cnt := min(len(keys)-cb, batchChunk)
-		grp = stageChunk(g, ts, ends, grp, cb, keys[cb:cb+cnt])
+		grp = stageChunk(g, ts, ends, grp, cb, keys[cb:cb+cnt], true)
 		// Resolve: validate each snapshot. Anything that observed a
 		// writer (or moved under us) retries through the per-key path,
 		// which reloads the table and backs off.
@@ -323,7 +327,7 @@ func GetBatchGroups(ts []*ALT, ends []int32, keys []uint64, vals []uint64, found
 			// Another key or a tombstone: Get's ART arm. The snapshot
 			// was validated above, so the sidecar can short-circuit the
 			// traversal exactly as in Get.
-			if e.absentInART(k, s) {
+			if e.absentInART(k, s, m1) {
 				vals[p], found[p] = 0, false
 				continue
 			}
@@ -388,7 +392,7 @@ func InsertBatchGroups(ts []*ALT, ends []int32, pairs []index.KV) error {
 		for i := range chunk {
 			keys[i] = chunk[i].Key
 		}
-		grp = stageChunk(g, ts, ends, grp, cb, keys)
+		grp = stageChunk(g, ts, ends, grp, cb, keys, false)
 		// Apply in submission order.
 		for i, kv := range chunk {
 			o := g.own[i]

@@ -141,8 +141,8 @@ func TestTombstoneUpsertUpdatesARTCopy(t *testing.T) {
 				t.Fatal("no conflict pair found")
 			}
 			e := &tb.dir[pos]
-			if (e.m.artEpoch.Load() == 0) != (evict == "build") {
-				t.Fatalf("artEpoch %d after a %s eviction", e.m.artEpoch.Load(), evict)
+			if spill := e.metaRef(s).Load()&slotSpill != 0; spill != (evict == "runtime") {
+				t.Fatalf("spill bit %v after a %s eviction", spill, evict)
 			}
 			if !alt.Remove(slotKey) {
 				t.Fatal("Remove of the slot resident failed")

@@ -14,12 +14,15 @@ import (
 
 // Slot states, stored in the per-slot metadata word (the paper's per-slot
 // atomic version, §III-E). Layout: bit 0 = writer lock (odd = write in
-// progress), bit 1 = occupied, bit 2 = tombstone, bits 3.. = version.
+// progress), bit 1 = occupied, bit 2 = tombstone, bit 3 = spill (a runtime
+// eviction from this slot put a key in ART, see sidecar.go; only a rebuild
+// clears it), bits 4..31 = version (2^28 writes per slot before it wraps).
 const (
 	slotLockBit  = uint32(1)
 	slotOccupied = uint32(2)
 	slotTomb     = uint32(4)
-	slotVerShift = 3
+	slotSpill    = uint32(8)
+	slotVerShift = 4
 )
 
 // Slots are stored in interleaved blocks of blockSlots: slot s lives in
@@ -74,14 +77,9 @@ type model struct {
 
 	// sc is the overflow fingerprint sidecar built from this model's
 	// build-time conflict evictions; nil when the build had none.
-	// Immutable after the model is published — runtime ART inserts
-	// invalidate it through artEpoch instead (see sidecar.go).
+	// Immutable after the model is published — a runtime ART insert
+	// stales only its slot's tag, through the slot's spill bit (sidecar.go).
 	sc *sidecar
-
-	// artEpoch counts runtime conflict evictions into ART under this
-	// model. The sidecar is only trusted while artEpoch still equals the
-	// value it was built against (zero), so one bump invalidates it.
-	artEpoch atomic.Uint64
 
 	// fastIdx is this model's entry in the fast pointer buffer, or -1.
 	fastIdx atomic.Int32
@@ -279,11 +277,11 @@ func (l *layout) acquire(slot int, seen uint32) bool {
 	return l.metaRef(slot).CompareAndSwap(seen, seen|slotLockBit)
 }
 
-// release unlocks the slot, bumping the version and setting the new state
-// flags (slotOccupied, slotTomb or neither).
+// release unlocks the slot, bumping the version, keeping seen's spill bit
+// and setting flags (slotOccupied or slotTomb, plus slotSpill to spill).
 func (l *layout) release(slot int, seen, flags uint32) {
 	ver := seen >> slotVerShift
-	l.metaRef(slot).Store((ver+1)<<slotVerShift | flags)
+	l.metaRef(slot).Store((ver+1)<<slotVerShift | seen&slotSpill | flags)
 }
 
 // freeze locks every slot permanently; used when the model is being
@@ -305,13 +303,13 @@ func (m *model) freeze() {
 }
 
 // unfreeze releases every slot lock taken by freeze, bumping versions and
-// preserving state flags. Used to back out of a splice-time placeholder
-// absorption that lost a race to a writer.
+// preserving state flags and spill bits. Used to back out of a
+// splice-time placeholder absorption that lost a race to a writer.
 func (m *model) unfreeze() {
 	for s := 0; s < m.nslots; s++ {
 		mw := m.metaRef(s)
 		cur := mw.Load()
-		mw.Store((cur>>slotVerShift+1)<<slotVerShift | cur&(slotOccupied|slotTomb))
+		mw.Store((cur>>slotVerShift+1)<<slotVerShift | cur&(slotOccupied|slotTomb|slotSpill))
 	}
 }
 
@@ -353,22 +351,28 @@ func (m *model) memory() uintptr {
 }
 
 // entry is one directory record: an immutable copy of the model's probe
-// geometry and of its sidecar pointer, plus the model itself for the cold
-// paths (fast pointer, counters). Copying the layout in is what removes
+// geometry and of its sidecar tags' address, plus the model itself for the
+// cold paths (fast pointer, counters). Copying the layout in is what removes
 // the *model dereference from the slot-hit path: router -> bounds ->
 // dir[i] -> slot block, with no hop through a heap-scattered struct in
-// between; copying sc lets a conflict probe load the sidecar tag and the
-// model's artEpoch in parallel instead of model -> sidecar -> tag in
-// series. The blocks slice shares the model's backing array, so holding
-// the table keeps it alive. Exactly 64 bytes, so an entry never straddles
-// a cache line.
+// between; copying the tags' address lets a conflict probe load its tag
+// with no hop through the model or the sidecar header (the spill bit that
+// stales a tag is in the meta word the probe holds). The blocks slice
+// shares the model's backing array, so holding the table keeps it alive.
+// Exactly 64 bytes, so an entry never straddles a cache line.
 type entry struct {
 	layout
-	m  *model
-	sc *sidecar // m.sc, which is final before any entry is made
+	m    *model
+	tags *uint8 // &m.sc.tags[0], or nil; m.sc is final before any entry is made
 }
 
-func newEntry(m *model) entry { return entry{layout: m.layout, m: m, sc: m.sc} }
+func newEntry(m *model) entry {
+	e := entry{layout: m.layout, m: m}
+	if m.sc != nil {
+		e.tags = &m.sc.tags[0]
+	}
+	return e
+}
 
 // table is the immutable, flattened model directory (the paper's
 // "flattened data structure", §III-B): routing boundaries, one entry per

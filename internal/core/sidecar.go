@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // The overflow fingerprint sidecar.
 //
 // Every learned-layer miss that lands on a conflict slot (occupied by a
@@ -19,20 +21,20 @@ package core
 // (which must still traverse) pay almost nothing for it. False positives
 // (fingerprint collisions, multi-eviction slots, keys since removed from
 // ART) cost one redundant traversal; false "absent" answers are made
-// impossible by the epoch stamp below.
+// impossible by the spill bit below.
 //
-// Invalidation. The sidecar is immutable. The model's artEpoch counter
-// starts at the value the sidecar was built against (zero — rebuilt
-// models are fresh objects) and every runtime eviction bumps it BEFORE
-// the tree insert, both under the evicting writer's slot lock. A reader
-// therefore trusts the sidecar only while artEpoch still equals the
-// build value: if the epoch load observes the pre-bump value, the
-// eviction's tree insert has not happened yet either (the bump and the
-// insert are ordered, and Go atomics are sequentially consistent), so
-// linearizing the lookup before that eviction is sound. One eviction
-// permanently invalidates the sidecar — deliberately cheap and coarse,
-// because retraining rebuilds the model (and a fresh, complete sidecar)
-// as soon as a model accumulates real overflow traffic.
+// Invalidation. The sidecar is immutable; what stales it is per slot.
+// A runtime conflict eviction from slot s puts a key in ART that no tag
+// records, so the evicting writer sets slotSpill in its release of s's
+// meta word, after the tree insert, with the slot locked in between.
+// Every later release and unfreeze carries the bit forward, so only a
+// rebuild, which makes fresh slots and a fresh sidecar, clears it. A
+// reader passes the meta word it seqlock-validated and trusts s's tag
+// only while that word lacks the bit: its snapshot then predates the
+// release that published the eviction, so the key was not yet in ART and
+// linearizing the lookup before the eviction is sound. One eviction
+// stales one slot's tag, not the model's: the other slots keep proving
+// absence until the next rebuild.
 //
 // Removals from ART (Remove, retrain range drains) never invalidate: they
 // only shrink the ART-resident set, and in-place updates (Update, upserts
@@ -78,25 +80,24 @@ func fp8(k uint64) uint8 {
 	return uint8((k*0x9e3779b97f4a7c15)>>56)%254 + 1
 }
 
-// absentInART reports whether key — predicted to slot s of e, which was
-// observed occupied by a different key or tombstoned — is provably absent
-// from the ART layer, letting the caller skip the tree traversal.
+// absentInART reports whether key — predicted to slot s of e, whose meta
+// word meta showed another key or a tombstone — is provably absent from
+// the ART layer, letting the caller skip the tree traversal.
 //
-// The proof needs two facts: the sidecar still describes every eviction
-// this model has ever performed (artEpoch unchanged since build, which
-// also covers the no-conflicts case where sc is nil and the build evicted
-// nothing), and slot s's tag rules the key out. Callers must have
-// seqlock-validated the slot read that routed them here: a validated read
-// proves the model was not yet frozen, so evictions via any successor
-// model are ordered after the caller's linearization point.
-func (e *entry) absentInART(key uint64, s int) bool {
-	if e.m.artEpoch.Load() != 0 {
-		return false // runtime evictions happened; sidecar stale
+// The proof needs two facts: no runtime eviction from s since the build
+// (meta lacks slotSpill; with no sidecar that also covers a build that
+// evicted nothing), and s's tag rules the key out. meta must be unlocked
+// and loaded from s (a seqlock read, or the word the caller locked): it
+// then shows every eviction released from s before it, and proves the
+// model was not yet frozen, so evictions via any successor model are
+// ordered after the caller's linearization point.
+func (e *entry) absentInART(key uint64, s int, meta uint32) bool {
+	if meta&slotSpill != 0 {
+		return false // a runtime eviction from s; its tag is stale
 	}
-	sc := e.sc
-	if sc == nil {
-		return true // built with zero conflicts and none added since
+	if e.tags == nil {
+		return true // built with zero conflicts and none added here since
 	}
-	tag := sc.tags[s]
+	tag := *(*uint8)(unsafe.Add(unsafe.Pointer(e.tags), s)) // s < nslots
 	return tag == 0 || (tag != scManyTag && tag != fp8(key))
 }

@@ -109,27 +109,36 @@ func TestSidecarCoversBuildConflicts(t *testing.T) {
 	// would lose the key.
 	e := newEntry(m)
 	for _, k := range conflicts {
-		if e.absentInART(k, m.slotOf(k)) {
+		s := m.slotOf(k)
+		if e.absentInART(k, s, m.metaRef(s).Load()) {
 			t.Fatalf("build conflict key %d reported absent from ART", k)
 		}
 	}
 	// A probe key that shares no (slot, fingerprint) with any eviction is
-	// provably absent; one epoch bump withdraws the proof for everything.
+	// provably absent; a spill bit on its slot withdraws the proof.
 	probe := own[len(own)-1] + 12345
 	s := m.slotOf(probe)
 	tag := m.sc.tags[s]
 	wantAbsent := tag == 0 || (tag != scManyTag && tag != fp8(probe))
-	if e.absentInART(probe, s) != wantAbsent {
+	if e.absentInART(probe, s, m.metaRef(s).Load()) != wantAbsent {
 		t.Fatalf("absentInART(%d) disagrees with sidecar content", probe)
 	}
-	m.artEpoch.Add(1)
+	spill := func(s int) uint32 {
+		meta := m.metaRef(s).Load()
+		if !m.acquire(s, meta) {
+			t.Fatalf("slot %d locked", s)
+		}
+		m.release(s, meta, stateOf(meta)|slotSpill)
+		return m.metaRef(s).Load()
+	}
 	for _, k := range conflicts {
-		if e.absentInART(k, m.slotOf(k)) {
-			t.Fatalf("stale-epoch sidecar proved absence for %d", k)
+		s := m.slotOf(k)
+		if e.absentInART(k, s, spill(s)) {
+			t.Fatalf("spilled slot's sidecar tag proved absence for %d", k)
 		}
 	}
-	if e.absentInART(probe, s) {
-		t.Fatal("stale-epoch sidecar proved absence for probe key")
+	if e.absentInART(probe, s, spill(s)) {
+		t.Fatal("spilled slot's sidecar tag proved absence for probe key")
 	}
 }
 
@@ -215,6 +224,170 @@ func TestSidecarNeverFalseAbsent(t *testing.T) {
 	if int(alt.Len()) != len(ref) {
 		t.Fatalf("Len = %d, reference holds %d", alt.Len(), len(ref))
 	}
+}
+
+// cleanSlot is a slot whose resident was bulkloaded and whose sidecar tag
+// is 0, with two keys outside the load that predict to it.
+type cleanSlot struct {
+	s        int
+	resident uint64
+	mates    [2]uint64
+}
+
+// cleanSlots returns the table position of a model with a sidecar and two
+// of its clean slots.
+func cleanSlots(t *testing.T, alt *ALT, keys []uint64) (int, [2]cleanSlot) {
+	t.Helper()
+	tb := alt.tab.Load()
+	loaded := make(map[uint64]bool, len(keys))
+	for _, k := range keys {
+		loaded[k] = true
+	}
+	var got [2]cleanSlot
+	n, pos := 0, -1
+	for _, c := range keys {
+		p := tb.route(c)
+		e := &tb.dir[p]
+		s := e.slotOf(c)
+		if e.m.sc == nil || e.m.sc.tags[s] != 0 || (n == 1 && (p != pos || s == got[0].s)) {
+			continue
+		}
+		if k, _, meta, ok := e.read(s); !ok || stateOf(meta) != slotOccupied || k != c {
+			continue
+		}
+		cs, ok := cleanSlot{s: s, resident: c}, true
+		for i := range cs.mates {
+			if cs.mates[i], ok = slotMate(tb, p, s, c, loaded); !ok {
+				break
+			}
+			loaded[cs.mates[i]] = true
+		}
+		if !ok {
+			continue
+		}
+		got[n], pos = cs, p
+		if n++; n == 2 {
+			return pos, got
+		}
+	}
+	t.Fatal("no model with a sidecar and two clean slots")
+	return 0, got
+}
+
+// TestRuntimeEvictionStalesOnlyItsSlot evicts one key into ART at runtime
+// and checks that only the evicting slot's sidecar tag stops proving
+// absence: a clean slot of the same model keeps its proof, so removing its
+// resident and inserting it again claims the tombstone without the key
+// ever reaching ART.
+func TestRuntimeEvictionStalesOnlyItsSlot(t *testing.T) {
+	keys := dataset.Generate(dataset.OSM, 20000, 5)
+	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
+	pos, cs := cleanSlots(t, alt, keys)
+	e := &alt.tab.Load().dir[pos]
+	a, b := cs[0], cs[1]
+	absent := func(k uint64, s int) bool { return e.absentInART(k, s, e.metaRef(s).Load()) }
+	if !absent(a.mates[1], a.s) || !absent(b.mates[0], b.s) {
+		t.Fatal("clean slots' tags prove no absence before any eviction")
+	}
+
+	if err := alt.Insert(a.mates[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := alt.tree.Get(a.mates[0]); !ok {
+		t.Fatal("the conflict insert did not reach ART")
+	}
+	if absent(a.mates[1], a.s) {
+		t.Fatal("slot A's tag still proves absence after a runtime eviction from A")
+	}
+	if !absent(b.mates[0], b.s) {
+		t.Fatal("a runtime eviction from slot A staled the tag of slot B")
+	}
+
+	artKeys := alt.StatsMap()["art_keys"]
+	if !alt.Remove(b.resident) {
+		t.Fatal("Remove of B's resident failed")
+	}
+	if err := alt.Insert(b.resident, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := alt.StatsMap()["art_keys"]; got != artKeys {
+		t.Fatalf("art_keys %d -> %d across B's remove and re-insert", artKeys, got)
+	}
+	if k, v, meta, ok := e.read(b.s); !ok || stateOf(meta) != slotOccupied || k != b.resident || v != 2 {
+		t.Fatalf("slot B holds (%d, %d, state %d), want its resident back with value 2", k, v, stateOf(meta))
+	}
+}
+
+// TestSpillBitSurvivesSlotWrites runs every kind of slot write against a
+// slot a runtime eviction spilled from and checks that none clears the
+// spill bit, so the evicted key stays reachable and no stale tag proves it
+// absent. Only a rebuild starts a slot clean.
+func TestSpillBitSurvivesSlotWrites(t *testing.T) {
+	t.Run("bulkloaded", func(t *testing.T) {
+		keys := dataset.Generate(dataset.OSM, 20000, 5)
+		alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
+		pos, cs := cleanSlots(t, alt, keys)
+		e := &alt.tab.Load().dir[pos]
+		c := cs[0]
+		evicted, claimer := c.mates[0], c.mates[1]
+		if err := alt.Insert(evicted, 1); err != nil {
+			t.Fatal(err)
+		}
+		check := func(step string) {
+			t.Helper()
+			if e.metaRef(c.s).Load()&slotSpill == 0 {
+				t.Fatalf("no spill bit after %s", step)
+			}
+			if v, ok := alt.Get(evicted); !ok || v != 1 {
+				t.Fatalf("Get of the evicted key after %s = %d,%v, want 1,true", step, v, ok)
+			}
+		}
+		check("the eviction")
+		for _, w := range []struct {
+			name string
+			do   func() bool
+		}{
+			{"Remove (tombstone)", func() bool { return alt.Remove(c.resident) }},
+			{"tombstone claim", func() bool { return alt.Insert(claimer, 2) == nil && e.keyRef(c.s).Load() == claimer }},
+			{"same-key upsert", func() bool { return alt.Insert(claimer, 3) == nil }},
+			{"upsert of the ART key", func() bool { return alt.Insert(evicted, 1) == nil }},
+			{"Update in the slot", func() bool { return alt.Update(claimer, 4) }},
+			{"Update in ART", func() bool { return alt.Update(evicted, 1) }},
+			{"freeze + unfreeze", func() bool { e.m.freeze(); e.m.unfreeze(); return true }},
+		} {
+			if !w.do() {
+				t.Fatalf("%s failed", w.name)
+			}
+			check(w.name)
+		}
+	})
+
+	// New publishes one placeholder slot with no sidecar: its nil sidecar
+	// proves ART empty only until the first conflict spills from the slot.
+	t.Run("grown from New", func(t *testing.T) {
+		alt := New(Options{DisableRetraining: true})
+		t.Cleanup(func() { alt.Close() })
+		e := &alt.tab.Load().dir[0]
+		if err := alt.Insert(10, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !e.absentInART(30, 0, e.metaRef(0).Load()) {
+			t.Fatal("the placeholder proves no absence before any conflict")
+		}
+		if err := alt.Insert(20, 2); err != nil {
+			t.Fatal(err)
+		}
+		meta := e.metaRef(0).Load()
+		if meta&slotSpill == 0 || e.absentInART(30, 0, meta) {
+			t.Fatalf("placeholder meta %#x after the first conflict: no spill bit", meta)
+		}
+		if !alt.Remove(10) {
+			t.Fatal("Remove of the slot resident failed")
+		}
+		if v, ok := alt.Get(20); !ok || v != 2 || e.metaRef(0).Load()&slotSpill == 0 {
+			t.Fatalf("after the tombstone: Get(20) = %d,%v, meta %#x", v, ok, e.metaRef(0).Load())
+		}
+	})
 }
 
 func BenchmarkAbsentProbe(b *testing.B) {
