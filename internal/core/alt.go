@@ -48,8 +48,9 @@ type Options struct {
 	// it stays one model with every key but one in ART.
 	DisableRetraining bool
 	// RetrainMinInserts floors the retraining trigger: a model retrains
-	// once its runtime inserts exceed max(buildSize, RetrainMinInserts).
-	// Zero selects 1024, which stops rebuild thrash on small models.
+	// once its growth (keys it added since its build; a tombstone claim
+	// refills a counted slot and adds none) exceeds max(buildSize,
+	// RetrainMinInserts). Zero selects 1024, which stops rebuild thrash.
 	RetrainMinInserts int
 	// Shards asks the front-ends that read it (altindex.New and Load, the
 	// bench factories) for a range-partitioned index of this many
@@ -479,7 +480,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		}
 		if added { // an upsert of an ART key leaves the key set as it was
 			t.size.Add(1)
-			e.m.overflow.Add(1)
+			e.m.growth.Add(1)
 			t.maybeRetrain(e.m)
 		}
 		return true
@@ -491,7 +492,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		e.keyRef(s).Store(key)
 		e.valRef(s).Store(value)
 		e.release(s, meta, slotOccupied)
-		e.m.inserts.Add(1)
+		e.m.growth.Add(1)
 		t.size.Add(1)
 		return true
 	default: // tombstone: update an ART copy in place, else claim it.
@@ -507,10 +508,10 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 			e.release(s, meta, slotTomb)
 			return true
 		}
+		// A claim refills a slot already counted, so it is not growth.
 		e.keyRef(s).Store(key)
 		e.valRef(s).Store(value)
 		e.release(s, meta, slotOccupied)
-		e.m.inserts.Add(1)
 		t.size.Add(1)
 		return true
 	}

@@ -89,9 +89,10 @@ type model struct {
 	// rebuild finishes or the trigger is dropped on queue overflow.
 	retrainArmed atomic.Bool
 
-	buildSize int          // keys placed at build time
-	inserts   atomic.Int64 // runtime in-place inserts
-	overflow  atomic.Int64 // runtime inserts evicted to ART
+	buildSize int // keys placed at build time
+	// growth counts keys added since: empty-slot inserts and spills. A
+	// tombstone claim refills a slot already counted, so it adds none.
+	growth atomic.Int64
 
 	// slab is the Bulkload slab blocks was carved from, or nil when the
 	// model owns its blocks (every rebuilt one). Only accounting reads it.

@@ -15,13 +15,14 @@ import (
 // §III-F retraining, off the writer's critical path.
 //
 // The paper's trigger — a model whose runtime insertions exceed its build
-// size is crowded, so subsequent inserts all spill into ART — only enqueues
-// the model: running the freeze→collect→GPL-retrain→splice rebuild on the
-// triggering writer would make every crowded model a tail-latency event for
-// whichever writer tripped it. Three stages:
+// size is crowded, so subsequent inserts all spill into ART — counts growth,
+// so a tombstone claim, which refills a slot already counted, does not count.
+// It only enqueues the model: running the freeze→collect→GPL-retrain→splice
+// rebuild on the triggering writer would make every crowded model a
+// tail-latency event for whichever writer tripped it. Three stages:
 //
-//  1. Trigger (writer's critical path): maybeRetrain costs two counter
-//     loads; past the threshold, one CAS on the model's armed flag dedups
+//  1. Trigger (writer's critical path): maybeRetrain costs one counter
+//     load; past the threshold, one CAS on the model's armed flag dedups
 //     concurrent triggers and the model pointer goes into a bounded
 //     channel. On overflow the trigger is dropped but the model re-armed,
 //     so the next threshold-crossing insert re-triggers it — a dropped
@@ -86,7 +87,7 @@ func (r *retrainer) launch(t *ALT) {
 	}()
 }
 
-// maybeRetrain is the writer-side trigger (§III-F): two counter loads on
+// maybeRetrain is the writer-side trigger (§III-F): one counter load on
 // the fast path, one CAS plus a non-blocking channel send when the model
 // crosses its threshold. The trigger is floored (Options.RetrainMinInserts)
 // so small models do not thrash through rebuilds.
@@ -94,11 +95,7 @@ func (t *ALT) maybeRetrain(m *model) {
 	if t.opts.DisableRetraining {
 		return
 	}
-	threshold := int64(m.buildSize)
-	if min := int64(t.opts.RetrainMinInserts); threshold < min {
-		threshold = min
-	}
-	if m.inserts.Load()+m.overflow.Load() <= threshold {
+	if m.growth.Load() <= int64(max(m.buildSize, t.opts.RetrainMinInserts)) {
 		return
 	}
 	if !m.retrainArmed.CompareAndSwap(false, true) {

@@ -384,10 +384,11 @@ func TestBulkloadDrainsRetraining(t *testing.T) {
 	}
 }
 
-// TestUpsertOfARTKeyDoesNotRetrain pins that only a real spill counts toward
-// a model's retraining trigger: upserting a key that already lives in ART
-// leaves the model's key set as it was, however often it repeats, while
-// fresh keys evicted to ART still trigger the rebuild.
+// TestUpsertOfARTKeyDoesNotRetrain pins that only growth counts toward a
+// model's retraining trigger: upserting a key that already lives in ART, or
+// re-inserting a placed key onto its own tombstone, leaves the model's key
+// set as it was, however often it repeats, while fresh keys evicted to ART
+// still trigger the rebuild once they alone cross the threshold.
 func TestUpsertOfARTKeyDoesNotRetrain(t *testing.T) {
 	var keys []uint64 // evenly spaced, and four that collide
 	for i := uint64(0); i < 4000; i++ {
@@ -419,29 +420,64 @@ func TestUpsertOfARTKeyDoesNotRetrain(t *testing.T) {
 		t.Fatalf("Get(%d) = %d after the upserts, want %d", hot, v, threshold+10)
 	}
 
+	// A key the build placed in m, removed and re-inserted: each insert
+	// claims its own tombstone, a slot the build already counted.
+	placed, found := uint64(0), false
+	for s := 0; s < m.nslots && !found; s++ {
+		k, _, meta, ok := m.read(s)
+		placed, found = k, ok && meta&slotOccupied != 0
+	}
+	if !found {
+		t.Fatal("setup: m holds no placed key")
+	}
+	for i := 0; i <= threshold+10; i++ {
+		if !alt.Remove(placed) {
+			t.Fatalf("Remove(%d) found no key", placed)
+		}
+		if err := alt.Insert(placed, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alt.Quiesce()
+	if st := alt.StatsMap(); st["retrains"] != 0 {
+		t.Fatalf("%d tombstone claims retrained the index: %v", threshold+11, st)
+	}
+
 	// Fresh keys just above m's placed keys predict those keys' slots, so
 	// each one spills to ART; the one that crosses the threshold retrains m.
-	fresh := 0
-	for s := 0; s < m.nslots && fresh <= threshold; s++ {
+	var fresh []uint64
+	for s := 0; s < m.nslots && len(fresh) <= threshold; s++ {
 		k, _, meta, ok := m.read(s)
 		if !ok || meta&slotOccupied == 0 {
 			continue
 		}
-		for c := k + 1; m.slotOf(c) == s && tab.dir[tab.route(c)].m == m && fresh <= threshold; c++ {
-			if _, ok := alt.Get(c); ok {
-				continue
+		for c := k + 1; m.slotOf(c) == s && tab.dir[tab.route(c)].m == m && len(fresh) <= threshold; c++ {
+			if _, ok := alt.Get(c); !ok {
+				fresh = append(fresh, c)
 			}
-			if err := alt.Insert(c, c); err != nil {
-				t.Fatal(err)
-			}
-			fresh++
 		}
 	}
-	if fresh <= threshold {
-		t.Fatalf("setup: found %d fresh conflicting keys, want more than %d", fresh, threshold)
+	if len(fresh) <= threshold {
+		t.Fatalf("setup: found %d fresh conflicting keys, want more than %d", len(fresh), threshold)
+	}
+	half := threshold / 2
+	for i, c := range fresh {
+		if err := alt.Insert(c, c); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 == half {
+			alt.Quiesce()
+			if st := alt.StatsMap(); st["retrains"] != 0 {
+				t.Fatalf("%d fresh conflicting keys after %d tombstone claims retrained the index: %v",
+					half, threshold+11, st)
+			}
+		}
 	}
 	alt.Quiesce()
 	if st := alt.StatsMap(); st["retrains"] == 0 {
-		t.Fatalf("%d fresh conflicting keys did not retrain the index: %v", fresh, st)
+		t.Fatalf("%d fresh conflicting keys did not retrain the index: %v", len(fresh), st)
+	}
+	if v, ok := alt.Get(placed); !ok || v != uint64(threshold+10) {
+		t.Fatalf("Get(%d) = %d, %v after the claims, want %d", placed, v, ok, threshold+10)
 	}
 }

@@ -304,8 +304,10 @@ func historyMatrix(t *testing.T, arm func(*testing.T, index.Concurrent)) {
 		defer func() { close(stop); <-stormDone }()
 		before := ix.StatsMap()["retrains"]
 		run(t, ix, pairsOf(keys), hot, func(k uint64) bool { return !storm[k] })
-		if n := ix.StatsMap()["retrains"] - before; n < 10 {
-			t.Fatalf("%d rebuilds ran during the history; the storm did not storm", n)
+		n := ix.StatsMap()["retrains"] - before
+		t.Logf("%d rebuilds ran during the history (at least 10 required)", n)
+		if n < 10 {
+			t.Fatalf("%d rebuilds ran during the history, want at least 10; the storm did not storm", n)
 		}
 	})
 
