@@ -135,10 +135,8 @@ func main() {
 
 	// Every cell of every experiment is recorded under its experiment id
 	// (a swept value rides in Mix, e.g. "balanced threads=4"); -json dumps
-	// the lot machine-readably, with the scale parameters alongside.
-	// Sharded runs carry the skew monitor in Result.Stats: per-shard key
-	// counts (shard_keys_NN), shard_keys_max, and the max/mean imbalance
-	// ratio scaled by 100 (shard_imbalance_x100).
+	// the lot machine-readably, with the scale parameters alongside, and
+	// each row's counters (an index's StatsMap) in Result.Stats.
 	type jsonRow struct {
 		Experiment string
 		bench.Result

@@ -10,33 +10,16 @@ import (
 	"testing"
 )
 
-// buildV2Snapshot saves a sharded index (the ALTIX002 layout, with shard
-// boundaries prepended to the pair payload) and returns its bytes.
+// buildV2Snapshot spells a legacy sharded snapshot (the ALTIX002 layout,
+// with shard boundaries prepended to the pair payload) and returns the
+// framed file bytes.
 func buildV2Snapshot(t *testing.T) []byte {
 	t.Helper()
-	idx := New(Options{Shards: 4})
-	defer func() {
-		if c, ok := idx.(interface{ Close() error }); ok {
-			c.Close()
-		}
-	}()
-	for k := uint64(0); k < 300; k++ {
-		if err := idx.Insert(k*97, k); err != nil {
-			t.Fatal(err)
-		}
+	pairs := make([]KV, 300)
+	for k := range pairs {
+		pairs[k] = KV{Key: uint64(k) * 97, Value: uint64(k)}
 	}
-	path := filepath.Join(t.TempDir(), "v2.snap")
-	if err := Save(idx, path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw[:8]) != "ALTIX002" {
-		t.Fatalf("sharded snapshot wrote magic %q, want ALTIX002", raw[:8])
-	}
-	return raw
+	return snapFrame(v2Payload([]uint64{75 * 97, 150 * 97, 225 * 97}, pairs))
 }
 
 // loadMutatedV2 writes a mutated snapshot and asserts Load rejects it

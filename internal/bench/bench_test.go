@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"altindex/internal/core"
 	"altindex/internal/dataset"
 	"altindex/internal/index"
 	"altindex/internal/workload"
@@ -138,20 +137,6 @@ func TestRunRejectsNegativeOps(t *testing.T) {
 	Run(ALT().New, Config{Dataset: dataset.Libio, Keys: 1000, Threads: 2, Ops: -1})
 }
 
-// TestShardScalingFactory checks the sharded factory used by the
-// shard-scaling experiment builds a genuinely sharded index.
-func TestShardScalingFactory(t *testing.T) {
-	f := ALTSharded("ALT-S4", 4, core.Options{})
-	r := Run(f.New, Config{Dataset: dataset.OSM,
-		Keys: 20000, Mix: workload.Balanced, Threads: 2, Ops: 10000, Seed: 1})
-	if r.Stats["shards"] != 4 {
-		t.Fatalf("shards stat = %d, want 4", r.Stats["shards"])
-	}
-	if r.Stats["shard_keys_max"] == 0 {
-		t.Fatal("skew monitor reports no keys in any shard")
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, want := range []string{"ALT-index", "ALEX+", "LIPP+", "FINEdex", "XIndex", "ART"} {
 		f, ok := ByName(want)
@@ -212,21 +197,31 @@ func TestExperimentShapesMatchGolden(t *testing.T) {
 	var regen strings.Builder
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
-			got, ran := shapesSeen[e.ID]
-			if !ran {
-				var buf bytes.Buffer
-				recorded := 0
-				e.Run(Params{Keys: 4000, Threads: 2, Ops: 2000, Seed: 1, Duration: 2 * time.Millisecond,
-					Out: &buf, Record: func(Result) { recorded++ }})
-				if recorded == 0 {
-					t.Errorf("experiment %s recorded no Result", e.ID)
-				}
-				got = shapeOf(buf.String())
-				shapesSeen[e.ID] = got
-			}
+			got := experimentShape(t, e)
 			regen.WriteString("### " + e.ID + "\n" + got + "\n")
 			if want := golden[e.ID]; got != want && !*update {
 				t.Fatalf("experiment %s drifted from %s\n--- got\n%s\n--- want\n%s", e.ID, shapesGolden, got, want)
+			}
+		})
+	}
+	for _, f := range folded {
+		t.Run(f.id, func(t *testing.T) {
+			if _, ok := ByID(f.id); ok {
+				t.Fatalf("%s still resolves; it is folded into %s", f.id, f.into)
+			}
+			e, ok := ByID(f.into)
+			if !ok {
+				t.Fatalf("%s, which %s was folded into, is missing", f.into, f.id)
+			}
+			got := strings.Split(experimentShape(t, e), "\n")
+			for _, want := range f.lines {
+				found := false
+				for _, l := range got {
+					found = found || strings.HasPrefix(l, want)
+				}
+				if !found {
+					t.Errorf("%s lost %s's line %q\n--- got\n%s", f.into, f.id, want, strings.Join(got, "\n"))
+				}
 			}
 		})
 	}
@@ -243,6 +238,48 @@ func TestExperimentShapesMatchGolden(t *testing.T) {
 func TestEveryExperimentRuns(t *testing.T) { TestExperimentShapesMatchGolden(t) }
 
 var shapesSeen = map[string]string{}
+
+// experimentShape runs e once at the golden scale and returns the shape of
+// its output; later calls for the same id reuse the first run.
+func experimentShape(t *testing.T, e Experiment) string {
+	if got, ran := shapesSeen[e.ID]; ran {
+		return got
+	}
+	var buf bytes.Buffer
+	recorded := 0
+	e.Run(Params{Keys: 4000, Threads: 2, Ops: 2000, Seed: 1, Duration: 2 * time.Millisecond,
+		Out: &buf, Record: func(Result) { recorded++ }})
+	if recorded == 0 {
+		t.Errorf("experiment %s recorded no Result", e.ID)
+	}
+	got := shapeOf(buf.String())
+	shapesSeen[e.ID] = got
+	return got
+}
+
+// folded lists experiments merged into another one. Each keeps a subtest
+// under its old id, which checks that the old id no longer resolves and
+// that every line of its last golden table still begins a line of the
+// experiment it went into: the rows survive, and the surviving columns
+// extend the old ones.
+var folded = []struct {
+	id, into string
+	lines    []string
+}{
+	// The retraining ablation ran the same two variants on the same hot-write
+	// workload as retrain-tail; its columns are retrain-tail's first six.
+	{id: "ablation-retrain", into: "retrain-tail", lines: []string{
+		"Variant | Dataset | Mops | P#us | P#us | P#.#us",
+		"ALT-index | fb | #.# | #.# | #.# | #.#",
+		"ALT-index | libio | #.# | #.# | #.# | #.#",
+		"ALT-index | osm | #.# | #.# | #.# | #.#",
+		"ALT-index | longlat | #.# | #.# | #.# | #.#",
+		"ALT-noretrain | fb | #.# | #.# | #.# | #.#",
+		"ALT-noretrain | libio | #.# | #.# | #.# | #.#",
+		"ALT-noretrain | osm | #.# | #.# | #.# | #.#",
+		"ALT-noretrain | longlat | #.# | #.# | #.# | #.#",
+	}},
+}
 
 func TestByID(t *testing.T) {
 	if _, ok := ByID("fig9"); !ok {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"text/tabwriter"
 	"time"
 
 	"altindex/internal/core"
@@ -221,7 +220,8 @@ func Experiments() []Experiment {
 					{NamedFactory: ALTWith("ALT-B64", core.Options{}), tune: func(_ Params, c *Config) { c.BatchSize = 64 }},
 					{NamedFactory: ALTWith("ALT-miss", core.Options{}), cell: cachelineMiss}}}}},
 
-		// The writer tail of the asynchronous retraining pipeline: the Fig 8(b)
+		// The retraining ablation (the design choice §III-F motivates) and the
+		// writer tail of the asynchronous retraining pipeline: the Fig 8(b)
 		// hot-write workload run against ALT with its background retraining
 		// worker (the default) and with retraining disabled (the no-rebuild lower
 		// bound). The P99/P99.9 columns are the point: with the rebuild off the
@@ -229,53 +229,12 @@ func Experiments() []Experiment {
 		// FreezeMax is the longest single freeze window; Spins counts writer
 		// backoff iterations (writers parked on frozen slots).
 		{ID: "retrain-tail", Title: "Retrain tail: hot-write writer latency with background retraining on and off",
-			grids: []grid{{rows: asRows(ALTWith("ALT-async", core.Options{}), altNoRetrain), datasets: libioOSM,
+			grids: []grid{{rows: asRows(ALT(), altNoRetrain),
 				tune: hotWrite, cols: "Variant\t" + latency + "\tRetrains\tDrops\tFreezeMax(us)\tSpins",
 				row: func(c cell) string {
 					return latencyRow(c) + fmt.Sprintf("\t%d\t%d\t%.1f\t%d", c.Stats["retrains"], c.Stats["retrain_drops"],
 						freezeMaxUs(c), c.Stats["writer_spins"])
 				}}}},
-
-		// What range-partitioning buys under the balanced read-write workload:
-		// the unsharded baseline against the sharded front-end across shard
-		// counts, thread counts (powers of two up to and always including
-		// p.Threads) and datasets. Sharding's wins are structural, not just
-		// parallel — each shard retrains models a factor S smaller (eps is
-		// per-shard, so freezes are shorter and hit a fraction of the
-		// keyspace) — so the sharded rows can lead even at low thread counts.
-		// The second table reports per-shard-count speedup over the unsharded
-		// baseline at the maximum thread count; the third drives the skew
-		// monitor with adversarial traffic: the hot-write reserved range lands
-		// entirely inside one shard, the worst case for a fixed-boundary
-		// partition, and the monitor flags it — the operator signal that a
-		// re-bulkload is due. Its -hot suffix keeps those rows apart from the
-		// uniform scaling grid in the JSON artifact.
-		{ID: "shard-scaling", Title: "Shard scaling: CDF-partitioned front-end vs unsharded, threads x shards x datasets",
-			head: "Shard scaling: CDF-partitioned front-end vs unsharded baseline",
-			grids: []grid{
-				{rowsAt: shardRows(""), datasets: libioOSM, order: "dia", cfg: Config{Mix: workload.Balanced}, reps: 3,
-					axis: &axis{name: "threads", format: "%.0f", set: setThreads, values: func(p Params) []float64 {
-						return append(threadsAxis.values(Params{Threads: p.Threads - 1}), float64(p.Threads))
-					}},
-					cols: "Variant\tDataset\tThreads\tMops\tP50us\tP99us\tP99.9us\tRetrains\tFreezeMax(us)\tSpins\tImbal",
-					row: func(c cell) string {
-						imbal := "-" // unsharded rows have no skew monitor
-						if _, ok := c.Stats["shard_imbalance_x100"]; ok {
-							imbal = imbalance(c)
-						}
-						return fmt.Sprintf("%s\t%s\t%s\t%.2f\t%s\t%s\t%s\t%d\t%.1f\t%d\t%s", c.Index, c.Dataset, c.Axis, c.Mops,
-							us(c.P50), us(c.P99), us(c.P999), c.Stats["retrains"], freezeMaxUs(c), c.Stats["writer_spins"], imbal)
-					},
-					after: shardSpeedup},
-				{sub: func(p Params) string {
-					return fmt.Sprintf("skew monitor, hot-range writes at %d threads (osm)", p.Threads)
-				},
-					rowsAt: shardRows("-hot"), datasets: osmOnly, cfg: Config{Mix: workload.Balanced, Hot: true},
-					cols: "Variant\tMops\tImbalance\tHotShardKeys",
-					row: func(c cell) string {
-						return fmt.Sprintf("%s\t%.2f\t%s\t%d", c.Index, c.Mops, imbalance(c), c.Stats["shard_keys_max"])
-					}},
-			}},
 
 		// The paper-scale bench tier: SOSD-style per-dataset rows (one table
 		// row per dataset x access pattern) at whatever -keys the caller set —
@@ -314,12 +273,6 @@ func Experiments() []Experiment {
 					{NamedFactory: ALTWith("ALT-read", core.Options{}), tune: func(_ Params, c *Config) { c.Mix = workload.ReadOnly }},
 					{NamedFactory: ALTWith("ALT-balanced", core.Options{}), tune: func(_ Params, c *Config) { c.Mix = workload.Balanced }},
 					{NamedFactory: ALTWith("ALT-hotwrite", core.Options{}), tune: hotWrite}}}}},
-
-		// ALT with retraining enabled vs disabled under the hot-write workload
-		// (the design choice §III-F motivates).
-		{ID: "ablation-retrain", Title: "Ablation: ALT hot-write with retraining on/off",
-			head:  "Ablation: dynamic retraining under hot writes",
-			grids: []grid{{rows: asRows(ALT(), altNoRetrain), tune: hotWrite, cols: "Variant\t" + latency, row: latencyRow}}},
 
 		// The learned layer's gap factor under the balanced workload: more gaps
 		// absorb more inserts in place but cost memory.
@@ -407,12 +360,6 @@ func freezeMaxUs(c cell) float64 { return float64(c.Stats["retrain_freeze_max_ns
 func learnedPct(c cell) float64 {
 	l, a := c.Stats["learned_keys"], c.Stats["art_keys"]
 	return 100 * float64(l) / float64(l+a)
-}
-
-// imbalance is the skew monitor's largest shard key count over the mean
-// (1.00 = perfectly even).
-func imbalance(c cell) string {
-	return fmt.Sprintf("%.2f", float64(c.Stats["shard_imbalance_x100"])/100)
 }
 
 // pick returns the rows for the named members of All().
@@ -516,43 +463,4 @@ func cachelineMiss(c Config) Result {
 	res := p.result().measured(done, elapsed, nil)
 	res.Mix = "absent"
 	return res
-}
-
-// --- shard scaling -----------------------------------------------------------
-
-// shardRows is the shard-count axis of the shard-scaling experiment as
-// rows: ALT-S0 is the unsharded baseline, the rest are sharded variants at
-// 2, 4 and 8 shards. A non-empty suffix names the adversarial-traffic rows,
-// which have no unsharded member.
-func shardRows(suffix string) func(Params, float64) []variant {
-	return func(Params, float64) []variant {
-		var rows []variant
-		if suffix == "" {
-			rows = append(rows, variant{NamedFactory: ALTWith("ALT-S0", core.Options{})})
-		}
-		for _, s := range []int{2, 4, 8} {
-			rows = append(rows, variant{NamedFactory: ALTSharded(fmt.Sprintf("ALT-S%d%s", s, suffix), s, core.Options{})})
-		}
-		return rows
-	}
-}
-
-// shardSpeedup prints, per dataset, each shard count's throughput at the
-// maximum thread count against the unsharded row's.
-func shardSpeedup(p Params, cells []cell) {
-	fmt.Fprintf(p.Out, "\n-- speedup vs unsharded at %d threads --\n", p.Threads)
-	tw := tabwriter.NewWriter(p.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Dataset\tShards\tMops\tSpeedup")
-	base := 0.0
-	for _, c := range cells {
-		if c.Threads != p.Threads {
-			continue
-		}
-		shards, ok := c.Stats["shards"]
-		if !ok { // the unsharded baseline leads each dataset's rows
-			base, shards = c.Mops, 1
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2fx\n", c.Dataset, shards, c.Mops, c.Mops/base)
-	}
-	tw.Flush()
 }

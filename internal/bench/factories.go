@@ -7,7 +7,6 @@ import (
 	"altindex/internal/finedex"
 	"altindex/internal/index"
 	"altindex/internal/lipp"
-	"altindex/internal/shard"
 	"altindex/internal/xindex"
 )
 
@@ -28,13 +27,6 @@ func ALT() NamedFactory {
 // ablation experiments.
 func ALTWith(name string, opts core.Options) NamedFactory {
 	return NamedFactory{name, func() index.Concurrent { return core.New(opts) }}
-}
-
-// ALTSharded returns a factory for the range-partitioned front-end with
-// the given shard count (the shard-scaling experiment's variable).
-func ALTSharded(name string, shards int, opts core.Options) NamedFactory {
-	opts.Shards = shards
-	return NamedFactory{name, func() index.Concurrent { return shard.New(opts) }}
 }
 
 // Competitors returns the five baseline factories in the paper's order.

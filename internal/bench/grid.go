@@ -91,7 +91,6 @@ type grid struct {
 	// name (the index, or "axis=value").
 	cols, heads string
 	row, pivot  func(cell) string
-	after       func(Params, []cell) // derived summary printed after the table
 }
 
 // variant is one row source of a grid: a named index plus what makes the
@@ -195,14 +194,12 @@ func (g grid) run(p Params) {
 		fmt.Fprintln(tw, heads)
 	}
 
-	var cells []cell
 	var at [3]int
 	for at[nest[0]] = 0; at[nest[0]] < n[nest[0]]; at[nest[0]]++ {
 		for at[nest[1]] = 0; at[nest[1]] < n[nest[1]]; at[nest[1]]++ {
 			line := ""
 			for at[inner] = 0; at[inner] < n[inner]; at[inner]++ {
 				c := g.measure(p, rows[at[swept]][at[index]], g.datasets[at[data]], vals[at[swept]])
-				cells = append(cells, c)
 				if g.pivot == nil {
 					if g.row != nil {
 						fmt.Fprintln(tw, g.row(c))
@@ -220,9 +217,6 @@ func (g grid) run(p Params) {
 		}
 	}
 	tw.Flush()
-	if g.after != nil {
-		g.after(p, cells)
-	}
 }
 
 // measure resolves one cell's Config, runs it and records the Result under

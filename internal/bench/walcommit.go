@@ -40,9 +40,8 @@ var walCommit = Experiment{ID: "wal-commit",
 		{sub: func(p Params) string { return fmt.Sprintf("recovery: replaying a %d-record log", p.Ops) },
 			rows:     []variant{{NamedFactory: NamedFactory{Name: "wal-replay"}, cell: walReplay}},
 			datasets: []dataset.Name{"wal"},
-			after: func(p Params, cells []cell) {
-				r := cells[0]
-				fmt.Fprintf(p.Out, "replayed %d records in %.3fs (%.2f Mrec/s)\n", r.Ops, r.Elapsed.Seconds(), r.Mops)
+			row: func(c cell) string {
+				return fmt.Sprintf("replayed %d records in %.3fs (%.2f Mrec/s)", c.Ops, c.Elapsed.Seconds(), c.Mops)
 			}},
 	}}
 

@@ -52,24 +52,14 @@ type Options struct {
 	// refills a counted slot and adds none) exceeds max(buildSize,
 	// RetrainMinInserts). Zero selects 1024, which stops rebuild thrash.
 	RetrainMinInserts int
-	// Shards asks the front-ends that read it (altindex.New and Load, the
-	// bench factories) for a range-partitioned index of this many
-	// independent ALT shards behind a learned boundary router
-	// (internal/shard). Bulkload fixes the boundaries — or the layout saved
-	// in a sharded snapshot does, which wins over this count on Load — and
-	// nothing moves them afterwards. Zero keeps the single-instance
-	// layout. core.New itself ignores the field — one core.ALT is always
-	// one shard — so a single Options value can flow unchanged through the
-	// whole stack.
+	// Shards asks the front-ends that read it (altindex.New and Load)
+	// for a range-partitioned index of this many independent ALT shards
+	// behind a learned boundary router (internal/shard). Bulkload fixes
+	// the boundaries from the loaded keys and nothing moves them
+	// afterwards. Zero keeps the single-instance layout. core.New itself
+	// ignores the field — one core.ALT is always one shard — so a single
+	// Options value can flow unchanged through the whole stack.
 	Shards int
-	// RetrainGate, when non-nil, is a shared semaphore bounding how many
-	// rebuilds may execute concurrently across every index holding the
-	// same channel: an index's retraining worker sends before rebuilding
-	// and receives after. Each index rebuilds one range at a time anyway;
-	// the sharded front-end hands one gate to all of its shards so the
-	// shards together share one rebuild budget instead of running one
-	// rebuild each. Nil means ungated, the single-instance default.
-	RetrainGate chan struct{}
 }
 
 func (o Options) withDefaults() Options {

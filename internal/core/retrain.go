@@ -142,20 +142,6 @@ func (t *ALT) processRetrain(ctx context.Context, m *model) {
 	if pos < 0 {
 		return // replaced by a rebuild or absorbed since the trigger
 	}
-	// Shared rebuild budget: when a gate is configured (the sharded
-	// front-end hands one gate to every shard), acquire a slot before the
-	// rebuild, so the indexes sharing the gate cannot together
-	// oversubscribe the CPU. A rebuild holds one slot and nothing else, so
-	// gate waiters only ever wait on rebuilds that finish on their own.
-	// The table cannot change meanwhile: only this worker publishes it.
-	if gate := t.opts.RetrainGate; gate != nil {
-		select {
-		case gate <- struct{}{}:
-			defer func() { <-gate }()
-		case <-r.stop:
-			return
-		}
-	}
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
 	// Scope the rebuilt key range onto the worker's profiler labels for the

@@ -205,63 +205,6 @@ func TestPlaceholderAbsorption(t *testing.T) {
 	}
 }
 
-// TestShardRetrainGateBudget drives two independent cores that share one
-// single-slot RetrainGate — the configuration the sharded front-end hands
-// every shard — and checks that the gate serializes rebuilds without
-// starving either pipeline: both must still complete their retrains, and
-// every acquired slot must be released (Close on one index must not wedge
-// the other's rebuilds behind a leaked slot).
-func TestShardRetrainGateBudget(t *testing.T) {
-	gate := make(chan struct{}, 1)
-	var alts []*ALT
-	for i := 0; i < 2; i++ {
-		keys := make([]uint64, 4096)
-		for j := range keys {
-			keys[j] = uint64(i)<<40 + uint64(j)*16
-		}
-		alts = append(alts, mustBulk(t, Options{
-			ErrorBound: 16, RetrainMinInserts: 64, RetrainGate: gate,
-		}, keys))
-	}
-	var wg sync.WaitGroup
-	for i, alt := range alts {
-		wg.Add(1)
-		go func(i int, alt *ALT) {
-			defer wg.Done()
-			for j := uint64(0); j < 6000; j++ {
-				k := uint64(i)<<40 + j*16 + 1 + (j % 7)
-				if err := alt.Insert(k, j); err != nil {
-					t.Errorf("core %d: Insert(%d): %v", i, k, err)
-					return
-				}
-			}
-		}(i, alt)
-	}
-	wg.Wait()
-	for i, alt := range alts {
-		alt.Quiesce()
-		checkTable(t, alt)
-		if alt.StatsMap()["retrains"] == 0 {
-			t.Errorf("core %d retrained zero times through the shared gate", i)
-		}
-	}
-	if len(gate) != 0 {
-		t.Fatalf("%d gate slots leaked after quiesce", len(gate))
-	}
-	// Closing one index must leave the gate usable by the survivor.
-	alts[0].Close()
-	for j := uint64(0); j < 3000; j++ {
-		k := uint64(1)<<40 + j*16 + 9
-		if err := alts[1].Insert(k, j); err != nil {
-			t.Fatalf("post-close Insert: %v", err)
-		}
-	}
-	alts[1].Quiesce()
-	if len(gate) != 0 {
-		t.Fatalf("%d gate slots leaked after peer close", len(gate))
-	}
-}
-
 // TestMergeSortedEdgeCases pins the merge used by gather: one side empty
 // (both directions), duplicate keys across the inputs (the model copy —
 // stream a — must win), and interleaved runs with duplicates.

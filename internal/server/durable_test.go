@@ -461,9 +461,10 @@ func (c *lineClient) cmdE(line string) (string, error) {
 //     layout ("bounds"). Recovery must accept the file and ignore the
 //     field. The meta is hand-written JSON around the live checkpoint's
 //     LSN, not the output of any encoder in this tree.
-//   - v2-base: a base snapshot saved from a 4-shard index (ALTIX002).
-//     Recovery must merge it into one index, then replay the log suffix
-//     above the meta's LSN.
+//   - v2-base: a base snapshot in the layout earlier builds saved a
+//     4-shard index in (ALTIX002), spelled byte by byte. Recovery must
+//     merge it into one index, then replay the log suffix above the
+//     meta's LSN.
 func TestDurableLegacyMetaBoundsIgnored(t *testing.T) {
 	set := func(t *testing.T, c *client, from, to int) {
 		t.Helper()
@@ -528,23 +529,25 @@ func TestDurableLegacyMetaBoundsIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 		set(t, c, 401, 420) // a log tail past the base
-		// Replace base 1 with the same pairs saved from a 4-shard index.
-		sharded := altindex.New(altindex.Options{Shards: 4})
-		defer sharded.Close()
-		pairs := make([]altindex.KV, 400)
-		for i := range pairs {
-			k := uint64(i + 1)
-			pairs[i] = altindex.KV{Key: k, Value: k * 3}
+		// Replace base 1 with the same pairs in the layout earlier builds
+		// saved a 4-shard index in. The bytes are spelled out, not produced
+		// by an encoder in this tree: u32 shard count, three boundaries,
+		// then the v1 pair payload.
+		v2 := binary.LittleEndian.AppendUint32([]byte("ALTIX002"), 4)
+		for _, b := range []uint64{101, 201, 301} {
+			v2 = binary.LittleEndian.AppendUint64(v2, b)
 		}
-		if err := sharded.Bulkload(pairs); err != nil {
-			t.Fatal(err)
+		v2 = binary.LittleEndian.AppendUint64(v2, 400)
+		for k := uint64(1); k <= 400; k++ {
+			v2 = binary.LittleEndian.AppendUint64(v2, k)
+			v2 = binary.LittleEndian.AppendUint64(v2, k*3)
 		}
 		base := basePath(dir, readMeta(t, dir).Generation)
-		if err := altindex.Save(sharded, base); err != nil {
+		if err := snapio.WriteFile(base, func(w io.Writer) error {
+			_, werr := w.Write(v2)
+			return werr
+		}); err != nil {
 			t.Fatal(err)
-		}
-		if raw, err := os.ReadFile(base); err != nil || !bytes.HasPrefix(raw, []byte("ALTIX002")) {
-			t.Fatalf("base is not a v2 snapshot (%v)", err)
 		}
 		if st := recoverDir(t, dir); st["replayed_records"] != 20 {
 			t.Fatalf("replayed_records = %d, want the 20-record suffix", st["replayed_records"])

@@ -1,11 +1,15 @@
 // Package shard range-partitions the keyspace across S independent
-// core.ALT instances behind an immutable learned boundary router — the
-// partitioned front-end the paper's multi-core evaluation (§IV, Fig 9)
-// implies and "Are Updatable Learned Indexes Ready?" (arXiv:2207.02900)
-// identifies as the remedy for single-root contention: one copy-on-write
-// model table, one retraining pipeline and one ART fallback per SHARD
-// instead of per index, so directory publishes, retraining freezes and
-// conflict-tree traffic stay shard-local.
+// core.ALT instances behind an immutable learned boundary router. Each
+// shard is a whole index of its own: one copy-on-write model table, one
+// retraining worker and one ART fallback, sharing nothing with the others.
+//
+// The layer goes beyond the paper, whose index is one flattened model
+// table over one ART (§III-B, §III-C). It was built to remove the
+// single-root contention that "Are Updatable Learned Indexes Ready?"
+// (arXiv:2207.02900) describes, and the measurements here did not show
+// that benefit: at ε 1,000 four shards lose every pair to one on read and
+// write latency and on throughput (results/router_nest_pairs.txt). The
+// package stays while the fixed benchmark's mem-range workload runs on it.
 //
 // Boundaries are equal-depth quantiles of the bulkload key sample
 // (internal/gpl's sampled-CDF helpers), so shards hold equal key counts
@@ -13,15 +17,13 @@
 // every routed operation resolves its shard with a branch-free binary
 // search over at most 63 boundary keys, and immutability is what makes
 // the router a single atomic pointer load with no coordination. The
-// layout is static: Bulkload (quantiles) and NewWithBounds (a saved
-// layout) are the only things that set boundaries, and nothing reshapes
-// them while the index is in use, so no routed operation ever has to
-// re-check its shard choice (DESIGN.md §9 has the measurement behind
-// keeping it that way).
+// layout is static: Bulkload's quantiles are the only thing that sets
+// boundaries, and nothing reshapes them while the index is in use, so no
+// routed operation ever has to re-check its shard choice (DESIGN.md §9 has
+// the measurement behind keeping it that way).
 package shard
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,12 +51,7 @@ const parallelBulkMin = 1 << 16
 // scans, stats) by routing every operation to one of S core.ALT shards.
 // Create with New; safe for concurrent use after Bulkload.
 type ALT struct {
-	opts core.Options // per-shard options: Shards cleared, RetrainGate set
-	gate chan struct{}
-	// fixed pins the boundaries across Bulkload (snapshot restore): the
-	// stored layout is reproduced instead of recomputing quantiles.
-	fixed bool
-
+	opts  core.Options // per-shard options: Shards cleared
 	route atomic.Pointer[routing]
 }
 
@@ -92,48 +89,14 @@ func clampShards(s int) int {
 // New returns an empty sharded index with opts.Shards shards (clamped to
 // [1, MaxShards]). Until Bulkload the boundaries are equal-width splits of
 // the uint64 domain; Bulkload replaces them with equal-depth CDF
-// quantiles of the loaded keys. The per-shard options are opts with
-// Shards cleared and a shared RetrainGate injected (unless the caller
-// already provided one), so all shards draw rebuild slots from one
-// budget.
+// quantiles of the loaded keys. Each shard is core.New(opts) with Shards
+// cleared: an independent index with its own retraining worker.
 func New(opts core.Options) *ALT {
 	s := clampShards(opts.Shards)
-	t := newFront(opts)
+	opts.Shards = 0
+	t := &ALT{opts: opts}
 	t.route.Store(t.newRouting(gpl.EqualWidthBounds(s)))
 	return t
-}
-
-// NewWithBounds returns an empty sharded index with len(bounds)+1 shards
-// using the given boundary keys, which must be non-decreasing (duplicates
-// delimit permanently empty shards). The boundaries are pinned: Bulkload
-// keeps them instead of recomputing quantiles. Used by snapshot restore
-// to reproduce a saved layout exactly.
-func NewWithBounds(opts core.Options, bounds []uint64) (*ALT, error) {
-	if len(bounds)+1 > MaxShards {
-		return nil, fmt.Errorf("shard: %d bounds exceed %d shards", len(bounds), MaxShards)
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] < bounds[i-1] {
-			return nil, index.ErrUnsortedBulk
-		}
-	}
-	t := newFront(opts)
-	t.fixed = true
-	t.route.Store(t.newRouting(bounds))
-	return t, nil
-}
-
-func newFront(opts core.Options) *ALT {
-	gate := opts.RetrainGate
-	if gate == nil {
-		// One slot: the sharded index as a whole rebuilds one range at a
-		// time, like one unsharded index.
-		gate = make(chan struct{}, 1)
-	}
-	child := opts
-	child.Shards = 0
-	child.RetrainGate = gate
-	return &ALT{opts: child, gate: gate}
 }
 
 // newRouting builds a fresh routing table with len(bounds)+1 empty shards.
@@ -186,13 +149,6 @@ func (r *routing) ixOf(key uint64) *core.ALT {
 	return r.ixs[r.shardOf(key)]
 }
 
-// Bounds returns a copy of the S-1 boundary keys (empty for S=1).
-// Snapshots persist them so Load can reproduce the layout.
-func (t *ALT) Bounds() []uint64 {
-	r := t.route.Load()
-	return append([]uint64(nil), r.pad[:r.last]...)
-}
-
 // Shards returns the shard count.
 func (t *ALT) Shards() int { return t.route.Load().last + 1 }
 
@@ -210,9 +166,9 @@ func (t *ALT) Len() int {
 }
 
 // Bulkload replaces the index contents: boundaries are recomputed as
-// equal-depth quantiles of a key sample (unless pinned by NewWithBounds),
-// the sorted input is split by boundary, and each shard bulkloads its
-// slice — in parallel for large loads, since the slices are disjoint.
+// equal-depth quantiles of a key sample, the sorted input is split by
+// boundary, and each shard bulkloads its slice — in parallel for large
+// loads, since the slices are disjoint.
 // Like core.ALT's, it replaces the contents and must not run concurrently
 // with any other method call.
 func (t *ALT) Bulkload(pairs []index.KV) error {
@@ -225,7 +181,7 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	old := t.route.Load()
 	s := old.last + 1
 	bounds := old.pad[:old.last]
-	if !t.fixed && len(pairs) > 0 {
+	if len(pairs) > 0 {
 		keys := make([]uint64, len(pairs))
 		for i := range pairs {
 			keys[i] = pairs[i].Key

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"maps"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"altindex/internal/core"
@@ -46,14 +48,14 @@ func TestShardRouterMatchesSearch(t *testing.T) {
 		if got := ix.Shards(); got != s {
 			t.Fatalf("Shards() = %d, want %d", got, s)
 		}
-		// Install the random bounds via the pinned-bounds constructor so
-		// the probe array under test is arbitrary, not equal-width.
-		ix.Close()
-		ix2, err := NewWithBounds(core.Options{}, bounds)
-		if err != nil {
-			t.Fatal(err)
+		// Install the random bounds directly so the probe array under
+		// test is arbitrary, not equal-width.
+		old := ix.route.Load()
+		r := ix.newRouting(bounds)
+		ix.route.Store(r)
+		for _, shard := range old.ixs {
+			shard.Close()
 		}
-		r := ix2.route.Load()
 		probe := make([]uint64, 0, 2*s+64)
 		for i := 0; i < 64; i++ {
 			probe = append(probe, rng.Uint64())
@@ -71,7 +73,7 @@ func TestShardRouterMatchesSearch(t *testing.T) {
 				t.Fatalf("s=%d shardOf(%d) = %d, want %d (bounds %v)", s, k, got, want, bounds)
 			}
 		}
-		ix2.Close()
+		ix.Close()
 	}
 }
 
@@ -132,7 +134,8 @@ func TestShardScanStitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	starts := []uint64{0, keys[0], keys[len(keys)/2] + 1, keys[len(keys)-1], ^uint64(0)}
-	for _, b := range ix.Bounds() {
+	r := ix.route.Load()
+	for _, b := range r.pad[:r.last] {
 		starts = append(starts, b-1, b, b+1)
 	}
 	for _, start := range starts {
@@ -195,9 +198,8 @@ func TestShardRange(t *testing.T) {
 	}
 }
 
-// TestShardStatsAggregation checks StatsMap sums counters and reports the
-// skew monitor from the shards' key counts: balanced after a quantile
-// bulkload, and flagging a hot range once inserts pile into one shard.
+// TestShardStatsAggregation checks StatsMap sums the shards' counters
+// into one view of the index.
 func TestShardStatsAggregation(t *testing.T) {
 	keys := sortedKeys(8000, 6)
 	ix := New(core.Options{Shards: 4})
@@ -205,99 +207,22 @@ func TestShardStatsAggregation(t *testing.T) {
 	if err := ix.Bulkload(pairsOf(keys)); err != nil {
 		t.Fatal(err)
 	}
-	// skew checks the monitor against the per-shard counts it reports and
-	// returns the imbalance ratio.
-	skew := func() int64 {
-		st := ix.StatsMap()
-		if st["shards"] != 4 {
-			t.Fatalf("shards = %d, want 4", st["shards"])
-		}
-		if st["learned_keys"]+st["art_keys"] != int64(ix.Len()) {
-			t.Fatalf("layer keys sum to %d, want %d", st["learned_keys"]+st["art_keys"], ix.Len())
-		}
-		var sum, max int64
-		for _, k := range []string{"shard_keys_00", "shard_keys_01", "shard_keys_02", "shard_keys_03"} {
-			n, ok := st[k]
-			if !ok {
-				t.Fatalf("%s missing", k)
-			}
-			sum += n
-			if n > max {
-				max = n
+	st := ix.StatsMap()
+	if st["learned_keys"]+st["art_keys"] != int64(ix.Len()) {
+		t.Fatalf("layer keys sum to %d, want %d", st["learned_keys"]+st["art_keys"], ix.Len())
+	}
+	want := map[string]int64{}
+	for _, shard := range ix.route.Load().ixs {
+		for k, v := range shard.StatsMap() {
+			if strings.HasSuffix(k, "_max_ns") {
+				want[k] = max(want[k], v)
+			} else {
+				want[k] += v
 			}
 		}
-		if sum != int64(ix.Len()) {
-			t.Fatalf("per-shard keys sum to %d, Len() = %d", sum, ix.Len())
-		}
-		if st["shard_keys_max"] != max {
-			t.Fatalf("shard_keys_max = %d, want %d", st["shard_keys_max"], max)
-		}
-		if want := max * 100 * 4 / sum; st["shard_imbalance_x100"] != want {
-			t.Fatalf("shard_imbalance_x100 = %d, want max*100/mean = %d", st["shard_imbalance_x100"], want)
-		}
-		return st["shard_imbalance_x100"]
 	}
-	if got := skew(); got < 100 || got > 110 {
-		t.Fatalf("imbalance after a quantile bulkload = %d, want about 100", got)
-	}
-
-	// Hot range: 2,000 fresh keys all inside shard 0's range double its
-	// count, so max/mean = 4000/2500.
-	bound := ix.Bounds()[0]
-	rng := rand.New(rand.NewSource(9))
-	for added := 0; added < 2000; {
-		k := rng.Uint64() % bound
-		if _, ok := ix.Get(k); ok {
-			continue
-		}
-		if err := ix.Insert(k, k*3); err != nil {
-			t.Fatal(err)
-		}
-		added++
-	}
-	ix.Quiesce()
-	if got := skew(); got < 150 {
-		t.Fatalf("imbalance after hot-range inserts = %d, want >= 150", got)
-	}
-}
-
-// TestShardNewWithBounds checks boundary validation and that pinned
-// boundaries survive Bulkload (the snapshot-restore contract).
-func TestShardNewWithBounds(t *testing.T) {
-	if _, err := NewWithBounds(core.Options{}, []uint64{5, 4}); err == nil {
-		t.Fatal("decreasing bounds accepted")
-	}
-	if _, err := NewWithBounds(core.Options{}, make([]uint64, MaxShards)); err == nil {
-		t.Fatal("too many bounds accepted")
-	} else if want := "shard: 64 bounds exceed 64 shards"; err.Error() != want {
-		t.Fatalf("too many bounds: error %q, want %q", err, want)
-	}
-	bounds := []uint64{1000, 2000, 3000}
-	ix, err := NewWithBounds(core.Options{}, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	// Keys deliberately clustered below the first pinned bound: quantile
-	// recomputation would move the boundaries, pinning must not.
-	keys := make([]uint64, 500)
-	for i := range keys {
-		keys[i] = uint64(i)
-	}
-	if err := ix.Bulkload(pairsOf(keys)); err != nil {
-		t.Fatal(err)
-	}
-	got := ix.Bounds()
-	if len(got) != len(bounds) {
-		t.Fatalf("Bounds() len %d, want %d", len(got), len(bounds))
-	}
-	for i := range bounds {
-		if got[i] != bounds[i] {
-			t.Fatalf("bound %d moved: %d != %d", i, got[i], bounds[i])
-		}
-	}
-	if v, ok := ix.Get(499); !ok || v != 499*3 {
-		t.Fatalf("Get(499) = (%d,%v)", v, ok)
+	if !maps.Equal(st, want) {
+		t.Fatalf("StatsMap = %v, want the shards' counters summed (high-water keys maxed): %v", st, want)
 	}
 }
 

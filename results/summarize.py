@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Summarise benchmark artifacts. Stdlib only; rerun after regenerating.
 
-Two modes (the shard-scaling and net-path grids are printed by altbench
-itself):
+Two modes (the net-path grid is printed by altbench itself):
 
 - summarize.py [results/experiments_raw.txt]: per Fig-7 mix, print each
   dataset's ALT throughput, the best baseline, and the ratio — the

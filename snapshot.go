@@ -16,22 +16,14 @@ import (
 // Index snapshot formats, little-endian, framed by snapio's CRC32 footer
 // and written via its temp-file + fsync + atomic-rename sequence.
 //
-// v1 — single-instance layout (written whenever the index has no shard
-// boundaries, so unsharded snapshots are byte-identical to earlier
-// releases):
+// v1 — the only layout Save writes, for every index, sharded or not:
 //
 //	magic "ALTIX001"
 //	u64 pairCount
 //	pairCount × (u64 key, u64 value), ascending by key
 //
-// v2 — sharded layout; identical pair payload with the shard boundaries
-// prepended so Load can reproduce the partitioning exactly:
-//
-//	magic "ALTIX002"
-//	u32 shardCount (2..64)
-//	(shardCount-1) × u64 boundary key, non-decreasing
-//	u64 pairCount
-//	pairCount × (u64 key, u64 value), ascending by key
+// v2 — the layout earlier builds wrote for sharded indexes, now read-only
+// legacy input; Load's reader spells it out.
 //
 // Save requires the index to be quiescent for an exact snapshot (it is a
 // checkpoint operation); Load bulkloads a fresh index from the file.
@@ -41,10 +33,6 @@ var (
 	indexSnapMagicV2 = [8]byte{'A', 'L', 'T', 'I', 'X', '0', '0', '2'}
 )
 
-// bounded is the surface a sharded index exposes for snapshotting: the
-// boundary keys that define its partitioning.
-type bounded interface{ Bounds() []uint64 }
-
 // ErrBadSnapshot reports a corrupt, truncated or incompatible index
 // snapshot file. Save's atomic write sequence guarantees a crash mid-save
 // leaves either the previous complete snapshot or a file Load rejects with
@@ -52,17 +40,15 @@ type bounded interface{ Bounds() []uint64 }
 var ErrBadSnapshot = errors.New("altindex: bad snapshot")
 
 // Save writes a point-in-time snapshot of idx to path, atomically: the
-// previous snapshot at path survives any failure or crash mid-save.
-// Sharded indexes persist their boundary keys (format v2); everything else
-// writes the original v1 format byte-for-byte.
+// previous snapshot at path survives any failure or crash mid-save. The
+// file is format v1 for every layout: the same pairs give the same bytes.
 func Save(idx Index, path string) error {
-	var bounds []uint64
-	if b, ok := idx.(bounded); ok {
-		bounds = b.Bounds()
-	}
 	return snapio.WriteFile(path, func(w io.Writer) error {
 		count := uint64(idx.Len())
-		if err := writeIndexHeader(w, bounds, count); err != nil {
+		if _, err := w.Write(indexSnapMagic[:]); err != nil {
+			return err
+		}
+		if err := binary.Write(w, binary.LittleEndian, count); err != nil {
 			return err
 		}
 		var werr error
@@ -84,38 +70,13 @@ func Save(idx Index, path string) error {
 	})
 }
 
-func writeIndexHeader(w io.Writer, bounds []uint64, count uint64) error {
-	if len(bounds) == 0 {
-		if _, err := w.Write(indexSnapMagic[:]); err != nil {
-			return err
-		}
-		return binary.Write(w, binary.LittleEndian, count)
-	}
-	if _, err := w.Write(indexSnapMagicV2[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(bounds)+1)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, bounds); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, count)
-}
-
 // Load reads a snapshot written by Save into a fresh index built with
 // opts. Corrupt or truncated files return an error wrapping ErrBadSnapshot.
 //
-// A sharded (v2) snapshot loaded into a sharded config (opts.Shards > 1)
-// is restored with its exact saved boundaries — the saved layout wins
-// over opts.Shards: the file may come from an index with a different
-// shard count (or from an earlier build that reshaped layouts online),
-// and restore reproduces the partitioning that was saved
-// instead of re-quantiling it. Loading a sharded file into an
-// unsharded config, or an unsharded file into any config, remaps by
-// bulkloading the pairs into a fresh index built from opts. Data always
-// round-trips; only the partitioning is recomputed when the layouts
-// fundamentally disagree.
+// Every file, v1 or legacy v2, loads by bulkloading its pairs into
+// New(opts), so opts alone decides the layout. A v2 file's shard
+// boundaries are checked like the rest of the file and then dropped: a
+// sharded config computes its own from the loaded keys.
 func Load(path string, opts Options) (Index, error) {
 	payload, err := snapio.ReadFile(path)
 	if err != nil {
@@ -129,10 +90,17 @@ func Load(path string, opts Options) (Index, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing header", ErrBadSnapshot)
 	}
-	var bounds []uint64
 	switch magic {
 	case indexSnapMagic:
 	case indexSnapMagicV2:
+		// Legacy sharded layout, the v1 pair payload behind its shard
+		// boundaries, which are checked and then dropped:
+		//
+		//	magic "ALTIX002"
+		//	u32 shardCount (2..64)
+		//	(shardCount-1) × u64 boundary key, non-decreasing
+		//	u64 pairCount
+		//	pairCount × (u64 key, u64 value), ascending by key
 		var shards uint32
 		if err := binary.Read(r, binary.LittleEndian, &shards); err != nil {
 			return nil, fmt.Errorf("%w: missing shard count", ErrBadSnapshot)
@@ -140,7 +108,7 @@ func Load(path string, opts Options) (Index, error) {
 		if shards < 2 || shards > shard.MaxShards {
 			return nil, fmt.Errorf("%w: shard count %d out of range", ErrBadSnapshot, shards)
 		}
-		bounds = make([]uint64, shards-1)
+		bounds := make([]uint64, shards-1)
 		if err := binary.Read(r, binary.LittleEndian, bounds); err != nil {
 			return nil, fmt.Errorf("%w: truncated shard boundaries", ErrBadSnapshot)
 		}
@@ -174,19 +142,7 @@ func Load(path string, opts Options) (Index, error) {
 		prev = k
 		pairs[i] = index.KV{Key: k, Value: binary.LittleEndian.Uint64(kv[8:])}
 	}
-	var idx Index
-	if len(bounds) > 0 && opts.Shards > 1 {
-		// Sharded file into sharded config: pin the stored boundaries so
-		// the restored partitioning is exact — even when the saved shard
-		// count differs from opts.Shards.
-		sh, err := shard.NewWithBounds(opts, bounds)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		idx = sh
-	} else {
-		idx = New(opts)
-	}
+	idx := New(opts)
 	if err := idx.Bulkload(pairs); err != nil {
 		return nil, err
 	}

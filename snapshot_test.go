@@ -1,6 +1,7 @@
 package altindex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -51,150 +52,134 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotShardRoundTrip covers the sharded (v2) snapshot format:
-// saving a sharded index, restoring it into the same sharded layout with
-// the exact stored boundaries, and loading it into layouts that disagree
-// with the file — unsharded and differently-sharded configs — which must
-// remap the data cleanly rather than fail or corrupt.
+// v2Payload spells a legacy ALTIX002 snapshot payload byte by byte — no
+// encoder in this tree writes one any more, but earlier builds saved every
+// sharded index this way: a u32 shard count, the shard count-1 boundary
+// keys, then the v1 pair payload.
+func v2Payload(bounds []uint64, pairs []KV) []byte {
+	out := binary.LittleEndian.AppendUint32([]byte("ALTIX002"), uint32(len(bounds)+1))
+	for _, b := range bounds {
+		out = binary.LittleEndian.AppendUint64(out, b)
+	}
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(pairs)))
+	for _, kv := range pairs {
+		out = binary.LittleEndian.AppendUint64(out, kv.Key)
+		out = binary.LittleEndian.AppendUint64(out, kv.Value)
+	}
+	return out
+}
+
+// writeSnapshot frames payload the way Save does and writes it to a file.
+func writeSnapshot(t *testing.T, payload []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "hand.snap")
+	if err := snapio.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSaveWritesOneFormat pins the single snapshot writer: a 4-shard
+// index and one core instance holding the same pairs save byte-identical
+// v1 files.
+func TestSaveWritesOneFormat(t *testing.T) {
+	var raw [2][]byte
+	for i, opts := range []Options{{Shards: 4}, {}} {
+		idx := New(opts)
+		defer idx.Close()
+		var pairs []KV
+		for k := uint64(1); k <= 20000; k++ {
+			pairs = append(pairs, KV{Key: k * 7, Value: k * 11})
+		}
+		if err := idx.Bulkload(pairs); err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(30000); k < 30500; k++ {
+			if err := idx.Insert(k*9, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		idx.Quiesce()
+		path := filepath.Join(t.TempDir(), "idx.snap")
+		if err := Save(idx, path); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if raw[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(raw[0][:8]) != "ALTIX001" {
+		t.Fatalf("sharded index saved magic %q, want ALTIX001", raw[0][:8])
+	}
+	if !bytes.Equal(raw[0], raw[1]) {
+		t.Fatalf("sharded save (%d bytes) differs from the unsharded save of the same pairs (%d bytes)", len(raw[0]), len(raw[1]))
+	}
+}
+
+// TestSnapshotShardRoundTrip covers the legacy sharded (v2) snapshot
+// format, which only earlier builds wrote: hand-spelled v2 files load
+// into any layout — unsharded, the file's own shard count, another one —
+// with exactly their pairs, a v1 file loads into a sharded config, and
+// malformed v2 headers are rejected.
 func TestSnapshotShardRoundTrip(t *testing.T) {
-	idx := New(Options{Shards: 4})
-	defer idx.Close()
 	var pairs []KV
 	for k := uint64(1); k <= 20000; k++ {
 		pairs = append(pairs, KV{Key: k * 7, Value: k * 11})
 	}
-	if err := idx.Bulkload(pairs); err != nil {
-		t.Fatal(err)
-	}
 	for k := uint64(30000); k < 30500; k++ {
-		if err := idx.Insert(k*9, k); err != nil {
-			t.Fatal(err)
-		}
+		pairs = append(pairs, KV{Key: k * 9, Value: k})
 	}
-	idx.Quiesce()
-	wantBounds := idx.(interface{ Bounds() []uint64 }).Bounds()
-	path := filepath.Join(t.TempDir(), "sharded.snap")
-	if err := Save(idx, path); err != nil {
-		t.Fatal(err)
-	}
+	path := writeSnapshot(t, v2Payload([]uint64{7 * 5000, 7 * 10000, 7 * 15000}, pairs))
 
 	verify := func(t *testing.T, loaded Index) {
 		t.Helper()
-		if loaded.Len() != idx.Len() {
-			t.Fatalf("Len = %d, want %d", loaded.Len(), idx.Len())
+		if loaded.Len() != len(pairs) {
+			t.Fatalf("Len = %d, want %d", loaded.Len(), len(pairs))
 		}
-		for i := 0; i < len(pairs); i += 97 {
-			kv := pairs[i]
+		for _, kv := range pairs {
 			if v, ok := loaded.Get(kv.Key); !ok || v != kv.Value {
 				t.Fatalf("Get(%d) = (%d,%v)", kv.Key, v, ok)
 			}
 		}
-		for k := uint64(30000); k < 30500; k++ {
-			if v, ok := loaded.Get(k * 9); !ok || v != k {
-				t.Fatalf("inserted key %d = (%d,%v)", k*9, v, ok)
-			}
-		}
 		// Scans must stitch identically regardless of layout.
 		n := 0
-		var prev uint64
-		index.Walk(loaded, 0, ^uint64(0), idx.Len()+1, func(k, v uint64) bool {
-			if n > 0 && k <= prev {
-				t.Fatalf("scan order violation: %d after %d", k, prev)
+		index.Walk(loaded, 0, ^uint64(0), len(pairs)+1, func(k, v uint64) bool {
+			if n >= len(pairs) || (KV{Key: k, Value: v}) != pairs[n] {
+				t.Fatalf("scan pair %d = (%d,%d), want %v", n, k, v, pairs[min(n, len(pairs)-1)])
 			}
-			prev = k
 			n++
 			return true
 		})
-		if n != idx.Len() {
-			t.Fatalf("scan visited %d keys, want %d", n, idx.Len())
+		if n != len(pairs) {
+			t.Fatalf("scan visited %d keys, want %d", n, len(pairs))
 		}
 	}
+	load := func(t *testing.T, path string, opts Options, shards int) {
+		t.Helper()
+		loaded, err := Load(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer loaded.Close()
+		if sh, ok := loaded.(*shard.ALT); (shards > 1) != ok || (ok && sh.Shards() != shards) {
+			t.Fatalf("loaded %T into %+v, want %d shards: opts alone choose the layout", loaded, opts, shards)
+		}
+		verify(t, loaded)
+	}
 
-	t.Run("same-layout", func(t *testing.T) {
-		loaded, err := Load(path, Options{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer loaded.Close()
-		gotBounds := loaded.(interface{ Bounds() []uint64 }).Bounds()
-		if len(gotBounds) != len(wantBounds) {
-			t.Fatalf("restored %d bounds, want %d", len(gotBounds), len(wantBounds))
-		}
-		for i := range wantBounds {
-			if gotBounds[i] != wantBounds[i] {
-				t.Fatalf("bound %d = %d, want %d (layout not reproduced)", i, gotBounds[i], wantBounds[i])
-			}
-		}
-		verify(t, loaded)
-	})
-	t.Run("into-unsharded", func(t *testing.T) {
-		loaded, err := Load(path, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer loaded.Close()
-		if _, ok := loaded.(interface{ Bounds() []uint64 }); ok {
-			t.Fatal("unsharded config produced a sharded index")
-		}
-		verify(t, loaded)
-	})
-	t.Run("into-different-count", func(t *testing.T) {
-		// The saved layout wins over opts.Shards: restore reproduces the
-		// partitioning that was saved rather than re-quantile it.
-		loaded, err := Load(path, Options{Shards: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer loaded.Close()
-		if got := loaded.StatsMap()["shards"]; got != 4 {
-			t.Fatalf("shards = %d, want the saved 4 (stored layout must win)", got)
-		}
-		gotBounds := loaded.(interface{ Bounds() []uint64 }).Bounds()
-		for i := range wantBounds {
-			if gotBounds[i] != wantBounds[i] {
-				t.Fatalf("bound %d = %d, want %d", i, gotBounds[i], wantBounds[i])
-			}
-		}
-		verify(t, loaded)
-	})
+	t.Run("same-layout", func(t *testing.T) { load(t, path, Options{Shards: 4}, 4) })
+	t.Run("into-unsharded", func(t *testing.T) { load(t, path, Options{}, 1) })
+	t.Run("into-different-count", func(t *testing.T) { load(t, path, Options{Shards: 7}, 7) })
 	t.Run("pinned-bounds", func(t *testing.T) {
-		// A deliberately non-quantile layout whose shard count (6) is not
-		// the loading config's (4) — what a file from a differently
-		// configured server, or from a build that reshaped layouts online,
-		// looks like. The v2 file must round-trip those exact boundaries.
+		// A deliberately non-quantile six-shard layout, as a file from a
+		// differently configured server looks: its boundaries are checked
+		// and dropped, and the data lands in the loading config's layout.
 		pinned := []uint64{7 * 1000, 7 * 1100, 7 * 9000, 7 * 9001, 7 * 15000}
-		src, err := shard.NewWithBounds(Options{}, pinned)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
-		all := make([]KV, 0, idx.Len())
-		index.Walk(idx, 0, ^uint64(0), idx.Len()+1, func(k, v uint64) bool {
-			all = append(all, KV{Key: k, Value: v})
-			return true
-		})
-		if err := src.Bulkload(all); err != nil {
-			t.Fatal(err)
-		}
-		p4 := filepath.Join(t.TempDir(), "pinned.snap")
-		if err := Save(src, p4); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(p4, Options{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer loaded.Close()
-		gotBounds := loaded.(interface{ Bounds() []uint64 }).Bounds()
-		if len(gotBounds) != len(pinned) {
-			t.Fatalf("restored %d bounds, want %d", len(gotBounds), len(pinned))
-		}
-		for i := range pinned {
-			if gotBounds[i] != pinned[i] {
-				t.Fatalf("bound %d = %d, want %d (saved layout not reproduced)", i, gotBounds[i], pinned[i])
-			}
-		}
-		verify(t, loaded)
+		load(t, writeSnapshot(t, v2Payload(pinned, pairs)), Options{Shards: 4}, 4)
 	})
 	t.Run("unsharded-file-into-sharded", func(t *testing.T) {
 		flat := NewDefault()
@@ -206,38 +191,22 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 		if err := Save(flat, p2); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(p2, Options{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer loaded.Close()
-		if got := loaded.StatsMap()["shards"]; got != 4 {
-			t.Fatalf("shards = %d, want 4", got)
-		}
-		if loaded.Len() != len(pairs) {
-			t.Fatalf("Len = %d, want %d", loaded.Len(), len(pairs))
-		}
+		load(t, p2, Options{Shards: 4}, 4)
 	})
 	t.Run("corrupt-bounds-rejected", func(t *testing.T) {
-		// A well-framed (valid CRC) v2 file whose boundaries decrease must
-		// be rejected by the semantic validation, not just the checksum.
-		p3 := filepath.Join(t.TempDir(), "badbounds.snap")
-		err := snapio.WriteFile(p3, func(w io.Writer) error {
-			if _, err := w.Write([]byte("ALTIX002")); err != nil {
-				return err
-			}
-			for _, v := range []any{uint32(4), []uint64{30, 20, 10}, uint64(0)} {
-				if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-					return err
+		// Well-framed (valid CRC) v2 files whose header is wrong must be
+		// rejected by the semantic validation, not just the checksum.
+		for name, payload := range map[string][]byte{
+			"one-shard":         v2Payload(nil, pairs[:3]),
+			"65-shards":         v2Payload(make([]uint64, 64), pairs[:3]),
+			"decreasing-bounds": v2Payload([]uint64{30, 20, 10}, nil),
+			"truncated-bounds":  v2Payload([]uint64{10, 20, 30}, nil)[:8+4+8],
+		} {
+			for _, opts := range []Options{{}, {Shards: 4}} {
+				if _, err := Load(writeSnapshot(t, payload), opts); !errors.Is(err, ErrBadSnapshot) {
+					t.Fatalf("%s into %+v: %v, want ErrBadSnapshot", name, opts, err)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(p3, Options{Shards: 4}); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("decreasing bounds: %v, want ErrBadSnapshot", err)
 		}
 	})
 }
