@@ -44,9 +44,6 @@ func main() {
 		batch   = flag.String("batch", "", "comma-separated batch sizes for the 'batch' experiment (default 1,8,64,256)")
 		tier    = flag.String("tier", "", "scale tier: 'large' defaults -keys to 20M and -exp to large-scale (pass -keys 50000000 or more to opt higher)")
 
-		gogc     = flag.Int("gogc", 0, "debug.SetGCPercent value for the whole process (0 = leave GOGC/runtime default)")
-		memlimit = flag.Int64("memlimit", 0, "debug.SetMemoryLimit bytes (0 = leave GOMEMLIMIT/runtime default)")
-
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		mutexprofile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
@@ -78,15 +75,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "altbench: unknown -tier %q (only 'large')\n", *tier)
 		os.Exit(2)
-	}
-
-	// GC knobs apply to the whole process so the JSON metadata below
-	// describes exactly what every recorded run executed under.
-	if *gogc != 0 {
-		debug.SetGCPercent(*gogc)
-	}
-	if *memlimit > 0 {
-		debug.SetMemoryLimit(*memlimit)
 	}
 
 	if *list {
@@ -157,8 +145,8 @@ func main() {
 	if *jsonOut != "" {
 		// Reproducibility metadata: the GC configuration and host shape a
 		// perf-trajectory artifact ran under. The GOGC/GOMEMLIMIT values
-		// are the effective runtime settings (flag, env or default), read
-		// back from the runtime itself.
+		// are the effective runtime settings (environment or default),
+		// read back from the runtime itself.
 		curGC := debug.SetGCPercent(100)
 		debug.SetGCPercent(curGC)
 		doc := struct {

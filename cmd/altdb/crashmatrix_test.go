@@ -122,7 +122,7 @@ func hitBudget(site string, iter int) int {
 	case "wal/truncate", "altdb/checkpoint/publish":
 		// One hit per checkpoint; keep the budget tight so it trips.
 		return iter % 3
-	default: // snapio sites: a few hits per checkpoint (delta + meta).
+	default: // snapio sites: two hits per checkpoint, one base and one meta.
 		return iter % 8
 	}
 }

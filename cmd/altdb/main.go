@@ -3,9 +3,10 @@
 // sense, hardened for unattended operation: per-connection deadlines, a
 // connection cap with accept backpressure, per-connection panic containment,
 // graceful drain on SIGINT/SIGTERM, and (with -wal-dir) full durability:
-// group-committed write-ahead logging, incremental checkpoints and
-// crash recovery that preserves every acknowledged write. Without -wal-dir
-// the keyspace lives only in memory and is gone when the process exits.
+// group-committed write-ahead logging, checkpoints that write a full base
+// snapshot while writes keep flowing, and crash recovery that preserves
+// every acknowledged write. Without -wal-dir the keyspace lives only in
+// memory and is gone when the process exits.
 //
 // The network hot path is pipelined: replies are flushed once per socket
 // wakeup rather than once per command, runs of point commands go through
@@ -53,10 +54,10 @@ func main() {
 		writeTimeout  = flag.Duration("write-timeout", 30*time.Second, "per-reply write deadline")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain bound")
 		coalesceConns = flag.Int("coalesce-conns", 0, "connection count at which cross-connection op coalescing engages (0 = 8, negative disables)")
-		walDir        = flag.String("wal-dir", "", "durability directory: write-ahead log + incremental checkpoints; writes ack only after commit")
+		walDir        = flag.String("wal-dir", "", "durability directory: write-ahead log + full-base checkpoints; writes ack only after commit")
 		walSync       = flag.String("wal-sync", "always", "WAL commit point: always (fsync per group commit), interval, none")
 		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "WAL segment size cap in bytes (0 = 64 MiB)")
-		ckptInterval  = flag.Duration("checkpoint-interval", 0, "incremental checkpoint cadence (0 = 15s, negative disables)")
+		ckptInterval  = flag.Duration("checkpoint-interval", 0, "how often to check whether the log has grown to the last base's size and write a new base (0 = 15s, negative disables)")
 	)
 	flag.Parse()
 

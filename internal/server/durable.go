@@ -9,7 +9,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,29 +22,28 @@ import (
 
 // Durability layout: a durable altdb keyspace lives in one directory:
 //
-//	<dir>/base-<gen>.snap       full index snapshot (ALTIX format) for
-//	                            generation gen; written by compaction
-//	<dir>/delta-<gen>-<n>.snap  n-th incremental checkpoint of generation
-//	                            gen: the keys dirtied since the previous
-//	                            checkpoint, as set records and tombstones
-//	<dir>/CHECKPOINT            snapio-framed JSON: {generation, deltas, lsn}
-//	<dir>/wal/                  WAL segments (see internal/wal)
+//	<dir>/base-<gen>.snap  full index snapshot (ALTIX format) written by
+//	                       checkpoint generation gen
+//	<dir>/CHECKPOINT       snapio-framed JSON: {generation, lsn}
+//	<dir>/wal/             WAL segments (see internal/wal)
 //
 // Writes ack only after their redo record reaches the WAL's commit point.
-// Incremental checkpoints are non-blocking: they drain the dirty-key set
-// into a small delta file and truncate the log, without pausing writers.
-// When the delta chain grows past maxDeltas, compaction takes the write
-// gate, saves a fresh full base under the next generation number and
-// resets the chain. Base files are never overwritten in place — a crash
-// mid-compaction leaves the previous generation's base + deltas + meta
-// fully intact, because the CHECKPOINT meta flips generations atomically
-// (snapio rename) only after the new base is durable.
+// A checkpoint walks the live index into base-<gen+1> while writers keep
+// running, flips the CHECKPOINT meta to it, truncates the log below its
+// LSN and removes generation gen. Base files are never overwritten in
+// place and the meta flip (a snapio rename) is the only publication point,
+// so a crash anywhere leaves the published base and meta intact.
 //
-// Recovery order is meta -> base -> deltas (in order) -> WAL replay above
-// the meta's LSN. Each stage refuses on corruption rather than serving
-// partial data. Replay is idempotent (set is an upsert, delete tolerates
-// absence), so a crash between checkpoint publish and log truncation
-// merely re-applies a prefix the checkpoint already covers.
+// Recovery order is meta -> base -> WAL replay above the meta's LSN. Each
+// stage refuses on corruption rather than serving partial data. Replay is
+// idempotent (set is an upsert, delete tolerates absence), so a record the
+// base already holds merely re-applies.
+//
+// Earlier builds also wrote delta-<gen>-<n>.snap files (the keys dirtied
+// since the previous checkpoint, as set records and tombstones) and
+// counted them in the meta's "deltas". Recovery still applies them in
+// order between the base and the log; the first checkpoint after such a
+// recovery writes a full base and removes them.
 //
 // Storage faults: the first write, fsync or rotate error wedges the log
 // for the life of the process (wal.Log.Err). From then on every mutation
@@ -53,9 +52,8 @@ import (
 // that was acked; checkpoints neither publish nor truncate, because each
 // one first syncs the log it is about to cover. Restarting on a healthy
 // disk recovers exactly what the old log holds. A fault on the checkpoint
-// side (delta, base or meta write) wedges nothing: the drained keys are
-// re-marked, the previous chain stays published and the next checkpoint
-// retries.
+// side (base or meta write) wedges nothing: the previous base and meta
+// stay published, the log stays untruncated and the next tick retries.
 
 // fpCkptPublish fires between writing a checkpoint's payload files and
 // publishing its CHECKPOINT meta — the edge where a crash must leave the
@@ -69,7 +67,7 @@ const (
 	recMput byte = 3 // [u32 n][n × (u64 key, u64 value)]
 )
 
-// Delta-file entry kinds.
+// Delta-file entry kinds, as earlier builds wrote them.
 const (
 	deltaTombstone byte = 0 // [u64 key]
 	deltaSet       byte = 1 // [u64 key][u64 value]
@@ -81,9 +79,9 @@ const ckptMetaName = "CHECKPOINT"
 type durableConfig struct {
 	Dir string
 	WAL wal.Options
-	// CheckpointInterval is the cadence of automatic incremental
-	// checkpoints (default 15s; negative disables the background loop —
-	// used by tests that drive checkpoints explicitly).
+	// CheckpointInterval is how often the background loop asks whether a
+	// checkpoint is due (default 15s; negative disables the loop — used by
+	// tests that drive checkpoints explicitly).
 	CheckpointInterval time.Duration
 }
 
@@ -94,42 +92,35 @@ func (c durableConfig) withDefaults() durableConfig {
 	return c
 }
 
-// maxDeltas is the delta-chain length that triggers compaction into a
-// fresh full base.
-const maxDeltas = 8
-
 // ckptMeta is the CHECKPOINT file payload.
 type ckptMeta struct {
-	Generation int    `json:"generation"` // 0 = no base file yet
-	Deltas     int    `json:"deltas"`     // delta files in this generation
-	LSN        uint64 `json:"lsn"`        // state covers all records <= LSN
+	Generation int    `json:"generation"`       // 0 = no base file yet
+	Deltas     int    `json:"deltas,omitempty"` // legacy delta files after the base
+	LSN        uint64 `json:"lsn"`              // state covers all records <= LSN
 }
 
 // durableStore wraps the server's index with a write-ahead log and the
-// incremental checkpoint machinery.
+// checkpoint machinery.
 type durableStore struct {
 	cfg durableConfig
 	idx altindex.Index
 	log *wal.Log
 
-	// gate is held shared by every mutator and exclusively by compaction,
-	// whose full-base save needs a quiescent index. stripes serialise
-	// mutators per key so a key's apply and its log append are atomic
-	// together — per-key log order equals apply order.
-	gate    sync.RWMutex
+	// stripes serialise mutators per key so a key's apply and its log
+	// append are atomic together — per-key log order equals apply order.
+	// They are the only locks a write takes.
 	stripes [64]sync.Mutex
 
-	// dirty is the set of keys mutated since the last checkpoint. A key is
-	// marked before its record is appended, so at checkpoint time the
-	// drained set covers every key with a record at or below LastSeq().
-	dmu   sync.Mutex
-	dirty map[uint64]struct{}
-
-	// cmu serialises checkpoints/compactions; gen/deltas are the published
-	// on-disk chain shape, guarded by cmu.
-	cmu    sync.Mutex
-	gen    int
-	deltas int
+	// cmu serialises checkpoints and guards the published shape: deltas
+	// is the meta's legacy delta count, baseBytes the size of its base,
+	// and logMark the log's Stats().Bytes at its LSN (minus the bytes
+	// replayed at open), so Stats().Bytes-logMark is the log above it.
+	// gen, the published generation, is written under cmu too.
+	cmu       sync.Mutex
+	gen       atomic.Int64
+	deltas    int
+	baseBytes int64
+	logMark   int64
 
 	replayed int64
 	lastCkpt atomic.Int64 // unix seconds of the last published checkpoint
@@ -145,7 +136,6 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	gcStaleTemps(cfg.Dir)
 
 	var meta ckptMeta
 	metaPath := filepath.Join(cfg.Dir, ckptMetaName)
@@ -154,20 +144,26 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 		if jerr := json.Unmarshal(raw, &meta); jerr != nil {
 			return nil, fmt.Errorf("altdb: checkpoint meta: %w", jerr)
 		}
+		gcStale(cfg.Dir, &meta)
 	case errors.Is(err, os.ErrNotExist):
-		// First boot.
+		gcStale(cfg.Dir, nil) // first boot
 	default:
 		return nil, fmt.Errorf("altdb: checkpoint meta: %w", err)
 	}
 
 	idx := altindex.New(altindex.Options{})
+	var baseBytes int64
 	if meta.Generation > 0 {
-		loaded, err := altindex.Load(basePath(cfg.Dir, meta.Generation), altindex.Options{})
+		path := basePath(cfg.Dir, meta.Generation)
+		loaded, err := altindex.Load(path, altindex.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("altdb: recovery needs base generation %d it cannot read: %w",
 				meta.Generation, err)
 		}
 		idx = loaded
+		if fi, err := os.Stat(path); err == nil {
+			baseBytes = fi.Size()
+		}
 	}
 	// Replaying deltas and the log can grow the index past its retraining
 	// trigger; a failed recovery must not leave those workers behind.
@@ -177,14 +173,14 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 		}
 	}()
 	d := &durableStore{
-		cfg:    cfg,
-		idx:    idx,
-		dirty:  map[uint64]struct{}{},
-		gen:    meta.Generation,
-		deltas: meta.Deltas,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:       cfg,
+		idx:       idx,
+		deltas:    meta.Deltas,
+		baseBytes: baseBytes,
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
+	d.gen.Store(int64(meta.Generation))
 	for n := 1; n <= meta.Deltas; n++ {
 		if err := d.applyDelta(deltaPath(cfg.Dir, meta.Generation, n)); err != nil {
 			return nil, fmt.Errorf("altdb: recovery: delta %d of generation %d: %w",
@@ -196,6 +192,7 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 		return nil, err
 	}
 	replayed, err := wlog.Replay(meta.LSN, func(_ uint64, payload []byte) error {
+		d.logMark -= wal.FrameHeader + int64(len(payload))
 		return d.applyRecord(payload)
 	})
 	if err != nil {
@@ -217,16 +214,29 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 	return d, nil
 }
 
-// gcStaleTemps removes snapio temp files a crash may have stranded. The
-// atomic-rename protocol means a .tmp is never part of recovery state.
-func gcStaleTemps(dir string) {
+// gcStale removes the files no recovery reads: snapio temp files a crash
+// stranded, and every base and delta file the meta does not name — a
+// crash between the meta flip and the previous generation's removal
+// leaves that generation behind, and one before the flip an unpublished
+// base. Without a meta (nil) it removes temp files only: a base with no
+// meta naming it is not read, but it is not this process's to delete.
+func gcStale(dir string, meta *ckptMeta) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
+	named := map[string]bool{}
+	if meta != nil {
+		named[filepath.Base(basePath(dir, meta.Generation))] = true
+		for n := 1; n <= meta.Deltas; n++ {
+			named[filepath.Base(deltaPath(dir, meta.Generation, n))] = true
+		}
+	}
 	for _, e := range ents {
-		if filepath.Ext(e.Name()) == ".tmp" {
-			os.Remove(filepath.Join(dir, e.Name()))
+		name := e.Name()
+		chain := strings.HasPrefix(name, "base-") || strings.HasPrefix(name, "delta-")
+		if filepath.Ext(name) == ".tmp" || meta != nil && chain && !named[name] {
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
 }
@@ -241,22 +251,6 @@ func deltaPath(dir string, gen, n int) string {
 
 func (d *durableStore) stripe(k uint64) *sync.Mutex {
 	return &d.stripes[(k*0x9e3779b97f4a7c15)>>58]
-}
-
-func (d *durableStore) markDirty(k uint64) {
-	d.dmu.Lock()
-	d.dirty[k] = struct{}{}
-	d.dmu.Unlock()
-}
-
-// remark puts a drained dirty set back after the checkpoint that drained
-// it failed to publish.
-func (d *durableStore) remark(keys map[uint64]struct{}) {
-	d.dmu.Lock()
-	for k := range keys {
-		d.dirty[k] = struct{}{}
-	}
-	d.dmu.Unlock()
 }
 
 // readOnlyError is what a mutation returns once the log has wedged: the
@@ -286,8 +280,6 @@ func (d *durableStore) Del(k uint64) (bool, error) {
 }
 
 func (d *durableStore) applyDel(k uint64) (bool, uint64, error) {
-	d.gate.RLock()
-	defer d.gate.RUnlock()
 	m := d.stripe(k)
 	m.Lock()
 	defer m.Unlock()
@@ -297,7 +289,6 @@ func (d *durableStore) applyDel(k uint64) (bool, uint64, error) {
 	if !d.idx.Remove(k) {
 		return false, 0, nil
 	}
-	d.markDirty(k)
 	seq, err := d.log.Append(encDel(k))
 	return true, seq, err
 }
@@ -312,8 +303,6 @@ func (d *durableStore) Mput(pairs []altindex.KV) error {
 }
 
 func (d *durableStore) applyMput(pairs []altindex.KV) (uint64, error) {
-	d.gate.RLock()
-	defer d.gate.RUnlock()
 	// Lock every touched stripe in ascending order (deadlock-free against
 	// single-stripe mutators) so the batch's apply+append is atomic per key.
 	var touched [64]bool
@@ -338,19 +327,10 @@ func (d *durableStore) applyMput(pairs []altindex.KV) (uint64, error) {
 	if err := d.idx.InsertBatch(pairs); err != nil {
 		return 0, err
 	}
-	for _, p := range pairs {
-		d.markDirty(p.Key)
-	}
 	return d.log.Append(encMput(pairs))
 }
 
-// applyRecord applies one redo record during replay; idempotent. Every
-// replayed key is marked dirty: a replayed record is state above the
-// published checkpoint LSN, so this process's next incremental checkpoint
-// must carry it in a delta. (Without the mark, the next checkpoint would
-// advance the meta LSN past the record with no delta covering its key —
-// and the recovery after that would lose it. The crash matrix found
-// exactly this at the wal/truncate kill site.)
+// applyRecord applies one redo record during replay; idempotent.
 func (d *durableStore) applyRecord(payload []byte) error {
 	if len(payload) < 1 {
 		return errors.New("altdb: empty redo record")
@@ -361,16 +341,12 @@ func (d *durableStore) applyRecord(payload []byte) error {
 		if len(rest) != 16 {
 			return errors.New("altdb: malformed set record")
 		}
-		k := binary.LittleEndian.Uint64(rest)
-		d.markDirty(k)
-		return d.idx.Insert(k, binary.LittleEndian.Uint64(rest[8:]))
+		return d.idx.Insert(binary.LittleEndian.Uint64(rest), binary.LittleEndian.Uint64(rest[8:]))
 	case recDel:
 		if len(rest) != 8 {
 			return errors.New("altdb: malformed delete record")
 		}
-		k := binary.LittleEndian.Uint64(rest)
-		d.markDirty(k)
-		d.idx.Remove(k)
+		d.idx.Remove(binary.LittleEndian.Uint64(rest))
 		return nil
 	case recMput:
 		if len(rest) < 4 {
@@ -387,7 +363,6 @@ func (d *durableStore) applyRecord(payload []byte) error {
 				Key:   binary.LittleEndian.Uint64(rest[16*i:]),
 				Value: binary.LittleEndian.Uint64(rest[16*i+8:]),
 			}
-			d.markDirty(pairs[i].Key)
 		}
 		return d.idx.InsertBatch(pairs)
 	}
@@ -412,8 +387,8 @@ func encMput(pairs []altindex.KV) []byte {
 	return buf
 }
 
-// checkpointLoop runs incremental checkpoints on the configured cadence
-// and compacts when the delta chain grows long.
+// checkpointLoop checks on the configured cadence whether a checkpoint
+// is due and writes one when it is.
 func (d *durableStore) checkpointLoop() {
 	defer close(d.done)
 	tick := time.NewTicker(d.cfg.CheckpointInterval)
@@ -423,167 +398,86 @@ func (d *durableStore) checkpointLoop() {
 		case <-d.stop:
 			return
 		case <-tick.C:
-			if err := d.log.Err(); err != nil {
+			switch err := d.log.Err(); {
+			case err != nil:
 				log.Printf("event=checkpoint_skipped reason=wal_wedged error=%q", err.Error())
-			} else if err := d.Checkpoint(); err != nil {
-				log.Printf("event=checkpoint_failed error=%q", err.Error())
+			case d.due():
+				if err := d.Checkpoint(); err != nil {
+					log.Printf("event=checkpoint_failed error=%q", err.Error())
+				}
 			}
 		}
 	}
 }
 
-// Checkpoint publishes one incremental checkpoint: the dirty-key set as a
-// delta file, the CHECKPOINT meta, then log truncation. Writers are not
-// paused. When the delta chain reaches maxDeltas, it compacts instead.
+// due reports whether the log above the published LSN has grown to the
+// size of the published base. Checkpointing then keeps checkpoint I/O at
+// most the log's own bytes, and a recovery replays at most one base's
+// worth of log on top of the base it loads.
+func (d *durableStore) due() bool {
+	d.cmu.Lock()
+	defer d.cmu.Unlock()
+	above := d.log.Stats().Bytes - d.logMark
+	return above > 0 && above >= d.baseBytes
+}
+
+// Checkpoint writes the live index as base generation gen+1, publishes it
+// in the CHECKPOINT meta, truncates the log below its LSN and removes
+// generation gen. Writers keep running throughout. A failure before the
+// meta flip leaves the previous base and meta published and the log
+// whole; the next call retries and overwrites the unpublished base.
 func (d *durableStore) Checkpoint() error {
 	d.cmu.Lock()
 	defer d.cmu.Unlock()
-	if d.deltas >= maxDeltas {
-		return d.compactLocked()
-	}
-	return d.deltaLocked()
-}
-
-// Compact forces a full-base compaction (used at shutdown, so a restart
-// loads one base and replays nothing).
-func (d *durableStore) Compact() error {
-	d.cmu.Lock()
-	defer d.cmu.Unlock()
-	return d.compactLocked()
-}
-
-func (d *durableStore) deltaLocked() error {
 	// The LSN a meta names must already be on disk: a meta ahead of the
 	// log would make the next process reuse sequence numbers that replay
 	// then skips. Sync also returns the sticky cause of a wedged log, so a
-	// wedged store drains, publishes and truncates nothing.
+	// wedged store publishes and truncates nothing.
 	if err := d.log.Sync(); err != nil {
 		return err
 	}
-	// The LSN is read BEFORE the dirty set is drained: a record at or
-	// below it had its key marked before its append, and the append
-	// happened before this read, so the mark is in the set we drain. The
-	// set may also hold keys from newer records — their delta values are
-	// then at least as new as the log suffix that re-applies them, and
-	// replay's idempotence makes that converge.
+	// The LSN is read before the walk starts. A write applies and then
+	// appends under its stripe lock, so every record at or below the LSN
+	// is in the index before the walk reads its key, and every later
+	// change to a key has a record above the LSN. Replaying those records
+	// over whatever state the walk read ends at each key's last logged
+	// write, because replay is last-writer-wins per key.
 	lsn := d.log.DurableSeq()
-	d.dmu.Lock()
-	dirty := d.dirty
-	d.dirty = make(map[uint64]struct{}, 64)
-	d.dmu.Unlock()
-
-	n := d.deltas
-	var err error
-	if len(dirty) > 0 {
-		n++
-		err = d.writeDelta(deltaPath(d.cfg.Dir, d.gen, n), dirty)
-	}
+	mark := d.log.Stats().Bytes
+	old := int(d.gen.Load())
+	path := basePath(d.cfg.Dir, old+1)
+	err := altindex.Save(d.idx, path)
 	if err == nil {
 		err = fpCkptPublish.InjectErr()
 	}
 	if err == nil {
-		err = d.writeMeta(ckptMeta{Generation: d.gen, Deltas: n, LSN: lsn})
+		err = d.writeMeta(ckptMeta{Generation: old + 1, LSN: lsn})
 	}
 	if err != nil {
-		// Nothing was published or truncated: the drained keys go back so
-		// the next checkpoint retries them (it overwrites delta n, which
-		// no meta names).
-		d.remark(dirty)
 		return err
 	}
-	d.deltas = n
-	d.lastCkpt.Store(time.Now().Unix())
-	return d.log.TruncateBelow(lsn + 1)
-}
-
-// compactLocked saves a full base under the next generation number,
-// flips the meta to it, and garbage-collects the previous generation. It
-// holds the write gate: the base must be an exact cut of the log.
-func (d *durableStore) compactLocked() error {
-	d.gate.Lock()
-	// As in deltaLocked: the LSN goes to disk first, and a wedged log
-	// stops the compaction here.
-	if err := d.log.Sync(); err != nil {
-		d.gate.Unlock()
-		return err
+	oldDeltas := d.deltas
+	d.gen.Store(int64(old + 1))
+	d.deltas, d.logMark = 0, mark
+	if fi, err := os.Stat(path); err == nil {
+		d.baseBytes = fi.Size()
 	}
-	d.idx.Quiesce()
-	// Writers are gated and every append happens under a stripe lock after
-	// its apply, so the quiescent index is exactly the state at LastSeq.
-	lsn := d.log.LastSeq()
-	// The base covers every key marked so far. The set is drained while
-	// writers are still gated: a key marked after the gate reopens has a
-	// record above lsn that this base does not hold, and wiping its mark
-	// would let the next delta checkpoint step over that record.
-	d.dmu.Lock()
-	covered := d.dirty
-	d.dirty = map[uint64]struct{}{}
-	d.dmu.Unlock()
-	newGen := d.gen + 1
-	err := altindex.Save(d.idx, basePath(d.cfg.Dir, newGen))
-	d.gate.Unlock() // meta publish and gc don't need the gate
-	if err == nil {
-		err = fpCkptPublish.InjectErr()
-	}
-	if err == nil {
-		err = d.writeMeta(ckptMeta{Generation: newGen, Deltas: 0, LSN: lsn})
-	}
-	if err != nil {
-		d.remark(covered) // the base was not published; the old chain still needs them
-		return err
-	}
-	oldGen, oldDeltas := d.gen, d.deltas
-	d.gen, d.deltas = newGen, 0
 	d.lastCkpt.Store(time.Now().Unix())
 	terr := d.log.TruncateBelow(lsn + 1)
-	// The old generation is unreachable from the published meta; removing
-	// it is best-effort cleanup, not correctness.
-	if oldGen > 0 {
-		os.Remove(basePath(d.cfg.Dir, oldGen))
+	// The previous generation is unreachable from the published meta;
+	// removing it is cleanup, and the next open removes what a crash here
+	// leaves behind.
+	if old > 0 {
+		os.Remove(basePath(d.cfg.Dir, old))
 	}
 	for n := 1; n <= oldDeltas; n++ {
-		os.Remove(deltaPath(d.cfg.Dir, oldGen, n))
+		os.Remove(deltaPath(d.cfg.Dir, old, n))
 	}
 	return terr
 }
 
-// writeDelta persists the dirty keys' current state: a set record for a
-// live key, a tombstone for a deleted one. Keys are written sorted so the
-// file is deterministic for a given state.
-func (d *durableStore) writeDelta(path string, dirty map[uint64]struct{}) error {
-	keys := make([]uint64, 0, len(dirty))
-	for k := range dirty {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return snapio.WriteFile(path, func(w io.Writer) error {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(keys)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		var rec [17]byte
-		for _, k := range keys {
-			if v, ok := d.idx.Get(k); ok {
-				rec[0] = deltaSet
-				binary.LittleEndian.PutUint64(rec[1:], k)
-				binary.LittleEndian.PutUint64(rec[9:], v)
-				if _, err := w.Write(rec[:17]); err != nil {
-					return err
-				}
-			} else {
-				rec[0] = deltaTombstone
-				binary.LittleEndian.PutUint64(rec[1:], k)
-				if _, err := w.Write(rec[:9]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
-// applyDelta replays one delta file into the index during recovery.
+// applyDelta replays one delta file an earlier build wrote into the index
+// during recovery.
 func (d *durableStore) applyDelta(path string) error {
 	raw, err := snapio.ReadFile(path)
 	if err != nil {
@@ -636,9 +530,6 @@ func (d *durableStore) writeMeta(meta ckptMeta) error {
 // Stats surfaces the durability counters merged into the STATS reply.
 func (d *durableStore) Stats() map[string]int64 {
 	st := d.log.Stats()
-	d.cmu.Lock()
-	gen, deltas := d.gen, d.deltas
-	d.cmu.Unlock()
 	var wedged int64
 	if d.log.Err() != nil {
 		wedged = 1
@@ -653,13 +544,12 @@ func (d *durableStore) Stats() map[string]int64 {
 		"replayed_records":      d.replayed,
 		"truncated_tail_bytes":  st.TruncatedTailBytes,
 		"last_checkpoint_age_s": time.Now().Unix() - d.lastCkpt.Load(),
-		"checkpoint_generation": int64(gen),
-		"checkpoint_deltas":     int64(deltas),
+		"checkpoint_generation": d.gen.Load(),
 	}
 }
 
-// Close stops the checkpoint loop, compacts one final full checkpoint (so
-// the next start loads a single base and replays nothing), and closes the
+// Close stops the checkpoint loop, writes one final checkpoint (so the
+// next start loads a single base and replays nothing), and closes the
 // log. A failed final checkpoint is reported but the log still closes —
 // the WAL alone fully covers the un-checkpointed suffix.
 func (d *durableStore) Close() error {
@@ -669,7 +559,7 @@ func (d *durableStore) Close() error {
 		close(d.stop)
 	}
 	<-d.done
-	err := d.Compact()
+	err := d.Checkpoint()
 	if cerr := d.log.Close(); cerr != nil && !errors.Is(cerr, wal.ErrClosed) {
 		err = errors.Join(err, cerr)
 	}

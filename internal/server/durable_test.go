@@ -120,13 +120,16 @@ func TestDurableServerKillRecovery(t *testing.T) {
 	}
 }
 
-// TestDurableIncrementalCheckpoint: delta checkpoints truncate the log,
-// bound replay, and compaction collapses the chain into a fresh base.
-func TestDurableIncrementalCheckpoint(t *testing.T) {
+// TestDurableCheckpointBoundsReplay: each checkpoint publishes one full
+// base under the next generation, removes the previous one and moves the
+// recovery LSN, so a restart replays only the log written after the last
+// checkpoint.
+func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
 	srv, addr := startDurable(t, dir, Config{})
 	c := dial(t, addr)
-	for round := 0; round < maxDeltas; round++ {
+	const rounds = 10
+	for round := 0; round < rounds; round++ {
 		for k := 0; k < 50; k++ {
 			key := round*50 + k
 			if got := c.cmd(t, fmt.Sprintf("SET %d %d", key, key)); got != "OK" {
@@ -136,26 +139,16 @@ func TestDurableIncrementalCheckpoint(t *testing.T) {
 		if err := srv.dur.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := stats(t, c)
-	if st["checkpoint_deltas"] != maxDeltas {
-		t.Fatalf("checkpoint_deltas = %d, want %d", st["checkpoint_deltas"], maxDeltas)
-	}
-	// The next checkpoint hits maxDeltas and compacts into generation 1.
-	if got := c.cmd(t, "SET 999 999"); got != "OK" {
-		t.Fatal(got)
-	}
-	if err := srv.dur.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st = stats(t, c)
-	if st["checkpoint_generation"] < 1 || st["checkpoint_deltas"] != 0 {
-		t.Fatalf("after compaction: generation=%d deltas=%d, want gen>=1 deltas=0",
-			st["checkpoint_generation"], st["checkpoint_deltas"])
+		if st := stats(t, c); st["checkpoint_generation"] != int64(round+1) {
+			t.Fatalf("checkpoint_generation = %d after %d checkpoints", st["checkpoint_generation"], round+1)
+		}
+		if got := chainFiles(t, dir); !slices.Equal(got, []string{filepath.Base(basePath(dir, round+1))}) {
+			t.Fatalf("after checkpoint %d the directory holds %v, want only its base", round+1, got)
+		}
 	}
 
 	// Kill (abandon) and recover: replay must cover only the tail after
-	// the compaction.
+	// the last checkpoint.
 	for k := 2000; k < 2010; k++ {
 		if got := c.cmd(t, fmt.Sprintf("SET %d 1", k)); got != "OK" {
 			t.Fatal(got)
@@ -166,24 +159,49 @@ func TestDurableIncrementalCheckpoint(t *testing.T) {
 	c2 := dial(t, addr2)
 	st2 := stats(t, c2)
 	if st2["replayed_records"] != 10 {
-		t.Fatalf("replayed_records after compaction = %d, want 10", st2["replayed_records"])
+		t.Fatalf("replayed_records after checkpoints = %d, want 10", st2["replayed_records"])
 	}
-	if got := c2.cmd(t, "LEN"); got != fmt.Sprintf("VALUE %d", maxDeltas*50+1+10) {
+	if got := c2.cmd(t, "LEN"); got != fmt.Sprintf("VALUE %d", rounds*50+10) {
 		t.Fatalf("LEN = %q", got)
-	}
-	if got := c2.cmd(t, "GET 999"); got != "VALUE 999" {
-		t.Fatalf("GET 999 = %q", got)
 	}
 }
 
-// TestDurableCompactionUnderGets: compaction saves its full base while GETs
-// read keys that live in ART behind tombstones. A GET writes nothing, so
-// the base is an exact cut of the log: every Compact succeeds, and a
+// writeFramed writes payload to path in a snapio frame, as the store
+// frames its own files.
+func writeFramed(t *testing.T, path string, payload []byte) {
+	t.Helper()
+	if err := snapio.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// chainFiles lists dir's base and delta files.
+func chainFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "base-") || strings.HasPrefix(e.Name(), "delta-") {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
+// TestDurableCheckpointUnderGets: checkpoints walk the index into a base
+// while GETs read keys that live in ART behind tombstones. A GET writes
+// nothing, so the walk misses no key: every Checkpoint succeeds, and a
 // restart from the abandoned server's directory returns LEN and every
 // acknowledged key. (When a GET wrote such a key back from ART into its
-// slot, it could do so between the save scan's learned read and its ART
-// read, and the scan missed the key.)
-func TestDurableCompactionUnderGets(t *testing.T) {
+// slot, it could do so between the walk's learned read and its ART read,
+// and the walk missed the key.)
+func TestDurableCheckpointUnderGets(t *testing.T) {
 	const (
 		n        = 20000
 		rounds   = 48
@@ -253,7 +271,7 @@ func TestDurableCompactionUnderGets(t *testing.T) {
 	}
 
 	// Readers start each round's GETs at a random offset of up to 4 ms, so
-	// they spread over the compaction that follows the removals.
+	// they spread over the checkpoint that follows the removals.
 	work := make([]chan []uint64, readers)
 	done := make(chan error, readers)
 	for r := range work {
@@ -293,8 +311,8 @@ func TestDurableCompactionUnderGets(t *testing.T) {
 			}
 			w <- share
 		}
-		if err := srv.dur.Compact(); err != nil {
-			t.Fatalf("round %d: Compact under GETs: %v", ri, err)
+		if err := srv.dur.Checkpoint(); err != nil {
+			t.Fatalf("round %d: Checkpoint under GETs: %v", ri, err)
 		}
 		for range work {
 			if err := <-done; err != nil {
@@ -460,7 +478,7 @@ func (c *lineClient) cmdE(line string) (string, error) {
 //   - legacy-meta: a CHECKPOINT meta that still records the shard boundary
 //     layout ("bounds"). Recovery must accept the file and ignore the
 //     field. The meta is hand-written JSON around the live checkpoint's
-//     LSN, not the output of any encoder in this tree.
+//     generation and LSN, not the output of any encoder in this tree.
 //   - v2-base: a base snapshot in the layout earlier builds saved a
 //     4-shard index in (ALTIX002), spelled byte by byte. Recovery must
 //     merge it into one index, then replay the log suffix above the
@@ -500,22 +518,13 @@ func TestDurableLegacyMetaBoundsIgnored(t *testing.T) {
 		srv, addr := startDurable(t, dir, Config{})
 		c := dial(t, addr)
 		set(t, c, 1, 400)
-		// Delta checkpoint only (generation 0): no base snapshot to carry a
-		// layout, which is the case the legacy field existed for.
 		if err := srv.dur.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		meta := readMeta(t, dir)
-		if meta.Generation != 0 || meta.Deltas != 1 {
-			t.Fatalf("checkpoint meta = %+v, want generation 0 with one delta", meta)
-		}
-		legacy := fmt.Sprintf(`{"generation":0,"deltas":1,"lsn":%d,"bounds":[100,200,300,350,380]}`, meta.LSN)
-		if err := snapio.WriteFile(filepath.Join(dir, ckptMetaName), func(w io.Writer) error {
-			_, werr := io.WriteString(w, legacy)
-			return werr
-		}); err != nil {
-			t.Fatal(err)
-		}
+		legacy := fmt.Sprintf(`{"generation":%d,"deltas":0,"lsn":%d,"bounds":[100,200,300,350,380]}`,
+			meta.Generation, meta.LSN)
+		writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(legacy))
 		set(t, c, 401, 420) // a log tail past the checkpoint
 		recoverDir(t, dir)
 	})
@@ -525,7 +534,7 @@ func TestDurableLegacyMetaBoundsIgnored(t *testing.T) {
 		srv, addr := startDurable(t, dir, Config{})
 		c := dial(t, addr)
 		set(t, c, 1, 400)
-		if err := srv.dur.Compact(); err != nil {
+		if err := srv.dur.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		set(t, c, 401, 420) // a log tail past the base
@@ -542,13 +551,7 @@ func TestDurableLegacyMetaBoundsIgnored(t *testing.T) {
 			v2 = binary.LittleEndian.AppendUint64(v2, k)
 			v2 = binary.LittleEndian.AppendUint64(v2, k*3)
 		}
-		base := basePath(dir, readMeta(t, dir).Generation)
-		if err := snapio.WriteFile(base, func(w io.Writer) error {
-			_, werr := w.Write(v2)
-			return werr
-		}); err != nil {
-			t.Fatal(err)
-		}
+		writeFramed(t, basePath(dir, readMeta(t, dir).Generation), v2)
 		if st := recoverDir(t, dir); st["replayed_records"] != 20 {
 			t.Fatalf("replayed_records = %d, want the 20-record suffix", st["replayed_records"])
 		}
@@ -595,20 +598,24 @@ func TestDurableLegacySetRecordReplays(t *testing.T) {
 	if st := stats(t, c); st["replayed_records"] != 3 {
 		t.Fatalf("replayed_records = %d, want 3", st["replayed_records"])
 	}
-	// Replayed keys are above the checkpoint LSN, so the next delta must
-	// carry them.
+	// The next checkpoint's base carries the replayed keys.
 	if err := srv.dur.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := stats(t, c); st["checkpoint_deltas"] != 1 {
-		t.Fatalf("checkpoint_deltas = %d, want 1", st["checkpoint_deltas"])
+	base, err := altindex.Load(basePath(dir, readMeta(t, dir).Generation), altindex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	if v, ok := base.Get(7); base.Len() != 2 || !ok || v != 71 {
+		t.Fatalf("base after replay holds %d keys, key 7 = (%d, %v); want 2 keys, 7 = 71", base.Len(), v, ok)
 	}
 }
 
 // fuzzStore is a durable store with no log: enough for the two recovery
-// decoders, which only touch the index and the dirty set.
+// decoders, which only touch the index.
 func fuzzStore() *durableStore {
-	return &durableStore{idx: altindex.New(altindex.Options{}), dirty: map[uint64]struct{}{}}
+	return &durableStore{idx: altindex.New(altindex.Options{})}
 }
 
 // FuzzApplyRecord feeds the redo decoder arbitrary payloads. A WAL record
@@ -631,8 +638,8 @@ func FuzzApplyRecord(f *testing.F) {
 			return
 		}
 		n := d.idx.Len()
-		if n > len(payload)/16 || len(d.dirty) > len(payload)/8 {
-			t.Fatalf("a %d-byte record applied %d pairs and dirtied %d keys", len(payload), n, len(d.dirty))
+		if n > len(payload)/16 {
+			t.Fatalf("a %d-byte record applied %d pairs", len(payload), n)
 		}
 		if err := d.applyRecord(payload); err != nil || d.idx.Len() != n {
 			t.Fatalf("second apply = (%v, Len %d), want (nil, %d): replay must be idempotent", err, d.idx.Len(), n)
@@ -640,10 +647,10 @@ func FuzzApplyRecord(f *testing.F) {
 	})
 }
 
-// FuzzApplyDelta feeds the delta-file decoder arbitrary payloads inside a
-// valid snapio frame (and the same bytes unframed, which the checksum must
-// stop): an error or at most one applied entry per nine payload bytes,
-// never a panic.
+// FuzzApplyDelta feeds the decoder of the delta files earlier builds wrote
+// arbitrary payloads inside a valid snapio frame (and the same bytes
+// unframed, which the checksum must stop): an error or at most one applied
+// entry per nine payload bytes, never a panic.
 func FuzzApplyDelta(f *testing.F) {
 	entry := func(kind byte, k, v uint64) []byte {
 		out := binary.LittleEndian.AppendUint64([]byte{kind}, k)
@@ -691,4 +698,308 @@ func FuzzApplyDelta(f *testing.F) {
 			t.Fatalf("second apply = (%v, Len %d), want (nil, %d)", err, d.idx.Len(), n)
 		}
 	})
+}
+
+// mustReply fails the test unless line's reply starts with prefix.
+func mustReply(t *testing.T, c *client, line, prefix string) {
+	t.Helper()
+	if got := c.cmd(t, line); !strings.HasPrefix(got, prefix) {
+		t.Fatalf("%s = %q, want %q...", line, got, prefix)
+	}
+}
+
+// scanAll returns the served keyspace as SCAN reports it.
+func scanAll(t *testing.T, c *client) map[uint64]uint64 {
+	t.Helper()
+	got := map[uint64]uint64{}
+	for _, line := range c.cmdMulti(t, "SCAN 0 10000") {
+		var k, v uint64
+		if _, err := fmt.Sscanf(line, "PAIR %d %d", &k, &v); err != nil {
+			t.Fatalf("bad SCAN line %q", line)
+		}
+		got[k] = v
+	}
+	return got
+}
+
+// mustServe fails the test unless the served keyspace is exactly want.
+func mustServe(t *testing.T, c *client, want map[uint64]uint64, when string) {
+	t.Helper()
+	got := scanAll(t, c)
+	for k, v := range want {
+		if gv, ok := got[k]; !ok || gv != v {
+			t.Errorf("%s: key %d = (%d, %v), want %d", when, k, gv, ok, v)
+		}
+	}
+	for k, v := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s: ghost key %d = %d", when, k, v)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// kill stops srv the way a process death would: no shutdown checkpoint,
+// so the directory holds only what the checkpoints and the log put there.
+func kill(srv *Server) {
+	srv.co.Close()
+	srv.dur.log.Close()
+}
+
+// TestNoWriteWaitsOnCheckpoint: a checkpoint walks the index and writes
+// its base beside live writers. Ten checkpoints run with writes between
+// them; each one's base write is held open at snapio/flush, and a SET, an
+// MPUT and a DEL on another connection must all answer OK while it is
+// held, before that checkpoint returns. Those writes postdate the walk,
+// so only the log above the LSN can carry them: a kill right after the
+// last checkpoint must still recover them.
+func TestNoWriteWaitsOnCheckpoint(t *testing.T) {
+	defer failpoint.Disable("snapio/flush")
+	const hold = 500 * time.Millisecond
+	dir := t.TempDir()
+	srv, addr := startDurable(t, dir, Config{})
+	c, writer := dial(t, addr), dial(t, addr)
+	want := map[uint64]uint64{}
+	for i := uint64(1); i <= 10; i++ {
+		for k := uint64(0); k < 20; k++ {
+			mustReply(t, c, fmt.Sprintf("SET %d %d", i*100+k, k), "OK")
+			want[i*100+k] = k
+		}
+		// Only the checkpoint's first snapio write, its base, is held.
+		if err := failpoint.Enable("snapio/flush", fmt.Sprintf("1*delay(%s)", hold)); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.dur.Checkpoint() }()
+		for failpoint.Hits("snapio/flush") == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		held := time.Now()
+		mustReply(t, writer, fmt.Sprintf("SET %d 1", i), "OK")
+		mustReply(t, writer, fmt.Sprintf("MPUT %d 2 %d 3", i, i*100), "OK 2")
+		mustReply(t, writer, fmt.Sprintf("DEL %d", i), "OK")
+		want[i*100] = 3
+		if waited := time.Since(held); waited >= hold/2 {
+			t.Fatalf("checkpoint %d: three writes took %v while its base write was held for %v", i, waited, hold)
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("checkpoint %d returned (%v) before the writes made during it", i, err)
+		default:
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+	}
+	kill(srv)
+	srv2, addr2 := startDurable(t, dir, Config{})
+	defer srv2.Shutdown()
+	mustServe(t, dial(t, addr2), want, "after a kill right after the last checkpoint")
+}
+
+// TestCheckpointDueAtBaseSize: the background loop writes a base once the
+// log above the published LSN has reached the published base's size, and
+// the bytes a restart replays count toward that size.
+func TestCheckpointDueAtBaseSize(t *testing.T) {
+	dir := t.TempDir()
+	srv, addr := startDurable(t, dir, Config{})
+	c := dial(t, addr)
+	if srv.dur.due() {
+		t.Fatal("a checkpoint is due over an empty log")
+	}
+	var sb strings.Builder
+	for base := 0; base < 2000; base += 1000 {
+		sb.Reset()
+		sb.WriteString("MPUT")
+		for k := base; k < base+1000; k++ {
+			fmt.Fprintf(&sb, " %d %d", k, k)
+		}
+		mustReply(t, c, sb.String(), "OK 1000")
+	}
+	if !srv.dur.due() {
+		t.Fatal("no checkpoint is due with no base and a non-empty log")
+	}
+	if err := srv.dur.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(basePath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each SET is one single-pair mput record: an opcode, a u32 count and
+	// one pair, in a frame.
+	const setBytes = wal.FrameHeader + 1 + 4 + 16
+	sets := 0
+	for !srv.dur.due() {
+		mustReply(t, c, fmt.Sprintf("SET %d 1", sets), "OK")
+		if sets++; sets > 10000 {
+			t.Fatal("no checkpoint due after 10000 SETs")
+		}
+	}
+	if want := (int(fi.Size()) + setBytes - 1) / setBytes; sets != want {
+		t.Fatalf("due after %d SETs over a %d-byte base, want %d", sets, fi.Size(), want)
+	}
+	kill(srv)
+
+	srv2, _ := startDurable(t, dir, Config{})
+	if !srv2.dur.due() {
+		t.Fatalf("%d replayed records over a %d-byte base: no checkpoint due", srv2.dur.replayed, fi.Size())
+	}
+	if err := srv2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	gen := readMeta(t, dir).Generation
+
+	// The loop itself: it publishes the next generation once enough is
+	// logged.
+	srv3, addr3 := startDurable(t, dir, Config{CheckpointInterval: 5 * time.Millisecond})
+	defer srv3.Shutdown()
+	c3 := dial(t, addr3)
+	for k := 0; readMeta(t, dir).Generation == gen; k++ {
+		if k > 20000 {
+			t.Fatal("the checkpoint loop published nothing")
+		}
+		mustReply(t, c3, fmt.Sprintf("SET %d 2", k), "OK")
+	}
+}
+
+// TestDurableLegacyChainRecovers: earlier builds checkpointed a base plus a
+// chain of delta files. A directory left mid-chain — a meta counting two
+// deltas, its base, both deltas and a WAL tail, every file spelled byte by
+// byte here, not produced by an encoder in this tree — recovers exactly
+// its acked state, and the first checkpoint after it leaves only the new
+// base and meta.
+func TestDurableLegacyChainRecovers(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, payload []byte) { writeFramed(t, filepath.Join(dir, name), payload) }
+	le := binary.LittleEndian
+	want := map[uint64]uint64{}
+	// Base 1: "ALTIX001", u64 count, ascending (key, value) pairs.
+	base := le.AppendUint64([]byte("ALTIX001"), 20)
+	for k := uint64(1); k <= 20; k++ {
+		base = le.AppendUint64(le.AppendUint64(base, k), k*10)
+		want[k] = k * 10
+	}
+	write("base-00000001.snap", base)
+	// Deltas: u32 count, then per entry a kind byte (1 set, 0 tombstone),
+	// the key and, for a set, the value.
+	set := func(b []byte, k, v uint64) []byte { return le.AppendUint64(le.AppendUint64(append(b, 1), k), v) }
+	tomb := func(b []byte, k uint64) []byte { return le.AppendUint64(append(b, 0), k) }
+	write("delta-00000001-0001.snap", tomb(set(set([]byte{3, 0, 0, 0}, 3, 333), 21, 210), 4))
+	write("delta-00000001-0002.snap", tomb(set(tomb(set([]byte{4, 0, 0, 0}, 3, 334), 5), 22, 220), 21))
+	want[3], want[22] = 334, 220
+	delete(want, 4)
+	delete(want, 5)
+	write(ckptMetaName, []byte(`{"generation":1,"deltas":2,"lsn":2}`))
+	// The log: records 1 and 2 are at or below the LSN, so replay skips
+	// them (were they applied, key 6 would read 999 and key 7 vanish);
+	// records 3..5 replay over the chain.
+	mput := func(pairs ...uint64) []byte {
+		rec := le.AppendUint32([]byte{3}, uint32(len(pairs)/2)) // recMput
+		for _, x := range pairs {
+			rec = le.AppendUint64(rec, x)
+		}
+		return rec
+	}
+	del := func(k uint64) []byte { return le.AppendUint64([]byte{2}, k) } // recDel
+	wlog, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range [][]byte{mput(6, 999), del(7), mput(8, 888), del(9), mput(4, 44, 23, 230)} {
+		if _, err := wlog.Commit(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want[8], want[4], want[23] = 888, 44, 230
+	delete(want, 9)
+
+	srv, addr := startDurable(t, dir, Config{})
+	c := dial(t, addr)
+	mustServe(t, c, want, "legacy chain recovered")
+	if st := stats(t, c); st["replayed_records"] != 3 {
+		t.Fatalf("replayed_records = %d, want 3", st["replayed_records"])
+	}
+	if err := srv.dur.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := chainFiles(t, dir); !slices.Equal(got, []string{"base-00000002.snap"}) {
+		t.Fatalf("after the first checkpoint the directory holds %v, want only base 2", got)
+	}
+	if meta := readMeta(t, dir); meta != (ckptMeta{Generation: 2, LSN: 5}) {
+		t.Fatalf("meta = %+v, want generation 2 at LSN 5 with no deltas", meta)
+	}
+	kill(srv)
+	srv2, addr2 := startDurable(t, dir, Config{})
+	defer srv2.Shutdown()
+	mustServe(t, dial(t, addr2), want, "recovered from the new base")
+}
+
+// TestOrphanedGenerationsRemovedAtOpen: a kill after the meta flip can
+// leave the previous generation's base and deltas behind, and one before
+// it an unpublished base. Open removes every base and delta file the meta
+// does not name and keeps the one it does.
+func TestOrphanedGenerationsRemovedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	idx := altindex.New(altindex.Options{})
+	defer idx.Close()
+	for k := uint64(1); k <= 2; k++ {
+		if err := idx.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"base-00000001.snap", "delta-00000001-0001.snap", "base-00000002.snap", "base-00000003.snap"} {
+		if err := altindex.Save(idx, filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":2,"lsn":0}`))
+
+	srv, addr := startDurable(t, dir, Config{})
+	defer srv.Shutdown()
+	if got := chainFiles(t, dir); !slices.Equal(got, []string{"base-00000002.snap"}) {
+		t.Fatalf("after open the directory holds %v, want only the published base 2", got)
+	}
+	mustServe(t, dial(t, addr), map[uint64]uint64{1: 1, 2: 2}, "after open")
+}
+
+// TestStatsKeySetsDisjoint: STATS merges the index's StatsMap, the durable
+// store's counters, the net counters and the coalescer's into one reply;
+// a key two of them shared would silently overwrite the other's value.
+func TestStatsKeySetsDisjoint(t *testing.T) {
+	srv, addr := startDurable(t, t.TempDir(), Config{})
+	defer srv.Shutdown()
+	c := dial(t, addr)
+	mustReply(t, c, "SET 1 1", "OK")
+	owner := map[string]string{}
+	for name, m := range map[string]map[string]int64{
+		"index":     srv.idx.StatsMap(),
+		"durable":   srv.dur.Stats(),
+		"net":       srv.net.snapshot(),
+		"coalescer": srv.co.Stats(),
+	} {
+		for k := range m {
+			if prev, ok := owner[k]; ok {
+				t.Errorf("STATS key %q comes from both %s and %s", k, prev, name)
+			}
+			owner[k] = name
+		}
+	}
+	st := stats(t, c)
+	for k := range st {
+		if owner[k] == "" {
+			t.Errorf("STATS key %q comes from none of the four sources", k)
+		}
+	}
+	if len(st) != len(owner) {
+		t.Errorf("STATS has %d keys, its four sources %d", len(st), len(owner))
+	}
+	if _, ok := st["checkpoint_deltas"]; ok {
+		t.Error("STATS still reports checkpoint_deltas")
+	}
 }

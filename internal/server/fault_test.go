@@ -3,6 +3,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -17,47 +18,6 @@ import (
 // Storage-fault contract of the durable store (DESIGN.md §8): a fault on
 // the log side wedges the server read-only; a fault on the checkpoint side
 // costs one checkpoint and nothing else.
-
-// mustReply fails the test unless line's reply starts with prefix.
-func mustReply(t *testing.T, c *client, line, prefix string) {
-	t.Helper()
-	if got := c.cmd(t, line); !strings.HasPrefix(got, prefix) {
-		t.Fatalf("%s = %q, want %q...", line, got, prefix)
-	}
-}
-
-// scanAll returns the served keyspace as SCAN reports it.
-func scanAll(t *testing.T, c *client) map[uint64]uint64 {
-	t.Helper()
-	got := map[uint64]uint64{}
-	for _, line := range c.cmdMulti(t, "SCAN 0 10000") {
-		var k, v uint64
-		if _, err := fmt.Sscanf(line, "PAIR %d %d", &k, &v); err != nil {
-			t.Fatalf("bad SCAN line %q", line)
-		}
-		got[k] = v
-	}
-	return got
-}
-
-// mustServe fails the test unless the served keyspace is exactly want.
-func mustServe(t *testing.T, c *client, want map[uint64]uint64, when string) {
-	t.Helper()
-	got := scanAll(t, c)
-	for k, v := range want {
-		if gv, ok := got[k]; !ok || gv != v {
-			t.Errorf("%s: key %d = (%d, %v), want %d", when, k, gv, ok, v)
-		}
-	}
-	for k, v := range got {
-		if _, ok := want[k]; !ok {
-			t.Errorf("%s: ghost key %d = %d", when, k, v)
-		}
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-}
 
 // dirListing names every file under dir with its size: the on-disk shape
 // a refused checkpoint must leave alone.
@@ -171,9 +131,6 @@ func TestLogFaultWedgesReadOnly(t *testing.T) {
 			if err := srv.dur.Checkpoint(); err == nil {
 				t.Fatal("Checkpoint succeeded on a wedged log")
 			}
-			if err := srv.dur.Compact(); err == nil {
-				t.Fatal("Compact succeeded on a wedged log")
-			}
 			if after := dirListing(t, dir); after != before {
 				t.Fatalf("a refused checkpoint changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
 			}
@@ -200,23 +157,12 @@ func TestLogFaultWedgesReadOnly(t *testing.T) {
 	}
 }
 
-// kill stops srv the way a process death would: no shutdown compaction,
-// so the directory holds only what the checkpoints and the log put there.
-func kill(srv *Server) {
-	srv.co.Close()
-	srv.dur.log.Close()
-}
-
-// TestCheckpointFaultKeepsServing: an I/O error while writing a delta, a
-// base or the CHECKPOINT meta fails that one checkpoint. The server stays
-// writable, the published chain is untouched, the drained keys are
-// re-marked, the next checkpoint succeeds, and a kill after the log has
-// been truncated still recovers every acked write.
+// TestCheckpointFaultKeepsServing: an I/O error while writing a base or
+// the CHECKPOINT meta fails that one checkpoint. The server stays
+// writable, the previous meta and base stay published, the log stays
+// untruncated, the next checkpoint succeeds, and a kill after a later checkpoint has truncated
+// the log still recovers every acked write.
 func TestCheckpointFaultKeepsServing(t *testing.T) {
-	ops := map[string]func(*durableStore) error{
-		"checkpoint": (*durableStore).Checkpoint,
-		"compact":    (*durableStore).Compact,
-	}
 	for _, tc := range []struct{ site, spec string }{
 		{"altdb/checkpoint/publish", "1*error(disk full)"},
 		{"snapio/flush", "1*error(disk full)"},
@@ -225,85 +171,80 @@ func TestCheckpointFaultKeepsServing(t *testing.T) {
 		// Second snapio write of the checkpoint: the meta itself.
 		{"snapio/rename", "1*off->1*error(disk full)"},
 	} {
-		for opName, op := range ops {
-			t.Run(opName+"/"+tc.site+"/"+tc.spec, func(t *testing.T) {
-				defer failpoint.DisableAll()
-				dir := t.TempDir()
-				cfg := Config{WALSegmentBytes: 256}
-				srv, addr := startDurable(t, dir, cfg)
-				c := dial(t, addr)
-				want := map[uint64]uint64{}
-				set := func(lo, hi, mul uint64) {
-					for k := lo; k <= hi; k++ {
-						mustReply(t, c, fmt.Sprintf("SET %d %d", k, k*mul), "OK")
-						want[k] = k * mul
-					}
+		t.Run(tc.site+"/"+tc.spec, func(t *testing.T) {
+			defer failpoint.DisableAll()
+			dir := t.TempDir()
+			cfg := Config{WALSegmentBytes: 256}
+			srv, addr := startDurable(t, dir, cfg)
+			c := dial(t, addr)
+			want := map[uint64]uint64{}
+			set := func(lo, hi, mul uint64) {
+				for k := lo; k <= hi; k++ {
+					mustReply(t, c, fmt.Sprintf("SET %d %d", k, k*mul), "OK")
+					want[k] = k * mul
 				}
-				set(1, 50, 10)
-				if err := srv.dur.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				set(30, 80, 11) // the dirty set of the checkpoint that fails
-				mustReply(t, c, "DEL 5", "OK")
-				delete(want, 5)
+			}
+			set(1, 50, 10)
+			if err := srv.dur.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			set(30, 80, 11) // the writes the failing checkpoint would cover
+			mustReply(t, c, "DEL 5", "OK")
+			delete(want, 5)
 
-				metaPath := filepath.Join(dir, ckptMetaName)
-				metaBefore, err := os.ReadFile(metaPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := failpoint.Enable(tc.site, tc.spec); err != nil {
-					t.Fatal(err)
-				}
-				if err := op(srv.dur); !errors.Is(err, failpoint.ErrInjected) {
-					t.Fatalf("%s under %s = %v, want the injected error", opName, tc.site, err)
-				}
+			metaPath := filepath.Join(dir, ckptMetaName)
+			metaBefore, err := os.ReadFile(metaPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseBefore, err := os.ReadFile(basePath(dir, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			logBefore := dirListing(t, filepath.Join(dir, "wal"))
+			if err := failpoint.Enable(tc.site, tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.dur.Checkpoint(); !errors.Is(err, failpoint.ErrInjected) {
+				t.Fatalf("checkpoint under %s = %v, want the injected error", tc.site, err)
+			}
 
-				// Previous chain intact, drained keys back in the set.
-				if metaAfter, _ := os.ReadFile(metaPath); string(metaAfter) != string(metaBefore) {
-					t.Fatalf("failed %s replaced the meta: %s -> %s", opName, metaBefore, metaAfter)
-				}
-				if _, err := os.Stat(deltaPath(dir, 0, 1)); err != nil {
-					t.Fatalf("published delta gone: %v", err)
-				}
-				srv.dur.dmu.Lock()
-				for k := uint64(30); k <= 80; k++ {
-					if _, ok := srv.dur.dirty[k]; !ok {
-						t.Errorf("key %d not re-marked dirty", k)
-					}
-				}
-				_, ok := srv.dur.dirty[5]
-				srv.dur.dmu.Unlock()
-				if !ok {
-					t.Error("deleted key 5 not re-marked dirty")
-				}
+			// The previous meta and base stay published, the log whole.
+			if metaAfter, _ := os.ReadFile(metaPath); string(metaAfter) != string(metaBefore) {
+				t.Fatalf("failed checkpoint replaced the meta: %s -> %s", metaBefore, metaAfter)
+			}
+			if baseAfter, err := os.ReadFile(basePath(dir, 1)); err != nil || !bytes.Equal(baseAfter, baseBefore) {
+				t.Fatalf("failed checkpoint changed the published base (%v)", err)
+			}
+			if logAfter := dirListing(t, filepath.Join(dir, "wal")); logAfter != logBefore {
+				t.Fatalf("failed checkpoint changed the log:\nbefore:\n%s\nafter:\n%s", logBefore, logAfter)
+			}
 
-				// Still writable, not wedged, and the retry succeeds.
-				set(81, 90, 12)
-				if st := stats(t, c); st["wal_wedged"] != 0 {
-					t.Fatalf("checkpoint fault wedged the log: wal_wedged = %d", st["wal_wedged"])
-				}
-				if err := op(srv.dur); err != nil {
-					t.Fatalf("%s after the fault cleared: %v", opName, err)
-				}
+			// Still writable, not wedged, and the retry succeeds.
+			set(81, 90, 12)
+			if st := stats(t, c); st["wal_wedged"] != 0 {
+				t.Fatalf("checkpoint fault wedged the log: wal_wedged = %d", st["wal_wedged"])
+			}
+			if err := srv.dur.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint after the fault cleared: %v", err)
+			}
 
-				// Push every record written so far out of the log, then
-				// die: recovery has only the checkpoint chain for them.
-				set(1000, 1020, 1)
-				if err := srv.dur.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				c.conn.Close()
-				kill(srv)
+			// Push every record written so far out of the log, then
+			// die: recovery has only the base for them.
+			set(1000, 1020, 1)
+			if err := srv.dur.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			c.conn.Close()
+			kill(srv)
 
-				srv2, addr2 := startDurable(t, dir, cfg)
-				defer srv2.Shutdown()
-				c2 := dial(t, addr2)
-				if st := stats(t, c2); st["replayed_records"] > 10 {
-					t.Fatalf("replayed %d records: the log was not truncated, so this run proves nothing about the chain", st["replayed_records"])
-				}
-				mustServe(t, c2, want, "after kill + restart")
-			})
-		}
+			srv2, addr2 := startDurable(t, dir, cfg)
+			defer srv2.Shutdown()
+			c2 := dial(t, addr2)
+			if st := stats(t, c2); st["replayed_records"] > 10 {
+				t.Fatalf("replayed %d records: the log was not truncated, so this run proves nothing about the base", st["replayed_records"])
+			}
+			mustServe(t, c2, want, "after kill + restart")
+		})
 	}
 }

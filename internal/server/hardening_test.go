@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -388,8 +389,8 @@ func TestShutdownStopsRetraining(t *testing.T) {
 
 // TestStartupRefusesCorruptSnapshot: serving silently-empty or stale data
 // over a corrupt checkpoint would be a stale-read machine. A durable server
-// must refuse to start when its base snapshot, a delta or the CHECKPOINT
-// meta fails its checksum.
+// must refuse to start when its base snapshot, a legacy delta or the
+// CHECKPOINT meta fails its checksum.
 func TestStartupRefusesCorruptSnapshot(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -407,16 +408,17 @@ func TestStartupRefusesCorruptSnapshot(t *testing.T) {
 			if got := c.cmd(t, "MPUT 1 10 2 20 3 30"); got != "OK 3" {
 				t.Fatalf("MPUT = %q", got)
 			}
-			if err := srv.dur.Compact(); err != nil { // base 1
+			if err := srv.dur.Checkpoint(); err != nil { // base 1
 				t.Fatal(err)
 			}
-			if got := c.cmd(t, "SET 4 40"); got != "OK" {
-				t.Fatalf("SET = %q", got)
-			}
-			if err := srv.dur.Checkpoint(); err != nil { // delta 1 of generation 1
-				t.Fatal(err)
-			}
-			// Abandon the server, so no shutdown compaction replaces the
+			// Delta 1 of generation 1 as earlier builds wrote it: one set
+			// entry (kind 1, key 4, value 40), named by the meta.
+			delta := binary.LittleEndian.AppendUint64([]byte{1, 0, 0, 0, 1}, 4)
+			delta = binary.LittleEndian.AppendUint64(delta, 40)
+			meta := fmt.Sprintf(`{"generation":1,"deltas":1,"lsn":%d}`, readMeta(t, dir).LSN)
+			writeFramed(t, deltaPath(dir, 1, 1), delta)
+			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(meta))
+			// Abandon the server, so no shutdown checkpoint replaces the
 			// three files.
 			path := tc.file(dir)
 			raw, err := os.ReadFile(path)

@@ -1,7 +1,7 @@
 // Package server implements the altdb protocol engine: a tiny in-memory
 // key/value database over TCP with ALT-index underneath, hardened for
 // unattended operation and (optionally) fully durable via a write-ahead
-// log with incremental checkpoints.
+// log with full-base checkpoints written beside live writers.
 //
 // The network hot path is pipelined: a connection's handler parses and
 // dispatches every complete request line already buffered before flushing
@@ -76,9 +76,10 @@ type Config struct {
 	// keeps direct-call latency.
 	CoalesceConns int
 	// WALDir, when set, makes the keyspace durable: every write commits to
-	// a write-ahead log before it is acknowledged, incremental checkpoints
-	// bound recovery time, and startup recovers base + deltas + log.
-	// Without it the keyspace lives only in memory.
+	// a write-ahead log before it is acknowledged, checkpoints write full
+	// base snapshots beside live writers to bound recovery time, and
+	// startup recovers base + log. Without it the keyspace lives only in
+	// memory.
 	WALDir string
 	// WALSync selects the commit point ("always" fsyncs before acking —
 	// survives power loss; "interval"/"none" ack after the write reaches
@@ -86,8 +87,10 @@ type Config struct {
 	WALSync string
 	// WALSegmentBytes caps one WAL segment file (0 = 64 MiB default).
 	WALSegmentBytes int64
-	// CheckpointInterval is the incremental-checkpoint cadence (0 = 15s;
-	// negative disables the background loop).
+	// CheckpointInterval is how often the background loop checks whether
+	// the log above the last checkpoint has reached the size of its base,
+	// and writes a new base when it has (0 = 15s; negative disables the
+	// loop, leaving only the checkpoint at Shutdown).
 	CheckpointInterval time.Duration
 }
 

@@ -131,18 +131,18 @@ func scanSegment(path string) (segScan, error) {
 	body := raw[segHeaderSize:]
 	expect := out.firstSeq
 	for len(body) > 0 {
-		if len(body) < frameHeader {
+		if len(body) < FrameHeader {
 			out.tornBytes = int64(len(body))
 			return out, nil
 		}
 		plen := binary.LittleEndian.Uint32(body[0:4])
-		if plen > maxRecordBytes || int(plen) > len(body)-frameHeader {
+		if plen > maxRecordBytes || int(plen) > len(body)-FrameHeader {
 			out.tornBytes = int64(len(body))
 			return out, nil
 		}
 		wantCRC := binary.LittleEndian.Uint32(body[4:8])
 		seq := binary.LittleEndian.Uint64(body[8:16])
-		payload := body[frameHeader : frameHeader+int(plen)]
+		payload := body[FrameHeader : FrameHeader+int(plen)]
 		crc := crc32.NewIEEE()
 		crc.Write(body[8:16])
 		crc.Write(payload)
@@ -159,7 +159,7 @@ func scanSegment(path string) (segScan, error) {
 		out.records = append(out.records, record{seq: seq, payload: payload})
 		out.count++
 		expect++
-		body = body[frameHeader+int(plen):]
+		body = body[FrameHeader+int(plen):]
 	}
 	return out, nil
 }

@@ -160,7 +160,9 @@ const (
 	segPrefix     = "wal-"
 	segSuffix     = ".seg"
 	segHeaderSize = 16
-	frameHeader   = 16
+	// FrameHeader is what a frame adds to its payload: Stats.Bytes grows
+	// by FrameHeader+len(payload) per record.
+	FrameHeader = 16
 	// maxRecordBytes bounds one payload; anything larger in a frame header
 	// is treated as tail garbage by the reader.
 	maxRecordBytes = 1 << 28
@@ -491,7 +493,7 @@ func (l *Log) wedge(err error) {
 
 // appendFrame appends one framed record to buf.
 func appendFrame(buf []byte, seq uint64, payload []byte) []byte {
-	var hdr [frameHeader]byte
+	var hdr [FrameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	var seqb [8]byte
 	binary.LittleEndian.PutUint64(seqb[:], seq)

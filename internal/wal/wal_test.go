@@ -224,7 +224,7 @@ func TestTornTailTolerated(t *testing.T) {
 	// One record is 16 (frame) + 9 (payload) bytes; cut at every offset
 	// inside the final record, including mid-header and mid-payload.
 	_, _, full := build(t)
-	recBytes := int64(frameHeader + len("payload-9"))
+	recBytes := int64(FrameHeader + len("payload-9"))
 	for cut := full - recBytes; cut < full; cut++ {
 		dir, last, size := build(t)
 		if size != full {
@@ -442,7 +442,7 @@ func TestLastSeqIsCheckpointSafe(t *testing.T) {
 // sanity-check the frame encoder against the reader's expectations.
 func TestFrameRoundTrip(t *testing.T) {
 	buf := appendFrame(nil, 7, []byte("hello"))
-	if len(buf) != frameHeader+5 {
+	if len(buf) != FrameHeader+5 {
 		t.Fatalf("frame length %d", len(buf))
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != 5 {
@@ -495,7 +495,7 @@ func FuzzReplay(f *testing.F) {
 				t.Fatalf("replay jumped from seq %d to %d", next-1, seq)
 			}
 			next = seq + 1
-			bytesSeen += frameHeader + len(payload)
+			bytesSeen += FrameHeader + len(payload)
 			return nil
 		})
 		if err != nil {

@@ -25,8 +25,7 @@ import (
 // v2 — the layout earlier builds wrote for sharded indexes, now read-only
 // legacy input; Load's reader spells it out.
 //
-// Save requires the index to be quiescent for an exact snapshot (it is a
-// checkpoint operation); Load bulkloads a fresh index from the file.
+// Save may run beside writers; Load bulkloads a fresh index from the file.
 
 var (
 	indexSnapMagic   = [8]byte{'A', 'L', 'T', 'I', 'X', '0', '0', '1'}
@@ -39,34 +38,41 @@ var (
 // this error — never a torn or silently-stale one.
 var ErrBadSnapshot = errors.New("altindex: bad snapshot")
 
-// Save writes a point-in-time snapshot of idx to path, atomically: the
-// previous snapshot at path survives any failure or crash mid-save. The
-// file is format v1 for every layout: the same pairs give the same bytes.
+// Save writes a snapshot of idx to path, atomically: the previous
+// snapshot at path survives any failure or crash mid-save. The file is
+// format v1 for every layout: the same pairs give the same bytes.
+//
+// Writers may keep running. Save walks idx into a buffer of the file's own
+// size (16 B per pair) before it opens the file, so the header's count is
+// exact. A key no writer touches during the walk is saved as it stands; a
+// key written meanwhile is saved in one of the states it held during the
+// walk, absence included.
 func Save(idx Index, path string) error {
+	pairs := make([]byte, 0, 16*idx.Len())
+	var prev uint64
+	ordered := true
+	index.Walk(idx, 0, ^uint64(0), math.MaxInt, func(k, v uint64) bool {
+		if len(pairs) > 0 && k <= prev {
+			// A scan is strictly ascending (indextest.CheckScans); a file
+			// that breaks it would be refused by Load, so none is written.
+			ordered = false
+			return false
+		}
+		prev = k
+		pairs = binary.LittleEndian.AppendUint64(pairs, k)
+		pairs = binary.LittleEndian.AppendUint64(pairs, v)
+		return true
+	})
+	if !ordered {
+		return fmt.Errorf("%w: index walk not ascending at key %d", ErrBadSnapshot, prev)
+	}
 	return snapio.WriteFile(path, func(w io.Writer) error {
-		count := uint64(idx.Len())
-		if _, err := w.Write(indexSnapMagic[:]); err != nil {
+		hdr := binary.LittleEndian.AppendUint64(indexSnapMagic[:], uint64(len(pairs)/16))
+		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
-		if err := binary.Write(w, binary.LittleEndian, count); err != nil {
-			return err
-		}
-		var werr error
-		written := uint64(index.Walk(idx, 0, ^uint64(0), math.MaxInt, func(k, v uint64) bool {
-			var kv [16]byte
-			binary.LittleEndian.PutUint64(kv[0:], k)
-			binary.LittleEndian.PutUint64(kv[8:], v)
-			_, werr = w.Write(kv[:])
-			return werr == nil
-		}))
-		if werr != nil {
-			return werr
-		}
-		if written != count {
-			return fmt.Errorf("%w: index changed during save (%d pairs walked, Len %d)",
-				ErrBadSnapshot, written, count)
-		}
-		return nil
+		_, err := w.Write(pairs)
+		return err
 	})
 }
 

@@ -7,12 +7,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"altindex/internal/failpoint"
 	"altindex/internal/index"
 	"altindex/internal/shard"
 	"altindex/internal/snapio"
+	"altindex/internal/xrand"
 )
 
 func TestIndexSnapshotRoundTrip(t *testing.T) {
@@ -209,6 +211,75 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSaveUnderWriters: Save walks a live index. While two writers insert
+// and remove odd keys, every saved file loads, holds every even key (no
+// writer touches them) with its value, and holds each odd key, if at all,
+// with the value the writers store.
+func TestSaveUnderWriters(t *testing.T) {
+	const stable = 100000
+	idx := NewDefault()
+	defer idx.Close()
+	pairs := make([]KV, stable)
+	for i := range pairs {
+		pairs[i] = KV{Key: uint64(2 * i), Value: uint64(2*i) + 7}
+	}
+	if err := idx.Bulkload(pairs); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(rng *xrand.Rng) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := 2*rng.Uint64n(stable) + 1
+				if rng.Next()&1 == 0 {
+					if err := idx.Insert(k, 3*k); err != nil {
+						t.Error(err)
+						return
+					}
+				} else {
+					idx.Remove(k)
+				}
+			}
+		}(xrand.New(uint64(w) + 1))
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	path := filepath.Join(t.TempDir(), "idx.snap")
+	for round := 0; round < 5; round++ {
+		if err := Save(idx, path); err != nil {
+			t.Fatalf("round %d: Save beside writers: %v", round, err)
+		}
+		loaded, err := Load(path, Options{})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		even := 0
+		for k, v := range Range(loaded, 0) {
+			switch {
+			case k%2 == 0 && v == k+7:
+				even++
+			case k%2 == 1 && v == 3*k:
+			default:
+				t.Fatalf("round %d: saved pair (%d, %d) no writer stored", round, k, v)
+			}
+		}
+		loaded.Close()
+		if even != stable {
+			t.Fatalf("round %d: %d of %d untouched keys saved", round, even, stable)
+		}
+	}
 }
 
 func TestIndexSnapshotEmpty(t *testing.T) {
