@@ -10,28 +10,27 @@ import (
 	"testing"
 )
 
-// buildV2Snapshot spells a legacy sharded snapshot (the ALTIX002 layout,
-// with shard boundaries prepended to the pair payload) and returns the
+// buildSnapshot spells an ALTIX001 snapshot of 300 pairs and returns the
 // framed file bytes.
-func buildV2Snapshot(t *testing.T) []byte {
-	t.Helper()
-	pairs := make([]KV, 300)
-	for k := range pairs {
-		pairs[k] = KV{Key: uint64(k) * 97, Value: uint64(k)}
+func buildSnapshot() []byte {
+	payload := binary.LittleEndian.AppendUint64([]byte("ALTIX001"), 300)
+	for k := uint64(0); k < 300; k++ {
+		payload = binary.LittleEndian.AppendUint64(payload, k*97)
+		payload = binary.LittleEndian.AppendUint64(payload, k)
 	}
-	return snapFrame(v2Payload([]uint64{75 * 97, 150 * 97, 225 * 97}, pairs))
+	return snapFrame(payload)
 }
 
-// loadMutatedV2 writes a mutated snapshot and asserts Load rejects it
-// with ErrBadSnapshot, never a partially loaded index.
-func loadMutatedV2(t *testing.T, path string, raw []byte, what string) {
+// loadMutated writes a mutated snapshot and asserts Load rejects it with
+// ErrBadSnapshot, never a partially loaded index.
+func loadMutated(t *testing.T, path string, raw []byte, what string) {
 	t.Helper()
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	idx, err := Load(path, Options{Shards: 4})
 	if err == nil {
-		t.Fatalf("%s: corrupt v2 snapshot loaded without error", what)
+		t.Fatalf("%s: corrupt snapshot loaded without error", what)
 	}
 	if !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("%s: got %v, want an error wrapping ErrBadSnapshot", what, err)
@@ -41,27 +40,28 @@ func loadMutatedV2(t *testing.T, path string, raw []byte, what string) {
 	}
 }
 
-// TestV2SnapshotTruncatedTailFuzz cuts the ALTIX002 file at every byte
+// TestV2SnapshotTruncatedTailFuzz cuts an ALTIX001 file at every byte
 // offset and requires a clean ErrBadSnapshot each time.
 func TestV2SnapshotTruncatedTailFuzz(t *testing.T) {
-	raw := buildV2Snapshot(t)
+	raw := buildSnapshot()
 	path := filepath.Join(t.TempDir(), "cut.snap")
 	for n := 0; n < len(raw); n++ {
-		loadMutatedV2(t, path, raw[:n], "truncated")
+		loadMutated(t, path, raw[:n], "truncated")
 	}
 }
 
-// TestV2SnapshotBitFlipFuzz flips one bit in every byte — magic, shard
-// boundaries, pair payload, CRC footer — and requires each mutation to be
-// rejected rather than remapped into a silently different index.
+// TestV2SnapshotBitFlipFuzz flips one bit in every byte of an ALTIX001 file
+// — magic, pair count, pair payload, CRC footer — and requires each
+// mutation to be rejected rather than remapped into a silently different
+// index.
 func TestV2SnapshotBitFlipFuzz(t *testing.T) {
-	raw := buildV2Snapshot(t)
+	raw := buildSnapshot()
 	path := filepath.Join(t.TempDir(), "flip.snap")
 	mut := make([]byte, len(raw))
 	for i := 0; i < len(raw); i++ {
 		copy(mut, raw)
 		mut[i] ^= 1 << (i % 8)
-		loadMutatedV2(t, path, mut, "bit-flipped")
+		loadMutated(t, path, mut, "bit-flipped")
 	}
 }
 
@@ -74,10 +74,12 @@ func snapFrame(payload []byte) []byte {
 
 // FuzzLoad feeds Load arbitrary snapshot files, both raw (the checksum
 // frame is the first line of defence) and with a valid frame around the
-// fuzzed payload (the ALTIX001/002 decoder is the second). A snapshot file
-// is outside input: Load returns an error wrapping ErrBadSnapshot or an
-// index holding exactly the pairs the payload declares; it never panics
-// and never sizes an allocation by a count it has not checked.
+// fuzzed payload (the ALTIX001 decoder is the second). A snapshot file is
+// outside input: Load returns an error wrapping ErrBadSnapshot or an index
+// holding exactly the pairs the payload declares; it never panics and
+// never sizes an allocation by a count it has not checked. Only an
+// ALTIX001 payload loads: the ALTIX002 layout earlier builds wrote is
+// refused like any other magic.
 func FuzzLoad(f *testing.F) {
 	pairs := func(n uint64) []byte {
 		out := binary.LittleEndian.AppendUint64(nil, n)
@@ -116,6 +118,9 @@ func FuzzLoad(f *testing.F) {
 			}
 			n := idx.Len()
 			idx.Close()
+			if !bytes.HasPrefix(file, []byte("ALTIX001")) {
+				t.Fatalf("Load built %d pairs out of a file starting %q", n, file[:min(len(file), 8)])
+			}
 			if n > len(file)/16 {
 				t.Fatalf("Load built %d pairs out of a %d-byte file", n, len(file))
 			}

@@ -7,8 +7,9 @@ import (
 
 // arena is an append-only chunked row store. A handle is a dense row id;
 // rows are immutable once written (updates allocate a new version), so
-// concurrent readers need no locks once they hold a handle. Freed versions
-// are recycled through a free list.
+// concurrent readers need no locks once they hold a handle. Handles are
+// never reused: a superseded version stays in its chunk until Vacuum
+// rebuilds the arena from the live rows.
 //
 // Chunks are plain []uint64 slices: pointer-free, so the collector never
 // scans row data, and a generation Vacuum replaces is freed by the
@@ -21,7 +22,6 @@ type arena struct {
 	mu     sync.Mutex
 	chunkV atomic.Pointer[[][]uint64] // each chunk is arenaChunkRows * width words
 	next   atomic.Uint64
-	free   []uint64
 }
 
 func newArena(width int) *arena {
@@ -31,25 +31,18 @@ func newArena(width int) *arena {
 	return a
 }
 
-// alloc writes row into a fresh (or recycled) slot and returns its handle.
+// alloc writes row into a fresh slot and returns its handle.
 func (a *arena) alloc(row []uint64) uint64 {
 	a.mu.Lock()
-	var h uint64
-	if n := len(a.free); n > 0 {
-		h = a.free[n-1]
-		a.free = a.free[:n-1]
-	} else {
-		h = a.next.Add(1) - 1
-		chunks := *a.chunkV.Load()
-		need := int(h/arenaChunkRows) + 1
-		if need > len(chunks) {
-			grown := make([][]uint64, need)
-			copy(grown, chunks)
-			for i := len(chunks); i < need; i++ {
-				grown[i] = make([]uint64, arenaChunkRows*a.width)
-			}
-			a.chunkV.Store(&grown)
+	h := a.next.Add(1) - 1
+	chunks := *a.chunkV.Load()
+	if need := int(h/arenaChunkRows) + 1; need > len(chunks) {
+		grown := make([][]uint64, need)
+		copy(grown, chunks)
+		for i := len(chunks); i < need; i++ {
+			grown[i] = make([]uint64, arenaChunkRows*a.width)
 		}
+		a.chunkV.Store(&grown)
 	}
 	c := (*a.chunkV.Load())[h/arenaChunkRows]
 	off := int(h%arenaChunkRows) * a.width
@@ -65,15 +58,6 @@ func (a *arena) read(h uint64) []uint64 {
 	out := make([]uint64, a.width)
 	copy(out, c[off:off+a.width])
 	return out
-}
-
-// release returns a handle to the free list; the next alloc overwrites
-// its row, so the caller guarantees no reader can still resolve the handle
-// through an index.
-func (a *arena) release(h uint64) {
-	a.mu.Lock()
-	a.free = append(a.free, h)
-	a.mu.Unlock()
 }
 
 func (a *arena) chunks() int { return len(*a.chunkV.Load()) }

@@ -22,8 +22,8 @@ import (
 
 // Durability layout: a durable altdb keyspace lives in one directory:
 //
-//	<dir>/base-<gen>.snap  full index snapshot (ALTIX format) written by
-//	                       checkpoint generation gen
+//	<dir>/base-<gen>.snap  full index snapshot (ALTIX001, altindex.Save)
+//	                       written by checkpoint generation gen
 //	<dir>/CHECKPOINT       snapio-framed JSON: {generation, lsn}
 //	<dir>/wal/             WAL segments (see internal/wal)
 //
@@ -36,14 +36,14 @@ import (
 //
 // Recovery order is meta -> base -> WAL replay above the meta's LSN. Each
 // stage refuses on corruption rather than serving partial data. Replay is
-// idempotent (set is an upsert, delete tolerates absence), so a record the
+// idempotent (mput is an upsert, delete tolerates absence), so a record the
 // base already holds merely re-applies.
 //
-// Earlier builds also wrote delta-<gen>-<n>.snap files (the keys dirtied
-// since the previous checkpoint, as set records and tombstones) and
-// counted them in the meta's "deltas". Recovery still applies them in
-// order between the base and the log; the first checkpoint after such a
-// recovery writes a full base and removes them.
+// These are the only files open reads, each in one format. It refuses by
+// name, changing no file, what only earlier builds wrote: a base in
+// another format (altindex.Load names its magic), a meta counting
+// delta-<gen>-<n>.snap files ("deltas" > 0) or a record with another
+// opcode. Each holds acked writes; dropping it would lose them silently.
 //
 // Storage faults: the first write, fsync or rotate error wedges the log
 // for the life of the process (wal.Log.Err). From then on every mutation
@@ -60,17 +60,12 @@ import (
 // previous checkpoint generation intact and the new files ignored.
 var fpCkptPublish = failpoint.New("altdb/checkpoint/publish")
 
-// Redo record opcodes for the flat u64 -> u64 keyspace.
+// Redo record opcodes for the flat u64 -> u64 keyspace. Opcode 1, a
+// single-pair set only earlier builds wrote, is refused like any unknown
+// opcode.
 const (
-	recSet  byte = 1 // [u64 key][u64 value]; replay only — old logs hold it, nothing writes it
 	recDel  byte = 2 // [u64 key]
 	recMput byte = 3 // [u32 n][n × (u64 key, u64 value)]
-)
-
-// Delta-file entry kinds, as earlier builds wrote them.
-const (
-	deltaTombstone byte = 0 // [u64 key]
-	deltaSet       byte = 1 // [u64 key][u64 value]
 )
 
 const ckptMetaName = "CHECKPOINT"
@@ -95,7 +90,7 @@ func (c durableConfig) withDefaults() durableConfig {
 // ckptMeta is the CHECKPOINT file payload.
 type ckptMeta struct {
 	Generation int    `json:"generation"`       // 0 = no base file yet
-	Deltas     int    `json:"deltas,omitempty"` // legacy delta files after the base
+	Deltas     int    `json:"deltas,omitempty"` // earlier builds' delta files; open refuses any
 	LSN        uint64 `json:"lsn"`              // state covers all records <= LSN
 }
 
@@ -111,14 +106,13 @@ type durableStore struct {
 	// They are the only locks a write takes.
 	stripes [64]sync.Mutex
 
-	// cmu serialises checkpoints and guards the published shape: deltas
-	// is the meta's legacy delta count, baseBytes the size of its base,
-	// and logMark the log's Stats().Bytes at its LSN (minus the bytes
-	// replayed at open), so Stats().Bytes-logMark is the log above it.
-	// gen, the published generation, is written under cmu too.
+	// cmu serialises checkpoints and guards the published shape:
+	// baseBytes is the size of its base and logMark the log's
+	// Stats().Bytes at its LSN (minus the bytes replayed at open), so
+	// Stats().Bytes-logMark is the log above it. gen, the published
+	// generation, is written under cmu too.
 	cmu       sync.Mutex
 	gen       atomic.Int64
-	deltas    int
 	baseBytes int64
 	logMark   int64
 
@@ -144,6 +138,10 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 		if jerr := json.Unmarshal(raw, &meta); jerr != nil {
 			return nil, fmt.Errorf("altdb: checkpoint meta: %w", jerr)
 		}
+		if meta.Deltas > 0 {
+			return nil, fmt.Errorf("altdb: checkpoint meta counts %d delta file(s) (delta-%08d-*.snap) after base generation %d: "+
+				"only earlier builds wrote them, and this build does not read them", meta.Deltas, meta.Generation, meta.Generation)
+		}
 		gcStale(cfg.Dir, &meta)
 	case errors.Is(err, os.ErrNotExist):
 		gcStale(cfg.Dir, nil) // first boot
@@ -165,7 +163,7 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 			baseBytes = fi.Size()
 		}
 	}
-	// Replaying deltas and the log can grow the index past its retraining
+	// Replaying the log can grow the index past its retraining
 	// trigger; a failed recovery must not leave those workers behind.
 	defer func() {
 		if err != nil {
@@ -175,18 +173,11 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 	d := &durableStore{
 		cfg:       cfg,
 		idx:       idx,
-		deltas:    meta.Deltas,
 		baseBytes: baseBytes,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
 	d.gen.Store(int64(meta.Generation))
-	for n := 1; n <= meta.Deltas; n++ {
-		if err := d.applyDelta(deltaPath(cfg.Dir, meta.Generation, n)); err != nil {
-			return nil, fmt.Errorf("altdb: recovery: delta %d of generation %d: %w",
-				n, meta.Generation, err)
-		}
-	}
 	wlog, err := wal.Open(filepath.Join(cfg.Dir, "wal"), cfg.WAL)
 	if err != nil {
 		return nil, err
@@ -215,27 +206,20 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 }
 
 // gcStale removes the files no recovery reads: snapio temp files a crash
-// stranded, and every base and delta file the meta does not name — a
-// crash between the meta flip and the previous generation's removal
-// leaves that generation behind, and one before the flip an unpublished
-// base. Without a meta (nil) it removes temp files only: a base with no
-// meta naming it is not read, but it is not this process's to delete.
+// stranded, and every base file the meta does not name — a crash between
+// the meta flip and the previous generation's removal leaves that
+// generation behind, and one before the flip an unpublished base. Without
+// a meta (nil) it removes temp files only: a base with no meta naming it
+// is not read, but it is not this process's to delete.
 func gcStale(dir string, meta *ckptMeta) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
-	named := map[string]bool{}
-	if meta != nil {
-		named[filepath.Base(basePath(dir, meta.Generation))] = true
-		for n := 1; n <= meta.Deltas; n++ {
-			named[filepath.Base(deltaPath(dir, meta.Generation, n))] = true
-		}
-	}
 	for _, e := range ents {
 		name := e.Name()
-		chain := strings.HasPrefix(name, "base-") || strings.HasPrefix(name, "delta-")
-		if filepath.Ext(name) == ".tmp" || meta != nil && chain && !named[name] {
+		stale := meta != nil && strings.HasPrefix(name, "base-") && name != filepath.Base(basePath(dir, meta.Generation))
+		if filepath.Ext(name) == ".tmp" || stale {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
@@ -243,10 +227,6 @@ func gcStale(dir string, meta *ckptMeta) {
 
 func basePath(dir string, gen int) string {
 	return filepath.Join(dir, fmt.Sprintf("base-%08d.snap", gen))
-}
-
-func deltaPath(dir string, gen, n int) string {
-	return filepath.Join(dir, fmt.Sprintf("delta-%08d-%04d.snap", gen, n))
 }
 
 func (d *durableStore) stripe(k uint64) *sync.Mutex {
@@ -337,11 +317,6 @@ func (d *durableStore) applyRecord(payload []byte) error {
 	}
 	op, rest := payload[0], payload[1:]
 	switch op {
-	case recSet:
-		if len(rest) != 16 {
-			return errors.New("altdb: malformed set record")
-		}
-		return d.idx.Insert(binary.LittleEndian.Uint64(rest), binary.LittleEndian.Uint64(rest[8:]))
 	case recDel:
 		if len(rest) != 8 {
 			return errors.New("altdb: malformed delete record")
@@ -415,10 +390,16 @@ func (d *durableStore) checkpointLoop() {
 // most the log's own bytes, and a recovery replays at most one base's
 // worth of log on top of the base it loads.
 func (d *durableStore) due() bool {
+	above, base := d.above()
+	return above > 0 && above >= base
+}
+
+// above returns the bytes the log holds above the published LSN and the
+// size of the published base.
+func (d *durableStore) above() (logBytes, baseBytes int64) {
 	d.cmu.Lock()
 	defer d.cmu.Unlock()
-	above := d.log.Stats().Bytes - d.logMark
-	return above > 0 && above >= d.baseBytes
+	return d.log.Stats().Bytes - d.logMark, d.baseBytes
 }
 
 // Checkpoint writes the live index as base generation gen+1, publishes it
@@ -456,9 +437,8 @@ func (d *durableStore) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	oldDeltas := d.deltas
 	d.gen.Store(int64(old + 1))
-	d.deltas, d.logMark = 0, mark
+	d.logMark = mark
 	if fi, err := os.Stat(path); err == nil {
 		d.baseBytes = fi.Size()
 	}
@@ -470,50 +450,7 @@ func (d *durableStore) Checkpoint() error {
 	if old > 0 {
 		os.Remove(basePath(d.cfg.Dir, old))
 	}
-	for n := 1; n <= oldDeltas; n++ {
-		os.Remove(deltaPath(d.cfg.Dir, old, n))
-	}
 	return terr
-}
-
-// applyDelta replays one delta file an earlier build wrote into the index
-// during recovery.
-func (d *durableStore) applyDelta(path string) error {
-	raw, err := snapio.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(raw) < 4 {
-		return errors.New("truncated delta header")
-	}
-	n := int(binary.LittleEndian.Uint32(raw))
-	raw = raw[4:]
-	for i := 0; i < n; i++ {
-		if len(raw) < 9 {
-			return errors.New("truncated delta entry")
-		}
-		kind := raw[0]
-		k := binary.LittleEndian.Uint64(raw[1:])
-		switch kind {
-		case deltaSet:
-			if len(raw) < 17 {
-				return errors.New("truncated delta entry")
-			}
-			if err := d.idx.Insert(k, binary.LittleEndian.Uint64(raw[9:])); err != nil {
-				return err
-			}
-			raw = raw[17:]
-		case deltaTombstone:
-			d.idx.Remove(k)
-			raw = raw[9:]
-		default:
-			return fmt.Errorf("unknown delta entry kind %d", kind)
-		}
-	}
-	if len(raw) != 0 {
-		return errors.New("delta entries past declared count")
-	}
-	return nil
 }
 
 func (d *durableStore) writeMeta(meta ckptMeta) error {
@@ -548,10 +485,13 @@ func (d *durableStore) Stats() map[string]int64 {
 	}
 }
 
-// Close stops the checkpoint loop, writes one final checkpoint (so the
-// next start loads a single base and replays nothing), and closes the
-// log. A failed final checkpoint is reported but the log still closes —
-// the WAL alone fully covers the un-checkpointed suffix.
+// Close stops the checkpoint loop, writes one final checkpoint when the
+// log holds anything above the published LSN (so the next start loads a
+// single base and replays nothing; an idle restart rewrites no base), and
+// closes the log. A wedged log always takes the checkpoint path, which
+// reports its sticky error. A failed final checkpoint is reported but the
+// log still closes — the WAL alone fully covers the un-checkpointed
+// suffix.
 func (d *durableStore) Close() error {
 	select {
 	case <-d.stop:
@@ -559,7 +499,10 @@ func (d *durableStore) Close() error {
 		close(d.stop)
 	}
 	<-d.done
-	err := d.Checkpoint()
+	var err error
+	if above, _ := d.above(); above > 0 || d.log.Err() != nil {
+		err = d.Checkpoint()
+	}
 	if cerr := d.log.Close(); cerr != nil && !errors.Is(cerr, wal.ErrClosed) {
 		err = errors.Join(err, cerr)
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -287,8 +286,8 @@ func TestGracefulShutdownSnapshot(t *testing.T) {
 	}
 
 	meta := readMeta(t, dir)
-	if meta.Generation < 1 || meta.Deltas != 0 {
-		t.Fatalf("meta after shutdown = %+v, want a base and no deltas", meta)
+	if meta.Generation < 1 {
+		t.Fatalf("meta after shutdown = %+v, want a base", meta)
 	}
 	idx, err := altindex.Load(basePath(dir, meta.Generation), altindex.Options{})
 	if err != nil {
@@ -389,8 +388,8 @@ func TestShutdownStopsRetraining(t *testing.T) {
 
 // TestStartupRefusesCorruptSnapshot: serving silently-empty or stale data
 // over a corrupt checkpoint would be a stale-read machine. A durable server
-// must refuse to start when its base snapshot, a legacy delta or the
-// CHECKPOINT meta fails its checksum.
+// must refuse to start when its base snapshot or the CHECKPOINT meta fails
+// its checksum.
 func TestStartupRefusesCorruptSnapshot(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -398,7 +397,6 @@ func TestStartupRefusesCorruptSnapshot(t *testing.T) {
 		want error
 	}{
 		{"base", func(dir string) string { return basePath(dir, 1) }, altindex.ErrBadSnapshot},
-		{"delta", func(dir string) string { return deltaPath(dir, 1, 1) }, snapio.ErrCorrupt},
 		{"checkpoint", func(dir string) string { return filepath.Join(dir, ckptMetaName) }, snapio.ErrCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -411,15 +409,8 @@ func TestStartupRefusesCorruptSnapshot(t *testing.T) {
 			if err := srv.dur.Checkpoint(); err != nil { // base 1
 				t.Fatal(err)
 			}
-			// Delta 1 of generation 1 as earlier builds wrote it: one set
-			// entry (kind 1, key 4, value 40), named by the meta.
-			delta := binary.LittleEndian.AppendUint64([]byte{1, 0, 0, 0, 1}, 4)
-			delta = binary.LittleEndian.AppendUint64(delta, 40)
-			meta := fmt.Sprintf(`{"generation":1,"deltas":1,"lsn":%d}`, readMeta(t, dir).LSN)
-			writeFramed(t, deltaPath(dir, 1, 1), delta)
-			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(meta))
 			// Abandon the server, so no shutdown checkpoint replaces the
-			// three files.
+			// two files.
 			path := tc.file(dir)
 			raw, err := os.ReadFile(path)
 			if err != nil {

@@ -245,7 +245,8 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Shutdown stops accepting, nudges blocked readers off their sockets,
 // waits up to DrainTimeout for in-flight handlers, writes the final
-// checkpoint (durable mode) and stops the index's retraining workers. It
+// checkpoint (durable mode, when anything was logged since the last one)
+// and stops the index's retraining workers. It
 // returns the errors of a timed-out drain or a failed checkpoint, joined.
 func (s *Server) Shutdown() error {
 	s.shutOnce.Do(func() { close(s.done) })
@@ -278,9 +279,9 @@ func (s *Server) Shutdown() error {
 	// so this is safe even on a timed-out drain.
 	s.co.Close()
 	if s.dur != nil {
-		// Final full checkpoint + log close: every acknowledged write is
-		// already in the WAL, so even a failed checkpoint loses nothing —
-		// but a clean one makes the next start replay-free.
+		// Final full checkpoint (if the log grew) + log close: every acked
+		// write is already in the WAL, so even a failed checkpoint loses
+		// nothing — but a clean one makes the next start replay-free.
 		if derr := s.dur.Close(); derr != nil {
 			err = errors.Join(err, fmt.Errorf("altdb: shutdown checkpoint: %w", derr))
 		}

@@ -9,28 +9,25 @@ import (
 	"math"
 
 	"altindex/internal/index"
-	"altindex/internal/shard"
 	"altindex/internal/snapio"
 )
 
-// Index snapshot formats, little-endian, framed by snapio's CRC32 footer
-// and written via its temp-file + fsync + atomic-rename sequence.
-//
-// v1 — the only layout Save writes, for every index, sharded or not:
+// Index snapshot format, little-endian, framed by snapio's CRC32 footer
+// and written via its temp-file + fsync + atomic-rename sequence. It is
+// the one layout Save writes and Load reads, for every index, sharded or
+// not:
 //
 //	magic "ALTIX001"
 //	u64 pairCount
 //	pairCount × (u64 key, u64 value), ascending by key
 //
-// v2 — the layout earlier builds wrote for sharded indexes, now read-only
-// legacy input; Load's reader spells it out.
+// A file with any other magic is refused, naming the magic it carries —
+// including the sharded layout earlier builds wrote, whose boundaries this
+// build does not read.
 //
 // Save may run beside writers; Load bulkloads a fresh index from the file.
 
-var (
-	indexSnapMagic   = [8]byte{'A', 'L', 'T', 'I', 'X', '0', '0', '1'}
-	indexSnapMagicV2 = [8]byte{'A', 'L', 'T', 'I', 'X', '0', '0', '2'}
-)
+var indexSnapMagic = [8]byte{'A', 'L', 'T', 'I', 'X', '0', '0', '1'}
 
 // ErrBadSnapshot reports a corrupt, truncated or incompatible index
 // snapshot file. Save's atomic write sequence guarantees a crash mid-save
@@ -40,7 +37,7 @@ var ErrBadSnapshot = errors.New("altindex: bad snapshot")
 
 // Save writes a snapshot of idx to path, atomically: the previous
 // snapshot at path survives any failure or crash mid-save. The file is
-// format v1 for every layout: the same pairs give the same bytes.
+// ALTIX001 for every layout: the same pairs give the same bytes.
 //
 // Writers may keep running. Save walks idx into a buffer of the file's own
 // size (16 B per pair) before it opens the file, so the header's count is
@@ -77,12 +74,11 @@ func Save(idx Index, path string) error {
 }
 
 // Load reads a snapshot written by Save into a fresh index built with
-// opts. Corrupt or truncated files return an error wrapping ErrBadSnapshot.
+// opts. Corrupt, truncated or foreign files return an error wrapping
+// ErrBadSnapshot.
 //
-// Every file, v1 or legacy v2, loads by bulkloading its pairs into
-// New(opts), so opts alone decides the layout. A v2 file's shard
-// boundaries are checked like the rest of the file and then dropped: a
-// sharded config computes its own from the loaded keys.
+// Load bulkloads the file's pairs into New(opts), so opts alone decides
+// the layout.
 func Load(path string, opts Options) (Index, error) {
 	payload, err := snapio.ReadFile(path)
 	if err != nil {
@@ -96,35 +92,8 @@ func Load(path string, opts Options) (Index, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing header", ErrBadSnapshot)
 	}
-	switch magic {
-	case indexSnapMagic:
-	case indexSnapMagicV2:
-		// Legacy sharded layout, the v1 pair payload behind its shard
-		// boundaries, which are checked and then dropped:
-		//
-		//	magic "ALTIX002"
-		//	u32 shardCount (2..64)
-		//	(shardCount-1) × u64 boundary key, non-decreasing
-		//	u64 pairCount
-		//	pairCount × (u64 key, u64 value), ascending by key
-		var shards uint32
-		if err := binary.Read(r, binary.LittleEndian, &shards); err != nil {
-			return nil, fmt.Errorf("%w: missing shard count", ErrBadSnapshot)
-		}
-		if shards < 2 || shards > shard.MaxShards {
-			return nil, fmt.Errorf("%w: shard count %d out of range", ErrBadSnapshot, shards)
-		}
-		bounds := make([]uint64, shards-1)
-		if err := binary.Read(r, binary.LittleEndian, bounds); err != nil {
-			return nil, fmt.Errorf("%w: truncated shard boundaries", ErrBadSnapshot)
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] < bounds[i-1] {
-				return nil, fmt.Errorf("%w: shard boundaries decrease", ErrBadSnapshot)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("%w: magic mismatch", ErrBadSnapshot)
+	if magic != indexSnapMagic {
+		return nil, fmt.Errorf("%w: magic %q, this build reads only %q", ErrBadSnapshot, magic[:], indexSnapMagic[:])
 	}
 	var count uint64
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {

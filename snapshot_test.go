@@ -2,9 +2,7 @@ package altindex
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,7 +11,6 @@ import (
 	"altindex/internal/failpoint"
 	"altindex/internal/index"
 	"altindex/internal/shard"
-	"altindex/internal/snapio"
 	"altindex/internal/xrand"
 )
 
@@ -54,36 +51,6 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// v2Payload spells a legacy ALTIX002 snapshot payload byte by byte — no
-// encoder in this tree writes one any more, but earlier builds saved every
-// sharded index this way: a u32 shard count, the shard count-1 boundary
-// keys, then the v1 pair payload.
-func v2Payload(bounds []uint64, pairs []KV) []byte {
-	out := binary.LittleEndian.AppendUint32([]byte("ALTIX002"), uint32(len(bounds)+1))
-	for _, b := range bounds {
-		out = binary.LittleEndian.AppendUint64(out, b)
-	}
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(pairs)))
-	for _, kv := range pairs {
-		out = binary.LittleEndian.AppendUint64(out, kv.Key)
-		out = binary.LittleEndian.AppendUint64(out, kv.Value)
-	}
-	return out
-}
-
-// writeSnapshot frames payload the way Save does and writes it to a file.
-func writeSnapshot(t *testing.T, payload []byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "hand.snap")
-	if err := snapio.WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(payload)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 // TestSaveWritesOneFormat pins the single snapshot writer: a 4-shard
 // index and one core instance holding the same pairs save byte-identical
 // v1 files.
@@ -122,11 +89,9 @@ func TestSaveWritesOneFormat(t *testing.T) {
 	}
 }
 
-// TestSnapshotShardRoundTrip covers the legacy sharded (v2) snapshot
-// format, which only earlier builds wrote: hand-spelled v2 files load
-// into any layout — unsharded, the file's own shard count, another one —
-// with exactly their pairs, a v1 file loads into a sharded config, and
-// malformed v2 headers are rejected.
+// TestSnapshotShardRoundTrip: an ALTIX001 file saved from an unsharded
+// index loads into a sharded config with exactly its pairs, and the
+// shards' scans stitch into the file's order.
 func TestSnapshotShardRoundTrip(t *testing.T) {
 	var pairs []KV
 	for k := uint64(1); k <= 20000; k++ {
@@ -135,10 +100,24 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 	for k := uint64(30000); k < 30500; k++ {
 		pairs = append(pairs, KV{Key: k * 9, Value: k})
 	}
-	path := writeSnapshot(t, v2Payload([]uint64{7 * 5000, 7 * 10000, 7 * 15000}, pairs))
-
-	verify := func(t *testing.T, loaded Index) {
-		t.Helper()
+	t.Run("unsharded-file-into-sharded", func(t *testing.T) {
+		flat := NewDefault()
+		defer flat.Close()
+		if err := flat.Bulkload(pairs); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "flat.snap")
+		if err := Save(flat, path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(path, Options{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer loaded.Close()
+		if sh, ok := loaded.(*shard.ALT); !ok || sh.Shards() != 4 {
+			t.Fatalf("loaded %T, want 4 shards: opts alone choose the layout", loaded)
+		}
 		if loaded.Len() != len(pairs) {
 			t.Fatalf("Len = %d, want %d", loaded.Len(), len(pairs))
 		}
@@ -147,7 +126,6 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 				t.Fatalf("Get(%d) = (%d,%v)", kv.Key, v, ok)
 			}
 		}
-		// Scans must stitch identically regardless of layout.
 		n := 0
 		index.Walk(loaded, 0, ^uint64(0), len(pairs)+1, func(k, v uint64) bool {
 			if n >= len(pairs) || (KV{Key: k, Value: v}) != pairs[n] {
@@ -158,57 +136,6 @@ func TestSnapshotShardRoundTrip(t *testing.T) {
 		})
 		if n != len(pairs) {
 			t.Fatalf("scan visited %d keys, want %d", n, len(pairs))
-		}
-	}
-	load := func(t *testing.T, path string, opts Options, shards int) {
-		t.Helper()
-		loaded, err := Load(path, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer loaded.Close()
-		if sh, ok := loaded.(*shard.ALT); (shards > 1) != ok || (ok && sh.Shards() != shards) {
-			t.Fatalf("loaded %T into %+v, want %d shards: opts alone choose the layout", loaded, opts, shards)
-		}
-		verify(t, loaded)
-	}
-
-	t.Run("same-layout", func(t *testing.T) { load(t, path, Options{Shards: 4}, 4) })
-	t.Run("into-unsharded", func(t *testing.T) { load(t, path, Options{}, 1) })
-	t.Run("into-different-count", func(t *testing.T) { load(t, path, Options{Shards: 7}, 7) })
-	t.Run("pinned-bounds", func(t *testing.T) {
-		// A deliberately non-quantile six-shard layout, as a file from a
-		// differently configured server looks: its boundaries are checked
-		// and dropped, and the data lands in the loading config's layout.
-		pinned := []uint64{7 * 1000, 7 * 1100, 7 * 9000, 7 * 9001, 7 * 15000}
-		load(t, writeSnapshot(t, v2Payload(pinned, pairs)), Options{Shards: 4}, 4)
-	})
-	t.Run("unsharded-file-into-sharded", func(t *testing.T) {
-		flat := NewDefault()
-		defer flat.Close()
-		if err := flat.Bulkload(pairs); err != nil {
-			t.Fatal(err)
-		}
-		p2 := filepath.Join(t.TempDir(), "flat.snap")
-		if err := Save(flat, p2); err != nil {
-			t.Fatal(err)
-		}
-		load(t, p2, Options{Shards: 4}, 4)
-	})
-	t.Run("corrupt-bounds-rejected", func(t *testing.T) {
-		// Well-framed (valid CRC) v2 files whose header is wrong must be
-		// rejected by the semantic validation, not just the checksum.
-		for name, payload := range map[string][]byte{
-			"one-shard":         v2Payload(nil, pairs[:3]),
-			"65-shards":         v2Payload(make([]uint64, 64), pairs[:3]),
-			"decreasing-bounds": v2Payload([]uint64{30, 20, 10}, nil),
-			"truncated-bounds":  v2Payload([]uint64{10, 20, 30}, nil)[:8+4+8],
-		} {
-			for _, opts := range []Options{{}, {Shards: 4}} {
-				if _, err := Load(writeSnapshot(t, payload), opts); !errors.Is(err, ErrBadSnapshot) {
-					t.Fatalf("%s into %+v: %v, want ErrBadSnapshot", name, opts, err)
-				}
-			}
 		}
 	})
 }
