@@ -40,9 +40,9 @@ func loadMutated(t *testing.T, path string, raw []byte, what string) {
 	}
 }
 
-// TestV2SnapshotTruncatedTailFuzz cuts an ALTIX001 file at every byte
+// TestV1SnapshotTruncatedTailFuzz cuts an ALTIX001 file at every byte
 // offset and requires a clean ErrBadSnapshot each time.
-func TestV2SnapshotTruncatedTailFuzz(t *testing.T) {
+func TestV1SnapshotTruncatedTailFuzz(t *testing.T) {
 	raw := buildSnapshot()
 	path := filepath.Join(t.TempDir(), "cut.snap")
 	for n := 0; n < len(raw); n++ {
@@ -50,11 +50,11 @@ func TestV2SnapshotTruncatedTailFuzz(t *testing.T) {
 	}
 }
 
-// TestV2SnapshotBitFlipFuzz flips one bit in every byte of an ALTIX001 file
+// TestV1SnapshotBitFlipFuzz flips one bit in every byte of an ALTIX001 file
 // — magic, pair count, pair payload, CRC footer — and requires each
 // mutation to be rejected rather than remapped into a silently different
 // index.
-func TestV2SnapshotBitFlipFuzz(t *testing.T) {
+func TestV1SnapshotBitFlipFuzz(t *testing.T) {
 	raw := buildSnapshot()
 	path := filepath.Join(t.TempDir(), "flip.snap")
 	mut := make([]byte, len(raw))

@@ -34,10 +34,14 @@ import (
 // place and the meta flip (a snapio rename) is the only publication point,
 // so a crash anywhere leaves the published base and meta intact.
 //
-// Recovery order is meta -> base -> WAL replay above the meta's LSN. Each
-// stage refuses on corruption rather than serving partial data. Replay is
-// idempotent (mput is an upsert, delete tolerates absence), so a record the
-// base already holds merely re-applies.
+// Recovery is a read-only plan, then one apply. The plan (planRecovery)
+// reads the meta, loads the base and replays the WAL records above the
+// meta's LSN onto it in memory; a corrupt file or an unknown record
+// refuses the open there, before any file changes, rather than serving
+// partial data. Only an accepted plan is applied: stale files are removed,
+// the log is opened (rotating to a fresh segment) and the checkpoint loop
+// starts. Replay is idempotent (mput is an upsert, delete tolerates
+// absence), so a record the base already holds merely re-applies.
 //
 // These are the only files open reads, each in one format. It refuses by
 // name, changing no file, what only earlier builds wrote: a base in
@@ -123,78 +127,103 @@ type durableStore struct {
 	done chan struct{}
 }
 
-// openDurable recovers (or creates) a durable keyspace in cfg.Dir and
-// arms logging and the background checkpoint loop.
-func openDurable(cfg durableConfig) (_ *durableStore, err error) {
-	cfg = cfg.withDefaults()
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, err
-	}
+// recoveryPlan is what planRecovery read: the store the base and the log
+// above the meta's LSN rebuild, still without a log, the files no
+// recovery reads, and each phase's time. read covers the meta and the
+// directory listing, load the base's read, check and bulkload, replay the
+// log's read, check and apply.
+type recoveryPlan struct {
+	*durableStore
+	stale              []string
+	read, load, replay time.Duration
+}
 
+// planRecovery makes every read and every check that can refuse an open
+// of dir, and rebuilds the recovered index in memory. It creates, writes,
+// renames and removes nothing, so a refused open leaves dir as it was.
+func planRecovery(dir string) (p recoveryPlan, err error) {
+	lap := time.Now()
 	var meta ckptMeta
-	metaPath := filepath.Join(cfg.Dir, ckptMetaName)
-	switch raw, err := snapio.ReadFile(metaPath); {
+	switch raw, err := snapio.ReadFile(filepath.Join(dir, ckptMetaName)); {
 	case err == nil:
 		if jerr := json.Unmarshal(raw, &meta); jerr != nil {
-			return nil, fmt.Errorf("altdb: checkpoint meta: %w", jerr)
+			return p, fmt.Errorf("altdb: checkpoint meta: %w", jerr)
 		}
 		if meta.Deltas > 0 {
-			return nil, fmt.Errorf("altdb: checkpoint meta counts %d delta file(s) (delta-%08d-*.snap) after base generation %d: "+
+			return p, fmt.Errorf("altdb: checkpoint meta counts %d delta file(s) (delta-%08d-*.snap) after base generation %d: "+
 				"only earlier builds wrote them, and this build does not read them", meta.Deltas, meta.Generation, meta.Generation)
 		}
-		gcStale(cfg.Dir, &meta)
-	case errors.Is(err, os.ErrNotExist):
-		gcStale(cfg.Dir, nil) // first boot
-	default:
-		return nil, fmt.Errorf("altdb: checkpoint meta: %w", err)
+	case !errors.Is(err, os.ErrNotExist):
+		return p, fmt.Errorf("altdb: checkpoint meta: %w", err)
 	}
-
-	idx := altindex.New(altindex.Options{})
-	var baseBytes int64
-	if meta.Generation > 0 {
-		path := basePath(cfg.Dir, meta.Generation)
-		loaded, err := altindex.Load(path, altindex.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("altdb: recovery needs base generation %d it cannot read: %w",
-				meta.Generation, err)
-		}
-		idx = loaded
-		if fi, err := os.Stat(path); err == nil {
-			baseBytes = fi.Size()
+	// Stale files are what no recovery reads: snapio temp files a crash
+	// stranded, and every base but the one the meta names (a crash around
+	// a checkpoint's meta flip leaves one). With no base named, all stay.
+	ents, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return p, err
+	}
+	for _, e := range ents {
+		path := filepath.Join(dir, e.Name())
+		if filepath.Ext(path) == ".tmp" || meta.Generation > 0 && strings.HasPrefix(e.Name(), "base-") && path != basePath(dir, meta.Generation) {
+			p.stale = append(p.stale, path)
 		}
 	}
-	// Replaying the log can grow the index past its retraining
-	// trigger; a failed recovery must not leave those workers behind.
-	defer func() {
-		if err != nil {
-			idx.Close()
-		}
-	}()
-	d := &durableStore{
-		cfg:       cfg,
-		idx:       idx,
-		baseBytes: baseBytes,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
+	p.read, lap = time.Since(lap), time.Now()
+	d := &durableStore{stop: make(chan struct{}), done: make(chan struct{})}
 	d.gen.Store(int64(meta.Generation))
-	wlog, err := wal.Open(filepath.Join(cfg.Dir, "wal"), cfg.WAL)
+	if meta.Generation == 0 {
+		d.idx = altindex.New(altindex.Options{})
+	} else {
+		path := basePath(dir, meta.Generation)
+		if d.idx, err = altindex.Load(path, altindex.Options{}); err != nil {
+			return p, fmt.Errorf("altdb: recovery needs base generation %d it cannot read: %w", meta.Generation, err)
+		}
+		if fi, err := os.Stat(path); err == nil {
+			d.baseBytes = fi.Size()
+		}
+	}
+	p.load, lap = time.Since(lap), time.Now()
+	n, err := wal.Read(filepath.Join(dir, "wal"), meta.LSN, func(_ uint64, rec []byte) error {
+		d.logMark -= wal.FrameHeader + int64(len(rec))
+		return d.applyRecord(rec)
+	})
+	if err != nil {
+		// Replaying the log can grow the index past its retraining
+		// trigger; a refused open must not leave those workers behind.
+		d.idx.Close()
+		return p, fmt.Errorf("altdb: replay: %w", err)
+	}
+	d.replayed = int64(n)
+	p.durableStore, p.replay = d, time.Since(lap)
+	return p, nil
+}
+
+// openDurable recovers (or creates) a durable keyspace in cfg.Dir once
+// planRecovery has accepted it: it removes the stale files, opens the log
+// (which rotates to a fresh segment) and starts the checkpoint loop.
+func openDurable(cfg durableConfig) (*durableStore, error) {
+	cfg = cfg.withDefaults()
+	p, err := planRecovery(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	replayed, err := wlog.Replay(meta.LSN, func(_ uint64, payload []byte) error {
-		d.logMark -= wal.FrameHeader + int64(len(payload))
-		return d.applyRecord(payload)
-	})
-	if err != nil {
-		wlog.Close()
-		return nil, fmt.Errorf("altdb: replay: %w", err)
+	t0 := time.Now()
+	for _, path := range p.stale {
+		os.Remove(path) // best effort: one left behind is stale again at the next open
 	}
-	d.log = wlog
-	d.replayed = int64(replayed)
+	d := p.durableStore
+	if err = os.MkdirAll(cfg.Dir, 0o755); err == nil {
+		d.log, err = wal.Open(filepath.Join(cfg.Dir, "wal"), cfg.WAL)
+	}
+	if err != nil {
+		d.idx.Close()
+		return nil, err
+	}
+	d.cfg = cfg
 	// Best-effort checkpoint age across restarts: the meta's mtime.
 	d.lastCkpt.Store(time.Now().Unix())
-	if fi, err := os.Stat(metaPath); err == nil {
+	if fi, err := os.Stat(filepath.Join(cfg.Dir, ckptMetaName)); err == nil {
 		d.lastCkpt.Store(fi.ModTime().Unix())
 	}
 	if cfg.CheckpointInterval > 0 {
@@ -202,27 +231,9 @@ func openDurable(cfg durableConfig) (_ *durableStore, err error) {
 	} else {
 		close(d.done)
 	}
+	log.Printf("event=recovered generation=%d records=%d plan_io_s=%.3f base_load_s=%.3f replay_s=%.3f apply_s=%.3f",
+		d.gen.Load(), d.replayed, p.read.Seconds(), p.load.Seconds(), p.replay.Seconds(), time.Since(t0).Seconds())
 	return d, nil
-}
-
-// gcStale removes the files no recovery reads: snapio temp files a crash
-// stranded, and every base file the meta does not name — a crash between
-// the meta flip and the previous generation's removal leaves that
-// generation behind, and one before the flip an unpublished base. Without
-// a meta (nil) it removes temp files only: a base with no meta naming it
-// is not read, but it is not this process's to delete.
-func gcStale(dir string, meta *ckptMeta) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		name := e.Name()
-		stale := meta != nil && strings.HasPrefix(name, "base-") && name != filepath.Base(basePath(dir, meta.Generation))
-		if filepath.Ext(name) == ".tmp" || stale {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
 }
 
 func basePath(dir string, gen int) string {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"maps"
 	"net"
@@ -537,7 +538,8 @@ func fuzzStore() *durableStore {
 // decoder returns an error or applies at most the pairs the payload has
 // room for, idempotently, and never panics or allocates by an unchecked
 // count. Opcode 1, the single-pair set only earlier builds wrote, is
-// always an error.
+// always an error. The same record in a log reaches the same verdict
+// through planRecovery, which changes no file either way.
 func FuzzApplyRecord(f *testing.F) {
 	f.Add(append([]byte{1}, make([]byte, 16)...))
 	f.Add(encDel(7))
@@ -553,6 +555,17 @@ func FuzzApplyRecord(f *testing.F) {
 		if len(payload) > 0 && payload[0] == 1 && err == nil {
 			t.Fatal("an opcode-1 record applied")
 		}
+		dir := t.TempDir()
+		writeSegment(t, filepath.Join(dir, "wal"), 1, payload)
+		before := dirFiles(t, dir)
+		p, perr := planRecovery(dir)
+		if perr == nil {
+			defer p.idx.Close()
+		}
+		if (perr == nil) != (err == nil) || perr == nil && p.idx.Len() != d.idx.Len() {
+			t.Fatalf("planRecovery = %v, applyRecord = %v: the plan and the decoder disagree", perr, err)
+		}
+		mustBeUnchanged(t, dir, before)
 		if err != nil {
 			return
 		}
@@ -789,15 +802,21 @@ func TestIdleRestartWritesNoBase(t *testing.T) {
 	}
 }
 
-// dirFiles maps the path of every file under dir to its bytes.
+// dirFiles maps every path under dir, relative to it, to the file's
+// bytes; a directory maps to nil, so a new empty one shows too.
 func dirFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	err := filepath.WalkDir(dir, func(p string, e os.DirEntry, err error) error {
-		if err != nil || e.IsDir() {
+		if err != nil || p == dir {
 			return err
 		}
-		out[p], err = os.ReadFile(p)
+		rel, _ := filepath.Rel(dir, p)
+		if !e.IsDir() {
+			out[rel], err = os.ReadFile(p)
+		} else {
+			out[rel] = nil
+		}
 		return err
 	})
 	if err != nil {
@@ -806,12 +825,63 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// mustBeUnchanged fails the test unless dir holds exactly the paths and
+// bytes of before.
+func mustBeUnchanged(t *testing.T, dir string, before map[string][]byte) {
+	t.Helper()
+	if after := dirFiles(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatalf("the directory changed from %v to %v", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
+	}
+}
+
+// mustRefuse opens dir, which must fail with an error whose text holds
+// want, and requires the refused open to leave dir's listing and every
+// file's bytes as they were.
+func mustRefuse(t *testing.T, dir, want string) error {
+	t.Helper()
+	before := dirFiles(t, dir)
+	srv, err := NewServerWith(Config{WALDir: dir, CheckpointInterval: -1})
+	if err == nil {
+		srv.Shutdown()
+		t.Fatal("the directory opened")
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("refusal %q does not name the fault (%q)", err, want)
+	}
+	mustBeUnchanged(t, dir, before)
+	return err
+}
+
+// writeSegment writes a WAL segment into walDir holding recs from seq
+// first on, spelled in the log's documented format.
+func writeSegment(t *testing.T, walDir string, first uint64, recs ...[]byte) {
+	t.Helper()
+	le := binary.LittleEndian
+	seg := le.AppendUint64([]byte("ALTWAL01"), first)
+	for i, rec := range recs {
+		seq := le.AppendUint64(nil, first+uint64(i))
+		seg = le.AppendUint32(le.AppendUint32(seg, uint32(len(rec))), crc32.ChecksumIEEE(append(seq, rec...)))
+		seg = append(append(seg, seq...), rec...)
+	}
+	writeFile(t, filepath.Join(walDir, fmt.Sprintf("wal-%016x.seg", first)), seg)
+}
+
+func writeFile(t *testing.T, path string, raw []byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLegacyArtefactsRefused: this build reads one format per file kind.
 // A directory holding an artefact only earlier builds wrote, spelled byte
 // by byte here because no encoder in this tree writes one, is refused at
 // open with an error that names the artefact. The refused open changes
-// none of the files the directory holds: the acked writes in them are
-// left for a build that reads them.
+// nothing in the directory: the acked writes it holds are left for a
+// build that reads them, and no file is added.
 func TestLegacyArtefactsRefused(t *testing.T) {
 	le := binary.LittleEndian
 	// pairs appends the v1 pair payload: u64 count, then keys 1..n with
@@ -845,48 +915,139 @@ func TestLegacyArtefactsRefused(t *testing.T) {
 			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":1,"deltas":1,"lsn":0}`))
 		}, "1 delta file(s)"},
 		{"set-record", func(t *testing.T, dir string) {
-			wlog, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			// An mput of one pair, then opcode 1: a single-pair set,
 			// [u64 key][u64 value].
-			for _, rec := range [][]byte{
+			writeSegment(t, filepath.Join(dir, "wal"), 1,
 				le.AppendUint64(le.AppendUint64(le.AppendUint32([]byte{3}, 1), 1), 10),
-				le.AppendUint64(le.AppendUint64([]byte{1}, 5), 50),
-			} {
-				if _, err := wlog.Commit(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := wlog.Close(); err != nil {
-				t.Fatal(err)
-			}
+				le.AppendUint64(le.AppendUint64([]byte{1}, 5), 50))
 		}, "opcode 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			tc.plant(t, dir)
-			before := dirFiles(t, dir)
-			srv, err := NewServerWith(Config{WALDir: dir, CheckpointInterval: -1})
-			if err == nil {
-				srv.Shutdown()
-				t.Fatalf("a directory holding a legacy %s opened", tc.name)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("refusal %q does not name the artefact (%q)", err, tc.want)
-			}
+			err := mustRefuse(t, dir, tc.want)
 			if tc.name == "v2-base" && !errors.Is(err, altindex.ErrBadSnapshot) {
 				t.Fatalf("refusal %q does not wrap ErrBadSnapshot", err)
 			}
-			after := dirFiles(t, dir)
-			for p, raw := range before {
-				if !bytes.Equal(after[p], raw) {
-					t.Errorf("the refused open changed %s", p)
-				}
-			}
 		})
 	}
+}
+
+// TestCorruptDirectoryRefused: recovery is a function of the directory.
+// Each corruption that refuses an open is found before the open changes
+// anything, so the refused open leaves the listing and every file's bytes
+// as they were — the older base beside a corrupt one and the stale temp
+// files included, and no new log segment.
+func TestCorruptDirectoryRefused(t *testing.T) {
+	rec := func(k uint64) []byte { return encMput([]altindex.KV{{Key: k, Value: 10 * k}}) }
+	for _, tc := range []struct {
+		name  string
+		plant func(t *testing.T, dir string)
+		want  string // in the refusal's text
+	}{
+		{"corrupt-base", func(t *testing.T, dir string) {
+			idx := altindex.New(altindex.Options{})
+			defer idx.Close()
+			for k := uint64(1); k <= 64; k++ {
+				if err := idx.Insert(k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for gen := 1; gen <= 2; gen++ {
+				if err := altindex.Save(idx, basePath(dir, gen)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			raw, err := os.ReadFile(basePath(dir, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0x20
+			writeFile(t, basePath(dir, 2), raw)
+			writeFile(t, filepath.Join(dir, "x.tmp"), []byte("stranded"))
+			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":2,"lsn":0}`))
+		}, "base generation 2"},
+		{"torn-header-not-last", func(t *testing.T, dir string) {
+			walDir := filepath.Join(dir, "wal")
+			writeSegment(t, walDir, 1, rec(1), rec(2))
+			writeFile(t, filepath.Join(walDir, fmt.Sprintf("wal-%016x.seg", 3)), []byte("ALTWA"))
+			writeSegment(t, walDir, 4, rec(4))
+		}, "torn header"},
+		{"segment-gap", func(t *testing.T, dir string) {
+			writeSegment(t, filepath.Join(dir, "wal"), 1, rec(1), rec(2))
+			writeSegment(t, filepath.Join(dir, "wal"), 5, rec(5))
+		}, "missing segment"},
+		{"missing-base", func(t *testing.T, dir string) {
+			writeSegment(t, filepath.Join(dir, "wal"), 1, rec(1))
+			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":1,"lsn":0}`))
+		}, "base generation 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.plant(t, dir)
+			mustRefuse(t, dir, tc.want)
+		})
+	}
+}
+
+// TestLoadSeedsPlannedOrRefused runs FuzzLoad's seeds (spelled again
+// here) and its checked-in corpus, each as the base a meta names, through
+// planRecovery: the plan refuses the base with an error wrapping
+// ErrBadSnapshot or rebuilds an index from it, and changes no file either
+// way.
+func TestLoadSeedsPlannedOrRefused(t *testing.T) {
+	le := binary.LittleEndian
+	pairs := func(n uint64) []byte {
+		out := le.AppendUint64(nil, n)
+		for k := uint64(1); k <= n; k++ {
+			out = le.AppendUint64(le.AppendUint64(out, k*1000), k)
+		}
+		return out
+	}
+	v1 := append([]byte("ALTIX001"), pairs(5)...)
+	v2 := le.AppendUint64(le.AppendUint64(append([]byte("ALTIX002"), 3, 0, 0, 0), 2000), 4000)
+	v2 = append(v2, pairs(5)...)
+	huge := append([]byte("ALTIX001"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
+	seeds := [][]byte{v1, v2, huge, v1[:20], v2[:13], append([]byte("ALTIX002"), 0xff, 0xff, 0xff, 0xff), nil}
+	corpus, err := filepath.Glob(filepath.Join("..", "..", "testdata", "fuzz", "FuzzLoad", "*"))
+	if err != nil || len(corpus) == 0 {
+		t.Fatalf("FuzzLoad corpus: %v (%d files)", err, len(corpus))
+	}
+	for _, path := range corpus {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The second line is the payload: []byte("...").
+		line := strings.Split(string(raw), "\n")[1]
+		payload, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		seeds = append(seeds, []byte(payload))
+	}
+	for i, seed := range seeds {
+		// FuzzLoad loads each payload raw and inside a valid frame.
+		for _, file := range [][]byte{seed, snapFrame(seed)} {
+			dir := t.TempDir()
+			writeFile(t, basePath(dir, 1), file)
+			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":1,"lsn":0}`))
+			before := dirFiles(t, dir)
+			p, err := planRecovery(dir)
+			if err == nil {
+				p.idx.Close()
+			} else if !errors.Is(err, altindex.ErrBadSnapshot) {
+				t.Fatalf("seed %d: planRecovery = %v, want an error wrapping ErrBadSnapshot", i, err)
+			}
+			mustBeUnchanged(t, dir, before)
+		}
+	}
+}
+
+// snapFrame appends the snapio footer (u64 length, u32 CRC32) to payload.
+func snapFrame(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint64(bytes.Clone(payload), uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
 // TestStatsKeySetsDisjoint: STATS merges the index's StatsMap, the durable

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -11,8 +12,18 @@ import (
 	"strings"
 )
 
-// scan walks every segment in the directory at Open time, validates the
-// record chain and records where it ends. The rules:
+// chain is what scan found: the valid segments, the last valid seq (0 =
+// none), the torn bytes it skipped and the records it delivered.
+type chain struct {
+	segs    []segMeta
+	lastSeq uint64
+	torn    int64
+	n       int
+}
+
+// scan walks segs (ascending firstSeq), validates the record chain and
+// passes every record with seq > after, in order, to fn (nil: none). The
+// rules:
 //
 //   - segments must form one dense sequence: each segment's header
 //     firstSeq equals the previous segment's last valid seq + 1;
@@ -25,45 +36,45 @@ import (
 //   - a valid frame whose seq breaks the sequence, a foreign file, or a
 //     gap between segments is ErrCorrupt: better to refuse startup than
 //     to silently drop acked history.
-func (l *Log) scan() error {
-	names, err := listSegments(l.dir)
-	if err != nil {
-		return err
-	}
-	expect := uint64(0) // last valid seq seen; 0 = none yet
-	for i, sm := range names {
+func scan(segs []segMeta, after uint64, fn func(seq uint64, payload []byte) error) (chain, error) {
+	var c chain
+	for i, sm := range segs {
 		res, err := scanSegment(sm.path)
 		if err != nil {
-			return err
+			return c, err
 		}
 		if res.headerTorn {
 			// A crash mid-creation. Only the newest segment can be
 			// half-created, so anything after it is a hole.
-			if i != len(names)-1 {
-				return fmt.Errorf("%w: %s has a torn header but is not the last segment", ErrCorrupt, sm.path)
+			if i != len(segs)-1 {
+				return c, fmt.Errorf("%w: %s has a torn header but is not the last segment", ErrCorrupt, sm.path)
 			}
-			l.tornTail += res.tornBytes
+			c.torn += res.tornBytes
 			break
 		}
 		if res.firstSeq != sm.firstSeq {
-			return fmt.Errorf("%w: %s header says first seq %d, name says %d", ErrCorrupt, sm.path, res.firstSeq, sm.firstSeq)
+			return c, fmt.Errorf("%w: %s header says first seq %d, name says %d", ErrCorrupt, sm.path, res.firstSeq, sm.firstSeq)
 		}
-		if expect != 0 && res.firstSeq != expect+1 {
-			return fmt.Errorf("%w: %s starts at seq %d, want %d (missing segment?)", ErrCorrupt, sm.path, res.firstSeq, expect+1)
+		if c.lastSeq != 0 && res.firstSeq != c.lastSeq+1 {
+			return c, fmt.Errorf("%w: %s starts at seq %d, want %d (missing segment?)", ErrCorrupt, sm.path, res.firstSeq, c.lastSeq+1)
 		}
-		if res.count > 0 {
-			expect = res.firstSeq + uint64(res.count) - 1
-		} else {
-			expect = res.firstSeq - 1
-		}
-		l.tornTail += res.tornBytes
+		c.lastSeq = res.firstSeq + uint64(res.count) - 1
+		c.torn += res.tornBytes
 		if res.badSeq {
-			return fmt.Errorf("%w: %s record sequence broken", ErrCorrupt, sm.path)
+			return c, fmt.Errorf("%w: %s record sequence broken", ErrCorrupt, sm.path)
 		}
-		l.segs = append(l.segs, sm)
+		c.segs = append(c.segs, sm)
+		for _, rec := range res.records {
+			if rec.seq <= after || fn == nil {
+				continue
+			}
+			if err := fn(rec.seq, rec.payload); err != nil {
+				return c, err
+			}
+			c.n++
+		}
 	}
-	l.lastSeq = expect
-	return nil
+	return c, nil
 }
 
 // Replay streams every recovered record with seq > after, in order, to
@@ -72,26 +83,23 @@ func (l *Log) scan() error {
 // replayed. Call it once, before appending. A non-nil error from fn
 // aborts and is returned; the int is the number of records delivered.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) (int, error) {
-	n := 0
-	for _, sm := range l.recovery {
-		res, err := scanSegment(sm.path)
-		if err != nil {
-			return n, err
-		}
-		if res.headerTorn {
-			break
-		}
-		for _, rec := range res.records {
-			if rec.seq <= after {
-				continue
-			}
-			if err := fn(rec.seq, rec.payload); err != nil {
-				return n, err
-			}
-			n++
-		}
+	c, err := scan(l.recovery, after, fn)
+	return c.n, err
+}
+
+// Read is Open's scan and Replay in one pass that changes nothing: it
+// validates dir's segment chain as Open does and streams every record with
+// seq > after, in order, to fn (nil: validate only). It creates, writes
+// and removes no file, and a missing dir reads as an empty log. fn sees a
+// segment's records once that segment has passed, so it may see records
+// of a chain a later segment refuses.
+func Read(dir string, after uint64, fn func(seq uint64, payload []byte) error) (int, error) {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return 0, err
 	}
-	return n, nil
+	c, err := scan(segs, after, fn)
+	return c.n, err
 }
 
 type record struct {
@@ -166,10 +174,11 @@ func scanSegment(path string) (segScan, error) {
 
 // listSegments returns the directory's segment files sorted by the first
 // sequence number encoded in their names. Non-segment files (checkpoint
-// metadata, snapshots, snapio temp debris) are ignored.
+// metadata, snapshots, snapio temp debris) are ignored, and a missing
+// dir holds none.
 func listSegments(dir string) ([]segMeta, error) {
 	ents, err := os.ReadDir(dir)
-	if err != nil {
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
 	var out []segMeta

@@ -222,7 +222,6 @@ type Log struct {
 	// recovery holds the segments found at Open time plus the torn-tail
 	// accounting; Replay reads exactly these files.
 	recovery []segMeta
-	lastSeq  uint64 // highest valid seq found at Open
 	tornTail int64
 
 	stAppends     atomic.Int64
@@ -251,12 +250,18 @@ func Open(dir string, opts Options) (*Log, error) {
 		dead: make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.cmu)
-	if err := l.scan(); err != nil {
+	segs, err := listSegments(dir)
+	if err != nil {
 		return nil, err
 	}
-	l.nextSeq = l.lastSeq + 1
-	l.written = l.lastSeq
-	l.durable = l.lastSeq // everything pre-crash is as durable as it gets
+	c, err := scan(segs, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	l.segs, l.tornTail = c.segs, c.torn
+	l.nextSeq = c.lastSeq + 1
+	l.written = c.lastSeq
+	l.durable = c.lastSeq // everything pre-crash is as durable as it gets
 	// A previous generation may have left a segment holding no valid
 	// records (a clean close right after rotation, or a tail torn before
 	// the first record landed). The fresh active segment reuses its name

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -336,6 +337,57 @@ func TestMissingSegmentRefusesLoad(t *testing.T) {
 	}
 }
 
+// TestReadChangesNothing: Read delivers what Open and Replay deliver,
+// refuses what Open refuses and leaves the directory byte for byte as it
+// was; a missing directory reads as an empty log and is not created.
+func TestReadChangesNothing(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{SegmentBytes: 128})
+	for i := 0; i < 30; i++ {
+		if _, err := l.Commit(bytes.Repeat([]byte{byte(i)}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	files := func() map[string]string {
+		out := map[string]string{}
+		ents, _ := os.ReadDir(dir)
+		for _, e := range ents {
+			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(raw)
+		}
+		return out
+	}
+	before := files()
+	var got []record
+	n, err := Read(dir, 10, func(seq uint64, payload []byte) error {
+		got = append(got, record{seq: seq, payload: append([]byte(nil), payload...)})
+		return nil
+	})
+	if err != nil || n != 20 || len(got) != 20 || got[0].seq != 11 || got[19].payload[0] != 29 {
+		t.Fatalf("Read above seq 10 = (%d, %v), %d records, want the 20 records 11..30", n, err, len(got))
+	}
+	segs, _ := listSegments(dir)
+	os.Remove(segs[1].path)
+	delete(before, filepath.Base(segs[1].path))
+	if _, err := Read(dir, 0, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read over a gap in the segments = %v, want ErrCorrupt", err)
+	}
+	if after := files(); !maps.Equal(after, before) {
+		t.Fatalf("Read changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	missing := filepath.Join(dir, "missing")
+	if n, err := Read(missing, 0, nil); n != 0 || err != nil {
+		t.Fatalf("Read of a missing directory = (%d, %v), want (0, nil)", n, err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Read created %s (%v)", missing, err)
+	}
+}
+
 // TestForeignFileRefusesLoad: a full-sized file with the segment naming
 // but wrong magic is someone else's data, not a torn header.
 func TestForeignFileRefusesLoad(t *testing.T) {
@@ -453,11 +505,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzReplay feeds one arbitrary segment file to the recovery reader —
-// scan (what Open runs) then Replay. The log directory is outside input:
-// whatever it holds, recovery returns an error or a dense run of records
-// whose payloads lie inside the file, and never panics or sizes an
-// allocation by a length field it has not checked against the file.
+// FuzzReplay feeds one arbitrary segment file to the recovery reader,
+// scan, which Open, Replay and Read all run. The log directory is outside
+// input: whatever it holds, recovery returns an error or a dense run of
+// records whose payloads lie inside the file, and never panics or sizes
+// an allocation by a length field it has not checked against the file.
 func FuzzReplay(f *testing.F) {
 	seg := append(segMagic[:], 5, 0, 0, 0, 0, 0, 0, 0) // firstSeq 5
 	seg = appendFrame(seg, 5, []byte("five"))
@@ -481,16 +533,12 @@ func FuzzReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer os.Remove(path)
-		l := &Log{dir: dir}
-		if err := l.scan(); err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("scan failed outside ErrCorrupt: %v", err)
-			}
-			return
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		l.recovery = l.segs
 		next, bytesSeen := uint64(0), 0
-		n, err := l.Replay(0, func(seq uint64, payload []byte) error {
+		c, err := scan(segs, 0, func(seq uint64, payload []byte) error {
 			if next != 0 && seq != next {
 				t.Fatalf("replay jumped from seq %d to %d", next-1, seq)
 			}
@@ -499,13 +547,16 @@ func FuzzReplay(f *testing.F) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("scan accepted what Replay rejects: %v", err)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("scan failed outside ErrCorrupt: %v", err)
+			}
+			return
 		}
-		if n > 0 && next-1 != l.lastSeq {
-			t.Fatalf("replay ended at seq %d, scan says %d", next-1, l.lastSeq)
+		if c.n > 0 && next-1 != c.lastSeq {
+			t.Fatalf("replay ended at seq %d, scan says %d", next-1, c.lastSeq)
 		}
-		if bytesSeen+int(l.tornTail) > len(raw) {
-			t.Fatalf("%d record bytes + %d torn bytes out of a %d-byte file", bytesSeen, l.tornTail, len(raw))
+		if bytesSeen+int(c.torn) > len(raw) {
+			t.Fatalf("%d record bytes + %d torn bytes out of a %d-byte file", bytesSeen, c.torn, len(raw))
 		}
 	})
 }
