@@ -202,8 +202,8 @@ func Experiments() []Experiment {
 		//     which only pays off when there is independent work to overlap.
 		//   - ALT-miss: hand-rolled probes of provably-absent keys (midpoints
 		//     between consecutive loaded keys, full dataset loaded) in pseudorandom
-		//     order — the path the overflow fingerprint sidecar shortcuts: a
-		//     conflict slot whose ART probe would miss.
+		//     order — the path the slot's conflict tag shortcuts: a conflict
+		//     slot whose ART probe would miss.
 		//
 		// Single-threaded on purpose: ns/op here is a cache-line proxy that
 		// multi-thread scheduling noise would bury.
@@ -425,8 +425,8 @@ func artWalk(c Config) Result {
 // cachelineMiss times lookups of keys that are provably absent: the full
 // dataset is bulkloaded, so any strict midpoint between two consecutive
 // loaded keys cannot be present. Probing them in pseudorandom order makes
-// every probe a cold predicted slot plus — without the sidecar — a full
-// ART traversal ending in a miss.
+// every probe a cold predicted slot plus — unless the slot's conflict tag
+// rules the key out — a full ART traversal ending in a miss.
 func cachelineMiss(c Config) Result {
 	c.InitRatio = 1
 	p := Prepare(ALT().New, c)

@@ -384,10 +384,10 @@ func (t *ALT) Get(key uint64) (uint64, bool) {
 			return v, true
 		}
 		// The slot holds another key or a tombstone, so the key can only
-		// be ART-resident. Before paying the traversal, ask the fingerprint
-		// sidecar whether it can be there at all — the common "absent on a
-		// fit-hard dataset" case ends here.
-		if e.absentInART(key, s, meta) {
+		// be ART-resident. Before paying the traversal, ask the slot's
+		// conflict tag whether it can be there at all — the common "absent
+		// on a fit-hard dataset" case ends here.
+		if absentInART(key, meta) {
 			return 0, false
 		}
 		val, found, _ := t.tree.GetFrom(t.fpNode(e.m), key)
@@ -453,15 +453,15 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 			return false
 		}
 		fpInsertLocked.Inject()
-		// A key new to ART spills: the release sets the slot's spill bit
-		// after the tree insert (sidecar.go). An upsert of an ART key is
-		// already recorded, by the build's tag or its own eviction's bit.
+		// A key new to ART merges its fingerprint into the slot's conflict
+		// tag, in the release that publishes it after the tree insert. An
+		// upsert of an ART key is in the tag already, from the build or
+		// from its own eviction.
 		added := t.tree.PutFrom(t.fpNode(e.m), key, value)
-		flags := slotOccupied
 		if added {
-			flags |= slotSpill
+			meta = withEviction(meta, key)
 		}
-		e.release(s, meta, flags)
+		e.release(s, meta, slotOccupied)
 		if e.m.fastIdx.Load() < 0 {
 			// The model had no fast pointer (the ART was empty when
 			// it was built); now that its range has conflict data,
@@ -486,20 +486,25 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		t.size.Add(1)
 		return true
 	default: // tombstone: update an ART copy in place, else claim it.
+		// A key behind a tombstone stays in ART (invariant 4): the upsert
+		// updates that copy and leaves the slot tombstoned. Every ART
+		// write of this key needs the slot lock, so the tag of the meta
+		// the lock is taken on and the tree agree on whether the copy
+		// exists.
+		inART := !absentInART(key, meta)
 		if !e.acquire(s, meta) {
 			return false
 		}
 		fpInsertLocked.Inject()
-		// A key behind a tombstone stays in ART (invariant 4): the upsert
-		// updates that copy and leaves the slot tombstoned. Every ART
-		// write of this key needs the slot lock we hold, so the sidecar
-		// and the tree agree on whether the copy exists.
-		if !e.absentInART(key, s, meta) && t.tree.Update(key, value) {
+		if inART && t.tree.Update(key, value) {
 			e.release(s, meta, slotTomb)
 			return true
 		}
-		// A claim refills a slot already counted, so it is not growth.
-		e.keyRef(s).Store(key)
+		// A claim refills a slot already counted, so it is not growth. A
+		// key re-inserted onto its own tombstone finds its key word set.
+		if e.keyRef(s).Load() != key {
+			e.keyRef(s).Store(key)
+		}
 		e.valRef(s).Store(value)
 		e.release(s, meta, slotOccupied)
 		t.size.Add(1)
@@ -541,8 +546,8 @@ func (t *ALT) Update(key, value uint64) bool {
 		}
 		// The slot holds another key or a tombstone, so the key can only
 		// be ART-resident.
-		if e.absentInART(key, s, meta) {
-			return false // sidecar proves no ART copy to update
+		if absentInART(key, meta) {
+			return false // the tag proves no ART copy to update
 		}
 		// Run the tree update under the slot lock so it cannot interleave
 		// with a retraining migration.
@@ -581,19 +586,20 @@ func (t *ALT) Remove(key uint64) bool {
 				continue
 			}
 			if k == key {
-				if !e.acquire(s, meta) {
+				// Only the state changes, so one CAS that bumps the
+				// version publishes the tombstone: no lock section.
+				if !e.metaRef(s).CompareAndSwap(meta, nextMeta(meta, slotTomb)) {
 					bo.wait()
 					continue
 				}
-				e.release(s, meta, slotTomb)
 				t.size.Add(-1)
 				return true
 			}
 		}
 		// The slot holds another key or a tombstone, so the key can only
 		// be ART-resident.
-		if e.absentInART(key, s, meta) {
-			return false // sidecar proves no ART copy to remove
+		if absentInART(key, meta) {
+			return false // the tag proves no ART copy to remove
 		}
 		// Remove under the slot lock so the removal cannot interleave with
 		// a retraining migration.

@@ -28,12 +28,13 @@ import (
 //   - probe: a branch-free loop of the seqlock loads themselves, which
 //     starts every predicted slot's lines toward L1 together;
 //   - classify + descend (descend): the lanes whose snapshot shows the
-//     slot held by a different key are ART-bound; their model line (and
-//     sidecar tag), fast-pointer entry and — art.PrefetchPaths — tree
-//     path nodes are prefetched in lockstep, one level per round;
+//     slot held by a different key are ART-bound unless, for a read, the
+//     snapshot's conflict tag already rules the key out; their model
+//     line, fast-pointer entry and — art.PrefetchPaths — tree path nodes
+//     are prefetched in lockstep, one level per round;
 //   - resolve / apply: GetBatchGroups validates the snapshots exactly as
 //     Get does, InsertBatchGroups calls insertAt per pair. Both find the
-//     model, tag, fast-pointer and node lines the descent warmed.
+//     model, fast-pointer and node lines the descent warmed.
 //
 // The descent is advisory. It reads the snapshot without validating it,
 // takes no version checks in the tree and hands nothing to the resolve and
@@ -207,21 +208,21 @@ func probeChunk(g *chunkScratch, cnt int) {
 // intervenes, go to its group's tree through the model's fast pointer —
 // the one chain of dependent misses routing and probing leave serial. The
 // lanes are collected and their chains advanced together, a link per pass:
-// the model's fastIdx (with tags, reads' flag, also the lane's sidecar tag
-// while it is live: a sidecar and no spill bit), the fast-pointer buffer
-// entry, then the tree path, by art.PrefetchPaths from the fast-pointer
-// node or, without one, the root. insertAt never reads the tag. Nothing
-// here is validated and nothing is kept: see the package comment on why.
-func descend(g *chunkScratch, ts []*ALT, keys []uint64, tags bool) {
+// the model's fastIdx, the fast-pointer buffer entry, then the tree path,
+// by art.PrefetchPaths from the fast-pointer node or, without one, the
+// root. With reads set, a lane whose snapshot's conflict tag proves the key
+// absent is skipped: Get's resolve ends there. insertAt's conflict arm
+// always reaches the tree. Nothing here is validated and nothing is kept:
+// see the package comment on why.
+func descend(g *chunkScratch, ts []*ALT, keys []uint64, reads bool) {
 	n := 0
 	for i, k := range keys {
-		if g.metas[i]&(slotLockBit|slotOccupied|slotTomb) == slotOccupied && g.ks[i] != k {
+		m := g.metas[i]
+		if m&(slotLockBit|slotOccupied|slotTomb) == slotOccupied && g.ks[i] != k &&
+			!(reads && absentInART(k, m)) {
 			g.lanes[n] = int32(i)
 			n++
 			prefetch.T0(unsafe.Pointer(&g.es[i].m.fastIdx))
-			if tags && g.es[i].tags != nil && g.metas[i]&slotSpill == 0 {
-				prefetch.T0(unsafe.Add(unsafe.Pointer(g.es[i].tags), g.slots[i]))
-			}
 		}
 	}
 	if n == 0 {
@@ -246,11 +247,11 @@ func descend(g *chunkScratch, ts []*ALT, keys []uint64, tags bool) {
 
 // stageChunk runs the stages both directions share — route, probe,
 // classify + descend — over one chunk; see routeChunk for s, cb and the
-// result, and descend for tags.
-func stageChunk(g *chunkScratch, ts []*ALT, ends []int32, s, cb int, keys []uint64, tags bool) int {
+// result, and descend for reads.
+func stageChunk(g *chunkScratch, ts []*ALT, ends []int32, s, cb int, keys []uint64, reads bool) int {
 	s = routeChunk(g, ends, s, cb, keys)
 	probeChunk(g, len(keys))
-	descend(g, ts, keys, tags)
+	descend(g, ts, keys, reads)
 	return s
 }
 
@@ -325,9 +326,9 @@ func GetBatchGroups(ts []*ALT, ends []int32, keys []uint64, vals []uint64, found
 				continue
 			}
 			// Another key or a tombstone: Get's ART arm. The snapshot
-			// was validated above, so the sidecar can short-circuit the
-			// traversal exactly as in Get.
-			if e.absentInART(k, s, m1) {
+			// was validated above, so its conflict tag can short-circuit
+			// the traversal exactly as in Get.
+			if absentInART(k, m1) {
 				vals[p], found[p] = 0, false
 				continue
 			}

@@ -11,13 +11,12 @@ import (
 )
 
 // bulkLayout is everything a Bulkload decides: the directory, every
-// model's fit, slot words and sidecar, the fast pointer indices, the ART
-// contents and what the index reports about itself.
+// model's fit, slot words (conflict tags included), the fast pointer
+// indices, the ART contents and what the index reports about itself.
 type bulkLayout struct {
 	bounds []uint64
 	models []modelFit
 	slots  [][3]uint64 // key, value, meta of every lane of every block
-	tags   [][]uint8   // one per model, nil without a sidecar
 	art    []index.KV  // the tree's full range
 	stats  map[string]int64
 	mem    uintptr
@@ -45,18 +44,12 @@ func layoutOf(alt *ALT) bulkLayout {
 		for s := 0; s < len(m.blocks)*blockSlots; s++ {
 			l.slots = append(l.slots, [3]uint64{m.keyRef(s).Load(), m.valRef(s).Load(), uint64(m.metaRef(s).Load())})
 		}
-		var tags []uint8
-		if m.sc != nil {
-			tags = m.sc.tags
-		}
-		l.tags = append(l.tags, tags)
 	}
 	return l
 }
 
 // firstDiff names the first part where a and b differ, or returns "".
 func firstDiff(a, b bulkLayout) string {
-	sameTags := func(x, y []uint8) bool { return (x == nil) == (y == nil) && slices.Equal(x, y) }
 	switch {
 	case !slices.Equal(a.bounds, b.bounds):
 		return "bounds"
@@ -64,8 +57,6 @@ func firstDiff(a, b bulkLayout) string {
 		return "models"
 	case !slices.Equal(a.slots, b.slots):
 		return "slots"
-	case !slices.EqualFunc(a.tags, b.tags, sameTags):
-		return "sidecar tags"
 	case !slices.Equal(a.art, b.art):
 		return "ART contents"
 	case !maps.Equal(a.stats, b.stats):

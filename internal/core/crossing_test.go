@@ -111,8 +111,8 @@ func TestTombstoneUpsertUpdatesARTCopy(t *testing.T) {
 			tb := alt.tab.Load()
 
 			// slotKey holds the slot artKey predicts to; artKey is in ART,
-			// put there by Bulkload's conflict eviction (the sidecar still
-			// describes it) or by a runtime eviction (the sidecar is stale).
+			// put there by Bulkload's conflict eviction or by a runtime
+			// one, and the slot's conflict tag records it either way.
 			var slotKey, artKey uint64
 			var pos, s int
 			found := false
@@ -141,8 +141,8 @@ func TestTombstoneUpsertUpdatesARTCopy(t *testing.T) {
 				t.Fatal("no conflict pair found")
 			}
 			e := &tb.dir[pos]
-			if spill := e.metaRef(s).Load()&slotSpill != 0; spill != (evict == "runtime") {
-				t.Fatalf("spill bit %v after a %s eviction", spill, evict)
+			if tag := tagOf(e.metaRef(s).Load()); tag != fp8(artKey) && tag != manyTag {
+				t.Fatalf("conflict tag %#x after a %s eviction of %#x (fp8 %#x)", tag, evict, artKey, fp8(artKey))
 			}
 			if !alt.Remove(slotKey) {
 				t.Fatal("Remove of the slot resident failed")

@@ -14,16 +14,63 @@ import (
 
 // Slot states, stored in the per-slot metadata word (the paper's per-slot
 // atomic version, §III-E). Layout: bit 0 = writer lock (odd = write in
-// progress), bit 1 = occupied, bit 2 = tombstone, bit 3 = spill (a runtime
-// eviction from this slot put a key in ART, see sidecar.go; only a rebuild
-// clears it), bits 4..31 = version (2^28 writes per slot before it wraps).
+// progress), bit 1 = occupied, bit 2 = tombstone, bits 3..10 = conflict tag
+// (which keys predicted to this slot were evicted to ART, values below),
+// bits 11..31 = version (2^21 writes per slot before it wraps; DESIGN.md
+// gives the margin).
 const (
 	slotLockBit  = uint32(1)
 	slotOccupied = uint32(2)
 	slotTomb     = uint32(4)
-	slotSpill    = uint32(8)
-	slotVerShift = 4
+	slotTagShift = 3
+	slotTagMask  = uint32(0xFF) << slotTagShift
+	slotVerShift = 11
 )
+
+// Conflict tag values. A slot's tag is 0 while no key predicted to it was
+// ever evicted to ART (at its build or since), the evicted key's fp8 (in
+// [1, 0xFE]) for exactly one, and manyTag once several were (any
+// fingerprint would then lie for the others).
+const manyTag = uint32(0xFF)
+
+// fp8 is the conflict tag's 8-bit key fingerprint: a Fibonacci-hash mix
+// folded into [1, 0xFE] so nearby keys (the common case among one slot's
+// conflicts) still get distinct tags, and the 0 / manyTag sentinels stay
+// unambiguous.
+func fp8(k uint64) uint32 {
+	return uint32((k*0x9e3779b97f4a7c15)>>56)%254 + 1
+}
+
+// tagOf extracts the conflict tag from a metadata word.
+func tagOf(meta uint32) uint32 { return meta & slotTagMask >> slotTagShift }
+
+// withEviction returns meta with key's eviction merged into its tag.
+func withEviction(meta uint32, key uint64) uint32 {
+	tag := fp8(key)
+	if cur := tagOf(meta); cur != 0 && cur != tag {
+		tag = manyTag
+	}
+	return meta&^slotTagMask | tag<<slotTagShift
+}
+
+// absentInART reports whether key, predicted to the slot whose metadata
+// word is meta and which holds another key or a tombstone, is provably
+// absent from the ART layer, letting the caller skip the tree traversal.
+//
+// meta must be unlocked and loaded from that slot (a validated seqlock
+// read, or the word the caller locked). Every key in ART was evicted from
+// its predicted slot, by the build that made the slot or by a runtime
+// conflict insert whose release merged the key's fingerprint into the
+// word, so meta's tag covers every eviction released before it; one still
+// in flight holds the lock and linearizes after the caller. An unlocked
+// meta also proves the model was not yet frozen, so evictions through any
+// successor model are ordered after the caller's linearization point too.
+// Removals from ART leave the tag as it was: a stale "maybe present"
+// costs one traversal, never a wrong answer.
+func absentInART(key uint64, meta uint32) bool {
+	tag := tagOf(meta)
+	return tag == 0 || (tag != manyTag && tag != fp8(key))
+}
 
 // Slots are stored in interleaved blocks of blockSlots: slot s lives in
 // blocks[s>>blockShift], lane s&blockMask.
@@ -74,12 +121,6 @@ type layout struct {
 // predicted slot or in the ART-OPT layer.
 type model struct {
 	layout
-
-	// sc is the overflow fingerprint sidecar built from this model's
-	// build-time conflict evictions; nil when the build had none.
-	// Immutable after the model is published — a runtime ART insert
-	// stales only its slot's tag, through the slot's spill bit (sidecar.go).
-	sc *sidecar
 
 	// fastIdx is this model's entry in the fast pointer buffer, or -1.
 	fastIdx atomic.Int32
@@ -157,6 +198,13 @@ func (l *layout) place(s int, key, val uint64) {
 	*(*uint32)(unsafe.Pointer(&b.meta[j])) = slotOccupied
 }
 
+// evict merges key's eviction to ART into slot s's conflict tag, with a
+// plain store under the same rule as place.
+func (l *layout) evict(s int, key uint64) {
+	w := (*uint32)(unsafe.Pointer(l.metaRef(s)))
+	*w = withEviction(*w, key)
+}
+
 // newShells is the one build routine's first half, behind Bulkload and
 // every rebuild: GPL segmentation of keys at eps (Algorithm 1), then one
 // empty gapped model per segment, its slope scaled by gapFactor and its
@@ -189,8 +237,8 @@ func newShells(keys []uint64, eps, gapFactor float64, oneSlab bool) []*model {
 // fillShells places keys, ascending, into shells, partitioning by shell
 // boundary (shell i owns keys below shell i+1's first, the last one every
 // key above). A key whose predicted slot is taken is a conflict: it goes to
-// ART and into the shell's fingerprint sidecar, which is what keeps the
-// learned layer free of prediction errors. The shells may predate the keys
+// ART and into that slot's conflict tag, which is what keeps the learned
+// layer free of prediction errors. The shells may predate the keys
 // (a rebuild segments a pre-freeze snapshot) — a stale fit only raises the
 // conflict rate. Shells left empty are dropped; every other one gets its
 // first key into a free slot, so keys always leave at least one model.
@@ -205,17 +253,13 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 			hi = shells[si+1].first - 1
 		}
 		placed := 0
-		var sc *sidecar
 		for ki < len(keys) && keys[ki] <= hi {
 			k, v := keys[ki], vals[ki]
 			ki++
 			s := sh.slotOf(k)
 			if sh.metaRef(s).Load()&slotOccupied != 0 {
 				t.tree.Put(k, v)
-				if sc == nil {
-					sc = newSidecar(sh.nslots)
-				}
-				sc.add(s, fp8(k))
+				sh.evict(s, k)
 				continue
 			}
 			sh.place(s, k, v)
@@ -225,7 +269,6 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 			// Empty shell: neighbors' clamping covers its range.
 			continue
 		}
-		sh.sc = sc
 		sh.buildSize = placed
 		newModels = append(newModels, sh)
 	}
@@ -278,11 +321,17 @@ func (l *layout) acquire(slot int, seen uint32) bool {
 	return l.metaRef(slot).CompareAndSwap(seen, seen|slotLockBit)
 }
 
-// release unlocks the slot, bumping the version, keeping seen's spill bit
-// and setting flags (slotOccupied or slotTomb, plus slotSpill to spill).
+// release unlocks the slot, publishing nextMeta(seen, flags).
 func (l *layout) release(slot int, seen, flags uint32) {
-	ver := seen >> slotVerShift
-	l.metaRef(slot).Store((ver+1)<<slotVerShift | seen&slotSpill | flags)
+	l.metaRef(slot).Store(nextMeta(seen, flags))
+}
+
+// nextMeta is the word a write that observed seen publishes: the version
+// bumped (wrapping after 2^21 writes without touching the lower bits),
+// seen's conflict tag kept and the state set to flags (slotOccupied or
+// slotTomb).
+func nextMeta(seen, flags uint32) uint32 {
+	return (seen>>slotVerShift+1)<<slotVerShift | seen&slotTagMask | flags
 }
 
 // freeze locks every slot permanently; used when the model is being
@@ -304,13 +353,13 @@ func (m *model) freeze() {
 }
 
 // unfreeze releases every slot lock taken by freeze, bumping versions and
-// preserving state flags and spill bits. Used to back out of a
+// preserving state flags and conflict tags. Used to back out of a
 // splice-time placeholder absorption that lost a race to a writer.
 func (m *model) unfreeze() {
 	for s := 0; s < m.nslots; s++ {
 		mw := m.metaRef(s)
 		cur := mw.Load()
-		mw.Store((cur>>slotVerShift+1)<<slotVerShift | cur&(slotOccupied|slotTomb|slotSpill))
+		mw.Store(nextMeta(cur, cur&(slotOccupied|slotTomb)))
 	}
 }
 
@@ -345,35 +394,25 @@ func (m *model) memory() uintptr {
 	if m.slab == nil {
 		total += uintptr(len(m.blocks)) * unsafe.Sizeof(slotBlock{})
 	}
-	if m.sc != nil {
-		total += m.sc.memory()
-	}
 	return total
 }
 
 // entry is one directory record: an immutable copy of the model's probe
-// geometry and of its sidecar tags' address, plus the model itself for the
-// cold paths (fast pointer, counters). Copying the layout in is what removes
-// the *model dereference from the slot-hit path: router -> bounds ->
-// dir[i] -> slot block, with no hop through a heap-scattered struct in
-// between; copying the tags' address lets a conflict probe load its tag
-// with no hop through the model or the sidecar header (the spill bit that
-// stales a tag is in the meta word the probe holds). The blocks slice
-// shares the model's backing array, so holding the table keeps it alive.
-// Exactly 64 bytes, so an entry never straddles a cache line.
+// geometry plus the model itself for the cold paths (fast pointer,
+// counters). Copying the layout in is what removes the *model dereference
+// from the slot-hit path: router -> bounds -> dir[i] -> slot block, with no
+// hop through a heap-scattered struct in between. A conflict probe needs
+// nothing more: the slot's conflict tag is in the meta word it already
+// holds. The blocks slice shares the model's backing array, so holding the
+// table keeps it alive. Padded to 64 bytes, so an entry never straddles a
+// cache line.
 type entry struct {
 	layout
-	m    *model
-	tags *uint8 // &m.sc.tags[0], or nil; m.sc is final before any entry is made
+	m *model
+	_ [8]byte
 }
 
-func newEntry(m *model) entry {
-	e := entry{layout: m.layout, m: m}
-	if m.sc != nil {
-		e.tags = &m.sc.tags[0]
-	}
-	return e
-}
+func newEntry(m *model) entry { return entry{layout: m.layout, m: m} }
 
 // table is the immutable, flattened model directory (the paper's
 // "flattened data structure", §III-B): routing boundaries, one entry per

@@ -128,9 +128,6 @@ func liveMemory(t *testing.T, alt *ALT) uintptr {
 	for i := range cur.dir {
 		m := cur.dir[i].m
 		want += unsafe.Sizeof(model{})
-		if m.sc != nil {
-			want += m.sc.memory()
-		}
 		if m.slab == nil {
 			want += uintptr(len(m.blocks)) * unsafe.Sizeof(slotBlock{})
 		} else if !slabs[m.slab] {

@@ -27,8 +27,8 @@ func TestSlotBlockLayout(t *testing.T) {
 		t.Fatalf("vals offset = %d, want 96", off)
 	}
 
-	// A directory entry is one cache line: the layout copy, the model and
-	// the sidecar pointer fill it exactly, so dir[i] never straddles two.
+	// A directory entry is one cache line: the layout copy and the model,
+	// padded, so dir[i] never straddles two.
 	if got := unsafe.Sizeof(entry{}); got != 64 {
 		t.Fatalf("sizeof(entry) = %d, want 64", got)
 	}
@@ -60,36 +60,80 @@ func TestSlotBlockLayout(t *testing.T) {
 	}
 }
 
-func TestSidecarTags(t *testing.T) {
-	sc := newSidecar(12)
-	sc.add(3, 0xaa)
-	sc.add(7, 0x01)
-	sc.add(7, 0x02) // second eviction at the same slot → "many" marker
-	sc.add(9, 0xf0)
-	sc.add(9, 0xf0) // same fingerprint twice stays exact
-	if sc.tags[3] != 0xaa {
-		t.Fatalf("tags[3] = %#x, want 0xaa", sc.tags[3])
+func TestConflictTags(t *testing.T) {
+	// Two keys with distinct fingerprints.
+	a, b := uint64(42), uint64(43)
+	for fp8(b) == fp8(a) {
+		b++
 	}
-	if sc.tags[7] != scManyTag {
-		t.Fatalf("tags[7] = %#x, want scManyTag", sc.tags[7])
+	const base = slotOccupied | 5<<slotVerShift
+	one := withEviction(base, a)
+	if tagOf(one) != fp8(a) || one&^slotTagMask != base {
+		t.Fatalf("one eviction: meta %#x, want tag %#x over %#x", one, fp8(a), base)
 	}
-	if sc.tags[9] != 0xf0 {
-		t.Fatalf("tags[9] = %#x, want 0xf0", sc.tags[9])
+	if again := withEviction(one, a); again != one {
+		t.Fatalf("the same key twice: meta %#x, want %#x", again, one)
 	}
-	for _, s := range []int{0, 1, 2, 4, 5, 6, 8, 10, 11} {
-		if sc.tags[s] != 0 {
-			t.Fatalf("tags[%d] = %#x, want untouched", s, sc.tags[s])
+	many := withEviction(one, b) // a second key at the same slot → "many"
+	if tagOf(many) != manyTag || many&^slotTagMask != base {
+		t.Fatalf("two evictions: meta %#x, want manyTag over %#x", many, base)
+	}
+	if tagOf(withEviction(many, a)) != manyTag {
+		t.Fatal("an eviction after manyTag narrowed the tag")
+	}
+	// A slot write keeps the tag and sets only the state.
+	if next := nextMeta(one, slotTomb); tagOf(next) != fp8(a) || stateOf(next) != slotTomb ||
+		next>>slotVerShift != 6 {
+		t.Fatalf("nextMeta(%#x, slotTomb) = %#x", one, next)
+	}
+	// The verdicts: tag 0 proves every key absent, an exact tag all but
+	// its own key, manyTag none.
+	for _, c := range []struct {
+		meta   uint32
+		key    uint64
+		absent bool
+	}{{base, a, true}, {one, a, false}, {one, b, true}, {many, a, false}, {many, b, false}} {
+		if got := absentInART(c.key, c.meta); got != c.absent {
+			t.Fatalf("absentInART(%d, %#x) = %v, want %v", c.key, c.meta, got, c.absent)
 		}
 	}
 	// fp8 never collides with the sentinels, whatever the key.
 	for _, k := range []uint64{0, 1, 42, ^uint64(0), 0x9e3779b97f4a7c15} {
-		if fp := fp8(k); fp == 0 || fp == scManyTag {
+		if fp := fp8(k); fp == 0 || fp == manyTag {
 			t.Fatalf("fp8(%d) = %#x hits a sentinel", k, fp)
 		}
 	}
 }
 
-func TestSidecarCoversBuildConflicts(t *testing.T) {
+// TestSlotVersionWraps runs 2^21 writes through one slot: the version
+// counts them in its 21 bits and comes back to where it started, and no
+// write changes the state flags or the conflict tag below it.
+func TestSlotVersionWraps(t *testing.T) {
+	l := &layout{nslots: 1, slope: 1, blocks: make([]slotBlock, 1)}
+	start := withEviction(slotOccupied, 42)
+	l.metaRef(0).Store(start)
+	const low = slotLockBit | slotOccupied | slotTomb | slotTagMask
+	const versions = 1 << (32 - slotVerShift)
+	for i := 1; i <= versions; i++ {
+		seen := l.metaRef(0).Load()
+		if !l.acquire(0, seen) {
+			t.Fatalf("write %d: slot locked", i)
+		}
+		l.release(0, seen, stateOf(seen))
+		got := l.metaRef(0).Load()
+		if got&low != start&low {
+			t.Fatalf("write %d: low bits %#x, want %#x", i, got&low, start&low)
+		}
+		if ver := got >> slotVerShift; ver != uint32(i%versions) {
+			t.Fatalf("write %d: version %d", i, ver)
+		}
+	}
+	if got := l.metaRef(0).Load(); got != start {
+		t.Fatalf("after 2^21 writes meta = %#x, want the start %#x", got, start)
+	}
+}
+
+func TestConflictTagsCoverBuildConflicts(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 8000, 5)
 	// Gap factor 1 packs the array, forcing plenty of conflicts.
 	m, own, _ := buildFrom(t, keys, 512, 1.0)
@@ -102,53 +146,39 @@ func TestSidecarCoversBuildConflicts(t *testing.T) {
 	if len(conflicts) == 0 {
 		t.Skip("dataset produced no conflicts at gap 1.0")
 	}
-	if m.sc == nil {
-		t.Fatal("model with conflicts built no sidecar")
-	}
 	// Every evicted key must read as "maybe in ART" — a false absent here
 	// would lose the key.
-	e := newEntry(m)
 	for _, k := range conflicts {
-		s := m.slotOf(k)
-		if e.absentInART(k, s, m.metaRef(s).Load()) {
+		if absentInART(k, m.metaRef(m.slotOf(k)).Load()) {
 			t.Fatalf("build conflict key %d reported absent from ART", k)
 		}
 	}
-	// A probe key that shares no (slot, fingerprint) with any eviction is
-	// provably absent; a spill bit on its slot withdraws the proof.
+	// A probe key's verdict follows its slot's tag; a runtime eviction of
+	// the probe from that slot withdraws any proof of its absence.
 	probe := own[len(own)-1] + 12345
 	s := m.slotOf(probe)
-	tag := m.sc.tags[s]
-	wantAbsent := tag == 0 || (tag != scManyTag && tag != fp8(probe))
-	if e.absentInART(probe, s, m.metaRef(s).Load()) != wantAbsent {
-		t.Fatalf("absentInART(%d) disagrees with sidecar content", probe)
+	meta := m.metaRef(s).Load()
+	tag := tagOf(meta)
+	if want := tag == 0 || (tag != manyTag && tag != fp8(probe)); absentInART(probe, meta) != want {
+		t.Fatalf("absentInART(%d) disagrees with the slot's tag %#x", probe, tag)
 	}
-	spill := func(s int) uint32 {
-		meta := m.metaRef(s).Load()
-		if !m.acquire(s, meta) {
-			t.Fatalf("slot %d locked", s)
-		}
-		m.release(s, meta, stateOf(meta)|slotSpill)
-		return m.metaRef(s).Load()
+	if !m.acquire(s, meta) {
+		t.Fatalf("slot %d locked", s)
 	}
-	for _, k := range conflicts {
-		s := m.slotOf(k)
-		if e.absentInART(k, s, spill(s)) {
-			t.Fatalf("spilled slot's sidecar tag proved absence for %d", k)
-		}
-	}
-	if e.absentInART(probe, s, spill(s)) {
-		t.Fatal("spilled slot's sidecar tag proved absence for probe key")
+	m.release(s, withEviction(meta, probe), stateOf(meta))
+	if absentInART(probe, m.metaRef(s).Load()) {
+		t.Fatal("a runtime eviction's tag proved the evicted key absent")
 	}
 }
 
-// TestSidecarNeverFalseAbsent interleaves inserts, removals and retrains on
-// a deliberately conflict-heavy index (gap factor 1, tiny retrain floor)
-// and checks every operation's answer against a reference map. The property
-// under test: no matter how stale a model's sidecar is, it may only ever
-// produce false positives ("maybe in ART"), never a false "absent" — a
-// present key must always be found by Get/Update/Remove.
-func TestSidecarNeverFalseAbsent(t *testing.T) {
+// TestConflictTagNeverFalseAbsent interleaves inserts, removals and
+// retrains on a deliberately conflict-heavy index (gap factor 1, tiny
+// retrain floor) and checks every operation's answer against a reference
+// map. The property under test: a slot's conflict tag may only ever
+// produce false positives ("maybe in ART", for keys since removed from
+// ART or sharing a fingerprint), never a false "absent" — a present key
+// must always be found by Get/Update/Remove.
+func TestConflictTagNeverFalseAbsent(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	const span = 1 << 20
 	keys := make([]uint64, 0, 4096)
@@ -163,7 +193,7 @@ func TestSidecarNeverFalseAbsent(t *testing.T) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	alt := mustBulk(t, Options{
 		ErrorBound:        64,
-		GapFactor:         1, // pack slots → many build conflicts → sidecars in play
+		GapFactor:         1, // pack slots → many build conflicts → tags in play
 		RetrainMinInserts: 32,
 	}, keys)
 
@@ -214,7 +244,7 @@ func TestSidecarNeverFalseAbsent(t *testing.T) {
 	}
 	alt.Quiesce()
 	if alt.StatsMap()["retrains"] == 0 {
-		t.Fatal("churn never retrained; the rebuilt-sidecar path went unexercised")
+		t.Fatal("churn never retrained; rebuilt slots went unexercised")
 	}
 	for k, want := range ref {
 		if v, ok := alt.Get(k); !ok || v != want {
@@ -226,16 +256,15 @@ func TestSidecarNeverFalseAbsent(t *testing.T) {
 	}
 }
 
-// cleanSlot is a slot whose resident was bulkloaded and whose sidecar tag
-// is 0, with two keys outside the load that predict to it.
+// cleanSlot is a bulkloaded slot resident whose slot evicted nothing (its
+// conflict tag is 0), with two keys outside the load that predict to it.
 type cleanSlot struct {
 	s        int
 	resident uint64
 	mates    [2]uint64
 }
 
-// cleanSlots returns the table position of a model with a sidecar and two
-// of its clean slots.
+// cleanSlots returns the table position of a model with two clean slots.
 func cleanSlots(t *testing.T, alt *ALT, keys []uint64) (int, [2]cleanSlot) {
 	t.Helper()
 	tb := alt.tab.Load()
@@ -249,10 +278,10 @@ func cleanSlots(t *testing.T, alt *ALT, keys []uint64) (int, [2]cleanSlot) {
 		p := tb.route(c)
 		e := &tb.dir[p]
 		s := e.slotOf(c)
-		if e.m.sc == nil || e.m.sc.tags[s] != 0 || (n == 1 && (p != pos || s == got[0].s)) {
+		if n == 1 && (p != pos || s == got[0].s) {
 			continue
 		}
-		if k, _, meta, ok := e.read(s); !ok || stateOf(meta) != slotOccupied || k != c {
+		if k, _, meta, ok := e.read(s); !ok || meta&(slotOccupied|slotTomb|slotTagMask) != slotOccupied || k != c {
 			continue
 		}
 		cs, ok := cleanSlot{s: s, resident: c}, true
@@ -270,23 +299,23 @@ func cleanSlots(t *testing.T, alt *ALT, keys []uint64) (int, [2]cleanSlot) {
 			return pos, got
 		}
 	}
-	t.Fatal("no model with a sidecar and two clean slots")
+	t.Fatal("no model with two clean slots")
 	return 0, got
 }
 
 // TestRuntimeEvictionStalesOnlyItsSlot evicts one key into ART at runtime
-// and checks that only the evicting slot's sidecar tag stops proving
-// absence: a clean slot of the same model keeps its proof, so removing its
-// resident and inserting it again claims the tombstone without the key
-// ever reaching ART.
+// and checks that only the evicting slot's conflict tag changes: a clean
+// slot of the same model keeps its proof, so removing its resident and
+// inserting it again claims the tombstone without the key ever reaching
+// ART.
 func TestRuntimeEvictionStalesOnlyItsSlot(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 20000, 5)
 	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
 	pos, cs := cleanSlots(t, alt, keys)
 	e := &alt.tab.Load().dir[pos]
 	a, b := cs[0], cs[1]
-	absent := func(k uint64, s int) bool { return e.absentInART(k, s, e.metaRef(s).Load()) }
-	if !absent(a.mates[1], a.s) || !absent(b.mates[0], b.s) {
+	absent := func(k uint64, s int) bool { return absentInART(k, e.metaRef(s).Load()) }
+	if !absent(a.mates[0], a.s) || !absent(b.mates[0], b.s) {
 		t.Fatal("clean slots' tags prove no absence before any eviction")
 	}
 
@@ -296,11 +325,11 @@ func TestRuntimeEvictionStalesOnlyItsSlot(t *testing.T) {
 	if _, ok := alt.tree.Get(a.mates[0]); !ok {
 		t.Fatal("the conflict insert did not reach ART")
 	}
-	if absent(a.mates[1], a.s) {
-		t.Fatal("slot A's tag still proves absence after a runtime eviction from A")
+	if absent(a.mates[0], a.s) {
+		t.Fatal("slot A's tag proves the key it just evicted absent")
 	}
 	if !absent(b.mates[0], b.s) {
-		t.Fatal("a runtime eviction from slot A staled the tag of slot B")
+		t.Fatal("a runtime eviction from slot A changed the tag of slot B")
 	}
 
 	artKeys := alt.StatsMap()["art_keys"]
@@ -318,11 +347,44 @@ func TestRuntimeEvictionStalesOnlyItsSlot(t *testing.T) {
 	}
 }
 
-// TestSpillBitSurvivesSlotWrites runs every kind of slot write against a
-// slot a runtime eviction spilled from and checks that none clears the
-// spill bit, so the evicted key stays reachable and no stale tag proves it
-// absent. Only a rebuild starts a slot clean.
-func TestSpillBitSurvivesSlotWrites(t *testing.T) {
+// TestRuntimeEvictionKeepsTagExact evicts key A from a clean slot at
+// runtime and checks that the slot still proves absence for a key whose
+// fingerprint differs from A's: the eviction's release records A itself,
+// not "something was evicted here".
+func TestRuntimeEvictionKeepsTagExact(t *testing.T) {
+	keys := dataset.Generate(dataset.OSM, 20000, 5)
+	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
+	pos, cs := cleanSlots(t, alt, keys)
+	e := &alt.tab.Load().dir[pos]
+	for _, c := range cs {
+		evicted, other := c.mates[0], c.mates[1]
+		if fp8(evicted) == fp8(other) {
+			continue
+		}
+		if err := alt.Insert(evicted, 1); err != nil {
+			t.Fatal(err)
+		}
+		meta := e.metaRef(c.s).Load()
+		if absentInART(evicted, meta) {
+			t.Fatal("the slot's tag proves the evicted key absent")
+		}
+		if !absentInART(other, meta) {
+			t.Fatalf("after evicting %#x (fp8 %#x) the slot proves nothing for %#x (fp8 %#x)",
+				evicted, fp8(evicted), other, fp8(other))
+		}
+		if _, ok := alt.Get(other); ok {
+			t.Fatal("Get found a key never inserted")
+		}
+		return
+	}
+	t.Fatal("no clean slot with two mates of distinct fingerprints")
+}
+
+// TestConflictTagSurvivesSlotWrites runs every kind of slot write against
+// a slot a runtime eviction wrote a tag into and checks that none changes
+// the tag, so the evicted key stays reachable and no write makes the tag
+// prove it absent. Only a rebuild starts a slot clean.
+func TestConflictTagSurvivesSlotWrites(t *testing.T) {
 	t.Run("bulkloaded", func(t *testing.T) {
 		keys := dataset.Generate(dataset.OSM, 20000, 5)
 		alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
@@ -335,8 +397,8 @@ func TestSpillBitSurvivesSlotWrites(t *testing.T) {
 		}
 		check := func(step string) {
 			t.Helper()
-			if e.metaRef(c.s).Load()&slotSpill == 0 {
-				t.Fatalf("no spill bit after %s", step)
+			if tag := tagOf(e.metaRef(c.s).Load()); tag != fp8(evicted) {
+				t.Fatalf("tag %#x after %s, want the evicted key's %#x", tag, step, fp8(evicted))
 			}
 			if v, ok := alt.Get(evicted); !ok || v != 1 {
 				t.Fatalf("Get of the evicted key after %s = %d,%v, want 1,true", step, v, ok)
@@ -362,8 +424,8 @@ func TestSpillBitSurvivesSlotWrites(t *testing.T) {
 		}
 	})
 
-	// New publishes one placeholder slot with no sidecar: its nil sidecar
-	// proves ART empty only until the first conflict spills from the slot.
+	// New publishes one placeholder slot that evicted nothing: its tag
+	// proves ART empty until the first conflict evicts a key from it.
 	t.Run("grown from New", func(t *testing.T) {
 		alt := New(Options{DisableRetraining: true})
 		t.Cleanup(func() { alt.Close() })
@@ -371,20 +433,20 @@ func TestSpillBitSurvivesSlotWrites(t *testing.T) {
 		if err := alt.Insert(10, 1); err != nil {
 			t.Fatal(err)
 		}
-		if !e.absentInART(30, 0, e.metaRef(0).Load()) {
+		if !absentInART(20, e.metaRef(0).Load()) {
 			t.Fatal("the placeholder proves no absence before any conflict")
 		}
 		if err := alt.Insert(20, 2); err != nil {
 			t.Fatal(err)
 		}
 		meta := e.metaRef(0).Load()
-		if meta&slotSpill == 0 || e.absentInART(30, 0, meta) {
-			t.Fatalf("placeholder meta %#x after the first conflict: no spill bit", meta)
+		if tagOf(meta) != fp8(20) || absentInART(20, meta) {
+			t.Fatalf("placeholder meta %#x after the first conflict: tag is not fp8(20)", meta)
 		}
 		if !alt.Remove(10) {
 			t.Fatal("Remove of the slot resident failed")
 		}
-		if v, ok := alt.Get(20); !ok || v != 2 || e.metaRef(0).Load()&slotSpill == 0 {
+		if v, ok := alt.Get(20); !ok || v != 2 || tagOf(e.metaRef(0).Load()) != fp8(20) {
 			t.Fatalf("after the tombstone: Get(20) = %d,%v, meta %#x", v, ok, e.metaRef(0).Load())
 		}
 	})
