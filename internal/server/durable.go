@@ -38,10 +38,11 @@ import (
 // reads the meta, loads the base and replays the WAL records above the
 // meta's LSN onto it in memory; a corrupt file or an unknown record
 // refuses the open there, before any file changes, rather than serving
-// partial data. Only an accepted plan is applied: stale files are removed,
-// the log is opened (rotating to a fresh segment) and the checkpoint loop
-// starts. Replay is idempotent (mput is an upsert, delete tolerates
-// absence), so a record the base already holds merely re-applies.
+// partial data. Only an accepted plan is applied, and the apply reads
+// nothing: stale files are removed, the log is opened on the tail the
+// plan read (rotating to a fresh segment) and the checkpoint loop starts.
+// Replay is idempotent (mput is an upsert, delete tolerates absence), so
+// a record the base already holds merely re-applies.
 //
 // These are the only files open reads, each in one format. It refuses by
 // name, changing no file, what only earlier builds wrote: a base in
@@ -74,23 +75,6 @@ const (
 
 const ckptMetaName = "CHECKPOINT"
 
-// durableConfig tunes the durable store; zero values select defaults.
-type durableConfig struct {
-	Dir string
-	WAL wal.Options
-	// CheckpointInterval is how often the background loop asks whether a
-	// checkpoint is due (default 15s; negative disables the loop — used by
-	// tests that drive checkpoints explicitly).
-	CheckpointInterval time.Duration
-}
-
-func (c durableConfig) withDefaults() durableConfig {
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = 15 * time.Second
-	}
-	return c
-}
-
 // ckptMeta is the CHECKPOINT file payload.
 type ckptMeta struct {
 	Generation int    `json:"generation"`       // 0 = no base file yet
@@ -101,7 +85,7 @@ type ckptMeta struct {
 // durableStore wraps the server's index with a write-ahead log and the
 // checkpoint machinery.
 type durableStore struct {
-	cfg durableConfig
+	cfg Config // WALDir and CheckpointInterval
 	idx altindex.Index
 	log *wal.Log
 
@@ -128,12 +112,13 @@ type durableStore struct {
 }
 
 // recoveryPlan is what planRecovery read: the store the base and the log
-// above the meta's LSN rebuild, still without a log, the files no
-// recovery reads, and each phase's time. read covers the meta and the
-// directory listing, load the base's read, check and bulkload, replay the
-// log's read, check and apply.
+// above the meta's LSN rebuild, still without a log, the log's tail, the
+// files no recovery reads, and each phase's time. read covers the meta,
+// its mtime and the directory listing, load the base's read, check and
+// bulkload, replay the log's read, check and apply.
 type recoveryPlan struct {
 	*durableStore
+	tail               wal.Tail
 	stale              []string
 	read, load, replay time.Duration
 }
@@ -169,9 +154,14 @@ func planRecovery(dir string) (p recoveryPlan, err error) {
 			p.stale = append(p.stale, path)
 		}
 	}
-	p.read, lap = time.Since(lap), time.Now()
 	d := &durableStore{stop: make(chan struct{}), done: make(chan struct{})}
 	d.gen.Store(int64(meta.Generation))
+	// Best-effort checkpoint age across restarts: the meta's mtime.
+	d.lastCkpt.Store(time.Now().Unix())
+	if fi, err := os.Stat(filepath.Join(dir, ckptMetaName)); err == nil {
+		d.lastCkpt.Store(fi.ModTime().Unix())
+	}
+	p.read, lap = time.Since(lap), time.Now()
 	if meta.Generation == 0 {
 		d.idx = altindex.New(altindex.Options{})
 	} else {
@@ -184,7 +174,7 @@ func planRecovery(dir string) (p recoveryPlan, err error) {
 		}
 	}
 	p.load, lap = time.Since(lap), time.Now()
-	n, err := wal.Read(filepath.Join(dir, "wal"), meta.LSN, func(_ uint64, rec []byte) error {
+	p.tail, err = wal.Read(filepath.Join(dir, "wal"), meta.LSN, func(_ uint64, rec []byte) error {
 		d.logMark -= wal.FrameHeader + int64(len(rec))
 		return d.applyRecord(rec)
 	})
@@ -194,38 +184,38 @@ func planRecovery(dir string) (p recoveryPlan, err error) {
 		d.idx.Close()
 		return p, fmt.Errorf("altdb: replay: %w", err)
 	}
-	d.replayed = int64(n)
+	d.replayed = int64(p.tail.Records)
 	p.durableStore, p.replay = d, time.Since(lap)
 	return p, nil
 }
 
-// openDurable recovers (or creates) a durable keyspace in cfg.Dir once
-// planRecovery has accepted it: it removes the stale files, opens the log
-// (which rotates to a fresh segment) and starts the checkpoint loop.
-func openDurable(cfg durableConfig) (*durableStore, error) {
-	cfg = cfg.withDefaults()
-	p, err := planRecovery(cfg.Dir)
+// openDurable recovers (or creates) the durable keyspace in cfg.WALDir:
+// planRecovery, then apply.
+func openDurable(cfg Config, opts wal.Options) (*durableStore, error) {
+	p, err := planRecovery(cfg.WALDir)
 	if err != nil {
 		return nil, err
 	}
+	return p.apply(cfg, opts)
+}
+
+// apply opens the store p planned for cfg.WALDir. It only writes: it
+// removes the stale files, opens the log on the tail the plan read
+// (creating the directories and rotating to a fresh segment, reading no
+// segment) and starts the checkpoint loop. It refuses nothing; an error
+// here is a failed create or write.
+func (p recoveryPlan) apply(cfg Config, opts wal.Options) (*durableStore, error) {
 	t0 := time.Now()
 	for _, path := range p.stale {
 		os.Remove(path) // best effort: one left behind is stale again at the next open
 	}
 	d := p.durableStore
-	if err = os.MkdirAll(cfg.Dir, 0o755); err == nil {
-		d.log, err = wal.Open(filepath.Join(cfg.Dir, "wal"), cfg.WAL)
-	}
-	if err != nil {
+	var err error
+	if d.log, err = p.tail.Open(opts); err != nil {
 		d.idx.Close()
 		return nil, err
 	}
 	d.cfg = cfg
-	// Best-effort checkpoint age across restarts: the meta's mtime.
-	d.lastCkpt.Store(time.Now().Unix())
-	if fi, err := os.Stat(filepath.Join(cfg.Dir, ckptMetaName)); err == nil {
-		d.lastCkpt.Store(fi.ModTime().Unix())
-	}
 	if cfg.CheckpointInterval > 0 {
 		go d.checkpointLoop()
 	} else {
@@ -437,7 +427,7 @@ func (d *durableStore) Checkpoint() error {
 	lsn := d.log.DurableSeq()
 	mark := d.log.Stats().Bytes
 	old := int(d.gen.Load())
-	path := basePath(d.cfg.Dir, old+1)
+	path := basePath(d.cfg.WALDir, old+1)
 	err := altindex.Save(d.idx, path)
 	if err == nil {
 		err = fpCkptPublish.InjectErr()
@@ -459,7 +449,7 @@ func (d *durableStore) Checkpoint() error {
 	// removing it is cleanup, and the next open removes what a crash here
 	// leaves behind.
 	if old > 0 {
-		os.Remove(basePath(d.cfg.Dir, old))
+		os.Remove(basePath(d.cfg.WALDir, old))
 	}
 	return terr
 }
@@ -469,7 +459,7 @@ func (d *durableStore) writeMeta(meta ckptMeta) error {
 	if err != nil {
 		return err
 	}
-	return snapio.WriteFile(filepath.Join(d.cfg.Dir, ckptMetaName), func(w io.Writer) error {
+	return snapio.WriteFile(filepath.Join(d.cfg.WALDir, ckptMetaName), func(w io.Writer) error {
 		_, werr := w.Write(raw)
 		return werr
 	})

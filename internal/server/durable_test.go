@@ -990,6 +990,58 @@ func TestCorruptDirectoryRefused(t *testing.T) {
 	}
 }
 
+// TestApplyAfterPlanNeverRefused: the apply step reads nothing the plan
+// read. With every WAL segment's body overwritten between planRecovery
+// and the apply, the apply still opens the store on the plan's tail;
+// with the segments restored, a clean close and a reopen serve every
+// acked key.
+func TestApplyAfterPlanNeverRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{WALDir: dir, WALSegmentBytes: 512, CheckpointInterval: -1}
+	srv, addr := startServerWith(t, cfg)
+	c := dial(t, addr)
+	want := map[uint64]uint64{}
+	for k := uint64(1); k <= 100; k++ {
+		mustReply(t, c, fmt.Sprintf("SET %d %d", k, 10*k), "OK")
+		want[k] = 10 * k
+	}
+	kill(srv)
+	p, err := planRecovery(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
+	if len(segs) < 3 {
+		t.Fatalf("%d segments, want a rotated log", len(segs))
+	}
+	saved := map[string][]byte{}
+	for _, seg := range segs {
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[seg] = raw
+		junk := append([]byte(nil), raw...)
+		copy(junk[16:], bytes.Repeat([]byte{0xA5}, len(junk)))
+		writeFile(t, seg, junk)
+	}
+	d, err := p.apply(cfg.withDefaults(), wal.Options{SegmentBytes: cfg.WALSegmentBytes})
+	if err != nil {
+		p.idx.Close()
+		t.Fatalf("apply after an accepted plan = %v, want it to read no segment", err)
+	}
+	for seg, raw := range saved {
+		writeFile(t, seg, raw)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d.idx.Close()
+	srv2, addr2 := startServerWith(t, cfg)
+	defer srv2.Shutdown()
+	mustServe(t, dial(t, addr2), want, "after the apply and a reopen")
+}
+
 // TestLoadSeedsPlannedOrRefused runs FuzzLoad's seeds (spelled again
 // here) and its checked-in corpus, each as the base a meta names, through
 // planRecovery: the plan refuses the base with an error wrapping

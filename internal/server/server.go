@@ -107,6 +107,9 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
+	if c.CheckpointInterval == 0 {
+		c.CheckpointInterval = 15 * time.Second
+	}
 	return c
 }
 
@@ -187,11 +190,7 @@ func NewServerWith(cfg Config) (*Server, error) {
 			}
 			sync = parsed
 		}
-		dur, err := openDurable(durableConfig{
-			Dir:                cfg.WALDir,
-			WAL:                wal.Options{Sync: sync, SegmentBytes: cfg.WALSegmentBytes},
-			CheckpointInterval: cfg.CheckpointInterval,
-		})
+		dur, err := openDurable(cfg, wal.Options{Sync: sync, SegmentBytes: cfg.WALSegmentBytes})
 		if err != nil {
 			return nil, err
 		}

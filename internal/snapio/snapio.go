@@ -112,15 +112,17 @@ func WriteFile(path string, write func(w io.Writer) error) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	syncDir(filepath.Dir(path))
+	SyncDir(filepath.Dir(path))
 	return nil
 }
 
-// syncDir makes a completed rename durable. Best effort: some filesystems
-// refuse fsync on directories, and by this point the snapshot is already
-// consistent (worst case the rename replays to the old name after power
-// loss, which the failure model allows).
-func syncDir(dir string) {
+// SyncDir makes directory mutations durable: a completed rename here, a
+// segment's create or delete in internal/wal. Best effort: some
+// filesystems refuse fsync on directories, and by this point the file is
+// already consistent (worst case the rename replays to the old name after
+// power loss, which the failure model allows). Whether a dropped error
+// should fail the caller is ROADMAP item 15's open question.
+func SyncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
 		return

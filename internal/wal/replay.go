@@ -12,13 +12,15 @@ import (
 	"strings"
 )
 
-// chain is what scan found: the valid segments, the last valid seq (0 =
-// none), the torn bytes it skipped and the records it delivered.
-type chain struct {
-	segs    []segMeta
-	lastSeq uint64
-	torn    int64
-	n       int
+// Tail is what Read found in a log directory: the directory, its valid
+// segments, the last valid seq (0 = none), the torn bytes the read
+// skipped and the records it delivered. Tail.Open starts a log on it.
+type Tail struct {
+	dir       string
+	segs      []segMeta
+	LastSeq   uint64
+	TornBytes int64
+	Records   int
 }
 
 // scan walks segs (ascending firstSeq), validates the record chain and
@@ -36,8 +38,8 @@ type chain struct {
 //   - a valid frame whose seq breaks the sequence, a foreign file, or a
 //     gap between segments is ErrCorrupt: better to refuse startup than
 //     to silently drop acked history.
-func scan(segs []segMeta, after uint64, fn func(seq uint64, payload []byte) error) (chain, error) {
-	var c chain
+func scan(segs []segMeta, after uint64, fn func(seq uint64, payload []byte) error) (Tail, error) {
+	var c Tail
 	for i, sm := range segs {
 		res, err := scanSegment(sm.path)
 		if err != nil {
@@ -49,17 +51,17 @@ func scan(segs []segMeta, after uint64, fn func(seq uint64, payload []byte) erro
 			if i != len(segs)-1 {
 				return c, fmt.Errorf("%w: %s has a torn header but is not the last segment", ErrCorrupt, sm.path)
 			}
-			c.torn += res.tornBytes
+			c.TornBytes += res.tornBytes
 			break
 		}
 		if res.firstSeq != sm.firstSeq {
 			return c, fmt.Errorf("%w: %s header says first seq %d, name says %d", ErrCorrupt, sm.path, res.firstSeq, sm.firstSeq)
 		}
-		if c.lastSeq != 0 && res.firstSeq != c.lastSeq+1 {
-			return c, fmt.Errorf("%w: %s starts at seq %d, want %d (missing segment?)", ErrCorrupt, sm.path, res.firstSeq, c.lastSeq+1)
+		if i > 0 && res.firstSeq != c.LastSeq+1 {
+			return c, fmt.Errorf("%w: %s starts at seq %d, want %d (missing segment?)", ErrCorrupt, sm.path, res.firstSeq, c.LastSeq+1)
 		}
-		c.lastSeq = res.firstSeq + uint64(res.count) - 1
-		c.torn += res.tornBytes
+		c.LastSeq = res.firstSeq + uint64(res.count) - 1
+		c.TornBytes += res.tornBytes
 		if res.badSeq {
 			return c, fmt.Errorf("%w: %s record sequence broken", ErrCorrupt, sm.path)
 		}
@@ -71,35 +73,36 @@ func scan(segs []segMeta, after uint64, fn func(seq uint64, payload []byte) erro
 			if err := fn(rec.seq, rec.payload); err != nil {
 				return c, err
 			}
-			c.n++
+			c.Records++
 		}
 	}
 	return c, nil
 }
 
 // Replay streams every recovered record with seq > after, in order, to
-// fn. It reads the segments that existed when the log was opened —
-// records appended afterwards are the new generation's and are not
-// replayed. Call it once, before appending. A non-nil error from fn
-// aborts and is returned; the int is the number of records delivered.
+// fn. It scans the segments of the Tail the log was opened on — records
+// appended afterwards are the new generation's and are not replayed. Call
+// it once, before appending. A non-nil error from fn aborts and is
+// returned; the int is the number of records delivered.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) (int, error) {
-	c, err := scan(l.recovery, after, fn)
-	return c.n, err
+	c, err := scan(l.tail.segs, after, fn)
+	return c.Records, err
 }
 
-// Read is Open's scan and Replay in one pass that changes nothing: it
-// validates dir's segment chain as Open does and streams every record with
-// seq > after, in order, to fn (nil: validate only). It creates, writes
-// and removes no file, and a missing dir reads as an empty log. fn sees a
-// segment's records once that segment has passed, so it may see records
-// of a chain a later segment refuses.
-func Read(dir string, after uint64, fn func(seq uint64, payload []byte) error) (int, error) {
+// Read is the log's one reader of a directory: it validates dir's segment
+// chain and streams every record with seq > after, in order, to fn (nil:
+// validate only), returning the Tail that Tail.Open starts a log on. It
+// creates, writes and removes no file, and a missing dir reads as an
+// empty log. fn sees a segment's records once that segment has passed, so
+// it may see records of a chain a later segment refuses.
+func Read(dir string, after uint64, fn func(seq uint64, payload []byte) error) (Tail, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
-		return 0, err
+		return Tail{}, err
 	}
-	c, err := scan(segs, after, fn)
-	return c.n, err
+	t, err := scan(segs, after, fn)
+	t.dir = dir
+	return t, err
 }
 
 type record struct {

@@ -21,11 +21,19 @@
 //	record frame:   u32 payloadLen, u32 crc32(seq‖payload), u64 seq, payload
 //
 // Records are contiguous by sequence number across segments. The log
-// never appends to a pre-existing segment: Open always rotates to a fresh
-// one, so a tail torn by a crash is left in place as evidence and the
-// reader (see replay.go) tolerates it — a torn or half-written frame at
-// the end of any segment is skipped iff the next segment continues the
+// never appends to a pre-existing segment: it always opens by rotating to
+// a fresh one, so a tail torn by a crash is left in place as evidence and
+// the reader (see replay.go) tolerates it — a torn or half-written frame
+// at the end of any segment is skipped iff the next segment continues the
 // sequence exactly; any other gap is corruption and refuses to load.
+//
+// # Opening
+//
+// Read is the one reader of a log directory: it validates the chain,
+// streams the records above an LSN and returns the Tail it found,
+// changing no file. Tail.Open starts a log on that Tail without reading
+// any segment again, so every refusal is Read's. Open is Read followed by
+// Tail.Open, for callers that replay through the opened log instead.
 //
 // # Failure model
 //
@@ -66,6 +74,7 @@ import (
 	"time"
 
 	"altindex/internal/failpoint"
+	"altindex/internal/snapio"
 )
 
 // SyncPolicy selects the commit point of WaitDurable.
@@ -143,7 +152,7 @@ type Stats struct {
 	Rotations          int64 // segment rotations since Open
 	Truncations        int64 // segment files deleted by TruncateBelow
 	Segments           int64 // segment files currently on disk
-	TruncatedTailBytes int64 // torn bytes skipped by Open's recovery scan
+	TruncatedTailBytes int64 // torn bytes skipped by the Read the log was opened on
 	LastSeq            uint64
 	DurableSeq         uint64
 }
@@ -186,9 +195,9 @@ type segMeta struct {
 }
 
 // Log is an append-only segmented WAL. All methods are safe for
-// concurrent use. Create with Open.
+// concurrent use. Create with Open or Tail.Open.
 type Log struct {
-	dir  string
+	tail Tail // the chain found at Open: its directory, and what Replay scans
 	opts Options
 
 	// mu guards the append side: sequence assignment, the pending buffer,
@@ -219,11 +228,6 @@ type Log struct {
 	quit chan struct{}
 	dead chan struct{}
 
-	// recovery holds the segments found at Open time plus the torn-tail
-	// accounting; Replay reads exactly these files.
-	recovery []segMeta
-	tornTail int64
-
 	stAppends     atomic.Int64
 	stFsyncs      atomic.Int64
 	stBatches     atomic.Int64
@@ -232,49 +236,50 @@ type Log struct {
 	stTruncations atomic.Int64
 }
 
-// Open scans dir (creating it if missing), validates the record chain,
-// rotates to a fresh segment and starts the committer. Use Replay before
-// appending to recover state, then append freely. Torn tails left by a
-// crash are tolerated and reported in Stats().TruncatedTailBytes; any
-// other inconsistency returns ErrCorrupt.
+// Open is Read(dir, 0, nil) and then Tail.Open: it validates dir's
+// record chain, rotates to a fresh segment and starts the committer. Use
+// Replay before appending to recover state, then append freely. Torn
+// tails left by a crash are tolerated and reported in
+// Stats().TruncatedTailBytes; any other inconsistency returns ErrCorrupt.
 func Open(dir string, opts Options) (*Log, error) {
+	t, err := Read(dir, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	return t.Open(opts)
+}
+
+// Open starts a log on the chain Read found, reading no segment: it
+// creates the directory if it is missing, rotates to a fresh segment at
+// LastSeq+1 and starts the committer. Replay then scans exactly the
+// tail's segments, so records appended after Open are never replayed.
+// It judges nothing the read did not; its errors are I/O errors.
+func (t Tail) Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(t.dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{
-		dir:  dir,
-		opts: opts,
-		work: make(chan struct{}, 1),
-		quit: make(chan struct{}),
-		dead: make(chan struct{}),
-	}
-	l.cond = sync.NewCond(&l.cmu)
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	c, err := scan(segs, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	l.segs, l.tornTail = c.segs, c.torn
-	l.nextSeq = c.lastSeq + 1
-	l.written = c.lastSeq
-	l.durable = c.lastSeq // everything pre-crash is as durable as it gets
 	// A previous generation may have left a segment holding no valid
 	// records (a clean close right after rotation, or a tail torn before
 	// the first record landed). The fresh active segment reuses its name
 	// via O_TRUNC, so drop the stale entry rather than tracking the same
 	// file twice — a duplicate would let TruncateBelow delete the active
 	// segment out from under the committer.
-	if n := len(l.segs); n > 0 && l.segs[n-1].firstSeq == l.nextSeq {
-		l.segs = l.segs[:n-1]
+	if n := len(t.segs); n > 0 && t.segs[n-1].firstSeq == t.LastSeq+1 {
+		t.segs = t.segs[:n-1]
 	}
-	// Snapshot the recovery set before rotating: Replay reads exactly the
-	// segments that predate this generation, so records appended after
-	// Open can never be replayed back into the engine.
-	l.recovery = append([]segMeta(nil), l.segs...)
+	l := &Log{
+		tail:    t,
+		opts:    opts,
+		segs:    append([]segMeta(nil), t.segs...),
+		nextSeq: t.LastSeq + 1,
+		written: t.LastSeq,
+		durable: t.LastSeq, // everything pre-crash is as durable as it gets
+		work:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		dead:    make(chan struct{}),
+	}
+	l.cond = sync.NewCond(&l.cmu)
 	if err := l.rotate(l.nextSeq); err != nil {
 		return nil, err
 	}
@@ -282,9 +287,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	go l.committer()
 	return l, nil
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Append frames payload, assigns it the next sequence number and enqueues
 // it for the committer. It never blocks on I/O, so it is safe to call
@@ -374,15 +376,6 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// LastSeq returns the highest sequence number assigned so far (0 if the
-// log is empty). Every record at or below it has already been applied by
-// its writer, which is what makes it the right checkpoint LSN.
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq - 1
-}
-
 // DurableSeq returns the highest fsynced sequence number.
 func (l *Log) DurableSeq() uint64 {
 	l.cmu.Lock()
@@ -407,7 +400,7 @@ func (l *Log) Stats() Stats {
 		Rotations:          l.stRotations.Load(),
 		Truncations:        l.stTruncations.Load(),
 		Segments:           segs,
-		TruncatedTailBytes: l.tornTail,
+		TruncatedTailBytes: l.tail.TornBytes,
 		LastSeq:            last,
 		DurableSeq:         durable,
 	}
@@ -438,7 +431,7 @@ func (l *Log) TruncateBelow(keepFrom uint64) error {
 		l.stTruncations.Add(1)
 	}
 	if len(drop) > 0 {
-		syncDir(l.dir)
+		snapio.SyncDir(l.tail.dir)
 	}
 	return nil
 }
@@ -651,10 +644,10 @@ func (l *Log) rotateActive(firstSeq uint64) error {
 }
 
 // rotate creates the segment file for firstSeq and makes it the active
-// one. Called from Open (before the committer starts) and rotateActive
+// one. Called from Tail.Open (before the committer starts) and rotateActive
 // (committer goroutine).
 func (l *Log) rotate(firstSeq uint64) error {
-	path := filepath.Join(l.dir, fmt.Sprintf("%s%016x%s", segPrefix, firstSeq, segSuffix))
+	path := filepath.Join(l.tail.dir, fmt.Sprintf("%s%016x%s", segPrefix, firstSeq, segSuffix))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -673,7 +666,7 @@ func (l *Log) rotate(firstSeq uint64) error {
 		return err
 	}
 	l.stFsyncs.Add(1)
-	syncDir(l.dir)
+	snapio.SyncDir(l.tail.dir)
 	l.seg = f
 	l.segSize = segHeaderSize
 	l.mu.Lock()
@@ -681,15 +674,4 @@ func (l *Log) rotate(firstSeq uint64) error {
 	l.mu.Unlock()
 	l.stRotations.Add(1)
 	return nil
-}
-
-// syncDir makes directory mutations (segment create/delete) durable;
-// best-effort, mirroring snapio.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
 }

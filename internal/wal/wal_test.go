@@ -337,6 +337,33 @@ func TestMissingSegmentRefusesLoad(t *testing.T) {
 	}
 }
 
+// TestTornFirstSegmentRefusesLoad: a frame that fails its CRC at the
+// start of the first segment leaves that segment with no records, and
+// the next segment, which starts past them, is then a gap, not a
+// continuation. The records in between are acked history.
+func TestTornFirstSegmentRefusesLoad(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{SegmentBytes: 128})
+	for i := 0; i < 30; i++ {
+		if _, err := l.Commit(bytes.Repeat([]byte{1}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	segs, _ := listSegments(dir)
+	raw, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[segHeaderSize+FrameHeader] ^= 0x40
+	if err := os.WriteFile(segs[0].path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tail, err := Read(dir, 0, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a log missing records 1..%d read up to seq %d (%v), want ErrCorrupt", segs[1].firstSeq-1, tail.LastSeq, err)
+	}
+}
+
 // TestReadChangesNothing: Read delivers what Open and Replay deliver,
 // refuses what Open refuses and leaves the directory byte for byte as it
 // was; a missing directory reads as an empty log and is not created.
@@ -363,12 +390,12 @@ func TestReadChangesNothing(t *testing.T) {
 	}
 	before := files()
 	var got []record
-	n, err := Read(dir, 10, func(seq uint64, payload []byte) error {
+	tail, err := Read(dir, 10, func(seq uint64, payload []byte) error {
 		got = append(got, record{seq: seq, payload: append([]byte(nil), payload...)})
 		return nil
 	})
-	if err != nil || n != 20 || len(got) != 20 || got[0].seq != 11 || got[19].payload[0] != 29 {
-		t.Fatalf("Read above seq 10 = (%d, %v), %d records, want the 20 records 11..30", n, err, len(got))
+	if err != nil || tail.Records != 20 || tail.LastSeq != 30 || len(got) != 20 || got[0].seq != 11 || got[19].payload[0] != 29 {
+		t.Fatalf("Read above seq 10 = (%+v, %v), %d records, want the 20 records 11..30", tail, err, len(got))
 	}
 	segs, _ := listSegments(dir)
 	os.Remove(segs[1].path)
@@ -380,8 +407,8 @@ func TestReadChangesNothing(t *testing.T) {
 		t.Fatalf("Read changed the directory: %d files before, %d after", len(before), len(after))
 	}
 	missing := filepath.Join(dir, "missing")
-	if n, err := Read(missing, 0, nil); n != 0 || err != nil {
-		t.Fatalf("Read of a missing directory = (%d, %v), want (0, nil)", n, err)
+	if tail, err := Read(missing, 0, nil); tail.Records != 0 || tail.LastSeq != 0 || err != nil {
+		t.Fatalf("Read of a missing directory = (%+v, %v), want an empty tail", tail, err)
 	}
 	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("Read created %s (%v)", missing, err)
@@ -463,20 +490,24 @@ func TestClosedLogRefusesWork(t *testing.T) {
 	}
 }
 
-// TestLastSeqIsCheckpointSafe: LastSeq must cover every record already
-// appended, so a checkpoint at that LSN plus replay above it never loses
-// anything.
-func TestLastSeqIsCheckpointSafe(t *testing.T) {
+// TestDurableSeqIsCheckpointSafe: after Sync, DurableSeq covers every
+// record appended before it, waited on or not, so a checkpoint that syncs
+// and then takes DurableSeq as its LSN plus replay above it never loses
+// anything. SyncNone makes Sync the only fsync that can move it.
+func TestDurableSeqIsCheckpointSafe(t *testing.T) {
 	dir := t.TempDir()
-	l := openT(t, dir, Options{})
+	l := openT(t, dir, Options{Sync: SyncNone})
 	for i := 0; i < 20; i++ {
-		if _, err := l.Commit([]byte{byte(i)}); err != nil {
+		if _, err := l.Append([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lsn := l.LastSeq()
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	lsn := l.DurableSeq()
 	if lsn != 20 {
-		t.Fatalf("LastSeq = %d, want 20", lsn)
+		t.Fatalf("DurableSeq after Sync = %d, want 20", lsn)
 	}
 	for i := 0; i < 5; i++ {
 		if _, err := l.Commit([]byte{0xFF, byte(i)}); err != nil {
@@ -488,6 +519,58 @@ func TestLastSeqIsCheckpointSafe(t *testing.T) {
 	defer l2.Close()
 	if got := replayAll(t, l2, lsn); len(got) != 5 {
 		t.Fatalf("replay above checkpoint LSN = %d records, want 5", len(got))
+	}
+}
+
+// TestTailOpenReadsNoSegment: Tail.Open starts a log on what Read found
+// and reads no segment. Every segment's body is overwritten between the
+// two, and the open still succeeds: the first Append gets the tail's
+// last seq + 1 and the torn bytes reported are the tail's.
+func TestTailOpenReadsNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{SegmentBytes: 128})
+	for i := 0; i < 30; i++ {
+		if _, err := l.Commit(bytes.Repeat([]byte{byte(i)}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	segs, _ := listSegments(dir)
+	if len(segs) < 3 {
+		t.Fatalf("%d segments, want a rotated log", len(segs))
+	}
+	last, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := last.Write([]byte("torn...")); err != nil {
+		t.Fatal(err)
+	}
+	last.Close()
+	tail, err := Read(dir, 0, nil)
+	if err != nil || tail.LastSeq != 30 || tail.TornBytes != 7 {
+		t.Fatalf("Read = (%+v, %v), want last seq 30 and 7 torn bytes", tail, err)
+	}
+	for _, sm := range segs {
+		raw, err := os.ReadFile(sm.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(raw[segHeaderSize:], bytes.Repeat([]byte{0xA5}, len(raw)))
+		if err := os.WriteFile(sm.path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l2, err := tail.Open(Options{SegmentBytes: 128})
+	if err != nil {
+		t.Fatalf("Tail.Open over overwritten segments = %v, want it to read none", err)
+	}
+	defer l2.Close()
+	if seq, err := l2.Append([]byte("next")); err != nil || seq != tail.LastSeq+1 {
+		t.Fatalf("first Append = (%d, %v), want seq %d", seq, err, tail.LastSeq+1)
+	}
+	if got := l2.Stats().TruncatedTailBytes; got != tail.TornBytes {
+		t.Fatalf("TruncatedTailBytes = %d, want the tail's %d", got, tail.TornBytes)
 	}
 }
 
@@ -506,7 +589,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // FuzzReplay feeds one arbitrary segment file to the recovery reader,
-// scan, which Open, Replay and Read all run. The log directory is outside
+// scan, which Read (and so Open) and Replay run. The log directory is outside
 // input: whatever it holds, recovery returns an error or a dense run of
 // records whose payloads lie inside the file, and never panics or sizes
 // an allocation by a length field it has not checked against the file.
@@ -552,11 +635,11 @@ func FuzzReplay(f *testing.F) {
 			}
 			return
 		}
-		if c.n > 0 && next-1 != c.lastSeq {
-			t.Fatalf("replay ended at seq %d, scan says %d", next-1, c.lastSeq)
+		if c.Records > 0 && next-1 != c.LastSeq {
+			t.Fatalf("replay ended at seq %d, scan says %d", next-1, c.LastSeq)
 		}
-		if bytesSeen+int(c.torn) > len(raw) {
-			t.Fatalf("%d record bytes + %d torn bytes out of a %d-byte file", bytesSeen, c.torn, len(raw))
+		if bytesSeen+int(c.TornBytes) > len(raw) {
+			t.Fatalf("%d record bytes + %d torn bytes out of a %d-byte file", bytesSeen, c.TornBytes, len(raw))
 		}
 	})
 }
