@@ -1,32 +1,30 @@
-//go:build failpoint
-
 package main
 
-// The kill -9 crash matrix: an external harness that runs a real altdb
-// child process armed (via ALTDB_FAILPOINTS) to SIGKILL itself at one
-// exact durability edge — a WAL append, an fsync, a segment rotation, a
-// log truncation, a checkpoint file flush/sync/rename, a checkpoint
-// publish — while concurrent writers hammer it over TCP. After each
-// crash the harness restarts the child over the same data directory and
-// audits the recovered state against what the writers observed:
+// The kill -9 smoke: an external harness builds the real altdb binary,
+// runs it over a data directory while concurrent writers hammer it over
+// TCP, and SIGKILLs it from outside mid-stream. After each kill it
+// restarts the child over the same directory and audits the recovered
+// state against what the writers observed:
 //
 //   - no lost acked writes:  a key whose SET was answered "OK" holds an
 //     attempt at least as new as the last acked one,
 //   - no ghosts:             every recovered value decodes to its owning
 //     key and to an attempt that was actually sent,
-//   - no double-applies:     the key census matches the audit sweep (and
-//     replay idempotence is separately fuzzed in internal/server).
+//   - no double-applies:     the key census matches the audit sweep.
 //
 // Values encode provenance as key<<32 | attempt, with each key owned by
 // exactly one writer, so every recovered bit is attributable. State
-// accumulates across iterations of a site — each recovery chains onto
-// the survivors of the previous crash.
+// accumulates across the kills: each recovery chains onto the survivors
+// of the previous crash. Where in the durability protocol a crash lands
+// is the crash-state enumerator's subject (internal/server,
+// TestCrashImages), which builds every image a kill or a power loss can
+// leave at every call that changes the disk; this run checks that the
+// real process, its signals and its sockets keep the same promise.
 
 import (
 	"bufio"
 	"fmt"
 	"net"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -36,37 +34,11 @@ import (
 	"time"
 )
 
-// killSites are the durability edges the matrix kills at. Rotation and
-// truncation sites can also fire during the child's own recovery, so some
-// iterations kill the child before it ever serves — those still audit.
-var killSites = []string{
-	"wal/append",
-	"wal/sync",
-	"wal/rotate",
-	"wal/truncate",
-	"snapio/flush",
-	"snapio/sync",
-	"snapio/rename",
-	"altdb/checkpoint/publish",
-}
-
 const (
 	matrixWriters      = 4
 	matrixKeysPerOwner = 48
-	matrixOpsPerRound  = 300 // per writer, upper bound if the child outlives its failpoint
+	matrixKills        = 3
 )
-
-func matrixIters() int {
-	if s := os.Getenv("CRASH_MATRIX_ITERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	if testing.Short() {
-		return 4
-	}
-	return 20
-}
 
 // writerState is one writer's ground truth, disjoint keys per writer so
 // no locking is needed.
@@ -76,67 +48,26 @@ type writerState struct {
 }
 
 func TestCrashMatrix(t *testing.T) {
-	if testing.Short() && os.Getenv("CRASH_MATRIX_ITERS") == "" {
-		t.Log("short mode: 4 iterations per site")
-	}
 	bin := buildAltdb(t)
-	iters := matrixIters()
-	for _, site := range killSites {
-		site := site
-		t.Run(strings.ReplaceAll(site, "/", "_"), func(t *testing.T) {
-			dir := t.TempDir()
-			writers := make([]*writerState, matrixWriters)
-			for w := range writers {
-				writers[w] = &writerState{
-					acked:   map[uint64]uint64{},
-					maxSent: map[uint64]uint64{},
-				}
-			}
-			for iter := 0; iter < iters; iter++ {
-				runCrashIteration(t, bin, dir, site, iter, writers)
-				auditRecovery(t, bin, dir, writers, site, iter)
-			}
-		})
+	dir := t.TempDir()
+	writers := make([]*writerState, matrixWriters)
+	for w := range writers {
+		writers[w] = &writerState{acked: map[uint64]uint64{}, maxSent: map[uint64]uint64{}}
+	}
+	for iter := 0; iter < matrixKills; iter++ {
+		runCrashIteration(t, bin, dir, iter, writers)
+		auditRecovery(t, bin, dir, writers, iter)
 	}
 }
 
-// killSpec arms site to absorb `skip` hits and die on the next one.
-func killSpec(site string, skip int) string {
-	if skip <= 0 {
-		return site + "=kill"
-	}
-	return fmt.Sprintf("%s=%d*off->kill", site, skip)
-}
-
-// hitBudget picks how many site hits to let pass before the kill, varying
-// per iteration so the matrix samples different positions of the same
-// edge (first batch vs mid-stream vs during rotation-heavy phases).
-func hitBudget(site string, iter int) int {
-	switch site {
-	case "wal/append", "wal/sync":
-		return (iter * 17) % 60
-	case "wal/rotate":
-		// Open itself rotates once per start; small budgets kill during
-		// recovery, larger ones mid-stream.
-		return iter % 5
-	case "wal/truncate", "altdb/checkpoint/publish":
-		// One hit per checkpoint; keep the budget tight so it trips.
-		return iter % 3
-	default: // snapio sites: two hits per checkpoint, one base and one meta.
-		return iter % 8
-	}
-}
-
-// runCrashIteration starts an armed child over dir, hammers it with the
-// writers until it dies (or its op budget runs out, in which case it is
-// killed externally — an equally valid crash point).
-func runCrashIteration(t *testing.T, bin, dir, site string, iter int, writers []*writerState) {
+// runCrashIteration starts a child over dir, lets the writers hammer it
+// and SIGKILLs it while they run; each kill lands later than the last,
+// so the runs cross background checkpoints.
+func runCrashIteration(t *testing.T, bin, dir string, iter int, writers []*writerState) {
 	t.Helper()
-	ch, err := startChild(bin, dir, killSpec(site, hitBudget(site, iter)))
+	ch, err := startChild(bin, dir)
 	if err != nil {
-		// Child died before serving (a kill during its own recovery).
-		// Nothing new was acked; the audit pass still runs.
-		return
+		t.Fatalf("iter %d: child failed to serve: %v", iter, err)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < matrixWriters; w++ {
@@ -146,12 +77,13 @@ func runCrashIteration(t *testing.T, bin, dir, site string, iter int, writers []
 			hammer(ch.addr, writers[w], uint64(w))
 		}(w)
 	}
+	time.Sleep(time.Duration(100+100*iter) * time.Millisecond)
+	ch.reapKill()
 	wg.Wait()
-	ch.reap(5 * time.Second)
 }
 
-// hammer writes this writer's keys round-robin until the child dies or
-// the op budget is spent. Every 16th op goes through the MPUT batch path.
+// hammer writes this writer's keys round-robin until the child dies.
+// Every 16th op goes through the MPUT batch path.
 func hammer(addr string, ws *writerState, owner uint64) {
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
@@ -160,7 +92,7 @@ func hammer(addr string, ws *writerState, owner uint64) {
 	defer conn.Close()
 	cl := clientOf(conn)
 	base := owner*matrixKeysPerOwner + 1
-	for op := 0; op < matrixOpsPerRound; op++ {
+	for op := 0; ; op++ {
 		if op%16 == 15 {
 			// Batch path: 8 keys in one MPUT, one group-commit record.
 			var sb strings.Builder
@@ -193,71 +125,70 @@ func hammer(addr string, ws *writerState, owner uint64) {
 	}
 }
 
-// auditRecovery restarts the child clean (no failpoints, no background
-// checkpoints) over the crashed directory and checks every owned key
-// against the writers' ground truth.
-func auditRecovery(t *testing.T, bin, dir string, writers []*writerState, site string, iter int) {
+// auditRecovery restarts the child (no background checkpoints) over the
+// crashed directory and checks every owned key against the writers'
+// ground truth.
+func auditRecovery(t *testing.T, bin, dir string, writers []*writerState, iter int) {
 	t.Helper()
-	ch, err := startChild(bin, dir, "", "-checkpoint-interval", "-1s")
+	ch, err := startChild(bin, dir, "-checkpoint-interval", "-1s")
 	if err != nil {
-		t.Fatalf("%s iter %d: recovery failed to serve: %v", site, iter, err)
+		t.Fatalf("iter %d: recovery failed to serve: %v", iter, err)
 	}
 	defer ch.reapKill()
 	conn, err := net.DialTimeout("tcp", ch.addr, 2*time.Second)
 	if err != nil {
-		t.Fatalf("%s iter %d: audit dial: %v", site, iter, err)
+		t.Fatalf("iter %d: audit dial: %v", iter, err)
 	}
 	defer conn.Close()
 	cl := clientOf(conn)
 
-	present := 0
+	present, ackedKeys := 0, 0
 	for w, ws := range writers {
+		ackedKeys += len(ws.acked)
 		base := uint64(w)*matrixKeysPerOwner + 1
 		for k := base; k < base+matrixKeysPerOwner; k++ {
 			reply, err := cl.cmdE(fmt.Sprintf("GET %d", k))
 			if err != nil {
-				t.Fatalf("%s iter %d: audit read: %v", site, iter, err)
+				t.Fatalf("iter %d: audit read: %v", iter, err)
 			}
 			acked, wasAcked := ws.acked[k]
 			switch {
 			case reply == "NIL":
 				if wasAcked {
-					t.Fatalf("%s iter %d: LOST ACKED WRITE: key %d acked attempt %d, recovered nothing",
-						site, iter, k, acked)
+					t.Fatalf("iter %d: LOST ACKED WRITE: key %d acked attempt %d, recovered nothing", iter, k, acked)
 				}
 			case strings.HasPrefix(reply, "VALUE "):
 				present++
 				v, perr := strconv.ParseUint(strings.TrimPrefix(reply, "VALUE "), 10, 64)
 				if perr != nil {
-					t.Fatalf("%s iter %d: unparseable audit value %q", site, iter, reply)
+					t.Fatalf("iter %d: unparseable audit value %q", iter, reply)
 				}
 				gotKey, gotAttempt := v>>32, v&0xffffffff
 				if gotKey != k {
-					t.Fatalf("%s iter %d: GHOST: key %d holds a value belonging to key %d",
-						site, iter, k, gotKey)
+					t.Fatalf("iter %d: GHOST: key %d holds a value belonging to key %d", iter, k, gotKey)
 				}
 				if gotAttempt > ws.maxSent[k] {
-					t.Fatalf("%s iter %d: GHOST: key %d recovered attempt %d, only %d were ever sent",
-						site, iter, k, gotAttempt, ws.maxSent[k])
+					t.Fatalf("iter %d: GHOST: key %d recovered attempt %d, only %d were ever sent", iter, k, gotAttempt, ws.maxSent[k])
 				}
 				if wasAcked && gotAttempt < acked {
-					t.Fatalf("%s iter %d: LOST ACKED WRITE: key %d recovered attempt %d < acked %d",
-						site, iter, k, gotAttempt, acked)
+					t.Fatalf("iter %d: LOST ACKED WRITE: key %d recovered attempt %d < acked %d", iter, k, gotAttempt, acked)
 				}
 			default:
-				t.Fatalf("%s iter %d: audit GET %d = %q", site, iter, k, reply)
+				t.Fatalf("iter %d: audit GET %d = %q", iter, k, reply)
 			}
 		}
+	}
+	if ackedKeys == 0 {
+		t.Fatalf("iter %d: no write was acked before the kill, so the audit proves nothing", iter)
 	}
 	// Census check: the index holds exactly the keys the sweep saw — a
 	// double-apply that manufactured extra entries would show up here.
 	lenReply, err := cl.cmdE("LEN")
 	if err != nil {
-		t.Fatalf("%s iter %d: LEN: %v", site, iter, err)
+		t.Fatalf("iter %d: LEN: %v", iter, err)
 	}
 	if lenReply != fmt.Sprintf("VALUE %d", present) {
-		t.Fatalf("%s iter %d: census mismatch: LEN says %q, audit sweep found %d keys",
-			site, iter, lenReply, present)
+		t.Fatalf("iter %d: census mismatch: LEN says %q, audit sweep found %d keys", iter, lenReply, present)
 	}
 }
 
@@ -268,10 +199,9 @@ type childProc struct {
 	addr string
 }
 
-// startChild launches the altdb binary over dir, arming fps (empty = no
-// failpoints), and waits for its listen line. An error means the child
-// died before serving.
-func startChild(bin, dir, fps string, extraArgs ...string) (*childProc, error) {
+// startChild launches the altdb binary over dir and waits for its listen
+// line. An error means the child died before serving.
+func startChild(bin, dir string, extraArgs ...string) (*childProc, error) {
 	args := append([]string{
 		"-listen", "127.0.0.1:0",
 		"-wal-dir", dir,
@@ -280,7 +210,6 @@ func startChild(bin, dir, fps string, extraArgs ...string) (*childProc, error) {
 		"-checkpoint-interval", "25ms",
 	}, extraArgs...)
 	cmd := exec.Command(bin, args...)
-	cmd.Env = append(os.Environ(), "ALTDB_FAILPOINTS="+fps)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return nil, err
@@ -314,30 +243,13 @@ func startChild(bin, dir, fps string, extraArgs ...string) (*childProc, error) {
 	}
 }
 
-// reap waits for the child to die on its own (the armed kill); if it
-// outlives the timeout the harness kills it — still a kill -9 at an
-// arbitrary point, which the audit must survive too.
-func (c *childProc) reap(timeout time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		c.cmd.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		c.cmd.Process.Kill()
-		<-done
-	}
-}
-
-// reapKill kills the (clean, write-free) audit child immediately.
+// reapKill SIGKILLs the child and waits for it.
 func (c *childProc) reapKill() {
 	c.cmd.Process.Kill()
 	c.cmd.Wait()
 }
 
-// buildAltdb compiles the server binary once for the whole matrix.
+// buildAltdb compiles the server binary once for the whole run.
 func buildAltdb(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "altdb")

@@ -38,11 +38,9 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"altindex/internal/failpoint"
 	"altindex/internal/server"
 )
 
@@ -60,22 +58,6 @@ func main() {
 		ckptInterval  = flag.Duration("checkpoint-interval", 0, "how often to check whether the log has grown to the last base's size and write a new base (0 = 15s, negative disables)")
 	)
 	flag.Parse()
-
-	// ALTDB_FAILPOINTS arms fault-injection sites before anything touches
-	// disk: "site=spec[;site=spec...]", e.g. "wal/sync=2*off->kill". This is
-	// how the crash-matrix harness makes a child die at an exact durability
-	// edge.
-	if env := os.Getenv("ALTDB_FAILPOINTS"); env != "" {
-		for _, part := range strings.Split(env, ";") {
-			site, spec, ok := strings.Cut(strings.TrimSpace(part), "=")
-			if !ok {
-				log.Fatalf("event=bad_failpoint_env entry=%q", part)
-			}
-			if err := failpoint.Enable(site, spec); err != nil {
-				log.Fatalf("event=bad_failpoint_env entry=%q error=%q", part, err.Error())
-			}
-		}
-	}
 
 	srv, err := server.NewServerWith(server.Config{
 		MaxConns:           *maxConns,
@@ -110,10 +92,8 @@ func main() {
 		log.Fatal(err)
 	}
 	// Serve returned because the signal handler started Shutdown; wait for
-	// the drain and (with -wal-dir) the final checkpoint to finish. A failed
-	// shutdown means the on-disk state may lag the served state — report it
-	// structured and exit non-zero so supervisors and operators see it,
-	// instead of a silent success.
+	// the drain and (with -wal-dir) the final checkpoint. A failed shutdown
+	// (the disk may lag the served state) exits non-zero, never silently.
 	if err := <-shutdownErr; err != nil {
 		log.Printf("event=shutdown_failed error=%q", err.Error())
 		os.Exit(1)

@@ -1,10 +1,8 @@
-//go:build failpoint
-
 package main
 
-// Minimal line-protocol client for the crash-matrix harness. The server's
-// own test clients live with the engine in internal/server; the matrix
-// drives a separately built binary over TCP, so it keeps its own copy.
+// Minimal line-protocol client for the kill -9 smoke. The server's own
+// test clients live with the engine in internal/server; the smoke drives a
+// separately built binary over TCP, so it keeps its own copy.
 
 import (
 	"fmt"

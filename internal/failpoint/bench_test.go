@@ -13,7 +13,7 @@ func BenchmarkInjectDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkInjectErrDisabled is the persistence-path variant.
+// BenchmarkInjectErrDisabled is the error-returning variant.
 func BenchmarkInjectErrDisabled(b *testing.B) {
 	s := New("bench/disabled-err")
 	b.ReportAllocs()

@@ -1,5 +1,6 @@
 // Package failpoint is a deterministic fault-injection framework for the
-// concurrency protocol and persistence paths of this repository. Named
+// concurrency protocol of this repository (persistence faults come from
+// the file-system seam, internal/fsys, instead). Named
 // sites are compiled into production code permanently; a disabled site
 // costs exactly one atomic pointer load and a predicted branch, so the
 // framework can stay linked into the hot seqlock/retrain edges without a
@@ -20,11 +21,6 @@
 //	error        InjectErr returns ErrInjected — simulates an I/O or
 //	             protocol failure (Inject ignores it)
 //	error(msg)   as error, with msg wrapped in the returned error
-//	kill         raises SIGKILL on the calling process — a real kill -9,
-//	             not a simulated one. Terminal by construction: the
-//	             external crash-matrix harness arms it in a child process
-//	             to die at an exact log/checkpoint edge, then restarts the
-//	             child and audits recovery. Never arm it in-process.
 //
 // A trailing N* count makes a term fire N hits then advance to the next
 // term; the final term, if it carries no count, repeats forever. When the
@@ -35,7 +31,7 @@
 // Examples:
 //
 //	Enable("core/retrain/freeze", "delay(200us)")  // every freeze stalls
-//	Enable("snapio/rename", "2*off->error(crash)") // 3rd hit fails
+//	Enable("altdb/dispatch", "2*off->panic")        // 3rd hit panics
 //	Enable("core/insert/locked", "5%yield")        // 5% of inserts yield
 //
 // Enable, Disable and Inject are all safe for concurrent use.
@@ -44,7 +40,6 @@ package failpoint
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -77,7 +72,6 @@ const (
 	actDelay
 	actPanic
 	actError
-	actKill
 )
 
 type term struct {
@@ -184,9 +178,6 @@ func Hits(name string) int64 {
 	return s.hits.Load()
 }
 
-// Name returns the site's registered name.
-func (s *Site) Name() string { return s.name }
-
 // Inject evaluates the site, ignoring an error action's result. This is
 // the hook for protocol edges that cannot propagate errors (slot writes,
 // freezes, buffer hops): disabled cost is one atomic load.
@@ -197,7 +188,8 @@ func (s *Site) Inject() {
 }
 
 // InjectErr evaluates the site and returns the injected error, if the
-// current term is an error action. This is the hook for persistence paths.
+// current term is an error action. This is the hook for edges that can
+// return an error.
 func (s *Site) InjectErr() error {
 	if p := s.prog.Load(); p != nil {
 		return s.eval(p)
@@ -239,23 +231,8 @@ func (s *Site) eval(p *program) error {
 		panic("failpoint: " + s.name)
 	case actError:
 		return t.err
-	case actKill:
-		killSelf()
 	}
 	return nil
-}
-
-// killSelf delivers SIGKILL to the current process and then parks the
-// calling goroutine: SIGKILL cannot be caught, so the process is gone the
-// instant the kernel schedules the delivery, and nothing after the site
-// (an fsync, an ack, a rename) can run first — exactly the crash the
-// recovery audit needs to be placed before.
-func killSelf() {
-	p, err := os.FindProcess(os.Getpid())
-	if err == nil {
-		_ = p.Kill()
-	}
-	select {}
 }
 
 // parseSpec compiles "term->term->..." into a term list.
@@ -307,20 +284,11 @@ func parseTerm(site, s string) (term, error) {
 		s = s[:i]
 	}
 	switch s {
-	case "off", "yield", "panic", "kill":
+	case "off", "yield", "panic":
 		if arg != "" {
 			return t, fmt.Errorf("failpoint: action %q takes no argument (got %q) for %q", s, arg, site)
 		}
-		switch s {
-		case "off":
-			t.act = actOff
-		case "yield":
-			t.act = actYield
-		case "panic":
-			t.act = actPanic
-		case "kill":
-			t.act = actKill
-		}
+		t.act = map[string]action{"off": actOff, "yield": actYield, "panic": actPanic}[s]
 	case "delay", "sleep":
 		d, err := time.ParseDuration(arg)
 		if err != nil || d < 0 {

@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"altindex"
-	"altindex/internal/failpoint"
+	"altindex/internal/fsys"
 	"altindex/internal/snapio"
 	"altindex/internal/wal"
 )
@@ -30,40 +30,33 @@ import (
 // Writes ack only after their redo record reaches the WAL's commit point.
 // A checkpoint walks the live index into base-<gen+1> while writers keep
 // running, flips the CHECKPOINT meta to it, truncates the log below its
-// LSN and removes generation gen. Base files are never overwritten in
-// place and the meta flip (a snapio rename) is the only publication point,
-// so a crash anywhere leaves the published base and meta intact.
+// LSN and removes generation gen. Bases are never overwritten in place
+// and the meta flip (a snapio rename) is the only publication point, so
+// a crash anywhere leaves the published base and meta intact. Every disk
+// change goes through internal/fsys, where TestCrashImages checks each
+// state a kill or a power loss can leave.
 //
 // Recovery is a read-only plan, then one apply. The plan (planRecovery)
-// reads the meta, loads the base and replays the WAL records above the
-// meta's LSN onto it in memory; a corrupt file or an unknown record
-// refuses the open there, before any file changes, rather than serving
-// partial data. Only an accepted plan is applied, and the apply reads
-// nothing: stale files are removed, the log is opened on the tail the
-// plan read (rotating to a fresh segment) and the checkpoint loop starts.
-// Replay is idempotent (mput is an upsert, delete tolerates absence), so
-// a record the base already holds merely re-applies.
+// makes every read and check: the meta, the base, and the WAL records
+// above the meta's LSN replayed onto the base in memory (idempotently:
+// mput is an upsert, delete tolerates absence). The apply reads nothing:
+// it removes stale files, opens the log on the tail the plan read and
+// starts the checkpoint loop. The plan refuses, changing no file, a
+// corrupt file, a log that does not hold every seq above the LSN (one
+// starting above LSN+1 is missing records; one ending below the LSN would
+// hand out seqs replay then skips), and what only earlier builds wrote: a
+// base in another format, a meta counting delta-<gen>-<n>.snap files
+// ("deltas" > 0) or a record with another opcode. Each holds acked
+// writes; serving without them would lose them silently.
 //
-// These are the only files open reads, each in one format. It refuses by
-// name, changing no file, what only earlier builds wrote: a base in
-// another format (altindex.Load names its magic), a meta counting
-// delta-<gen>-<n>.snap files ("deltas" > 0) or a record with another
-// opcode. Each holds acked writes; dropping it would lose them silently.
-//
-// Storage faults: the first write, fsync or rotate error wedges the log
-// for the life of the process (wal.Log.Err). From then on every mutation
-// is refused under its stripe lock, before it touches the index, with a
-// readOnlyError (ERR READONLY on the wire); reads keep serving the state
-// that was acked; checkpoints neither publish nor truncate, because each
-// one first syncs the log it is about to cover. Restarting on a healthy
-// disk recovers exactly what the old log holds. A fault on the checkpoint
-// side (base or meta write) wedges nothing: the previous base and meta
-// stay published, the log stays untruncated and the next tick retries.
-
-// fpCkptPublish fires between writing a checkpoint's payload files and
-// publishing its CHECKPOINT meta — the edge where a crash must leave the
-// previous checkpoint generation intact and the new files ignored.
-var fpCkptPublish = failpoint.New("altdb/checkpoint/publish")
+// Storage faults (DESIGN.md §8): the first write or fsync error wedges
+// the log for the life of the process (wal.Log.Err), and every mutation
+// is then refused under its stripe lock, before it touches the index,
+// with a readOnlyError (ERR READONLY on the wire); reads keep serving,
+// checkpoints neither publish nor truncate (each first syncs the log it
+// covers) and a restart on a healthy disk recovers what the log holds. A
+// fault on the checkpoint side wedges nothing: the previous base and
+// meta stay published and the next tick retries.
 
 // Redo record opcodes for the flat u64 -> u64 keyspace. Opcode 1, a
 // single-pair set only earlier builds wrote, is refused like any unknown
@@ -112,10 +105,9 @@ type durableStore struct {
 }
 
 // recoveryPlan is what planRecovery read: the store the base and the log
-// above the meta's LSN rebuild, still without a log, the log's tail, the
-// files no recovery reads, and each phase's time. read covers the meta,
-// its mtime and the directory listing, load the base's read, check and
-// bulkload, replay the log's read, check and apply.
+// above the meta's LSN rebuild (still without a log), the log's tail, the
+// files no recovery reads, and the time to read the meta and listing, to
+// load the base and to replay the log.
 type recoveryPlan struct {
 	*durableStore
 	tail               wal.Tail
@@ -178,6 +170,13 @@ func planRecovery(dir string) (p recoveryPlan, err error) {
 		d.logMark -= wal.FrameHeader + int64(len(rec))
 		return d.applyRecord(rec)
 	})
+	switch t := p.tail; {
+	case err != nil:
+	case t.LastSeq < meta.LSN:
+		err = fmt.Errorf("the log ends at seq %d, below the checkpoint's LSN %d", t.LastSeq, meta.LSN)
+	case t.FirstSeq > meta.LSN+1:
+		err = fmt.Errorf("the log starts at seq %d, above the checkpoint's LSN %d + 1", t.FirstSeq, meta.LSN)
+	}
 	if err != nil {
 		// Replaying the log can grow the index past its retraining
 		// trigger; a refused open must not leave those workers behind.
@@ -199,15 +198,13 @@ func openDurable(cfg Config, opts wal.Options) (*durableStore, error) {
 	return p.apply(cfg, opts)
 }
 
-// apply opens the store p planned for cfg.WALDir. It only writes: it
-// removes the stale files, opens the log on the tail the plan read
-// (creating the directories and rotating to a fresh segment, reading no
-// segment) and starts the checkpoint loop. It refuses nothing; an error
-// here is a failed create or write.
+// apply opens the store p planned for cfg.WALDir, reading nothing: it
+// removes the stale files, opens the log on the tail the plan read and
+// starts the checkpoint loop. Its errors are failed creates and writes.
 func (p recoveryPlan) apply(cfg Config, opts wal.Options) (*durableStore, error) {
 	t0 := time.Now()
 	for _, path := range p.stale {
-		os.Remove(path) // best effort: one left behind is stale again at the next open
+		fsys.Remove(path) // best effort: one left behind is stale again at the next open
 	}
 	d := p.durableStore
 	var err error
@@ -430,9 +427,6 @@ func (d *durableStore) Checkpoint() error {
 	path := basePath(d.cfg.WALDir, old+1)
 	err := altindex.Save(d.idx, path)
 	if err == nil {
-		err = fpCkptPublish.InjectErr()
-	}
-	if err == nil {
 		err = d.writeMeta(ckptMeta{Generation: old + 1, LSN: lsn})
 	}
 	if err != nil {
@@ -449,7 +443,7 @@ func (d *durableStore) Checkpoint() error {
 	// removing it is cleanup, and the next open removes what a crash here
 	// leaves behind.
 	if old > 0 {
-		os.Remove(basePath(d.cfg.WALDir, old))
+		fsys.Remove(basePath(d.cfg.WALDir, old))
 	}
 	return terr
 }

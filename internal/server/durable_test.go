@@ -20,7 +20,7 @@ import (
 
 	"altindex"
 	"altindex/internal/core"
-	"altindex/internal/failpoint"
+	"altindex/internal/fsys"
 	"altindex/internal/snapio"
 	"altindex/internal/wal"
 	"altindex/internal/xrand"
@@ -376,7 +376,7 @@ func TestDurableStatsSurface(t *testing.T) {
 
 // TestDurableGroupCommit: 8 concurrent writers under SyncAlways commit
 // with measurably fewer fsyncs than appends — the group-commit effect.
-// The wal/sync failpoint stretches each fsync so writers provably queue
+// A seam hook stretches each segment fsync so writers provably queue
 // behind an in-flight group even when the host serializes the goroutines
 // (a loaded 1-vCPU box can otherwise run the writers back-to-back and
 // give every commit a private fsync). Cross-connection coalescing is
@@ -384,10 +384,12 @@ func TestDurableStatsSurface(t *testing.T) {
 // WAL layer's amortization, not the op scheduler's (which would otherwise
 // merge concurrent SETs into shared Mput records and shrink wal_appends).
 func TestDurableGroupCommit(t *testing.T) {
-	if err := failpoint.Enable("wal/sync", "delay(2ms)"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable("wal/sync")
+	t.Cleanup(fsys.SetHook(func(c fsys.Call) error {
+		if on(fsys.OpSync, "wal-", ".seg")(c) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		return nil
+	}))
 	dir := t.TempDir()
 	srv, addr := startDurable(t, dir, Config{WALSync: "always", CoalesceConns: -1})
 	defer srv.Shutdown()
@@ -629,13 +631,12 @@ func kill(srv *Server) {
 
 // TestNoWriteWaitsOnCheckpoint: a checkpoint walks the index and writes
 // its base beside live writers. Ten checkpoints run with writes between
-// them; each one's base write is held open at snapio/flush, and a SET, an
+// them; each one's base write is held open at the seam, and a SET, an
 // MPUT and a DEL on another connection must all answer OK while it is
 // held, before that checkpoint returns. Those writes postdate the walk,
 // so only the log above the LSN can carry them: a kill right after the
 // last checkpoint must still recover them.
 func TestNoWriteWaitsOnCheckpoint(t *testing.T) {
-	defer failpoint.Disable("snapio/flush")
 	const hold = 500 * time.Millisecond
 	dir := t.TempDir()
 	srv, addr := startDurable(t, dir, Config{})
@@ -646,15 +647,12 @@ func TestNoWriteWaitsOnCheckpoint(t *testing.T) {
 			mustReply(t, c, fmt.Sprintf("SET %d %d", i*100+k, k), "OK")
 			want[i*100+k] = k
 		}
-		// Only the checkpoint's first snapio write, its base, is held.
-		if err := failpoint.Enable("snapio/flush", fmt.Sprintf("1*delay(%s)", hold)); err != nil {
-			t.Fatal(err)
-		}
+		// Only the first write of the checkpoint's base is held.
+		hook, reached := stall(on(fsys.OpWrite, "base-", ".tmp"), hold)
+		restore := fsys.SetHook(hook)
 		done := make(chan error, 1)
 		go func() { done <- srv.dur.Checkpoint() }()
-		for failpoint.Hits("snapio/flush") == 0 {
-			time.Sleep(time.Millisecond)
-		}
+		<-reached
 		held := time.Now()
 		mustReply(t, writer, fmt.Sprintf("SET %d 1", i), "OK")
 		mustReply(t, writer, fmt.Sprintf("MPUT %d 2 %d 3", i, i*100), "OK 2")
@@ -671,6 +669,7 @@ func TestNoWriteWaitsOnCheckpoint(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
+		restore()
 	}
 	kill(srv)
 	srv2, addr2 := startDurable(t, dir, Config{})
@@ -981,6 +980,18 @@ func TestCorruptDirectoryRefused(t *testing.T) {
 			writeSegment(t, filepath.Join(dir, "wal"), 1, rec(1))
 			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":1,"lsn":0}`))
 		}, "base generation 1"},
+		// The log is gone: a fresh one would number from 1 again, and
+		// replay would skip those records as checkpointed.
+		{"removed-wal", func(t *testing.T, dir string) {
+			writeFramed(t, basePath(dir, 1), append([]byte("ALTIX001"), make([]byte, 8)...))
+			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":1,"lsn":2}`))
+		}, "below the checkpoint's LSN 2"},
+		// Records 2..8 are missing between the checkpoint and the log.
+		{"log-starts-above-lsn", func(t *testing.T, dir string) {
+			writeFramed(t, basePath(dir, 1), append([]byte("ALTIX001"), make([]byte, 8)...))
+			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":1,"lsn":1}`))
+			writeSegment(t, filepath.Join(dir, "wal"), 9, rec(9))
+		}, "above the checkpoint's LSN 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -988,6 +999,41 @@ func TestCorruptDirectoryRefused(t *testing.T) {
 			mustRefuse(t, dir, tc.want)
 		})
 	}
+}
+
+// TestTornRotationKeepsNumbering: a kill between the truncate and the
+// header write of open's rotation over an emptied trailing segment leaves
+// that segment empty and the only one in the log. The next open numbers
+// on from the position the segment's name gives, not from 1, so a write
+// acked after it is above the checkpoint's LSN and survives the next
+// crash.
+func TestTornRotationKeepsNumbering(t *testing.T) {
+	dir := t.TempDir()
+	srv, addr := startDurable(t, dir, Config{})
+	mustReply(t, dial(t, addr), "SET 1 10", "OK")
+	mustReply(t, dial(t, addr), "SET 2 20", "OK")
+	kill(srv)
+	// Recover, then shut down: the final checkpoint (LSN 2) truncates
+	// wal-…01 and leaves the segment open rotated to, wal-…03, empty.
+	srv, _ = startDurable(t, dir, Config{})
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
+	if len(segs) != 1 || filepath.Base(segs[0]) != fmt.Sprintf("wal-%016x.seg", 3) {
+		t.Fatalf("after the recover-then-shutdown the log is %v, want only segment 3", segs)
+	}
+	// The next open's rotation truncates wal-…03 and dies before its
+	// header lands.
+	if err := os.Truncate(segs[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr = startDurable(t, dir, Config{})
+	mustReply(t, dial(t, addr), "SET 5 50", "OK")
+	kill(srv)
+	srv, addr = startDurable(t, dir, Config{})
+	defer srv.Shutdown()
+	mustServe(t, dial(t, addr), map[uint64]uint64{1: 10, 2: 20, 5: 50}, "after the torn rotation and a crash")
 }
 
 // TestApplyAfterPlanNeverRefused: the apply step reads nothing the plan

@@ -1,5 +1,3 @@
-//go:build failpoint
-
 package server
 
 import (
@@ -10,14 +8,57 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"altindex/internal/failpoint"
+	"altindex"
+	"altindex/internal/fsys"
 )
 
 // Storage-fault contract of the durable store (DESIGN.md §8): a fault on
 // the log side wedges the server read-only; a fault on the checkpoint side
-// costs one checkpoint and nothing else.
+// costs one checkpoint and nothing else. Each fault is a call of the
+// file-system seam (internal/fsys) that fails or stalls.
+
+var errDisk = errors.New("injected disk fault")
+
+// fault returns a seam hook that fails the calls match accepts with
+// errDisk: the first times of them, or every one when times is 0.
+func fault(match func(fsys.Call) bool, times int64) func(fsys.Call) error {
+	var seen atomic.Int64
+	return func(c fsys.Call) error {
+		if match(c) && (times == 0 || seen.Add(1) <= times) {
+			return errDisk
+		}
+		return nil
+	}
+}
+
+// stall returns a seam hook that holds the first call match accepts for
+// d, and a channel closed once that call has reached the hook.
+func stall(match func(fsys.Call) bool, d time.Duration) (func(fsys.Call) error, <-chan struct{}) {
+	held := make(chan struct{})
+	var once sync.Once
+	return func(c fsys.Call) error {
+		if match(c) {
+			once.Do(func() {
+				close(held)
+				time.Sleep(d)
+			})
+		}
+		return nil
+	}, held
+}
+
+// on matches calls of op on a file whose name has prefix and suffix.
+func on(op fsys.Op, prefix, suffix string) func(fsys.Call) bool {
+	return func(c fsys.Call) bool {
+		name := filepath.Base(c.Path)
+		return c.Op == op && strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix)
+	}
+}
 
 // dirListing names every file under dir with its size: the on-disk shape
 // a refused checkpoint must leave alone.
@@ -37,28 +78,33 @@ func dirListing(t *testing.T, dir string) string {
 	return strings.Join(out, "\n")
 }
 
-// TestLogFaultWedgesReadOnly: an I/O error on append, fsync or rotate
-// fails the write it hits; from then on every write is refused with ERR
-// READONLY before it touches the index, reads keep serving the acked
-// state, checkpoints change nothing on disk, and a restart recovers what
-// the log holds.
+// TestLogFaultWedgesReadOnly: an I/O error on a segment's write, fsync
+// or create fails the write it hits; from then on every write is refused
+// with ERR READONLY before it touches the index, reads keep serving the
+// acked state, checkpoints change nothing on disk, and a restart on a
+// healthy disk serves exactly the acked set.
 func TestLogFaultWedgesReadOnly(t *testing.T) {
 	for _, tc := range []struct {
-		site string
+		name string
+		op   fsys.Op
 		// onDisk: the failing write's record reached the segment before
 		// the fault (the fsync edge), so recovery replays it.
 		onDisk bool
 	}{
-		{"wal/append", false},
-		{"wal/sync", true},
-		{"wal/rotate", false},
+		{"write", fsys.OpWrite, false},
+		{"sync", fsys.OpSync, true},
+		{"rotate", fsys.OpCreate, false},
 	} {
-		t.Run(tc.site, func(t *testing.T) {
-			defer failpoint.DisableAll()
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			// Seven single-SET records fill a 256-byte segment, so the
-			// rotate site is reached within a few writes of arming it.
-			cfg := Config{WALSegmentBytes: 256}
+			// Seven single-SET records fill a 256-byte segment, so a
+			// rotation comes within a few writes of arming the create
+			// fault. The other faults get a log that does not rotate, so
+			// the first call they fail is the record's own write or fsync.
+			cfg := Config{}
+			if tc.op == fsys.OpCreate {
+				cfg.WALSegmentBytes = 256
+			}
 			srv, addr := startDurable(t, dir, cfg)
 			c := dial(t, addr)
 
@@ -77,15 +123,14 @@ func TestLogFaultWedgesReadOnly(t *testing.T) {
 			mustReply(t, c, "DEL 7", "OK")
 			delete(acked, 7)
 
-			if err := failpoint.Enable(tc.site, "error(disk gone)"); err != nil {
-				t.Fatal(err)
-			}
+			restore := fsys.SetHook(fault(on(tc.op, "wal-", ".seg"), 0))
+			t.Cleanup(restore)
 			// The first write the fault hits gets an error; its outcome is
 			// the one indeterminate key.
 			failed := uint64(0)
 			for k := uint64(100); failed == 0; k++ {
 				if k > 120 {
-					t.Fatalf("%s never fired", tc.site)
+					t.Fatalf("the %s fault never fired", tc.name)
 				}
 				switch got := c.cmd(t, fmt.Sprintf("SET %d 1", k)); {
 				case got == "OK":
@@ -136,7 +181,7 @@ func TestLogFaultWedgesReadOnly(t *testing.T) {
 			}
 
 			// The wedge is sticky: a healthy disk does not clear it.
-			failpoint.DisableAll()
+			restore()
 			mustReply(t, c, "SET 501 5", "ERR READONLY ")
 			if err := srv.Shutdown(); err == nil {
 				t.Fatal("Shutdown of a wedged server reported a clean checkpoint")
@@ -160,19 +205,20 @@ func TestLogFaultWedgesReadOnly(t *testing.T) {
 // TestCheckpointFaultKeepsServing: an I/O error while writing a base or
 // the CHECKPOINT meta fails that one checkpoint. The server stays
 // writable, the previous meta and base stay published, the log stays
-// untruncated, the next checkpoint succeeds, and a kill after a later checkpoint has truncated
-// the log still recovers every acked write.
+// untruncated, the next checkpoint succeeds, and a kill after a later
+// checkpoint has truncated the log still recovers every acked write.
 func TestCheckpointFaultKeepsServing(t *testing.T) {
-	for _, tc := range []struct{ site, spec string }{
-		{"altdb/checkpoint/publish", "1*error(disk full)"},
-		{"snapio/flush", "1*error(disk full)"},
-		{"snapio/sync", "1*error(disk full)"},
-		{"snapio/rename", "1*error(disk full)"},
-		// Second snapio write of the checkpoint: the meta itself.
-		{"snapio/rename", "1*off->1*error(disk full)"},
+	for _, tc := range []struct {
+		name  string
+		match func(fsys.Call) bool
+	}{
+		{"base-write", on(fsys.OpWrite, "base-", ".tmp")},
+		{"base-sync", on(fsys.OpSync, "base-", ".tmp")},
+		{"base-rename", on(fsys.OpRename, "base-", ".tmp")},
+		{"meta-create", on(fsys.OpCreate, ckptMetaName, ".tmp")},
+		{"meta-rename", on(fsys.OpRename, ckptMetaName, ".tmp")},
 	} {
-		t.Run(tc.site+"/"+tc.spec, func(t *testing.T) {
-			defer failpoint.DisableAll()
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{WALSegmentBytes: 256}
 			srv, addr := startDurable(t, dir, cfg)
@@ -202,11 +248,9 @@ func TestCheckpointFaultKeepsServing(t *testing.T) {
 				t.Fatal(err)
 			}
 			logBefore := dirListing(t, filepath.Join(dir, "wal"))
-			if err := failpoint.Enable(tc.site, tc.spec); err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.dur.Checkpoint(); !errors.Is(err, failpoint.ErrInjected) {
-				t.Fatalf("checkpoint under %s = %v, want the injected error", tc.site, err)
+			t.Cleanup(fsys.SetHook(fault(tc.match, 1)))
+			if err := srv.dur.Checkpoint(); !errors.Is(err, errDisk) {
+				t.Fatalf("checkpoint under a %s fault = %v, want the injected error", tc.name, err)
 			}
 
 			// The previous meta and base stay published, the log whole.
@@ -246,5 +290,110 @@ func TestCheckpointFaultKeepsServing(t *testing.T) {
 			}
 			mustServe(t, c2, want, "after kill + restart")
 		})
+	}
+}
+
+// TestShutdownCheckpointCrash: a failed rename in the final checkpoint's
+// base write must surface from Shutdown and leave the previous generation
+// untouched — the server never replaces good data with a torn file on its
+// way down — and a restart recovers every acknowledged write from that
+// generation plus the log.
+func TestShutdownCheckpointCrash(t *testing.T) {
+	dir := t.TempDir()
+
+	// First generation: 50 keys, clean shutdown checkpoint.
+	srv1, addr1 := startDurable(t, dir, Config{})
+	c1 := dial(t, addr1)
+	for k := 1; k <= 50; k++ {
+		if got := c1.cmd(t, fmt.Sprintf("SET %d %d", k, k)); got != "OK" {
+			t.Fatal(got)
+		}
+	}
+	if err := srv1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	gen := readMeta(t, dir).Generation
+
+	// Second run: more data, but the shutdown checkpoint crashes.
+	srv2, addr2 := startDurable(t, dir, Config{})
+	c2 := dial(t, addr2)
+	if got := c2.cmd(t, "SET 999 1"); got != "OK" {
+		t.Fatal(got)
+	}
+	restore := fsys.SetHook(fault(func(c fsys.Call) bool { return c.Op == fsys.OpRename }, 0))
+	err := srv2.Shutdown()
+	restore()
+	if !errors.Is(err, errDisk) {
+		t.Fatalf("crashed shutdown checkpoint not surfaced: %v", err)
+	}
+
+	// The published generation is still the first one, fully intact.
+	if got := readMeta(t, dir).Generation; got != gen {
+		t.Fatalf("meta names generation %d after the crash, want %d", got, gen)
+	}
+	idx, err := altindex.Load(basePath(dir, gen), altindex.Options{})
+	if err != nil {
+		t.Fatalf("checkpoint unloadable after crashed shutdown: %v", err)
+	}
+	defer idx.Close()
+	if idx.Len() != 50 {
+		t.Fatalf("checkpoint holds %d keys, want 50", idx.Len())
+	}
+	if _, ok := idx.Get(999); ok {
+		t.Fatal("crashed shutdown leaked second-run data into the base")
+	}
+
+	// The log still holds the second run's write.
+	srv3, addr3 := startDurable(t, dir, Config{})
+	defer srv3.Shutdown()
+	c3 := dial(t, addr3)
+	if got := c3.cmd(t, "GET 999"); got != "VALUE 1" {
+		t.Fatalf("GET 999 after recovery = %q", got)
+	}
+	if got := c3.cmd(t, "LEN"); got != "VALUE 51" {
+		t.Fatalf("LEN after recovery = %q", got)
+	}
+}
+
+// TestCheckpointKeepsWritesMadeDuringPublish: a write acked while a
+// checkpoint publishes — its base already written, its meta not yet —
+// survives the next recovery. A seam hook stalls the meta's create to
+// hold the checkpoint in that window. The checkpoint after it moves the
+// recovery LSN past the write's record and truncates the log below it, so
+// only that base can carry the write.
+func TestCheckpointKeepsWritesMadeDuringPublish(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{WALSegmentBytes: 256}
+	srv, addr := startDurable(t, dir, cfg)
+	c := dial(t, addr)
+	for k := 1; k <= 50; k++ {
+		mustReply(t, c, fmt.Sprintf("SET %d %d", k, k), "OK")
+	}
+	hook, held := stall(on(fsys.OpCreate, ckptMetaName, ".tmp"), 300*time.Millisecond)
+	t.Cleanup(fsys.SetHook(hook))
+	published := make(chan error, 1)
+	go func() { published <- srv.dur.Checkpoint() }()
+	<-held
+	mustReply(t, c, "SET 7 777", "OK")
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	for k := 1000; k < 1020; k++ {
+		mustReply(t, c, fmt.Sprintf("SET %d 1", k), "OK")
+	}
+	if err := srv.dur.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	c.conn.Close()
+	kill(srv)
+
+	srv2, addr2 := startDurable(t, dir, cfg)
+	defer srv2.Shutdown()
+	c2 := dial(t, addr2)
+	if st := stats(t, c2); st["replayed_records"] > 10 {
+		t.Fatalf("replayed %d records: the log was not truncated, so this run proves nothing about the base", st["replayed_records"])
+	}
+	if got := c2.cmd(t, "GET 7"); got != "VALUE 777" {
+		t.Fatalf("GET 7 after recovery = %q, want the value acked during the publish", got)
 	}
 }

@@ -13,10 +13,12 @@
 //  4. rename over the destination (atomic on POSIX),
 //  5. fsync the directory (the rename itself durable).
 //
-// On any failure WriteFile leaves the temp file behind on purpose: an
-// injected failure is then byte-identical on disk to a real crash at that
-// point, which is what the chaos suite relies on. A stale .tmp never
-// shadows the real snapshot — readers only ever open the destination path.
+// WriteFile returns nil only once all five steps have: its caller may
+// then depend on the new file surviving power loss. Every call that
+// changes the disk goes through internal/fsys. On any failure WriteFile
+// leaves the temp file behind, as a crash at that point would; a stale
+// .tmp never shadows the real snapshot — readers only ever open the
+// destination path.
 //
 // ReadFile verifies length and checksum before handing back the payload,
 // so truncation and bit rot surface as ErrCorrupt instead of garbage.
@@ -33,21 +35,12 @@ import (
 	"os"
 	"path/filepath"
 
-	"altindex/internal/failpoint"
+	"altindex/internal/fsys"
 )
 
 // ErrCorrupt reports a snapshot file that is truncated, torn or bit-rotted
 // (missing or mismatched CRC footer).
 var ErrCorrupt = errors.New("snapio: corrupt or truncated snapshot file")
-
-// Failpoint sites: each simulates a crash at one edge of the write
-// sequence above. Armed with an error action they abort WriteFile exactly
-// where a real crash would, leaving the same on-disk state.
-var (
-	fpFlush  = failpoint.New("snapio/flush")  // after payload, before footer+flush
-	fpSync   = failpoint.New("snapio/sync")   // after flush, before fsync
-	fpRename = failpoint.New("snapio/rename") // after fsync, before rename
-)
 
 // crcWriter tees writes into a running CRC32.
 type crcWriter struct {
@@ -68,67 +61,38 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // guarantees; on error the destination is untouched.
 func WriteFile(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
-	// On failure the temp file is deliberately left in place (see the
-	// package comment); only the descriptor is cleaned up.
-	cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<16), h: crc32.NewIEEE()}
-	if err := write(cw); err != nil {
-		f.Close()
-		return err
+	// On failure the temp file stays (see the package comment); only the
+	// descriptor is cleaned up.
+	bw := bufio.NewWriterSize(f, 1<<16)
+	cw := &crcWriter{w: bw, h: crc32.NewIEEE()}
+	err = write(cw)
+	if err == nil {
+		// Footer: payload length then CRC, both outside the checksummed span.
+		var footer [12]byte
+		binary.LittleEndian.PutUint64(footer[0:], uint64(cw.n))
+		binary.LittleEndian.PutUint32(footer[8:], cw.h.Sum32())
+		_, err = bw.Write(footer[:])
 	}
-	if err := fpFlush.InjectErr(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = bw.Flush()
 	}
-	// Footer: payload length then CRC, both outside the checksummed span.
-	var footer [12]byte
-	binary.LittleEndian.PutUint64(footer[0:], uint64(cw.n))
-	binary.LittleEndian.PutUint32(footer[8:], cw.h.Sum32())
-	if _, err := cw.w.Write(footer[:]); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := cw.w.(*bufio.Writer).Flush(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := fpSync.InjectErr(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fpRename.InjectErr(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	SyncDir(filepath.Dir(path))
-	return nil
-}
-
-// SyncDir makes directory mutations durable: a completed rename here, a
-// segment's create or delete in internal/wal. Best effort: some
-// filesystems refuse fsync on directories, and by this point the file is
-// already consistent (worst case the rename replays to the old name after
-// power loss, which the failure model allows). Whether a dropped error
-// should fail the caller is ROADMAP item 15's open question.
-func SyncDir(dir string) {
-	d, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	_ = d.Sync()
-	_ = d.Close()
+	if err := fsys.Rename(tmp, path); err != nil {
+		return err
+	}
+	return fsys.SyncPath(filepath.Dir(path))
 }
 
 // ReadFile reads path and verifies the CRC32 footer, returning the payload

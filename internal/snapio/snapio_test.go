@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"altindex/internal/failpoint"
+	"altindex/internal/fsys"
 )
 
 func writeBytes(b []byte) func(io.Writer) error {
@@ -92,26 +92,45 @@ func TestWriterErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestCrashAtEverySite injects a failure at each write-sequence edge and
-// checks the crash contract: the previous snapshot stays readable, the temp
-// file (the simulated crash residue) never shadows it, and a clean retry
-// fully recovers.
+var errCrash = errors.New("crash")
+
+// failNth fails the nth call of op (from 1) through the file-system seam
+// until the test ends or the returned func is called.
+func failNth(t *testing.T, op fsys.Op, n int) (restore func()) {
+	seen := 0
+	restore = fsys.SetHook(func(c fsys.Call) error {
+		if c.Op == op {
+			if seen++; seen == n {
+				return errCrash
+			}
+		}
+		return nil
+	})
+	t.Cleanup(restore)
+	return restore
+}
+
+// TestCrashAtEverySite fails each call of the write sequence that can
+// fail after the temp file exists — the flush's write, the fsync, the
+// rename — and checks the crash contract: the previous snapshot stays
+// readable, the temp file (the crash residue) never shadows it, and a
+// clean retry fully recovers.
 func TestCrashAtEverySite(t *testing.T) {
-	for _, site := range []string{"snapio/flush", "snapio/sync", "snapio/rename"} {
-		t.Run(filepath.Base(site), func(t *testing.T) {
-			defer failpoint.DisableAll()
+	for _, tc := range []struct {
+		name string
+		op   fsys.Op
+	}{{"flush", fsys.OpWrite}, {"sync", fsys.OpSync}, {"rename", fsys.OpRename}} {
+		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "x.snap")
 			v1 := []byte("version-1 payload")
 			if err := WriteFile(path, writeBytes(v1)); err != nil {
 				t.Fatal(err)
 			}
-			if err := failpoint.Enable(site, "error(crash)"); err != nil {
-				t.Fatal(err)
-			}
+			restore := failNth(t, tc.op, 1)
 			v2 := bytes.Repeat([]byte("version-2"), 1000)
 			err := WriteFile(path, writeBytes(v2))
-			if !errors.Is(err, failpoint.ErrInjected) {
-				t.Fatalf("injected crash not surfaced: %v", err)
+			if !errors.Is(err, errCrash) {
+				t.Fatalf("failed %s not surfaced: %v", tc.name, err)
 			}
 			// Crash residue: destination still the previous snapshot.
 			got, err := ReadFile(path)
@@ -123,7 +142,7 @@ func TestCrashAtEverySite(t *testing.T) {
 			if _, statErr := os.Stat(path + ".tmp"); statErr != nil {
 				t.Fatalf("crash residue missing: %v", statErr)
 			}
-			failpoint.Disable(site)
+			restore()
 			if err := WriteFile(path, writeBytes(v2)); err != nil {
 				t.Fatal(err)
 			}
@@ -138,13 +157,12 @@ func TestCrashAtEverySite(t *testing.T) {
 // that, if ever read as a snapshot, fails verification rather than parsing
 // as stale data.
 func TestCrashResidueUnreadable(t *testing.T) {
-	defer failpoint.DisableAll()
 	path := filepath.Join(t.TempDir(), "x.snap")
-	if err := failpoint.Enable("snapio/flush", "error(crash)"); err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("p"), 1<<17) // > one bufio flush, so bytes reach disk
-	if err := WriteFile(path, writeBytes(payload)); !errors.Is(err, failpoint.ErrInjected) {
+	// The payload is over one buffer, so it reaches the file in a first
+	// write; the second, the footer's flush, fails.
+	failNth(t, fsys.OpWrite, 2)
+	payload := bytes.Repeat([]byte("p"), 1<<17)
+	if err := WriteFile(path, writeBytes(payload)); !errors.Is(err, errCrash) {
 		t.Fatalf("err = %v", err)
 	}
 	if fi, err := os.Stat(path + ".tmp"); err != nil || fi.Size() == 0 {

@@ -1,5 +1,3 @@
-//go:build failpoint
-
 package wal
 
 import (
@@ -7,19 +5,35 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"altindex/internal/failpoint"
+	"altindex/internal/fsys"
 )
 
-// TestInjectedWriteFailureWedgesLog: an error injected at any commit-path
-// site must wedge the log — the failing commit and every later one return
-// an error, so the engine above can never ack a write whose record was
-// dropped. The records committed before the failure stay replayable.
-func TestInjectedWriteFailureWedgesLog(t *testing.T) {
-	for _, site := range []string{"wal/append", "wal/sync"} {
-		t.Run(site, func(t *testing.T) {
-			defer failpoint.DisableAll()
+var errDiskGone = errors.New("disk gone")
+
+// failCalls fails, through the file-system seam, every call of op after
+// the first skip ones, until the test ends or the returned func is called.
+func failCalls(t *testing.T, op fsys.Op, skip int64) (restore func()) {
+	var seen atomic.Int64
+	restore = fsys.SetHook(func(c fsys.Call) error {
+		if c.Op == op && seen.Add(1) > skip {
+			return errDiskGone
+		}
+		return nil
+	})
+	t.Cleanup(restore)
+	return restore
+}
+
+// TestWriteFaultWedgesLog: a failed segment write or fsync wedges the
+// log — the failing commit and every later one return an error, so the
+// engine above can never ack a write whose record was dropped. The
+// records committed before the failure stay replayable.
+func TestWriteFaultWedgesLog(t *testing.T) {
+	for name, op := range map[string]fsys.Op{"write": fsys.OpWrite, "sync": fsys.OpSync} {
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			l := openT(t, dir, Options{Sync: SyncAlways})
 			for i := 0; i < 10; i++ {
@@ -27,13 +41,11 @@ func TestInjectedWriteFailureWedgesLog(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := failpoint.Enable(site, "error(disk gone)"); err != nil {
-				t.Fatal(err)
+			restore := failCalls(t, op, 0)
+			if _, err := l.Commit([]byte("doomed")); !errors.Is(err, errDiskGone) {
+				t.Fatalf("commit across a failed %s = %v, want the fault", name, err)
 			}
-			if _, err := l.Commit([]byte("doomed")); err == nil {
-				t.Fatal("commit succeeded across an injected write failure")
-			}
-			failpoint.Disable(site)
+			restore()
 			if _, err := l.Commit([]byte("after")); err == nil {
 				t.Fatal("wedged log accepted a new commit")
 			}
@@ -57,17 +69,15 @@ func TestInjectedWriteFailureWedgesLog(t *testing.T) {
 	}
 }
 
-// TestInjectedRotateFailure: a rotation that fails mid-way wedges the log
-// rather than splitting history across a half-created segment.
-func TestInjectedRotateFailure(t *testing.T) {
-	defer failpoint.DisableAll()
+// TestRotateFaultWedgesLog: a rotation whose new segment cannot be
+// created wedges the log rather than splitting history across a
+// half-created segment.
+func TestRotateFaultWedgesLog(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{SegmentBytes: 128})
-	if err := failpoint.Enable("wal/rotate", "2*off->error(rotate died)"); err != nil {
-		t.Fatal(err)
-	}
-	// Keep committing until the rotation site trips (Open consumed no
-	// rotate hits; the first in-flight rotation is hit #2).
+	restore := failCalls(t, fsys.OpCreate, 0)
+	// Keep committing until a rotation is due (the first commit fits in
+	// the segment Open created).
 	var failedAt int
 	for i := 0; i < 100; i++ {
 		if _, err := l.Commit(bytes.Repeat([]byte{2}, 60)); err != nil {
@@ -82,7 +92,7 @@ func TestInjectedRotateFailure(t *testing.T) {
 		t.Fatal("wedged log accepted a commit after rotate failure")
 	}
 	l.Close()
-	failpoint.DisableAll()
+	restore()
 
 	l2 := openT(t, dir, Options{})
 	defer l2.Close()
@@ -95,10 +105,9 @@ func TestInjectedRotateFailure(t *testing.T) {
 	}
 }
 
-// TestInjectedTruncateFailure: a truncation interrupted between segment
-// deletions leaves a clean prefix-removed state that reopens fine.
-func TestInjectedTruncateFailure(t *testing.T) {
-	defer failpoint.DisableAll()
+// TestTruncateFaultLeavesSuffix: a truncation that fails between segment
+// removals leaves a clean prefix-removed state that reopens fine.
+func TestTruncateFaultLeavesSuffix(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{SegmentBytes: 128})
 	const n = 40
@@ -110,13 +119,11 @@ func TestInjectedTruncateFailure(t *testing.T) {
 	if l.Stats().Segments < 4 {
 		t.Fatalf("need ≥4 segments, have %d", l.Stats().Segments)
 	}
-	if err := failpoint.Enable("wal/truncate", "1*off->error(truncate died)"); err != nil {
-		t.Fatal(err)
-	}
+	restore := failCalls(t, fsys.OpRemove, 1)
 	err := l.TruncateBelow(uint64(n))
-	failpoint.Disable("wal/truncate")
-	if err == nil {
-		t.Fatal("injected truncate failure not surfaced")
+	restore()
+	if !errors.Is(err, errDiskGone) {
+		t.Fatalf("failed removal not surfaced: %v", err)
 	}
 	l.Close()
 
@@ -139,12 +146,9 @@ func TestInjectedTruncateFailure(t *testing.T) {
 // TestWedgeUnblocksConcurrentWaiters: writers parked in WaitDurable when
 // the disk dies must all wake with the error instead of hanging.
 func TestWedgeUnblocksConcurrentWaiters(t *testing.T) {
-	defer failpoint.DisableAll()
 	l := openT(t, t.TempDir(), Options{Sync: SyncAlways})
 	defer l.Close()
-	if err := failpoint.Enable("wal/sync", "error(dead disk)"); err != nil {
-		t.Fatal(err)
-	}
+	failCalls(t, fsys.OpSync, 0)
 	var wg sync.WaitGroup
 	errs := make([]error, 16)
 	for i := range errs {
@@ -156,11 +160,8 @@ func TestWedgeUnblocksConcurrentWaiters(t *testing.T) {
 	}
 	wg.Wait()
 	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("writer %d was acked by a wedged log", i)
-		}
-		if !errors.Is(err, failpoint.ErrInjected) {
-			t.Fatalf("writer %d got %v, want the injected failure", i, err)
+		if !errors.Is(err, errDiskGone) {
+			t.Fatalf("writer %d got %v, want the disk fault", i, err)
 		}
 	}
 }

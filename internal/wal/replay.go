@@ -13,11 +13,13 @@ import (
 )
 
 // Tail is what Read found in a log directory: the directory, its valid
-// segments, the last valid seq (0 = none), the torn bytes the read
-// skipped and the records it delivered. Tail.Open starts a log on it.
+// segments, the first seq its oldest segment is named for and the last
+// valid seq (both 0 = no segment), the torn bytes the read skipped and the
+// records it delivered. Tail.Open starts a log on it.
 type Tail struct {
 	dir       string
 	segs      []segMeta
+	FirstSeq  uint64
 	LastSeq   uint64
 	TornBytes int64
 	Records   int
@@ -27,20 +29,30 @@ type Tail struct {
 // passes every record with seq > after, in order, to fn (nil: none). The
 // rules:
 //
-//   - segments must form one dense sequence: each segment's header
-//     firstSeq equals the previous segment's last valid seq + 1;
+//   - segments must form one dense sequence: each segment's firstSeq
+//     equals the previous segment's last valid seq + 1;
 //   - a torn tail (short frame, impossible length, CRC mismatch, or a
 //     partially-written segment header) is tolerated at the point where a
 //     crash could have left it — the end of any segment — iff the next
 //     segment, when one exists, continues the sequence exactly (that is
 //     the crash-then-rotate-on-recovery shape). The torn bytes are
-//     counted, never parsed;
+//     counted, never parsed. A segment with a torn header holds no record
+//     but stands where its name says: the last seq is at least its
+//     firstSeq-1, so a log reopened over it never numbers below it;
 //   - a valid frame whose seq breaks the sequence, a foreign file, or a
 //     gap between segments is ErrCorrupt: better to refuse startup than
 //     to silently drop acked history.
 func scan(segs []segMeta, after uint64, fn func(seq uint64, payload []byte) error) (Tail, error) {
 	var c Tail
 	for i, sm := range segs {
+		if sm.firstSeq == 0 {
+			return c, fmt.Errorf("%w: %s is named for seq 0, which no log assigns", ErrCorrupt, sm.path)
+		}
+		if i == 0 {
+			c.FirstSeq, c.LastSeq = sm.firstSeq, sm.firstSeq-1
+		} else if sm.firstSeq != c.LastSeq+1 {
+			return c, fmt.Errorf("%w: %s starts at seq %d, want %d (missing segment?)", ErrCorrupt, sm.path, sm.firstSeq, c.LastSeq+1)
+		}
 		res, err := scanSegment(sm.path)
 		if err != nil {
 			return c, err
@@ -56,9 +68,6 @@ func scan(segs []segMeta, after uint64, fn func(seq uint64, payload []byte) erro
 		}
 		if res.firstSeq != sm.firstSeq {
 			return c, fmt.Errorf("%w: %s header says first seq %d, name says %d", ErrCorrupt, sm.path, res.firstSeq, sm.firstSeq)
-		}
-		if i > 0 && res.firstSeq != c.LastSeq+1 {
-			return c, fmt.Errorf("%w: %s starts at seq %d, want %d (missing segment?)", ErrCorrupt, sm.path, res.firstSeq, c.LastSeq+1)
 		}
 		c.LastSeq = res.firstSeq + uint64(res.count) - 1
 		c.TornBytes += res.tornBytes

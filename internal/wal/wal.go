@@ -27,21 +27,17 @@
 // at the end of any segment is skipped iff the next segment continues the
 // sequence exactly; any other gap is corruption and refuses to load.
 //
-// # Opening
-//
-// Read is the one reader of a log directory: it validates the chain,
-// streams the records above an LSN and returns the Tail it found,
-// changing no file. Tail.Open starts a log on that Tail without reading
-// any segment again, so every refusal is Read's. Open is Read followed by
-// Tail.Open, for callers that replay through the opened log instead.
-//
 // # Failure model
 //
-// The process can die at any instruction (the crash-matrix harness kills
-// it at every site below with a real SIGKILL). The guarantees:
+// The process can die at any instruction and the machine can lose power
+// between any two calls that change the disk; every such call goes
+// through internal/fsys, whose calls the crash-state enumerator in
+// internal/server records to build each image a crash can leave. The
+// guarantees:
 //
 //   - a record whose WaitDurable returned nil under SyncAlways survives
-//     any crash (it was fsynced before the wait was released);
+//     any crash: its bytes were fsynced, and so was its segment's
+//     directory entry, before the wait was released;
 //   - under SyncInterval/SyncNone, WaitDurable returns once the record is
 //     written to the OS, so an acked record survives process death
 //     (kill -9) but up to Interval (or arbitrarily much) may be lost to
@@ -51,15 +47,6 @@
 //   - any write or fsync error wedges the log: every subsequent Append
 //     and WaitDurable fails, so an engine can never ack a write the log
 //     silently dropped.
-//
-// Failpoint sites (armed by the chaos suites and crash matrix):
-//
-//	wal/append    committer, before the batch write — pending records are
-//	              only in process memory (none of them acked)
-//	wal/sync      committer, after fsync, before waiters are released —
-//	              records durable but unacked
-//	wal/rotate    between finishing one segment and creating the next
-//	wal/truncate  between successive segment deletions in TruncateBelow
 package wal
 
 import (
@@ -73,8 +60,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"altindex/internal/failpoint"
-	"altindex/internal/snapio"
+	"altindex/internal/fsys"
 )
 
 // SyncPolicy selects the commit point of WaitDurable.
@@ -128,8 +114,7 @@ type Options struct {
 	// Interval is the fsync cadence under SyncInterval (default 50ms).
 	Interval time.Duration
 	// SegmentBytes rotates to a new segment once the current one exceeds
-	// this size (default 64 MiB). Small values are for tests and the
-	// crash matrix, which need rotation to actually happen.
+	// this size (default 64 MiB); tests set small values to rotate.
 	SegmentBytes int64
 }
 
@@ -179,14 +164,6 @@ const (
 
 var segMagic = [8]byte{'A', 'L', 'T', 'W', 'A', 'L', '0', '1'}
 
-// Failpoint sites — see the package comment for placement semantics.
-var (
-	fpAppend   = failpoint.New("wal/append")
-	fpSync     = failpoint.New("wal/sync")
-	fpRotate   = failpoint.New("wal/rotate")
-	fpTruncate = failpoint.New("wal/truncate")
-)
-
 // segMeta is one on-disk segment: its path and the first sequence number
 // it holds (from its header/filename).
 type segMeta struct {
@@ -221,7 +198,7 @@ type Log struct {
 	lastSync  time.Time
 
 	// Committer-owned segment state (no lock: single goroutine).
-	seg     *os.File
+	seg     *fsys.File
 	segSize int64
 
 	work chan struct{}
@@ -236,11 +213,9 @@ type Log struct {
 	stTruncations atomic.Int64
 }
 
-// Open is Read(dir, 0, nil) and then Tail.Open: it validates dir's
-// record chain, rotates to a fresh segment and starts the committer. Use
-// Replay before appending to recover state, then append freely. Torn
-// tails left by a crash are tolerated and reported in
-// Stats().TruncatedTailBytes; any other inconsistency returns ErrCorrupt.
+// Open is Read(dir, 0, nil) and then Tail.Open. Use Replay before
+// appending to recover state, then append freely; torn tails are reported
+// in Stats().TruncatedTailBytes, any other inconsistency is ErrCorrupt.
 func Open(dir string, opts Options) (*Log, error) {
 	t, err := Read(dir, 0, nil)
 	if err != nil {
@@ -250,23 +225,29 @@ func Open(dir string, opts Options) (*Log, error) {
 }
 
 // Open starts a log on the chain Read found, reading no segment: it
-// creates the directory if it is missing, rotates to a fresh segment at
-// LastSeq+1 and starts the committer. Replay then scans exactly the
-// tail's segments, so records appended after Open are never replayed.
-// It judges nothing the read did not; its errors are I/O errors.
+// creates the directory if it is missing, fsyncs the segment holding
+// LastSeq, rotates to a fresh segment at LastSeq+1 and starts the
+// committer. Replay then scans exactly the tail's segments, so records
+// appended after Open are never replayed. It judges nothing the read did
+// not; its errors are I/O errors.
 func (t Tail) Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(t.dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(t.dir); err != nil {
 		return nil, err
 	}
-	// A previous generation may have left a segment holding no valid
-	// records (a clean close right after rotation, or a tail torn before
-	// the first record landed). The fresh active segment reuses its name
-	// via O_TRUNC, so drop the stale entry rather than tracking the same
-	// file twice — a duplicate would let TruncateBelow delete the active
-	// segment out from under the committer.
+	// A segment holding no record (a close right after a rotation, or a
+	// crash before its first record) is reused by the new one via O_TRUNC;
+	// tracking it twice would let TruncateBelow delete the active one.
 	if n := len(t.segs); n > 0 && t.segs[n-1].firstSeq == t.LastSeq+1 {
 		t.segs = t.segs[:n-1]
+	}
+	// A killed process may have left the records Read found in the page
+	// cache only. They are made durable before a segment can follow them,
+	// or a power loss could leave a gap below the new segment.
+	if n := len(t.segs); n > 0 {
+		if err := fsys.SyncPath(t.segs[n-1].path); err != nil {
+			return nil, err
+		}
 	}
 	l := &Log{
 		tail:    t,
@@ -274,7 +255,7 @@ func (t Tail) Open(opts Options) (*Log, error) {
 		segs:    append([]segMeta(nil), t.segs...),
 		nextSeq: t.LastSeq + 1,
 		written: t.LastSeq,
-		durable: t.LastSeq, // everything pre-crash is as durable as it gets
+		durable: t.LastSeq, // synced above
 		work:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		dead:    make(chan struct{}),
@@ -420,18 +401,17 @@ func (l *Log) TruncateBelow(keepFrom uint64) error {
 		l.segs = l.segs[1:]
 	}
 	l.mu.Unlock()
+	// Oldest first, each removal durable before the next: a power loss
+	// then undoes at most the newest one, and the segments left still
+	// form one chain.
 	for _, s := range drop {
-		fpTruncate.Inject()
-		if err := fpTruncate.InjectErr(); err != nil {
+		if err := fsys.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
-		if err := os.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := fsys.SyncPath(l.tail.dir); err != nil {
 			return err
 		}
 		l.stTruncations.Add(1)
-	}
-	if len(drop) > 0 {
-		snapio.SyncDir(l.tail.dir)
 	}
 	return nil
 }
@@ -508,12 +488,11 @@ func appendFrame(buf []byte, seq uint64, payload []byte) []byte {
 
 func (l *Log) committer() {
 	defer close(l.dead)
-	var tick *time.Ticker
 	var tickC <-chan time.Time
 	if l.opts.Sync == SyncInterval {
-		tick = time.NewTicker(l.opts.Interval)
-		tickC = tick.C
+		tick := time.NewTicker(l.opts.Interval)
 		defer tick.Stop()
+		tickC = tick.C
 	}
 	for {
 		select {
@@ -526,14 +505,9 @@ func (l *Log) committer() {
 			// durable, then the segment is closed.
 			l.flush(true)
 			if l.seg != nil {
-				if err := l.seg.Sync(); err != nil {
-					l.wedge(err)
-				}
-				l.stFsyncs.Add(1)
 				if err := l.seg.Close(); err != nil {
 					l.wedge(err)
 				}
-				l.seg = nil
 			}
 			return
 		}
@@ -561,7 +535,7 @@ func (l *Log) flush(final bool) {
 	l.forceSync = false
 	l.cmu.Unlock()
 
-	if len(batch) == 0 && !force {
+	if len(batch) == 0 && !force && !final {
 		return
 	}
 
@@ -571,14 +545,6 @@ func (l *Log) flush(final bool) {
 				l.wedge(err)
 				return
 			}
-		}
-		// Crash point: the batch exists only in process memory. None of
-		// its records has been acked (their waiters are parked), so a kill
-		// here loses only unacked work.
-		fpAppend.Inject()
-		if err := fpAppend.InjectErr(); err != nil {
-			l.wedge(err)
-			return
 		}
 		if _, err := l.seg.Write(batch); err != nil {
 			l.wedge(err)
@@ -608,13 +574,6 @@ func (l *Log) flush(final bool) {
 	}
 	l.stFsyncs.Add(1)
 	l.lastSync = time.Now()
-	// Crash point: records are on disk but their acks have not been
-	// released — the audit must find every one of them after recovery.
-	fpSync.Inject()
-	if err := fpSync.InjectErr(); err != nil {
-		l.wedge(err)
-		return
-	}
 	l.cmu.Lock()
 	if l.written > l.durable {
 		l.durable = l.written
@@ -626,10 +585,6 @@ func (l *Log) flush(final bool) {
 // rotateActive finishes the current segment (fsync, close) and opens a
 // fresh one whose first record will be firstSeq.
 func (l *Log) rotateActive(firstSeq uint64) error {
-	fpRotate.Inject()
-	if err := fpRotate.InjectErr(); err != nil {
-		return err
-	}
 	if l.seg != nil {
 		if err := l.seg.Sync(); err != nil {
 			return err
@@ -648,25 +603,27 @@ func (l *Log) rotateActive(firstSeq uint64) error {
 // (committer goroutine).
 func (l *Log) rotate(firstSeq uint64) error {
 	path := filepath.Join(l.tail.dir, fmt.Sprintf("%s%016x%s", segPrefix, firstSeq, segSuffix))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.Create(path)
 	if err != nil {
 		return err
 	}
 	var hdr [segHeaderSize]byte
 	copy(hdr[:8], segMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], firstSeq)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return err
-	}
 	// The header is durable before any record can land in it, and the
 	// directory entry before any ack can depend on it.
-	if err := f.Sync(); err != nil {
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		err = f.Sync()
+		l.stFsyncs.Add(1)
+	}
+	if err == nil {
+		err = fsys.SyncPath(l.tail.dir)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
-	l.stFsyncs.Add(1)
-	snapio.SyncDir(l.tail.dir)
 	l.seg = f
 	l.segSize = segHeaderSize
 	l.mu.Lock()

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"altindex/internal/failpoint"
+	"altindex/internal/fsys"
 	"altindex/internal/index"
 	"altindex/internal/shard"
 	"altindex/internal/xrand"
@@ -220,9 +220,12 @@ func TestIndexSnapshotEmpty(t *testing.T) {
 	}
 }
 
+// TestIndexSnapshotCrashSafety fails Save's flush write, fsync and rename
+// in turn through the file-system seam: each time the previous snapshot
+// stays loadable and holds nothing the failed Save walked.
 func TestIndexSnapshotCrashSafety(t *testing.T) {
-	for _, site := range []string{"snapio/flush", "snapio/sync", "snapio/rename"} {
-		defer failpoint.DisableAll()
+	errCrash := errors.New("kill -9")
+	for site, op := range map[string]fsys.Op{"write": fsys.OpWrite, "sync": fsys.OpSync, "rename": fsys.OpRename} {
 		path := filepath.Join(t.TempDir(), "idx.snap")
 		idx := NewDefault()
 		for k := uint64(1); k <= 5000; k++ {
@@ -236,13 +239,17 @@ func TestIndexSnapshotCrashSafety(t *testing.T) {
 		if err := idx.Insert(999999, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := failpoint.Enable(site, "error(kill -9)"); err != nil {
-			t.Fatal(err)
-		}
-		if err := Save(idx, path); !errors.Is(err, failpoint.ErrInjected) {
+		restore := fsys.SetHook(func(c fsys.Call) error {
+			if c.Op == op {
+				return errCrash
+			}
+			return nil
+		})
+		err := Save(idx, path)
+		restore()
+		if !errors.Is(err, errCrash) {
 			t.Fatalf("%s: injected crash not surfaced: %v", site, err)
 		}
-		failpoint.Disable(site)
 		prev, err := Load(path, Options{})
 		if err != nil {
 			t.Fatalf("%s: previous checkpoint unloadable: %v", site, err)
