@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"altindex/internal/art"
+	"altindex/internal/failpoint"
 	"altindex/internal/index"
 )
 
@@ -438,7 +439,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 			if !e.acquire(s, meta) {
 				return false
 			}
-			fpInsertLocked.Inject()
+			failpoint.Hit("core/insert/locked")
 			e.valRef(s).Store(value)
 			e.release(s, meta, slotOccupied)
 			return true
@@ -452,7 +453,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		if !e.acquire(s, meta) {
 			return false
 		}
-		fpInsertLocked.Inject()
+		failpoint.Hit("core/insert/locked")
 		// A key new to ART merges its fingerprint into the slot's conflict
 		// tag, in the release that publishes it after the tree insert. An
 		// upsert of an ART key is in the tag already, from the build or
@@ -478,7 +479,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		if !e.acquire(s, meta) {
 			return false
 		}
-		fpInsertLocked.Inject()
+		failpoint.Hit("core/insert/locked")
 		e.keyRef(s).Store(key)
 		e.valRef(s).Store(value)
 		e.release(s, meta, slotOccupied)
@@ -495,7 +496,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		if !e.acquire(s, meta) {
 			return false
 		}
-		fpInsertLocked.Inject()
+		failpoint.Hit("core/insert/locked")
 		if inART && t.tree.Update(key, value) {
 			e.release(s, meta, slotTomb)
 			return true

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"altindex/internal/art"
+	"altindex/internal/failpoint"
 	"altindex/internal/index"
 	"altindex/internal/prefetch"
 )
@@ -125,7 +126,7 @@ func loadGroups(ts []*ALT, n int) *chunkScratch {
 	for _, t := range ts {
 		g.tabs = append(g.tabs, t.tab.Load())
 	}
-	fpBatchReload.Inject()
+	failpoint.Hit("core/batch/reload")
 	return g
 }
 

@@ -20,9 +20,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"altindex/internal/dataset"
-	"altindex/internal/failpoint"
 	"altindex/internal/index"
 	"altindex/internal/indextest"
 	"altindex/internal/xrand"
@@ -105,10 +105,10 @@ func auditALT(idx *ALT, want map[uint64]uint64) []string {
 }
 
 // chaosConfig describes one chaos scenario: which sites are armed with
-// which specs while the workload runs.
+// which schedule while the workload runs.
 type chaosConfig struct {
 	name  string
-	specs map[string]string
+	sched indextest.Schedule
 	// mustFire lists sites whose hit counter must be positive after the
 	// run, proving the scenario exercised its target window.
 	mustFire []string
@@ -122,8 +122,8 @@ type chaosConfig struct {
 }
 
 // runChaosWorkload drives writers+readers over a bulkloaded index with the
-// given failpoints armed, quiesces, and returns the index plus the exact
-// expected final state.
+// given failpoints armed, quiesces, checks that every mustFire site fired,
+// and returns the index plus the exact expected final state.
 //
 // Determinism of the expectation: the key grid is partitioned by writer
 // (grid index mod writers), so every key has exactly one writer and its
@@ -162,12 +162,8 @@ func runChaosWorkload(t *testing.T, cfg chaosConfig) (*ALT, map[uint64]uint64) {
 		t.Fatal(err)
 	}
 
-	for site, spec := range cfg.specs {
-		if err := failpoint.Enable(site, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer failpoint.DisableAll()
+	hits, disarm := indextest.Arm(t, cfg.sched)
+	defer disarm()
 
 	type finalState struct {
 		val  uint64
@@ -289,11 +285,16 @@ func runChaosWorkload(t *testing.T, cfg chaosConfig) (*ALT, map[uint64]uint64) {
 
 	// Drain the asynchronous retraining pipeline so the audit observes a
 	// settled index, not a mid-rebuild one. The failpoints stay armed
-	// through the drain (the deferred DisableAll disarms them at return):
+	// through the drain (the deferred disarm runs at return):
 	// on a small box the pipeline may only get scheduled once writers
 	// stop, so rebuild-side sites fire during Quiesce — disarming earlier
 	// would make mustFire miss exactly the runs it exists to prove.
 	idx.Quiesce()
+	for _, site := range cfg.mustFire {
+		if hits(site) == 0 {
+			t.Errorf("site %s never fired; scenario did not exercise its window", site)
+		}
+	}
 
 	// Merge expected state: bulkload baseline, then each writer's final
 	// word on the keys it owns.
@@ -322,20 +323,24 @@ func TestChaosProtocol(t *testing.T) {
 			// Retrain storm: every freeze and publish window stretched
 			// while writers force frequent rebuilds (RetrainMinInserts=192).
 			name: "retrain-storm",
-			specs: map[string]string{
-				"core/retrain/freeze":  "delay(50us)",
-				"core/retrain/publish": "delay(50us)",
-				"core/fpbuf/register":  "yield",
+			sched: indextest.Schedule{
+				"core/retrain/freeze":  func(int64) { time.Sleep(50 * time.Microsecond) },
+				"core/retrain/publish": func(int64) { time.Sleep(50 * time.Microsecond) },
+				"core/fpbuf/register":  func(int64) { runtime.Gosched() },
 			},
 			mustFire: []string{"core/retrain/freeze", "core/retrain/publish"},
 		},
 		{
-			// Descheduled writers: a fraction of slot critical sections
-			// yield or stall mid-seqlock, forcing reader retry loops and
-			// the full backoff path.
+			// Descheduled writers: every 50th slot critical section stalls
+			// mid-seqlock, forcing reader retry loops and the full backoff
+			// path.
 			name: "descheduled-writers",
-			specs: map[string]string{
-				"core/insert/locked": "2%delay(50us)",
+			sched: indextest.Schedule{
+				"core/insert/locked": func(n int64) {
+					if n%50 == 0 {
+						time.Sleep(50 * time.Microsecond)
+					}
+				},
 			},
 			mustFire: []string{"core/insert/locked"},
 		},
@@ -343,9 +348,9 @@ func TestChaosProtocol(t *testing.T) {
 			// Stale-table batches: batched operations pause after loading
 			// the model table, so retraining replaces it mid-batch.
 			name: "stale-batch-table",
-			specs: map[string]string{
-				"core/batch/reload":    "delay(100us)",
-				"core/retrain/publish": "yield",
+			sched: indextest.Schedule{
+				"core/batch/reload":    func(int64) { time.Sleep(100 * time.Microsecond) },
+				"core/retrain/publish": func(int64) { runtime.Gosched() },
 			},
 			mustFire: []string{"core/batch/reload"},
 		},
@@ -355,9 +360,9 @@ func TestChaosProtocol(t *testing.T) {
 			// proves dropped triggers are deferred, never lost — and the
 			// check proves the overflow path actually ran.
 			name: "retrain-overflow",
-			specs: map[string]string{
-				"core/retrain/enqueue": "delay(100us)",
-				"core/retrain/freeze":  "delay(2ms)",
+			sched: indextest.Schedule{
+				"core/retrain/enqueue": func(int64) { time.Sleep(100 * time.Microsecond) },
+				"core/retrain/freeze":  func(int64) { time.Sleep(2 * time.Millisecond) },
 			},
 			mustFire: []string{"core/retrain/enqueue"},
 			opts:     &Options{ErrorBound: 16, RetrainMinInserts: 32},
@@ -386,9 +391,9 @@ func TestChaosProtocol(t *testing.T) {
 			// an absorbable placeholder meanwhile) and against routing on
 			// the table it is about to replace.
 			name: "concurrent-splice",
-			specs: map[string]string{
-				"core/retrain/splice":  "delay(200us)",
-				"core/retrain/publish": "yield",
+			sched: indextest.Schedule{
+				"core/retrain/splice":  func(int64) { time.Sleep(200 * time.Microsecond) },
+				"core/retrain/publish": func(int64) { runtime.Gosched() },
 			},
 			mustFire: []string{"core/retrain/splice"},
 			queue:    64,
@@ -396,11 +401,6 @@ func TestChaosProtocol(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			idx, want := runChaosWorkload(t, cfg)
-			for _, site := range cfg.mustFire {
-				if failpoint.Hits(site) == 0 {
-					t.Errorf("site %s never fired; scenario did not exercise its window", site)
-				}
-			}
 			for _, b := range indextest.Audit(idx, want) {
 				t.Error(b)
 			}
@@ -507,19 +507,17 @@ func TestChaosInsertBatchOnStaleTable(t *testing.T) {
 		loaded[g] = ts[g].tab.Load()
 	}
 
-	before := failpoint.Hits(site)
-	for s, spec := range map[string]string{
-		site:                   "1*delay(1s)", // the storm takes ~0.1 s under -race
-		"core/retrain/publish": "delay(50us)",
-	} {
-		if err := failpoint.Enable(s, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer failpoint.DisableAll()
+	hits, _ := indextest.Arm(t, indextest.Schedule{
+		site: func(n int64) {
+			if n == 1 {
+				time.Sleep(time.Second) // the storm takes ~0.1 s under -race
+			}
+		},
+		"core/retrain/publish": func(int64) { time.Sleep(50 * time.Microsecond) },
+	})
 	done := make(chan error, 1) // one send, never blocks the batch
 	go func() { done <- InsertBatchGroups(ts[:], ends[:], batch) }()
-	for failpoint.Hits(site) == before {
+	for hits(site) == 0 {
 		runtime.Gosched()
 	}
 

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"altindex/internal/art"
+	"altindex/internal/failpoint"
 )
 
 // fpBuffer is the fast pointer buffer of §III-C: an append-only array of
@@ -50,7 +51,7 @@ func (b *fpBuffer) register(node *art.Node) int32 {
 	b.requested.Add(1)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	fpFPBufRegister.Inject()
+	failpoint.Hit("core/fpbuf/register")
 	if idx := node.FPIndex(); idx >= 0 && int(idx) < len(b.entries) &&
 		b.entries[idx].node.Load() == node {
 		return idx // merge scheme: duplicate target

@@ -7,9 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"altindex/internal/dataset"
-	"altindex/internal/failpoint"
+	"altindex/internal/indextest"
 )
 
 // TestOneRebuildInFlight pins the retraining pipeline's shape: one index
@@ -21,10 +22,9 @@ import (
 func TestOneRebuildInFlight(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 30000, 41)
 	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 64}, keys)
-	if err := failpoint.Enable("core/retrain/freeze", "delay(2ms)"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.DisableAll()
+	indextest.Arm(t, indextest.Schedule{
+		"core/retrain/freeze": func(int64) { time.Sleep(2 * time.Millisecond) },
+	})
 
 	stop := make(chan struct{})
 	var peak atomic.Int64

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"altindex/internal/failpoint"
 	"altindex/internal/index"
 )
 
@@ -117,7 +118,7 @@ func (t *ALT) enqueueRetrain(m *model) {
 		return
 	}
 	r.ensureWorker(t)
-	fpRetrainEnqueue.Inject()
+	failpoint.Hit("core/retrain/enqueue")
 	r.pending.Add(1)
 	select {
 	case r.q <- m:
@@ -234,7 +235,7 @@ func (t *ALT) rebuild(cur *table, pos int) {
 	// --- Freeze: drain writers, capture the exact range contents. ---
 	freezeStart := time.Now()
 	m.freeze()
-	fpRetrainFreeze.Inject()
+	failpoint.Hit("core/retrain/freeze")
 	mk, mv := m.frozenEntries()
 	drained := t.tree.RemoveRange(lo, end, nil)
 	ak := make([]uint64, len(drained))
@@ -258,7 +259,7 @@ func (t *ALT) rebuild(cur *table, pos int) {
 	}
 
 	// --- Publish: splice + placeholder absorption. ---
-	fpRetrainSplice.Inject()
+	failpoint.Hit("core/retrain/splice")
 
 	// Absorb adjacent never-written placeholders into this splice. A
 	// placeholder whose single slot is still state 0 proves its whole
@@ -301,7 +302,7 @@ func (t *ALT) rebuild(cur *table, pos int) {
 		t.registerFP(newTab, loIdx+i)
 	}
 
-	fpRetrainPublish.Inject()
+	failpoint.Hit("core/retrain/publish")
 	if !t.tab.CompareAndSwap(cur, newTab) {
 		// Loud beats losing the frozen keys silently.
 		panic("core: a table was published during a rebuild")

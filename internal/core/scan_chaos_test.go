@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"altindex/internal/dataset"
-	"altindex/internal/failpoint"
 	"altindex/internal/index"
+	"altindex/internal/indextest"
 	"altindex/internal/xrand"
 )
 
@@ -32,15 +32,10 @@ func TestScanDedupDuringStretchedMigration(t *testing.T) {
 	}
 	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 128}, keys)
 
-	for site, spec := range map[string]string{
-		"core/retrain/freeze":  "delay(500us)",
-		"core/retrain/publish": "delay(500us)",
-	} {
-		if err := failpoint.Enable(site, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer failpoint.DisableAll()
+	hits, _ := indextest.Arm(t, indextest.Schedule{
+		"core/retrain/freeze":  func(int64) { time.Sleep(500 * time.Microsecond) },
+		"core/retrain/publish": func(int64) { time.Sleep(500 * time.Microsecond) },
+	})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -114,7 +109,7 @@ func TestScanDedupDuringStretchedMigration(t *testing.T) {
 		t.Fatal("no retraining fired; the stretched windows were never exercised")
 	}
 	for _, site := range []string{"core/retrain/freeze", "core/retrain/publish"} {
-		if failpoint.Hits(site) == 0 {
+		if hits(site) == 0 {
 			t.Errorf("site %s never fired; the migration window was not stretched", site)
 		}
 	}

@@ -1,228 +1,24 @@
+//go:build failpoint
+
 package failpoint
 
 import (
-	"errors"
-	"strings"
-	"sync"
+	"slices"
 	"testing"
-	"time"
 )
 
-func TestDisabledIsInert(t *testing.T) {
-	s := New("test/inert")
-	for i := 0; i < 1000; i++ {
-		s.Inject()
-		if err := s.InjectErr(); err != nil {
-			t.Fatalf("disabled site returned %v", err)
-		}
+func TestHookSeesEveryHit(t *testing.T) {
+	var seen []string
+	restore := SetHook(func(site string) { seen = append(seen, site) })
+	Hit("test/a")
+	Hit("test/b")
+	Hit("test/a")
+	if want := []string{"test/a", "test/b", "test/a"}; !slices.Equal(seen, want) {
+		t.Fatalf("hook saw %q, want %q", seen, want)
 	}
-	if Hits("test/inert") != 0 {
-		t.Fatalf("disabled site counted hits")
-	}
-}
-
-func TestEnableUnknownSite(t *testing.T) {
-	if err := Enable("test/never-registered", "off"); err == nil {
-		t.Fatal("enabling an unregistered site succeeded")
-	}
-}
-
-func TestErrorAction(t *testing.T) {
-	s := New("test/error")
-	defer Disable("test/error")
-	if err := Enable("test/error", "error(disk gone)"); err != nil {
-		t.Fatal(err)
-	}
-	err := s.InjectErr()
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	if !strings.Contains(err.Error(), "disk gone") {
-		t.Fatalf("err = %v, want message", err)
-	}
-	// A final term with no count repeats forever.
-	for i := 0; i < 10; i++ {
-		if err := s.InjectErr(); !errors.Is(err, ErrInjected) {
-			t.Fatalf("hit %d: err = %v", i, err)
-		}
-	}
-	// Inject swallows the error but still fires.
-	before := Hits("test/error")
-	s.Inject()
-	if Hits("test/error") != before+1 {
-		t.Fatal("Inject did not fire the error term")
-	}
-}
-
-func TestCountdownChain(t *testing.T) {
-	s := New("test/countdown")
-	defer Disable("test/countdown")
-	// Hits 1-3 off, hit 4 errors, then the program exhausts and the site
-	// disarms itself.
-	if err := Enable("test/countdown", "3*off->1*error"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := s.InjectErr(); err != nil {
-			t.Fatalf("countdown hit %d fired early: %v", i, err)
-		}
-	}
-	if err := s.InjectErr(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("4th hit: err = %v, want injected", err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.InjectErr(); err != nil {
-			t.Fatalf("post-exhaustion hit fired: %v", err)
-		}
-	}
-	if s.prog.Load() != nil {
-		t.Fatal("exhausted program did not disarm the site")
-	}
-}
-
-func TestDelayAction(t *testing.T) {
-	s := New("test/delay")
-	defer Disable("test/delay")
-	if err := Enable("test/delay", "delay(20ms)"); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	s.Inject()
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("delay action slept %v, want >= ~20ms", d)
-	}
-}
-
-func TestPanicAction(t *testing.T) {
-	s := New("test/panic")
-	defer Disable("test/panic")
-	if err := Enable("test/panic", "panic"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic action did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "test/panic") {
-			t.Fatalf("panic value %v does not name the site", r)
-		}
-	}()
-	s.Inject()
-}
-
-func TestProbabilisticTerm(t *testing.T) {
-	s := New("test/prob")
-	defer Disable("test/prob")
-	if err := Enable("test/prob", "30%error"); err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	const n = 2000
-	for i := 0; i < n; i++ {
-		if s.InjectErr() != nil {
-			fired++
-		}
-	}
-	if fired < n/5 || fired > n/2 {
-		t.Fatalf("30%% term fired %d/%d times", fired, n)
-	}
-}
-
-func TestProbabilityDoesNotConsumeCount(t *testing.T) {
-	s := New("test/probcount")
-	defer Disable("test/probcount")
-	// One 50% error that must eventually fire exactly once.
-	if err := Enable("test/probcount", "50%1*error"); err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	for i := 0; i < 200; i++ {
-		if s.InjectErr() != nil {
-			fired++
-		}
-	}
-	if fired != 1 {
-		t.Fatalf("50%%1*error fired %d times, want exactly 1", fired)
-	}
-}
-
-func TestSpecErrors(t *testing.T) {
-	New("test/spec")
-	for _, spec := range []string{
-		"", "bogus", "delay", "delay(xyz)", "-1*off", "0*off",
-		"200%off", "off->", "delay(1ms", "panic(arg",
-	} {
-		if err := Enable("test/spec", spec); err == nil {
-			t.Errorf("spec %q parsed", spec)
-		}
-	}
-}
-
-func TestReEnableResetsProgram(t *testing.T) {
-	s := New("test/reenable")
-	defer Disable("test/reenable")
-	if err := Enable("test/reenable", "1*error"); err != nil {
-		t.Fatal(err)
-	}
-	if s.InjectErr() == nil {
-		t.Fatal("first program did not fire")
-	}
-	if err := Enable("test/reenable", "1*error"); err != nil {
-		t.Fatal(err)
-	}
-	if s.InjectErr() == nil {
-		t.Fatal("re-enabled program did not fire")
-	}
-	if Hits("test/reenable") != 1 {
-		t.Fatalf("hits = %d, want 1 (reset on Enable)", Hits("test/reenable"))
-	}
-}
-
-func TestConcurrentEnableDisableInject(t *testing.T) {
-	s := New("test/race")
-	defer Disable("test/race")
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s.Inject()
-				_ = s.InjectErr()
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
-		if err := Enable("test/race", "10*yield->error"); err != nil {
-			t.Error(err)
-			break
-		}
-		Disable("test/race")
-	}
-	close(stop)
-	wg.Wait()
-}
-
-func TestNamesCatalog(t *testing.T) {
-	New("test/catalog")
-	names := Names()
-	found := false
-	for i, n := range names {
-		if n == "test/catalog" {
-			found = true
-		}
-		if i > 0 && names[i-1] > n {
-			t.Fatal("Names not sorted")
-		}
-	}
-	if !found {
-		t.Fatal("registered site missing from catalog")
+	restore()
+	Hit("test/a")
+	if len(seen) != 3 {
+		t.Fatalf("hook saw %q after restore", seen[3:])
 	}
 }

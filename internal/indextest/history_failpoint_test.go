@@ -3,11 +3,12 @@
 package indextest
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"altindex/internal/core"
-	"altindex/internal/failpoint"
 	"altindex/internal/index"
 )
 
@@ -20,23 +21,28 @@ import (
 // core sites, so its entry is skipped.
 func TestHistoryLinearizableStretched(t *testing.T) {
 	const insertSite, freezeSite = "core/insert/locked", "core/retrain/freeze"
-	for name, insert := range map[string]string{"yield": "yield", "delay": "10%delay(20us)"} {
+	for name, insert := range map[string]func(int64){
+		"yield": func(int64) { runtime.Gosched() },
+		"delay": func(n int64) {
+			if n%10 == 0 {
+				time.Sleep(20 * time.Microsecond)
+			}
+		},
+	} {
 		t.Run(name, func(t *testing.T) {
 			historyMatrix(t, func(t *testing.T, ix index.Concurrent) {
 				if _, ok := ix.(*core.ALT); !ok {
 					t.Skip("no core failpoint sites on bare ART")
 				}
-				for site, spec := range map[string]string{insertSite: insert, freezeSite: "delay(100us)"} {
-					if err := failpoint.Enable(site, spec); err != nil {
-						t.Fatal(err)
-					}
-				}
+				hits, _ := Arm(t, Schedule{
+					insertSite: insert,
+					freezeSite: func(int64) { time.Sleep(100 * time.Microsecond) },
+				})
 				t.Cleanup(func() {
-					failpoint.DisableAll()
-					if failpoint.Hits(insertSite) == 0 { // Enable zeroes a site's hits
+					if hits(insertSite) == 0 {
 						t.Errorf("%s never fired", insertSite)
 					}
-					if strings.HasSuffix(t.Name(), "/ALT-retrain-storm") && failpoint.Hits(freezeSite) == 0 {
+					if strings.HasSuffix(t.Name(), "/ALT-retrain-storm") && hits(freezeSite) == 0 {
 						t.Errorf("%s never fired", freezeSite)
 					}
 				})

@@ -8,10 +8,12 @@ package memdb
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
-	"altindex/internal/failpoint"
+	"altindex/internal/indextest"
 	"altindex/internal/xrand"
 )
 
@@ -106,8 +108,9 @@ func auditMemTable(tbl *Table, sec *Secondary, want map[uint64]uint64) []string 
 	return bad
 }
 
-// runMemChaos drives the writer/reader storm and returns the table, its
-// secondary and the exact expected pk -> version state. Ownership mirrors
+// runMemChaos drives the writer/reader storm, checks that the insert
+// seqlock site fired, and returns the table, its secondary and the exact
+// expected pk -> version state. Ownership mirrors
 // the core chaos suite: pk ≡ w (mod chaosWriters) belongs to writer w, so
 // the final state is decided by each writer's own deterministic op stream.
 func runMemChaos(t *testing.T, db *DB) (*Table, *Secondary, map[uint64]uint64) {
@@ -128,16 +131,16 @@ func runMemChaos(t *testing.T, db *DB) (*Table, *Secondary, map[uint64]uint64) {
 		}
 	}
 
-	for site, spec := range map[string]string{
-		"core/insert/locked":   "1%yield",
-		"core/retrain/freeze":  "delay(50us)",
-		"core/retrain/publish": "yield",
-	} {
-		if err := failpoint.Enable(site, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer failpoint.DisableAll()
+	hits, disarm := indextest.Arm(t, indextest.Schedule{
+		"core/insert/locked": func(n int64) {
+			if n%100 == 0 {
+				runtime.Gosched()
+			}
+		},
+		"core/retrain/freeze":  func(int64) { time.Sleep(50 * time.Microsecond) },
+		"core/retrain/publish": func(int64) { runtime.Gosched() },
+	})
+	defer disarm()
 
 	type rowState struct {
 		ver  uint64
@@ -241,7 +244,10 @@ func runMemChaos(t *testing.T, db *DB) (*Table, *Secondary, map[uint64]uint64) {
 	writerWg.Wait()
 	close(stop)
 	readerWg.Wait()
-	failpoint.DisableAll()
+	disarm()
+	if hits("core/insert/locked") == 0 {
+		t.Error("insert seqlock site never fired; workload did not stress the slot protocol")
+	}
 
 	want := make(map[uint64]uint64)
 	for _, mine := range finals {
@@ -260,9 +266,6 @@ func TestChaosMemDB(t *testing.T) {
 	}
 	db := NewDB()
 	tbl, sec, want := runMemChaos(t, db)
-	if failpoint.Hits("core/insert/locked") == 0 {
-		t.Error("insert seqlock site never fired; workload did not stress the slot protocol")
-	}
 	if bad := auditMemTable(tbl, sec, want); len(bad) > 0 {
 		for _, b := range bad {
 			t.Error(b)
@@ -270,11 +273,9 @@ func TestChaosMemDB(t *testing.T) {
 	}
 
 	// Vacuum under injection must not disturb any live row.
-	if err := failpoint.Enable("memdb/vacuum/batch", "yield"); err != nil {
-		t.Fatal(err)
-	}
+	_, disarm := indextest.Arm(t, indextest.Schedule{"memdb/vacuum/batch": func(int64) { runtime.Gosched() }})
 	reclaimed := tbl.Vacuum()
-	failpoint.Disable("memdb/vacuum/batch")
+	disarm()
 	if reclaimed == 0 {
 		t.Error("vacuum reclaimed nothing after an update-heavy run")
 	}

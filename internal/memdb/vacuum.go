@@ -7,10 +7,6 @@ import (
 	"altindex/internal/index"
 )
 
-// fpVacuumBatch fires once per copy batch; armed with delay/yield it
-// stretches the arena rebuild window.
-var fpVacuumBatch = failpoint.New("memdb/vacuum/batch")
-
 // Vacuum reclaims row versions orphaned by updates and deletes by
 // rebuilding the row arena from the live rows. The table must be quiescent
 // (no concurrent operations) for the duration — it is a maintenance
@@ -29,7 +25,7 @@ func (t *Table) Vacuum() int {
 	n := 0
 	index.Walk(t.primary, 0, ^uint64(0), math.MaxInt, func(pk, h uint64) bool {
 		if n%index.WalkBatch == 0 {
-			fpVacuumBatch.Inject() // the first pair of each pulled batch
+			failpoint.Hit("memdb/vacuum/batch") // the first pair of each pulled batch
 		}
 		n++
 		t.primary.Update(pk, fresh.alloc(t.rows.read(h)))

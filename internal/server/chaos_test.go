@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"altindex/internal/failpoint"
+	"altindex/internal/indextest"
 )
 
 // TestPanicContainment: a handler that panics mid-dispatch must cost only
@@ -15,7 +15,6 @@ import (
 // closed socket, every other connection keeps working, and the process
 // survives.
 func TestPanicContainment(t *testing.T) {
-	defer failpoint.DisableAll()
 	_, addr := startServerWith(t, Config{})
 
 	bystander := dial(t, addr)
@@ -24,9 +23,11 @@ func TestPanicContainment(t *testing.T) {
 	}
 
 	victim := dial(t, addr)
-	if err := failpoint.Enable("altdb/dispatch", "1*panic"); err != nil {
-		t.Fatal(err)
-	}
+	indextest.Arm(t, indextest.Schedule{"altdb/dispatch": func(n int64) {
+		if n == 1 {
+			panic("failpoint: altdb/dispatch")
+		}
+	}})
 	got := victim.cmd(t, "GET 1")
 	if !strings.HasPrefix(got, "ERR "+errInternal) {
 		t.Fatalf("panicking dispatch replied %q, want ERR %s ...", got, errInternal)
@@ -36,8 +37,8 @@ func TestPanicContainment(t *testing.T) {
 		t.Fatalf("victim connection stayed open after panic: %q", victim.r.Text())
 	}
 
-	// The bystander and fresh dials are unaffected (the 1* program has
-	// exhausted and self-disarmed).
+	// The bystander and fresh dials are unaffected (only the first
+	// dispatch panics).
 	if got := bystander.cmd(t, "GET 1"); got != "VALUE 10" {
 		t.Fatalf("bystander after panic = %q", got)
 	}

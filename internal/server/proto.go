@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"altindex"
+	"altindex/internal/failpoint"
 	"altindex/internal/netproto"
 )
 
@@ -332,7 +333,7 @@ func (s *Server) dispatchRecover(cs *connState) (ok bool) {
 // everything else settles the group first so replies stay in command
 // order, then executes directly.
 func (s *Server) dispatch(cs *connState) {
-	fpDispatch.Inject()
+	failpoint.Hit("altdb/dispatch")
 	f := cs.fields
 	args := f[1:]
 	switch {

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"altindex"
-	"altindex/internal/failpoint"
 	"altindex/internal/opsched"
 	"altindex/internal/wal"
 )
@@ -37,11 +36,6 @@ const maxLineBytes = 2*maxBatch*21 + 64
 
 // ErrServerClosed is returned by Serve after Shutdown stops the listener.
 var ErrServerClosed = errors.New("altdb: server closed")
-
-// fpDispatch fires on every dispatched command; armed with panic it
-// simulates a handler crash inside one connection's goroutine, which the
-// per-connection recovery must contain without taking down the process.
-var fpDispatch = failpoint.New("altdb/dispatch")
 
 // Structured error codes: every ERR reply is "ERR <CODE> <detail...>", so
 // clients can switch on the second token instead of parsing prose.

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"altindex/internal/core"
+	"altindex/internal/failpoint"
 	"altindex/internal/index"
 )
 
@@ -105,7 +106,7 @@ func (t *ALT) GetBatch(keys []index.Key, vals []index.Value, found []bool) {
 		return
 	}
 	r := t.route.Load()
-	fpRoute.Inject()
+	failpoint.Hit("shard/route")
 	if r.last == 0 {
 		r.ixs[0].GetBatch(keys, vals, found)
 		return
@@ -148,7 +149,7 @@ func (t *ALT) InsertBatch(pairs []index.KV) error {
 		return nil
 	}
 	r := t.route.Load()
-	fpRoute.Inject()
+	failpoint.Hit("shard/route")
 	if r.last == 0 {
 		return r.ixs[0].InsertBatch(pairs)
 	}

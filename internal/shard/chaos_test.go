@@ -11,9 +11,9 @@ package shard_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"altindex/internal/core"
-	"altindex/internal/failpoint"
 	"altindex/internal/index"
 	"altindex/internal/indextest"
 	"altindex/internal/shard"
@@ -50,15 +50,15 @@ func TestShardChaosRouteRacingSplice(t *testing.T) {
 
 	// Wedge routed operations between router resolution and the shard
 	// probe while every splice stalls before building its new table.
-	for site, spec := range map[string]string{
-		"shard/route":         "2%delay(50us)",
-		"core/retrain/splice": "delay(200us)",
-	} {
-		if err := failpoint.Enable(site, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer failpoint.DisableAll()
+	hits, disarm := indextest.Arm(t, indextest.Schedule{
+		"shard/route": func(n int64) {
+			if n%50 == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		},
+		"core/retrain/splice": func(int64) { time.Sleep(200 * time.Microsecond) },
+	})
+	defer disarm()
 
 	type finalState struct {
 		val  uint64
@@ -171,11 +171,11 @@ func TestShardChaosRouteRacingSplice(t *testing.T) {
 	writerWg.Wait()
 	close(stop)
 	readerWg.Wait()
-	failpoint.DisableAll()
+	disarm()
 	idx.Quiesce()
 
 	for _, site := range []string{"shard/route", "core/retrain/splice"} {
-		if failpoint.Hits(site) == 0 {
+		if hits(site) == 0 {
 			t.Errorf("site %s never fired; scenario did not exercise its window", site)
 		}
 	}

@@ -1,6 +1,9 @@
 package shard
 
-import "altindex/internal/index"
+import (
+	"altindex/internal/failpoint"
+	"altindex/internal/index"
+)
 
 // ScanAppend appends up to max pairs with keys in [start, end) to dst in
 // ascending key order (end == ^uint64(0) means unbounded, including key
@@ -14,7 +17,7 @@ func (t *ALT) ScanAppend(dst []index.KV, start, end uint64, max int) []index.KV 
 		return dst
 	}
 	r := t.route.Load()
-	fpRoute.Inject()
+	failpoint.Hit("shard/route")
 	base := len(dst)
 	for s := r.shardOf(start); s <= r.last; s++ {
 		dst = r.ixs[s].ScanAppend(dst, start, end, max-(len(dst)-base))

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"altindex/internal/core"
+	"altindex/internal/failpoint"
 	"altindex/internal/gpl"
 	"altindex/internal/index"
 )
@@ -238,28 +239,28 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 // Get routes the lookup to its shard.
 func (t *ALT) Get(key uint64) (uint64, bool) {
 	r := t.route.Load()
-	fpRoute.Inject()
+	failpoint.Hit("shard/route")
 	return r.ixOf(key).Get(key)
 }
 
 // Insert routes the upsert to its shard.
 func (t *ALT) Insert(key, value uint64) error {
 	r := t.route.Load()
-	fpRoute.Inject()
+	failpoint.Hit("shard/route")
 	return r.ixOf(key).Insert(key, value)
 }
 
 // Update routes the in-place overwrite to its shard.
 func (t *ALT) Update(key, value uint64) bool {
 	r := t.route.Load()
-	fpRoute.Inject()
+	failpoint.Hit("shard/route")
 	return r.ixOf(key).Update(key, value)
 }
 
 // Remove routes the deletion to its shard.
 func (t *ALT) Remove(key uint64) bool {
 	r := t.route.Load()
-	fpRoute.Inject()
+	failpoint.Hit("shard/route")
 	return r.ixOf(key).Remove(key)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,6 +141,44 @@ func TestTruncateFaultLeavesSuffix(t *testing.T) {
 	}
 	if last != n {
 		t.Fatalf("newest record after torn truncation = %d, want %d", last, n)
+	}
+}
+
+// TestTruncateFaultKeepsSegmentsListed: a segment leaves the log's list
+// only once its removal is durable, so after a failed removal the list
+// still matches the files on disk and the next truncation removes the rest.
+func TestTruncateFaultKeepsSegmentsListed(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{SegmentBytes: 128})
+	defer l.Close()
+	const n = 40
+	for i := 0; i < n; i++ {
+		if _, err := l.Commit(bytes.Repeat([]byte{3}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	onDisk := func() int64 {
+		segs, err := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(segs))
+	}
+	before := onDisk()
+	restore := failCalls(t, fsys.OpRemove, 1)
+	err := l.TruncateBelow(n)
+	restore()
+	if !errors.Is(err, errDiskGone) {
+		t.Fatalf("failed removal not surfaced: %v", err)
+	}
+	if got, files := l.Stats().Segments, onDisk(); got != files || files != before-1 {
+		t.Fatalf("after a failed removal the log lists %d segments, %d of %d files are left; want one removed and every file listed", got, files, before)
+	}
+	if err := l.TruncateBelow(n); err != nil {
+		t.Fatal(err)
+	}
+	if got, files := l.Stats().Segments, onDisk(); got != 1 || files != 1 {
+		t.Fatalf("the retry left %d listed segments and %d files, want the active one", got, files)
 	}
 }
 

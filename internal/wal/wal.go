@@ -392,28 +392,31 @@ func (l *Log) Stats() Stats {
 // is durable. The active segment is never deleted. Safe to run
 // concurrently with appends.
 func (l *Log) TruncateBelow(keepFrom uint64) error {
-	l.mu.Lock()
-	// A segment's records end where the next segment begins; the last
-	// entry is the active segment and always stays.
-	var drop []segMeta
-	for len(l.segs) > 1 && l.segs[1].firstSeq <= keepFrom {
-		drop = append(drop, l.segs[0])
-		l.segs = l.segs[1:]
-	}
-	l.mu.Unlock()
-	// Oldest first, each removal durable before the next: a power loss
-	// then undoes at most the newest one, and the segments left still
-	// form one chain.
-	for _, s := range drop {
-		if err := fsys.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+	// Oldest first, each removal durable before the segment leaves the
+	// list and before the next: a power loss then undoes at most the
+	// newest one, the segments left still form one chain, and a failed
+	// removal leaves its segment listed for the next call.
+	for {
+		// A segment's records end where the next segment begins; the last
+		// entry is the active segment and always stays.
+		l.mu.Lock()
+		if len(l.segs) < 2 || l.segs[1].firstSeq > keepFrom {
+			l.mu.Unlock()
+			return nil
+		}
+		path := l.segs[0].path
+		l.mu.Unlock()
+		if err := fsys.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 		if err := fsys.SyncPath(l.tail.dir); err != nil {
 			return err
 		}
+		l.mu.Lock()
+		l.segs = l.segs[1:]
+		l.mu.Unlock()
 		l.stTruncations.Add(1)
 	}
-	return nil
 }
 
 // Close drains pending records, fsyncs, and stops the committer. Further
