@@ -25,6 +25,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -47,25 +48,46 @@ type writerState struct {
 	maxSent map[uint64]uint64 // key -> highest attempt ever sent
 }
 
+// TestCrashMatrix runs the smoke once per -wal-sync policy: both promise
+// that an acked write survives kill -9.
 func TestCrashMatrix(t *testing.T) {
 	bin := buildAltdb(t)
-	dir := t.TempDir()
-	writers := make([]*writerState, matrixWriters)
-	for w := range writers {
-		writers[w] = &writerState{acked: map[uint64]uint64{}, maxSent: map[uint64]uint64{}}
+	for _, policy := range []string{"always", "none"} {
+		t.Run(policy, func(t *testing.T) {
+			dir := t.TempDir()
+			writers := make([]*writerState, matrixWriters)
+			for w := range writers {
+				writers[w] = &writerState{acked: map[uint64]uint64{}, maxSent: map[uint64]uint64{}}
+			}
+			for iter := 0; iter < matrixKills; iter++ {
+				runCrashIteration(t, bin, dir, iter, writers, "-wal-sync", policy)
+				auditRecovery(t, bin, dir, writers, iter, "-wal-sync", policy)
+			}
+		})
 	}
-	for iter := 0; iter < matrixKills; iter++ {
-		runCrashIteration(t, bin, dir, iter, writers)
-		auditRecovery(t, bin, dir, writers, iter)
+}
+
+// TestDeletedSyncPolicyRefused: -wal-sync interval names a deleted policy;
+// altdb exits at startup, naming the policies that remain, and leaves
+// the data directory empty.
+func TestDeletedSyncPolicyRefused(t *testing.T) {
+	bin := buildAltdb(t)
+	dir := t.TempDir()
+	out, err := exec.Command(bin, "-listen", "127.0.0.1:0", "-wal-dir", dir, "-wal-sync", "interval").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "always, none") {
+		t.Fatalf("altdb -wal-sync interval: %v, output %q; want a startup refusal naming always and none", err, out)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) > 0 {
+		t.Fatalf("the refused start left %d entries in the data directory", len(ents))
 	}
 }
 
 // runCrashIteration starts a child over dir, lets the writers hammer it
 // and SIGKILLs it while they run; each kill lands later than the last,
 // so the runs cross background checkpoints.
-func runCrashIteration(t *testing.T, bin, dir string, iter int, writers []*writerState) {
+func runCrashIteration(t *testing.T, bin, dir string, iter int, writers []*writerState, args ...string) {
 	t.Helper()
-	ch, err := startChild(bin, dir)
+	ch, err := startChild(bin, dir, args...)
 	if err != nil {
 		t.Fatalf("iter %d: child failed to serve: %v", iter, err)
 	}
@@ -128,9 +150,9 @@ func hammer(addr string, ws *writerState, owner uint64) {
 // auditRecovery restarts the child (no background checkpoints) over the
 // crashed directory and checks every owned key against the writers'
 // ground truth.
-func auditRecovery(t *testing.T, bin, dir string, writers []*writerState, iter int) {
+func auditRecovery(t *testing.T, bin, dir string, writers []*writerState, iter int, args ...string) {
 	t.Helper()
-	ch, err := startChild(bin, dir, "-checkpoint-interval", "-1s")
+	ch, err := startChild(bin, dir, append(args, "-checkpoint-interval", "-1s")...)
 	if err != nil {
 		t.Fatalf("iter %d: recovery failed to serve: %v", iter, err)
 	}

@@ -53,7 +53,7 @@ func main() {
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain bound")
 		coalesceConns = flag.Int("coalesce-conns", 0, "connection count at which cross-connection op coalescing engages (0 = 8, negative disables)")
 		walDir        = flag.String("wal-dir", "", "durability directory: write-ahead log + full-base checkpoints; writes ack only after commit")
-		walSync       = flag.String("wal-sync", "always", "WAL commit point: always (fsync per group commit), interval, none")
+		walSync       = flag.String("wal-sync", "always", "WAL commit point: always (fsync per group commit; acks survive power loss) or none (acks survive kill -9)")
 		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "WAL segment size cap in bytes (0 = 64 MiB)")
 		ckptInterval  = flag.Duration("checkpoint-interval", 0, "how often to check whether the log has grown to the last base's size and write a new base (0 = 15s, negative disables)")
 	)

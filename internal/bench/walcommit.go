@@ -25,7 +25,7 @@ var walCommit = Experiment{ID: "wal-commit",
 	Title: "WAL group commit: commits/s vs fsyncs/s per sync policy x writers, plus replay speed",
 	head:  "WAL group commit: commits/s vs fsyncs/s per sync policy and writer count",
 	grids: []grid{
-		{rows: []variant{walWriters(wal.SyncAlways), walWriters(wal.SyncInterval), walWriters(wal.SyncNone)},
+		{rows: []variant{walWriters(wal.SyncAlways), walWriters(wal.SyncNone)},
 			datasets: []dataset.Name{"wal"},
 			axis:     &axis{name: "writers", format: "%.0f", values: fixed(1, 2, 4, 8, 16), set: setThreads},
 			tune:     func(p Params, c *Config) { c.Ops = max(p.Ops/20, 2_000) },
@@ -57,7 +57,7 @@ func walWriters(pol wal.SyncPolicy) variant {
 			panic(err)
 		}
 		defer os.RemoveAll(dir)
-		l, err := wal.Open(dir, wal.Options{Sync: pol, Interval: 2 * time.Millisecond})
+		l, err := wal.Open(dir, wal.Options{Sync: pol})
 		if err != nil {
 			panic(err)
 		}

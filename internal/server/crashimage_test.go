@@ -11,13 +11,16 @@ package server
 //   - power loss: data written since a file's last fsync is dropped, or
 //     torn at a page boundary, one file at a time; a create, rename,
 //     remove or mkdir not yet made durable by an fsync of its directory
-//     is undone, one name at a time; and everything unsynced is lost at
-//     once —
+//     is undone, one name at a time or two at a time; and everything
+//     unsynced is lost at once —
 //
-// and recovers each one with planRecovery and apply. The recovered
-// keyspace must hold no lost ack (every key holds its last acked state or
-// a later sent one), no ghost (no value that was never sent) and a LEN
-// that matches the keys found.
+// and recovers each one with planRecovery and apply. The script runs on
+// one goroutine, so one rule judges every image: the recovered keyspace
+// is the state after the first p sent batches, for some p from a lower
+// bound to the number sent, and LEN counts the keys found. The lower
+// bound is the number of batches acked, except for a power-loss image
+// under SyncNone, whose bound is the number acked before the last
+// checkpoint or open that returned.
 
 import (
 	"bytes"
@@ -46,11 +49,12 @@ const pageSize = 4096
 var errCrashed = errors.New("crashed")
 
 // step is one entry of the trace: a call that changed the disk, or (when
-// pairs is non-nil) a batch the workload sent, or the ack of the last one.
+// pairs is non-nil) a batch the workload sent, or the ack of the last one,
+// or (mark) a checkpoint or open that returned.
 type step struct {
-	call  fsys.Call
-	pairs []altindex.KV // Value 0: a delete
-	ack   bool
+	call      fsys.Call
+	pairs     []altindex.KV // Value 0: a delete
+	ack, mark bool
 }
 
 // recorder is the seam hook: it appends every call under root to the
@@ -189,12 +193,45 @@ type image struct {
 func current(d *node) map[string]*node { return d.kids }
 func written(f *node) []byte           { return f.data }
 
+// nameChange is a directory entry whose create, rename, remove or mkdir
+// no fsync of its directory has made durable yet.
+type nameChange struct {
+	dir        *node
+	path, name string
+}
+
+// undo returns the entries each directory shows once the changes are
+// undone: each changed name shows what its directory's last fsync left.
+func undo(changes ...nameChange) func(d *node) map[string]*node {
+	return func(d *node) map[string]*node {
+		var e map[string]*node
+		for _, c := range changes {
+			if c.dir != d {
+				continue
+			}
+			if e == nil {
+				e = maps.Clone(d.kids)
+			}
+			if old := d.syncedKids[c.name]; old != nil {
+				e[c.name] = old
+			} else {
+				delete(e, c.name)
+			}
+		}
+		if e == nil {
+			return d.kids
+		}
+		return e
+	}
+}
+
 // images returns every crash state the tree allows at this boundary.
 func (m *model) images() []image {
 	out := []image{
 		{"kill", current, written},
 		{"power-loss", func(d *node) map[string]*node { return d.syncedKids }, func(f *node) []byte { return f.synced }},
 	}
+	var changes []nameChange
 	var walk func(path string, d *node)
 	walk = func(path string, d *node) {
 		for _, name := range slices.Sorted(maps.Keys(d.kids)) {
@@ -229,24 +266,18 @@ func (m *model) images() []image {
 		}
 		slices.Sort(names)
 		for _, name := range names {
-			if d.kids[name] == d.syncedKids[name] {
-				continue
+			if d.kids[name] != d.syncedKids[name] {
+				changes = append(changes, nameChange{d, path + "/" + name, name})
 			}
-			out = append(out, image{"undo " + path + "/" + name, func(x *node) map[string]*node {
-				if x != d {
-					return x.kids
-				}
-				e := maps.Clone(x.kids)
-				if old := x.syncedKids[name]; old != nil {
-					e[name] = old
-				} else {
-					delete(e, name)
-				}
-				return e
-			}, written})
 		}
 	}
 	walk("", m.root)
+	for i, c := range changes {
+		out = append(out, image{"undo " + c.path, undo(c), written})
+		for _, c2 := range changes[i+1:] {
+			out = append(out, image{"undo-pair " + c.path + " " + c2.path, undo(c, c2), written})
+		}
+	}
 	return out
 }
 
@@ -294,55 +325,56 @@ func (img image) materialize(root *node, dir string) error {
 	})
 }
 
-// history is what the workload sent and was acked, per key: the state
-// after each sent op (0 = absent) and how many of them were acked.
+// history is what the workload sent and was acked: the keyspace after
+// each prefix of the sent batches, how many were acked, and how many were
+// acked before the last checkpoint or open that returned.
 type history struct {
-	states map[uint64][]uint64
-	acked  map[uint64]int
-	last   []altindex.KV
+	states        []map[uint64]uint64 // states[p]: after the first p batches
+	acked, marked int
 }
 
 func (h *history) apply(s step) {
-	if !s.ack {
-		h.last = s.pairs
+	switch {
+	case s.mark:
+		h.marked = h.acked
+	case s.ack:
+		h.acked = len(h.states) - 1
+	default:
+		next := maps.Clone(h.states[len(h.states)-1])
 		for _, p := range s.pairs {
-			h.states[p.Key] = append(h.states[p.Key], p.Value)
+			if p.Value == 0 {
+				delete(next, p.Key)
+			} else {
+				next[p.Key] = p.Value
+			}
 		}
-		return
-	}
-	for _, p := range h.last {
-		h.acked[p.Key] = len(h.states[p.Key])
+		h.states = append(h.states, next)
 	}
 }
 
-// check holds a recovered keyspace to the three rules.
-func (h *history) check(got map[uint64]uint64, length int) error {
-	for k, states := range h.states {
-		v, from := got[k], h.acked[k]
-		var allowed []uint64
-		if from == 0 {
-			allowed = append(allowed, 0)
-		} else {
-			allowed = append(allowed, states[from-1])
-		}
-		allowed = append(allowed, states[from:]...)
-		switch {
-		case slices.Contains(allowed, v):
-		case v == 0 || slices.Contains(states, v):
-			return fmt.Errorf("lost ack: key %d holds %#x, its last acked state is %#x", k, v, allowed[0])
-		default:
-			return fmt.Errorf("ghost: key %d holds %#x, which was never sent", k, v)
-		}
-	}
-	for k, v := range got {
-		if _, ok := h.states[k]; !ok {
-			return fmt.Errorf("ghost: key %d holds %#x and was never written", k, v)
-		}
-	}
+// check holds a recovered keyspace to the prefix rule: it is the state
+// after the first p sent batches for some p >= lo, and LEN counts it.
+func (h *history) check(got map[uint64]uint64, length, lo int) error {
 	if length != len(got) {
 		return fmt.Errorf("census: LEN %d, %d keys found", length, len(got))
 	}
-	return nil
+	same := func(st map[uint64]uint64) bool { return maps.Equal(st, got) }
+	if slices.ContainsFunc(h.states[lo:], same) {
+		return nil
+	}
+	if p := slices.IndexFunc(h.states[:lo], same); p >= 0 {
+		return fmt.Errorf("lost ack: recovered the state after %d batches, the first %d must survive", p, lo)
+	}
+	want := h.states[lo]
+	for _, m := range []map[uint64]uint64{got, want} {
+		for _, k := range slices.Sorted(maps.Keys(m)) {
+			if got[k] != want[k] {
+				return fmt.Errorf("no prefix of the %d sent batches from %d on: key %d holds %#x, the state after batch %d %#x",
+					len(h.states)-1, lo, k, got[k], lo, want[k])
+			}
+		}
+	}
+	panic("unreachable: got equals the state after batch lo")
 }
 
 // recovered opens dir as a restarted altdb would, planRecovery then
@@ -369,21 +401,28 @@ func recovered(dir string, keys []uint64) (map[uint64]uint64, int, error) {
 }
 
 // crashWorkload drives three processes over dir with the recorder on the
-// seam. The first writes SETs, MPUTs and DELs across rotations and
-// checkpoints and crashes between a record's write and its fsync. The
-// second recovers and shuts down, its final checkpoint truncating the
-// log down to the segment its open rotated to. The third reopens, so its
-// rotation truncates that emptied segment, writes, checkpoints and shuts
-// down. The log runs under SyncAlways, the one policy whose acks promise
-// to survive power loss, so every power-loss image is judged.
-func crashWorkload(t *testing.T, dir string, rec *recorder) {
+// seam, the log under policy. The first writes SETs, MPUTs and DELs
+// across rotations and checkpoints and crashes between a record's write
+// and its fsync. The second recovers and shuts down, its final checkpoint
+// truncating the log down to the segment its open rotated to. The third
+// reopens, so its rotation truncates that emptied segment, writes,
+// checkpoints and shuts down. Each open and checkpoint that returns is
+// marked in the trace.
+func crashWorkload(t *testing.T, dir string, rec *recorder, policy wal.SyncPolicy) {
 	const segBytes = 5000
 	open := func() *durableStore {
-		d, err := openDurable(Config{WALDir: dir, CheckpointInterval: -1}, wal.Options{SegmentBytes: segBytes})
+		d, err := openDurable(Config{WALDir: dir, CheckpointInterval: -1}, wal.Options{Sync: policy, SegmentBytes: segBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec.note(step{mark: true})
 		return d
+	}
+	checkpoint := func(d *durableStore) {
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		rec.note(step{mark: true})
 	}
 	attempt := uint64(0)
 	send := func(d *durableStore, pairs []altindex.KV) error {
@@ -419,6 +458,7 @@ func crashWorkload(t *testing.T, dir string, rec *recorder) {
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
+		rec.note(step{mark: true}) // Close checkpoints
 		d.idx.Close()
 	}
 
@@ -427,13 +467,12 @@ func crashWorkload(t *testing.T, dir string, rec *recorder) {
 		write(d, round)
 		// The second checkpoint truncates several segments at once.
 		if round == 4 || round == 16 {
-			if err := d.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			checkpoint(d)
 		}
 	}
-	// The crash: the next record's write lands, its fsync never comes. (A
-	// build that never fsyncs a record crashes at its next fsync instead.)
+	// The crash: the next record's write lands, its fsync never comes.
+	// (Under SyncNone, or a build that never fsyncs a record, the crash
+	// comes at the next fsync instead: the close's checkpoint's.)
 	rec.arm()
 	send(d, []altindex.KV{set(9)})
 	d.Close()
@@ -449,21 +488,25 @@ func crashWorkload(t *testing.T, dir string, rec *recorder) {
 	for round := 20; round < 24; round++ {
 		write(d, round)
 	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	checkpoint(d)
 	write(d, 24)
 	shutdown(d)
 }
 
-// TestCrashImages: every crash image of the scripted workload opens
-// without refusal and passes the three rules.
+// TestCrashImages: under each sync policy, every crash image of the
+// scripted workload opens without refusal and passes the prefix rule.
 func TestCrashImages(t *testing.T) {
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncNone} {
+		t.Run(policy.String(), func(t *testing.T) { crashImages(t, policy) })
+	}
+}
+
+func crashImages(t *testing.T, policy wal.SyncPolicy) {
 	dir := t.TempDir()
 	rec := &recorder{root: dir}
 	restore := fsys.SetHook(rec.hook)
 	t.Cleanup(restore)
-	crashWorkload(t, dir, rec)
+	crashWorkload(t, dir, rec, policy)
 	restore() // recovery below writes through the seam unrecorded
 
 	log.SetOutput(io.Discard) // one event=recovered line per image
@@ -480,7 +523,7 @@ func TestCrashImages(t *testing.T) {
 	}
 	seen := map[[32]byte]result{}
 	m := &model{rootPath: dir, root: newDir()}
-	h := &history{states: map[uint64][]uint64{}, acked: map[uint64]int{}}
+	h := &history{states: []map[uint64]uint64{{}}}
 	opNames := [...]string{"create", "write", "sync", "close", "rename", "remove", "mkdir"}
 	kinds := map[string]int{}
 	calls, images := 0, 0
@@ -494,7 +537,8 @@ func TestCrashImages(t *testing.T) {
 			h.apply(rec.trace[i])
 		}
 		for _, img := range m.images() {
-			kinds[strings.Fields(img.name)[0]]++
+			kind := strings.Fields(img.name)[0]
+			kinds[kind]++
 			sum := img.digest(m.root)
 			r, ok := seen[sum]
 			if !ok {
@@ -512,13 +556,17 @@ func TestCrashImages(t *testing.T) {
 				}
 				seen[sum] = r
 			}
+			lo := h.acked
+			if policy == wal.SyncNone && kind != "kill" {
+				lo = h.marked
+			}
 			if r.err == nil {
-				r.err = h.check(r.got, r.length)
+				r.err = h.check(r.got, r.length, lo)
 			}
 			if r.err != nil {
 				t.Fatalf("after call %d (%s %s), image %q: %v", calls, opNames[c.Op], c.Path, img.name, r.err)
 			}
 		}
 	}
-	t.Logf("%d calls; images by kind %v, %d distinct", calls, kinds, images)
+	t.Logf("%s: %d calls, %d batches sent; images by kind %v, %d distinct", policy, calls, len(h.states)-1, kinds, images)
 }

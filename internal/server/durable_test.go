@@ -976,6 +976,24 @@ func TestCorruptDirectoryRefused(t *testing.T) {
 			writeSegment(t, filepath.Join(dir, "wal"), 1, rec(1), rec(2))
 			writeSegment(t, filepath.Join(dir, "wal"), 5, rec(5))
 		}, "missing segment"},
+		// One flipped byte in a segment wholly at or below the LSN. Its
+		// records are all checkpointed, but a later segment follows, so the
+		// bad bytes are rot, not a torn tail: the open is refused, naming
+		// the rotten segment rather than the one after it.
+		{"rot-below-lsn", func(t *testing.T, dir string) {
+			walDir := filepath.Join(dir, "wal")
+			writeFramed(t, basePath(dir, 1), append([]byte("ALTIX001"), make([]byte, 8)...))
+			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":1,"lsn":3}`))
+			writeSegment(t, walDir, 1, rec(1), rec(2), rec(3))
+			writeSegment(t, walDir, 4, rec(4))
+			seg := filepath.Join(walDir, fmt.Sprintf("wal-%016x.seg", 1))
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)-len(rec(3))-wal.FrameHeader-1] ^= 0x01 // rec(2)'s last byte
+			writeFile(t, seg, raw)
+		}, fmt.Sprintf("wal-%016x.seg holds 74 bytes after seq 1 that are not a whole record", 1)},
 		{"missing-base", func(t *testing.T, dir string) {
 			writeSegment(t, filepath.Join(dir, "wal"), 1, rec(1))
 			writeFramed(t, filepath.Join(dir, ckptMetaName), []byte(`{"generation":1,"lsn":0}`))

@@ -75,9 +75,11 @@ type Config struct {
 	// startup recovers base + log. Without it the keyspace lives only in
 	// memory.
 	WALDir string
-	// WALSync selects the commit point ("always" fsyncs before acking —
-	// survives power loss; "interval"/"none" ack after the write reaches
-	// the OS — survives process crashes, not power loss).
+	// WALSync selects the commit point: "always" (the default) fsyncs
+	// before acking, so an acked write survives power loss; "none" acks
+	// once the write reaches the OS, so it survives kill -9 and a power
+	// loss keeps what the last checkpoint or open covered. Anything else
+	// is refused.
 	WALSync string
 	// WALSegmentBytes caps one WAL segment file (0 = 64 MiB default).
 	WALSegmentBytes int64

@@ -41,16 +41,26 @@ type Tail struct {
 //     firstSeq-1, so a log reopened over it never numbers below it;
 //   - a valid frame whose seq breaks the sequence, a foreign file, or a
 //     gap between segments is ErrCorrupt: better to refuse startup than
-//     to silently drop acked history.
+//     to silently drop acked history. A gap after bytes that are not a
+//     whole record (a flipped bit, say) names the segment holding them.
 func scan(segs []segMeta, after uint64, fn func(seq uint64, payload []byte) error) (Tail, error) {
 	var c Tail
+	var torn int64 // bytes after the previous segment's last whole record
 	for i, sm := range segs {
 		if sm.firstSeq == 0 {
 			return c, fmt.Errorf("%w: %s is named for seq 0, which no log assigns", ErrCorrupt, sm.path)
 		}
-		if i == 0 {
+		switch {
+		case i == 0:
 			c.FirstSeq, c.LastSeq = sm.firstSeq, sm.firstSeq-1
-		} else if sm.firstSeq != c.LastSeq+1 {
+		case sm.firstSeq == c.LastSeq+1:
+		case torn > 0:
+			// The earlier segment's tail is not a crash's: a later segment
+			// follows above records it does not hold (rot, or a lost write).
+			prev := segs[i-1]
+			return c, fmt.Errorf("%w: %s holds %d bytes after seq %d that are not a whole record, but %s follows at seq %d",
+				ErrCorrupt, prev.path, torn, c.LastSeq, filepath.Base(sm.path), sm.firstSeq)
+		default:
 			return c, fmt.Errorf("%w: %s starts at seq %d, want %d (missing segment?)", ErrCorrupt, sm.path, sm.firstSeq, c.LastSeq+1)
 		}
 		res, err := scanSegment(sm.path)
@@ -71,6 +81,7 @@ func scan(segs []segMeta, after uint64, fn func(seq uint64, payload []byte) erro
 		}
 		c.LastSeq = res.firstSeq + uint64(res.count) - 1
 		c.TornBytes += res.tornBytes
+		torn = res.tornBytes
 		if res.badSeq {
 			return c, fmt.Errorf("%w: %s record sequence broken", ErrCorrupt, sm.path)
 		}

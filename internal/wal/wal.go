@@ -32,21 +32,28 @@
 // The process can die at any instruction and the machine can lose power
 // between any two calls that change the disk; every such call goes
 // through internal/fsys, whose calls the crash-state enumerator in
-// internal/server records to build each image a crash can leave. The
-// guarantees:
+// internal/server records to build each image a crash can leave. Each
+// policy's rule, as the enumerator checks it, is about the prefix of the
+// appended records that a crash image recovers:
 //
-//   - a record whose WaitDurable returned nil under SyncAlways survives
-//     any crash: its bytes were fsynced, and so was its segment's
-//     directory entry, before the wait was released;
-//   - under SyncInterval/SyncNone, WaitDurable returns once the record is
-//     written to the OS, so an acked record survives process death
-//     (kill -9) but up to Interval (or arbitrarily much) may be lost to
-//     power failure — the documented relaxation;
+//   - SyncAlways: WaitDurable returns once the record's bytes, and its
+//     segment's directory entry, are fsynced. After kill -9 or power loss
+//     the log recovers a prefix that holds every acked record;
+//   - SyncNone: WaitDurable returns once the record is written to the OS.
+//     After kill -9 the log recovers a prefix that holds every acked
+//     record. After power loss it recovers a prefix that holds every
+//     record at or below DurableSeq, which only Sync, Open and Close
+//     advance (altdb's checkpoints call Sync). The prefix has no gap
+//     because a rotation fsyncs the segment it closes, so no unsynced
+//     record ever lies below a synced one;
 //   - replay never yields a record that was not fully appended, never
 //     yields one twice, and never reorders (CRC framing + dense seqs);
 //   - any write or fsync error wedges the log: every subsequent Append
 //     and WaitDurable fails, so an engine can never ack a write the log
 //     silently dropped.
+//
+// There is no timed (interval) policy: no crash image can check a time
+// bound, and the only rule one can check for it is SyncNone's.
 package wal
 
 import (
@@ -58,7 +65,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"altindex/internal/fsys"
 )
@@ -71,12 +77,9 @@ const (
 	// waiters: an acked write survives power loss. The group-commit
 	// batching keeps fsyncs/sec well below commits/sec under concurrency.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval acks once the record reaches the OS and fsyncs at most
-	// every Options.Interval: an acked write survives kill -9 but the
-	// last interval may be lost to power failure.
-	SyncInterval
-	// SyncNone acks once the record reaches the OS and never fsyncs
-	// explicitly (the OS flushes on its own schedule).
+	// SyncNone acks once the record reaches the OS and fsyncs only on
+	// Sync, Open, rotation and Close (the OS flushes on its own schedule):
+	// an acked write survives kill -9, not power loss.
 	SyncNone
 )
 
@@ -85,8 +88,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNone:
 		return "none"
 	}
@@ -98,12 +99,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q (always, interval, none)", s)
+	return 0, fmt.Errorf("wal: unknown sync policy %q (always, none)", s)
 }
 
 // Options tune a log; the zero value is the production default
@@ -111,17 +110,12 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Sync selects the commit point (default SyncAlways).
 	Sync SyncPolicy
-	// Interval is the fsync cadence under SyncInterval (default 50ms).
-	Interval time.Duration
 	// SegmentBytes rotates to a new segment once the current one exceeds
 	// this size (default 64 MiB); tests set small values to rotate.
 	SegmentBytes int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = 50 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
@@ -195,7 +189,6 @@ type Log struct {
 	written   uint64 // highest seq handed to the OS
 	durable   uint64 // highest seq fsynced
 	forceSync bool   // set by Sync: next flush fsyncs regardless of policy
-	lastSync  time.Time
 
 	// Committer-owned segment state (no lock: single goroutine).
 	seg     *fsys.File
@@ -264,7 +257,6 @@ func (t Tail) Open(opts Options) (*Log, error) {
 	if err := l.rotate(l.nextSeq); err != nil {
 		return nil, err
 	}
-	l.lastSync = time.Now()
 	go l.committer()
 	return l, nil
 }
@@ -491,17 +483,9 @@ func appendFrame(buf []byte, seq uint64, payload []byte) []byte {
 
 func (l *Log) committer() {
 	defer close(l.dead)
-	var tickC <-chan time.Time
-	if l.opts.Sync == SyncInterval {
-		tick := time.NewTicker(l.opts.Interval)
-		defer tick.Stop()
-		tickC = tick.C
-	}
 	for {
 		select {
 		case <-l.work:
-			l.flush(false)
-		case <-tickC:
 			l.flush(false)
 		case <-l.quit:
 			// Final drain: everything enqueued before Close is made
@@ -564,11 +548,7 @@ func (l *Log) flush(final bool) {
 		l.cmu.Unlock()
 	}
 
-	syncNow := force || final || l.opts.Sync == SyncAlways
-	if l.opts.Sync == SyncInterval && time.Since(l.lastSync) >= l.opts.Interval {
-		syncNow = true
-	}
-	if !syncNow {
+	if !force && !final && l.opts.Sync != SyncAlways {
 		return
 	}
 	if err := l.seg.Sync(); err != nil {
@@ -576,7 +556,6 @@ func (l *Log) flush(final bool) {
 		return
 	}
 	l.stFsyncs.Add(1)
-	l.lastSync = time.Now()
 	l.cmu.Lock()
 	if l.written > l.durable {
 		l.durable = l.written
@@ -586,7 +565,9 @@ func (l *Log) flush(final bool) {
 }
 
 // rotateActive finishes the current segment (fsync, close) and opens a
-// fresh one whose first record will be firstSeq.
+// fresh one whose first record will be firstSeq. Under SyncNone the fsync
+// is what keeps a power loss from dropping records below the new
+// segment's: without it the log would recover with a gap.
 func (l *Log) rotateActive(firstSeq uint64) error {
 	if l.seg != nil {
 		if err := l.seg.Sync(); err != nil {

@@ -8,9 +8,9 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func openT(t *testing.T, dir string, opts Options) *Log {
@@ -109,10 +109,10 @@ func TestGroupCommit(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncNone} {
+	for _, pol := range []SyncPolicy{SyncAlways, SyncNone} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l := openT(t, dir, Options{Sync: pol, Interval: 5 * time.Millisecond})
+			l := openT(t, dir, Options{Sync: pol})
 			for i := 0; i < 100; i++ {
 				if _, err := l.Commit([]byte{byte(i)}); err != nil {
 					t.Fatal(err)
@@ -140,14 +140,19 @@ func TestParseSyncPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want SyncPolicy
-	}{{"always", SyncAlways}, {"interval", SyncInterval}, {"none", SyncNone}} {
+	}{{"always", SyncAlways}, {"none", SyncNone}} {
 		got, err := ParseSyncPolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if _, err := ParseSyncPolicy("fsync-sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
+	// interval is a deleted policy: refused, and the refusal names the
+	// policies that remain.
+	for _, in := range []string{"interval", "fsync-sometimes"} {
+		_, err := ParseSyncPolicy(in)
+		if err == nil || !strings.Contains(err.Error(), "always, none") {
+			t.Fatalf("ParseSyncPolicy(%q) = %v, want a refusal naming always and none", in, err)
+		}
 	}
 }
 
