@@ -28,9 +28,11 @@ var (
 		}
 		return ts
 	}}
-	// epsAxis sweeps ALT's error bound around the recommended keys/1000 (Eq. 4).
+	// epsAxis sweeps ALT's error bound 16x either side of its default: the
+	// recommended keys/1000 (Eq. 4), capped as core caps it, so the top
+	// cell's slots per key do not grow with the key count.
 	epsAxis = &axis{name: "eps", format: "%.0f", values: func(p Params) []float64 {
-		base := float64(max(p.Keys/1000, 16))
+		base := float64(max(min(p.Keys/1000, core.MaxDefaultErrorBound), 16))
 		return []float64{base / 16, base / 4, base, base * 4, base * 16}
 	}}
 )
@@ -88,13 +90,15 @@ func Experiments() []Experiment {
 		// relation of Eq. (1).
 		{ID: "fig6a", Title: "Fig 6(a): ALT model count vs error bound",
 			grids: []grid{{rowsAt: altAtEps, axis: epsAxis, build: true, order: "dai",
-				cols: "Dataset\tErrBound\tModels\tART keys",
+				// Slots/key and B/key make one run the size-vs-ε front.
+				cols: "Dataset\tErrBound\tModels\tART keys\tSlots/key\tB/key",
 				row: func(c cell) string {
-					return fmt.Sprintf("%s\t%s\t%d\t%d", c.Dataset, c.Axis, c.Stats["models"], c.Stats["art_keys"])
+					return fmt.Sprintf("%s\t%s\t%d\t%d\t%.2f\t%.1f", c.Dataset, c.Axis, c.Stats["models"],
+						c.Stats["art_keys"], float64(c.Stats["slots"])/float64(c.Len), bytesPerKey(c))
 				}}}},
 
 		// ALT's error bound under the read-only workload — the "stable area"
-		// around the recommended keys/1000.
+		// around the default ε.
 		{ID: "fig6b", Title: "Fig 6(b): ALT read-only throughput vs error bound",
 			grids: []grid{{rowsAt: altAtEps, axis: epsAxis, cfg: Config{Mix: workload.ReadOnly}, order: "dai",
 				cols: "Dataset\tErrBound\tMops",

@@ -37,9 +37,9 @@ import (
 // recommended defaults.
 type Options struct {
 	// ErrorBound is the GPL segmentation ε. Zero selects the paper's
-	// recommendation of n/1000 (§III-D), floored at 16, where n is the
-	// live key count at each build: the input size for Bulkload, the
-	// index's size for a retraining rebuild.
+	// recommendation of n/1000 (§III-D), capped at 1,024 and floored at
+	// 16, where n is the live key count at each build: the input size for
+	// Bulkload, the index's size for a retraining rebuild.
 	ErrorBound int
 	// GapFactor stretches each model's slot array to leave gaps for
 	// in-place inserts (§III-B "array gaps scheme"). Zero selects 2.0.
@@ -73,13 +73,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// MaxDefaultErrorBound caps the default ε. Past it ε dwarfs a model's own
+// key count, GPL's pessimistic test stops bounding the midpoint slope, and
+// slots per key grow with n (DESIGN.md §4).
+const MaxDefaultErrorBound = 1024
+
 // errorBound resolves the GPL ε of a build in an index of n live keys:
-// ErrorBound, or the paper's n/1000 (§III-D) when that is zero, floored at
-// 16. Every build calls it, so ε follows the index as it grows.
+// ErrorBound, or the paper's n/1000 (§III-D) capped at 1,024 when that is
+// zero, floored at 16. Every build calls it, so ε follows the index as it
+// grows.
 func (o Options) errorBound(n int) float64 {
 	eps := float64(o.ErrorBound)
 	if eps <= 0 {
-		eps = float64(n) / 1000
+		eps = min(float64(n)/1000, MaxDefaultErrorBound)
 	}
 	return max(eps, 16)
 }

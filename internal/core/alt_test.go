@@ -544,6 +544,33 @@ func TestErrorBoundDefaultsToRecommendation(t *testing.T) {
 	if got := (Options{ErrorBound: 7}).errorBound(50000); got != 16 {
 		t.Fatalf("explicit eps below the floor = %v, want 16", got)
 	}
+	if got := o.errorBound(8000000); got != 1024 {
+		t.Fatalf("eps cap = %v, want 1024", got)
+	}
+	if got := (Options{ErrorBound: 4096}).errorBound(8000000); got != 4096 {
+		t.Fatalf("explicit eps above the cap = %v, want 4096", got)
+	}
+}
+
+// TestSlotsPerKeyWithinGapFactor is the footprint predicate: a default
+// Bulkload of 2 M keys allots at most 2·GapFactor slots per key on every
+// dataset. At the uncapped ε = n/1000, longlat's midpoint slopes gave 5.03.
+func TestSlotsPerKeyWithinGapFactor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("bulkloads four 2 M-key indexes")
+	}
+	limit := 2 * Options{}.withDefaults().GapFactor
+	for _, name := range dataset.Names() {
+		t.Run(string(name), func(t *testing.T) {
+			keys := dataset.Generate(name, 2000000, 1)
+			st := mustBulk(t, Options{}, keys).StatsMap()
+			perKey := float64(st["slots"]) / float64(len(keys))
+			t.Logf("%s: %d models, %.2f slots per key", name, st["models"], perKey)
+			if perKey > limit {
+				t.Errorf("%s: %.2f slots per key, want at most %.0f (2·GapFactor)", name, perKey, limit)
+			}
+		})
+	}
 }
 
 // oneModel fails the test unless idx's table is the one New publishes: a

@@ -34,7 +34,11 @@ func (s Segment) Predict(key uint64) float64 {
 // point. upperSlope/lowerSlope track the extreme slopes seen so far; a new
 // point whose pessimistic error (evaluated against both extreme lines)
 // exceeds eps closes the segment. The emitted model uses the midpoint slope,
-// which keeps every in-segment point within ~eps of the line.
+// which keeps every in-segment point within 2·eps of the line. With eps far
+// above a segment's key count the test barely constrains the slopes: one
+// close early pair of keys sets a steep upper slope, the segment runs on
+// until that line overshoots by eps, and the midpoint slope then spreads
+// the segment over up to eps/2 more positions than it has keys.
 func Partition(keys []uint64, eps float64) []Segment {
 	if eps <= 0 {
 		eps = 1
