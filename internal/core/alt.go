@@ -42,7 +42,10 @@ type Options struct {
 	// Bulkload, the index's size for a retraining rebuild.
 	ErrorBound int
 	// GapFactor stretches each model's slot array to leave gaps for
-	// in-place inserts (§III-B "array gaps scheme"). Zero selects 2.0.
+	// in-place inserts (§III-B "array gaps scheme"): a model gets
+	// GapFactor slots per key, more only where they evict fewer keys to
+	// ART, and fewer where GPL's midpoint line already takes fewer
+	// (fitSlope). Zero selects 2.0.
 	GapFactor float64
 	// DisableRetraining turns off dynamic retraining (§III-F), which
 	// includes the first training of an index that was never bulkloaded:
@@ -169,7 +172,8 @@ func (t *ALT) Len() int { return int(t.size.Load()) }
 // Bulkload replaces the index contents: GPL segmentation (Algorithm 1),
 // gapped model layout, conflict eviction to a fresh ART, and fast pointer
 // construction (§III-C1) — the build every rebuild runs too, here with one
-// slab for all the slots and the fill spread over every P. The shells are
+// slab for all the slots and the input copy, the slot-line fit and the fill
+// spread over every P. The shells are
 // cut into GOMAXPROCS contiguous groups of about equal key count, each
 // filled by fillShells on its own goroutine; the slab is carved before any
 // fill and the fast pointers are linked after, so the layout is the same at
@@ -177,14 +181,21 @@ func (t *ALT) Len() int { return int(t.size.Load()) }
 // drains the index's own retraining, whose rebuilds write the tree and the
 // fast pointer buffer it replaces.
 func (t *ALT) Bulkload(pairs []index.KV) error {
+	p := runtime.GOMAXPROCS(0)
 	keys := make([]uint64, len(pairs))
 	vals := make([]uint64, len(pairs))
-	for i, kv := range pairs {
-		if i > 0 && kv.Key <= keys[i-1] {
-			return index.ErrUnsortedBulk
+	var unsorted atomic.Bool
+	spread(len(pairs), p, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i > 0 && pairs[i].Key <= pairs[i-1].Key {
+				unsorted.Store(true)
+				return
+			}
+			keys[i], vals[i] = pairs[i].Key, pairs[i].Value
 		}
-		keys[i] = kv.Key
-		vals[i] = kv.Value
+	})
+	if unsorted.Load() {
+		return index.ErrUnsortedBulk
 	}
 	t.Quiesce()
 
@@ -197,7 +208,6 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	// Group g starts at the first shell at or above key g·n/P and takes the
 	// keys up to the next group's first shell, so each fillShells call sees
 	// exactly its shells' keys. Its conflicts share the lock-coupled tree.
-	p := runtime.GOMAXPROCS(0)
 	cuts := make([]int, p+1) // group g fills shells[cuts[g]:cuts[g+1]]
 	cuts[p] = len(shells)
 	for g := 1; g < p && len(keys) > 0; g++ {
@@ -212,16 +222,10 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 		return k
 	}
 	parts := make([][]*model, p)
-	var wg sync.WaitGroup
-	for g := range parts {
+	spread(p, p, func(g, _ int) {
 		lo, hi := keyAt(cuts[g]), keyAt(cuts[g+1])
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[g] = t.fillShells(shells[cuts[g]:cuts[g+1]], keys[lo:hi], vals[lo:hi])
-		}()
-	}
-	wg.Wait()
+		parts[g] = t.fillShells(shells[cuts[g]:cuts[g+1]], keys[lo:hi], vals[lo:hi])
+	})
 	models := slices.Concat(parts...)
 
 	tb := emptyTable() // the table New starts with
@@ -243,6 +247,21 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 		t.registerFP(tb, i)
 	}
 	return nil
+}
+
+// spread runs f over p contiguous parts [lo, hi) of [0, n) at once, the
+// first on the calling goroutine, and returns when every part is done.
+func spread(n, p int, f func(lo, hi int)) {
+	var wg sync.WaitGroup
+	for g := 1; g < p; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(g*n/p, (g+1)*n/p)
+		}()
+	}
+	f(0, n/p)
+	wg.Wait()
 }
 
 // registerFP links the model at table position pos to the deepest ART node

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -207,31 +208,110 @@ func (l *layout) evict(s int, key uint64) {
 
 // newShells is the one build routine's first half, behind Bulkload and
 // every rebuild: GPL segmentation of keys at eps (Algorithm 1), then one
-// empty gapped model per segment, its slope scaled by gapFactor and its
-// slot array sized to reach the segment's last key. With oneSlab every
-// model's slots are carved from one slab on huge pages (Bulkload);
-// otherwise each model allocates its own (a rebuild). fillShells is the
-// second half.
-func newShells(keys []uint64, eps, gapFactor float64, oneSlab bool) []*model {
+// empty gapped model per segment, through the segment's first key, with
+// the slot line fitSlope picks at gapFactor and its slot array sized to
+// reach the segment's last key. With bulk every model's slots are carved
+// from one slab on huge pages and the segments are fitted on GOMAXPROCS
+// goroutines (Bulkload); otherwise each model allocates its own and the
+// caller's goroutine fits them all (a rebuild). fillShells is the second
+// half.
+func newShells(keys []uint64, eps, gapFactor float64, bulk bool) []*model {
 	segs := gpl.Partition(keys, eps)
-	ms := make([]*model, len(segs))
-	nblocks, off := 0, 0
+	offs := make([]int, len(segs)+1) // segment i holds keys[offs[i]:offs[i+1]]
 	for i, seg := range segs {
-		off += seg.N
-		slope := seg.Slope * max(gapFactor, 1)
-		nslots := max(int(slope*float64(keys[off-1]-seg.First)+0.5)+1, seg.N)
-		ms[i] = &model{layout: layout{first: seg.First, slope: slope, nslots: nslots}}
-		ms[i].fastIdx.Store(-1)
-		nblocks += blocksFor(nslots)
+		offs[i+1] = offs[i] + seg.N
 	}
+	gap := max(gapFactor, 1)
+	ms := make([]*model, len(segs))
+	fit := func(lo, hi int) { // fits segments [lo, hi)
+		var pairs [][2]float64
+		for i := lo; i < hi; i++ {
+			sk := keys[offs[i]:offs[i+1]]
+			slope := fitSlope(sk, segs[i].Slope*gap, gap, &pairs)
+			nslots := max(slotAt(slope, float64(sk[len(sk)-1]-sk[0]))+1, len(sk))
+			ms[i] = &model{layout: layout{first: sk[0], slope: slope, nslots: nslots}}
+			ms[i].fastIdx.Store(-1)
+		}
+	}
+	p := 1
+	if bulk {
+		p = runtime.GOMAXPROCS(0)
+	}
+	spread(len(segs), p, fit)
 	var sl *slab
-	if oneSlab {
+	if bulk {
+		nblocks := 0
+		for _, m := range ms {
+			nblocks += blocksFor(m.nslots)
+		}
 		sl = newSlab(nblocks)
 	}
 	for _, m := range ms {
 		m.blocks, m.slab = sl.carve(m.nslots), sl
 	}
 	return ms
+}
+
+// slopeStep is the ratio between neighbouring rungs of fitSlope's ladder.
+const slopeStep = 1.05
+
+// fitSlope returns the slope of one segment's slot line through its first
+// key: the lowest rung of a geometric ladder, from the endpoint line (gap
+// slots per key) up to GPL's midpoint slope mid (already scaled by gap),
+// whose placement evicts no more keys than mid's does, or mid itself when
+// no rung below it does. The endpoint slope is one of the slopes GPL's
+// cone spans, so every rung lies inside the cone and below mid: the line
+// takes no more slots than mid's and, by the test, sends no more keys to
+// ART.
+//
+// Slots are monotone in the key, so a key is evicted exactly when its
+// slot is its predecessor's, computed as slotOf does (slotAt). Neighbours
+// a slot apart at the endpoint slope never share one at a steeper rung, so
+// only closer ones are kept, as pairs of offsets from the first key in
+// *buf (reused across calls), and a rung is dropped once it evicts more
+// keys than mid.
+func fitSlope(keys []uint64, mid, gap float64, buf *[][2]float64) float64 {
+	n := len(keys)
+	if n < 3 {
+		return mid // the cone of one or two keys is a single line
+	}
+	first := keys[0]
+	lo := float64(n-1) / float64(keys[n-1]-first) * gap
+	if lo >= mid {
+		return mid
+	}
+	// Every pair is written and only a kept one is stepped past, so no
+	// branch mispredicts; the margin covers rounding in slotAt's products.
+	ps := slices.Grow((*buf)[:0], n)[:n]
+	j, prev, near := 0, 0.0, 1.001/lo
+	for _, k := range keys[1:] {
+		d := float64(k - first)
+		ps[j] = [2]float64{prev, d}
+		j += int(math.Float64bits(d-prev-near) >> 63) // 1 iff d-prev < near
+		prev = d
+	}
+	*buf = ps
+	ps = ps[:j]
+	limit := evictions(ps, mid, n)
+	for s := lo; s < mid; s *= slopeStep {
+		if evictions(ps, s, limit) <= limit {
+			return s
+		}
+	}
+	return mid
+}
+
+// evictions counts the pairs of key offsets in ps that slope puts in one
+// slot, 32 pairs at a time, stopping once the count passes limit.
+func evictions(ps [][2]float64, slope float64, limit int) int {
+	e := 0
+	for i := 0; i < len(ps) && e <= limit; i += 32 {
+		for _, p := range ps[i:min(i+32, len(ps))] {
+			a, b := slotAt(slope, p[0]), slotAt(slope, p[1])
+			e += int(uint(b-a-1) >> 63) // 1 iff a == b, as a <= b
+		}
+	}
+	return e
 }
 
 // fillShells places keys, ascending, into shells, partitioning by shell
@@ -282,7 +362,7 @@ func (l *layout) slotOf(key uint64) int {
 	if key <= l.first {
 		return 0
 	}
-	s := int(l.slope*float64(key-l.first) + 0.5)
+	s := slotAt(l.slope, float64(key-l.first))
 	if s < 0 {
 		s = 0
 	}
@@ -291,6 +371,11 @@ func (l *layout) slotOf(key uint64) int {
 	}
 	return s
 }
+
+// slotAt is the unclamped slot a line of slope puts a key at offset d
+// from its first key. slotOf and fitSlope share it, so the fit counts the
+// evictions the fill makes.
+func slotAt(slope, d float64) int { return int(slope*d + 0.5) }
 
 // read performs one seqlock-protected slot read, returning the full
 // metadata word observed (pass it to stateOf for the slot state, or compare

@@ -38,7 +38,9 @@ func (s Segment) Predict(key uint64) float64 {
 // above a segment's key count the test barely constrains the slopes: one
 // close early pair of keys sets a steep upper slope, the segment runs on
 // until that line overshoots by eps, and the midpoint slope then spreads
-// the segment over up to eps/2 more positions than it has keys.
+// the segment over up to eps/2 more positions than it has keys. ALT keeps
+// the segments and origins but refits each slot line inside the cone
+// (internal/core fitSlope); Slope stays GPL's midpoint.
 func Partition(keys []uint64, eps float64) []Segment {
 	if eps <= 0 {
 		eps = 1
@@ -82,7 +84,10 @@ func segmentEnd(keys []uint64, eps float64) int {
 }
 
 // fitThroughFirst builds the segment model for keys: a line through the
-// first point with the midpoint of the extreme slopes.
+// first point with the midpoint of the extreme slopes, the cone Algorithm 1
+// tracks. Its error bound is what the midpoint buys; ALT reads none, and
+// refits its slot line inside the same cone to the fewest slots that evict
+// no more keys than this slope does (internal/core fitSlope).
 func fitThroughFirst(keys []uint64) Segment {
 	seg := Segment{First: keys[0], N: len(keys)}
 	if len(keys) < 2 {
