@@ -6,17 +6,12 @@
 // The harness runs mixed Get/Insert/Update/Remove/Scan/GetBatch workloads
 // while failpoints stretch the protocol's danger windows (write-locked
 // slots, retraining freezes, table publishes), then quiesces and audits
-// the survivors against a deterministically-known expected state:
-//
-//   - no lost acked writes: every acknowledged insert/update is readable
-//     with its last-written value (last-writer-wins per key);
-//   - no ghost or duplicate keys: a full scan yields exactly the expected
-//     key set, strictly ascending;
-//   - consistent counts: Len matches, GetBatch agrees with Get.
+// the survivors against a deterministically-known expected state with
+// indextest.Audit: the history checker's rules over a Get of every
+// expected key and a walk of the whole index, and Len against the walk.
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -27,82 +22,6 @@ import (
 	"altindex/internal/indextest"
 	"altindex/internal/xrand"
 )
-
-// auditALT checks the post-quiesce invariants of idx against the expected
-// key/value map and returns every violation found (nil means consistent).
-// It is the single source of truth the negative self-test tampers with.
-func auditALT(idx *ALT, want map[uint64]uint64) []string {
-	const maxViolations = 25
-	var bad []string
-	report := func(format string, args ...any) bool {
-		bad = append(bad, fmt.Sprintf(format, args...))
-		return len(bad) < maxViolations
-	}
-
-	// No lost acked writes, last-writer-wins.
-	for k, v := range want {
-		got, ok := idx.Get(k)
-		if !ok {
-			if !report("lost acked write: Get(%d) absent, want %d", k, v) {
-				return bad
-			}
-		} else if got != v {
-			if !report("stale value: Get(%d) = %d, want %d", k, got, v) {
-				return bad
-			}
-		}
-	}
-
-	// Full scan: strictly ascending, no ghosts, no duplicates, complete.
-	seen := 0
-	var prev uint64
-	index.Walk(idx, 0, ^uint64(0), len(want)+64, func(k, v uint64) bool {
-		if seen > 0 && k <= prev {
-			report("scan order violation: %d after %d", k, prev)
-		}
-		prev = k
-		seen++
-		wv, ok := want[k]
-		if !ok {
-			report("ghost key in scan: %d", k)
-		} else if wv != v {
-			report("scan value mismatch: key %d = %d, want %d", k, v, wv)
-		}
-		return len(bad) < maxViolations
-	})
-	if len(bad) >= maxViolations {
-		return bad
-	}
-	if seen != len(want) {
-		report("scan visited %d keys, want %d", seen, len(want))
-	}
-	if n := idx.Len(); n != len(want) {
-		report("Len = %d, want %d", n, len(want))
-	}
-
-	// The directory the scenario left behind: boundaries ascending,
-	// entries faithful to their models, router consistent.
-	if err := tableViolations(idx.tab.Load()); err != nil {
-		report("table invariant: %v", err)
-	}
-
-	// The batched read path must agree with the per-key path.
-	keys := make([]uint64, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	vals := make([]uint64, len(keys))
-	found := make([]bool, len(keys))
-	idx.GetBatch(keys, vals, found)
-	for i, k := range keys {
-		if !found[i] || vals[i] != want[k] {
-			if !report("GetBatch(%d) = (%d,%v), want %d", k, vals[i], found[i], want[k]) {
-				return bad
-			}
-		}
-	}
-	return bad
-}
 
 // chaosConfig describes one chaos scenario: which sites are armed with
 // which schedule while the workload runs.
@@ -412,39 +331,6 @@ func TestChaosProtocol(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestChaosAuditSelfTest is the negative control: the audit must actually
-// detect each class of violation when the expectation is deliberately
-// wrong. A green chaos suite is meaningless if the auditor is blind.
-func TestChaosAuditSelfTest(t *testing.T) {
-	idx := New(Options{ErrorBound: 16})
-	var pairs []index.KV
-	want := make(map[uint64]uint64)
-	for i := uint64(0); i < 4096; i++ {
-		k, v := i*32+5, i^0x5A5A
-		pairs = append(pairs, index.KV{Key: k, Value: v})
-		want[k] = v
-	}
-	if err := idx.Bulkload(pairs); err != nil {
-		t.Fatal(err)
-	}
-	if bad := auditALT(idx, want); len(bad) != 0 {
-		t.Fatalf("clean index audits dirty: %v", bad)
-	}
-	tamper := func(name string, mutate func(map[uint64]uint64)) {
-		w := make(map[uint64]uint64, len(want))
-		for k, v := range want {
-			w[k] = v
-		}
-		mutate(w)
-		if bad := auditALT(idx, w); len(bad) == 0 {
-			t.Errorf("%s: audit failed to detect the violation", name)
-		}
-	}
-	tamper("lost-write", func(w map[uint64]uint64) { w[999999999] = 1 })
-	tamper("stale-value", func(w map[uint64]uint64) { w[5] = w[5] + 1 })
-	tamper("ghost-key", func(w map[uint64]uint64) { delete(w, 5) })
 }
 
 // TestChaosInsertBatchOnStaleTable wedges one four-group InsertBatchGroups —

@@ -51,6 +51,10 @@ type fmodel struct {
 	dead []atomic.Uint64 // tombstone bitmap
 	errB int
 
+	// mu serializes writes to vals and dead, so a write decides on the
+	// tombstone it changes; reads take no lock.
+	mu sync.Mutex
+
 	// bins[i] holds inserted keys that sort between keys[i] and
 	// keys[i+1] (bin len(keys) catches the tail). Allocated lazily.
 	bins []atomic.Pointer[bin]
@@ -195,19 +199,17 @@ func (m *fmodel) isDead(i int) bool {
 	return m.dead[i>>6].Load()&(1<<(uint(i)&63)) != 0
 }
 
-func (m *fmodel) setDead(i int, dead bool) {
-	for {
-		old := m.dead[i>>6].Load()
-		var next uint64
-		if dead {
-			next = old | 1<<(uint(i)&63)
-		} else {
-			next = old &^ (1 << (uint(i) & 63))
-		}
-		if m.dead[i>>6].CompareAndSwap(old, next) {
-			return
-		}
+// setDead sets slot i's tombstone and reports whether that changed it.
+// The caller holds m.mu.
+func (m *fmodel) setDead(i int, dead bool) bool {
+	w, bit := &m.dead[i>>6], uint64(1)<<(uint(i)&63)
+	old := w.Load()
+	next := old &^ bit
+	if dead {
+		next = old | bit
 	}
+	w.Store(next)
+	return next != old
 }
 
 // Get returns the value stored for key.

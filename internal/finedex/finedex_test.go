@@ -1,6 +1,7 @@
 package finedex
 
 import (
+	"sync"
 	"testing"
 
 	"altindex/internal/dataset"
@@ -40,5 +41,50 @@ func TestModelsFromLPA(t *testing.T) {
 	}
 	if ix.StatsMap()["models"] < 2 {
 		t.Fatal("osm should need multiple LPA models")
+	}
+}
+
+// TestConcurrentRemoveOnce races four goroutines removing every bulkloaded
+// key: a trained-array tombstone flips once, so exactly one Remove per key
+// reports true and Len ends at 0.
+func TestConcurrentRemoveOnce(t *testing.T) {
+	const goroutines = 4
+	ix := New()
+	keys := dataset.Generate(dataset.OSM, 20000, 5)
+	if err := ix.Bulkload(dataset.Pairs(keys)); err != nil {
+		t.Fatal(err)
+	}
+	removed := make([][]bool, goroutines)
+	var wg sync.WaitGroup
+	for g := range removed {
+		removed[g] = make([]bool, len(keys))
+		wg.Add(1)
+		go func(mine []bool) {
+			defer wg.Done()
+			for i, k := range keys {
+				mine[i] = ix.Remove(k)
+			}
+		}(removed[g])
+	}
+	wg.Wait()
+	bad := 0
+	for i, k := range keys {
+		n := 0
+		for g := range removed {
+			if removed[g][i] {
+				n++
+			}
+		}
+		if n != 1 {
+			if bad++; bad == 1 {
+				t.Errorf("key %d: %d of %d Removes returned true, want 1", k, n, goroutines)
+			}
+		}
+	}
+	if bad > 1 {
+		t.Errorf("%d keys in all were not removed exactly once", bad)
+	}
+	if n := ix.Len(); n != 0 {
+		t.Errorf("Len = %d after removing every key, want 0", n)
 	}
 }

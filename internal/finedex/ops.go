@@ -14,12 +14,12 @@ func (ix *Index) Insert(key, value uint64) error {
 	}
 	m := tb.find(key)
 	if i, ok := m.locate(key); ok {
-		wasDead := m.isDead(i)
+		m.mu.Lock()
 		m.vals[i].Store(value)
-		if wasDead {
-			m.setDead(i, false)
+		if m.setDead(i, false) {
 			ix.size.Add(1)
 		}
+		m.mu.Unlock()
 		return nil
 	} else {
 		b := m.ensureBin(i)
@@ -129,6 +129,8 @@ func (ix *Index) Update(key, value uint64) bool {
 	}
 	m := tb.find(key)
 	if i, ok := m.locate(key); ok {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 		if m.isDead(i) {
 			return false
 		}
@@ -149,12 +151,13 @@ func (ix *Index) Remove(key uint64) bool {
 	}
 	m := tb.find(key)
 	if i, ok := m.locate(key); ok {
-		if m.isDead(i) {
-			return false
+		m.mu.Lock()
+		removed := m.setDead(i, true)
+		m.mu.Unlock()
+		if removed {
+			ix.size.Add(-1)
 		}
-		m.setDead(i, true)
-		ix.size.Add(-1)
-		return true
+		return removed
 	} else if b := m.binAt(i); b != nil {
 		if b.mutate(m, i, key, func(b *bin, bi int) { b.deleted[bi].Store(1) }) {
 			ix.size.Add(-1)

@@ -2,210 +2,194 @@ package indextest
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"altindex/internal/dataset"
 	"altindex/internal/index"
-	"altindex/internal/xrand"
 )
 
-// Audit checks a quiescent index against the expected final key/value
-// state and returns every invariant violation found (nil means the index
-// is consistent). The invariants are the cross-implementation contract the
-// chaos and churn suites rely on:
+// Audit checks a quiescent index against the state want it should hold and
+// returns every violation found (nil means the index is consistent). It
+// records the quiescent tail of a history that starts at want — a Get of
+// every key of want, then a Walk of the whole index — and judges it with
+// CheckHistory and CheckScans, plus one count rule: Len equals the number
+// of keys the walk returned. A lost or stale key fails its Get, a ghost
+// fails the walk.
 //
-//   - no lost acked writes: every expected key is readable with its exact
-//     last-written value;
-//   - no ghost or duplicate keys: a full scan yields exactly the expected
-//     key set, strictly ascending;
-//   - consistent counts: Len equals the expected population;
-//   - path agreement: the batched read path returns what per-key Get does.
-//
-// It is exported so engine-specific suites (core chaos, memdb chaos) and
-// the shared conformance suite audit with the same rules.
+// It is exported so engine-specific suites (core and shard chaos) audit
+// with the rules the conformance suite's History subtest applies.
 func Audit(ix index.Concurrent, want map[uint64]uint64) []string {
-	// Engines with asynchronous maintenance (e.g. background retraining)
-	// expose Quiesce; drain it so the audit never observes a mid-rebuild
-	// state as a violation.
-	if q, ok := ix.(interface{ Quiesce() }); ok {
-		q.Quiesce()
-	}
-	const maxViolations = 25
-	var bad []string
-	report := func(format string, args ...any) bool {
-		bad = append(bad, fmt.Sprintf(format, args...))
-		return len(bad) < maxViolations
-	}
-
-	for k, v := range want {
-		got, ok := ix.Get(k)
-		if !ok {
-			if !report("lost acked write: Get(%d) absent, want %d", k, v) {
-				return bad
-			}
-		} else if got != v {
-			if !report("stale value: Get(%d) = %d, want %d", k, got, v) {
-				return bad
-			}
-		}
-	}
-
-	seen := 0
-	var prev uint64
-	index.Walk(ix, 0, ^uint64(0), len(want)+64, func(k, v uint64) bool {
-		if seen > 0 && k <= prev {
-			report("scan order violation: %d after %d", k, prev)
-		}
-		prev = k
-		seen++
-		wv, ok := want[k]
-		if !ok {
-			report("ghost key in scan: %d", k)
-		} else if wv != v {
-			report("scan value mismatch: key %d = %d, want %d", k, v, wv)
-		}
-		return len(bad) < maxViolations
-	})
-	if len(bad) >= maxViolations {
-		return bad
-	}
-	if seen != len(want) {
-		report("scan visited %d keys, want %d", seen, len(want))
-	}
-	if n := ix.Len(); n != len(want) {
-		report("Len = %d, want %d", n, len(want))
-	}
-
-	bt := index.BatchOf(ix)
 	keys := make([]uint64, 0, len(want))
 	for k := range want {
 		keys = append(keys, k)
 	}
-	vals := make([]uint64, len(keys))
-	found := make([]bool, len(keys))
-	bt.GetBatch(keys, vals, found)
-	for i, k := range keys {
-		if !found[i] || vals[i] != want[k] {
-			if !report("GetBatch(%d) = (%d,%v), want %d", k, vals[i], found[i], want[k]) {
-				return bad
-			}
+	slices.Sort(keys)
+	var rec Recorder
+	return checkTail(&rec, ix, want, keys)
+}
+
+// testHistory is the conformance suite's linearizability test: four
+// goroutines drive the recorded mix of point ops, batches, scans and walks
+// on hot keys of a bulkloaded index, and the history ends with Audit's
+// quiescent tail over the hot keys. Each hot loaded key has several fresh
+// keys just above it, so they share its ALT slot (and live in ART) and
+// grow the level bin behind it in FINEdex.
+func testHistory(t *testing.T, factory Factory) {
+	const goroutines, loadedHot, adjacent, ops = 4, 16, 32, 1000
+	ix := factory()
+	defer closeIfCloser(ix)
+	keys := dataset.Generate(dataset.OSM, 20000, 3)
+	if err := ix.Bulkload(dataset.Pairs(keys)); err != nil {
+		t.Fatal(err)
+	}
+	initial := make(map[uint64]uint64, len(keys))
+	for _, k := range keys {
+		initial[k] = dataset.ValueFor(k)
+	}
+	hot := historyKeys(keys, loadedHot, adjacent)
+	var rec Recorder
+	if err := recordMix(&rec, ix, hot, goroutines, ops); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range checkTail(&rec, ix, initial, hot) {
+		t.Error(v)
+	}
+}
+
+// historyKeys are the keys a history works on: n keys spread over loaded,
+// each followed by the adjacent keys just above it, which predict to the
+// same ALT slot and so live in ART whenever the loaded key holds it.
+func historyKeys(loaded []uint64, n, adjacent int) []uint64 {
+	var hot []uint64
+	step := len(loaded) / n
+	for i := 0; i < n; i++ {
+		k := loaded[i*step]
+		for j := 0; j <= adjacent; j++ {
+			hot = append(hot, k+uint64(j))
 		}
+	}
+	return hot
+}
+
+// runHistory drives goroutines × ops random operations on hot keys through
+// a Recorder and checks the history, scans by the rules of CheckScans over
+// the keys tracked reports true for (nil: all).
+func runHistory(t *testing.T, ix index.Concurrent, initial map[uint64]uint64, hot []uint64, tracked func(uint64) bool, goroutines, ops int) {
+	t.Helper()
+	var rec Recorder
+	if err := recordMix(&rec, ix, hot, goroutines, ops); err != nil {
+		t.Fatal(err)
+	}
+	bad := checkRecorded(&rec, initial, tracked)
+	for _, v := range bad {
+		t.Error(v)
+	}
+	if len(bad) > 0 {
+		t.FailNow()
+	}
+}
+
+// recordMix drives goroutines × ops random operations on hot keys through
+// sessions of rec: point ops, batches through index.BatchOf, scans and
+// walks. Every written value is unique. It returns the first write error.
+func recordMix(rec *Recorder, ix index.Concurrent, hot []uint64, goroutines, ops int) error {
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		s := rec.Session(ix)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g) + 1))
+			next := uint64(g+1) << 40
+			val := func() uint64 { next++; return next }
+			pick := func() uint64 { return hot[r.Intn(len(hot))] }
+			// A scan window starts at or just below a hot key and ends
+			// past another one, or runs to the end of the keyspace.
+			window := func() (uint64, uint64) {
+				start := pick() - uint64(r.Intn(4))
+				if r.Intn(4) == 0 {
+					return start, ^uint64(0)
+				}
+				return start, max(start, pick()) + 2
+			}
+			for i := 0; i < ops; i++ {
+				switch p := r.Intn(100); {
+				case p < 20:
+					s.Get(pick())
+				case p < 27:
+					start, end := window()
+					s.ScanAppend(start, end, 1+r.Intn(16))
+				case p < 30:
+					start, end := window()
+					s.Walk(start, end, 1+r.Intn(2*index.WalkBatch))
+				case p < 55:
+					if err := s.Insert(pick(), val()); err != nil {
+						errs <- err
+						return
+					}
+				case p < 65:
+					s.Update(pick(), val())
+				case p < 80:
+					s.Remove(pick())
+				case p < 90:
+					keys := make([]uint64, 8+r.Intn(9))
+					for j := range keys {
+						keys[j] = pick()
+					}
+					s.GetBatch(keys)
+				default:
+					pairs := make([]index.KV, 8+r.Intn(9))
+					for j := range pairs {
+						pairs[j] = index.KV{Key: pick(), Value: val()}
+					}
+					if err := s.InsertBatch(pairs); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
+
+// checkTail records the quiescent tail of rec's history — once ix's
+// asynchronous maintenance (an index with Quiesce, e.g. ALT's retraining)
+// has drained, one session Gets every key of keys, then walks the whole
+// index — and checks the history from initial. Len must equal the walk's
+// count.
+func checkTail(rec *Recorder, ix index.Concurrent, initial map[uint64]uint64, keys []uint64) []string {
+	if q, ok := ix.(interface{ Quiesce() }); ok {
+		q.Quiesce()
+	}
+	s := rec.Session(ix)
+	for _, k := range keys {
+		s.Get(k)
+	}
+	n := s.Walk(0, ^uint64(0), math.MaxInt)
+	bad := checkRecorded(rec, initial, nil)
+	if l := ix.Len(); l != n {
+		bad = append(bad, fmt.Sprintf("Len = %d, but the quiescent walk returned %d keys", l, n))
 	}
 	return bad
 }
 
-// testChurnInvariants is the concurrency-invariant conformance test: a
-// deterministically-owned mixed workload (upserts, updates, removes,
-// reinserts) races against readers and scanners, then the quiesced index
-// must Audit clean against the exactly-known expected state. Unlike
-// testConcurrent (insert-only, per-key checks), this drives the full
-// mutation mix and the full audit, so every implementation is held to the
-// same no-lost-writes / no-ghosts / sorted-scan contract ALT's chaos suite
-// enforces.
-func testChurnInvariants(t *testing.T, factory Factory) {
-	const (
-		writers      = 4
-		bulkKeys     = 1 << 13
-		opsPerWriter = 1500
-		stride       = 32
-	)
-	ix := factory()
-	defer closeIfCloser(ix)
-
-	pairs := make([]index.KV, 0, bulkKeys)
-	for i := uint64(0); i < bulkKeys; i++ {
-		pairs = append(pairs, index.KV{Key: i*stride + 3, Value: i ^ 0xF00D})
+// checkRecorded checks rec's point ops and batches with CheckHistory and
+// its scans with CheckScans, and returns the first 25 violations with a
+// count of the rest.
+func checkRecorded(rec *Recorder, initial map[uint64]uint64, tracked func(uint64) bool) []string {
+	const maxViolations = 25
+	ops := rec.History()
+	bad := append(CheckHistory(ops, initial), CheckScans(ops, rec.Scans(), initial, tracked)...)
+	if len(bad) > maxViolations {
+		bad = append(bad[:maxViolations], fmt.Sprintf("... and %d more", len(bad)-maxViolations))
 	}
-	if err := ix.Bulkload(pairs); err != nil {
-		t.Fatal(err)
-	}
-
-	type finalState struct {
-		val  uint64
-		live bool
-	}
-	finals := make([]map[uint64]finalState, writers)
-	var writerWg, readerWg sync.WaitGroup
-	stop := make(chan struct{})
-
-	for w := 0; w < writers; w++ {
-		writerWg.Add(1)
-		go func(w int) {
-			defer writerWg.Done()
-			rng := xrand.New(uint64(0xC0FFEE + w*104729))
-			mine := make(map[uint64]finalState)
-			finals[w] = mine
-			for op := 0; op < opsPerWriter; op++ {
-				// Grid index ≡ w (mod writers): single-writer ownership
-				// makes the final expected state exact.
-				gi := uint64(rng.Intn(bulkKeys/writers*2))*writers + uint64(w)
-				k := gi*stride + 3
-				v := uint64(op)<<8 | uint64(w)
-				switch rng.Intn(8) {
-				case 0, 1:
-					ix.Remove(k)
-					mine[k] = finalState{}
-				case 2:
-					if ix.Update(k, v) {
-						mine[k] = finalState{val: v, live: true}
-					}
-				default:
-					if err := ix.Insert(k, v); err != nil {
-						t.Errorf("Insert(%d): %v", k, err)
-						return
-					}
-					mine[k] = finalState{val: v, live: true}
-				}
-			}
-		}(w)
-	}
-
-	for r := 0; r < 2; r++ {
-		readerWg.Add(1)
-		go func(r int) {
-			defer readerWg.Done()
-			rng := xrand.New(uint64(0xBEE + r))
-			var dst []index.KV
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for j := 0; j < 32; j++ {
-					ix.Get(uint64(rng.Intn(bulkKeys*2)) * stride)
-				}
-				// Mid-churn scans must stay strictly ascending.
-				start := uint64(rng.Intn(bulkKeys)) * stride
-				dst = ix.ScanAppend(dst[:0], start, ^uint64(0), 128)
-				for i, kv := range dst {
-					if kv.Key < start || (i > 0 && kv.Key <= dst[i-1].Key) {
-						t.Errorf("mid-churn scan from %d: key %d at position %d, after %v", start, kv.Key, i, dst[:i])
-						return
-					}
-				}
-			}
-		}(r)
-	}
-
-	writerWg.Wait()
-	close(stop)
-	readerWg.Wait()
-
-	want := make(map[uint64]uint64, 2*bulkKeys)
-	for _, kv := range pairs {
-		want[kv.Key] = kv.Value
-	}
-	for _, mine := range finals {
-		for k, st := range mine {
-			if st.live {
-				want[k] = st.val
-			} else {
-				delete(want, k)
-			}
-		}
-	}
-	for _, violation := range Audit(ix, want) {
-		t.Error(violation)
-	}
+	return bad
 }

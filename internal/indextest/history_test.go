@@ -1,9 +1,7 @@
 package indextest
 
 import (
-	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"altindex/internal/art"
@@ -102,98 +100,6 @@ func TestCheckScansSelfTest(t *testing.T) {
 	}
 }
 
-// historyKeys are the keys a history works on: half of them loaded, and a
-// key just above each loaded one, which predicts to the same slot in ALT
-// and so lives in ART whenever its neighbour holds the slot.
-func historyKeys(loaded []uint64, n int) []uint64 {
-	var hot []uint64
-	step := len(loaded) / n
-	for i := 0; i < n; i++ {
-		k := loaded[i*step]
-		hot = append(hot, k, k+1)
-	}
-	return hot
-}
-
-// runHistory drives goroutines × ops random operations on hot keys through
-// a Recorder and checks the history: point ops and batches per key, scans
-// and each pull of a walk by CheckScans' rules over the keys tracked
-// reports true for (nil: all). Every written value is unique.
-func runHistory(t *testing.T, ix index.Concurrent, initial map[uint64]uint64, hot []uint64, tracked func(uint64) bool, goroutines, ops int) {
-	t.Helper()
-	var rec Recorder
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		s := rec.Session(ix)
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(g) + 1))
-			next := uint64(g+1) << 40
-			val := func() uint64 { next++; return next }
-			pick := func() uint64 { return hot[r.Intn(len(hot))] }
-			// A scan window starts at or just below a hot key and ends
-			// past another one, or runs to the end of the keyspace.
-			window := func() (uint64, uint64) {
-				start := pick() - uint64(r.Intn(4))
-				if r.Intn(4) == 0 {
-					return start, ^uint64(0)
-				}
-				return start, max(start, pick()) + 2
-			}
-			for i := 0; i < ops; i++ {
-				switch p := r.Intn(100); {
-				case p < 20:
-					s.Get(pick())
-				case p < 27:
-					start, end := window()
-					s.ScanAppend(start, end, 1+r.Intn(16))
-				case p < 30:
-					start, end := window()
-					s.Walk(start, end, 1+r.Intn(2*index.WalkBatch))
-				case p < 55:
-					if err := s.Insert(pick(), val()); err != nil {
-						errs <- err
-						return
-					}
-				case p < 65:
-					s.Update(pick(), val())
-				case p < 80:
-					s.Remove(pick())
-				case p < 90:
-					keys := make([]uint64, 8+r.Intn(9))
-					for j := range keys {
-						keys[j] = pick()
-					}
-					s.GetBatch(keys)
-				default:
-					pairs := make([]index.KV, 8+r.Intn(9))
-					for j := range pairs {
-						pairs[j] = index.KV{Key: pick(), Value: val()}
-					}
-					if err := s.InsertBatch(pairs); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if bad := CheckHistory(rec.History(), initial); len(bad) > 0 {
-		t.Fatalf("%d of %d keys not linearizable; first:\n%s", len(bad), len(hot), bad[0])
-	}
-	scans := rec.Scans()
-	if bad := CheckScans(rec.History(), scans, initial, tracked); len(bad) > 0 {
-		t.Fatalf("%d of %d scans break a scan rule; first:\n%s", len(bad), len(scans), bad[0])
-	}
-}
-
 // TestHistoryLinearizable checks recorded concurrent histories of point
 // ops, batches and scans — against a per-key register and the scan rules —
 // on ALT in the states it serves and on bare ART, the substrate its
@@ -230,7 +136,7 @@ func historyMatrix(t *testing.T, arm func(*testing.T, index.Concurrent)) {
 		ix := core.New(core.Options{})
 		defer ix.Close()
 		bulk(t, ix, keys)
-		run(t, ix, pairsOf(keys), historyKeys(keys, hotKeys), nil)
+		run(t, ix, pairsOf(keys), historyKeys(keys, hotKeys, 1), nil)
 	})
 
 	t.Run("ALT-grown", func(t *testing.T) {
@@ -251,7 +157,7 @@ func historyMatrix(t *testing.T, arm func(*testing.T, index.Concurrent)) {
 		if n := ix.StatsMap()["retrains"]; n < 3 {
 			t.Fatalf("grown index ran %d trainings, want several: %v", n, ix.StatsMap())
 		}
-		run(t, ix, pairsOf(grown), historyKeys(grown, hotKeys), nil)
+		run(t, ix, pairsOf(grown), historyKeys(grown, hotKeys, 1), nil)
 	})
 
 	t.Run("ALT-retrain-storm", func(t *testing.T) {
@@ -263,7 +169,7 @@ func historyMatrix(t *testing.T, arm func(*testing.T, index.Concurrent)) {
 		ix := core.New(core.Options{RetrainMinInserts: 16})
 		defer ix.Close()
 		bulk(t, ix, keys)
-		hot := historyKeys(keys, hotKeys)
+		hot := historyKeys(keys, hotKeys, 1)
 		isHot := make(map[uint64]bool, len(hot))
 		for _, k := range hot {
 			isHot[k] = true
@@ -314,6 +220,6 @@ func historyMatrix(t *testing.T, arm func(*testing.T, index.Concurrent)) {
 	t.Run("ART", func(t *testing.T) {
 		ix := art.New(nil)
 		bulk(t, ix, keys)
-		run(t, ix, pairsOf(keys), historyKeys(keys, hotKeys), nil)
+		run(t, ix, pairsOf(keys), historyKeys(keys, hotKeys, 1), nil)
 	})
 }

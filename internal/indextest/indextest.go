@@ -43,7 +43,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("BatchDuplicates", func(t *testing.T) { testBatchDuplicates(t, factory) })
 	t.Run("BatchConflictHeavy", func(t *testing.T) { testBatchConflictHeavy(t, factory) })
 	t.Run("BatchConcurrent", func(t *testing.T) { testBatchConcurrent(t, factory) })
-	t.Run("ChurnInvariants", func(t *testing.T) { testChurnInvariants(t, factory) })
+	t.Run("History", func(t *testing.T) { testHistory(t, factory) })
 }
 
 // batchers returns the batched views of ix under test: the preferred one

@@ -314,18 +314,27 @@ func (ix *Index) ScanAppend(dst []index.KV, start, end uint64, max int) []index.
 		return dst
 	}
 	base := len(dst)
-	for attempt := 0; attempt < 8; attempt++ {
-		dst = dst[:base]
+	for {
 		if _, ok := ix.collect(ix.root.Load(), start, hi, base+max, &dst); ok {
-			break
+			return dst
+		}
+		// Every pair collected was read under a valid version: resume
+		// after the last one. Any insert moves the root's version, so a
+		// restart from scratch could be cut short forever.
+		if n := len(dst); n > base {
+			if dst[n-1].Key == hi {
+				return dst
+			}
+			start = dst[n-1].Key + 1
 		}
 	}
-	return dst
 }
 
 // collect appends n's pairs with keys in [start, hi] to out until it holds
-// max, reporting ok=false on a version conflict. past reports a key above
-// hi: nothing after it in slot order can be in the window.
+// max, reporting ok=false on a version conflict; each pair is appended only
+// once its slot read validated, so the pairs before a conflict stand. past
+// reports a key above hi: nothing after it in slot order can be in the
+// window.
 func (ix *Index) collect(n *node, start, hi uint64, max int, out *[]index.KV) (past, ok bool) {
 	if n == nil || len(*out) >= max {
 		return false, true
