@@ -591,21 +591,29 @@ func (t *Tree) LowestCommonNode(a, b uint64) *Node {
 // MemoryUsage approximates retained heap bytes. Intended for quiescent
 // measurement (no concurrent writers).
 func (t *Tree) MemoryUsage() uintptr {
-	if root := t.root.Load(); root != nil {
-		return memWalk(root)
-	}
-	return 0
+	var total uintptr
+	t.EachNode(func(_ *Node, bytes uintptr) { total += bytes })
+	return total
 }
 
-func memWalk(n *Node) uintptr {
-	total := n.byteSize()
+// EachNode calls visit with every node reachable from the root, parents
+// before children, and the heap bytes the node's allocation holds. Like
+// MemoryUsage it is for a quiescent tree: a concurrent writer may hide a
+// node from it or show one twice.
+func (t *Tree) EachNode(visit func(n *Node, bytes uintptr)) {
+	if root := t.root.Load(); root != nil {
+		eachNode(root, visit)
+	}
+}
+
+func eachNode(n *Node, visit func(*Node, uintptr)) {
+	visit(n, n.byteSize())
 	if n.kind == kindLeaf {
-		return total
+		return
 	}
 	var bs [256]byte
 	var cs [256]*Node
 	for _, c := range cs[:n.childrenInto(0, 255, &bs, &cs)] {
-		total += memWalk(c)
+		eachNode(c, visit)
 	}
-	return total
 }

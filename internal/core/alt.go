@@ -22,6 +22,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -39,13 +41,19 @@ type Options struct {
 	// ErrorBound is the GPL segmentation ε. Zero selects the paper's
 	// recommendation of n/1000 (§III-D), capped at 1,024 and floored at
 	// 16, where n is the live key count at each build: the input size for
-	// Bulkload, the index's size for a retraining rebuild.
+	// Bulkload, the index's size for a retraining rebuild. Bulkload refuses
+	// a negative value (Validate); New keeps it, and the rebuilds of an
+	// index it grows treat it as zero.
 	ErrorBound int
 	// GapFactor stretches each model's slot array to leave gaps for
 	// in-place inserts (§III-B "array gaps scheme"): a model gets
 	// GapFactor slots per key, more only where they evict fewer keys to
 	// ART, and fewer where GPL's midpoint line already takes fewer
-	// (fitSlope). Zero selects 2.0.
+	// (fitSlope); below 1 it acts as 1. Zero selects 2.0. Bulkload refuses
+	// a negative, infinite or NaN value (Validate). New keeps it, and the
+	// rebuilds of an index it grows, which stretch by min(2·GapFactor, 4),
+	// run a negative value as 1 and +Inf as 4, while NaN leaves almost
+	// every key in ART.
 	GapFactor float64
 	// DisableRetraining turns off dynamic retraining (§III-F), which
 	// includes the first training of an index that was never bulkloaded:
@@ -74,6 +82,19 @@ func (o Options) withDefaults() Options {
 		o.RetrainMinInserts = 1024
 	}
 	return o
+}
+
+// Validate returns an error naming the first field of o that no build
+// serves: a negative ErrorBound, or a GapFactor that is negative, infinite
+// or NaN. Bulkload calls it first and refuses such options.
+func (o Options) Validate() error {
+	if o.ErrorBound < 0 {
+		return fmt.Errorf("core: Options.ErrorBound %d is negative", o.ErrorBound)
+	}
+	if g := o.GapFactor; math.IsNaN(g) || math.IsInf(g, 0) || g < 0 {
+		return fmt.Errorf("core: Options.GapFactor %v is not a finite number ≥ 0", g)
+	}
+	return nil
 }
 
 // MaxDefaultErrorBound caps the default ε. Past it ε dwarfs a model's own
@@ -179,8 +200,12 @@ func (t *ALT) Len() int { return int(t.size.Load()) }
 // fill and the fast pointers are linked after, so the layout is the same at
 // any P. It must not run concurrently with any other method; it first
 // drains the index's own retraining, whose rebuilds write the tree and the
-// fast pointer buffer it replaces.
+// fast pointer buffer it replaces. Options that Validate refuses, and
+// unsorted input, return an error and leave the contents as they were.
 func (t *ALT) Bulkload(pairs []index.KV) error {
+	if err := t.opts.Validate(); err != nil {
+		return err
+	}
 	p := runtime.GOMAXPROCS(0)
 	keys := make([]uint64, len(pairs))
 	vals := make([]uint64, len(pairs))
@@ -246,6 +271,9 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 	for i := range tb.dir {
 		t.registerFP(tb, i)
 	}
+	// Then put the tree a conflict lookup walks on 2 MiB pages (DESIGN.md
+	// §6, "Bulkload slab and tree on 2 MiB pages").
+	collapseHuge(t.tree)
 	return nil
 }
 

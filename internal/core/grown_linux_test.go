@@ -40,7 +40,7 @@ func BenchmarkGrownVsBulkloaded(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					huge = anonHugeBytes(b, 0, ^uintptr(0))
+					huge = anonHugeBytes(b, []span{{0, ^uintptr(0)}})
 					st = ix.StatsMap()
 					tb := ix.tab.Load()
 					for i := range tb.dir {

@@ -171,9 +171,13 @@ func (t *ALT) Len() int {
 // boundary, and each shard bulkloads its slice — in parallel for large
 // loads, since the slices are disjoint.
 // Like core.ALT's, it replaces the contents and must not run concurrently
-// with any other method call.
+// with any other method call, and it refuses the options and the input
+// core.ALT's refuses.
 func (t *ALT) Bulkload(pairs []index.KV) error {
 	// Validate up front so a rejected load leaves the contents untouched.
+	if err := t.opts.Validate(); err != nil {
+		return err
+	}
 	for i := 1; i < len(pairs); i++ {
 		if pairs[i].Key <= pairs[i-1].Key {
 			return index.ErrUnsortedBulk

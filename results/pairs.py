@@ -9,12 +9,14 @@
 
 Runs `bash benchmark/run.sh --workload W --seed S` once per side per pair,
 each from its own checkout, alternating which side goes first. Every run's
-JSON line is printed as it was produced; the table after them gives each
-end-to-end metric's median and quartiles per side, the change's median
-against the parent's, the parent's inter-quartile distance (the spread a
-claimed gain must exceed) and the pairs the change won (ties count for
-neither). Judging a claim from the table is the reader's job; the script
-only reports.
+JSON line is printed as it was produced, after the run's peak RSS (see
+run; the benchmark's build is not part of it). The table after them has a
+row for each end-to-end metric and a last one for the peak RSS, each
+giving the median and quartiles per side, the change's median against the
+parent's, the parent's inter-quartile distance (the spread a claimed gain
+must exceed) and the pairs the change won (ties count for neither).
+Judging a claim from the table is the reader's job; the script only
+reports.
 
 Code placement alone moves the suite by several percent, so a small,
 consistent offset between two checkouts can be an artifact of where the
@@ -40,7 +42,10 @@ import subprocess
 import sys
 import tempfile
 
-LOWER_IS_BETTER = {"setup_s", "read_p50_us", "write_p50_us", "bytes_per_key"}
+# The peak RSS of a run, in MB: not a metric of the suite, so it is kept
+# beside a run's metrics and printed as the tables' last row.
+PEAK_RSS = "peak_rss_mb"
+LOWER_IS_BETTER = {"setup_s", "read_p50_us", "write_p50_us", "bytes_per_key", PEAK_RSS}
 
 # Packages that receive a pad, and the hot functions whose addresses each
 # padded run logs.
@@ -102,12 +107,40 @@ def addresses(binary):
     return addr, pad
 
 
+def build(checkout):
+    """Builds checkout's benchmark binary as benchmark/run.sh does (same
+    cache, flags and output), so the build at the start of a timed run finds
+    it up to date: a go command of about 22 MB that compiles and links
+    nothing (the link alone peaks near 240 MB)."""
+    out = os.path.join(os.path.abspath(checkout), "benchmark", ".build")
+    os.makedirs(os.path.join(out, "tmp"), exist_ok=True)
+    env = dict(os.environ, GOCACHE=os.path.join(out, "gocache"), GOTMPDIR=os.path.join(out, "tmp"),
+               GOFLAGS="-buildvcs=false", GOTOOLCHAIN="local")
+    subprocess.run(["go", "build", "-o", os.path.join(out, "benchmark"), "."],
+                   cwd=os.path.join(checkout, "benchmark"), env=env, check=True)
+
+
 def run(checkout, workload, seed):
-    out = subprocess.run(
-        ["bash", "benchmark/run.sh", "--workload", workload, "--seed", str(seed)],
-        cwd=checkout, check=True, capture_output=True, text=True).stdout
+    """One run of the suite in checkout. The line is the run's JSON line
+    prefixed with its peak RSS: ru_maxrss from os.wait4 on the run's
+    process, which covers every child it waited for. The binary is built
+    first, outside that wait, so the peak is the suite's slice processes'
+    or, if higher, the no-op go command's (see build)."""
+    build(checkout)
+    cmd = ["bash", "benchmark/run.sh", "--workload", workload, "--seed", str(seed)]
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=err)
+        out = proc.stdout.read().decode()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            raise subprocess.CalledProcessError(proc.returncode, cmd, out, err.read().decode())
     line = out.strip().splitlines()[-1]
-    return line, json.loads(line)
+    doc = json.loads(line)
+    doc[PEAK_RSS] = usage.ru_maxrss / 1024  # KiB on Linux
+    return f"{PEAK_RSS}={doc[PEAK_RSS]:.0f} {line}", doc
 
 
 def run_padded(checkout, workload, seed, work, side, size, gocache):
@@ -120,6 +153,15 @@ def run_padded(checkout, workload, seed, work, side, size, gocache):
     shutil.rmtree(dst)
     tag = " ".join(f"{k}={v}" for k, v in addr.items())
     return f"pad={size} core_pad_bytes={got} {tag} {line}", doc
+
+
+def row_names(docs):
+    """The tables' rows: every end-to-end metric, then the peak RSS."""
+    return sorted(docs[0]["metrics"]) + [PEAK_RSS]
+
+
+def values(docs, name):
+    return [d[PEAK_RSS] if name == PEAK_RSS else d["metrics"][name]["value"] for d in docs]
 
 
 def quartiles(xs):
@@ -171,9 +213,8 @@ def pairs(a):
     print(f"\nfailed operations: parent={failed['parent']} change={failed['change']}")
     print(f"{'metric':18} {'parent q1/median/q3':34} {'change q1/median/q3':34} "
           f"{'change vs parent':>16} {'parent IQR':>11} {'wins':>6}")
-    for name in sorted(runs["parent"][0]["metrics"]):
-        p = [d["metrics"][name]["value"] for d in runs["parent"]]
-        c = [d["metrics"][name]["value"] for d in runs["change"]]
+    for name in row_names(runs["parent"]):
+        p, c = values(runs["parent"], name), values(runs["change"], name)
         pq, cq = quartiles(p), quartiles(c)
         better = (lambda x, y: x < y) if name in LOWER_IS_BETTER else (lambda x, y: x > y)
         wins = sum(better(x, y) for x, y in zip(c, p))
@@ -197,8 +238,8 @@ def layout_only(a):
     shutil.rmtree(work)
     print(f"\nfailed operations: {sum(d['failed'] for d in docs)}")
     print(f"{'metric':18} {'q1/median/q3':34} {'IQR':>7} {'min-max':>8}")
-    for name in sorted(docs[0]["metrics"]):
-        xs = [d["metrics"][name]["value"] for d in docs]
+    for name in row_names(docs):
+        xs = values(docs, name)
         q = quartiles(xs)
         print(f"{name:18} {fmt(q):34} {(q[2] - q[0]) / q[1]:>6.1%} {max(xs) / min(xs) - 1:>7.1%}")
     print()

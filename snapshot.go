@@ -78,8 +78,12 @@ func Save(idx Index, path string) error {
 // ErrBadSnapshot.
 //
 // Load bulkloads the file's pairs into New(opts), so opts alone decides
-// the layout.
+// the layout. Options that Validate refuses return its error before the
+// file is read.
 func Load(path string, opts Options) (Index, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	payload, err := snapio.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, snapio.ErrCorrupt) {
