@@ -249,14 +249,6 @@ func runThreadBatched(ix index.Concurrent, s *workload.Stream, ops, batchSize in
 	return done
 }
 
-// BuildOnly bulkloads the initRatio share of the dataset (1 = all of it)
-// into a fresh index and returns it with its build time. The caller must
-// Close closeable indexes; CloseIndex helps.
-func BuildOnly(factory func() index.Concurrent, name dataset.Name, keys int, initRatio float64, seed uint64) (index.Concurrent, time.Duration) {
-	p := Prepare(factory, Config{Dataset: name, Keys: keys, InitRatio: initRatio, Threads: 1, Seed: seed})
-	return p.Ix, p.Build
-}
-
 // CloseIndex stops any background machinery owned by ix.
 func CloseIndex(ix index.Concurrent) {
 	if c, ok := ix.(io.Closer); ok {

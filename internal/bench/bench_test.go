@@ -290,17 +290,6 @@ func TestByID(t *testing.T) {
 	}
 }
 
-func TestBuildOnly(t *testing.T) {
-	ix, dt := BuildOnly(ALT().New, dataset.Libio, 10000, 1, 1)
-	defer CloseIndex(ix)
-	if ix.Len() != 10000 {
-		t.Fatalf("Len=%d", ix.Len())
-	}
-	if dt <= 0 {
-		t.Fatal("no build time")
-	}
-}
-
 // TestNetPathSmoke drives one tiny grid cell of the net-path experiment:
 // the closed-loop TCP client must complete its op target, the STATS scrape
 // must carry the net counters the tables are built from, and depth-8

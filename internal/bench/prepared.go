@@ -15,8 +15,8 @@ import (
 // Prepared is a reusable benchmark scenario: a bulkloaded index plus the
 // per-thread operation streams of a workload. It lets testing.B benchmarks
 // exclude the build from the timed region, and it is the one place the
-// harness generates, splits and bulkloads a dataset — Run, BuildOnly and
-// every experiment cell start here.
+// harness generates, splits and bulkloads a dataset — Run and every
+// experiment cell start here.
 type Prepared struct {
 	Ix      index.Concurrent
 	Build   time.Duration // wall time of the bulkload

@@ -116,12 +116,3 @@ func (h *Histogram) Mean() time.Duration {
 	}
 	return time.Duration(sum / total)
 }
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.total.Store(0)
-	h.maxNS.Store(0)
-}

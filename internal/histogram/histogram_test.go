@@ -87,15 +87,6 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var h Histogram
-	h.Record(time.Millisecond)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestTinyAndHugeValues(t *testing.T) {
 	var h Histogram
 	h.Record(0)

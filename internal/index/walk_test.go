@@ -133,8 +133,8 @@ func TestWalkEndsAtMaxUint64(t *testing.T) {
 	}
 }
 
-// TestWalkFnUpdatesIndex is the Vacuum shape: fn writes to the index it
-// walks. Each visited key is updated exactly once, and the walk still sees
+// TestWalkFnUpdatesIndex: fn writes to the index it walks, between
+// pulls. Each visited key is updated exactly once, and the walk still sees
 // every key once.
 func TestWalkFnUpdatesIndex(t *testing.T) {
 	keys := dataset.Generate(dataset.FB, 3000, 3)

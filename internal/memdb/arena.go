@@ -6,14 +6,11 @@ import (
 )
 
 // arena is an append-only chunked row store. A handle is a dense row id;
-// rows are immutable once written (updates allocate a new version), so
-// concurrent readers need no locks once they hold a handle. Handles are
-// never reused: a superseded version stays in its chunk until Vacuum
-// rebuilds the arena from the live rows.
+// rows are immutable once written, so concurrent readers need no locks
+// once they hold a handle.
 //
 // Chunks are plain []uint64 slices: pointer-free, so the collector never
-// scans row data, and a generation Vacuum replaces is freed by the
-// collector once nothing holds it.
+// scans row data.
 const arenaChunkRows = 4096
 
 type arena struct {
@@ -21,7 +18,7 @@ type arena struct {
 
 	mu     sync.Mutex
 	chunkV atomic.Pointer[[][]uint64] // each chunk is arenaChunkRows * width words
-	next   atomic.Uint64
+	next   uint64                     // guarded by mu
 }
 
 func newArena(width int) *arena {
@@ -34,7 +31,8 @@ func newArena(width int) *arena {
 // alloc writes row into a fresh slot and returns its handle.
 func (a *arena) alloc(row []uint64) uint64 {
 	a.mu.Lock()
-	h := a.next.Add(1) - 1
+	h := a.next
+	a.next++
 	chunks := *a.chunkV.Load()
 	if need := int(h/arenaChunkRows) + 1; need > len(chunks) {
 		grown := make([][]uint64, need)
@@ -43,8 +41,9 @@ func (a *arena) alloc(row []uint64) uint64 {
 			grown[i] = make([]uint64, arenaChunkRows*a.width)
 		}
 		a.chunkV.Store(&grown)
+		chunks = grown
 	}
-	c := (*a.chunkV.Load())[h/arenaChunkRows]
+	c := chunks[h/arenaChunkRows]
 	off := int(h%arenaChunkRows) * a.width
 	copy(c[off:off+a.width], row)
 	a.mu.Unlock()
@@ -58,10 +57,4 @@ func (a *arena) read(h uint64) []uint64 {
 	out := make([]uint64, a.width)
 	copy(out, c[off:off+a.width])
 	return out
-}
-
-func (a *arena) chunks() int { return len(*a.chunkV.Load()) }
-
-func (a *arena) memory() uintptr {
-	return uintptr(a.chunks()) * uintptr(arenaChunkRows*a.width*8)
 }

@@ -157,15 +157,11 @@ type Server struct {
 	handlers sync.WaitGroup
 }
 
-// NewServer builds an empty database with default robustness settings. The
-// index trains its learned layer automatically as data arrives.
-func NewServer() (*Server, error) {
-	return NewServerWith(Config{})
-}
-
-// NewServerWith builds a server with cfg. With cfg.WALDir set it recovers
-// the keyspace stored there first; a directory it cannot recover is a
-// startup error (refusing to serve silently-empty data).
+// NewServerWith builds a server with cfg; the zero Config is an empty
+// memory-only database with default robustness settings, whose index
+// trains its learned layer automatically as data arrives. With cfg.WALDir
+// set it recovers the keyspace stored there first; a directory it cannot
+// recover is a startup error (refusing to serve silently-empty data).
 func NewServerWith(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{

@@ -12,7 +12,7 @@ import (
 // startTestServer runs the server on an ephemeral port.
 func startTestServer(t *testing.T) net.Addr {
 	t.Helper()
-	srv, err := NewServer()
+	srv, err := NewServerWith(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

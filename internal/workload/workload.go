@@ -132,22 +132,6 @@ func New(cfg Config, loaded, pending []uint64) *Workload {
 	return w
 }
 
-// PendingPerThread returns the minimum number of fresh keys available to
-// each thread, which bounds how many insert ops a thread can issue before
-// the stream starts synthesising keys beyond the dataset.
-func (w *Workload) PendingPerThread() int {
-	if len(w.insert) == 0 {
-		return 0
-	}
-	minLen := len(w.insert[0])
-	for _, q := range w.insert[1:] {
-		if len(q) < minLen {
-			minLen = len(q)
-		}
-	}
-	return minLen
-}
-
 // Stream returns the deterministic operation stream for thread tid
 // (0 <= tid < cfg.Threads).
 func (w *Workload) Stream(tid int) *Stream {

@@ -194,11 +194,3 @@ func TestScanOpsCarryLength(t *testing.T) {
 		}
 	}
 }
-
-func TestPendingPerThread(t *testing.T) {
-	keys := dataset.Generate(dataset.Libio, 1000, 10)
-	w := New(Config{Mix: Balanced, Threads: 3, Seed: 1}, keys[:500], keys[500:])
-	if got := w.PendingPerThread(); got != 166 {
-		t.Fatalf("PendingPerThread = %d, want 166", got)
-	}
-}
