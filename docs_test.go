@@ -11,9 +11,12 @@ import (
 
 // TestDocsResolve: the documents and the code point at each other by name,
 // and every such name must still resolve. A "DESIGN.md §N" in a Go file
-// must be the number of one of DESIGN.md's sections, and every test or
-// fuzz function named in DESIGN.md, EXPERIMENTS.md or README.md must be
-// declared in some _test.go file of the repository.
+// must be the number of one of DESIGN.md's sections, every test or fuzz
+// function named in DESIGN.md, EXPERIMENTS.md or README.md must be
+// declared in some _test.go file of the repository, and every Test or Fuzz
+// name in the CI workflow must begin the name of one: `go test -run X`
+// passes silently when X matches nothing, and CI's -run patterns match by
+// prefix.
 func TestDocsResolve(t *testing.T) {
 	sections := map[string]bool{}
 	design := readDoc(t, "DESIGN.md")
@@ -61,6 +64,16 @@ func TestDocsResolve(t *testing.T) {
 			if !tests[name] {
 				t.Errorf("%s names %s, which no _test.go file declares", doc, name)
 			}
+		}
+	}
+	const ci = ".github/workflows/ci.yml"
+	for _, name := range named.FindAllString(readDoc(t, ci), -1) {
+		found := false
+		for decl := range tests {
+			found = found || strings.HasPrefix(decl, name)
+		}
+		if !found {
+			t.Errorf("%s names %s, which begins no test or fuzz function a _test.go file declares", ci, name)
 		}
 	}
 }

@@ -59,11 +59,6 @@ type Options struct {
 	// includes the first training of an index that was never bulkloaded:
 	// it stays one model with every key but one in ART.
 	DisableRetraining bool
-	// RetrainMinInserts floors the retraining trigger: a model retrains
-	// once its growth (keys it added since its build; a tombstone claim
-	// refills a counted slot and adds none) exceeds max(buildSize,
-	// RetrainMinInserts). Zero selects 1024, which stops rebuild thrash.
-	RetrainMinInserts int
 	// Shards asks the front-ends that read it (altindex.New and Load)
 	// for a range-partitioned index of this many independent ALT shards
 	// behind a learned boundary router (internal/shard). Bulkload fixes
@@ -77,9 +72,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.GapFactor == 0 {
 		o.GapFactor = 2.0
-	}
-	if o.RetrainMinInserts == 0 {
-		o.RetrainMinInserts = 1024
 	}
 	return o
 }
@@ -524,7 +516,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		}
 		if added { // an upsert of an ART key leaves the key set as it was
 			t.size.Add(1)
-			e.m.growth.Add(1)
+			e.m.artKeys.Add(1)
 			t.maybeRetrain(e.m)
 		}
 		return true
@@ -536,7 +528,6 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 		e.keyRef(s).Store(key)
 		e.valRef(s).Store(value)
 		e.release(s, meta, slotOccupied)
-		e.m.growth.Add(1)
 		t.size.Add(1)
 		return true
 	default: // tombstone: update an ART copy in place, else claim it.
@@ -554,8 +545,7 @@ func (t *ALT) insertAt(tab *table, pos int, key, value uint64) bool {
 			e.release(s, meta, slotTomb)
 			return true
 		}
-		// A claim refills a slot already counted, so it is not growth. A
-		// key re-inserted onto its own tombstone finds its key word set.
+		// A key re-inserted onto its own tombstone finds its key word set.
 		if e.keyRef(s).Load() != key {
 			e.keyRef(s).Store(key)
 		}
@@ -665,6 +655,7 @@ func (t *ALT) Remove(key uint64) bool {
 		e.release(s, meta, st)
 		if removed {
 			t.size.Add(-1)
+			e.m.artKeys.Add(-1)
 		}
 		return removed
 	}

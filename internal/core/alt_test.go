@@ -716,7 +716,7 @@ func TestRetrainEmptyRangeKeepsCoverage(t *testing.T) {
 	// the table must keep covering the range via a placeholder model and
 	// later inserts into the range must still work.
 	keys := dataset.Generate(dataset.Libio, 30000, 22)
-	alt := mustBulk(t, Options{RetrainMinInserts: 64}, keys)
+	alt := mustBulk(t, Options{}, keys)
 	tb := alt.tab.Load()
 	if len(tb.dir) < 3 {
 		t.Skip("need several models")
@@ -739,6 +739,9 @@ func TestRetrainEmptyRangeKeepsCoverage(t *testing.T) {
 		ins = append(ins, k)
 	}
 	alt.Quiesce()
+	if alt.StatsMap()["retrains"] == 0 {
+		t.Fatal("the inserts into the drained range retrained nothing")
+	}
 	for _, k := range ins {
 		if v, ok := alt.Get(k); !ok || v != k {
 			t.Fatalf("range key %d lost (%d,%v)", k, v, ok)

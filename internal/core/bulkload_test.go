@@ -24,10 +24,11 @@ type bulkLayout struct {
 
 // modelFit is what a build fixes of one model besides its slots.
 type modelFit struct {
-	first             uint64
-	slope             float64
-	nslots, buildSize int
-	fastIdx           int32
+	first     uint64
+	slope     float64
+	nslots    int
+	retrainAt int64
+	fastIdx   int32
 }
 
 func layoutOf(alt *ALT) bulkLayout {
@@ -40,7 +41,7 @@ func layoutOf(alt *ALT) bulkLayout {
 	}
 	for i := range tb.dir {
 		m := tb.dir[i].m
-		l.models = append(l.models, modelFit{m.first, m.slope, m.nslots, m.buildSize, m.fastIdx.Load()})
+		l.models = append(l.models, modelFit{m.first, m.slope, m.nslots, m.retrainAt, m.fastIdx.Load()})
 		for s := 0; s < len(m.blocks)*blockSlots; s++ {
 			l.slots = append(l.slots, [3]uint64{m.keyRef(s).Load(), m.valRef(s).Load(), uint64(m.metaRef(s).Load())})
 		}

@@ -58,7 +58,7 @@ func runChaosWorkload(t *testing.T, cfg chaosConfig) (*ALT, map[uint64]uint64) {
 		keyStride    = 64
 	)
 
-	opts := Options{ErrorBound: 16, RetrainMinInserts: 192}
+	opts := Options{ErrorBound: 16}
 	if cfg.opts != nil {
 		opts = *cfg.opts
 	}
@@ -240,7 +240,7 @@ func TestChaosProtocol(t *testing.T) {
 	for _, cfg := range []chaosConfig{
 		{
 			// Retrain storm: every freeze and publish window stretched
-			// while writers force frequent rebuilds (RetrainMinInserts=192).
+			// while writers force frequent rebuilds.
 			name: "retrain-storm",
 			sched: indextest.Schedule{
 				"core/retrain/freeze":  func(int64) { time.Sleep(50 * time.Microsecond) },
@@ -284,7 +284,7 @@ func TestChaosProtocol(t *testing.T) {
 				"core/retrain/freeze":  func(int64) { time.Sleep(2 * time.Millisecond) },
 			},
 			mustFire: []string{"core/retrain/enqueue"},
-			opts:     &Options{ErrorBound: 16, RetrainMinInserts: 32},
+			opts:     &Options{ErrorBound: 16},
 			queue:    1,
 			check: func(t *testing.T, idx *ALT) {
 				// The workload's trigger arrivals are timing-dependent —
@@ -305,10 +305,9 @@ func TestChaosProtocol(t *testing.T) {
 		},
 		{
 			// Concurrent splice: every splice stalls after its new models
-			// are filled and before it absorbs placeholders and builds the
-			// new table, so it runs against live writers (which may claim
-			// an absorbable placeholder meanwhile) and against routing on
-			// the table it is about to replace.
+			// are filled and before it builds the new table, so it runs
+			// against live writers (retrying on the frozen span) and
+			// against routing on the table it is about to replace.
 			name: "concurrent-splice",
 			sched: indextest.Schedule{
 				"core/retrain/splice":  func(int64) { time.Sleep(200 * time.Microsecond) },
@@ -326,6 +325,7 @@ func TestChaosProtocol(t *testing.T) {
 			if idx.retrains.Load() == 0 {
 				t.Error("no retraining happened; chaos run did not stress the rebuild path")
 			}
+			checkTable(t, idx)
 			if cfg.check != nil {
 				cfg.check(t, idx)
 			}
@@ -364,7 +364,7 @@ func TestChaosInsertBatchOnStaleTable(t *testing.T) {
 			keys[i] = uint64(g)*span + uint64(i)*16
 			want[g][keys[i]] = dataset.ValueFor(keys[i])
 		}
-		ts[g] = mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 128}, keys)
+		ts[g] = mustBulk(t, Options{ErrorBound: 16}, keys)
 	}
 
 	// Groups of 30, 40, 150 and 20 pairs: group 2 is positions 70..219, so
@@ -460,7 +460,7 @@ func TestChaosInsertBatchOnStaleTable(t *testing.T) {
 		for _, b := range indextest.Audit(idx, want[g]) {
 			t.Errorf("group %d: %s", g, b)
 		}
-		if err := tableViolations(idx.tab.Load()); err != nil {
+		if err := tableViolations(idx.tab.Load(), idx.tree.Len()); err != nil {
 			t.Errorf("group %d: %v", g, err)
 		}
 	}

@@ -46,13 +46,14 @@ func TestSlotFitIsParetoStep(t *testing.T) {
 				m := tb.dir[i].m
 				slots, evicted := midpointPlacement(keys[off:off+seg.N], seg, alt.opts.GapFactor)
 				off += seg.N
-				if m.nslots > slots || seg.N-m.buildSize > evicted {
+				inART := int(m.artKeys.Load())
+				if m.nslots > slots || inART > evicted {
 					t.Fatalf("model %d (%d keys): %d slots and %d keys in ART, the midpoint line %d and %d",
-						i, seg.N, m.nslots, seg.N-m.buildSize, slots, evicted)
+						i, seg.N, m.nslots, inART, slots, evicted)
 				}
 				fitSlots += m.nslots
 				midSlots += slots
-				fitEvicted += seg.N - m.buildSize
+				fitEvicted += inART
 				midEvicted += evicted
 			}
 			n := float64(len(keys))
@@ -94,4 +95,24 @@ func TestModelCountFollowsEpsilon(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHugeErrorBoundBoundsSlots bulkloads 20 K osm keys at an explicit ε of
+// 2^40, whose GPL midpoint lines once sized a slab of about 200 GB: every
+// model's slots stay within gap slots for each of its keys and each of
+// MaxDefaultErrorBound's positions, the cap fitSlope puts on the midpoint.
+func TestHugeErrorBoundBoundsSlots(t *testing.T) {
+	keys := dataset.Generate(dataset.OSM, 20000, 1)
+	alt := mustBulk(t, Options{ErrorBound: 1 << 40}, keys)
+	tb := alt.tab.Load()
+	slots := 0
+	for i := range tb.dir {
+		m := tb.dir[i].m
+		n := m.liveCount() + int(m.artKeys.Load()) // the segment's keys
+		if limit := alt.opts.GapFactor*float64(n-1+MaxDefaultErrorBound) + 1.5; float64(m.nslots) > limit {
+			t.Fatalf("model %d (%d keys) has %d slots, above the %.0f bound", i, n, m.nslots, limit)
+		}
+		slots += m.nslots
+	}
+	t.Logf("%d models, %.2f slots per key", len(tb.dir), float64(slots)/float64(len(keys)))
 }

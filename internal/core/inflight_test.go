@@ -21,7 +21,7 @@ import (
 // rebuilds disjoint ranges concurrently fails here.
 func TestOneRebuildInFlight(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 30000, 41)
-	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 64}, keys)
+	alt := mustBulk(t, Options{ErrorBound: 16}, keys)
 	indextest.Arm(t, indextest.Schedule{
 		"core/retrain/freeze": func(int64) { time.Sleep(2 * time.Millisecond) },
 	})

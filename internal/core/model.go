@@ -131,10 +131,14 @@ type model struct {
 	// rebuild finishes or the trigger is dropped on queue overflow.
 	retrainArmed atomic.Bool
 
-	buildSize int // keys placed at build time
-	// growth counts keys added since: empty-slot inserts and spills. A
-	// tombstone claim refills a slot already counted, so it adds none.
-	growth atomic.Int64
+	// artKeys counts the live keys in ART that route to the model: its
+	// build's evictions, plus its spills since, less the ones removed.
+	// Only a spill or an ART-resident Remove moves it, so churn at a
+	// constant key count leaves it flat.
+	artKeys atomic.Int64
+	// retrainAt is the artKeys count past which the model retrains
+	// (§III-F); see built.
+	retrainAt int64
 
 	// slab is the Bulkload slab blocks was carved from, or nil when the
 	// model owns its blocks (every rebuilt one). Only accounting reads it.
@@ -270,12 +274,19 @@ const slopeStep = 1.05
 // only closer ones are kept, as pairs of offsets from the first key in
 // *buf (reused across calls), and a rung is dropped once it evicts more
 // keys than mid.
+//
+// mid is first capped at gap slots for each of the segment's keys and each
+// of MaxDefaultErrorBound's positions. GPL's midpoint line spreads a segment
+// over at most ε/2 positions more than it has keys, so a default ε never
+// reaches the cap; an explicit ε far above the segment's key count would
+// otherwise size the slot array by ε (2^40 asks for terabytes).
 func fitSlope(keys []uint64, mid, gap float64, buf *[][2]float64) float64 {
 	n := len(keys)
+	first := keys[0]
+	mid = min(mid, gap*float64(n-1+MaxDefaultErrorBound)/float64(keys[n-1]-first))
 	if n < 3 {
 		return mid // the cone of one or two keys is a single line
 	}
-	first := keys[0]
 	lo := float64(n-1) / float64(keys[n-1]-first) * gap
 	if lo >= mid {
 		return mid
@@ -332,7 +343,7 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 		if si+1 < len(shells) {
 			hi = shells[si+1].first - 1
 		}
-		placed := 0
+		placed, evicted := 0, 0
 		for ki < len(keys) && keys[ki] <= hi {
 			k, v := keys[ki], vals[ki]
 			ki++
@@ -340,6 +351,7 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 			if sh.metaRef(s).Load()&slotOccupied != 0 {
 				t.tree.Put(k, v)
 				sh.evict(s, k)
+				evicted++
 				continue
 			}
 			sh.place(s, k, v)
@@ -349,10 +361,22 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 			// Empty shell: neighbors' clamping covers its range.
 			continue
 		}
-		sh.buildSize = placed
+		sh.built(placed, evicted)
 		newModels = append(newModels, sh)
 	}
 	return newModels
+}
+
+// built records what m's build left: placed keys in its slots and evicted
+// ones in ART. The §III-F trigger fires once the model's ART keys pass its
+// build's evictions by its placed keys times its load factor
+// (placed/nslots), rounded up: by half its build at the default gap of
+// two slots per key, by a quarter after a rebuild's gap of four. A
+// rebuild therefore follows at least as many net spills as its own keys
+// scaled by how full it starts, and never the first spill alone.
+func (m *model) built(placed, evicted int) {
+	m.artKeys.Store(int64(evicted))
+	m.retrainAt = int64(evicted + (placed*placed+m.nslots-1)/m.nslots)
 }
 
 // slotOf returns the predicted slot for key, clamped to the array. Because
@@ -437,20 +461,10 @@ func (m *model) freeze() {
 	}
 }
 
-// unfreeze releases every slot lock taken by freeze, bumping versions and
-// preserving state flags and conflict tags. Used to back out of a
-// splice-time placeholder absorption that lost a race to a writer.
-func (m *model) unfreeze() {
-	for s := 0; s < m.nslots; s++ {
-		mw := m.metaRef(s)
-		cur := mw.Load()
-		mw.Store(nextMeta(cur, cur&(slotOccupied|slotTomb)))
-	}
-}
-
-// frozenEntries returns the live pairs of a frozen model in ascending key
-// order (slot order equals key order because slotOf is monotone).
-func (m *model) frozenEntries() (keys, vals []uint64) {
+// frozenEntries appends the live pairs of a frozen model to keys and vals
+// in ascending key order (slot order equals key order because slotOf is
+// monotone).
+func (m *model) frozenEntries(keys, vals []uint64) ([]uint64, []uint64) {
 	for s := 0; s < m.nslots; s++ {
 		if m.metaRef(s).Load()&slotOccupied != 0 {
 			keys = append(keys, m.keyRef(s).Load())

@@ -60,8 +60,8 @@ func TestBuildModelPlacesOrEvicts(t *testing.T) {
 	if placed+conflicts != len(own) || conflicts == 0 {
 		t.Fatalf("placed %d + conflicts %d != %d", placed, conflicts, len(own))
 	}
-	if m.buildSize != placed {
-		t.Fatalf("buildSize %d != placed %d", m.buildSize, placed)
+	if got := m.artKeys.Load(); got != int64(conflicts) {
+		t.Fatalf("model counts %d ART keys, its build evicted %d", got, conflicts)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestFreezeBlocksAndPreserves(t *testing.T) {
 			t.Fatalf("slot %d not frozen", s)
 		}
 	}
-	fk, fv := m.frozenEntries()
+	fk, fv := m.frozenEntries(nil, nil)
 	if len(fk) != live {
 		t.Fatalf("frozenEntries %d != live %d", len(fk), live)
 	}
@@ -235,12 +235,11 @@ func TestQuickBuildModelInvariants(t *testing.T) {
 				prev = k
 				seen++
 			}
-			if seen != m.buildSize {
-				return false
-			}
 			placed += seen
 			// Every key routed to the model either sits at its slot, or
-			// its slot is occupied by another key and it is in ART.
+			// its slot is occupied by another key and it is in ART, where
+			// the model counts it.
+			inART := int64(0)
 			for _, k := range keys {
 				if k < m.first || i+1 < len(models) && k >= models[i+1].first {
 					continue
@@ -250,9 +249,16 @@ func TestQuickBuildModelInvariants(t *testing.T) {
 				if m.metaRef(s).Load()&slotOccupied == 0 {
 					return false
 				}
-				if v, ok := alt.tree.Get(k); (sk == k) == ok || ok && v != k {
+				v, ok := alt.tree.Get(k)
+				if (sk == k) == ok || ok && v != k {
 					return false
 				}
+				if ok {
+					inART++
+				}
+			}
+			if inART != m.artKeys.Load() {
+				return false
 			}
 		}
 		return placed+alt.tree.Len() == n

@@ -15,15 +15,17 @@ import (
 
 // §III-F retraining, off the writer's critical path.
 //
-// The paper's trigger — a model whose runtime insertions exceed its build
-// size is crowded, so subsequent inserts all spill into ART — counts growth,
-// so a tombstone claim, which refills a slot already counted, does not count.
-// It only enqueues the model: running the freeze→collect→GPL-retrain→splice
+// The paper's trigger fires once a model's keys stop fitting its slots. It
+// counts what that costs: the model's live keys in ART (model.artKeys),
+// which a spill raises and an ART-resident Remove lowers, against a
+// threshold its own build fixes (model.built). An upsert or a tombstone
+// claim moves no key between the layers and counts nothing. The trigger
+// only enqueues the model: running the freeze→collect→GPL-retrain→splice
 // rebuild on the triggering writer would make every crowded model a
 // tail-latency event for whichever writer tripped it. Three stages:
 //
-//  1. Trigger (writer's critical path): maybeRetrain costs one counter
-//     load; past the threshold, one CAS on the model's armed flag dedups
+//  1. Trigger (writer's critical path): maybeRetrain, after a spill, costs
+//     one counter load; past the threshold, one CAS on the model's armed flag dedups
 //     concurrent triggers and the model pointer goes into a bounded
 //     channel. On overflow the trigger is dropped but the model re-armed,
 //     so the next threshold-crossing insert re-triggers it — a dropped
@@ -32,9 +34,9 @@ import (
 //     triggers in order and rebuilds one model at a time. The freeze
 //     window is shrunk by hoisting the expensive work out of it (see
 //     rebuild).
-//  3. Publish (worker): the copy-on-write table splice, during which
-//     adjacent empty placeholder models are absorbed, so the table stops
-//     growing monotonically under churn. The worker is the only code that
+//  3. Publish (worker): the copy-on-write table splice of the rebuilt
+//     model and its two neighbours, so a split made while the index was
+//     small can merge again. The worker is the only code that
 //     publishes a table apart from Bulkload, which drains it first, so no
 //     two rebuilds ever overlap and a live model's range never changes
 //     under its rebuild.
@@ -56,7 +58,7 @@ type retrainer struct {
 	pending  atomic.Int64 // triggers accepted and not yet finished
 	inflight atomic.Int64 // rebuilds currently executing (0 or 1)
 	drops    atomic.Int64 // triggers dropped on queue overflow (re-armed)
-	merges   atomic.Int64 // placeholder models absorbed during splices
+	merges   atomic.Int64 // neighbour models rebuilt with a triggered one
 
 	freezeNsTotal atomic.Int64 // cumulative freeze-window duration
 	freezeNsMax   atomic.Int64 // longest single freeze window
@@ -88,15 +90,11 @@ func (r *retrainer) launch(t *ALT) {
 	}()
 }
 
-// maybeRetrain is the writer-side trigger (§III-F): one counter load on
-// the fast path, one CAS plus a non-blocking channel send when the model
-// crosses its threshold. The trigger is floored (Options.RetrainMinInserts)
-// so small models do not thrash through rebuilds.
+// maybeRetrain is the writer-side trigger (§III-F), run after a spill:
+// one counter load on the fast path, one CAS plus a non-blocking channel
+// send once the model's ART keys pass its retrainAt.
 func (t *ALT) maybeRetrain(m *model) {
-	if t.opts.DisableRetraining {
-		return
-	}
-	if m.growth.Load() <= int64(max(m.buildSize, t.opts.RetrainMinInserts)) {
+	if t.opts.DisableRetraining || m.artKeys.Load() <= m.retrainAt {
 		return
 	}
 	if !m.retrainArmed.CompareAndSwap(false, true) {
@@ -141,16 +139,21 @@ func (t *ALT) processRetrain(ctx context.Context, m *model) {
 	tab := t.tab.Load()
 	pos := tab.posOf(m)
 	if pos < 0 {
-		return // replaced by a rebuild or absorbed since the trigger
+		return // rebuilt since the trigger, alone or as a neighbour
 	}
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
-	// Scope the rebuilt key range onto the worker's profiler labels for the
+	// The rebuild takes m's neighbours too: a rebuild never widens a
+	// range, so without them a split GPL made at a smaller ε, while the
+	// index was smaller, would outlive every later rebuild. Scope the
+	// rebuilt key range onto the worker's profiler labels for the
 	// rebuild's duration (pprof.Do restores ctx's labels after), so a CPU
 	// profile splits rebuild cost per range.
-	lo, end := tab.rangeBounds(pos)
+	loIdx, hiIdx := max(pos-1, 0), min(pos+1, len(tab.dir)-1)
+	lo, _ := tab.rangeBounds(loIdx)
+	_, end := tab.rangeBounds(hiIdx)
 	pprof.Do(ctx, pprof.Labels("range", fmt.Sprintf("%#x-%#x", lo, end)),
-		func(context.Context) { t.rebuild(tab, pos) })
+		func(context.Context) { t.rebuild(tab, loIdx, hiIdx) })
 }
 
 // posOf returns m's table position — the retrainer's own lookup, through
@@ -179,7 +182,9 @@ func (tb *table) rangeBounds(pos int) (lo, end uint64) {
 }
 
 // rebuild is the expansion of §III-F, restructured around a copy-on-write
-// table splice with a deliberately small freeze window:
+// table splice with a deliberately small freeze window. It rebuilds the
+// span of models at positions [loIdx, hiIdx] of cur, the triggered model
+// and its neighbours (see processRetrain), as one range:
 //
 //	pre-freeze   snapshot candidate keys (best-effort slot reads + the
 //	             range's ART residents) and build empty shells over them
@@ -188,35 +193,35 @@ func (tb *table) rangeBounds(pos int) (lo, end uint64) {
 //	             still run — staleness only means some keys land as
 //	             conflicts in ART, never a correctness issue, because slot
 //	             predictions are exact by construction.
-//	freeze       lock the model's slots (drains in-flight slot writers),
+//	freeze       lock the span's slots (drains in-flight slot writers),
 //	             capture the exact entries, and bulk-remove the range's
 //	             ART residents in one RemoveRange traversal (the frozen
 //	             slots block every in-range ART mutation, so the removal
 //	             is an exact cut). Place the exact keys into the
 //	             shells (fillShells, Bulkload's fill); evict conflicts
 //	             to ART.
-//	publish      absorb adjacent empty placeholder models into the
-//	             splice, swap the table, record the freeze-window
-//	             duration.
+//	publish      swap the table, record the freeze-window duration.
 //
 // The freeze window therefore covers only slot draining, one ordered ART
 // traversal and array placement — segmentation and allocation moved off
 // it, and the old per-key tree.Remove loop (O(n·log n) descents) is one
 // bulk traversal now.
 //
-// cur is the live table and pos m's position in it. Nothing else publishes
-// while the worker rebuilds (Bulkload drains it first), so both still hold
-// at the splice.
-func (t *ALT) rebuild(cur *table, pos int) {
-	m := cur.dir[pos].m
-	lo, end := cur.rangeBounds(pos)
+// Nothing else publishes while the worker rebuilds (Bulkload drains it
+// first), so cur and the span still hold at the splice.
+func (t *ALT) rebuild(cur *table, loIdx, hiIdx int) {
+	span := cur.dir[loIdx : hiIdx+1]
+	lo, _ := cur.rangeBounds(loIdx)
+	_, end := cur.rangeBounds(hiIdx)
 	gap, eps := min(t.opts.GapFactor*2, 4), t.opts.errorBound(t.Len())
 
 	// --- Pre-freeze: candidate snapshot + segmentation + allocation. ---
-	cand := make([]uint64, 0, m.nslots/2)
-	for s := 0; s < m.nslots; s++ {
-		if k, _, meta, ok := m.read(s); ok && meta&slotOccupied != 0 {
-			cand = append(cand, k)
+	var cand []uint64
+	for i := range span {
+		for s := 0; s < span[i].nslots; s++ {
+			if k, _, meta, ok := span[i].read(s); ok && meta&slotOccupied != 0 {
+				cand = append(cand, k)
+			}
 		}
 	}
 	// end is inclusive and Walk's is half-open, with MaxUint64 meaning
@@ -234,9 +239,14 @@ func (t *ALT) rebuild(cur *table, pos int) {
 
 	// --- Freeze: drain writers, capture the exact range contents. ---
 	freezeStart := time.Now()
-	m.freeze()
+	for i := range span {
+		span[i].m.freeze()
+	}
 	failpoint.Hit("core/retrain/freeze")
-	mk, mv := m.frozenEntries()
+	var mk, mv []uint64 // the models' ranges ascend, so their entries do
+	for i := range span {
+		mk, mv = span[i].m.frozenEntries(mk, mv)
+	}
 	drained := t.tree.RemoveRange(lo, end, nil)
 	ak := make([]uint64, len(drained))
 	av := make([]uint64, len(drained))
@@ -255,26 +265,11 @@ func (t *ALT) rebuild(cur *table, pos int) {
 		// Keep an empty placeholder so the table still covers the range.
 		// Pre-built shells (stale candidates that all vanished before the
 		// freeze) were never published and are simply dropped.
-		newModels = []*model{emptyModel(m.first)}
+		newModels = []*model{emptyModel(span[0].first)}
 	}
 
-	// --- Publish: splice + placeholder absorption. ---
+	// --- Publish: splice. ---
 	failpoint.Hit("core/retrain/splice")
-
-	// Absorb adjacent never-written placeholders into this splice. A
-	// placeholder whose single slot is still state 0 proves its whole
-	// range empty (invariant 2: any ART key in the range would have
-	// forced the slot non-empty), so dropping it and letting this
-	// splice's models cover the range changes no lookup result. A
-	// tombstoned placeholder is NOT absorbable — its range may hold ART
-	// residents that need a non-empty predicted slot.
-	loIdx, hiIdx := pos, pos
-	for loIdx > 0 && absorbNeighbor(cur.dir[loIdx-1].m) {
-		loIdx--
-	}
-	for hiIdx+1 < len(cur.dir) && absorbNeighbor(cur.dir[hiIdx+1].m) {
-		hiIdx++
-	}
 	t.ret.merges.Add(int64(hiIdx - loIdx))
 
 	// The new table: the old one with [loIdx, hiIdx] replaced by the new
@@ -310,9 +305,9 @@ func (t *ALT) rebuild(cur *table, pos int) {
 	t.retrains.Add(1)
 	freezeNs := time.Since(freezeStart).Nanoseconds()
 
-	// The spliced-out models (the rebuilt one plus absorbed placeholders)
-	// are unreachable from the new table and stay frozen; the collector
-	// frees them once the last reader still holding the old table lets go.
+	// The spliced-out models are unreachable from the new table and stay
+	// frozen; the collector frees them once the last reader still holding
+	// the old table lets go.
 
 	r := &t.ret
 	r.freezeNsTotal.Add(freezeNs)
@@ -324,26 +319,11 @@ func (t *ALT) rebuild(cur *table, pos int) {
 	}
 }
 
-// absorbNeighbor tries to fold the placeholder model em, a neighbour of the
-// rebuilt one, into the splice. It freezes em's single slot and verifies it
-// is still never-written, backing out if a writer claimed it first.
-func absorbNeighbor(em *model) bool {
-	if em.nslots != 1 || stateOf(em.metaRef(0).Load()) != 0 {
-		return false
-	}
-	em.freeze()
-	if stateOf(em.metaRef(0).Load()) != 0 {
-		// A writer claimed the slot between the check and the freeze.
-		em.unfreeze()
-		return false
-	}
-	return true
-}
-
 // emptyModel returns a one-slot model covering first, used when a rebuilt
 // range holds no keys.
 func emptyModel(first uint64) *model {
-	m := &model{layout: layout{first: first, slope: 1, nslots: 1, blocks: make([]slotBlock, 1)}, buildSize: 1}
+	m := &model{layout: layout{first: first, slope: 1, nslots: 1, blocks: make([]slotBlock, 1)}}
+	m.built(1, 0)
 	m.fastIdx.Store(-1)
 	return m
 }

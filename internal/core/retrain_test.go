@@ -27,7 +27,7 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i) * 1000
 	}
-	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 8}, keys)
+	alt := mustBulk(t, Options{ErrorBound: 16}, keys)
 	pinRetrainPipeline(alt, 1)
 
 	// Consume the worker launch once so no worker drains the queue, then
@@ -87,7 +87,7 @@ func TestRetrainRearmOnDrop(t *testing.T) {
 // may be lost while the rebuilds run one after another under live writes.
 func TestConcurrentDisjointRetrains(t *testing.T) {
 	keys := dataset.Generate(dataset.OSM, 30000, 41)
-	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 64}, keys)
+	alt := mustBulk(t, Options{ErrorBound: 16}, keys)
 
 	const writers = 8
 	const perWriter = 4000
@@ -133,74 +133,88 @@ func TestConcurrentDisjointRetrains(t *testing.T) {
 	}
 }
 
-// TestPlaceholderAbsorption drives a range empty, retrains it into a
-// one-slot placeholder, then retrains its left neighbor and checks the
-// splice absorbed the placeholder — the table must shrink, not grow
-// monotonically under churn.
+// TestPlaceholderAbsorption drives a range empty and retrains it: the
+// rebuild takes both neighbours, so the emptied model leaves the table
+// instead of lingering as a one-slot placeholder, and the table shrinks
+// rather than growing monotonically under churn. A span left with no key
+// at all becomes one never-written placeholder, which the next rebuild
+// beside it takes in turn.
 func TestPlaceholderAbsorption(t *testing.T) {
-	// Three well-separated clusters segment into (at least) three models.
+	// Four well-separated clusters segment into (at least) four models.
 	var keys []uint64
-	for i := uint64(0); i < 300; i++ {
-		keys = append(keys, 1_000+i*7)
-	}
-	for i := uint64(0); i < 300; i++ {
-		keys = append(keys, 10_000_000+i*5)
-	}
-	for i := uint64(0); i < 300; i++ {
-		keys = append(keys, 20_000_000+i*11)
+	for c := uint64(0); c < 4; c++ {
+		for i := uint64(0); i < 300; i++ {
+			keys = append(keys, 1_000+c*10_000_000+i*(5+2*c))
+		}
 	}
 	alt := mustBulk(t, Options{ErrorBound: 8, DisableRetraining: true}, keys)
-
-	tab := alt.tab.Load()
-	if len(tab.dir) < 3 {
-		t.Skipf("clusters segmented into %d models; need >= 3", len(tab.dir))
+	removed := map[uint64]bool{}
+	emptyRange := func(k uint64) {
+		tab := alt.tab.Load()
+		lo, end := tab.rangeBounds(tab.route(k))
+		for _, k := range keys {
+			if k >= lo && k <= end && !removed[k] {
+				if !alt.Remove(k) {
+					t.Fatalf("Remove(%d) failed", k)
+				}
+				removed[k] = true
+			}
+		}
 	}
-	mid, pos := routed(tab, 10_000_000)
-	lo, end := tab.rangeBounds(pos)
-	for _, k := range keys {
-		if k >= lo && k <= end {
-			if !alt.Remove(k) {
-				t.Fatalf("Remove(%d) failed", k)
+	retrain := func(at uint64) {
+		tab := alt.tab.Load()
+		m := tab.dir[tab.route(at)].m
+		m.retrainArmed.Store(true)
+		alt.ret.pending.Add(1)
+		alt.processRetrain(context.Background(), m)
+		checkTable(t, alt) // after every splice
+	}
+	lookups := func(when string) {
+		t.Helper()
+		for _, k := range keys {
+			if v, ok := alt.Get(k); ok == removed[k] || ok && v != dataset.ValueFor(k) {
+				t.Fatalf("Get(%d) = %d,%v %s; removed %v", k, v, ok, when, removed[k])
 			}
 		}
 	}
 
-	retrain := func(m *model) {
-		m.retrainArmed.Store(true)
-		alt.ret.pending.Add(1)
-		alt.processRetrain(context.Background(), m)
-		checkTable(t, alt) // after every splice and absorption
+	// Empty the second cluster's model and retrain it: it and both
+	// neighbours give way to the models of the neighbours' keys alone.
+	if len(alt.tab.Load().dir) < 4 {
+		t.Skipf("clusters segmented into %d models; need >= 4", len(alt.tab.Load().dir))
 	}
+	emptyRange(10_000_000)
+	before := len(alt.tab.Load().dir)
+	retrain(10_000_000)
+	if alt.ret.merges.Load() == 0 {
+		t.Fatal("the rebuild took no neighbour")
+	}
+	if after := len(alt.tab.Load().dir); after >= before {
+		t.Fatalf("table did not shrink: %d -> %d models", before, after)
+	}
+	lookups("after the rebuild")
 
-	// Retrain the emptied range: it must collapse to a placeholder.
-	retrain(mid)
-	tab = alt.tab.Load()
-	ph, phPos := routed(tab, 10_000_000)
-	if ph.nslots != 1 || stateOf(ph.metaRef(0).Load()) != 0 {
-		t.Fatalf("emptied range did not become a never-written placeholder (nslots=%d meta=%x)",
+	// Empty the first and third clusters, the first two models now: their
+	// span rebuilds into the one-slot placeholder that keeps the range
+	// covered.
+	emptyRange(1_000)
+	emptyRange(20_001_000)
+	tab := alt.tab.Load()
+	retrain(1_000)
+	if ph := alt.tab.Load().dir[0].m; ph.nslots != 1 || stateOf(ph.metaRef(0).Load()) != 0 {
+		t.Fatalf("emptied span did not become a never-written placeholder (nslots=%d meta=%x)",
 			ph.nslots, ph.metaRef(0).Load())
 	}
-	before := len(tab.dir)
-
-	// Retrain the left neighbor: the splice must absorb the placeholder.
-	left := tab.dir[phPos-1].m
-	retrain(left)
-	tab = alt.tab.Load()
-	if alt.ret.merges.Load() == 0 {
-		t.Fatalf("neighbor rebuild absorbed no placeholder (models %d -> %d)", before, len(tab.dir))
+	if len(alt.tab.Load().dir) >= len(tab.dir) {
+		t.Fatalf("table did not shrink: %d -> %d models", len(tab.dir), len(alt.tab.Load().dir))
 	}
-	if len(tab.dir) >= before {
-		t.Fatalf("table did not shrink: %d -> %d models", before, len(tab.dir))
-	}
-	// Absorption must not change any lookup result.
-	for _, k := range keys {
-		v, ok := alt.Get(k)
-		if k >= lo && k <= end {
-			if ok {
-				t.Fatalf("removed key %d resurfaced after absorption", k)
-			}
-		} else if !ok || v != dataset.ValueFor(k) {
-			t.Fatalf("Get(%d) = %d,%v after absorption", k, v, ok)
+	lookups("after the placeholder")
+	for _, k := range []uint64{5, 1_000, 10_000_001} {
+		if err := alt.Insert(k, dataset.ValueFor(k)); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := alt.Get(k); !ok || v != dataset.ValueFor(k) {
+			t.Fatalf("Get(%d) = %d,%v after inserting into the placeholder's range", k, v, ok)
 		}
 	}
 }
@@ -293,8 +307,8 @@ func TestFillShellsExhaustedMidFill(t *testing.T) {
 		}
 	}
 	checkTable(t, alt)
-	if models[0].buildSize != len(keys) {
-		t.Fatalf("buildSize = %d, want %d", models[0].buildSize, len(keys))
+	if n, a := models[0].liveCount(), models[0].artKeys.Load(); n != len(keys) || a != 0 {
+		t.Fatalf("the shell placed %d keys and evicted %d, want %d and 0", n, a, len(keys))
 	}
 }
 
@@ -327,11 +341,12 @@ func TestBulkloadDrainsRetraining(t *testing.T) {
 	}
 }
 
-// TestUpsertOfARTKeyDoesNotRetrain pins that only growth counts toward a
-// model's retraining trigger: upserting a key that already lives in ART, or
-// re-inserting a placed key onto its own tombstone, leaves the model's key
-// set as it was, however often it repeats, while fresh keys evicted to ART
-// still trigger the rebuild once they alone cross the threshold.
+// TestUpsertOfARTKeyDoesNotRetrain pins what the retraining trigger
+// counts: a model's live ART keys. Upserting a key that already lives in
+// ART, re-inserting a placed key onto its own tombstone, and removing and
+// re-inserting a spilled key leave that count flat however often they
+// repeat, while fresh keys spilled to ART retrain the model once they
+// alone pass its threshold.
 func TestUpsertOfARTKeyDoesNotRetrain(t *testing.T) {
 	var keys []uint64 // evenly spaced, and four that collide
 	for i := uint64(0); i < 4000; i++ {
@@ -348,23 +363,31 @@ func TestUpsertOfARTKeyDoesNotRetrain(t *testing.T) {
 	hot := conflicts[0].Key
 	tab := alt.tab.Load()
 	m := tab.dir[tab.route(hot)].m
-	threshold := max(m.buildSize, alt.opts.RetrainMinInserts)
+	base := m.artKeys.Load()
+	threshold := int(m.retrainAt - base) // net spills m takes before it retrains
+	flat := func(what string, want int64) {
+		t.Helper()
+		alt.Quiesce()
+		if st := alt.StatsMap(); st["retrains"] != 0 {
+			t.Fatalf("%s retrained the index: %v", what, st)
+		}
+		if got := m.artKeys.Load(); got != want {
+			t.Fatalf("%s moved the model's ART key count %d → %d", what, want, got)
+		}
+	}
 
 	for i := 0; i <= threshold+10; i++ {
 		if err := alt.Insert(hot, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	alt.Quiesce()
-	if st := alt.StatsMap(); st["retrains"] != 0 {
-		t.Fatalf("%d upserts of one ART key retrained the index: %v", threshold+11, st)
-	}
+	flat(fmt.Sprintf("%d upserts of one ART key", threshold+11), base)
 	if v, _ := alt.Get(hot); v != uint64(threshold+10) {
 		t.Fatalf("Get(%d) = %d after the upserts, want %d", hot, v, threshold+10)
 	}
 
 	// A key the build placed in m, removed and re-inserted: each insert
-	// claims its own tombstone, a slot the build already counted.
+	// claims its own tombstone and moves no key into ART.
 	placed, found := uint64(0), false
 	for s := 0; s < m.nslots && !found; s++ {
 		k, _, meta, ok := m.read(s)
@@ -381,44 +404,55 @@ func TestUpsertOfARTKeyDoesNotRetrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	alt.Quiesce()
-	if st := alt.StatsMap(); st["retrains"] != 0 {
-		t.Fatalf("%d tombstone claims retrained the index: %v", threshold+11, st)
-	}
+	flat(fmt.Sprintf("%d tombstone claims", threshold+11), base)
 
 	// Fresh keys just above m's placed keys predict those keys' slots, so
-	// each one spills to ART; the one that crosses the threshold retrains m.
+	// each one spills to ART.
 	var fresh []uint64
-	for s := 0; s < m.nslots && len(fresh) <= threshold; s++ {
+	for s := 0; s < m.nslots && len(fresh) <= threshold+1; s++ {
 		k, _, meta, ok := m.read(s)
 		if !ok || meta&slotOccupied == 0 {
 			continue
 		}
-		for c := k + 1; m.slotOf(c) == s && tab.dir[tab.route(c)].m == m && len(fresh) <= threshold; c++ {
+		for c := k + 1; m.slotOf(c) == s && tab.dir[tab.route(c)].m == m && len(fresh) <= threshold+1; c++ {
 			if _, ok := alt.Get(c); !ok {
 				fresh = append(fresh, c)
 			}
 		}
 	}
-	if len(fresh) <= threshold {
-		t.Fatalf("setup: found %d fresh conflicting keys, want more than %d", len(fresh), threshold)
+	if len(fresh) <= threshold+1 {
+		t.Fatalf("setup: found %d fresh conflicting keys, want more than %d", len(fresh), threshold+1)
 	}
+
+	// One spilled key, removed from ART and spilled again: the count is
+	// net, so the cycles leave it one above the build's.
+	for i := 0; i <= threshold+10; i++ {
+		if err := alt.Insert(fresh[0], uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if !alt.Remove(fresh[0]) {
+			t.Fatalf("Remove(%d) found no key", fresh[0])
+		}
+	}
+	if err := alt.Insert(fresh[0], fresh[0]); err != nil {
+		t.Fatal(err)
+	}
+	flat(fmt.Sprintf("%d remove/re-insert cycles of a spilled key", threshold+11), base+1)
+
+	// The rest cross the threshold: the one that does retrains m.
 	half := threshold / 2
-	for i, c := range fresh {
+	for i, c := range fresh[1:] {
 		if err := alt.Insert(c, c); err != nil {
 			t.Fatal(err)
 		}
 		if i+1 == half {
-			alt.Quiesce()
-			if st := alt.StatsMap(); st["retrains"] != 0 {
-				t.Fatalf("%d fresh conflicting keys after %d tombstone claims retrained the index: %v",
-					half, threshold+11, st)
-			}
+			flat(fmt.Sprintf("%d fresh spills after the cycles", half), base+1+int64(half))
 		}
 	}
 	alt.Quiesce()
+	checkTable(t, alt)
 	if st := alt.StatsMap(); st["retrains"] == 0 {
-		t.Fatalf("%d fresh conflicting keys did not retrain the index: %v", len(fresh), st)
+		t.Fatalf("%d fresh spills did not retrain the index: %v", len(fresh), st)
 	}
 	if v, ok := alt.Get(placed); !ok || v != uint64(threshold+10) {
 		t.Fatalf("Get(%d) = %d, %v after the claims, want %d", placed, v, ok, threshold+10)

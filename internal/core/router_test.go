@@ -30,8 +30,10 @@ func tableOf(bounds ...uint64) *table {
 }
 
 // tableViolations audits the directory invariants every published table
-// must satisfy; nil means consistent.
-func tableViolations(tb *table) error {
+// must satisfy, given that the tree holds artKeys keys; nil means
+// consistent. The models' ART key counts must sum to artKeys, so pass
+// the tree's Len only once no writer or rebuild runs.
+func tableViolations(tb *table, artKeys int) error {
 	n := len(tb.dir)
 	if len(tb.bounds) != n {
 		return fmt.Errorf("len(bounds) = %d, len(dir) = %d", len(tb.bounds), n)
@@ -66,6 +68,13 @@ func tableViolations(tb *table) error {
 		if got := tb.route(b); got != i {
 			return fmt.Errorf("route(bounds[%d]) = %d", i, got)
 		}
+	}
+	counted := int64(0)
+	for i := range tb.dir {
+		counted += tb.dir[i].m.artKeys.Load()
+	}
+	if counted != int64(artKeys) {
+		return fmt.Errorf("models count %d ART keys, the tree holds %d", counted, artKeys)
 	}
 	return nil
 }
@@ -158,10 +167,12 @@ func routerDepth(r *router, n int) (depth int, err error) {
 	return depth, nil
 }
 
-// checkTable fails the test if idx's published table breaks an invariant.
+// checkTable drains idx's retraining and fails the test if its published
+// table breaks an invariant. No writer may run.
 func checkTable(t *testing.T, idx *ALT) {
 	t.Helper()
-	if err := tableViolations(idx.tab.Load()); err != nil {
+	idx.Quiesce()
+	if err := tableViolations(idx.tab.Load(), idx.tree.Len()); err != nil {
 		t.Fatalf("table invariant: %v", err)
 	}
 }
@@ -324,7 +335,7 @@ func TestHeadSpliceKeepsBoundsAscending(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = index.KV{Key: 1<<40 + uint64(i)*1000, Value: uint64(i)}
 	}
-	a := New(Options{ErrorBound: 16, RetrainMinInserts: 64})
+	a := New(Options{ErrorBound: 16})
 	t.Cleanup(func() { a.Close() })
 	if err := a.Bulkload(pairs); err != nil {
 		t.Fatal(err)
@@ -367,10 +378,10 @@ func TestHeadSpliceKeepsBoundsAscending(t *testing.T) {
 // TestCheckTableCatchesViolations is the audit's own negative test: each
 // tampering must be reported, so a green checkTable means something.
 func TestCheckTableCatchesViolations(t *testing.T) {
-	if err := tableViolations(tableOf(10, 100, 1000)); err != nil {
+	if err := tableViolations(tableOf(10, 100, 1000), 0); err != nil {
 		t.Fatalf("clean table reported: %v", err)
 	}
-	if err := tableViolations(newTable(nil, nil)); err != nil {
+	if err := tableViolations(newTable(nil, nil), 0); err != nil {
 		t.Fatalf("empty table reported: %v", err)
 	}
 	tamper := map[string]func(tb *table){
@@ -387,11 +398,12 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 			tb.rt.sub = make([]uint64, subWindows)
 			tb.rt.rt[0] |= 1 << (2 * rtIdxBits)
 		},
+		"art-count": func(tb *table) { tb.dir[1].m.artKeys.Add(1) },
 	}
 	for name, f := range tamper {
 		tb := tableOf(10, 100, 1000)
 		f(tb)
-		if tableViolations(tb) == nil {
+		if tableViolations(tb, 0) == nil {
 			t.Errorf("%s: tampered table passed the audit", name)
 		}
 	}
@@ -409,7 +421,7 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 		tb := tableOf(10, 100, 1000)
 		c.f(tb.dir[0].m, tb.dir[1].m)
 		tb.dir[1] = newEntry(tb.dir[1].m)
-		if err := tableViolations(tb); err == nil || !strings.Contains(err.Error(), c.reason) {
+		if err := tableViolations(tb, 0); err == nil || !strings.Contains(err.Error(), c.reason) {
 			t.Errorf("%s: audit reported %v, want a violation naming %q", name, err, c.reason)
 		}
 	}

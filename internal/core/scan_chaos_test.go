@@ -30,7 +30,7 @@ func TestScanDedupDuringStretchedMigration(t *testing.T) {
 	for i := uint64(0); i < grid; i++ {
 		keys = append(keys, i*16)
 	}
-	alt := mustBulk(t, Options{ErrorBound: 16, RetrainMinInserts: 128}, keys)
+	alt := mustBulk(t, Options{ErrorBound: 16}, keys)
 
 	hits, _ := indextest.Arm(t, indextest.Schedule{
 		"core/retrain/freeze":  func(int64) { time.Sleep(500 * time.Microsecond) },

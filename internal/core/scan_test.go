@@ -157,18 +157,22 @@ func TestRangeStartsInTrailingGap(t *testing.T) {
 // two clamp to slot 0; once the new minimum is removed, a fresh key there
 // claims its tombstone. A scan must read it whether it starts in that model
 // or in the one before: models are skipped by their boundaries, not their
-// origins.
+// origins. A third cluster's model triggers the rebuild, so the span it
+// rebuilds with its neighbours starts at the second cluster's model.
 func TestScanReadsKeysBelowModelOrigin(t *testing.T) {
 	keys, lastA, firstB := twoClusterKeys()
+	for i := 0; i < 1500; i++ {
+		keys = append(keys, uint64(1)<<41+uint64(i)*5)
+	}
 	alt := mustBulk(t, Options{ErrorBound: 64, DisableRetraining: true}, keys)
 	pos := alt.tab.Load().route(firstB)
-	if pos == 0 {
-		t.Fatal("the two clusters share a model")
+	if pos == 0 || alt.tab.Load().route(1<<41) != pos+1 {
+		t.Fatal("the three clusters do not make one model each")
 	}
 	for _, k := range []uint64{firstB, firstB + 3, firstB + 6, firstB + 9} {
 		alt.Remove(k)
 	}
-	retrainNow(alt, alt.tab.Load().dir[pos].m)
+	retrainNow(alt, alt.tab.Load().dir[pos+1].m)
 	tb := alt.tab.Load()
 	e := &tb.dir[pos]
 	if tb.bounds[pos] != firstB || e.first != firstB+12 {

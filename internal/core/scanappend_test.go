@@ -224,7 +224,7 @@ func TestScanAppendUnderWriters(t *testing.T) {
 	for i := uint64(0); i < grid; i++ {
 		pairs = append(pairs, index.KV{Key: i * stride, Value: i*stride + 1})
 	}
-	alt := New(Options{ErrorBound: 32, RetrainMinInserts: 256})
+	alt := New(Options{ErrorBound: 32})
 	defer alt.Close()
 	if err := alt.Bulkload(pairs); err != nil {
 		t.Fatal(err)

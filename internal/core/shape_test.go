@@ -3,7 +3,6 @@ package core
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"testing"
@@ -20,56 +19,28 @@ const shapeGolden = "testdata/shape.golden"
 // hundreds of models at the default ε, small enough for tier-1.
 const shapeKeys = 200000
 
-// grownTolerance is how far, relative, each field of a grown row may sit
-// from the ledger. Rebuilds run on the index's worker while the writer
-// inserts, so where the trigger fires depends on the scheduler.
-const grownTolerance = 0.10
-
-// shape is what the ledger records of one built index.
-type shape struct {
-	models, artKeys      int64
-	slotsPerKey, bPerKey float64
-}
-
-func shapeOf(ix *ALT) shape {
+// shapeOf is what the ledger records of one built index.
+func shapeOf(ix *ALT) string {
 	st := ix.StatsMap()
 	n := float64(ix.Len())
-	return shape{
-		models:      st["models"],
-		artKeys:     st["art_keys"],
-		slotsPerKey: float64(st["slots"]) / n,
-		bPerKey:     float64(ix.MemoryUsage()) / n,
-	}
-}
-
-func (s shape) String() string {
 	return fmt.Sprintf("models=%d slots_per_key=%.4f art_keys=%d b_per_key=%.2f",
-		s.models, s.slotsPerKey, s.artKeys, s.bPerKey)
-}
-
-// within reports whether every field of s lies within tol, relative, of w.
-func (s shape) within(w shape, tol float64) bool {
-	near := func(got, want float64) bool { return math.Abs(got-want) <= tol*math.Abs(want) }
-	return near(float64(s.models), float64(w.models)) && near(float64(s.artKeys), float64(w.artKeys)) &&
-		near(s.slotsPerKey, w.slotsPerKey) && near(s.bPerKey, w.bPerKey)
-}
-
-func parseShape(line string) (shape, error) {
-	var s shape
-	_, err := fmt.Sscanf(line, "models=%d slots_per_key=%f art_keys=%d b_per_key=%f",
-		&s.models, &s.slotsPerKey, &s.artKeys, &s.bPerKey)
-	return s, err
+		st["models"], float64(st["slots"])/n, st["art_keys"], float64(ix.MemoryUsage())/n)
 }
 
 // TestShapeLedger records, per dataset at 200 K keys (seed 1, one
 // writer), the shape of three builds of the same keys: a Bulkload of all
 // of them; a Bulkload of half (workload.SplitLoad) grown by the other half
 // with retraining off, which isolates what the learned layer's spare slots
-// absorb; and the same growth with retraining, Quiesced. The first two rows
-// are deterministic and must match testdata/shape.golden exactly; the grown
-// row must match within grownTolerance. A change that moves a row
-// regenerates the file with -update, and its diff is the change's effect.
+// absorb; and the same growth with retraining. Every row must match
+// testdata/shape.golden exactly, so the retraining row drains the pipeline
+// after every insert: left to the worker's timing, the ART keys of fb's
+// row ranged from 7.6 K to 17.7 K over twelve runs. A change that moves a
+// row regenerates the file with -update, and its diff is the change's
+// effect.
 func TestShapeLedger(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds twelve 200 K-key indexes")
+	}
 	raw, err := os.ReadFile(shapeGolden)
 	if err != nil && !*update {
 		t.Fatal(err)
@@ -89,30 +60,16 @@ func TestShapeLedger(t *testing.T) {
 		rows := []struct {
 			build string
 			ix    *ALT
-			exact bool
 		}{
-			{"bulkload", bulk, true},
-			{"half+grow", growFrom(t, Options{DisableRetraining: true}, loaded, pending), true},
-			{"half+grow+retrain", growFrom(t, Options{}, loaded, pending), false},
+			{"bulkload", bulk},
+			{"half+grow", growFrom(t, Options{DisableRetraining: true}, loaded, pending)},
+			{"half+grow+retrain", growFrom(t, Options{}, loaded, pending)},
 		}
 		for _, r := range rows {
 			id, got := string(ds)+" "+r.build, shapeOf(r.ix)
-			regen.WriteString(id + ": " + got.String() + "\n")
-			want, ok := golden[id]
-			switch {
-			case *update:
-			case !ok:
-				t.Errorf("%s: no row in %s", id, shapeGolden)
-			case r.exact && got.String() != want:
+			regen.WriteString(id + ": " + got + "\n")
+			if want := golden[id]; !*update && got != want {
 				t.Errorf("%s drifted from %s\n got: %s\nwant: %s", id, shapeGolden, got, want)
-			case !r.exact:
-				w, err := parseShape(want)
-				if err != nil {
-					t.Fatalf("%s: %s row %q: %v", id, shapeGolden, want, err)
-				}
-				if !got.within(w, grownTolerance) {
-					t.Errorf("%s drifted more than %.0f%% from %s\n got: %s\nwant: %s", id, 100*grownTolerance, shapeGolden, got, want)
-				}
 			}
 		}
 	}
@@ -123,8 +80,8 @@ func TestShapeLedger(t *testing.T) {
 	}
 }
 
-// growFrom bulkloads loaded into a fresh index, inserts pending in order
-// from one goroutine and drains the retraining pipeline.
+// growFrom bulkloads loaded into a fresh index and inserts pending in
+// order from one goroutine, draining the retraining pipeline after each.
 func growFrom(t *testing.T, opts Options, loaded, pending []uint64) *ALT {
 	t.Helper()
 	ix := mustBulk(t, opts, loaded)
@@ -132,7 +89,7 @@ func growFrom(t *testing.T, opts Options, loaded, pending []uint64) *ALT {
 		if err := ix.Insert(k, dataset.ValueFor(k)); err != nil {
 			t.Fatal(err)
 		}
+		ix.Quiesce()
 	}
-	ix.Quiesce()
 	return ix
 }

@@ -78,8 +78,20 @@ func TestSlabRetention(t *testing.T) {
 	if rebuilt == 0 {
 		t.Fatal("no model owns its blocks after the rebuild")
 	}
+	// The rebuild took m's neighbours along: every model it spliced out
+	// leaves its region dead.
+	live := map[*model]bool{}
+	for _, e := range alt.tab.Load().dir {
+		live[e.m] = true
+	}
+	dead := int64(0)
+	for _, e := range tb.dir {
+		if !live[e.m] {
+			dead += int64(len(e.blocks)) * int64(unsafe.Sizeof(slotBlock{}))
+		}
+	}
 	st := alt.StatsMap()
-	if dead := int64(len(m.blocks)) * int64(unsafe.Sizeof(slotBlock{})); st["slab_bytes"] != slabBytes || st["slab_dead_bytes"] != dead {
+	if st["slab_bytes"] != slabBytes || st["slab_dead_bytes"] != dead {
 		t.Fatalf("after a rebuild: slab_bytes %d, slab_dead_bytes %d; want %d, %d", st["slab_bytes"], st["slab_dead_bytes"], slabBytes, dead)
 	}
 	if got, want := alt.MemoryUsage(), liveMemory(t, alt); got != want {

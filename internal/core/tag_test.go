@@ -192,9 +192,8 @@ func TestConflictTagNeverFalseAbsent(t *testing.T) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	alt := mustBulk(t, Options{
-		ErrorBound:        64,
-		GapFactor:         1, // pack slots → many build conflicts → tags in play
-		RetrainMinInserts: 32,
+		ErrorBound: 64,
+		GapFactor:  1, // pack slots → many build conflicts → tags in play
 	}, keys)
 
 	ref := map[uint64]uint64{}
@@ -415,7 +414,6 @@ func TestConflictTagSurvivesSlotWrites(t *testing.T) {
 			{"upsert of the ART key", func() bool { return alt.Insert(evicted, 1) == nil }},
 			{"Update in the slot", func() bool { return alt.Update(claimer, 4) }},
 			{"Update in ART", func() bool { return alt.Update(evicted, 1) }},
-			{"freeze + unfreeze", func() bool { e.m.freeze(); e.m.unfreeze(); return true }},
 		} {
 			if !w.do() {
 				t.Fatalf("%s failed", w.name)

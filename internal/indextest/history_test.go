@@ -1,6 +1,7 @@
 package indextest
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -141,10 +142,9 @@ func historyMatrix(t *testing.T, arm func(*testing.T, index.Concurrent)) {
 
 	t.Run("ALT-grown", func(t *testing.T) {
 		// Never bulkloaded: every model comes from a retraining rebuild.
-		// A model retrains past 1,024 inserts, so growing past several
-		// trainings takes more keys than the other cases load. Draining
-		// the pipeline after every insert runs each training before the
-		// next key, so the count does not hinge on the workers' timing.
+		// Draining the pipeline after every insert runs each training
+		// before the next key, so the count does not hinge on the
+		// workers' timing.
 		grown := dataset.Generate(dataset.OSM, 100000, 3)
 		ix := core.New(core.Options{})
 		defer ix.Close()
@@ -161,28 +161,25 @@ func historyMatrix(t *testing.T, arm func(*testing.T, index.Concurrent)) {
 	})
 
 	t.Run("ALT-retrain-storm", func(t *testing.T) {
-		// A writer cycles fresh keys next to every hot key, inserting
-		// 64 per hot key and then removing them again, so the models that
-		// hold the hot keys keep crossing their retraining trigger and
-		// rebuilds splice them out, draining their ART residents, for the
-		// whole run.
-		ix := core.New(core.Options{RetrainMinInserts: 16})
+		// A writer slides a window of 64 fresh keys up from every other
+		// hot key, inserting the next key and removing the one 64 below,
+		// so the models that hold the hot keys keep spilling new keys to
+		// ART, cross their retraining trigger, and rebuilds splice them
+		// out, draining their ART residents, for the whole run.
+		ix := core.New(core.Options{})
 		defer ix.Close()
 		bulk(t, ix, keys)
 		hot := historyKeys(keys, hotKeys, 1)
-		isHot := make(map[uint64]bool, len(hot))
-		for _, k := range hot {
-			isHot[k] = true
+		const window, span = 64, 1 << 16 // loaded keys lie further apart
+		var bases []uint64
+		for i := 0; i < len(hot); i += 2 {
+			bases = append(bases, hot[i])
 		}
 		// The storm's writes are not recorded, so the scan rules skip the
 		// keys it touches.
-		storm := map[uint64]bool{}
-		for i := 0; i < len(hot); i += 2 {
-			for j := uint64(0); j < 64; j++ {
-				if k := hot[i] + 2 + j; !isHot[k] {
-					storm[k] = true
-				}
-			}
+		storm := func(k uint64) bool {
+			i := sort.Search(len(bases), func(i int) bool { return bases[i] > k }) - 1
+			return i >= 0 && k-bases[i] >= 2 && k-bases[i] < 2+span
 		}
 		stop := make(chan struct{})
 		stormDone := make(chan struct{})
@@ -194,22 +191,17 @@ func historyMatrix(t *testing.T, arm func(*testing.T, index.Concurrent)) {
 					return
 				default:
 				}
-				for i := 0; i < len(hot); i += 2 {
-					k := hot[i] + 2 + uint64(r%64)
-					if isHot[k] {
-						continue
-					}
-					if r/64%2 == 0 {
-						_ = ix.Insert(k, k) // ALT.Insert always returns nil
-					} else {
-						ix.Remove(k)
+				for _, b := range bases {
+					_ = ix.Insert(b+2+uint64(r%span), 1) // ALT.Insert always returns nil
+					if r >= window {
+						ix.Remove(b + 2 + uint64((r-window)%span))
 					}
 				}
 			}
 		}()
 		defer func() { close(stop); <-stormDone }()
 		before := ix.StatsMap()["retrains"]
-		run(t, ix, pairsOf(keys), hot, func(k uint64) bool { return !storm[k] })
+		run(t, ix, pairsOf(keys), hot, func(k uint64) bool { return !storm(k) })
 		n := ix.StatsMap()["retrains"] - before
 		t.Logf("%d rebuilds ran during the history (at least 10 required)", n)
 		if n < 10 {

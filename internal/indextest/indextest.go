@@ -259,13 +259,12 @@ func scansMatch(t *testing.T, native, twin index.Concurrent) {
 
 // testBatchConflictHeavy drives the batch paths where most keys miss their
 // predicted slot. The key set is what makes it so, whatever the index's
-// options: three keys are inserted between every two bulk-loaded neighbours
-// before the first batch, which leaves a gapped learned layer with about
-// twice the keys it has slots for, so the surplus conflicts into the ART
-// layer (an index that reports art_keys must show at least a quarter of its
-// keys there, so at least a quarter of every chunk takes the fast-pointer
-// hop and tree descent) while staying far below the per-model insert count
-// that would retrain the crowding away. Around them: a fourth in-between
+// options: three adjacent keys are inserted between every two bulk-loaded
+// neighbours before the first batch. No slot line through a gap that wide
+// tells adjacent keys apart, so two of each three conflict into the ART
+// layer, and a rebuild leaves them there (an index that reports art_keys
+// must show at least a quarter of its keys there, so at least a quarter of
+// every chunk takes the fast-pointer hop and tree descent). Around them: a fourth in-between
 // key per gap arrives through the batches (more runtime conflict
 // evictions), a fifth stays absent (a lookup lands on a slot held by
 // another key and must prove absence), every fifth loaded key is removed up
@@ -287,7 +286,7 @@ func testBatchConflictHeavy(t *testing.T, factory Factory) {
 	var crowd, fresh, absent, removed []uint64
 	for i, k := range loaded[:len(loaded)-1] {
 		step := (loaded[i+1] - k) / 8
-		crowd = append(crowd, k+step, k+3*step, k+5*step)
+		crowd = append(crowd, k+step, k+step+1, k+step+2)
 		fresh = append(fresh, k+2*step)
 		absent = append(absent, k+6*step)
 		if i%5 == 0 {

@@ -32,7 +32,7 @@ func TestShardChaosRouteRacingSplice(t *testing.T) {
 		keyStride    = 64
 	)
 
-	idx := shard.New(core.Options{Shards: 4, ErrorBound: 16, RetrainMinInserts: 192})
+	idx := shard.New(core.Options{Shards: 4, ErrorBound: 16})
 	t.Cleanup(func() { idx.Close() })
 
 	// Grid keys i*stride+7 are writer-owned (writer = i mod writers);
