@@ -36,7 +36,10 @@ import (
 )
 
 // Options configure an ALT index. The zero value gives the paper's
-// recommended defaults.
+// recommended defaults. No field tunes §III-F retraining beyond turning it
+// off: a model retrains once the keys it spilled to ART outnumber the
+// empty slots its build left (model.built), and the rebuild takes its two
+// neighbours.
 type Options struct {
 	// ErrorBound is the GPL segmentation ε. Zero selects the paper's
 	// recommendation of n/1000 (§III-D), capped at 1,024 and floored at
@@ -49,7 +52,9 @@ type Options struct {
 	// in-place inserts (§III-B "array gaps scheme"): a model gets
 	// GapFactor slots per key, more only where they evict fewer keys to
 	// ART, and fewer where GPL's midpoint line already takes fewer
-	// (fitSlope); below 1 it acts as 1. Zero selects 2.0. Bulkload refuses
+	// (fitSlope), but never more than GapFactor for each of its keys and
+	// each of MaxDefaultErrorBound's positions, whatever ErrorBound
+	// asks; below 1 it acts as 1. Zero selects 2.0. Bulkload refuses
 	// a negative, infinite or NaN value (Validate). New keeps it, and the
 	// rebuilds of an index it grows, which stretch by min(2·GapFactor, 4),
 	// run a negative value as 1 and +Inf as 4, while NaN leaves almost
@@ -57,7 +62,8 @@ type Options struct {
 	GapFactor float64
 	// DisableRetraining turns off dynamic retraining (§III-F), which
 	// includes the first training of an index that was never bulkloaded:
-	// it stays one model with every key but one in ART.
+	// it stays one model with every key but one in ART. The per-model
+	// ART key counts the trigger reads are kept all the same.
 	DisableRetraining bool
 	// Shards asks the front-ends that read it (altindex.New and Load)
 	// for a range-partitioned index of this many independent ALT shards

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"testing"
 	"unsafe"
@@ -15,11 +14,8 @@ import (
 // huge page pass: every node of a tree larger than one huge page lies
 // inside a returned run, the runs are sorted, disjoint, not adjacent and
 // 2 MiB-aligned, and a tree whose nodes take less than one huge page
-// gives none. It first hands the heap earlier tests left back to the
-// system: the large gap allocations below must land between the node
-// pages, not in a hole an earlier test freed.
+// gives none.
 func TestTreeSpansCoverEveryNode(t *testing.T) {
-	debug.FreeOSMemory()
 	rng := xrand.New(1)
 	small := art.New(nil)
 	for range 1000 {

@@ -369,14 +369,16 @@ func (t *ALT) fillShells(shells []*model, keys, vals []uint64) []*model {
 
 // built records what m's build left: placed keys in its slots and evicted
 // ones in ART. The §III-F trigger fires once the model's ART keys pass its
-// build's evictions by its placed keys times its load factor
-// (placed/nslots), rounded up: by half its build at the default gap of
-// two slots per key, by a quarter after a rebuild's gap of four. A
-// rebuild therefore follows at least as many net spills as its own keys
-// scaled by how full it starts, and never the first spill alone.
+// build's evictions by the slots its build left empty: the keys it spilled
+// since outnumber the room it had for them. That is about its build size at
+// the default gap of two slots per key and three times it after a
+// rebuild's gap of four, so rebuild work stays proportional to the spills
+// that caused it; only a build with no empty slot (GapFactor 1, or New's
+// one-slot placeholder) retrains on its first spill, and the rebuild's
+// wider gap leaves the next one room.
 func (m *model) built(placed, evicted int) {
 	m.artKeys.Store(int64(evicted))
-	m.retrainAt = int64(evicted + (placed*placed+m.nslots-1)/m.nslots)
+	m.retrainAt = int64(evicted + m.nslots - placed)
 }
 
 // slotOf returns the predicted slot for key, clamped to the array. Because
