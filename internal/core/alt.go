@@ -258,7 +258,7 @@ func (t *ALT) Bulkload(pairs []index.KV) error {
 		for i, m := range models {
 			bounds[i], dir[i] = m.first, newEntry(m)
 		}
-		tb = newTable(bounds, dir)
+		tb = newTable(bounds, dir, 0)
 	}
 	t.tab.Store(tb)
 	t.size.Store(int64(len(keys)))

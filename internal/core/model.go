@@ -531,8 +531,10 @@ type table struct {
 
 // newTable builds the directory over bounds and dir, which it takes
 // ownership of. The one constructor behind New, Bulkload and every retrain
-// splice.
-func newTable(bounds []uint64, dir []entry) *table {
+// splice; subCap reserves that many router sub-table entries (a splice
+// passes about what the table it replaces holds, so building the router
+// does not grow them step by step).
+func newTable(bounds []uint64, dir []entry, subCap int) *table {
 	if failpoint.Tagged {
 		for i := 1; i < len(bounds); i++ {
 			if bounds[i] <= bounds[i-1] {
@@ -544,7 +546,7 @@ func newTable(bounds []uint64, dir []entry) *table {
 	// Past 2^rtIdxBits models the router's packed entries cannot address
 	// the directory; route then narrows over the full range.
 	if n := len(bounds); n > 0 && n < 1<<rtIdxBits {
-		tb.rt = buildRouter(bounds)
+		tb.rt = buildRouter(bounds, subCap)
 	}
 	return tb
 }
@@ -623,7 +625,7 @@ const (
 	nestWide = 8
 )
 
-func buildRouter(fs []uint64) router {
+func buildRouter(fs []uint64, subCap int) router {
 	n := len(fs)
 	i0 := n / routerTrim
 	base := fs[i0]
@@ -633,7 +635,7 @@ func buildRouter(fs []uint64) router {
 		shift = uint(l - lw + 1)
 	}
 	grid := int(span>>shift) + 1
-	r := router{base: base, shift: shift, rt: make([]uint64, grid+2)}
+	r := router{base: base, shift: shift, rt: make([]uint64, grid+2), sub: make([]uint64, 0, subCap)}
 	r.rt[0] = uint64(i0) << rtIdxBits
 	i1 := r.fill(&r.rt, 1, fs, base, shift, i0, grid, subWide)
 	r.rt[grid+1] = uint64(i1) | uint64(n-1)<<rtIdxBits

@@ -291,7 +291,7 @@ func (t *ALT) rebuild(cur *table, loIdx, hiIdx int) {
 		dir = append(dir, newEntry(nm))
 	}
 	bounds[loIdx] = min(bounds[loIdx], cur.bounds[loIdx])
-	newTab := newTable(append(bounds, cur.bounds[hiIdx+1:]...), append(dir, cur.dir[hiIdx+1:]...))
+	newTab := newTable(append(bounds, cur.bounds[hiIdx+1:]...), append(dir, cur.dir[hiIdx+1:]...), len(cur.rt.sub))
 
 	for i := range newModels {
 		t.registerFP(newTab, loIdx+i)
@@ -332,7 +332,7 @@ func emptyModel(first uint64) *model {
 // placeholder model owning the whole key space, whose single slot every
 // key predicts to (see New).
 func emptyTable() *table {
-	return newTable([]uint64{0}, []entry{newEntry(emptyModel(0))})
+	return newTable([]uint64{0}, []entry{newEntry(emptyModel(0))}, 0)
 }
 
 // mergeSortedKeys merges two ascending key slices, dropping duplicates.

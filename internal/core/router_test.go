@@ -26,7 +26,7 @@ func tableOf(bounds ...uint64) *table {
 	for i, b := range bounds {
 		dir[i] = newEntry(emptyModel(b))
 	}
-	return newTable(bounds, dir)
+	return newTable(bounds, dir, 0)
 }
 
 // tableViolations audits the directory invariants every published table
@@ -272,7 +272,7 @@ func TestRouteMatchesReference(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			// Routing reads only the boundaries, so the synthetic cases
 			// build the table without a directory.
-			tb := newTable(c.bounds, nil)
+			tb := newTable(c.bounds, nil, 0)
 			if hasRouter := len(tb.rt.rt) > 0; hasRouter != (len(c.bounds) < 1<<rtIdxBits) {
 				t.Fatalf("router present = %v with %d models", hasRouter, len(c.bounds))
 			}
@@ -381,7 +381,7 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 	if err := tableViolations(tableOf(10, 100, 1000), 0); err != nil {
 		t.Fatalf("clean table reported: %v", err)
 	}
-	if err := tableViolations(newTable(nil, nil), 0); err != nil {
+	if err := tableViolations(newTable(nil, nil, 0), 0); err != nil {
 		t.Fatalf("empty table reported: %v", err)
 	}
 	tamper := map[string]func(tb *table){
@@ -391,7 +391,7 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 		"foreign-block":  func(tb *table) { tb.dir[1].blocks = make([]slotBlock, 1) },
 		"origin":         func(tb *table) { tb.dir[0], tb.dir[1] = tb.dir[1], tb.dir[0] },
 		"no-router":      func(tb *table) { tb.rt = router{} },
-		"stale-router":   func(tb *table) { tb.rt = buildRouter([]uint64{10, 11, 12}) },
+		"stale-router":   func(tb *table) { tb.rt = buildRouter([]uint64{10, 11, 12}, 0) },
 		"router-bracket": func(tb *table) { tb.rt.rt[1] |= rtIdxMask << rtIdxBits },
 		"router-ref":     func(tb *table) { tb.rt.rt[1] |= 1 << (2 * rtIdxBits) },
 		"clamp-ref": func(tb *table) {
@@ -431,7 +431,7 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 	for i := range fs {
 		fs[i] = uint64(i/1000)<<60 + uint64(i%1000)*4096
 	}
-	clean := buildRouter(fs)
+	clean := buildRouter(fs, 0)
 	if d, err := routerDepth(&clean, len(fs)); err != nil || d < 2 {
 		t.Fatalf("clean nested router: depth %d, %v", d, err)
 	}
@@ -459,7 +459,7 @@ func TestCheckTableCatchesViolations(t *testing.T) {
 		"too-deep": func(r *router) { r.shift = subBits },
 	}
 	for name, f := range nested {
-		r := buildRouter(fs)
+		r := buildRouter(fs, 0)
 		f(&r)
 		if _, err := routerDepth(&r, len(fs)); err == nil {
 			t.Errorf("%s: tampered router passed the audit", name)
