@@ -24,22 +24,20 @@ import (
 // rebuild on the triggering writer would make every crowded model a
 // tail-latency event for whichever writer tripped it. Three stages:
 //
-//  1. Trigger (writer's critical path): maybeRetrain, after a spill, costs
-//     one counter load; past the threshold, one CAS on the model's armed flag dedups
-//     concurrent triggers and the model pointer goes into a bounded
-//     channel. On overflow the trigger is dropped but the model re-armed,
-//     so the next threshold-crossing insert re-triggers it — a dropped
-//     trigger is deferred, never lost.
+//  1. Trigger (writer's critical path): maybeRetrain, after a spill,
+//     costs one counter load; past the threshold, one CAS on the model's
+//     armed flag dedups concurrent triggers and the model pointer goes
+//     into a bounded channel. On overflow the trigger is dropped but the
+//     model re-armed, so the next threshold-crossing insert re-triggers
+//     it — a dropped trigger is deferred, never lost.
 //  2. Rebuild (worker): one retraining goroutine per index takes the
-//     triggers in order and rebuilds one model at a time. The freeze
-//     window is shrunk by hoisting the expensive work out of it (see
-//     rebuild).
-//  3. Publish (worker): the copy-on-write table splice of the rebuilt
-//     model and its two neighbours, so a split made while the index was
-//     small can merge again. The worker is the only code that
-//     publishes a table apart from Bulkload, which drains it first, so no
-//     two rebuilds ever overlap and a live model's range never changes
-//     under its rebuild.
+//     triggers in order and rebuilds each model with its two neighbours,
+//     one span at a time. The freeze window is shrunk by hoisting the
+//     expensive work out of it (see rebuild).
+//  3. Publish (worker): the copy-on-write table splice. The worker is the
+//     only code that publishes a table apart from Bulkload, which drains
+//     it first, so no two rebuilds ever overlap and a live model's range
+//     never changes under its rebuild.
 
 // retrainQueue bounds the trigger queue feeding the worker, sized to hold
 // a burst of triggers from many crowded models while the worker rebuilds.
